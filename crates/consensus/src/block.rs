@@ -2,6 +2,7 @@
 
 use crate::qc::QuorumCert;
 use lumiere_crypto::Digest;
+use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Batch, ProcessId, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -141,6 +142,42 @@ impl Block {
     }
 }
 
+/// Wire form: `hash`, `parent`, `height` (`u64` each), `view: i64`,
+/// `proposer: u32`, the payload batch, the justify certificate.
+///
+/// The stored hash is shipped and taken back as is: decoding does not
+/// re-derive it (that would re-run the O(batch) payload digest per
+/// delivered copy). A decoded block is therefore only as trustworthy as any
+/// other received block — the engine rejects proposals that are not
+/// [`Block::well_formed`] before acting on them.
+impl Wire for Block {
+    fn encoded_len(&self) -> usize {
+        8 + 8 + 8 + 8 + 4 + self.payload.encoded_len() + self.justify.encoded_len()
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.hash);
+        put_u64(out, self.parent);
+        put_u64(out, self.height);
+        self.view.encode_into(out);
+        self.proposer.encode_into(out);
+        self.payload.encode_into(out);
+        self.justify.encode_into(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Block {
+            hash: r.u64("Block.hash")?,
+            parent: r.u64("Block.parent")?,
+            height: r.u64("Block.height")?,
+            view: View::decode(r)?,
+            proposer: ProcessId::decode(r)?,
+            payload: Batch::decode(r)?,
+            justify: QuorumCert::decode(r)?,
+        })
+    }
+}
+
 impl fmt::Display for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -204,6 +241,32 @@ mod tests {
         );
         b.payload = Batch::tag(9);
         assert!(!b.well_formed());
+    }
+
+    #[test]
+    fn wire_ships_the_stored_hash_without_recomputing_it() {
+        let mut b = Block::new(
+            GENESIS_HASH,
+            1,
+            View::new(0),
+            ProcessId::new(1),
+            Batch::tag(7),
+            QuorumCert::genesis(),
+        );
+        let mut bytes = Vec::new();
+        b.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), b.encoded_len());
+        let back = Block::decode_exact(&bytes).unwrap();
+        assert_eq!(back, b);
+        assert!(back.well_formed());
+        // A tampered block decodes to exactly what was sent — tampering is
+        // the engine's `well_formed` check to catch, not the codec's.
+        b.payload = Batch::tag(9);
+        bytes.clear();
+        b.encode_into(&mut bytes);
+        let back = Block::decode_exact(&bytes).unwrap();
+        assert_eq!(back, b);
+        assert!(!back.well_formed());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::block::{Block, BlockHash};
 use crate::qc::QuorumCert;
 use lumiere_crypto::{Signature, SIGNATURE_SIZE_BYTES};
+use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::View;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -112,6 +113,57 @@ impl ConsensusMessage {
             ConsensusMessage::Proposal(_) => "proposal",
             ConsensusMessage::Vote { .. } => "vote",
             ConsensusMessage::NewQc(_) => "new-qc",
+        }
+    }
+}
+
+/// Wire form: a 1-byte tag — `0` `Proposal`, `1` `Vote`, `2` `NewQc` — then
+/// the variant's fields in declaration order.
+impl Wire for ConsensusMessage {
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            ConsensusMessage::Proposal(block) => block.encoded_len(),
+            ConsensusMessage::Vote { signature, .. } => 8 + 8 + signature.encoded_len(),
+            ConsensusMessage::NewQc(qc) => qc.encoded_len(),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            ConsensusMessage::Proposal(block) => {
+                out.push(0);
+                block.encode_into(out);
+            }
+            ConsensusMessage::Vote {
+                view,
+                block_hash,
+                signature,
+            } => {
+                out.push(1);
+                view.encode_into(out);
+                put_u64(out, *block_hash);
+                signature.encode_into(out);
+            }
+            ConsensusMessage::NewQc(qc) => {
+                out.push(2);
+                qc.encode_into(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.tag("ConsensusMessage")? {
+            0 => Block::decode(r).map(ConsensusMessage::Proposal),
+            1 => Ok(ConsensusMessage::Vote {
+                view: View::decode(r)?,
+                block_hash: r.u64("Vote.block_hash")?,
+                signature: Signature::decode(r)?,
+            }),
+            2 => QuorumCert::decode(r).map(ConsensusMessage::NewQc),
+            tag => Err(WireError::UnknownTag {
+                what: "ConsensusMessage",
+                tag,
+            }),
         }
     }
 }

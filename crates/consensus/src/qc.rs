@@ -2,6 +2,7 @@
 
 use crate::block::{BlockHash, GENESIS_HASH};
 use lumiere_crypto::{Digest, DigestValue, Pki, Signature, ThresholdSignature};
+use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, Params, Result, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -126,6 +127,44 @@ impl QuorumCert {
     /// per-signer signature vector.
     pub fn naive_auth_bytes(&self) -> usize {
         self.tsig.as_ref().map_or(0, |t| t.naive_wire_size())
+    }
+}
+
+/// Wire form: `view: i64`, `block_hash: u64`, then a presence tag — `0`
+/// for the unsigned genesis certificate, `1` followed by the threshold
+/// signature otherwise.
+impl Wire for QuorumCert {
+    fn encoded_len(&self) -> usize {
+        8 + 8 + 1 + self.tsig.as_ref().map_or(0, Wire::encoded_len)
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.view.encode_into(out);
+        put_u64(out, self.block_hash);
+        match &self.tsig {
+            None => out.push(0),
+            Some(tsig) => {
+                out.push(1);
+                tsig.encode_into(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, WireError> {
+        Ok(QuorumCert {
+            view: View::decode(r)?,
+            block_hash: r.u64("QuorumCert.block_hash")?,
+            tsig: match r.tag("QuorumCert.tsig")? {
+                0 => None,
+                1 => Some(ThresholdSignature::decode(r)?),
+                tag => {
+                    return Err(WireError::UnknownTag {
+                        what: "QuorumCert.tsig",
+                        tag,
+                    })
+                }
+            },
+        })
     }
 }
 

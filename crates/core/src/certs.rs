@@ -12,6 +12,7 @@
 //!   the Cogsworth / NK20 relay baselines.
 
 use lumiere_crypto::{Digest, DigestValue, Pki, Signature, ThresholdSignature};
+use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Params, Result, View};
 use serde::{Deserialize, Serialize};
 
@@ -110,6 +111,25 @@ macro_rules! certificate {
                     });
                 }
                 pki.verify_aggregate(&self.tsig, computed, &params.stakes(), params.$threshold())
+            }
+        }
+
+        /// Wire form: `view: i64`, then the threshold signature.
+        impl Wire for $name {
+            fn encoded_len(&self) -> usize {
+                8 + self.tsig.encoded_len()
+            }
+
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                self.view.encode_into(out);
+                self.tsig.encode_into(out);
+            }
+
+            fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, WireError> {
+                Ok(Self {
+                    view: View::decode(r)?,
+                    tsig: ThresholdSignature::decode(r)?,
+                })
             }
         }
     };

@@ -2,6 +2,7 @@
 
 use crate::certs::{EpochCert, TimeoutCert, ViewCert, WishCert};
 use lumiere_crypto::{Signature, SIGNATURE_SIZE_BYTES};
+use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::View;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -181,6 +182,87 @@ impl PacemakerMessage {
             PacemakerMessage::TimeoutCert(c) => c.signer_count() as u64,
             PacemakerMessage::SyncCert(c) => c.signer_count() as u64,
         }
+    }
+}
+
+/// Wire form: a 1-byte tag in declaration order — `0` `ViewMsg`, `1`
+/// `EpochViewMsg`, `2` `ViewCert`, `3` `EpochCert`, `4` `TimeoutCert`, `5`
+/// `Wish`, `6` `SyncCert`, `7` `Timeout` — then `view: i64` + signature for
+/// the bare-signature variants, or the certificate.
+impl Wire for PacemakerMessage {
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            PacemakerMessage::ViewMsg { signature, .. }
+            | PacemakerMessage::EpochViewMsg { signature, .. }
+            | PacemakerMessage::Wish { signature, .. }
+            | PacemakerMessage::Timeout { signature, .. } => 8 + signature.encoded_len(),
+            PacemakerMessage::ViewCert(c) => c.encoded_len(),
+            PacemakerMessage::EpochCert(c) => c.encoded_len(),
+            PacemakerMessage::TimeoutCert(c) => c.encoded_len(),
+            PacemakerMessage::SyncCert(c) => c.encoded_len(),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut signed = |tag: u8, view: &View, signature: &Signature| {
+            out.push(tag);
+            view.encode_into(out);
+            signature.encode_into(out);
+        };
+        match self {
+            PacemakerMessage::ViewMsg { view, signature } => signed(0, view, signature),
+            PacemakerMessage::EpochViewMsg { view, signature } => signed(1, view, signature),
+            PacemakerMessage::ViewCert(c) => {
+                out.push(2);
+                c.encode_into(out);
+            }
+            PacemakerMessage::EpochCert(c) => {
+                out.push(3);
+                c.encode_into(out);
+            }
+            PacemakerMessage::TimeoutCert(c) => {
+                out.push(4);
+                c.encode_into(out);
+            }
+            PacemakerMessage::Wish { view, signature } => signed(5, view, signature),
+            PacemakerMessage::SyncCert(c) => {
+                out.push(6);
+                c.encode_into(out);
+            }
+            PacemakerMessage::Timeout { view, signature } => signed(7, view, signature),
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let signed = |r: &mut Reader<'_>| Ok((View::decode(r)?, Signature::decode(r)?));
+        Ok(match r.tag("PacemakerMessage")? {
+            0 => {
+                let (view, signature) = signed(r)?;
+                PacemakerMessage::ViewMsg { view, signature }
+            }
+            1 => {
+                let (view, signature) = signed(r)?;
+                PacemakerMessage::EpochViewMsg { view, signature }
+            }
+            2 => PacemakerMessage::ViewCert(ViewCert::decode(r)?),
+            3 => PacemakerMessage::EpochCert(EpochCert::decode(r)?),
+            4 => PacemakerMessage::TimeoutCert(TimeoutCert::decode(r)?),
+            5 => {
+                let (view, signature) = signed(r)?;
+                PacemakerMessage::Wish { view, signature }
+            }
+            6 => PacemakerMessage::SyncCert(WishCert::decode(r)?),
+            7 => {
+                let (view, signature) = signed(r)?;
+                PacemakerMessage::Timeout { view, signature }
+            }
+            tag => {
+                return Err(WireError::UnknownTag {
+                    what: "PacemakerMessage",
+                    tag,
+                })
+            }
+        })
     }
 }
 

@@ -5,6 +5,7 @@
 //! simulation (collisions would require ~2³² distinct statements per run) and
 //! keeps every certificate `Copy`.
 
+use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -21,6 +22,21 @@ impl DigestValue {
     /// Raw 64-bit value.
     pub const fn as_u64(self) -> u64 {
         self.0
+    }
+}
+
+/// Wire form: the 64-bit value (8 bytes).
+impl Wire for DigestValue {
+    fn encoded_len(&self) -> usize {
+        8
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.0);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u64("DigestValue").map(DigestValue)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Single-signer signatures.
 
+use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::ProcessId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -34,6 +35,26 @@ impl Signature {
     }
 }
 
+/// Wire form: `signer: u32`, `tag: u64` (12 bytes) — the simulated
+/// signature's content, not the 48 bytes a real one is modelled at.
+impl Wire for Signature {
+    fn encoded_len(&self) -> usize {
+        4 + 8
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.signer.encode_into(out);
+        put_u64(out, self.tag);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Signature {
+            signer: ProcessId::decode(r)?,
+            tag: r.u64("Signature.tag")?,
+        })
+    }
+}
+
 impl fmt::Display for Signature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sig({}, {:016x})", self.signer, self.tag)
@@ -50,6 +71,16 @@ mod tests {
         assert_eq!(s.signer(), ProcessId::new(3));
         assert_eq!(s.tag(), 0xdead);
         assert!(s.to_string().contains("p3"));
+    }
+
+    #[test]
+    fn wire_round_trip() {
+        let s = Signature::new(ProcessId::new(3), 0xdead);
+        let mut bytes = Vec::new();
+        s.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), s.encoded_len());
+        assert_eq!(Signature::decode_exact(&bytes).unwrap(), s);
+        assert!(Signature::decode_exact(&bytes[..11]).is_err());
     }
 
     #[test]

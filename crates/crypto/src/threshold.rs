@@ -3,6 +3,7 @@
 
 use crate::digest::DigestValue;
 use crate::signature::Signature;
+use lumiere_types::wire::{put_u32, put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, ProcessId, Result, StakeTable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -76,6 +77,37 @@ impl SignerBitmap {
     /// Serialized footprint: 8 bytes per word, i.e. `8 · ⌈n/64⌉`.
     pub fn wire_size(&self) -> usize {
         8 * self.words.len()
+    }
+}
+
+/// Wire form: `u32` word count (at least 1, as [`SignerBitmap::new`]
+/// guarantees), then the words.
+impl Wire for SignerBitmap {
+    fn encoded_len(&self) -> usize {
+        4 + 8 * self.words.len()
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.words.len() as u32);
+        for &word in &self.words {
+            put_u64(out, word);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, WireError> {
+        let count = r.count("SignerBitmap", 8)?;
+        if count == 0 {
+            return Err(WireError::BadCount {
+                what: "SignerBitmap",
+                count: 0,
+                have: r.remaining(),
+            });
+        }
+        let mut words = Vec::with_capacity(count);
+        for _ in 0..count {
+            words.push(r.u64("SignerBitmap.word")?);
+        }
+        Ok(SignerBitmap { words })
     }
 }
 
@@ -187,6 +219,29 @@ impl ThresholdSignature {
     /// a single run.
     pub fn naive_wire_size(&self) -> usize {
         crate::DIGEST_SIZE_BYTES + crate::SIGNATURE_SIZE_BYTES * self.signer_count()
+    }
+}
+
+/// Wire form: `digest: u64`, `proof: u64`, then the signer bitmap — the
+/// simulated content (16 bytes + bitmap), not the 32 + 48 bytes a real
+/// digest and aggregate are modelled at by [`ThresholdSignature::wire_size`].
+impl Wire for ThresholdSignature {
+    fn encoded_len(&self) -> usize {
+        8 + 8 + self.signers.encoded_len()
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.digest.encode_into(out);
+        put_u64(out, self.proof);
+        self.signers.encode_into(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, WireError> {
+        Ok(ThresholdSignature {
+            digest: DigestValue::decode(r)?,
+            proof: r.u64("ThresholdSignature.proof")?,
+            signers: SignerBitmap::decode(r)?,
+        })
     }
 }
 
@@ -342,6 +397,37 @@ mod tests {
             // bitmap words (i.e. everywhere beyond toy systems).
             if quorum > words + 1 {
                 assert!(tsig.wire_size() < tsig.naive_wire_size());
+            }
+        }
+    }
+
+    #[test]
+    fn wire_round_trips_multi_word_bitmaps_and_guards_the_word_count() {
+        let d = digest(8);
+        for n in [4usize, 64, 65, 200] {
+            let (keys, pki) = keygen(n, 1);
+            let quorum = 2 * ((n - 1) / 3) + 1;
+            let partials: Vec<_> = keys.iter().rev().take(quorum).map(|k| k.sign(d)).collect();
+            let tsig = ThresholdSignature::aggregate(d, &partials, &uniform(n), quorum).unwrap();
+            let mut bytes = Vec::new();
+            tsig.encode_into(&mut bytes);
+            assert_eq!(bytes.len(), tsig.encoded_len());
+            assert_eq!(bytes.len(), 8 + 8 + 4 + 8 * n.div_ceil(64));
+            let back = ThresholdSignature::decode_exact(&bytes).unwrap();
+            assert_eq!(back, tsig);
+            assert!(pki.verify_threshold(&back, d, quorum).is_ok());
+            // The word count sits after digest and proof. Zero words and
+            // more words than bytes remain are both rejected up front.
+            for hostile in [0u32, u32::MAX] {
+                let mut bad = bytes.clone();
+                bad[16..20].copy_from_slice(&hostile.to_le_bytes());
+                assert!(matches!(
+                    ThresholdSignature::decode_exact(&bad),
+                    Err(WireError::BadCount {
+                        what: "SignerBitmap",
+                        ..
+                    })
+                ));
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   `lumiere-sim`, which now *hosts* runtimes instead of owning the
 //!   protocol), an in-process [`channel mesh`](channel_mesh) of threads, and
 //!   a real [`TCP mesh`](TcpTransport) of OS processes speaking
-//!   length-prefixed JSON [frames](codec).
+//!   length-prefixed binary [frames](codec).
 //! * [`driver`] is the real-time event loop gluing the two together for the
 //!   live backends; the `lumiere-node` binary wraps it behind a
 //!   [config file](NodeConfig).
@@ -54,7 +54,10 @@ pub use adversary::{
     ProtocolObs, StrategyCtx, StrategyKind,
 };
 pub use channel::{channel_mesh, ChannelTransport};
-pub use codec::{decode_frame, encode_frame, read_frame, write_frame, CodecError, MAX_FRAME_BYTES};
+pub use codec::{
+    decode_frame, encode_frame, encode_frame_into, read_frame, write_frame, CodecError,
+    MAX_FRAME_BYTES,
+};
 pub use config::{ConfigError, NodeConfig, PeerConfig};
 pub use delay::DelayModel;
 pub use driver::{

@@ -9,6 +9,7 @@
 
 use lumiere_consensus::ConsensusMessage;
 use lumiere_core::messages::PacemakerMessage;
+use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Transaction, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -17,8 +18,8 @@ use std::fmt;
 /// (view-synchronization) message, an underlying-protocol message, or a
 /// client transaction submission being forwarded into a mempool.
 ///
-/// Serializes through the workspace's deterministic JSON, which is also the
-/// TCP wire codec (see [`crate::codec`]).
+/// Crosses the TCP mesh in its binary [`Wire`] form (see [`crate::codec`]);
+/// the serde derives serve traces and reports only.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WireMessage {
     /// A view-synchronization message.
@@ -104,6 +105,47 @@ impl WireMessage {
             WireMessage::Pacemaker(m) => m.naive_verify_ops(),
             WireMessage::Consensus(m) => m.naive_verify_ops(),
             WireMessage::Submit(_) => 0,
+        }
+    }
+}
+
+/// Wire form: a 1-byte tag — `0` `Pacemaker`, `1` `Consensus`, `2`
+/// `Submit` — then the inner message.
+impl Wire for WireMessage {
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            WireMessage::Pacemaker(m) => m.encoded_len(),
+            WireMessage::Consensus(m) => m.encoded_len(),
+            WireMessage::Submit(tx) => tx.encoded_len(),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            WireMessage::Pacemaker(m) => {
+                out.push(0);
+                m.encode_into(out);
+            }
+            WireMessage::Consensus(m) => {
+                out.push(1);
+                m.encode_into(out);
+            }
+            WireMessage::Submit(tx) => {
+                out.push(2);
+                tx.encode_into(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.tag("WireMessage")? {
+            0 => PacemakerMessage::decode(r).map(WireMessage::Pacemaker),
+            1 => ConsensusMessage::decode(r).map(WireMessage::Consensus),
+            2 => Transaction::decode(r).map(WireMessage::Submit),
+            tag => Err(WireError::UnknownTag {
+                what: "WireMessage",
+                tag,
+            }),
         }
     }
 }

@@ -7,8 +7,8 @@
 //!   polled every few milliseconds so shutdown is prompt);
 //! * spawns one **reader thread** per inbound connection, which first reads
 //!   a 4-byte big-endian handshake naming the dialing peer, then decodes
-//!   length-prefixed JSON frames (see [`crate::codec`]) into a shared inbox
-//!   channel;
+//!   length-prefixed binary frames (see [`crate::codec`]) into a shared
+//!   inbox channel;
 //! * **dials** every peer with bounded retries (peers boot in any order) and
 //!   keeps the outbound stream as its write half to that peer.
 //!
@@ -28,12 +28,11 @@
 //! dialer cannot wedge the cluster, and frames are capped and parsed
 //! defensively — see [`crate::codec`]).
 
-use crate::codec::{write_frame, CodecError};
+use crate::codec::{encode_frame_into, read_frame};
 use crate::message::WireMessage;
 use crate::transport::{Transport, TransportError};
 use lumiere_types::ProcessId;
-use serde::json;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -54,11 +53,6 @@ const REDIAL_INTERVAL: WallDuration = WallDuration::from_millis(250);
 /// Per-attempt timeout when redialing a dead peer; kept short so a send to
 /// a still-down peer never stalls the event loop noticeably.
 const REDIAL_TIMEOUT: WallDuration = WallDuration::from_millis(100);
-
-/// Payload read granularity: frames are filled in bounded chunks so a
-/// malicious length prefix commits no allocation before matching bytes
-/// actually arrive.
-const READ_CHUNK: usize = 8 * 1024;
 
 /// Configuration of one node's view of the TCP mesh.
 #[derive(Debug, Clone)]
@@ -89,6 +83,10 @@ pub struct TcpTransport {
     peer_addrs: Vec<Option<String>>,
     /// Last redial attempt per peer (rate limiting).
     last_redial: Vec<Option<Instant>>,
+    /// The frame being sent: encoded once per `send`/`broadcast` and
+    /// written to every recipient from here, so sending allocates nothing
+    /// once the buffer has grown to the largest frame seen.
+    scratch: Vec<u8>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -134,7 +132,6 @@ impl TcpTransport {
             })?;
             let _ = stream.set_nodelay(true);
             let mut stream = stream;
-            use std::io::Write as _;
             stream
                 .write_all(&(cfg.id.as_usize() as u32).to_be_bytes())
                 .map_err(|e| {
@@ -169,6 +166,7 @@ impl TcpTransport {
             writers,
             peer_addrs,
             last_redial: (0..cfg.n).map(|_| None).collect(),
+            scratch: Vec::new(),
             stop,
             threads: vec![accept_thread],
         })
@@ -201,7 +199,6 @@ impl TcpTransport {
             return;
         };
         let _ = stream.set_nodelay(true);
-        use std::io::Write as _;
         if stream
             .write_all(&(self.id.as_usize() as u32).to_be_bytes())
             .is_err()
@@ -209,6 +206,30 @@ impl TcpTransport {
             return;
         }
         self.writers[idx] = Some(stream);
+    }
+
+    /// Encodes `msg` into the scratch buffer as one frame.
+    fn stage(&mut self, msg: &WireMessage) {
+        self.scratch.clear();
+        encode_frame_into(msg, &mut self.scratch);
+    }
+
+    /// Writes the staged frame to one peer (a single `write_all`, so frames
+    /// never interleave on a stream), redialing it first if it is dead.
+    fn write_staged(&mut self, to: ProcessId) {
+        if self.writers[to.as_usize()].is_none() {
+            self.try_redial(to);
+        }
+        let slot = &mut self.writers[to.as_usize()];
+        if let Some(stream) = slot {
+            if stream.write_all(&self.scratch).is_err() {
+                // The peer died mid-write. Mark it dead and move on: the
+                // protocol keeps running with the live quorum, and the next
+                // send past the rate limit redials (a restarted process on
+                // the same address rejoins this way).
+                *slot = None;
+            }
+        }
     }
 }
 
@@ -263,7 +284,7 @@ fn spawn_acceptor(
 }
 
 fn spawn_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
     inbox: Sender<(ProcessId, WireMessage)>,
     stop: Arc<AtomicBool>,
     inbound: Arc<AtomicUsize>,
@@ -275,19 +296,23 @@ fn spawn_reader(
         // range, or one claiming to be this very node, is a corrupt or
         // forged handshake: close the connection without counting it toward
         // the mesh barrier.
+        let mut reader = Interruptible {
+            stream,
+            stop: &stop,
+        };
         let mut id_bytes = [0u8; 4];
-        if read_exact_interruptible(&mut stream, &mut id_bytes, &stop).is_err() {
+        if reader.read_exact(&mut id_bytes).is_err() {
             return;
         }
         let claimed = u32::from_be_bytes(id_bytes) as usize;
         if claimed >= n || claimed == local.as_usize() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+            let _ = reader.stream.shutdown(std::net::Shutdown::Both);
             return;
         }
         let from = ProcessId::new(claimed);
         inbound.fetch_add(1, Ordering::SeqCst);
         loop {
-            match read_frame_interruptible(&mut stream, &stop) {
+            match read_frame(&mut reader) {
                 Ok(msg) => {
                     if inbox.send((from, msg)).is_err() {
                         return; // local inbox gone: transport dropped
@@ -299,55 +324,28 @@ fn spawn_reader(
     })
 }
 
-/// Fills `buf` from the stream, treating read timeouts as opportunities to
-/// check the stop flag rather than as errors.
-fn read_exact_interruptible(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<(), CodecError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return Err(CodecError::Closed);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(CodecError::Closed),
-            Ok(k) => filled += k,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => return Err(CodecError::Io(e)),
-        }
-    }
-    Ok(())
+/// A `Read` over an inbound stream that treats read timeouts as
+/// opportunities to check the stop flag rather than as errors, so the one
+/// frame reader ([`read_frame`]) is interruptible at any byte boundary.
+struct Interruptible<'a> {
+    stream: TcpStream,
+    stop: &'a AtomicBool,
 }
 
-/// Reads one frame, interruptible at any byte boundary by the stop flag.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-) -> Result<WireMessage, CodecError> {
-    let mut prefix = [0u8; 4];
-    read_exact_interruptible(stream, &mut prefix, stop)?;
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > crate::codec::MAX_FRAME_BYTES {
-        return Err(CodecError::Malformed(format!(
-            "frame length {len} exceeds the cap"
-        )));
+impl Read for Interruptible<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return Err(std::io::ErrorKind::ConnectionAborted.into());
+            }
+            match self.stream.read(buf) {
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                done => return done,
+            }
+        }
     }
-    // Fill the payload in bounded chunks: a malicious length prefix commits
-    // no allocation until matching bytes actually arrive.
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut chunk = [0u8; READ_CHUNK];
-    while payload.len() < len {
-        let want = (len - payload.len()).min(READ_CHUNK);
-        read_exact_interruptible(stream, &mut chunk[..want], stop)?;
-        payload.extend_from_slice(&chunk[..want]);
-    }
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| CodecError::Malformed(format!("payload is not UTF-8: {e}")))?;
-    json::from_str(text).map_err(|e| CodecError::Malformed(format!("payload: {e}")))
 }
 
 impl Transport for TcpTransport {
@@ -360,17 +358,17 @@ impl Transport for TcpTransport {
     }
 
     fn send(&mut self, to: ProcessId, msg: &WireMessage) -> Result<(), TransportError> {
-        if self.writers[to.as_usize()].is_none() {
-            self.try_redial(to);
-        }
-        let slot = &mut self.writers[to.as_usize()];
-        if let Some(stream) = slot {
-            if write_frame(stream, msg).is_err() {
-                // The peer died mid-write. Mark it dead and move on: the
-                // protocol keeps running with the live quorum, and the next
-                // send past the rate limit redials (a restarted process on
-                // the same address rejoins this way).
-                *slot = None;
+        self.stage(msg);
+        self.write_staged(to);
+        Ok(())
+    }
+
+    /// Encodes once and writes the same bytes to every peer.
+    fn broadcast(&mut self, msg: &WireMessage) -> Result<(), TransportError> {
+        self.stage(msg);
+        for to in ProcessId::all(self.n) {
+            if to != self.id {
+                self.write_staged(to);
             }
         }
         Ok(())

@@ -8,7 +8,7 @@
 //! * the in-process [`channel mesh`](crate::channel), where every node is a
 //!   thread and messages travel through `std::sync::mpsc` channels;
 //! * the [`TCP mesh`](crate::tcp), where every node is an OS process and
-//!   messages travel as length-prefixed JSON frames (see [`crate::codec`]).
+//!   messages travel as length-prefixed binary frames (see [`crate::codec`]).
 //!
 //! # Contract
 //!

@@ -1,5 +1,6 @@
 //! Processor identifiers.
 
+use crate::wire::{put_u32, Reader, Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -52,6 +53,21 @@ impl ProcessId {
 impl fmt::Display for ProcessId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
+    }
+}
+
+/// Wire form: the raw `u32` index (4 bytes).
+impl Wire for ProcessId {
+    fn encoded_len(&self) -> usize {
+        4
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.0);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u32("ProcessId").map(ProcessId)
     }
 }
 

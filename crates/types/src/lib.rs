@@ -41,6 +41,7 @@ pub mod stake;
 pub mod time;
 pub mod tx;
 pub mod view;
+pub mod wire;
 
 pub use error::{Error, Result};
 pub use id::ProcessId;
@@ -50,3 +51,4 @@ pub use stake::StakeTable;
 pub use time::{Duration, Time, TimeRange};
 pub use tx::{Batch, Transaction, TxId};
 pub use view::{Epoch, View};
+pub use wire::{Reader, Wire, WireError};

@@ -13,6 +13,7 @@
 //! (in `lumiere-core`) and the consensus engine sit on opposite sides of the
 //! workspace dependency DAG and both need them.
 
+use crate::wire::{put_u32, put_u64, Reader, Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -135,6 +136,67 @@ impl Batch {
     }
 }
 
+/// Wire form: the raw `u64` id (8 bytes).
+impl Wire for TxId {
+    fn encoded_len(&self) -> usize {
+        8
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.0);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u64("TxId").map(TxId)
+    }
+}
+
+/// Bytes one transaction occupies on the wire: id + declared size. The
+/// payload body is not modelled, so it is not shipped either.
+const TX_ENCODED_LEN: usize = 8 + 4;
+
+/// Wire form: `id: u64`, `size: u32` (12 bytes).
+impl Wire for Transaction {
+    fn encoded_len(&self) -> usize {
+        TX_ENCODED_LEN
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.id.encode_into(out);
+        put_u32(out, self.size);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Transaction {
+            id: TxId::decode(r)?,
+            size: r.u32("Transaction.size")?,
+        })
+    }
+}
+
+/// Wire form: `u32` count, then the transactions in order.
+impl Wire for Batch {
+    fn encoded_len(&self) -> usize {
+        4 + TX_ENCODED_LEN * self.txs.len()
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.txs.len() as u32);
+        for tx in &self.txs {
+            tx.encode_into(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = r.count("Batch", TX_ENCODED_LEN)?;
+        let mut txs = Vec::with_capacity(count);
+        for _ in 0..count {
+            txs.push(Transaction::decode(r)?);
+        }
+        Ok(Batch { txs })
+    }
+}
+
 impl fmt::Display for Batch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "batch[{} txs, {} B]", self.len(), self.bytes())
@@ -219,6 +281,28 @@ mod tests {
         let text = serde::json::to_string(&batch);
         let back: Batch = serde::json::from_str(&text).unwrap();
         assert_eq!(back, batch);
+    }
+
+    #[test]
+    fn wire_round_trip_and_count_guard() {
+        let batch = Batch {
+            txs: vec![
+                Transaction::sized(TxId::new(42), 512),
+                Transaction::new(TxId::new(7)),
+            ],
+        };
+        let mut bytes = Vec::new();
+        batch.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), batch.encoded_len());
+        assert_eq!(bytes.len(), 4 + 2 * TX_ENCODED_LEN);
+        assert_eq!(Batch::decode_exact(&bytes).unwrap(), batch);
+        // A count the remaining bytes cannot hold is rejected before the
+        // transaction vector is allocated.
+        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Batch::decode_exact(&bytes),
+            Err(WireError::BadCount { what: "Batch", .. })
+        ));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! have no clock time.
 
 use crate::time::Duration;
+use crate::wire::{put_i64, Reader, Wire, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -76,6 +77,22 @@ impl View {
     /// Iterates over all views in `[self, end)`.
     pub fn range_to(self, end: View) -> impl Iterator<Item = View> {
         (self.0..end.0).map(View)
+    }
+}
+
+/// Wire form: the signed view number (8 bytes), so the `-1` sentinel
+/// travels as itself.
+impl Wire for View {
+    fn encoded_len(&self) -> usize {
+        8
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_i64(out, self.0);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.i64("View").map(View)
     }
 }
 
