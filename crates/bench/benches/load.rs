@@ -1,7 +1,9 @@
 //! The client-load hot paths: mempool submit/batch cycling (every
-//! transaction of a loaded deployment passes through it) and the end-to-end
-//! goodput of a small loaded simulation — the cost of driving one open-loop
-//! client workload from arrival through batching to commit accounting.
+//! transaction of a loaded deployment passes through it), commit pruning
+//! under a standing backlog (what every node of an overloaded deployment
+//! does on every commit) and the end-to-end goodput of a small loaded
+//! simulation — the cost of driving one open-loop client workload from
+//! arrival through batching to commit accounting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lumiere_core::{Mempool, MempoolConfig};
@@ -42,6 +44,39 @@ fn bench_mempool_cycle(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_mempool_backlog(c: &mut Criterion) {
+    let mut group = c.benchmark_group("load/mempool_backlog");
+    group.warm_up_time(std::time::Duration::from_millis(200));
+    group.measurement_time(std::time::Duration::from_secs(1));
+    let queued = 8_192u64;
+    group.bench_with_input(
+        BenchmarkId::from_parameter(queued),
+        &queued,
+        |b, &queued| {
+            let mut backlog = Mempool::new(MempoolConfig {
+                batch_txs: 64,
+                ..MempoolConfig::default()
+            });
+            for id in 0..queued {
+                backlog.submit(Transaction::new(TxId::new(id)));
+            }
+            b.iter(|| {
+                // Sixteen 64-transaction blocks commit off the front of a queue
+                // that stays thousands deep: the cost must follow the 1 024 ids,
+                // not the backlog. The shim has no untimed setup, so cloning
+                // and dropping the pool is part of the iteration (about half
+                // of it); a prune that walks the queue again costs 20× that.
+                let mut pool = backlog.clone();
+                for block in 0..16u64 {
+                    pool.mark_committed((block * 64..(block + 1) * 64).map(TxId::new));
+                }
+                pool.len()
+            })
+        },
+    );
+    group.finish();
+}
+
 fn bench_sim_goodput(c: &mut Criterion) {
     let mut group = c.benchmark_group("load/sim_goodput");
     group.warm_up_time(std::time::Duration::from_millis(200));
@@ -65,5 +100,10 @@ fn bench_sim_goodput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mempool_cycle, bench_sim_goodput);
+criterion_group!(
+    benches,
+    bench_mempool_cycle,
+    bench_mempool_backlog,
+    bench_sim_goodput
+);
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 
 use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
-use lumiere_consensus::{ConsensusAction, HotStuffEngine};
+use lumiere_consensus::{Block, ConsensusAction, HotStuffEngine};
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::{Mempool, MempoolConfig};
 use lumiere_types::{Batch, Duration, ProcessId, Time, Transaction, View};
@@ -266,6 +266,14 @@ impl ProtocolRuntime {
         true
     }
 
+    /// Reports a committed block to the host and prunes its transactions
+    /// from the mempool (the one place either cascade does so).
+    fn on_committed(&mut self, block: &Block, out: &mut RuntimeOutput) {
+        out.commits.push(block.height());
+        out.committed_txs.extend(block.payload().tx_ids());
+        self.mempool.mark_committed(block.payload().tx_ids());
+    }
+
     /// Processes pacemaker actions, cascading into the consensus engine as
     /// needed (view entries trigger proposals, which may trigger QCs, which
     /// feed back into the pacemaker, and so on until quiescence).
@@ -319,11 +327,7 @@ impl ProtocolRuntime {
                     ConsensusAction::Send(to, m) => {
                         out.sends.push((to, WireMessage::Consensus(m)));
                     }
-                    ConsensusAction::Committed(block) => {
-                        out.commits.push(block.height());
-                        out.committed_txs.extend(block.payload().tx_ids());
-                        self.mempool.mark_committed(block.payload().tx_ids());
-                    }
+                    ConsensusAction::Committed(block) => self.on_committed(&block, out),
                     ConsensusAction::QcFormed(qc) => {
                         out.qcs_formed.push(qc.clone());
                         if gates.pacemaker {
@@ -361,11 +365,7 @@ impl ProtocolRuntime {
             match action {
                 ConsensusAction::Broadcast(m) => out.broadcasts.push(WireMessage::Consensus(m)),
                 ConsensusAction::Send(to, m) => out.sends.push((to, WireMessage::Consensus(m))),
-                ConsensusAction::Committed(block) => {
-                    out.commits.push(block.height());
-                    out.committed_txs.extend(block.payload().tx_ids());
-                    self.mempool.mark_committed(block.payload().tx_ids());
-                }
+                ConsensusAction::Committed(block) => self.on_committed(&block, out),
                 ConsensusAction::QcFormed(qc) => {
                     out.qcs_formed.push(qc.clone());
                     if gates.pacemaker {

@@ -4,6 +4,7 @@
 //! `lumiere-sim`'s runner and the stability of the vendored generator.
 
 use lumiere::prelude::*;
+use lumiere::sim::WorkloadConfig;
 
 /// Renders every field of a report (via the exhaustive `Debug` impl) so two
 /// reports compare byte-for-byte.
@@ -64,4 +65,53 @@ fn trace_runs_are_reproducible_too() {
     let (rb, tb) = mk();
     assert_eq!(fingerprint(&ra), fingerprint(&rb));
     assert_eq!(format!("{ta:#?}"), format!("{tb:#?}"));
+}
+
+/// FNV-1a over the report's JSON: any byte that moves, moves the digest.
+fn json_digest(report: &SimReport) -> u64 {
+    serde::json::to_string(report)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The benchmark's `sim_backlog` unit: four nodes offered 3.5× what they can
+/// commit, so every mempool holds a standing backlog that every commit
+/// prunes — once with the default capacity (nothing shed) and once with a
+/// capacity the backlog reaches, where the shed count depends on the pool
+/// knowing exactly how many transactions it holds. The values were captured
+/// before commit pruning stopped walking the queue (PR 15); they pin "same
+/// batches, same latencies, same shed" byte for byte, for any later change
+/// to the mempool or the load path.
+#[test]
+fn overloaded_runs_match_their_golden_reports() {
+    let golden = [
+        (100_000, (12_000, 3_968, 0), 0x4580_3fb2_e183_99ed_u64),
+        (2_000, (12_000, 4_528, 25_744), 0x890c_b21f_c80f_2066),
+    ];
+    for (capacity, txs, digest) in golden {
+        let workload = WorkloadConfig::constant(48_000)
+            .with_batch_txs(64)
+            .with_capacity(capacity);
+        let report = SimConfig::new(ProtocolKind::Lumiere, 4)
+            .with_delta(Duration::from_millis(10))
+            .with_actual_delay(Duration::from_millis(1))
+            .with_horizon(Duration::from_millis(250))
+            .with_workload(workload)
+            .with_seed(15)
+            .run();
+        assert!(report.safety_ok);
+        assert_eq!(
+            (report.txs_submitted, report.txs_committed, report.txs_shed),
+            txs,
+            "capacity {capacity}: (submitted, committed, shed) moved"
+        );
+        assert_eq!(
+            json_digest(&report),
+            digest,
+            "capacity {capacity}: the report changed; if that is intended, say why in \
+             CHANGES.md and re-pin"
+        );
+    }
 }
