@@ -111,17 +111,16 @@ impl Fever {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
+        let aggregates = self.leader(view) == self.id
+            && view.is_initial()
+            && view >= self.view
+            && !self.formed_vc.contains(&view.as_i64());
         let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
         pool.insert(from, signature);
-        let sigs: Vec<Signature> = pool.values().copied().collect();
-        if self.leader(view) != self.id
-            || !view.is_initial()
-            || view < self.view
-            || self.formed_vc.contains(&view.as_i64())
-            || sigs.len() < self.params.small_quorum()
-        {
+        if !aggregates || pool.len() < self.params.small_quorum() {
             return;
         }
+        let sigs: Vec<Signature> = pool.values().copied().collect();
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.params) else {
             return;
         };
@@ -194,13 +193,17 @@ impl Pacemaker for Fever {
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
+                // Marked only once verified: a forged VC must not use up
+                // the view.
                 if view.is_initial()
-                    && self.seen_vc.insert(view.as_i64())
+                    && !self.seen_vc.contains(&view.as_i64())
                     && vc.verify(&self.pki, &self.params).is_ok()
-                    && view > self.view
                 {
-                    self.clock.bump_to(self.c(view), now);
-                    self.set_view(view, &mut out);
+                    self.seen_vc.insert(view.as_i64());
+                    if view > self.view {
+                        self.clock.bump_to(self.c(view), now);
+                        self.set_view(view, &mut out);
+                    }
                 }
             }
             _ => {}
@@ -318,6 +321,34 @@ mod tests {
             pm.local_clock_reading(Time::from_millis(1)),
             v.clock_time(params.fever_gamma())
         );
+    }
+
+    #[test]
+    fn a_forged_vc_does_not_use_up_the_view() {
+        // Regression: the view was marked seen before the certificate was
+        // verified, so one forged VC made the replica drop the genuine one.
+        use lumiere_types::wire::Wire;
+        let (mut pm, keys, params) = make(4, 3);
+        pm.boot(Time::ZERO);
+        let v = View::new(2);
+        let sigs: Vec<_> = keys
+            .iter()
+            .take(2)
+            .map(|k| k.sign(view_msg_digest(v)))
+            .collect();
+        let vc = ViewCert::aggregate(v, &sigs, &params).unwrap();
+        // The forgery: one proof bit flipped on the wire (view 8 bytes,
+        // covered digest 8, then the proof).
+        let mut bytes = Vec::new();
+        vc.encode_into(&mut bytes);
+        bytes[16] ^= 1;
+        let forged = ViewCert::decode_exact(&bytes).unwrap();
+        let t = Time::from_millis(1);
+        pm.on_message(keys[2].id(), &PacemakerMessage::ViewCert(forged), t);
+        assert_eq!(pm.current_view(), View::new(0));
+        let out = pm.on_message(keys[1].id(), &PacemakerMessage::ViewCert(vc), t);
+        assert_eq!(pm.current_view(), v);
+        assert!(actions::entered_views(&out).contains(&v));
     }
 
     #[test]

@@ -236,8 +236,8 @@ impl Pacemaker for Lp22 {
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
                 if self.layout.is_epoch_view(view)
-                    && ec.verify(&self.pki, &self.params).is_ok()
                     && !self.seen_ec.contains(&view.as_i64())
+                    && ec.verify(&self.pki, &self.params).is_ok()
                 {
                     self.seen_ec.insert(view.as_i64());
                     self.handle_ec(view, now, &mut out);

@@ -172,11 +172,11 @@ impl RelayPacemaker {
     ) {
         let pool = self.wish_pool.entry(target.as_i64()).or_default();
         pool.insert(from, signature);
-        let sigs: Vec<Signature> = pool.values().copied().collect();
-        if sigs.len() < self.params.small_quorum() || self.broadcast_sync.contains(&target.as_i64())
+        if pool.len() < self.params.small_quorum() || self.broadcast_sync.contains(&target.as_i64())
         {
             return;
         }
+        let sigs: Vec<Signature> = pool.values().copied().collect();
         let Ok(cert) = WishCert::aggregate(target, &sigs, &self.params) else {
             return;
         };
@@ -223,7 +223,7 @@ impl Pacemaker for RelayPacemaker {
                 self.record_wish(from, *view, *signature, now, &mut out);
             }
             PacemakerMessage::SyncCert(cert)
-                if cert.verify(&self.pki, &self.params).is_ok() && cert.view() > self.view =>
+                if cert.view() > self.view && cert.verify(&self.pki, &self.params).is_ok() =>
             {
                 self.enter(cert.view(), now, &mut out);
             }

@@ -57,25 +57,33 @@ impl Block {
         payload: Batch,
         justify: QuorumCert,
     ) -> Self {
-        let hash = Digest::new(b"block")
-            .push_u64(parent_hash)
-            .push_u64(height)
-            .push_i64(view.as_i64())
-            .push_u64(proposer.as_u32() as u64)
-            .push_u64(payload.digest64())
-            .push_u64(justify.block_hash())
-            .push_i64(justify.view().as_i64())
-            .finish()
-            .as_u64();
-        Block {
-            hash,
+        let mut block = Block {
+            hash: 0,
             parent: parent_hash,
             height,
             view,
             proposer,
             payload,
             justify,
-        }
+        };
+        block.hash = block.digest();
+        block
+    }
+
+    /// The hash these fields call for: every field but `hash` itself, read
+    /// in place. [`Block::new`] stores it, [`Block::well_formed`] compares
+    /// the stored one against it.
+    fn digest(&self) -> BlockHash {
+        Digest::new(b"block")
+            .push_u64(self.parent)
+            .push_u64(self.height)
+            .push_i64(self.view.as_i64())
+            .push_u64(self.proposer.as_u32() as u64)
+            .push_u64(self.payload.digest64())
+            .push_u64(self.justify.block_hash())
+            .push_i64(self.justify.view().as_i64())
+            .finish()
+            .as_u64()
     }
 
     /// The block's hash.
@@ -130,15 +138,7 @@ impl Block {
         if self.is_genesis() {
             return *self == Block::genesis();
         }
-        let recomputed = Block::new(
-            self.parent,
-            self.height,
-            self.view,
-            self.proposer,
-            self.payload.clone(),
-            self.justify.clone(),
-        );
-        recomputed.hash == self.hash && self.justify.block_hash() == self.parent
+        self.justify.block_hash() == self.parent && self.hash == self.digest()
     }
 }
 
@@ -241,6 +241,53 @@ mod tests {
         );
         b.payload = Batch::tag(9);
         assert!(!b.well_formed());
+    }
+
+    /// An unsigned certificate with arbitrary fields, as the wire admits.
+    fn unsigned(view: i64, block_hash: BlockHash) -> QuorumCert {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&view.to_le_bytes());
+        bytes.extend_from_slice(&block_hash.to_le_bytes());
+        bytes.push(0);
+        QuorumCert::decode_exact(&bytes).unwrap()
+    }
+
+    #[test]
+    fn every_single_field_mutation_of_a_full_block_is_rejected() {
+        use lumiere_types::{Transaction, TxId};
+        let payload = Batch {
+            txs: (0..64)
+                .map(|i| Transaction::sized(TxId::new(1_000 + i), 256))
+                .collect(),
+        };
+        let good = Block::new(
+            0xabcd,
+            9,
+            View::new(5),
+            ProcessId::new(2),
+            payload,
+            unsigned(4, 0xabcd),
+        );
+        assert!(good.well_formed());
+        assert!(good.clone().well_formed(), "a copy hashes the same");
+        type Mutation = fn(&mut Block);
+        let mutations: [(&str, Mutation); 9] = [
+            ("hash", |b| b.hash ^= 1),
+            ("parent", |b| b.parent ^= 1),
+            ("height", |b| b.height += 1),
+            ("view", |b| b.view = View::new(6)),
+            ("proposer", |b| b.proposer = ProcessId::new(3)),
+            ("payload id", |b| b.payload.txs[63].id = TxId::new(7)),
+            ("payload size", |b| b.payload.txs[17].size += 1),
+            ("justify view", |b| b.justify = unsigned(3, 0xabcd)),
+            ("justify hash", |b| b.justify = unsigned(4, 0xabcc)),
+        ];
+        for (field, mutate) in mutations {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            assert_ne!(bad, good, "{field}: the mutation must change the block");
+            assert!(!bad.well_formed(), "{field} tampered, still well-formed");
+        }
     }
 
     #[test]

@@ -38,9 +38,12 @@ impl BlockStore {
         }
     }
 
-    /// Inserts a block (idempotent).
-    pub fn insert(&mut self, block: Block) {
-        self.blocks.entry(block.hash()).or_insert(block);
+    /// Stores a copy of `block` unless its hash is already held
+    /// (idempotent; a re-delivered block is not copied).
+    pub fn insert(&mut self, block: &Block) {
+        self.blocks
+            .entry(block.hash())
+            .or_insert_with(|| block.clone());
     }
 
     /// Looks up a block by hash.
@@ -78,7 +81,7 @@ impl BlockStore {
     /// Returns the list of newly committed blocks in chain order (oldest
     /// first). Blocks whose ancestry is not fully known are not committed.
     pub fn on_qc(&mut self, qc: &QuorumCert) -> Vec<Block> {
-        let Some(block) = self.blocks.get(&qc.block_hash()).cloned() else {
+        let Some(block) = self.blocks.get(&qc.block_hash()) else {
             return Vec::new();
         };
         // Two-chain rule: the QC certifies `block`; if `block.justify`
@@ -87,42 +90,33 @@ impl BlockStore {
         if block.is_genesis() {
             return Vec::new();
         }
-        let parent_hash = block.parent();
-        let Some(parent) = self.blocks.get(&parent_hash).cloned() else {
+        let Some(parent) = self.blocks.get(&block.parent()) else {
             return Vec::new();
         };
-        if block.justify().block_hash() != parent_hash {
+        if block.justify().block_hash() != block.parent() {
             return Vec::new();
         }
         if !parent.is_genesis() && block.view().as_i64() != block.justify().view().as_i64() + 1 {
             return Vec::new();
         }
-        self.commit_up_to(&parent)
-    }
-
-    fn commit_up_to(&mut self, block: &Block) -> Vec<Block> {
-        if block.height() <= self.committed_height && !self.committed.is_empty() {
+        if parent.height() <= self.committed_height {
             return Vec::new();
         }
-        // Walk back to the committed frontier collecting the new suffix.
+        // Walk back from `parent` to the committed frontier over the stored
+        // blocks; only the new suffix, which the caller gets, is copied.
         let mut chain = Vec::new();
-        let mut cursor = block.clone();
-        loop {
-            if cursor.height() <= self.committed_height {
-                break;
-            }
-            chain.push(cursor.clone());
+        let mut cursor = parent;
+        while cursor.height() > self.committed_height {
+            chain.push(cursor);
             match self.blocks.get(&cursor.parent()) {
-                Some(parent) => cursor = parent.clone(),
+                Some(ancestor) => cursor = ancestor,
                 None => return Vec::new(), // unknown ancestry: defer commit
             }
         }
         chain.reverse();
-        for b in &chain {
-            self.committed.push(b.hash());
-        }
-        self.committed_height = block.height();
-        chain
+        self.committed.extend(chain.iter().map(|b| b.hash()));
+        self.committed_height = parent.height();
+        chain.into_iter().cloned().collect()
     }
 }
 
@@ -159,7 +153,7 @@ mod tests {
                 Batch::tag(i),
                 justify,
             );
-            store.insert(block.clone());
+            store.insert(&block);
             qcs.push(qc_for(&block, &params, &keys));
             blocks.push(block);
         }
@@ -231,10 +225,60 @@ mod tests {
             qc1,
         );
         let qc2 = qc_for(&b2, &params, &keys);
-        store.insert(b1);
-        store.insert(b2);
+        store.insert(&b1);
+        store.insert(&b2);
         assert!(store.on_qc(&qc2).is_empty());
         assert_eq!(store.committed_height(), 0);
+    }
+
+    #[test]
+    fn fork_then_commit_returns_exactly_the_certified_branch() {
+        let params = Params::new(4, Duration::from_millis(10));
+        let (keys, _) = keygen(4, 1);
+        let (mut store, blocks, qcs) = chain_fixture();
+        // A fork off height 1: `f2` (view 5) and its child `f3` (view 6),
+        // consecutive views, so only the height rule keeps them out.
+        let child = |parent: &Block, view: i64, justify: QuorumCert| {
+            Block::new(
+                parent.hash(),
+                parent.height() + 1,
+                View::new(view),
+                ProcessId::new(3),
+                Batch::tag(100 + view as u64),
+                justify,
+            )
+        };
+        let f2 = child(&blocks[1], 5, qcs[1].clone());
+        let f3 = child(&f2, 6, qc_for(&f2, &params, &keys));
+        store.insert(&f2);
+        store.insert(&f3);
+        let len = store.len();
+        // The QC for the main branch's height-4 block commits heights 1..=3
+        // of that branch: whole blocks, oldest first, nothing from the fork.
+        assert_eq!(store.on_qc(&qcs[4]), blocks[1..=3].to_vec());
+        let chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
+        assert_eq!(store.committed_chain(), chain.as_slice());
+        // A QC on the fork certifies `f2` at height 2, below the frontier.
+        assert!(store.on_qc(&qc_for(&f3, &params, &keys)).is_empty());
+        assert_eq!(store.committed_chain(), chain.as_slice());
+        assert_eq!(store.committed_height(), 3);
+        assert_eq!(store.len(), len, "committing copies blocks out, not away");
+    }
+
+    #[test]
+    fn a_missing_ancestor_defers_the_commit_until_it_arrives() {
+        let (_, blocks, qcs) = chain_fixture();
+        let mut store = BlockStore::new();
+        for b in [&blocks[1], &blocks[3], &blocks[4]] {
+            store.insert(b);
+        }
+        assert!(store.on_qc(&qcs[4]).is_empty(), "height 2 is unknown");
+        assert_eq!(store.committed_height(), 0);
+        assert_eq!(store.committed_chain().len(), 1);
+        store.insert(&blocks[2]);
+        assert_eq!(store.on_qc(&qcs[4]), blocks[1..=3].to_vec());
+        let chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
+        assert_eq!(store.committed_chain(), chain.as_slice());
     }
 
     #[test]

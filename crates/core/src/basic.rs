@@ -148,18 +148,17 @@ impl BasicLumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
+        let aggregates = self.leader(view) == self.id
+            && view.is_initial()
+            && !self.layout.is_epoch_view(view)
+            && view >= self.view
+            && !self.formed_vc.contains(&view.as_i64());
         let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
         pool.insert(from, signature);
-        let sigs: Vec<Signature> = pool.values().copied().collect();
-        if self.leader(view) != self.id
-            || !view.is_initial()
-            || self.layout.is_epoch_view(view)
-            || view < self.view
-            || self.formed_vc.contains(&view.as_i64())
-            || sigs.len() < self.params.small_quorum()
-        {
+        if !aggregates || pool.len() < self.params.small_quorum() {
             return;
         }
+        let sigs: Vec<Signature> = pool.values().copied().collect();
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.params) else {
             return;
         };
@@ -311,21 +310,25 @@ impl Pacemaker for BasicLumiere {
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
+                // Marked only once verified: a forged VC must not use up
+                // the view.
                 if view.is_initial()
                     && !self.layout.is_epoch_view(view)
-                    && self.seen_vc.insert(view.as_i64())
+                    && !self.seen_vc.contains(&view.as_i64())
                     && vc.verify(&self.pki, &self.params).is_ok()
-                    && view > self.view
                 {
-                    self.clock.bump_to(self.c(view), now);
-                    self.set_view(view, &mut out);
+                    self.seen_vc.insert(view.as_i64());
+                    if view > self.view {
+                        self.clock.bump_to(self.c(view), now);
+                        self.set_view(view, &mut out);
+                    }
                 }
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
                 if self.layout.is_epoch_view(view)
-                    && ec.verify(&self.pki, &self.params).is_ok()
                     && !self.seen_ec.contains(&view.as_i64())
+                    && ec.verify(&self.pki, &self.params).is_ok()
                 {
                     self.seen_ec.insert(view.as_i64());
                     self.handle_ec(view, now, &mut out);
@@ -374,7 +377,7 @@ impl Pacemaker for BasicLumiere {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::EpochCert;
+    use crate::certs::{forged, EpochCert};
     use crate::pacemaker::actions;
     use lumiere_crypto::keygen;
 
@@ -492,6 +495,34 @@ mod tests {
             Time::from_millis(1),
         );
         assert_eq!(pm.current_view(), View::SENTINEL);
+    }
+
+    #[test]
+    fn a_forged_vc_does_not_use_up_the_view() {
+        // Regression: the view was marked seen before the certificate was
+        // verified, so one forged VC made the replica drop the genuine one.
+        let (mut pm, keys, params) = make(4, 0);
+        pm.boot(Time::ZERO);
+        let sigs: Vec<_> = keys
+            .iter()
+            .map(|k| k.sign(epoch_view_digest(View::new(0))))
+            .collect();
+        let ec = EpochCert::aggregate(View::new(0), &sigs, &params).unwrap();
+        let t = Time::from_millis(1);
+        pm.on_message(keys[1].id(), &PacemakerMessage::EpochCert(ec), t);
+        assert_eq!(pm.current_view(), View::new(0));
+        let v = View::new(2);
+        let sigs: Vec<_> = keys
+            .iter()
+            .take(2)
+            .map(|k| k.sign(view_msg_digest(v)))
+            .collect();
+        let vc = ViewCert::aggregate(v, &sigs, &params).unwrap();
+        pm.on_message(keys[3].id(), &PacemakerMessage::ViewCert(forged(&vc)), t);
+        assert_eq!(pm.current_view(), View::new(0));
+        let out = pm.on_message(keys[1].id(), &PacemakerMessage::ViewCert(vc), t);
+        assert_eq!(pm.current_view(), v);
+        assert!(actions::entered_views(&out).contains(&v));
     }
 
     #[test]

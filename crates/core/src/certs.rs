@@ -168,6 +168,16 @@ certificate!(
     small_quorum
 );
 
+/// `cert` as a peer would forge it: the low bit of the aggregate proof
+/// flipped on the wire (view: 8 bytes, covered digest: 8, then the proof).
+#[cfg(test)]
+pub(crate) fn forged<C: Wire>(cert: &C) -> C {
+    let mut bytes = Vec::new();
+    cert.encode_into(&mut bytes);
+    bytes[16] ^= 1;
+    C::decode_exact(&bytes).expect("a flipped proof bit still decodes")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -254,19 +254,18 @@ impl Lumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        let sigs: Vec<Signature> = pool.values().copied().collect();
         // Lines 32–34: the leader of an initial view `v ≥ view(p)` aggregates
         // f+1 view messages into a VC and broadcasts it.
-        if self.leader(view) != self.id
-            || !view.is_initial()
-            || view < self.view
-            || self.formed_vc.contains(&view.as_i64())
-            || sigs.len() < self.cfg.params.small_quorum()
-        {
+        let aggregates = self.leader(view) == self.id
+            && view.is_initial()
+            && view >= self.view
+            && !self.formed_vc.contains(&view.as_i64());
+        let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
+        pool.insert(from, signature);
+        if !aggregates || pool.len() < self.cfg.params.small_quorum() {
             return;
         }
+        let sigs: Vec<Signature> = pool.values().copied().collect();
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.cfg.params) else {
             return;
         };
@@ -514,12 +513,14 @@ impl Lumiere {
     fn handle_view_cert(&mut self, vc: &ViewCert, now: Time) -> Vec<PacemakerAction> {
         let mut out = Vec::new();
         let view = vc.view();
+        // Marked only once verified: a forged VC must not use up the view.
         if !view.is_initial()
-            || !self.seen_vc.insert(view.as_i64())
+            || self.seen_vc.contains(&view.as_i64())
             || vc.verify(&self.pki, &self.cfg.params).is_err()
         {
             return out;
         }
+        self.seen_vc.insert(view.as_i64());
         if view > self.view {
             self.unpause_if(|pv| view >= pv, now);
             if self.clock.reading(now) < self.c(view) {
@@ -537,16 +538,22 @@ impl Lumiere {
     fn handle_epoch_cert(&mut self, ec: &EpochCert, now: Time) -> Vec<PacemakerAction> {
         let mut out = Vec::new();
         let view = ec.view();
-        if !self.cfg.layout.is_epoch_view(view) || ec.verify(&self.pki, &self.cfg.params).is_err() {
+        if !self.cfg.layout.is_epoch_view(view) {
             return out;
         }
-        if !self.seen_tc.contains(&view.as_i64()) {
-            self.seen_tc.insert(view.as_i64());
-            self.handle_tc(view, now, &mut out);
-        }
+        // An EC for a marked view has nothing left to do (`seen_ec` implies
+        // `seen_tc`), so it is not checked again.
         if !self.seen_ec.contains(&view.as_i64()) {
-            self.seen_ec.insert(view.as_i64());
-            self.handle_ec(view, now, &mut out);
+            if ec.verify(&self.pki, &self.cfg.params).is_err() {
+                return out;
+            }
+            if self.seen_tc.insert(view.as_i64()) {
+                self.handle_tc(view, now, &mut out);
+            }
+            // `handle_tc` may itself have completed the EC from the pool.
+            if self.seen_ec.insert(view.as_i64()) {
+                self.handle_ec(view, now, &mut out);
+            }
         }
         self.sweep(now, &mut out);
         out
@@ -555,10 +562,13 @@ impl Lumiere {
     fn handle_timeout_cert(&mut self, tc: &TimeoutCert, now: Time) -> Vec<PacemakerAction> {
         let mut out = Vec::new();
         let view = tc.view();
-        if !self.cfg.layout.is_epoch_view(view) || tc.verify(&self.pki, &self.cfg.params).is_err() {
+        if !self.cfg.layout.is_epoch_view(view) {
             return out;
         }
         if !self.seen_tc.contains(&view.as_i64()) {
+            if tc.verify(&self.pki, &self.cfg.params).is_err() {
+                return out;
+            }
             self.seen_tc.insert(view.as_i64());
             self.handle_tc(view, now, &mut out);
         }
@@ -679,6 +689,7 @@ impl Pacemaker for Lumiere {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certs::forged;
     use crate::pacemaker::actions;
     use lumiere_crypto::keygen;
 
@@ -941,6 +952,93 @@ mod tests {
             PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg { view, .. })
                 if view.as_i64() == epoch_len
         )));
+    }
+
+    /// A pacemaker (p0 of n = 4) admitted into epoch 0 by an EC.
+    fn in_epoch_zero() -> (Lumiere, Vec<KeyPair>, Params, EpochCert) {
+        let (cfg, keys, pki) = config(4);
+        let params = cfg.params;
+        let mut pm = Lumiere::new(cfg, keys[0].clone(), pki);
+        pm.boot(Time::ZERO);
+        let sigs: Vec<_> = keys
+            .iter()
+            .map(|k| k.sign(epoch_view_digest(View::new(0))))
+            .collect();
+        let ec = EpochCert::aggregate(View::new(0), &sigs, &params).unwrap();
+        pm.on_message(
+            keys[1].id(),
+            &PacemakerMessage::EpochCert(ec.clone()),
+            Time::from_millis(1),
+        );
+        assert_eq!(pm.current_view(), View::new(0));
+        (pm, keys, params, ec)
+    }
+
+    #[test]
+    fn a_forged_vc_does_not_use_up_the_view() {
+        // Regression: the view was marked seen before the certificate was
+        // verified, so one forged VC made the replica drop the genuine one.
+        let (mut pm, keys, params, _) = in_epoch_zero();
+        let v = View::new(2);
+        let sigs: Vec<_> = keys
+            .iter()
+            .take(2)
+            .map(|k| k.sign(view_msg_digest(v)))
+            .collect();
+        let vc = ViewCert::aggregate(v, &sigs, &params).unwrap();
+        let t = Time::from_millis(2);
+        let out = pm.on_message(keys[3].id(), &PacemakerMessage::ViewCert(forged(&vc)), t);
+        assert!(out.is_empty());
+        assert_eq!(pm.current_view(), View::new(0));
+        let out = pm.on_message(keys[1].id(), &PacemakerMessage::ViewCert(vc.clone()), t);
+        assert_eq!(pm.current_view(), v);
+        assert!(actions::entered_views(&out).contains(&v));
+        // A second copy of the genuine VC is dropped as before.
+        assert!(pm
+            .on_message(keys[1].id(), &PacemakerMessage::ViewCert(vc), t)
+            .is_empty());
+    }
+
+    #[test]
+    fn a_marked_epoch_view_spends_no_check_on_further_certificates() {
+        let (mut pm, keys, params, ec) = in_epoch_zero();
+        let t = Time::from_millis(2);
+        let sigs: Vec<_> = keys
+            .iter()
+            .take(2)
+            .map(|k| k.sign(epoch_view_digest(View::new(0))))
+            .collect();
+        let tc = TimeoutCert::aggregate(View::new(0), &sigs, &params).unwrap();
+        // Genuine or forged, a certificate for the marked view 0 does what a
+        // duplicate always did: nothing but the trailing sweep.
+        for msg in [
+            PacemakerMessage::EpochCert(ec.clone()),
+            PacemakerMessage::EpochCert(forged(&ec)),
+            PacemakerMessage::TimeoutCert(tc.clone()),
+            PacemakerMessage::TimeoutCert(forged(&tc)),
+        ] {
+            let out = pm.on_message(keys[3].id(), &msg, t);
+            assert!(actions::earliest_wake(&out).is_some(), "swept");
+            assert_eq!(actions::message_count(&out, 4), 0);
+            assert_eq!(pm.current_view(), View::new(0));
+        }
+        // For an unmarked epoch view the check runs first: forged copies are
+        // dropped whole, and leave the view open for the genuine one.
+        let next = View::new(pm.config().layout.epoch_len() as i64);
+        let sigs: Vec<_> = keys
+            .iter()
+            .map(|k| k.sign(epoch_view_digest(next)))
+            .collect();
+        let ec = EpochCert::aggregate(next, &sigs, &params).unwrap();
+        let tc = TimeoutCert::aggregate(next, &sigs, &params).unwrap();
+        for msg in [
+            PacemakerMessage::EpochCert(forged(&ec)),
+            PacemakerMessage::TimeoutCert(forged(&tc)),
+        ] {
+            assert!(pm.on_message(keys[3].id(), &msg, t).is_empty());
+        }
+        pm.on_message(keys[3].id(), &PacemakerMessage::EpochCert(ec), t);
+        assert_eq!(pm.current_view(), next);
     }
 
     #[test]

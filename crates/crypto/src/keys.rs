@@ -5,6 +5,7 @@ use crate::signature::Signature;
 use crate::threshold::ThresholdSignature;
 use lumiere_types::{Error, ProcessId, Result, StakeTable};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Secret signing key held by one processor.
 ///
@@ -32,9 +33,14 @@ impl KeyPair {
 
 /// The simulated public-key infrastructure: can verify any processor's
 /// signatures and aggregate threshold signatures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The key table is shared: every clone — one per engine and one per
+/// pacemaker in a simulated cluster — points at the table [`keygen`] built,
+/// so a cluster holds one table, not `2n`. A `Pki` is never serialized
+/// (every node re-derives it from `(n, seed)`), so it has no serde form.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pki {
-    secrets: Vec<u64>,
+    secrets: Arc<[u64]>,
 }
 
 impl Pki {
@@ -158,7 +164,7 @@ impl Pki {
 /// assert_eq!(pki.n(), 4);
 /// ```
 pub fn keygen(n: usize, seed: u64) -> (Vec<KeyPair>, Pki) {
-    let secrets: Vec<u64> = (0..n)
+    let secrets: Arc<[u64]> = (0..n)
         .map(|i| {
             Digest::new(b"keygen")
                 .push_u64(seed)
@@ -235,6 +241,15 @@ mod tests {
         let (c, _) = keygen(4, 6);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn clones_share_one_key_table() {
+        let (_, pki) = keygen(128, 1);
+        let copy = pki.clone();
+        assert!(Arc::ptr_eq(&pki.secrets, &copy.secrets));
+        assert_eq!(pki, copy);
+        assert_ne!(pki, keygen(128, 2).1);
     }
 
     #[test]
