@@ -6,6 +6,7 @@ use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Batch, ProcessId, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Hash identifying a block (64-bit simulated digest).
 pub type BlockHash = u64;
@@ -20,8 +21,17 @@ pub const GENESIS_HASH: BlockHash = 0x6765_6e65_7369_7321;
 /// pulled from the proposer's mempool; the block hash commits to the
 /// batch's 64-bit digest, so hashing stays O(batch) and hash comparisons
 /// stay integer-cheap.
+///
+/// A `Block` is a handle: the fields sit in one immutable shared allocation,
+/// so `clone` is a reference bump. A block is allocated once — where it is
+/// built or decoded — and every store, parked proposal and commit
+/// notification in the process shares that allocation. Equality, the serde
+/// form and the wire form are those of the fields.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Block {
+pub struct Block(Arc<Fields>);
+
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct Fields {
     hash: BlockHash,
     parent: BlockHash,
     height: u64,
@@ -35,7 +45,7 @@ impl Block {
     /// The genesis block: height 0, sentinel view, self-certified, empty
     /// payload.
     pub fn genesis() -> Self {
-        Block {
+        Block(Arc::new(Fields {
             hash: GENESIS_HASH,
             parent: GENESIS_HASH,
             height: 0,
@@ -43,7 +53,7 @@ impl Block {
             proposer: ProcessId::new(0),
             payload: Batch::empty(),
             justify: QuorumCert::genesis(),
-        }
+        }))
     }
 
     /// Creates a new block extending `parent_hash` at `height`, justified by
@@ -57,7 +67,7 @@ impl Block {
         payload: Batch,
         justify: QuorumCert,
     ) -> Self {
-        let mut block = Block {
+        let mut fields = Fields {
             hash: 0,
             parent: parent_hash,
             height,
@@ -66,10 +76,76 @@ impl Block {
             payload,
             justify,
         };
-        block.hash = block.digest();
-        block
+        fields.hash = fields.digest();
+        Block(Arc::new(fields))
     }
 
+    /// The block's hash.
+    pub fn hash(&self) -> BlockHash {
+        self.0.hash
+    }
+
+    /// Hash of the parent block.
+    pub fn parent(&self) -> BlockHash {
+        self.0.parent
+    }
+
+    /// Height of the block in the chain (genesis is 0).
+    pub fn height(&self) -> u64 {
+        self.0.height
+    }
+
+    /// View in which the block was proposed.
+    pub fn view(&self) -> View {
+        self.0.view
+    }
+
+    /// The proposing leader.
+    pub fn proposer(&self) -> ProcessId {
+        self.0.proposer
+    }
+
+    /// The transaction batch the block carries.
+    pub fn payload(&self) -> &Batch {
+        &self.0.payload
+    }
+
+    /// The 64-bit digest of the payload batch (the value the block hash
+    /// commits to).
+    pub fn payload_digest(&self) -> u64 {
+        self.0.payload.digest64()
+    }
+
+    /// The quorum certificate for the parent carried by this block.
+    pub fn justify(&self) -> &QuorumCert {
+        &self.0.justify
+    }
+
+    /// Whether this is the genesis block.
+    pub fn is_genesis(&self) -> bool {
+        self.0.hash == GENESIS_HASH
+    }
+
+    /// Checks internal consistency: the hash matches the fields and the
+    /// justify certificate points at the parent. Recomputed on every call —
+    /// a handle shared between replicas carries no "already checked" mark.
+    pub fn well_formed(&self) -> bool {
+        if self.is_genesis() {
+            return *self == Block::genesis();
+        }
+        let b = &*self.0;
+        b.justify.block_hash() == b.parent && b.hash == b.digest()
+    }
+
+    /// The fields, for tests that tamper with one; a shared block is copied
+    /// first, so other handles keep the original.
+    #[cfg(test)]
+    fn fields_mut(&mut self) -> &mut Fields {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl Fields {
     /// The hash these fields call for: every field but `hash` itself, read
     /// in place. [`Block::new`] stores it, [`Block::well_formed`] compares
     /// the stored one against it.
@@ -85,61 +161,6 @@ impl Block {
             .finish()
             .as_u64()
     }
-
-    /// The block's hash.
-    pub fn hash(&self) -> BlockHash {
-        self.hash
-    }
-
-    /// Hash of the parent block.
-    pub fn parent(&self) -> BlockHash {
-        self.parent
-    }
-
-    /// Height of the block in the chain (genesis is 0).
-    pub fn height(&self) -> u64 {
-        self.height
-    }
-
-    /// View in which the block was proposed.
-    pub fn view(&self) -> View {
-        self.view
-    }
-
-    /// The proposing leader.
-    pub fn proposer(&self) -> ProcessId {
-        self.proposer
-    }
-
-    /// The transaction batch the block carries.
-    pub fn payload(&self) -> &Batch {
-        &self.payload
-    }
-
-    /// The 64-bit digest of the payload batch (the value the block hash
-    /// commits to).
-    pub fn payload_digest(&self) -> u64 {
-        self.payload.digest64()
-    }
-
-    /// The quorum certificate for the parent carried by this block.
-    pub fn justify(&self) -> &QuorumCert {
-        &self.justify
-    }
-
-    /// Whether this is the genesis block.
-    pub fn is_genesis(&self) -> bool {
-        self.hash == GENESIS_HASH
-    }
-
-    /// Checks internal consistency: the hash matches the fields and the
-    /// justify certificate points at the parent.
-    pub fn well_formed(&self) -> bool {
-        if self.is_genesis() {
-            return *self == Block::genesis();
-        }
-        self.justify.block_hash() == self.parent && self.hash == self.digest()
-    }
 }
 
 /// Wire form: `hash`, `parent`, `height` (`u64` each), `view: i64`,
@@ -152,21 +173,22 @@ impl Block {
 /// [`Block::well_formed`] before acting on them.
 impl Wire for Block {
     fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 8 + 4 + self.payload.encoded_len() + self.justify.encoded_len()
+        8 + 8 + 8 + 8 + 4 + self.0.payload.encoded_len() + self.0.justify.encoded_len()
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.hash);
-        put_u64(out, self.parent);
-        put_u64(out, self.height);
-        self.view.encode_into(out);
-        self.proposer.encode_into(out);
-        self.payload.encode_into(out);
-        self.justify.encode_into(out);
+        let b = &*self.0;
+        put_u64(out, b.hash);
+        put_u64(out, b.parent);
+        put_u64(out, b.height);
+        b.view.encode_into(out);
+        b.proposer.encode_into(out);
+        b.payload.encode_into(out);
+        b.justify.encode_into(out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Block {
+        Ok(Block(Arc::new(Fields {
             hash: r.u64("Block.hash")?,
             parent: r.u64("Block.parent")?,
             height: r.u64("Block.height")?,
@@ -174,7 +196,7 @@ impl Wire for Block {
             proposer: ProcessId::decode(r)?,
             payload: Batch::decode(r)?,
             justify: QuorumCert::decode(r)?,
-        })
+        })))
     }
 }
 
@@ -183,7 +205,7 @@ impl fmt::Display for Block {
         write!(
             f,
             "block[{:016x} h={} {} by {} {}]",
-            self.hash, self.height, self.view, self.proposer, self.payload
+            self.0.hash, self.0.height, self.0.view, self.0.proposer, self.0.payload
         )
     }
 }
@@ -191,6 +213,7 @@ impl fmt::Display for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumiere_types::{Transaction, TxId};
 
     #[test]
     fn genesis_is_well_formed_and_self_parenting() {
@@ -239,7 +262,7 @@ mod tests {
             Batch::tag(7),
             QuorumCert::genesis(),
         );
-        b.payload = Batch::tag(9);
+        b.fields_mut().payload = Batch::tag(9);
         assert!(!b.well_formed());
     }
 
@@ -252,25 +275,80 @@ mod tests {
         QuorumCert::decode_exact(&bytes).unwrap()
     }
 
-    #[test]
-    fn every_single_field_mutation_of_a_full_block_is_rejected() {
-        use lumiere_types::{Transaction, TxId};
+    /// A block carrying 64 transactions (ids 1 000 to 1 063, 256 bytes each).
+    fn full_block() -> Block {
         let payload = Batch {
             txs: (0..64)
                 .map(|i| Transaction::sized(TxId::new(1_000 + i), 256))
                 .collect(),
         };
-        let good = Block::new(
+        Block::new(
             0xabcd,
             9,
             View::new(5),
             ProcessId::new(2),
             payload,
             unsigned(4, 0xabcd),
+        )
+    }
+
+    #[test]
+    fn a_clone_shares_the_allocation_and_tampering_unshares_it() {
+        let good = full_block();
+        let mut copy = good.clone();
+        assert!(Arc::ptr_eq(&good.0, &copy.0));
+        assert_eq!(
+            good.payload().txs.as_ptr(),
+            copy.payload().txs.as_ptr(),
+            "one payload, two handles"
         );
+        copy.fields_mut().height += 1;
+        assert!(!Arc::ptr_eq(&good.0, &copy.0));
+        assert_eq!(good.height() + 1, copy.height());
+    }
+
+    #[test]
+    fn a_full_block_keeps_its_json_and_wire_bytes() {
+        // Both forms as they were before `Block` became a handle over a
+        // shared allocation: the handle must not show in either.
+        let good = full_block();
+        let txs: Vec<String> = (1_000..1_064)
+            .map(|id| format!(r#"{{"id":{id},"size":256}}"#))
+            .collect();
+        let json = format!(
+            r#"{{"hash":11024848359162350376,"parent":43981,"height":9,"view":5,"proposer":2,"payload":{{"txs":[{}]}},"justify":{{"view":4,"block_hash":43981,"tsig":null}}}}"#,
+            txs.join(",")
+        );
+        assert_eq!(serde::json::to_string(&good), json);
+        assert_eq!(serde::json::from_str::<Block>(&json).unwrap(), good);
+
+        let mut wire = Vec::new();
+        for word in [0x9900_212b_a66b_8b28_u64, 0xabcd, 9, 5] {
+            wire.extend_from_slice(&word.to_le_bytes());
+        }
+        wire.extend_from_slice(&2u32.to_le_bytes());
+        wire.extend_from_slice(&64u32.to_le_bytes());
+        for id in 1_000..1_064u64 {
+            wire.extend_from_slice(&id.to_le_bytes());
+            wire.extend_from_slice(&256u32.to_le_bytes());
+        }
+        wire.extend_from_slice(&4i64.to_le_bytes());
+        wire.extend_from_slice(&0xabcd_u64.to_le_bytes());
+        wire.push(0);
+        assert_eq!(wire.len(), 825);
+        let mut bytes = Vec::new();
+        good.encode_into(&mut bytes);
+        assert_eq!(bytes, wire);
+        assert_eq!(good.encoded_len(), wire.len());
+        assert_eq!(Block::decode_exact(&wire).unwrap(), good);
+    }
+
+    #[test]
+    fn every_single_field_mutation_of_a_full_block_is_rejected() {
+        let good = full_block();
         assert!(good.well_formed());
         assert!(good.clone().well_formed(), "a copy hashes the same");
-        type Mutation = fn(&mut Block);
+        type Mutation = fn(&mut Fields);
         let mutations: [(&str, Mutation); 9] = [
             ("hash", |b| b.hash ^= 1),
             ("parent", |b| b.parent ^= 1),
@@ -284,9 +362,10 @@ mod tests {
         ];
         for (field, mutate) in mutations {
             let mut bad = good.clone();
-            mutate(&mut bad);
+            mutate(bad.fields_mut());
             assert_ne!(bad, good, "{field}: the mutation must change the block");
             assert!(!bad.well_formed(), "{field} tampered, still well-formed");
+            assert!(good.well_formed(), "{field}: the shared original is intact");
         }
     }
 
@@ -308,7 +387,7 @@ mod tests {
         assert!(back.well_formed());
         // A tampered block decodes to exactly what was sent — tampering is
         // the engine's `well_formed` check to catch, not the codec's.
-        b.payload = Batch::tag(9);
+        b.fields_mut().payload = Batch::tag(9);
         bytes.clear();
         b.encode_into(&mut bytes);
         let back = Block::decode_exact(&bytes).unwrap();

@@ -53,7 +53,10 @@ pub struct HotStuffEngine {
     proposed_views: HashSet<i64>,
     formed_qc_views: HashSet<i64>,
     observed_qcs: HashSet<(i64, BlockHash)>,
-    pending_proposals: HashMap<i64, Block>,
+    /// Proposals for views this replica has not entered yet, by view and
+    /// proposer: only the view's leader, known at entry, can claim the vote,
+    /// and no other processor's block may displace the one it parked.
+    pending_proposals: BTreeMap<(i64, ProcessId), Block>,
     qc_deadlines: HashMap<i64, Time>,
     proposing_enabled: bool,
     proposals_seen: HashMap<(i64, usize), BTreeSet<BlockHash>>,
@@ -93,7 +96,7 @@ impl HotStuffEngine {
             proposed_views: HashSet::with_capacity(16),
             formed_qc_views: HashSet::with_capacity(16),
             observed_qcs: HashSet::with_capacity(64),
-            pending_proposals: HashMap::with_capacity(8),
+            pending_proposals: BTreeMap::new(),
             qc_deadlines: HashMap::with_capacity(16),
             proposing_enabled: true,
             proposals_seen: HashMap::with_capacity(16),
@@ -231,10 +234,17 @@ impl HotStuffEngine {
         {
             out.extend(self.propose(now));
         }
-        if let Some(block) = self.pending_proposals.remove(&view.as_i64()) {
-            if Some(block.proposer()) == self.current_leader {
-                out.extend(self.maybe_vote(&block, now));
+        let parked = self.pending_proposals.remove(&(view.as_i64(), leader));
+        // Whatever else is parked at or below this view can never be voted
+        // on: views are only entered upwards.
+        while let Some(entry) = self.pending_proposals.first_entry() {
+            if entry.key().0 > view.as_i64() {
+                break;
             }
+            entry.remove();
+        }
+        if let Some(block) = parked {
+            out.extend(self.maybe_vote(&block, now));
         }
         out
     }
@@ -318,7 +328,7 @@ impl HotStuffEngine {
             // pacemaker moves us forward (typically in reaction to the
             // justify QC we just surfaced).
             self.pending_proposals
-                .insert(block.view().as_i64(), block.clone());
+                .insert((block.view().as_i64(), from), block.clone());
             return out;
         }
         if block.view() == self.current_view && Some(from) == self.current_leader {
@@ -638,6 +648,129 @@ mod tests {
         assert!(out
             .iter()
             .any(|a| matches!(a, ConsensusAction::Send(p, ConsensusMessage::Vote { .. }) if *p == ProcessId::new(1))));
+    }
+
+    #[test]
+    fn another_processors_proposal_does_not_displace_the_leaders_parked_one() {
+        // Regression: proposals were parked by view alone, so any
+        // processor's well-formed block for a view the replica had yet to
+        // enter overwrote the leader's, and the replica sat the view out.
+        let params = Params::new(4, Duration::from_millis(10));
+        let (keys, pki) = keygen(4, 1);
+        let mut replica = HotStuffEngine::new(ProcessId::new(3), keys[3].clone(), pki, params);
+        let now = Time::ZERO;
+        let block = |view: i64, proposer: usize, tag: u64| {
+            Block::new(
+                Block::genesis().hash(),
+                1,
+                View::new(view),
+                ProcessId::new(proposer),
+                Batch::tag(tag),
+                QuorumCert::genesis(),
+            )
+        };
+        let park = |replica: &mut HotStuffEngine, b: &Block| {
+            let msg = ConsensusMessage::Proposal(b.clone());
+            assert!(replica.on_message(b.proposer(), &msg, now).is_empty());
+        };
+        let voted_for = |actions: &[ConsensusAction]| match actions {
+            [ConsensusAction::Send(to, ConsensusMessage::Vote { block_hash, .. })] => {
+                Some((*to, *block_hash))
+            }
+            _ => None,
+        };
+        // View 2 is led by p2. Its block arrives first, p1's block for the
+        // same view second; one for view 1 is never used.
+        let (leaders, intruders, skipped) = (block(2, 2, 7), block(2, 1, 8), block(1, 1, 9));
+        park(&mut replica, &skipped);
+        park(&mut replica, &leaders);
+        park(&mut replica, &intruders);
+        let out = replica.enter_view(View::new(2), ProcessId::new(2), now);
+        assert_eq!(
+            voted_for(&out),
+            Some((ProcessId::new(2), leaders.hash())),
+            "the leader's parked proposal earns the vote"
+        );
+        assert!(
+            replica.pending_proposals.is_empty(),
+            "nothing at or below the entered view stays parked"
+        );
+        // An equivocating *leader* is as before: its later block replaces
+        // its earlier one, and is the one voted on.
+        let (first, second) = (block(3, 1, 10), block(3, 1, 11));
+        park(&mut replica, &first);
+        park(&mut replica, &second);
+        let out = replica.enter_view(View::new(3), ProcessId::new(1), now);
+        assert_eq!(voted_for(&out), Some((ProcessId::new(1), second.hash())));
+        assert_eq!(replica.equivocations_detected(), 1);
+    }
+
+    #[test]
+    fn a_received_block_is_shared_not_copied_from_parking_to_commit() {
+        let params = Params::new(4, Duration::from_millis(10));
+        let (keys, pki) = keygen(4, 1);
+        let mut replica = HotStuffEngine::new(ProcessId::new(3), keys[3].clone(), pki, params);
+        let now = Time::ZERO;
+        let payload = Batch {
+            txs: (0..64)
+                .map(|i| lumiere_types::Transaction::new(lumiere_types::TxId::new(i)))
+                .collect(),
+        };
+        let first = Block::new(
+            Block::genesis().hash(),
+            1,
+            View::new(0),
+            ProcessId::new(0),
+            payload,
+            QuorumCert::genesis(),
+        );
+        let txs = first.payload().txs.as_ptr();
+        let shares = |b: &Block| b.payload().txs.as_ptr() == txs;
+        // Parked (view 0 not entered yet) and stored: two more handles.
+        let msg = ConsensusMessage::Proposal(first.clone());
+        replica.on_message(ProcessId::new(0), &msg, now);
+        assert!(shares(&replica.pending_proposals[&(0, ProcessId::new(0))]));
+        assert!(shares(replica.store().get(first.hash()).unwrap()));
+        replica.enter_view(View::new(0), ProcessId::new(0), now);
+        // View 1 extends it; the certificate for view 1 commits it.
+        let second = Block::new(
+            first.hash(),
+            2,
+            View::new(1),
+            ProcessId::new(1),
+            Batch::empty(),
+            certify(&first, &keys, &params),
+        );
+        replica.enter_view(View::new(1), ProcessId::new(1), now);
+        let msg = ConsensusMessage::Proposal(second.clone());
+        replica.on_message(ProcessId::new(1), &msg, now);
+        let qc = ConsensusMessage::NewQc(certify(&second, &keys, &params));
+        let out = replica.on_message(ProcessId::new(1), &qc, now);
+        let committed: Vec<&Block> = out
+            .iter()
+            .filter_map(|a| match a {
+                ConsensusAction::Committed(b) => Some(b),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(committed, [&first]);
+        assert!(shares(committed[0]), "the commit hands out the same block");
+        // A leader's own proposal: the broadcast and its store share one.
+        let mut leader = replica;
+        leader.stage_payload(Batch::tag(5));
+        let out = leader.enter_view(View::new(2), ProcessId::new(3), now);
+        let proposed = out
+            .iter()
+            .find_map(|a| match a {
+                ConsensusAction::Broadcast(ConsensusMessage::Proposal(b)) => Some(b),
+                _ => None,
+            })
+            .expect("the leader proposes on entry");
+        let stored = leader.store().get(proposed.hash()).unwrap();
+        assert_eq!(
+            stored.payload().txs.as_ptr(),
+            proposed.payload().txs.as_ptr()
+        );
     }
 
     #[test]
@@ -1117,7 +1250,8 @@ mod tests {
             let mut out = self.reference_process_qc(block.justify().clone());
             self.store.insert(&block);
             if block.view() > self.current_view {
-                self.pending_proposals.insert(block.view().as_i64(), block);
+                self.pending_proposals
+                    .insert((block.view().as_i64(), from), block);
                 return out;
             }
             if block.view() == self.current_view && Some(from) == self.current_leader {

@@ -38,8 +38,9 @@ impl BlockStore {
         }
     }
 
-    /// Stores a copy of `block` unless its hash is already held
-    /// (idempotent; a re-delivered block is not copied).
+    /// Stores a handle to `block` unless its hash is already held
+    /// (idempotent). Nothing is copied: the store shares the caller's
+    /// allocation.
     pub fn insert(&mut self, block: &Block) {
         self.blocks
             .entry(block.hash())
@@ -103,7 +104,7 @@ impl BlockStore {
             return Vec::new();
         }
         // Walk back from `parent` to the committed frontier over the stored
-        // blocks; only the new suffix, which the caller gets, is copied.
+        // blocks; the caller gets handles to the new suffix.
         let mut chain = Vec::new();
         let mut cursor = parent;
         while cursor.height() > self.committed_height {
@@ -262,7 +263,7 @@ mod tests {
         assert!(store.on_qc(&qc_for(&f3, &params, &keys)).is_empty());
         assert_eq!(store.committed_chain(), chain.as_slice());
         assert_eq!(store.committed_height(), 3);
-        assert_eq!(store.len(), len, "committing copies blocks out, not away");
+        assert_eq!(store.len(), len, "committing hands blocks out, not away");
     }
 
     #[test]

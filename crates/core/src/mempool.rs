@@ -29,13 +29,22 @@
 //! tombstone it removes, and a tombstone is made by exactly one committed
 //! id, so it adds O(1) to the cost of that id.
 //!
+//! # One index
+//!
+//! What the pool knows about an id is one [`Slot`] in one hash map —
+//! queued, pulled into a batch, or committed — so every operation probes
+//! the map once per transaction it touches. An id enters the map when it is
+//! admitted or first seen in a committed block and never leaves: dedup is
+//! for the pool's lifetime.
+//!
 //! Everything here is integer arithmetic over explicitly ordered
-//! collections (the hash sets are only ever probed, never iterated): the
-//! same submission sequence yields the same batches on every host and
-//! thread count, which the cross-thread determinism suite relies on.
+//! collections (the index is only ever probed, never iterated): the same
+//! submission sequence yields the same batches on every host and thread
+//! count, which the cross-thread determinism suite relies on.
 
 use lumiere_types::{Batch, Transaction, TxId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// Sizing knobs for a [`Mempool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,29 +70,35 @@ impl Default for MempoolConfig {
     }
 }
 
+/// Where the pool stands with one id. An id the index does not hold has
+/// never been admitted here nor committed anywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Admitted and in the queue, as a live entry.
+    Queued,
+    /// Pulled by [`Mempool::next_batch`] and neither requeued nor committed
+    /// since: admitted, but not in the queue.
+    Taken,
+    /// Committed by *any* leader, whether or not this pool ever admitted
+    /// it. Final. A queue entry in this state is a tombstone.
+    Committed,
+}
+
 /// Bounded FIFO transaction pool with lifetime dedup by id.
 #[derive(Debug, Clone)]
 pub struct Mempool {
     cfg: MempoolConfig,
     /// Live transactions in FIFO order, interleaved with tombstones
-    /// (entries whose id is in `committed`; see the module docs).
+    /// (entries whose id is [`Slot::Committed`]; see the module docs).
+    /// Every entry's id is in `index`, as `Queued` or `Committed`.
     queue: VecDeque<Transaction>,
     /// Entries of `queue` that are not tombstones: what [`Mempool::len`]
     /// and the capacity check report.
     live: usize,
-    /// Every id ever admitted. Dedup is deliberately *persistent*: a
-    /// transaction pulled into a committed batch must not be re-admittable
-    /// via a late gossip echo.
-    seen: HashSet<TxId>,
-    /// Ids committed by *any* leader (see [`Mempool::mark_committed`]).
-    /// Kept separate from `seen` because a replica learns about commits of
-    /// transactions it never admitted itself.
-    committed: HashSet<TxId>,
-    /// Ids pulled by [`Mempool::next_batch`] and neither requeued nor
-    /// committed since. An admitted, uncommitted id is in the queue exactly
-    /// when it is not here, which is how a commit knows whether it removes
-    /// a live entry.
-    taken: HashSet<TxId>,
+    /// Every id ever admitted or committed. Dedup is deliberately
+    /// *persistent*: a transaction pulled into a committed batch must not
+    /// be re-admittable via a late gossip echo.
+    index: HashMap<TxId, Slot>,
     /// Submissions rejected because the queue was full.
     shed: u64,
 }
@@ -95,9 +110,7 @@ impl Mempool {
             cfg,
             queue: VecDeque::new(),
             live: 0,
-            seen: HashSet::new(),
-            committed: HashSet::new(),
-            taken: HashSet::new(),
+            index: HashMap::new(),
             shed: 0,
         }
     }
@@ -108,14 +121,15 @@ impl Mempool {
         if self.live >= self.cfg.capacity {
             // Only a transaction that would otherwise have been admitted
             // counts as shed; a duplicate arriving at a full pool does not.
-            if !self.seen.contains(&tx.id) && !self.committed.contains(&tx.id) {
+            if !self.index.contains_key(&tx.id) {
                 self.shed += 1;
             }
             return false;
         }
-        if self.committed.contains(&tx.id) || !self.seen.insert(tx.id) {
+        let Entry::Vacant(slot) = self.index.entry(tx.id) else {
             return false;
-        }
+        };
+        slot.insert(Slot::Queued);
         self.queue.push_back(tx);
         self.live += 1;
         true
@@ -127,8 +141,13 @@ impl Mempool {
         let mut txs = Vec::with_capacity(self.cfg.batch_txs.min(self.live));
         let mut bytes = 0u64;
         while txs.len() < self.cfg.batch_txs {
-            let Some(tx) = self.queue.front() else { break };
-            if self.has_tombstones() && self.committed.contains(&tx.id) {
+            let Some(&tx) = self.queue.front() else { break };
+            // One probe answers "is this a tombstone?" and marks the pull.
+            let slot = self
+                .index
+                .get_mut(&tx.id)
+                .expect("every queue entry is indexed");
+            if *slot == Slot::Committed {
                 self.queue.pop_front();
                 continue;
             }
@@ -137,8 +156,8 @@ impl Mempool {
                 break;
             }
             bytes += tx_bytes;
-            let tx = self.queue.pop_front().expect("front() was Some");
-            self.taken.insert(tx.id);
+            *slot = Slot::Taken;
+            self.queue.pop_front();
             self.live -= 1;
             txs.push(tx);
         }
@@ -154,9 +173,8 @@ impl Mempool {
     /// not have been requeued since; any other transaction is dropped.
     pub fn requeue(&mut self, batch: Batch) {
         for tx in batch.txs.into_iter().rev() {
-            // A commit removes the id from `taken`, so for a pulled
-            // transaction "still taken" and "not committed" are the same.
-            if self.taken.remove(&tx.id) {
+            if let Some(slot @ Slot::Taken) = self.index.get_mut(&tx.id) {
+                *slot = Slot::Queued;
                 self.queue.push_front(tx);
                 self.live += 1;
             }
@@ -168,28 +186,26 @@ impl Mempool {
     /// resubmission, so a replica never re-proposes transactions the chain
     /// already carries. Costs O(ids), not O(queued) — see the module docs.
     pub fn mark_committed<I: IntoIterator<Item = TxId>>(&mut self, ids: I) {
-        let ids = ids.into_iter();
-        self.committed.reserve(ids.size_hint().0);
+        // No `reserve` from the iterator's size hint: most committed ids
+        // were admitted here first and are in the index already.
         for id in ids {
-            // Blocks are re-committed and ids repeat: only the first commit
-            // of an id may touch `live`.
-            if !self.committed.insert(id) || self.taken.remove(&id) {
+            // Blocks are re-committed and ids repeat: only the commit that
+            // finds the id queued may touch `live`.
+            if self.index.insert(id, Slot::Committed) != Some(Slot::Queued) {
                 continue;
             }
+            self.live -= 1;
             // Replicas queue in the same order the chain commits in, so the
             // id is usually the front entry and leaves no tombstone.
             if self.queue.front().is_some_and(|tx| tx.id == id) {
                 self.queue.pop_front();
-                self.live -= 1;
-            } else if self.seen.contains(&id) {
-                self.live -= 1;
             }
         }
         while self.has_tombstones()
             && self
                 .queue
                 .front()
-                .is_some_and(|tx| self.committed.contains(&tx.id))
+                .is_some_and(|tx| self.index.get(&tx.id) == Some(&Slot::Committed))
         {
             self.queue.pop_front();
         }
@@ -205,8 +221,9 @@ impl Mempool {
     /// live entries need.
     fn compact_if_sparse(&mut self) {
         if self.queue.len() > 2 * self.live + self.cfg.batch_txs {
-            let committed = &self.committed;
-            self.queue.retain(|tx| !committed.contains(&tx.id));
+            let index = &self.index;
+            self.queue
+                .retain(|tx| index.get(&tx.id) != Some(&Slot::Committed));
             debug_assert_eq!(self.queue.len(), self.live);
         }
     }
@@ -242,6 +259,7 @@ impl Default for Mempool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn tx(id: u64) -> Transaction {
         Transaction::new(TxId::new(id))
@@ -316,7 +334,11 @@ mod tests {
         }
     }
 
-    /// Asserts everything observable without mutating, plus the memory bound.
+    /// Asserts everything observable without mutating, the memory bound,
+    /// and the index against the model's three sets: an id is indexed iff
+    /// the model admitted it or saw it committed, `Queued` iff it sits in
+    /// the model's queue, `Committed` iff the model holds it committed —
+    /// which leaves `Taken` for admitted ids that are neither.
     fn assert_same_state(pool: &Mempool, model: &EagerMempool) {
         assert_eq!(pool.len(), model.queue.len());
         assert_eq!(pool.is_empty(), model.queue.is_empty());
@@ -327,6 +349,18 @@ mod tests {
             pool.queue.len(),
             pool.len()
         );
+        let queued: HashSet<TxId> = model.queue.iter().map(|tx| tx.id).collect();
+        for (id, slot) in &pool.index {
+            assert!(model.seen.contains(id) || model.committed.contains(id));
+            assert_eq!(*slot == Slot::Queued, queued.contains(id), "{id}");
+            assert_eq!(
+                *slot == Slot::Committed,
+                model.committed.contains(id),
+                "{id}"
+            );
+        }
+        let known = model.seen.union(&model.committed).count();
+        assert_eq!(pool.index.len(), known);
     }
 
     proptest! {
@@ -504,6 +538,69 @@ mod tests {
         assert!(!pool.submit(tx(15)));
         assert_eq!(pool.shed(), 2);
         assert_eq!(ids(&pool.next_batch()), vec![0, 8, 9, 10, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn an_id_committed_before_it_was_ever_admitted_stays_out() {
+        let mut pool = Mempool::default();
+        pool.mark_committed([TxId::new(7)]);
+        assert_eq!(pool.len(), 0, "nothing was queued, nothing left");
+        assert!(!pool.submit(tx(7)), "the chain already carries it");
+        assert_eq!((pool.len(), pool.queue.len(), pool.shed()), (0, 0, 0));
+        assert!(pool.next_batch().is_empty());
+        assert!(pool.submit(tx(8)), "its neighbour is unaffected");
+    }
+
+    #[test]
+    fn requeue_drops_foreign_queued_and_committed_transactions() {
+        let mut pool = Mempool::new(MempoolConfig {
+            batch_txs: 2,
+            ..MempoolConfig::default()
+        });
+        for i in 0..4 {
+            pool.submit(tx(i));
+        }
+        let staged = pool.next_batch(); // [0, 1]; 2 and 3 stay queued
+        pool.mark_committed([TxId::new(1)]);
+        // Tx 0 is the only one this pool is waiting to get back: 99 was
+        // never admitted, 2 is still in the queue, 1 has committed.
+        pool.requeue(Batch {
+            txs: vec![tx(99), tx(2), tx(0), tx(1)],
+        });
+        assert_eq!(pool.len(), 3);
+        assert_eq!(pool.queue.len(), 3, "no second copy of tx 2");
+        // Handing the same batch back twice restores nothing twice.
+        pool.requeue(staged);
+        assert_eq!(pool.len(), 3);
+        assert_eq!(ids(&pool.next_batch()), vec![0, 2]);
+        assert_eq!(ids(&pool.next_batch()), vec![3]);
+        assert!(pool.submit(tx(99)), "a dropped foreign id was not recorded");
+    }
+
+    #[test]
+    fn known_ids_arriving_at_a_full_pool_are_not_shed() {
+        let mut pool = Mempool::new(MempoolConfig {
+            capacity: 2,
+            batch_txs: 1,
+            ..MempoolConfig::default()
+        });
+        assert!(pool.submit(tx(0)));
+        let staged = pool.next_batch(); // tx 0 is out with a leader
+        pool.mark_committed([TxId::new(5)]); // learnt from the chain only
+        assert!(pool.submit(tx(1)) && pool.submit(tx(2)));
+        assert_eq!(pool.len(), 2, "full");
+        for known in [0, 1, 2, 5] {
+            assert!(!pool.submit(tx(known)));
+        }
+        assert_eq!(
+            pool.shed(),
+            0,
+            "staged, queued and committed ids are duplicates"
+        );
+        assert!(!pool.submit(tx(3)));
+        assert_eq!(pool.shed(), 1, "only the fresh id was turned away");
+        pool.requeue(staged);
+        assert_eq!(ids(&pool.next_batch()), vec![0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! after handling one event.
 
 use crate::message::WireMessage;
-use lumiere_consensus::QuorumCert;
+use lumiere_consensus::{Block, QuorumCert};
 use lumiere_types::{ProcessId, Time, TxId, View};
 
 /// Everything a processor wants its host (simulator event loop, live node
@@ -26,6 +26,12 @@ pub struct RuntimeOutput {
     /// Ids of the transactions carried by newly committed blocks, in commit
     /// order (hosts turn these into end-to-end latency samples).
     pub committed_txs: Vec<TxId>,
+    /// The newly committed blocks themselves, in commit order (handles, not
+    /// copies). `commits` and `committed_txs` are their heights and their
+    /// transaction ids; a host that sees the same block committed by many
+    /// processors (the simulator) keys on the block instead, and accounts
+    /// its transactions once.
+    pub committed_blocks: Vec<Block>,
     /// Views entered by this processor.
     pub entered_views: Vec<View>,
     /// Epoch views for which this processor started heavy synchronization.
@@ -48,6 +54,7 @@ impl RuntimeOutput {
         self.qcs_formed.clear();
         self.commits.clear();
         self.committed_txs.clear();
+        self.committed_blocks.clear();
         self.entered_views.clear();
         self.heavy_syncs.clear();
         self.gated_events = 0;

@@ -268,10 +268,11 @@ impl ProtocolRuntime {
 
     /// Reports a committed block to the host and prunes its transactions
     /// from the mempool (the one place either cascade does so).
-    fn on_committed(&mut self, block: &Block, out: &mut RuntimeOutput) {
+    fn on_committed(&mut self, block: Block, out: &mut RuntimeOutput) {
         out.commits.push(block.height());
         out.committed_txs.extend(block.payload().tx_ids());
         self.mempool.mark_committed(block.payload().tx_ids());
+        out.committed_blocks.push(block);
     }
 
     /// Processes pacemaker actions, cascading into the consensus engine as
@@ -327,7 +328,7 @@ impl ProtocolRuntime {
                     ConsensusAction::Send(to, m) => {
                         out.sends.push((to, WireMessage::Consensus(m)));
                     }
-                    ConsensusAction::Committed(block) => self.on_committed(&block, out),
+                    ConsensusAction::Committed(block) => self.on_committed(block, out),
                     ConsensusAction::QcFormed(qc) => {
                         out.qcs_formed.push(qc.clone());
                         if gates.pacemaker {
@@ -365,7 +366,7 @@ impl ProtocolRuntime {
             match action {
                 ConsensusAction::Broadcast(m) => out.broadcasts.push(WireMessage::Consensus(m)),
                 ConsensusAction::Send(to, m) => out.sends.push((to, WireMessage::Consensus(m))),
-                ConsensusAction::Committed(block) => self.on_committed(&block, out),
+                ConsensusAction::Committed(block) => self.on_committed(block, out),
                 ConsensusAction::QcFormed(qc) => {
                     out.qcs_formed.push(qc.clone());
                     if gates.pacemaker {
@@ -558,6 +559,14 @@ mod tests {
             for (from, to, msg) in batch {
                 out.clear();
                 nodes[to].deliver(ProcessId::new(from), &msg, now, &mut out);
+                // The three views of a commit agree.
+                let blocks = &out.committed_blocks;
+                let heights: Vec<u64> = blocks.iter().map(|b| b.height()).collect();
+                let ids: Vec<TxId> = blocks.iter().flat_map(|b| b.payload().tx_ids()).collect();
+                assert_eq!(
+                    (heights, ids),
+                    (out.commits.clone(), out.committed_txs.clone())
+                );
                 committed[to].extend(out.committed_txs.iter().copied());
                 collect(to, n, &out, &mut pending, &mut timers[to]);
             }

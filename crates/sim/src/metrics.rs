@@ -474,6 +474,8 @@ pub struct MetricsCollector {
     honest_msg_times: Vec<(Time, u64)>,
     heavy_msg_times: Vec<(Time, u64)>,
     qc_events: Vec<QcEvent>,
+    /// Entries of `qc_events` formed by an honest leader.
+    honest_qcs: usize,
     commit_times: Vec<(Time, u64)>,
     committed_heights: std::collections::HashSet<u64>,
     heavy_sync_participations: Vec<(Time, View)>,
@@ -521,6 +523,7 @@ impl MetricsCollector {
             honest_msg_times: Vec::new(),
             heavy_msg_times: Vec::new(),
             qc_events: Vec::new(),
+            honest_qcs: 0,
             commit_times: Vec::new(),
             committed_heights: std::collections::HashSet::new(),
             heavy_sync_participations: Vec::new(),
@@ -638,6 +641,7 @@ impl MetricsCollector {
 
     /// Records a QC formed by `leader` at `now`.
     pub fn record_qc(&mut self, now: Time, view: View, leader: ProcessId, honest_leader: bool) {
+        self.honest_qcs += usize::from(honest_leader);
         self.qc_events.push(QcEvent {
             time: now,
             view,
@@ -696,7 +700,7 @@ impl MetricsCollector {
 
     /// Number of honest-leader QCs recorded so far.
     pub fn honest_qc_count(&self) -> usize {
-        self.qc_events.iter().filter(|e| e.honest_leader).count()
+        self.honest_qcs
     }
 
     /// Computes the behavioural coverage fingerprint from the collected

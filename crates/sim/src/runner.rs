@@ -36,6 +36,7 @@ use crate::network::DelayModel;
 use crate::node::{Node, NodeOutput};
 use crate::scenario::SimConfig;
 use crate::trace::{Trace, TraceKind};
+use lumiere_consensus::BlockHash;
 use lumiere_types::{Duration, ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -195,6 +196,14 @@ pub struct Simulation {
     collector: MetricsCollector,
     trace: Trace,
     scheduled_wakes: HashSet<(usize, i64)>,
+    /// Hashes of the blocks whose transactions went to the collector: every
+    /// honest processor commits every block, and only the first commit of a
+    /// block can be the first commit of a transaction it carries.
+    tx_accounted_blocks: HashSet<BlockHash>,
+    /// Reference accounting for the equivalence test: every honest commit
+    /// forwards every id, which is what the per-block filter must equal.
+    #[cfg(test)]
+    account_txs_per_node: bool,
     last_gap_sample: Time,
     now: Time,
     truncated: bool,
@@ -265,6 +274,9 @@ impl Simulation {
             collector,
             trace: Trace::new(),
             scheduled_wakes: HashSet::new(),
+            tx_accounted_blocks: HashSet::new(),
+            #[cfg(test)]
+            account_txs_per_node: false,
             last_gap_sample: Time::ZERO,
             now: Time::ZERO,
             truncated: false,
@@ -588,13 +600,21 @@ impl Simulation {
                 self.trace.push(now, from, TraceKind::Committed(height));
             }
         }
-        for id in out.committed_txs.drain(..) {
-            // Only the *first* honest commit of a transaction defines its
-            // end-to-end latency; the collector deduplicates by id.
-            if honest {
-                self.collector.record_tx_commit(now, id);
+        // Only the *first* honest commit of a transaction defines its
+        // end-to-end latency, and that is the first honest commit of the
+        // block carrying it. Blocks are told apart by hash, not height, so
+        // the accounting is the same in a run where safety failed.
+        for block in out.committed_blocks.drain(..) {
+            let first = honest && self.tx_accounted_blocks.insert(block.hash());
+            #[cfg(test)]
+            let first = first || (honest && self.account_txs_per_node);
+            if first {
+                for id in block.payload().tx_ids() {
+                    self.collector.record_tx_commit(now, id);
+                }
             }
         }
+        out.committed_txs.clear();
         for view in out.heavy_syncs.drain(..) {
             if honest {
                 self.collector.record_heavy_sync(now, view);
@@ -707,5 +727,103 @@ impl Simulation {
         self.readings.sort_unstable_by(|a, b| b.cmp(a));
         let gap = self.readings[0] - self.readings[f];
         self.collector.record_gap_sample(self.now, gap);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ProtocolKind;
+    use crate::workload::WorkloadConfig;
+    use std::collections::HashMap;
+
+    fn loaded(n: usize, rate_tps: u64) -> SimConfig {
+        SimConfig::new(ProtocolKind::Lumiere, n)
+            .with_delta(Duration::from_millis(10))
+            .with_horizon(Duration::from_millis(400))
+            .with_workload(WorkloadConfig::constant(rate_tps).with_batch_txs(64))
+            .with_seed(20)
+            .with_trace()
+    }
+
+    /// Runs `cfg` with per-block commit accounting (what ships) and with the
+    /// per-node-per-id accounting it replaced, and returns the trace after
+    /// checking that the two reports are the same bytes.
+    fn assert_accounting_matches_the_per_node_reference(cfg: SimConfig) -> Trace {
+        let exec = ExecOptions::default();
+        let (report, trace) = Simulation::with_exec(cfg.clone(), exec).run_with_trace();
+        let mut reference = Simulation::with_exec(cfg, exec);
+        reference.account_txs_per_node = true;
+        let (expected, _) = reference.run_with_trace();
+        assert!(report.txs_committed > 0, "the run must commit under load");
+        assert_eq!(
+            serde::json::to_string(&report),
+            serde::json::to_string(&expected)
+        );
+        trace
+    }
+
+    #[test]
+    fn per_block_tx_accounting_reports_what_per_node_accounting_did() {
+        // Fixed delay: a certificate reaches every replica at one instant,
+        // so all of them commit the same block in one timestamp batch.
+        let cfg = loaded(4, 12_000).with_actual_delay(Duration::from_millis(1));
+        let trace = assert_accounting_matches_the_per_node_reference(cfg);
+        let mut committers: HashMap<(Time, u64), usize> = HashMap::new();
+        for event in trace.events() {
+            if let TraceKind::Committed(height) = event.kind {
+                *committers.entry((event.time, height)).or_default() += 1;
+            }
+        }
+        assert!(
+            committers.values().any(|&nodes| nodes >= 2),
+            "no block was committed by two nodes in one batch"
+        );
+
+        // A node that is dark for a while and then rejoins, under light
+        // load: the views it misses carry no block, so the next certificate
+        // commits two blocks in one step (with different transactions — the
+        // second leader had new arrivals); once back it leads views again,
+        // commits its own blocks before any honest node does, and — being
+        // corrupted — must not count.
+        let cfg = loaded(7, 1_500)
+            .with_uniform_delay(Duration::from_millis(1), Duration::from_millis(3))
+            .with_adversary(AdversarySchedule::crash_recovery(
+                &[2],
+                Time::from_millis(20),
+                Duration::from_millis(80),
+                Duration::ZERO,
+            ));
+        let trace = assert_accounting_matches_the_per_node_reference(cfg);
+        let mut seen = HashSet::new();
+        let mut first_commits: HashMap<(Time, ProcessId), usize> = HashMap::new();
+        for event in trace.events() {
+            if let TraceKind::Committed(height) = event.kind {
+                if seen.insert(height) {
+                    *first_commits.entry((event.time, event.node)).or_default() += 1;
+                }
+            }
+        }
+        assert!(
+            first_commits.values().any(|&blocks| blocks >= 2),
+            "no step was the first to commit two blocks"
+        );
+        assert!(
+            first_commits
+                .keys()
+                .any(|&(_, node)| node == ProcessId::new(2)),
+            "the corrupted node never committed first"
+        );
+
+        // An equivocating leader: conflicting blocks for one view.
+        let cfg = loaded(7, 9_000)
+            .with_uniform_delay(Duration::from_millis(1), Duration::from_millis(6))
+            .with_adversary(AdversarySchedule::equivocation(&[0]));
+        assert_accounting_matches_the_per_node_reference(cfg);
+
+        // Overload: a standing backlog, leaders re-proposing what is still
+        // in flight, so most ids ride in more than one block.
+        let cfg = loaded(4, 48_000).with_actual_delay(Duration::from_millis(1));
+        assert_accounting_matches_the_per_node_reference(cfg);
     }
 }

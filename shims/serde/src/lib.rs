@@ -384,6 +384,20 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     }
 }
 
+// `Arc<T>` is transparent, as under the real crate's `rc` feature: sharing
+// is not preserved — every deserialized `Arc` is a fresh allocation.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for std::sync::Arc<T> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        T::from_value(value).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
