@@ -13,7 +13,7 @@ use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{view_msg_digest, ViewCert};
 use lumiere_core::clock::LocalClock;
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
@@ -239,6 +239,15 @@ impl Pacemaker for Fever {
 
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
+    }
+
+    fn state_entries(&self) -> usize {
+        pool_entries(self.view_msg_pool.values())
+            + self.sent_view_msg.len()
+            + self.formed_vc.len()
+            + self.seen_vc.len()
+            + self.observed_qc_views.len()
+            + self.initial_trigger_fired.len()
     }
 }
 

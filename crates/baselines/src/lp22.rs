@@ -15,7 +15,7 @@ use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::epoch_view_digest;
 use lumiere_core::clock::LocalClock;
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::view::EpochLayout;
@@ -279,6 +279,14 @@ impl Pacemaker for Lp22 {
 
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
+    }
+
+    fn state_entries(&self) -> usize {
+        pool_entries(self.epoch_msg_pool.values())
+            + self.sent_epoch_msg.len()
+            + self.seen_ec.len()
+            + self.observed_qc_views.len()
+            + self.epoch_trigger_fired.len()
     }
 }
 

@@ -11,7 +11,7 @@
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::timeout_digest;
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
@@ -166,6 +166,12 @@ impl Pacemaker for NaiveQuadratic {
 
     fn local_clock_reading(&self, now: Time) -> Duration {
         now - self.boot_time
+    }
+
+    fn state_entries(&self) -> usize {
+        pool_entries(self.timeout_pool.values())
+            + self.sent_timeout.len()
+            + self.observed_qc_views.len()
     }
 }
 

@@ -25,7 +25,7 @@
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{wish_digest, WishCert};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
@@ -276,6 +276,14 @@ impl Pacemaker for RelayPacemaker {
 
     fn local_clock_reading(&self, now: Time) -> Duration {
         now - self.boot_time
+    }
+
+    fn state_entries(&self) -> usize {
+        pool_entries(self.wish_pool.values())
+            + self.relay_attempts.len()
+            + self.sent_wish_to.len()
+            + self.broadcast_sync.len()
+            + self.observed_qc_views.len()
     }
 }
 

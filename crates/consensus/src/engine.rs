@@ -5,8 +5,9 @@ use crate::messages::ConsensusMessage;
 use crate::qc::QuorumCert;
 use crate::store::BlockStore;
 use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_types::view::ViewWindow;
 use lumiere_types::{Batch, Params, ProcessId, SlashEvidence, Time, View};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Output of the engine in response to an event.
 ///
@@ -25,6 +26,23 @@ pub enum ConsensusAction {
     QcObserved(QuorumCert),
     /// A block became committed under the two-chain rule.
     Committed(Block),
+}
+
+/// What the engine keeps about one view.
+#[derive(Debug, Clone, Default)]
+struct EngineView {
+    /// This replica proposed in the view.
+    proposed: bool,
+    /// This replica aggregated the view's QC.
+    formed_qc: bool,
+    /// Lumiere's leader rule: no QC for the view after this instant.
+    qc_deadline: Option<Time>,
+    /// Blocks of the view a verified certificate was seen for (one, unless
+    /// more than `f` processors are faulty).
+    observed: Vec<BlockHash>,
+    /// Votes collected for this replica's own proposal, by block then
+    /// voter. Emptied once the QC forms.
+    votes: BTreeMap<BlockHash, BTreeMap<ProcessId, Signature>>,
 }
 
 /// A single replica's instance of the underlying protocol.
@@ -49,17 +67,19 @@ pub struct HotStuffEngine {
     /// equal to it in every field (view, block hash, and the threshold
     /// signature's digest, bitmap and proof) needs no check of its own.
     high_qc: QuorumCert,
-    votes: HashMap<(i64, BlockHash), BTreeMap<ProcessId, Signature>>,
-    proposed_views: HashSet<i64>,
-    formed_qc_views: HashSet<i64>,
-    observed_qcs: HashSet<(i64, BlockHash)>,
+    /// One record per view, from the sentinel view the genesis certificate
+    /// carries. Extended only for views this replica proposes in, is given
+    /// a deadline for, or holds a verified certificate of (see
+    /// [`ViewWindow`]); a view a single peer names is only ever read.
+    views: ViewWindow<EngineView>,
     /// Proposals for views this replica has not entered yet, by view and
     /// proposer: only the view's leader, known at entry, can claim the vote,
     /// and no other processor's block may displace the one it parked.
     pending_proposals: BTreeMap<(i64, ProcessId), Block>,
-    qc_deadlines: HashMap<i64, Time>,
     proposing_enabled: bool,
-    proposals_seen: HashMap<(i64, usize), BTreeSet<BlockHash>>,
+    /// Every distinct `(view, proposer, block)` proposed to this replica.
+    /// Any peer can name any view here, so it is keyed, not indexed.
+    proposals_seen: BTreeSet<(i64, ProcessId, BlockHash)>,
     equivocations_detected: usize,
     slash_evidence: Vec<SlashEvidence>,
     locks_advanced: u64,
@@ -74,11 +94,8 @@ pub struct HotStuffEngine {
 }
 
 impl HotStuffEngine {
-    /// Creates an engine for processor `id`.
-    ///
-    /// The per-view bookkeeping maps are preallocated to a small working
-    /// size so the first views of a run do not rehash inside the simulator's
-    /// epoch loop; the vote buffer is sized for one quorum up front.
+    /// Creates an engine for processor `id`. The vote buffer is sized for
+    /// one quorum up front.
     pub fn new(id: ProcessId, keys: KeyPair, pki: Pki, params: Params) -> Self {
         let quorum = params.quorum();
         HotStuffEngine {
@@ -92,14 +109,10 @@ impl HotStuffEngine {
             last_voted_view: View::SENTINEL,
             locked_view: View::SENTINEL,
             high_qc: QuorumCert::genesis(),
-            votes: HashMap::with_capacity(16),
-            proposed_views: HashSet::with_capacity(16),
-            formed_qc_views: HashSet::with_capacity(16),
-            observed_qcs: HashSet::with_capacity(64),
+            views: ViewWindow::new(View::SENTINEL.as_i64()),
             pending_proposals: BTreeMap::new(),
-            qc_deadlines: HashMap::with_capacity(16),
             proposing_enabled: true,
-            proposals_seen: HashMap::with_capacity(16),
+            proposals_seen: BTreeSet::new(),
             equivocations_detected: 0,
             slash_evidence: Vec::new(),
             locks_advanced: 0,
@@ -185,15 +198,24 @@ impl HotStuffEngine {
     /// replica never proposed in `view`). Read-only observation used by
     /// state-reactive adversary strategies.
     pub fn pending_votes(&self, view: View) -> usize {
-        if self.formed_qc_views.contains(&view.as_i64()) {
-            return 0;
-        }
-        self.votes
-            .iter()
-            .filter(|((v, _), _)| *v == view.as_i64())
-            .map(|(_, sigs)| sigs.len())
-            .max()
+        let state = self.views.get(view.as_i64());
+        state
+            .and_then(|s| s.votes.values().map(BTreeMap::len).max())
             .unwrap_or(0)
+    }
+
+    /// How many entries this replica holds across its per-view records,
+    /// their vote pools and observed blocks, the parked and seen proposals
+    /// and the block store: what its memory is proportional to.
+    pub fn state_entries(&self) -> usize {
+        let per_view = |(_, state): (i64, &EngineView)| {
+            1 + state.observed.len() + state.votes.values().map(BTreeMap::len).sum::<usize>()
+        };
+        self.views.iter().map(per_view).sum::<usize>()
+            + self.pending_proposals.len()
+            + self.proposals_seen.len()
+            + self.slash_evidence.len()
+            + self.store.len()
     }
 
     /// Enables or disables proposing. Disabling models the `SilentLeader`
@@ -214,7 +236,14 @@ impl HotStuffEngine {
     /// be produced no later than `deadline` (Section 4: within `Γ/2 − 2Δ` of
     /// sending the VC / previous QC).
     pub fn set_qc_deadline(&mut self, view: View, deadline: Time) {
-        self.qc_deadlines.insert(view.as_i64(), deadline);
+        if let Some(state) = self.views.get_or_insert(view.as_i64()) {
+            state.qc_deadline = Some(deadline);
+        }
+    }
+
+    fn proposed_in(&self, view: View) -> bool {
+        let state = self.views.get(view.as_i64());
+        state.is_some_and(|s| s.proposed)
     }
 
     /// Enters `view` with the given `leader`. Called by the pacemaker.
@@ -228,10 +257,7 @@ impl HotStuffEngine {
         self.current_view = view;
         self.current_leader = Some(leader);
         let mut out = Vec::new();
-        if leader == self.id
-            && self.proposing_enabled
-            && !self.proposed_views.contains(&view.as_i64())
-        {
+        if leader == self.id && self.proposing_enabled && !self.proposed_in(view) {
             out.extend(self.propose(now));
         }
         let parked = self.pending_proposals.remove(&(view.as_i64(), leader));
@@ -260,7 +286,9 @@ impl HotStuffEngine {
             std::mem::take(&mut self.staged),
             self.high_qc.clone(),
         );
-        self.proposed_views.insert(self.current_view.as_i64());
+        if let Some(state) = self.views.get_or_insert(self.current_view.as_i64()) {
+            state.proposed = true;
+        }
         self.store.insert(&block);
         // The leader votes for its own proposal locally.
         let vote = self.maybe_vote(&block, now);
@@ -302,24 +330,22 @@ impl HotStuffEngine {
         // (view, proposer) is tolerated — the vote rule below votes at most
         // once per view regardless — but it is counted as evidence. Each
         // conflicting hash counts once, so re-deliveries add nothing.
-        let slot = (block.view().as_i64(), block.proposer().as_usize());
-        let seen = self.proposals_seen.entry(slot).or_default();
-        if seen.insert(block.hash()) && seen.len() > 1 {
-            self.equivocations_detected += 1;
+        let (view, proposer) = (block.view().as_i64(), block.proposer());
+        if self.proposals_seen.insert((view, proposer, block.hash())) {
             // Pair the fresh hash with the smallest previously-seen one: a
             // canonical witness every honest replica derives identically no
             // matter the delivery order of the conflicting proposals.
-            let prior = seen
-                .iter()
-                .find(|&&h| h != block.hash())
-                .copied()
-                .expect("seen.len() > 1 guarantees a conflicting hash");
-            self.slash_evidence.push(SlashEvidence::new(
-                block.view(),
-                block.proposer(),
-                prior,
-                block.hash(),
-            ));
+            let slot = (view, proposer, BlockHash::MIN)..=(view, proposer, BlockHash::MAX);
+            let mut seen = self.proposals_seen.range(slot).map(|entry| entry.2);
+            if let Some(prior) = seen.find(|&h| h != block.hash()) {
+                self.equivocations_detected += 1;
+                self.slash_evidence.push(SlashEvidence::new(
+                    block.view(),
+                    block.proposer(),
+                    prior,
+                    block.hash(),
+                ));
+            }
         }
         let mut out = self.process_verified_qc(block.justify());
         self.store.insert(block);
@@ -378,7 +404,7 @@ impl HotStuffEngine {
             return Vec::new();
         }
         // Only the proposer of the block collects votes for it.
-        if !self.proposed_views.contains(&view.as_i64()) {
+        if !self.proposed_in(view) {
             return Vec::new();
         }
         self.record_vote(view, block_hash, signature, now)
@@ -391,28 +417,31 @@ impl HotStuffEngine {
         signature: Signature,
         now: Time,
     ) -> Vec<ConsensusAction> {
-        let entry = self.votes.entry((view.as_i64(), block_hash)).or_default();
-        entry.insert(signature.signer(), signature);
-        if entry.len() < self.params.quorum() || self.formed_qc_views.contains(&view.as_i64()) {
+        // Only ever reached for a view this replica proposed in, so the
+        // record exists; a formed QC has nothing left to collect.
+        let Some(state) = self.views.get_mut(view.as_i64()) else {
+            return Vec::new();
+        };
+        if state.formed_qc {
             return Vec::new();
         }
-        if let Some(deadline) = self.qc_deadlines.get(&view.as_i64()) {
-            if now > *deadline {
-                // Lumiere leader rule: too late to produce this QC.
-                return Vec::new();
-            }
+        let pool = state.votes.entry(block_hash).or_default();
+        pool.insert(signature.signer(), signature);
+        if pool.len() < self.params.quorum() {
+            return Vec::new();
+        }
+        // Lumiere leader rule: past the deadline it is too late to produce
+        // this QC.
+        if state.qc_deadline.is_some_and(|deadline| now > deadline) {
+            return Vec::new();
         }
         self.partials.clear();
-        self.partials.extend(entry.values().copied());
+        self.partials.extend(pool.values().copied());
         let Ok(qc) = QuorumCert::aggregate(view, block_hash, &self.partials, &self.params) else {
             return Vec::new();
         };
-        self.formed_qc_views.insert(view.as_i64());
-        // The view's vote pools are dead weight from here on (the formed
-        // marker already suppresses duplicates); dropping them keeps the
-        // map O(pending views), which the per-event `pending_votes`
-        // observation scan depends on.
-        self.votes.retain(|(v, _), _| *v != view.as_i64());
+        state.formed_qc = true;
+        state.votes.clear();
         let mut out = vec![
             ConsensusAction::QcFormed(qc.clone()),
             ConsensusAction::Broadcast(ConsensusMessage::NewQc(qc.clone())),
@@ -422,7 +451,7 @@ impl HotStuffEngine {
     }
 
     /// The engine's one certificate check: every certificate that reaches
-    /// `high_qc`, the lock, `observed_qcs` or the commit rule went through
+    /// `high_qc`, the lock, a view's observed blocks or the commit rule went through
     /// here on this replica. Unsigned certificates are not exempt — only
     /// the true genesis certificate passes without a signature.
     fn verify_qc(&mut self, qc: &QuorumCert) -> bool {
@@ -437,11 +466,8 @@ impl HotStuffEngine {
     fn process_qc(&mut self, qc: &QuorumCert) -> Vec<ConsensusAction> {
         // An observed `(view, block)` yields no actions whether or not this
         // copy verifies, so the check is skipped for it.
-        if self
-            .observed_qcs
-            .contains(&(qc.view().as_i64(), qc.block_hash()))
-            || !self.verify_qc(qc)
-        {
+        let state = self.views.get(qc.view().as_i64());
+        if state.is_some_and(|s| s.observed.contains(&qc.block_hash())) || !self.verify_qc(qc) {
             return Vec::new();
         }
         self.process_verified_qc(qc)
@@ -451,10 +477,13 @@ impl HotStuffEngine {
     /// `high_qc`): first sight of its `(view, block)` updates `high_qc` and
     /// the lock and runs the commit rule; any later copy is a no-op.
     fn process_verified_qc(&mut self, qc: &QuorumCert) -> Vec<ConsensusAction> {
-        let key = (qc.view().as_i64(), qc.block_hash());
-        if !self.observed_qcs.insert(key) {
+        let Some(state) = self.views.get_or_insert(qc.view().as_i64()) else {
+            return Vec::new();
+        };
+        if state.observed.contains(&qc.block_hash()) {
             return Vec::new();
         }
+        state.observed.push(qc.block_hash());
         if qc.view() > self.high_qc.view() {
             self.high_qc = qc.clone();
         }
@@ -771,6 +800,56 @@ mod tests {
             stored.payload().txs.as_ptr(),
             proposed.payload().txs.as_ptr()
         );
+    }
+
+    #[test]
+    fn views_one_peer_names_are_read_but_never_indexed() {
+        let (mut replica, _, _) = replica_past_view_zero();
+        let (keys, _) = keygen(4, 1);
+        let peer = &keys[1];
+        let records = replica.views.len();
+        let now = Time::ZERO;
+        for v in [i64::MAX - 1, 1 << 40, -2].map(View::new) {
+            let block = Block::new(
+                Block::genesis().hash(),
+                1,
+                v,
+                peer.id(),
+                Batch::tag(3),
+                QuorumCert::genesis(),
+            );
+            let vote = ConsensusMessage::Vote {
+                view: v,
+                block_hash: block.hash(),
+                signature: peer.sign(QuorumCert::vote_digest(v, block.hash())),
+            };
+            let entries = replica.state_entries();
+            assert!(replica.on_message(peer.id(), &vote, now).is_empty());
+            assert_eq!(
+                replica.state_entries(),
+                entries,
+                "a vote for {v} is dropped"
+            );
+            let proposal = ConsensusMessage::Proposal(block);
+            assert!(replica.on_message(peer.id(), &proposal, now).is_empty());
+            // Stored, recorded as seen, and — above the current view — parked.
+            let kept = if v > replica.current_view() { 3 } else { 2 };
+            assert_eq!(replica.state_entries(), entries + kept);
+            assert_eq!(replica.pending_votes(v), 0);
+        }
+        assert_eq!(replica.views.len(), records);
+        assert_eq!(replica.last_voted_view(), View::new(0));
+    }
+
+    #[test]
+    fn votes_after_the_qc_formed_are_not_collected() {
+        let mut cluster = Cluster::new(4);
+        assert_eq!(cluster.run_view(0), 1);
+        // All four voted; the fourth arrived after the QC formed.
+        let leader = &cluster.engines[0];
+        let record = leader.views.get(0).unwrap();
+        assert!(record.proposed && record.formed_qc && record.votes.is_empty());
+        assert_eq!(leader.pending_votes(View::new(0)), 0);
     }
 
     #[test]
@@ -1231,21 +1310,19 @@ mod tests {
             if block.justify().verify(&self.pki, &self.params).is_err() {
                 return Vec::new();
             }
-            let slot = (block.view().as_i64(), block.proposer().as_usize());
-            let seen = self.proposals_seen.entry(slot).or_default();
-            if seen.insert(block.hash()) && seen.len() > 1 {
-                self.equivocations_detected += 1;
-                let prior = seen
-                    .iter()
-                    .find(|&&h| h != block.hash())
-                    .copied()
-                    .expect("seen.len() > 1 guarantees a conflicting hash");
-                self.slash_evidence.push(SlashEvidence::new(
-                    block.view(),
-                    block.proposer(),
-                    prior,
-                    block.hash(),
-                ));
+            let (view, proposer) = (block.view().as_i64(), block.proposer());
+            if self.proposals_seen.insert((view, proposer, block.hash())) {
+                let slot = (view, proposer, BlockHash::MIN)..=(view, proposer, BlockHash::MAX);
+                let mut seen = self.proposals_seen.range(slot).map(|entry| entry.2);
+                if let Some(prior) = seen.find(|&h| h != block.hash()) {
+                    self.equivocations_detected += 1;
+                    self.slash_evidence.push(SlashEvidence::new(
+                        block.view(),
+                        block.proposer(),
+                        prior,
+                        block.hash(),
+                    ));
+                }
             }
             let mut out = self.reference_process_qc(block.justify().clone());
             self.store.insert(&block);

@@ -16,7 +16,7 @@
 use crate::certs::{epoch_view_digest, view_msg_digest, ViewCert};
 use crate::clock::LocalClock;
 use crate::messages::PacemakerMessage;
-use crate::pacemaker::{Pacemaker, PacemakerAction};
+use crate::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
@@ -371,6 +371,19 @@ impl Pacemaker for BasicLumiere {
 
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
+    }
+
+    fn state_entries(&self) -> usize {
+        pool_entries(self.view_msg_pool.values())
+            + pool_entries(self.epoch_msg_pool.values())
+            + self.sent_view_msg.len()
+            + self.sent_epoch_msg.len()
+            + self.formed_vc.len()
+            + self.seen_vc.len()
+            + self.seen_ec.len()
+            + self.observed_qc_views.len()
+            + self.initial_trigger_fired.len()
+            + self.epoch_trigger_fired.len()
     }
 }
 

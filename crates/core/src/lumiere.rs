@@ -19,13 +19,13 @@
 use crate::certs::{epoch_view_digest, view_msg_digest, EpochCert, TimeoutCert, ViewCert};
 use crate::clock::LocalClock;
 use crate::messages::PacemakerMessage;
-use crate::pacemaker::{Pacemaker, PacemakerAction};
+use crate::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
-use lumiere_types::view::EpochLayout;
+use lumiere_types::view::{EpochLayout, ViewWindow};
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Static configuration of a Lumiere instance.
 #[derive(Debug, Clone)]
@@ -81,6 +81,36 @@ struct EpochPause {
     paused_at: Time,
 }
 
+/// What this processor has done in, and seen for, one view: one bit per
+/// fact, so a handler finds everything about a view with one indexed load.
+#[derive(Debug, Clone, Copy, Default)]
+struct ViewState(u16);
+
+impl ViewState {
+    const SENT_VIEW_MSG: u16 = 1 << 0;
+    const SENT_EPOCH_MSG: u16 = 1 << 1;
+    const FORMED_VC: u16 = 1 << 2;
+    const SEEN_VC: u16 = 1 << 3;
+    const SEEN_TC: u16 = 1 << 4;
+    const SEEN_EC: u16 = 1 << 5;
+    const OBSERVED_QC: u16 = 1 << 6;
+    const EPOCH_PAUSE_TAKEN: u16 = 1 << 7;
+    const INITIAL_TRIGGER_FIRED: u16 = 1 << 8;
+    /// A QC for this view is in its epoch's success tally.
+    const TALLIED_QC: u16 = 1 << 9;
+}
+
+/// One epoch's success-criterion bookkeeping.
+#[derive(Debug, Clone, Default)]
+struct EpochState {
+    /// Whether this processor has observed the success criterion.
+    success: bool,
+    /// Distinct views with a QC, per leader (indexed by processor id).
+    qcs_by_leader: Vec<usize>,
+    /// Leaders whose count has reached the criterion's per-leader bar.
+    leaders_done: usize,
+}
+
 /// A processor's Lumiere pacemaker.
 ///
 /// See the crate-level documentation for an overview and
@@ -96,25 +126,19 @@ pub struct Lumiere {
     view: View,
     epoch: Epoch,
 
-    /// Per-epoch record of which leaders produced QCs for which views.
-    qcs_by_epoch: HashMap<i64, HashMap<ProcessId, BTreeSet<i64>>>,
-    /// Epochs whose success criterion this processor has observed.
-    success: HashSet<i64>,
+    /// Per-view flags, from view 0. Extended only for views this
+    /// processor's clock or a verified certificate has reached (see
+    /// [`ViewWindow`]); a view a single peer names is only ever read.
+    views: ViewWindow<ViewState>,
+    /// Per-epoch success tallies, from epoch 0; extended only by QCs.
+    epochs: ViewWindow<EpochState>,
 
-    /// View messages collected as leader, keyed by view.
-    view_msg_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    /// Epoch-view messages collected (broadcast by everyone), keyed by view.
-    epoch_msg_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-
-    sent_view_msg: HashSet<i64>,
-    sent_epoch_msg: HashSet<i64>,
-    formed_vc: HashSet<i64>,
-    seen_vc: HashSet<i64>,
-    seen_tc: HashSet<i64>,
-    seen_ec: HashSet<i64>,
-    observed_qc_views: HashSet<i64>,
-    epoch_pause_taken: HashSet<i64>,
-    initial_trigger_fired: HashSet<i64>,
+    /// View messages collected as leader, by view then sender. Any peer can
+    /// name any view here, so the pools are keyed, not indexed: a far-future
+    /// view costs one entry.
+    view_msg_pool: BTreeMap<i64, BTreeMap<ProcessId, Signature>>,
+    /// Epoch-view messages collected (broadcast by everyone), likewise.
+    epoch_msg_pool: BTreeMap<i64, BTreeMap<ProcessId, Signature>>,
 
     pause: Option<EpochPause>,
     booted: bool,
@@ -132,19 +156,10 @@ impl Lumiere {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
-            qcs_by_epoch: HashMap::new(),
-            success: HashSet::new(),
-            view_msg_pool: HashMap::new(),
-            epoch_msg_pool: HashMap::new(),
-            sent_view_msg: HashSet::new(),
-            sent_epoch_msg: HashSet::new(),
-            formed_vc: HashSet::new(),
-            seen_vc: HashSet::new(),
-            seen_tc: HashSet::new(),
-            seen_ec: HashSet::new(),
-            observed_qc_views: HashSet::new(),
-            epoch_pause_taken: HashSet::new(),
-            initial_trigger_fired: HashSet::new(),
+            views: ViewWindow::new(0),
+            epochs: ViewWindow::new(0),
+            view_msg_pool: BTreeMap::new(),
+            epoch_msg_pool: BTreeMap::new(),
             pause: None,
             booted: false,
         }
@@ -167,9 +182,8 @@ impl Lumiere {
 
     /// Epochs whose success criterion this processor has observed.
     pub fn successful_epochs(&self) -> Vec<i64> {
-        let mut v: Vec<i64> = self.success.iter().copied().collect();
-        v.sort_unstable();
-        v
+        let done = self.epochs.iter().filter(|(_, state)| state.success);
+        done.map(|(epoch, _)| epoch).collect()
     }
 
     /// The protocol configuration.
@@ -183,6 +197,25 @@ impl Lumiere {
 
     fn leader(&self, view: View) -> ProcessId {
         self.cfg.schedule.leader(view)
+    }
+
+    /// Whether `flag` is set for `view`. A read: safe on any view a peer
+    /// names.
+    fn has(&self, view: View, flag: u16) -> bool {
+        let state = self.views.get(view.as_i64());
+        state.is_some_and(|s| s.0 & flag != 0)
+    }
+
+    /// Sets `flag` for `view` and returns whether it was clear before.
+    /// Extends the window: only for views reached by this processor's clock
+    /// or a verified certificate.
+    fn mark(&mut self, view: View, flag: u16) -> bool {
+        let Some(state) = self.views.get_or_insert(view.as_i64()) else {
+            return false;
+        };
+        let fresh = state.0 & flag == 0;
+        state.0 |= flag;
+        fresh
     }
 
     fn set_view(&mut self, view: View, out: &mut Vec<PacemakerAction>) {
@@ -218,7 +251,7 @@ impl Lumiere {
     }
 
     fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.sent_view_msg.insert(view.as_i64()) {
+        if !self.mark(view, ViewState::SENT_VIEW_MSG) {
             return;
         }
         let signature = self.keys.sign(view_msg_digest(view));
@@ -233,7 +266,7 @@ impl Lumiere {
     }
 
     fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.sent_epoch_msg.insert(view.as_i64()) {
+        if !self.mark(view, ViewState::SENT_EPOCH_MSG) {
             return;
         }
         let signature = self.keys.sign(epoch_view_digest(view));
@@ -259,7 +292,7 @@ impl Lumiere {
         let aggregates = self.leader(view) == self.id
             && view.is_initial()
             && view >= self.view
-            && !self.formed_vc.contains(&view.as_i64());
+            && !self.has(view, ViewState::FORMED_VC);
         let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
         pool.insert(from, signature);
         if !aggregates || pool.len() < self.cfg.params.small_quorum() {
@@ -269,8 +302,7 @@ impl Lumiere {
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.cfg.params) else {
             return;
         };
-        self.formed_vc.insert(view.as_i64());
-        self.seen_vc.insert(view.as_i64());
+        self.mark(view, ViewState::FORMED_VC | ViewState::SEEN_VC);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(
             vc.clone(),
         )));
@@ -304,12 +336,10 @@ impl Lumiere {
         pool.insert(from, signature);
         let tc_ready = pool.len() >= self.cfg.params.small_quorum();
         let ec_ready = pool.len() >= self.cfg.params.quorum();
-        if tc_ready && !self.seen_tc.contains(&view.as_i64()) {
-            self.seen_tc.insert(view.as_i64());
+        if tc_ready && self.mark(view, ViewState::SEEN_TC) {
             self.handle_tc(view, now, out);
         }
-        if ec_ready && !self.seen_ec.contains(&view.as_i64()) {
-            self.seen_ec.insert(view.as_i64());
+        if ec_ready && self.mark(view, ViewState::SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
@@ -357,33 +387,28 @@ impl Lumiere {
         if v.as_i64() < 0 {
             return None;
         }
+        // Each view counts once toward its leader, whatever the copies.
+        let fresh = self.mark(v, ViewState::TALLIED_QC);
         let epoch = self.cfg.layout.epoch_of(v).as_i64();
-        let leader = self.leader(v);
-        self.qcs_by_epoch
-            .entry(epoch)
-            .or_default()
-            .entry(leader)
-            .or_default()
-            .insert(v.as_i64());
-        if self.success.contains(&epoch) {
+        let leader = self.leader(v).as_usize();
+        // A bar of zero is met by a leader's first QC, as any bar is.
+        let bar = self.cfg.success_qcs_per_leader.max(1);
+        let quorum = self.cfg.params.quorum();
+        let state = self.epochs.get_or_insert(epoch)?;
+        if fresh {
+            if state.qcs_by_leader.len() <= leader {
+                state.qcs_by_leader.resize(leader + 1, 0);
+            }
+            state.qcs_by_leader[leader] += 1;
+            if state.qcs_by_leader[leader] == bar {
+                state.leaders_done += 1;
+            }
+        }
+        if state.success || state.leaders_done < quorum {
             return None;
         }
-        let achieved = self
-            .qcs_by_epoch
-            .get(&epoch)
-            .map(|per_leader| {
-                per_leader
-                    .values()
-                    .filter(|views| views.len() >= self.cfg.success_qcs_per_leader)
-                    .count()
-            })
-            .unwrap_or(0);
-        if achieved >= self.cfg.params.quorum() {
-            self.success.insert(epoch);
-            Some(epoch)
-        } else {
-            None
-        }
+        state.success = true;
+        Some(epoch)
     }
 
     /// Clock-driven triggers: entering epoch views (lines 9–14) and initial
@@ -396,18 +421,17 @@ impl Lumiere {
             let next_epoch_view = self.cfg.layout.next_epoch_view_after(self.view);
             if self.view < next_epoch_view && self.clock.reading(now) >= self.c(next_epoch_view) {
                 let prev_epoch = self.cfg.layout.epoch_of(next_epoch_view).prev().as_i64();
-                if self.success.contains(&prev_epoch) {
+                if self.epochs.get(prev_epoch).is_some_and(|e| e.success) {
                     // Line 13–14: treat the epoch view as a standard initial
                     // view and enter directly.
                     self.unpause_if(|pv| pv == next_epoch_view, now);
                     self.set_view(next_epoch_view, out);
                     progressed = true;
                 } else if self.pause.is_none()
-                    && !self.epoch_pause_taken.contains(&next_epoch_view.as_i64())
+                    && self.mark(next_epoch_view, ViewState::EPOCH_PAUSE_TAKEN)
                 {
                     // Lines 9–11: pause and, if still paused Δ later,
                     // broadcast the epoch-view message.
-                    self.epoch_pause_taken.insert(next_epoch_view.as_i64());
                     self.clock.pause(now);
                     self.pause = Some(EpochPause {
                         epoch_view: next_epoch_view,
@@ -425,13 +449,12 @@ impl Lumiere {
                 for v in start..=max_view {
                     let view = View::new(v);
                     if !view.is_initial()
-                        || self.initial_trigger_fired.contains(&v)
                         || self.cfg.layout.epoch_of(view) != self.epoch
                         || view < self.view
+                        || !self.mark(view, ViewState::INITIAL_TRIGGER_FIRED)
                     {
                         continue;
                     }
-                    self.initial_trigger_fired.insert(v);
                     self.set_view(view, out);
                     self.send_view_msg(view, now, out);
                     progressed = true;
@@ -447,7 +470,7 @@ impl Lumiere {
         #[cfg(any(test, feature = "planted-bugs"))]
         if self.cfg.planted == Some(crate::planted::PlantedBug::DropTimeoutRearm)
             && self.view.as_i64() >= 0
-            && !self.observed_qc_views.contains(&self.view.as_i64())
+            && !self.has(self.view, ViewState::OBSERVED_QC)
         {
             // PLANTED BUG (fuzzer calibration, never compiled into release
             // builds without the `planted-bugs` feature): while the current
@@ -515,12 +538,12 @@ impl Lumiere {
         let view = vc.view();
         // Marked only once verified: a forged VC must not use up the view.
         if !view.is_initial()
-            || self.seen_vc.contains(&view.as_i64())
+            || self.has(view, ViewState::SEEN_VC)
             || vc.verify(&self.pki, &self.cfg.params).is_err()
         {
             return out;
         }
-        self.seen_vc.insert(view.as_i64());
+        self.mark(view, ViewState::SEEN_VC);
         if view > self.view {
             self.unpause_if(|pv| view >= pv, now);
             if self.clock.reading(now) < self.c(view) {
@@ -543,15 +566,15 @@ impl Lumiere {
         }
         // An EC for a marked view has nothing left to do (`seen_ec` implies
         // `seen_tc`), so it is not checked again.
-        if !self.seen_ec.contains(&view.as_i64()) {
+        if !self.has(view, ViewState::SEEN_EC) {
             if ec.verify(&self.pki, &self.cfg.params).is_err() {
                 return out;
             }
-            if self.seen_tc.insert(view.as_i64()) {
+            if self.mark(view, ViewState::SEEN_TC) {
                 self.handle_tc(view, now, &mut out);
             }
             // `handle_tc` may itself have completed the EC from the pool.
-            if self.seen_ec.insert(view.as_i64()) {
+            if self.mark(view, ViewState::SEEN_EC) {
                 self.handle_ec(view, now, &mut out);
             }
         }
@@ -565,11 +588,11 @@ impl Lumiere {
         if !self.cfg.layout.is_epoch_view(view) {
             return out;
         }
-        if !self.seen_tc.contains(&view.as_i64()) {
+        if !self.has(view, ViewState::SEEN_TC) {
             if tc.verify(&self.pki, &self.cfg.params).is_err() {
                 return out;
             }
-            self.seen_tc.insert(view.as_i64());
+            self.mark(view, ViewState::SEEN_TC);
             self.handle_tc(view, now, &mut out);
         }
         self.sweep(now, &mut out);
@@ -628,7 +651,7 @@ impl Pacemaker for Lumiere {
         }
 
         // Lines 44–49, guarded by "first seeing a QC for view v ≥ view(p)".
-        if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
+        if v >= self.view && self.mark(v, ViewState::OBSERVED_QC) {
             let next = v.next();
             self.unpause_if(|pv| v >= pv, now);
             if self.clock.reading(now) < self.c(next) {
@@ -683,6 +706,13 @@ impl Pacemaker for Lumiere {
 
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
+    }
+
+    fn state_entries(&self) -> usize {
+        self.views.len()
+            + self.epochs.len()
+            + pool_entries(self.view_msg_pool.values())
+            + pool_entries(self.epoch_msg_pool.values())
     }
 }
 
@@ -813,7 +843,7 @@ mod tests {
         // The leader of view 0 must have formed and broadcast a VC: everyone
         // has seen it (seen_vc) or formed it.
         let leader = cfg.schedule.leader(View::new(0));
-        assert!(nodes[leader.as_usize()].formed_vc.contains(&0));
+        assert!(nodes[leader.as_usize()].has(View::new(0), ViewState::FORMED_VC));
     }
 
     #[test]
@@ -916,7 +946,7 @@ mod tests {
         // an epoch-view message for view `epoch_len`.
         assert_eq!(pm.epoch(), Epoch::new(1));
         assert!(!pm.is_paused());
-        assert!(!pm.sent_epoch_msg.contains(&epoch_len));
+        assert!(!pm.has(View::new(epoch_len), ViewState::SENT_EPOCH_MSG));
     }
 
     #[test]
@@ -1039,6 +1069,62 @@ mod tests {
         }
         pm.on_message(keys[3].id(), &PacemakerMessage::EpochCert(ec), t);
         assert_eq!(pm.current_view(), next);
+    }
+
+    #[test]
+    fn views_one_peer_names_are_read_but_never_indexed() {
+        let (mut pm, keys, _, _) = in_epoch_zero();
+        let epoch_len = pm.config().layout.epoch_len() as i64;
+        let records = (pm.views.len(), pm.epochs.len());
+        let entries = pm.state_entries();
+        let t = Time::from_millis(2);
+        let peer = &keys[3];
+        let far = [i64::MAX - 1, 1 << 40, -2, epoch_len << 35];
+        for v in far.map(View::new) {
+            for msg in [
+                PacemakerMessage::ViewMsg {
+                    view: v,
+                    signature: peer.sign(view_msg_digest(v)),
+                },
+                PacemakerMessage::EpochViewMsg {
+                    view: v,
+                    signature: peer.sign(epoch_view_digest(v)),
+                },
+            ] {
+                let out = pm.on_message(peer.id(), &msg, t);
+                assert_eq!(actions::message_count(&out, 4), 0);
+                assert!(actions::entered_views(&out).is_empty());
+            }
+        }
+        assert_eq!((pm.views.len(), pm.epochs.len()), records);
+        // Three initial views and one epoch view were pooled; `-2` and the
+        // mismatched classes were dropped at the door.
+        assert_eq!(pm.state_entries(), entries + 4);
+        assert_eq!(pm.current_view(), View::new(0));
+    }
+
+    #[test]
+    fn copies_of_a_qc_count_once_toward_the_success_criterion() {
+        let (mut pm, keys, params, _) = in_epoch_zero();
+        let epoch_len = pm.config().layout.epoch_len() as i64;
+        let mut now = Time::from_millis(1);
+        // Three schedule windows of `2n` views — six views per leader — with
+        // every QC delivered twice (as a leader sees its own: formed, then
+        // observed): twelve deliveries per leader, above the bar of ten, but
+        // six distinct views, below it.
+        assert!(epoch_len >= 24);
+        for v in 0..24 {
+            let digest = QuorumCert::vote_digest(View::new(v), v as u64 + 1);
+            let votes: Vec<_> = keys.iter().take(3).map(|k| k.sign(digest)).collect();
+            let qc = QuorumCert::aggregate(View::new(v), v as u64 + 1, &votes, &params).unwrap();
+            for formed_locally in [true, false] {
+                now += Duration::from_micros(100);
+                pm.on_qc(&qc, formed_locally, now);
+            }
+        }
+        assert!(pm.successful_epochs().is_empty());
+        let tallies = &pm.epochs.get(0).unwrap().qcs_by_leader;
+        assert_eq!(tallies, &[6, 6, 6, 6]);
     }
 
     #[test]

@@ -228,6 +228,12 @@ impl Mempool {
         }
     }
 
+    /// Entries held: one per id ever admitted or committed (the dedup
+    /// index) plus one per queue slot, live or tombstone.
+    pub fn state_entries(&self) -> usize {
+        self.index.len() + self.queue.len()
+    }
+
     /// Transactions currently queued.
     pub fn len(&self) -> usize {
         self.live

@@ -56,7 +56,7 @@ impl fmt::Display for DigestValue {
 /// assert_eq!(a, b);
 /// assert_ne!(a, c); // order matters
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digest {
     state: u64,
 }

@@ -10,8 +10,9 @@ use std::sync::Arc;
 /// Secret signing key held by one processor.
 ///
 /// In the simulated scheme the "secret" is a 64-bit scalar derived from the
-/// keygen seed; the [`Pki`] retains the same scalars so it can recompute and
-/// verify keyed hashes (this plays the role of the public-key relation).
+/// keygen seed; the [`Pki`] retains, per signer, the digest state that scalar
+/// leads to, so it can recompute and verify keyed hashes (this plays the
+/// role of the public-key relation).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KeyPair {
     id: ProcessId,
@@ -27,7 +28,7 @@ impl KeyPair {
     /// Signs a digest, producing a partial signature attributable to this
     /// processor.
     pub fn sign(&self, digest: DigestValue) -> Signature {
-        Signature::new(self.id, keyed_tag(self.secret, digest))
+        Signature::new(self.id, SignerState::of(self.secret).tag(digest))
     }
 }
 
@@ -38,15 +39,19 @@ impl KeyPair {
 /// pacemaker in a simulated cluster — points at the table [`keygen`] built,
 /// so a cluster holds one table, not `2n`. A `Pki` is never serialized
 /// (every node re-derives it from `(n, seed)`), so it has no serde form.
+///
+/// An entry is the signer's [`SignerState`]: the tag digest with the domain
+/// and the secret already mixed in, which is a one-to-one image of the
+/// secret. Checking a tag is then one mix of the signed digest, not three.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pki {
-    secrets: Arc<[u64]>,
+    signers: Arc<[SignerState]>,
 }
 
 impl Pki {
     /// Number of registered processors.
     pub fn n(&self) -> usize {
-        self.secrets.len()
+        self.signers.len()
     }
 
     /// Verifies a single signature over `digest`.
@@ -56,12 +61,11 @@ impl Pki {
     /// Returns [`Error::UnknownProcess`] if the signer is not registered and
     /// [`Error::InvalidSignature`] if the keyed tag does not verify.
     pub fn verify(&self, sig: &Signature, digest: DigestValue) -> Result<()> {
-        let secret = self
-            .secrets
+        let signer = self
+            .signers
             .get(sig.signer().as_usize())
-            .copied()
             .ok_or(Error::UnknownProcess { id: sig.signer() })?;
-        if sig.tag() == keyed_tag(secret, digest) {
+        if sig.tag() == signer.tag(digest) {
             Ok(())
         } else {
             Err(Error::InvalidSignature {
@@ -120,12 +124,11 @@ impl Pki {
         let mut proof = 0u64;
         let mut stake = 0u128;
         for signer in tsig.bitmap().iter() {
-            let secret = self
-                .secrets
+            let state = self
+                .signers
                 .get(signer.as_usize())
-                .copied()
                 .ok_or(Error::UnknownProcess { id: signer })?;
-            proof ^= keyed_tag(secret, digest);
+            proof ^= state.tag(digest);
             stake += stakes.stake_of(signer).unwrap_or(0);
         }
         let need = stakes.threshold_stake(threshold);
@@ -164,32 +167,34 @@ impl Pki {
 /// assert_eq!(pki.n(), 4);
 /// ```
 pub fn keygen(n: usize, seed: u64) -> (Vec<KeyPair>, Pki) {
-    let secrets: Arc<[u64]> = (0..n)
-        .map(|i| {
-            Digest::new(b"keygen")
+    let keys: Vec<KeyPair> = (0..n)
+        .map(|i| KeyPair {
+            id: ProcessId::new(i),
+            secret: Digest::new(b"keygen")
                 .push_u64(seed)
                 .push_u64(i as u64)
                 .finish()
-                .as_u64()
+                .as_u64(),
         })
         .collect();
-    let keys = secrets
-        .iter()
-        .enumerate()
-        .map(|(i, &secret)| KeyPair {
-            id: ProcessId::new(i),
-            secret,
-        })
-        .collect();
-    (keys, Pki { secrets })
+    let signers = keys.iter().map(|k| SignerState::of(k.secret)).collect();
+    (keys, Pki { signers })
 }
 
-fn keyed_tag(secret: u64, digest: DigestValue) -> u64 {
-    Digest::new(b"sig")
-        .push_u64(secret)
-        .push_u64(digest.as_u64())
-        .finish()
-        .as_u64()
+/// The tag digest of one signer after its domain and secret are mixed in:
+/// everything about a tag that does not depend on what is being signed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SignerState(Digest);
+
+impl SignerState {
+    fn of(secret: u64) -> Self {
+        SignerState(Digest::new(b"sig").push_u64(secret))
+    }
+
+    /// The signer's tag over `digest`.
+    fn tag(&self, digest: DigestValue) -> u64 {
+        self.0.push_u64(digest.as_u64()).finish().as_u64()
+    }
 }
 
 #[cfg(test)]
@@ -198,6 +203,30 @@ mod tests {
 
     fn digest(x: i64) -> DigestValue {
         Digest::new(b"test").push_i64(x).finish()
+    }
+
+    /// The tag as it was computed before the per-signer state was kept:
+    /// domain, secret and digest mixed on every call.
+    fn keyed_tag(secret: u64, digest: DigestValue) -> u64 {
+        Digest::new(b"sig")
+            .push_u64(secret)
+            .push_u64(digest.as_u64())
+            .finish()
+            .as_u64()
+    }
+
+    #[test]
+    fn cached_signer_state_gives_the_two_mix_tag() {
+        let (keys, pki) = keygen(16, 9);
+        for (key, state) in keys.iter().zip(pki.signers.iter()) {
+            for x in [0, 1, -1, i64::MAX, 0x5eed] {
+                let d = digest(x);
+                let reference = keyed_tag(key.secret, d);
+                assert_eq!(state.tag(d), reference);
+                assert_eq!(key.sign(d).tag(), reference);
+                assert!(pki.verify(&key.sign(d), d).is_ok());
+            }
+        }
     }
 
     #[test]
@@ -247,7 +276,7 @@ mod tests {
     fn clones_share_one_key_table() {
         let (_, pki) = keygen(128, 1);
         let copy = pki.clone();
-        assert!(Arc::ptr_eq(&pki.secrets, &copy.secrets));
+        assert!(Arc::ptr_eq(&pki.signers, &copy.signers));
         assert_eq!(pki, copy);
         assert_ne!(pki, keygen(128, 2).1);
     }

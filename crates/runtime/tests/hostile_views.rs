@@ -1,0 +1,248 @@
+//! One peer, signing correctly with its own key, names views no honest clock
+//! has reached — `i64::MAX − 1`, `2⁴⁰`, `−2`, a far-future epoch view and 10⁵
+//! distinct far-future initial views — in every message class a single
+//! processor can send, as wire bytes through `ProtocolRuntime::deliver`.
+//!
+//! The node's per-view records are indexed, not hashed, so what matters is
+//! that none of this reaches an index: nothing panics or overflows, the node
+//! grows by at most the one keyed entry a message class may leave per
+//! structure it reaches (never by anything proportional to the view number),
+//! and the honest run carries on committing. `state_entries` is the oracle.
+
+use lumiere_consensus::{Block, ConsensusMessage, QuorumCert};
+use lumiere_core::certs::{epoch_view_digest, view_msg_digest};
+use lumiere_core::messages::PacemakerMessage;
+use lumiere_crypto::{keygen, KeyPair};
+use lumiere_runtime::codec::{decode_frame, encode_frame};
+use lumiere_runtime::{
+    build_runtime, ConsensusRuntime, ProtocolKind, ProtocolRuntime, RuntimeOutput, WireMessage,
+};
+use lumiere_types::{Batch, Duration, ProcessId, Time, View};
+
+const N: usize = 4;
+const SEED: u64 = 7;
+/// Lumiere's epoch length at n = 4 (`10n`).
+const EPOCH_LEN: i64 = 40;
+
+/// Four runtimes stepped by hand: synchronous rounds, 1 ms apart.
+struct Mesh {
+    nodes: Vec<ProtocolRuntime>,
+    now: Time,
+    pending: Vec<(usize, usize, WireMessage)>,
+    timers: Vec<Vec<Time>>,
+}
+
+impl Mesh {
+    fn boot() -> Self {
+        let delta = Duration::from_millis(10);
+        let mut mesh = Mesh {
+            nodes: (0..N)
+                .map(|i| build_runtime(ProtocolKind::Lumiere, N, i, delta, SEED))
+                .collect(),
+            now: Time::ZERO,
+            pending: Vec::new(),
+            timers: vec![Vec::new(); N],
+        };
+        let mut out = RuntimeOutput::default();
+        for i in 0..N {
+            out.clear();
+            mesh.nodes[i].boot(mesh.now, &mut out);
+            mesh.collect(i, &out);
+        }
+        mesh
+    }
+
+    fn collect(&mut self, from: usize, out: &RuntimeOutput) {
+        for (to, msg) in &out.sends {
+            self.pending.push((from, to.as_usize(), msg.clone()));
+        }
+        for msg in &out.broadcasts {
+            for to in (0..N).filter(|&to| to != from) {
+                self.pending.push((from, to, msg.clone()));
+            }
+        }
+        self.timers[from].extend(out.wakes.iter().copied());
+    }
+
+    fn round(&mut self) {
+        let mut out = RuntimeOutput::default();
+        for (from, to, msg) in std::mem::take(&mut self.pending) {
+            out.clear();
+            self.nodes[to].deliver(ProcessId::new(from), &msg, self.now, &mut out);
+            self.collect(to, &out);
+        }
+        self.now += Duration::from_millis(1);
+        for i in 0..N {
+            let before = self.timers[i].len();
+            let now = self.now;
+            self.timers[i].retain(|t| *t > now);
+            if self.timers[i].len() < before {
+                out.clear();
+                self.nodes[i].wake(self.now, &mut out);
+                self.collect(i, &out);
+            }
+        }
+    }
+
+    /// Runs rounds until every node has committed `height` blocks.
+    fn run_to_height(&mut self, height: u64) {
+        for _ in 0..2_000 {
+            if self.nodes.iter().all(|n| n.committed_height() >= height) {
+                return;
+            }
+            self.round();
+        }
+        panic!("the cluster stalled below height {height}");
+    }
+
+    fn min_height(&self) -> u64 {
+        let heights = self.nodes.iter().map(|n| n.committed_height());
+        heights.min().expect("four nodes")
+    }
+}
+
+/// Everything one processor can say about `view` on its own authority.
+fn naming(view: View, key: &KeyPair) -> Vec<WireMessage> {
+    let block = Block::new(
+        Block::genesis().hash(),
+        1,
+        view,
+        key.id(),
+        Batch::tag(view.as_i64() as u64),
+        QuorumCert::genesis(),
+    );
+    assert!(block.well_formed());
+    let vote = ConsensusMessage::Vote {
+        view,
+        block_hash: block.hash(),
+        signature: key.sign(QuorumCert::vote_digest(view, block.hash())),
+    };
+    vec![
+        WireMessage::Pacemaker(PacemakerMessage::ViewMsg {
+            view,
+            signature: key.sign(view_msg_digest(view)),
+        }),
+        WireMessage::Pacemaker(PacemakerMessage::EpochViewMsg {
+            view,
+            signature: key.sign(epoch_view_digest(view)),
+        }),
+        WireMessage::Consensus(vote),
+        WireMessage::Consensus(ConsensusMessage::Proposal(block)),
+    ]
+}
+
+/// Delivers `msg` to `node` as the bytes a socket would carry.
+fn deliver_bytes(node: &mut ProtocolRuntime, from: ProcessId, msg: &WireMessage, now: Time) {
+    let bytes = encode_frame(msg);
+    let (decoded, used) = decode_frame(&bytes).expect("a well-formed frame");
+    assert_eq!(used, bytes.len());
+    let mut out = RuntimeOutput::default();
+    node.deliver(from, &decoded, now, &mut out);
+    assert!(
+        out.sends.is_empty() && out.broadcasts.is_empty() && out.commits.is_empty(),
+        "a view one peer made up must not move the node: {msg:?} -> {out:?}"
+    );
+}
+
+#[test]
+fn far_views_named_by_one_peer_cost_one_entry_each_and_the_run_goes_on() {
+    let mut mesh = Mesh::boot();
+    mesh.run_to_height(3);
+    let (keys, _) = keygen(N, SEED);
+    let hostile = &keys[3];
+    let now = mesh.now;
+    let view_before = mesh.nodes[0].current_view();
+
+    let far = [
+        View::new(i64::MAX - 1),
+        View::new(1 << 40),
+        View::new(-2),
+        View::new(EPOCH_LEN << 35),
+    ];
+    for view in far {
+        for msg in naming(view, hostile) {
+            let before = mesh.nodes[0].state_entries();
+            deliver_bytes(&mut mesh.nodes[0], hostile.id(), &msg, now);
+            let grew = mesh.nodes[0].state_entries() - before;
+            // A proposal is kept in three keyed structures (block store,
+            // parked proposals, the equivocation record); every other class
+            // in at most one. None may touch an index: that would cost the
+            // view's number in entries, or the address space.
+            let bound = match msg {
+                WireMessage::Consensus(ConsensusMessage::Proposal(_)) => 3,
+                _ => 1,
+            };
+            assert!(grew <= bound, "{msg:?} grew the node by {grew} entries");
+        }
+    }
+
+    // 10⁵ distinct far-future initial views: one pool entry each, no more
+    // (counted at the end — the oracle itself walks every pool).
+    let before = mesh.nodes[0].state_entries();
+    let distinct = 100_000;
+    for k in 0..distinct {
+        let view = View::new((1 << 41) + 2 * k);
+        let msg = WireMessage::Pacemaker(PacemakerMessage::ViewMsg {
+            view,
+            signature: hostile.sign(view_msg_digest(view)),
+        });
+        deliver_bytes(&mut mesh.nodes[0], hostile.id(), &msg, now);
+    }
+    let grown = mesh.nodes[0].state_entries() - before;
+    assert!(
+        grown <= distinct as usize,
+        "{grown} entries for {distinct} messages"
+    );
+    assert_eq!(mesh.nodes[0].current_view(), view_before);
+
+    // The honest run continues and commits, the target node included.
+    let height = mesh.min_height();
+    mesh.run_to_height(height + 5);
+    let chain = mesh.nodes[0].committed_chain();
+    for node in &mesh.nodes[1..] {
+        let other = node.committed_chain();
+        let len = chain.len().min(other.len());
+        assert_eq!(chain[..len], other[..len], "committed chains diverged");
+    }
+}
+
+#[test]
+fn a_fault_free_run_grows_by_a_constant_per_view() {
+    // Nothing is freed yet (that is the commit horizon's job), so the
+    // oracle's baseline is linear growth: the same number of entries for
+    // each further view, with no term in the view number or in n².
+    let mut mesh = Mesh::boot();
+    mesh.run_to_height(4);
+    let mut samples: Vec<(i64, usize)> = Vec::new();
+    for _ in 0..60 {
+        mesh.round();
+        let node = &mesh.nodes[0];
+        samples.push((node.current_view().as_i64(), node.state_entries()));
+    }
+    let (first, last) = (samples[0], samples[samples.len() - 1]);
+    let views = (last.0 - first.0) as usize;
+    assert!(views >= 20, "only {views} views in 60 rounds");
+    let per_view = (last.1 - first.1) as f64 / views as f64;
+    // Per view: one pacemaker record, one engine record with its observed
+    // block, one stored block, one seen proposal, and at the leader f+1
+    // view messages every other view.
+    assert!(
+        (3.0..=8.0).contains(&per_view),
+        "{per_view:.2} entries per view over {views} views"
+    );
+    // Constant, not merely bounded on average: no window of ten views
+    // strays from the overall slope by more than one view's worth.
+    for pair in samples.windows(20) {
+        let (a, b) = (pair[0], pair[19]);
+        if b.0 - a.0 < 4 {
+            continue;
+        }
+        let slope = (b.1 - a.1) as f64 / (b.0 - a.0) as f64;
+        assert!(
+            (slope - per_view).abs() <= per_view,
+            "views {}..{}: {slope:.2} entries per view against {per_view:.2} overall",
+            a.0,
+            b.0
+        );
+    }
+}

@@ -4,10 +4,10 @@
 //! fixed-width time buckets plus an overflow heap) rather than one global
 //! [`BinaryHeap`]: pushing an event becomes an O(1) append into the bucket
 //! covering its delivery tick, and popping sorts only the small bucket that
-//! is currently being drained. The old heap survives as [`HeapQueue`], both
-//! as documentation of the reference semantics and as the oracle for the
-//! property test that pins the calendar queue to identical delivery order
-//! (`same order as the old BinaryHeap on random schedules`).
+//! is currently being drained. The old heap survives in this module's tests
+//! as `HeapQueue`, the oracle for the property test that pins the calendar
+//! queue to identical delivery order (`same order as the old BinaryHeap on
+//! random schedules`).
 //!
 //! # Symbolic broadcasts
 //!
@@ -31,7 +31,7 @@
 //! sequence numbers eager per-recipient pushes would have consumed — so the
 //! global `(time, seq)` delivery order is *identical* to eager expansion,
 //! byte for byte. The property tests in this module hold symbolic pops
-//! against an eagerly-expanded [`HeapQueue`] on random schedules.
+//! against an eagerly-expanded `HeapQueue` on random schedules.
 
 use lumiere_types::{ProcessId, Time, Transaction};
 use std::cmp::Ordering;
@@ -183,93 +183,6 @@ fn broadcast_seq(base: u64, from: ProcessId, r: usize) -> u64 {
     base + 1 + rank as u64
 }
 
-/// The original `BinaryHeap` event queue, kept as the reference
-/// implementation: a deterministic time-ordered queue (ties broken by
-/// insertion order). [`EventQueue`] must deliver in exactly this order; the
-/// property test in this module holds the two against each other on random
-/// schedules.
-///
-/// `push_broadcast` here expands **eagerly** (one entry per recipient),
-/// making the heap the oracle for the calendar queue's symbolic broadcast
-/// representation too.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-}
-
-impl HeapQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at time `at`.
-    pub fn push(&mut self, at: Time, event: Event) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            payload: Payload::One(event),
-        });
-    }
-
-    /// Schedules a broadcast from `from` to every other processor, expanded
-    /// eagerly: recipients in ascending id order, each delivered per its
-    /// honesty class (`jitter` is invoked, in id order, only for recipients
-    /// of a [`ClassDelay::Jittered`] class). Reference semantics for
-    /// [`EventQueue::push_broadcast`].
-    pub fn push_broadcast<F>(
-        &mut self,
-        from: ProcessId,
-        message: Arc<SimMessage>,
-        honesty: &Arc<Vec<bool>>,
-        honest: ClassDelay,
-        corrupt: ClassDelay,
-        mut jitter: F,
-    ) where
-        F: FnMut(ProcessId) -> Time,
-    {
-        for id in 0..honesty.len() {
-            if id == from.as_usize() {
-                continue;
-            }
-            let class = if honesty[id] { honest } else { corrupt };
-            let to = ProcessId::new(id);
-            let at = match class {
-                ClassDelay::At(t) => t,
-                ClassDelay::Jittered => jitter(to),
-            };
-            self.push(
-                at,
-                Event::Deliver {
-                    to,
-                    from,
-                    message: Arc::clone(&message),
-                },
-            );
-        }
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Time, Event)> {
-        self.heap.pop().map(|s| match s.payload {
-            Payload::One(event) => (s.at, event),
-            Payload::Group(_) => unreachable!("HeapQueue expands broadcasts eagerly"),
-        })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// Width of one calendar bucket in microseconds. A power of two near 1 ms:
 /// network delays in the experiments are 1–40 ms, so consecutive events land
 /// a handful of buckets apart and bucket scans stay short.
@@ -365,7 +278,7 @@ impl EventQueue {
     /// eagerly here, invoking `jitter` in ascending id order (exactly the
     /// order eager delivery draws its RNG). The broadcast reserves the same
     /// contiguous sequence-number block eager expansion would consume, so
-    /// delivery order is identical to [`HeapQueue::push_broadcast`].
+    /// delivery order is identical to eager per-recipient pushes.
     pub fn push_broadcast<F>(
         &mut self,
         from: ProcessId,
@@ -544,6 +457,88 @@ impl EventQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The original `BinaryHeap` event queue, kept as the reference
+    /// implementation: a deterministic time-ordered queue (ties broken by
+    /// insertion order). [`EventQueue`] must deliver in exactly this order; the
+    /// property test in this module holds the two against each other on random
+    /// schedules.
+    ///
+    /// `push_broadcast` here expands **eagerly** (one entry per recipient),
+    /// making the heap the oracle for the calendar queue's symbolic broadcast
+    /// representation too.
+    #[derive(Debug, Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        /// Creates an empty queue.
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Schedules `event` at time `at`.
+        fn push(&mut self, at: Time, event: Event) {
+            self.seq += 1;
+            self.heap.push(Scheduled {
+                at,
+                seq: self.seq,
+                payload: Payload::One(event),
+            });
+        }
+
+        /// Schedules a broadcast from `from` to every other processor, expanded
+        /// eagerly: recipients in ascending id order, each delivered per its
+        /// honesty class (`jitter` is invoked, in id order, only for recipients
+        /// of a [`ClassDelay::Jittered`] class). Reference semantics for
+        /// [`EventQueue::push_broadcast`].
+        fn push_broadcast<F>(
+            &mut self,
+            from: ProcessId,
+            message: Arc<SimMessage>,
+            honesty: &Arc<Vec<bool>>,
+            honest: ClassDelay,
+            corrupt: ClassDelay,
+            mut jitter: F,
+        ) where
+            F: FnMut(ProcessId) -> Time,
+        {
+            for id in 0..honesty.len() {
+                if id == from.as_usize() {
+                    continue;
+                }
+                let class = if honesty[id] { honest } else { corrupt };
+                let to = ProcessId::new(id);
+                let at = match class {
+                    ClassDelay::At(t) => t,
+                    ClassDelay::Jittered => jitter(to),
+                };
+                self.push(
+                    at,
+                    Event::Deliver {
+                        to,
+                        from,
+                        message: Arc::clone(&message),
+                    },
+                );
+            }
+        }
+
+        /// Pops the earliest event, if any.
+        fn pop(&mut self) -> Option<(Time, Event)> {
+            self.heap.pop().map(|s| match s.payload {
+                Payload::One(event) => (s.at, event),
+                Payload::Group(_) => unreachable!("HeapQueue expands broadcasts eagerly"),
+            })
+        }
+
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     #[test]
     fn events_pop_in_time_order() {

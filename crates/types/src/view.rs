@@ -205,6 +205,92 @@ impl EpochLayout {
     }
 }
 
+/// One record per view (or per epoch), reached by offset from a base rather
+/// than by hashing the view number.
+///
+/// The records sit in one contiguous run starting at `base`; a view below
+/// the base or past the end has no record. [`ViewWindow::get`] never grows
+/// the run, so it is safe on any number a peer names;
+/// [`ViewWindow::get_or_insert`] extends the run up to the requested view and
+/// is for views this processor's own progress has reached — its clock, or a
+/// certificate it has **verified** — which never run further ahead than
+/// honest clocks have. Whatever a single peer can name (pools of
+/// individual messages, parked proposals) belongs in an ordered map keyed by
+/// view instead, where a far-future view costs one entry.
+///
+/// The base is the horizon below which nothing is kept: a lookup under it
+/// answers "no record" and an insert under it is refused.
+///
+/// ```
+/// use lumiere_types::view::ViewWindow;
+/// let mut flags: ViewWindow<bool> = ViewWindow::new(0);
+/// *flags.get_or_insert(3).unwrap() = true;
+/// assert_eq!(flags.len(), 4);
+/// assert_eq!(flags.get(3), Some(&true));
+/// assert_eq!(flags.get(2), Some(&false));
+/// assert_eq!(flags.get(i64::MAX), None);
+/// assert!(flags.get_or_insert(-1).is_none());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewWindow<T> {
+    base: i64,
+    slots: Vec<T>,
+}
+
+impl<T: Default> ViewWindow<T> {
+    /// An empty window whose first record, once inserted, is `base`'s.
+    pub fn new(base: i64) -> Self {
+        ViewWindow {
+            base,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Number of records held (`base..base + len`).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether no record has been inserted yet.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Offset of `index` from the base; `None` below the base or when the
+    /// distance does not fit the address space.
+    fn offset(&self, index: i64) -> Option<usize> {
+        usize::try_from(index.checked_sub(self.base)?).ok()
+    }
+
+    /// The record of `index`, if one exists. Never grows the window.
+    pub fn get(&self, index: i64) -> Option<&T> {
+        self.slots.get(self.offset(index)?)
+    }
+
+    /// Mutable access to the record of `index`, if one exists. Never grows
+    /// the window.
+    pub fn get_mut(&mut self, index: i64) -> Option<&mut T> {
+        let offset = self.offset(index)?;
+        self.slots.get_mut(offset)
+    }
+
+    /// The record of `index`, first extending the window with default
+    /// records up to it. `None` below the base. See the type's
+    /// documentation for which indices may be passed here.
+    pub fn get_or_insert(&mut self, index: i64) -> Option<&mut T> {
+        let offset = self.offset(index)?;
+        if offset >= self.slots.len() {
+            self.slots.resize_with(offset.checked_add(1)?, T::default);
+        }
+        self.slots.get_mut(offset)
+    }
+
+    /// Every record with its index, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = (i64, &T)> {
+        (self.base..).zip(&self.slots)
+    }
+}
+
 impl fmt::Display for View {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v{}", self.0)
@@ -270,6 +356,66 @@ mod tests {
     fn view_range_iterates_half_open() {
         let views: Vec<_> = View::new(2).range_to(View::new(5)).collect();
         assert_eq!(views, vec![View::new(2), View::new(3), View::new(4)]);
+    }
+
+    #[test]
+    fn a_window_grows_only_through_get_or_insert() {
+        let mut w: ViewWindow<u8> = ViewWindow::new(0);
+        assert!(w.is_empty());
+        // Reads and `get_mut` leave it empty, whatever they name.
+        for index in [0, 5, -1, i64::MAX, i64::MIN] {
+            assert_eq!(w.get(index), None);
+            assert!(w.get_mut(index).is_none());
+        }
+        assert!(w.is_empty());
+        // Own progress: inserting view 5 creates 0..=5, defaults elsewhere.
+        *w.get_or_insert(5).unwrap() = 9;
+        assert_eq!(w.len(), 6);
+        assert_eq!(w.get(5), Some(&9));
+        assert_eq!(w.get(4), Some(&0));
+        // An earlier view is already there: no growth, same record.
+        *w.get_or_insert(2).unwrap() = 7;
+        assert_eq!(w.len(), 6);
+        *w.get_mut(2).unwrap() += 1;
+        assert_eq!(w.get(2), Some(&8));
+        // One past the end is absent until inserted.
+        assert_eq!(w.get(6), None);
+        assert!(w.get_mut(6).is_none());
+        assert_eq!(w.len(), 6);
+        let held: Vec<(i64, u8)> = w.iter().map(|(i, v)| (i, *v)).collect();
+        assert_eq!(held, vec![(0, 0), (1, 0), (2, 8), (3, 0), (4, 0), (5, 9)]);
+    }
+
+    #[test]
+    fn a_window_refuses_everything_below_its_base() {
+        let mut w: ViewWindow<u8> = ViewWindow::new(0);
+        for index in [-1, -2, i64::MIN] {
+            assert!(w.get_or_insert(index).is_none());
+        }
+        assert!(w.is_empty());
+        // A base of -1 gives the sentinel view a record of its own, at
+        // offset zero.
+        let mut w: ViewWindow<u8> = ViewWindow::new(View::SENTINEL.as_i64());
+        *w.get_or_insert(-1).unwrap() = 1;
+        assert_eq!(w.len(), 1);
+        *w.get_or_insert(0).unwrap() = 2;
+        assert_eq!((w.get(-1), w.get(0), w.get(-2)), (Some(&1), Some(&2), None));
+    }
+
+    #[test]
+    fn window_offsets_are_checked_not_cast() {
+        // `i64::MAX - (-1)` overflows; `i64::MIN - 1` overflows the other
+        // way; a huge in-range distance is simply past the end.
+        let mut w: ViewWindow<u8> = ViewWindow::new(-1);
+        w.get_or_insert(3);
+        for index in [i64::MAX, i64::MAX - 1, 1 << 40, i64::MIN] {
+            assert_eq!(w.get(index), None);
+            assert!(w.get_mut(index).is_none());
+        }
+        let mut w: ViewWindow<u8> = ViewWindow::new(1);
+        assert_eq!(w.get(i64::MIN), None);
+        assert!(w.get_or_insert(i64::MIN).is_none());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
