@@ -1,8 +1,7 @@
 //! End-to-end simulator throughput in **events per second** — the metric
 //! the scale work optimizes. Each benchmark runs one complete bounded
 //! simulation and declares its (deterministic) event count as the
-//! iteration's throughput, so the shim reports events/sec and the perf gate
-//! (`bench_gate`) tracks it against `BENCH_baseline.json`.
+//! iteration's throughput, so the shim reports events/sec.
 //!
 //! Three scenarios, all at n = 256 so a release iteration stays in the
 //! tens of milliseconds under CI's reduced measurement budget:

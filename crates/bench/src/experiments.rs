@@ -139,8 +139,8 @@ pub struct ExperimentDef {
     pub run: Experiment,
 }
 
-/// Named experiments, used by the `table1_all` binary and the integration
-/// tests.
+/// Named experiments: what `lumiere-bench all` runs, in this order, and what
+/// `lumiere-bench <slug>` picks from.
 pub const ALL_EXPERIMENTS: &[ExperimentDef] = &[
     ExperimentDef {
         slug: "table1_worst",
@@ -198,8 +198,8 @@ pub const ALL_EXPERIMENTS: &[ExperimentDef] = &[
 ///
 /// # Panics
 ///
-/// Panics if the slug is not in [`ALL_EXPERIMENTS`] — the binaries pass
-/// compile-time constants.
+/// Panics if the slug is not in [`ALL_EXPERIMENTS`] — for callers that pass
+/// compile-time constants (the command line reports an unknown name itself).
 pub fn experiment(slug: &str) -> &'static ExperimentDef {
     ALL_EXPERIMENTS
         .iter()
@@ -230,19 +230,78 @@ fn make_cell(
     }
 }
 
+/// One experiment grid: the parts every sweep has, so that scattering the
+/// jobs over threads, restoring grid order, filling the table and building
+/// the persistable cells is written once, in [`Sweep::run`].
+#[derive(Debug)]
+pub struct Sweep<J> {
+    /// The experiment slug the cells are filed under.
+    pub slug: &'static str,
+    /// Recorded in every cell.
+    pub scale: ExperimentScale,
+    /// Worker threads for the grid.
+    pub threads: usize,
+    /// The seed every simulation of the grid runs with.
+    pub seed: u64,
+    /// Column headers of the rendered table.
+    pub header: Vec<&'static str>,
+    /// The grid points, in report order.
+    pub jobs: Vec<J>,
+}
+
+impl<J: Sync> Sweep<J> {
+    /// Runs `config(job)` (seeded with [`Sweep::seed`]) for every job and, in
+    /// job order, appends one cell labelled `label(job)` to `cells` and the
+    /// row `row(job, report)` — when it returns one — to the table. Returns
+    /// the rendered table.
+    pub fn run(
+        self,
+        cells: &mut Vec<SweepCell>,
+        config: impl Fn(&J) -> SimConfig + Sync,
+        label: impl Fn(&J) -> String,
+        mut row: impl FnMut(&J, &SimReport) -> Option<Vec<String>>,
+    ) -> String {
+        let reports = run_grid(self.jobs.iter().collect(), self.threads, |job| {
+            config(job).with_seed(self.seed).run()
+        });
+        let mut table = TextTable::new(self.header);
+        for (job, report) in self.jobs.iter().zip(reports) {
+            if let Some(row) = row(job, &report) {
+                table.push_row(row);
+            }
+            let label = label(job);
+            cells.push(make_cell(
+                self.slug, label, self.scale, self.seed, report, None,
+            ));
+        }
+        table.render()
+    }
+}
+
+/// The protocol-major grid `protocols × values`.
+pub fn grid<V: Copy>(protocols: &[ProtocolKind], values: &[V]) -> Vec<(ProtocolKind, V)> {
+    protocols
+        .iter()
+        .flat_map(|&protocol| values.iter().map(move |&value| (protocol, value)))
+        .collect()
+}
+
+/// A measured duration in milliseconds; NaN when the run never produced it.
+fn ms(measure: Option<Duration>) -> f64 {
+    measure.map_or(f64::NAN, |d| d.as_millis_f64())
+}
+
 /// The protocols compared in the experiments: the Table 1 protocols plus the
 /// two ablations implemented in this workspace.
-fn compared_protocols() -> Vec<ProtocolKind> {
-    vec![
-        ProtocolKind::Cogsworth,
-        ProtocolKind::Nk20,
-        ProtocolKind::Lp22,
-        ProtocolKind::Fever,
-        ProtocolKind::BasicLumiere,
-        ProtocolKind::Lumiere,
-        ProtocolKind::Naive,
-    ]
-}
+const COMPARED_PROTOCOLS: [ProtocolKind; 7] = [
+    ProtocolKind::Cogsworth,
+    ProtocolKind::Nk20,
+    ProtocolKind::Lp22,
+    ProtocolKind::Fever,
+    ProtocolKind::BasicLumiere,
+    ProtocolKind::Lumiere,
+    ProtocolKind::Naive,
+];
 
 /// The schedule a protocol uses, for adaptive (worst-case) corruption of the
 /// first leaders after GST.
@@ -281,63 +340,54 @@ pub fn worst_case_table(scale: ExperimentScale, threads: usize) -> ExperimentRun
     let delta = Duration::from_millis(10);
     let gst = Time::from_millis(200);
     let seed = 42;
-    let mut jobs = Vec::new();
-    for protocol in compared_protocols() {
-        for &n in &scale.worst_case_ns() {
-            jobs.push((protocol, n));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "table1_worst",
+        scale,
+        threads,
+        seed,
+        header: vec![
+            "protocol",
+            "n",
+            "f_a",
+            "worst-case msgs [GST+Δ, t*)",
+            "worst-case latency (ms)",
+            "msgs / n^2",
+            "latency / nΔ",
+        ],
+        jobs: grid(&COMPARED_PROTOCOLS, &scale.worst_case_ns()),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, n)| {
-        let byz = worst_case_byzantine_ids(protocol, n, seed);
-        let horizon = Duration::from_millis(200 + 10 * (40 * n as i64 + 300));
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_adversarial_delay()
-            .with_gst(gst)
-            .with_faulty_ids(byz, ByzBehavior::SilentLeader)
-            .with_horizon(horizon)
-            .with_max_honest_qcs(3)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "n",
-        "f_a",
-        "worst-case msgs [GST+Δ, t*)",
-        "worst-case latency (ms)",
-        "msgs / n^2",
-        "latency / nΔ",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, n), report) in jobs.into_iter().zip(reports) {
-        let msgs = report.worst_case_communication();
-        let latency = report
-            .worst_case_latency()
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        table.push_row(vec![
-            protocol.name().to_string(),
-            n.to_string(),
-            report.f_a.to_string(),
-            msgs.to_string(),
-            format!("{latency:.1}"),
-            format!("{:.2}", msgs as f64 / (n * n) as f64),
-            format!("{:.2}", latency / (n as f64 * delta.as_millis_f64())),
-        ]);
-        cells.push(make_cell(
-            "table1_worst",
-            format!("n{n:03}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, n)| {
+            let byz = worst_case_byzantine_ids(protocol, n, seed);
+            let horizon = Duration::from_millis(200 + 10 * (40 * n as i64 + 300));
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_adversarial_delay()
+                .with_gst(gst)
+                .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+                .with_horizon(horizon)
+                .with_max_honest_qcs(3)
+        },
+        |&(_, n)| format!("n{n:03}"),
+        |&(protocol, n), report| {
+            let msgs = report.worst_case_communication();
+            let latency = ms(report.worst_case_latency());
+            Some(vec![
+                protocol.name().to_string(),
+                n.to_string(),
+                report.f_a.to_string(),
+                msgs.to_string(),
+                format!("{latency:.1}"),
+                format!("{:.2}", msgs as f64 / (n * n) as f64),
+                format!("{:.2}", latency / (n as f64 * delta.as_millis_f64())),
+            ])
+        },
+    );
     let markdown = format!(
         "## E1 + E3 — worst-case communication and latency after GST\n\n\
-         Adversary: f silent leaders placed on the first leader slots, all messages delayed exactly Δ = 10 ms, GST = 200 ms.\n\n{}",
-        table.render()
+         Adversary: f silent leaders placed on the first leader slots, all messages delayed exactly Δ = 10 ms, GST = 200 ms.\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -348,68 +398,55 @@ pub fn eventual_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let n = scale.eventual_n();
     let delta = Duration::from_millis(10);
     let actual = Duration::from_millis(1);
-    let seed = 7;
-    let mut jobs = Vec::new();
-    for protocol in compared_protocols() {
-        for &f_a in &scale.eventual_fas() {
-            jobs.push((protocol, f_a));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "table1_eventual",
+        scale,
+        threads,
+        seed: 7,
+        header: vec![
+            "protocol",
+            "n",
+            "f_a",
+            "eventual worst msgs/decision",
+            "eventual worst latency (ms)",
+            "avg latency (ms)",
+            "msgs / n",
+            "latency / Δ",
+        ],
+        jobs: grid(&COMPARED_PROTOCOLS, &scale.eventual_fas()),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, f_a)| {
-        let horizon = Duration::from_millis(4_000 + 3_500 * f_a as i64);
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(actual)
-            .with_faults(f_a, ByzBehavior::SilentLeader)
-            .with_horizon(horizon)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "n",
-        "f_a",
-        "eventual worst msgs/decision",
-        "eventual worst latency (ms)",
-        "avg latency (ms)",
-        "msgs / n",
-        "latency / Δ",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, f_a), report) in jobs.into_iter().zip(reports) {
-        let warmup = report.default_warmup();
-        let msgs = report.eventual_worst_communication(warmup);
-        let worst = report
-            .eventual_worst_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        let avg = report
-            .average_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        table.push_row(vec![
-            protocol.name().to_string(),
-            n.to_string(),
-            f_a.to_string(),
-            msgs.to_string(),
-            format!("{worst:.1}"),
-            format!("{avg:.2}"),
-            format!("{:.1}", msgs as f64 / n as f64),
-            format!("{:.1}", worst / delta.as_millis_f64()),
-        ]);
-        cells.push(make_cell(
-            "table1_eventual",
-            format!("fa{f_a}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, f_a)| {
+            let horizon = Duration::from_millis(4_000 + 3_500 * f_a as i64);
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(actual)
+                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_horizon(horizon)
+        },
+        |&(_, f_a)| format!("fa{f_a}"),
+        |&(protocol, f_a), report| {
+            let warmup = report.default_warmup();
+            let msgs = report.eventual_worst_communication(warmup);
+            let worst = ms(report.eventual_worst_latency(warmup));
+            let avg = ms(report.average_latency(warmup));
+            Some(vec![
+                protocol.name().to_string(),
+                n.to_string(),
+                f_a.to_string(),
+                msgs.to_string(),
+                format!("{worst:.1}"),
+                format!("{avg:.2}"),
+                format!("{:.1}", msgs as f64 / n as f64),
+                format!("{:.1}", worst / delta.as_millis_f64()),
+            ])
+        },
+    );
     let markdown = format!(
         "## E2 + E4 — eventual worst-case communication and latency vs f_a\n\n\
-         Scenario: n = {n}, Δ = 10 ms, actual delay δ = 1 ms, GST = 0, f_a silent leaders; measures are taken over consecutive honest-leader QCs after the warm-up window (4nΔ).\n\n{}",
-        table.render()
+         Scenario: n = {n}, Δ = 10 ms, actual delay δ = 1 ms, GST = 0, f_a silent leaders; measures are taken over consecutive honest-leader QCs after the warm-up window (4nΔ).\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -419,60 +456,47 @@ pub fn eventual_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
 pub fn responsiveness_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let n = 10;
     let delta_cap = Duration::from_millis(40);
-    let seed = 3;
-    let mut jobs = Vec::new();
-    for protocol in compared_protocols() {
-        for &delta_ms in &scale.responsiveness_deltas_ms() {
-            jobs.push((protocol, delta_ms));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "responsiveness",
+        scale,
+        threads,
+        seed: 3,
+        header: vec![
+            "protocol",
+            "δ (ms)",
+            "avg latency (ms)",
+            "eventual worst latency (ms)",
+            "latency / δ",
+        ],
+        jobs: grid(&COMPARED_PROTOCOLS, &scale.responsiveness_deltas_ms()),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, delta_ms)| {
-        SimConfig::new(protocol, n)
-            .with_delta(delta_cap)
-            .with_actual_delay(Duration::from_millis(delta_ms))
-            .with_horizon(Duration::from_secs(20))
-            .with_max_honest_qcs(3_000)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "δ (ms)",
-        "avg latency (ms)",
-        "eventual worst latency (ms)",
-        "latency / δ",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, delta_ms), report) in jobs.into_iter().zip(reports) {
-        let warmup = report.default_warmup();
-        let avg = report
-            .average_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        let worst = report
-            .eventual_worst_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        table.push_row(vec![
-            protocol.name().to_string(),
-            delta_ms.to_string(),
-            format!("{avg:.2}"),
-            format!("{worst:.1}"),
-            format!("{:.2}", avg / delta_ms as f64),
-        ]);
-        cells.push(make_cell(
-            "responsiveness",
-            format!("delta{delta_ms:03}ms"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, delta_ms)| {
+            SimConfig::new(protocol, n)
+                .with_delta(delta_cap)
+                .with_actual_delay(Duration::from_millis(delta_ms))
+                .with_horizon(Duration::from_secs(20))
+                .with_max_honest_qcs(3_000)
+        },
+        |&(_, delta_ms)| format!("delta{delta_ms:03}ms"),
+        |&(protocol, delta_ms), report| {
+            let warmup = report.default_warmup();
+            let avg = ms(report.average_latency(warmup));
+            let worst = ms(report.eventual_worst_latency(warmup));
+            Some(vec![
+                protocol.name().to_string(),
+                delta_ms.to_string(),
+                format!("{avg:.2}"),
+                format!("{worst:.1}"),
+                format!("{:.2}", avg / delta_ms as f64),
+            ])
+        },
+    );
     let markdown = format!(
         "## Responsiveness — Theorem 1.1(3): steady-state latency vs actual delay δ (f_a = 0)\n\n\
-         Scenario: n = {n}, Δ = 40 ms, no faults. A smoothly optimistically responsive protocol tracks δ (constant latency/δ); LP22 shows Θ(nΔ) epoch-boundary stalls in the eventual-worst column regardless of δ.\n\n{}",
-        table.render()
+         Scenario: n = {n}, Δ = 40 ms, no faults. A smoothly optimistically responsive protocol tracks δ (constant latency/δ); LP22 shows Θ(nΔ) epoch-boundary stalls in the eventual-worst column regardless of δ.\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -489,15 +513,9 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     // Part 1 — per-view timelines for LP22 vs Lumiere with one silent leader.
     let trace_jobs = vec![ProtocolKind::Lp22, ProtocolKind::Lumiere];
     let traced = run_grid(trace_jobs.clone(), threads, |protocol| {
-        // The fourth leader slot: views 6/7 for two-view-per-leader
-        // schedules, view 3 for one-view-per-leader schedules.
-        let slot_view = match protocol {
-            ProtocolKind::Lp22
-            | ProtocolKind::Cogsworth
-            | ProtocolKind::Nk20
-            | ProtocolKind::Naive => View::new(3),
-            _ => View::new(6),
-        };
+        // The fourth leader slot: view 3 for LP22's one-view-per-leader
+        // schedule, views 6/7 for Lumiere's two-view-per-leader one.
+        let slot_view = View::new(if protocol == ProtocolKind::Lp22 { 3 } else { 6 });
         let byz = schedule_for(protocol, n, seed).leader(slot_view).as_usize();
         let (report, trace) = SimConfig::new(protocol, n)
             .with_delta(delta)
@@ -511,37 +529,35 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
         (byz, report, trace)
     });
 
-    let mut out = String::new();
+    let mut markdown = String::new();
     let _ = writeln!(
-        out,
+        markdown,
         "## Figure 1 — a single Byzantine leader stalls LP22 but not Lumiere\n"
     );
     let _ = writeln!(
-        out,
+        markdown,
         "Scenario: n = {n}, Δ = 10 ms, δ = 1 ms, GST = 0; exactly one Byzantine (silent) leader, \
          placed on the fourth leader slot of the first epoch. The tables show, per view, when the \
          view was first entered and when its QC was produced.\n"
     );
     for (protocol, (byz, report, trace)) in trace_jobs.into_iter().zip(traced) {
         let _ = writeln!(
-            out,
+            markdown,
             "### {} (Byzantine processor p{byz})\n",
             protocol.name()
         );
-        let _ = writeln!(out, "```");
-        out.push_str(&trace.render_view_timeline(View::new(8)));
-        let _ = writeln!(out, "```");
-        let warmup = Time::ZERO;
-        let stall = report
-            .eventual_worst_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        let gamma_ms = match protocol {
-            ProtocolKind::Lp22 => report.delta_cap.as_millis_f64() * 4.0,
-            _ => report.delta_cap.as_millis_f64() * 10.0,
-        };
+        let _ = writeln!(markdown, "```");
+        markdown.push_str(&trace.render_view_timeline(View::new(8)));
+        let _ = writeln!(markdown, "```");
+        let stall = ms(report.eventual_worst_latency(Time::ZERO));
+        let gamma_ms = delta.as_millis_f64()
+            * if protocol == ProtocolKind::Lp22 {
+                4.0
+            } else {
+                10.0
+            };
         let _ = writeln!(
-            out,
+            markdown,
             "Largest gap between consecutive honest-leader QCs: {stall:.1} ms (view duration Γ = {gamma_ms:.0} ms).\n"
         );
         cells.push(make_cell(
@@ -561,73 +577,60 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     // wastes its own two (or, at a window boundary, four) views: an
     // O(Γ) = O(Δ) stall independent of n.
     let mut stall_jobs = Vec::new();
-    for &n in &[7usize, 13, 22, 31] {
+    for n in [7usize, 13, 22, 31] {
         let f = (n - 1) / 3;
         stall_jobs.push((n, ProtocolKind::Lp22, View::new(f as i64)));
         stall_jobs.push((n, ProtocolKind::Lumiere, View::new(6)));
     }
-    let stall_reports = run_grid(stall_jobs.clone(), threads, |(n, protocol, byz_slot)| {
-        let byz = schedule_for(protocol, n, seed).leader(byz_slot).as_usize();
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(actual)
-            .with_faulty_ids(vec![byz], ByzBehavior::SilentLeader)
-            .with_horizon(Duration::from_secs(8))
-            .with_max_honest_qcs(8 * n)
-            .with_seed(seed)
-            .run()
-    });
-    let stall_of = |report: &SimReport| -> f64 {
-        report
-            .eventual_worst_latency(Time::ZERO)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN)
-    };
-    let mut table = TextTable::new(vec![
-        "n",
-        "lp22 stall (ms)",
-        "lp22 stall / nΔ",
-        "lumiere stall (ms)",
-        "lumiere stall / Γ",
-    ]);
-    // Jobs alternate lp22/lumiere per n; consume them pairwise for the rows.
-    for pair in stall_jobs
-        .iter()
-        .zip(&stall_reports)
-        .collect::<Vec<_>>()
-        .chunks(2)
-    {
-        let ((n, _, _), lp22_report) = pair[0];
-        let (_, lumiere_report) = pair[1];
-        let lp22 = stall_of(lp22_report);
-        let lumiere = stall_of(lumiere_report);
-        table.push_row(vec![
-            n.to_string(),
-            format!("{lp22:.1}"),
-            format!("{:.2}", lp22 / (*n as f64 * delta.as_millis_f64())),
-            format!("{lumiere:.1}"),
-            format!("{:.2}", lumiere / (10.0 * delta.as_millis_f64())),
-        ]);
+    // Jobs alternate lp22/lumiere per n: the lumiere job completes the row.
+    let mut lp22 = f64::NAN;
+    let table = Sweep {
+        slug: "figure1",
+        scale,
+        threads,
+        seed,
+        header: vec![
+            "n",
+            "lp22 stall (ms)",
+            "lp22 stall / nΔ",
+            "lumiere stall (ms)",
+            "lumiere stall / Γ",
+        ],
+        jobs: stall_jobs,
     }
-    for ((n, _, _), report) in stall_jobs.into_iter().zip(stall_reports) {
-        cells.push(make_cell(
-            "figure1",
-            format!("stall-n{n:03}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
-    let _ = writeln!(
-        out,
-        "### Stall caused by one silent Byzantine leader, as a function of n\n\n{}",
-        table.render()
+    .run(
+        &mut cells,
+        |&(n, protocol, byz_slot)| {
+            let byz = schedule_for(protocol, n, seed).leader(byz_slot).as_usize();
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(actual)
+                .with_faulty_ids(vec![byz], ByzBehavior::SilentLeader)
+                .with_horizon(Duration::from_secs(8))
+                .with_max_honest_qcs(8 * n)
+        },
+        |&(n, _, _)| format!("stall-n{n:03}"),
+        |&(n, protocol, _), report| {
+            let stall = ms(report.eventual_worst_latency(Time::ZERO));
+            if protocol == ProtocolKind::Lp22 {
+                lp22 = stall;
+                return None;
+            }
+            let lumiere = stall;
+            Some(vec![
+                n.to_string(),
+                format!("{lp22:.1}"),
+                format!("{:.2}", lp22 / (n as f64 * delta.as_millis_f64())),
+                format!("{lumiere:.1}"),
+                format!("{:.2}", lumiere / (10.0 * delta.as_millis_f64())),
+            ])
+        },
     );
-    ExperimentRun {
-        markdown: out,
-        cells,
-    }
+    let _ = writeln!(
+        markdown,
+        "### Stall caused by one silent Byzantine leader, as a function of n\n\n{table}"
+    );
+    ExperimentRun { markdown, cells }
 }
 
 /// Theorem 1.1(4): heavy epoch synchronizations stop after GST for Lumiere
@@ -635,60 +638,56 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
 pub fn heavy_sync_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let n = scale.eventual_n();
     let delta = Duration::from_millis(10);
-    let seed = 11;
     let f = (n - 1) / 3;
-    let mut jobs = Vec::new();
-    for protocol in [
-        ProtocolKind::Lumiere,
-        ProtocolKind::BasicLumiere,
-        ProtocolKind::Lp22,
-    ] {
-        for f_a in [0usize, f] {
-            jobs.push((protocol, f_a));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "heavy_syncs",
+        scale,
+        threads,
+        seed: 11,
+        header: vec![
+            "protocol",
+            "f_a",
+            "heavy-sync epochs after warm-up",
+            "heavy msgs after warm-up",
+            "decisions",
+        ],
+        jobs: grid(
+            &[
+                ProtocolKind::Lumiere,
+                ProtocolKind::BasicLumiere,
+                ProtocolKind::Lp22,
+            ],
+            &[0, f],
+        ),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, f_a)| {
-        let horizon = Duration::from_millis(6_000 + 3_000 * f_a as i64);
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(Duration::from_millis(1))
-            .with_faults(f_a, ByzBehavior::SilentLeader)
-            .with_horizon(horizon)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "f_a",
-        "heavy-sync epochs after warm-up",
-        "heavy msgs after warm-up",
-        "decisions",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, f_a), report) in jobs.into_iter().zip(reports) {
-        let warmup = report.default_warmup();
-        table.push_row(vec![
-            protocol.name().to_string(),
-            f_a.to_string(),
-            report.heavy_sync_epochs_after(warmup).to_string(),
-            report
-                .heavy_messages_between(warmup, report.end_time)
-                .to_string(),
-            report.decisions().to_string(),
-        ]);
-        cells.push(make_cell(
-            "heavy_syncs",
-            format!("fa{f_a}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, f_a)| {
+            let horizon = Duration::from_millis(6_000 + 3_000 * f_a as i64);
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(Duration::from_millis(1))
+                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_horizon(horizon)
+        },
+        |&(_, f_a)| format!("fa{f_a}"),
+        |&(protocol, f_a), report| {
+            let warmup = report.default_warmup();
+            Some(vec![
+                protocol.name().to_string(),
+                f_a.to_string(),
+                report.heavy_sync_epochs_after(warmup).to_string(),
+                report
+                    .heavy_messages_between(warmup, report.end_time)
+                    .to_string(),
+                report.decisions().to_string(),
+            ])
+        },
+    );
     let markdown = format!(
         "## Heavy-sync suppression — Theorem 1.1(4)\n\n\
-         Scenario: n = {n}, Δ = 10 ms, δ = 1 ms, GST = 0. After the warm-up window Lumiere should need no further heavy (Θ(n²)) epoch synchronizations, while Basic Lumiere and LP22 keep paying them at every epoch boundary.\n\n{}",
-        table.render()
+         Scenario: n = {n}, Δ = 10 ms, δ = 1 ms, GST = 0. After the warm-up window Lumiere should need no further heavy (Θ(n²)) epoch synchronizations, while Basic Lumiere and LP22 keep paying them at every epoch boundary.\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -699,61 +698,57 @@ pub fn honest_gap_report(scale: ExperimentScale, threads: usize) -> ExperimentRu
     let n = scale.eventual_n();
     let delta = Duration::from_millis(10);
     let gamma = Duration::from_millis(10) * 10; // 2(x+2)Δ with x = 3
-    let seed = 13;
     let f = (n - 1) / 3;
-    let mut jobs = Vec::new();
-    for protocol in [
-        ProtocolKind::Lumiere,
-        ProtocolKind::Fever,
-        ProtocolKind::Lp22,
-    ] {
-        for f_a in [0usize, f] {
-            jobs.push((protocol, f_a));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "honest_gap",
+        scale,
+        threads,
+        seed: 13,
+        header: vec![
+            "protocol",
+            "f_a",
+            "max (f+1)-st honest gap after warm-up (ms)",
+            "Γ (ms)",
+            "gap ≤ Γ + 2Δ?",
+        ],
+        jobs: grid(
+            &[
+                ProtocolKind::Lumiere,
+                ProtocolKind::Fever,
+                ProtocolKind::Lp22,
+            ],
+            &[0, f],
+        ),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, f_a)| {
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(Duration::from_millis(1))
-            .with_faults(f_a, ByzBehavior::SilentLeader)
-            .with_horizon(Duration::from_millis(6_000 + 3_000 * f_a as i64))
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "f_a",
-        "max (f+1)-st honest gap after warm-up (ms)",
-        "Γ (ms)",
-        "gap ≤ Γ + 2Δ?",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, f_a), report) in jobs.into_iter().zip(reports) {
-        let warmup = report.default_warmup();
-        let gap = report
-            .max_honest_gap_after(warmup)
-            .unwrap_or(Duration::ZERO);
-        let bound = gamma + delta * 2;
-        table.push_row(vec![
-            protocol.name().to_string(),
-            f_a.to_string(),
-            format!("{:.1}", gap.as_millis_f64()),
-            format!("{:.0}", gamma.as_millis_f64()),
-            if gap <= bound { "yes" } else { "no" }.to_string(),
-        ]);
-        cells.push(make_cell(
-            "honest_gap",
-            format!("fa{f_a}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, f_a)| {
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(Duration::from_millis(1))
+                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_horizon(Duration::from_millis(6_000 + 3_000 * f_a as i64))
+        },
+        |&(_, f_a)| format!("fa{f_a}"),
+        |&(protocol, f_a), report| {
+            let warmup = report.default_warmup();
+            let gap = report
+                .max_honest_gap_after(warmup)
+                .unwrap_or(Duration::ZERO);
+            let bound = gamma + delta * 2;
+            Some(vec![
+                protocol.name().to_string(),
+                f_a.to_string(),
+                format!("{:.1}", gap.as_millis_f64()),
+                format!("{:.0}", gamma.as_millis_f64()),
+                if gap <= bound { "yes" } else { "no" }.to_string(),
+            ])
+        },
+    );
     let markdown = format!(
         "## Honest-gap dynamics — Lemmas 5.9–5.12\n\n\
-         Scenario: n = {n}, Δ = 10 ms, δ = 1 ms. For clock-bumping protocols (Lumiere, Fever) the (f+1)-st honest gap must stay below Γ (+ small slack) once synchronized; LP22 is shown for contrast (its clocks are never bumped, so the gap is naturally small but its views crawl at clock speed).\n\n{}",
-        table.render()
+         Scenario: n = {n}, Δ = 10 ms, δ = 1 ms. For clock-bumping protocols (Lumiere, Fever) the (f+1)-st honest gap must stay below Γ (+ small slack) once synchronized; LP22 is shown for contrast (its clocks are never bumped, so the gap is naturally small but its views crawl at clock speed).\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -769,7 +764,6 @@ pub fn adversary_suite(scale: ExperimentScale, threads: usize) -> ExperimentRun 
     let n = scale.eventual_n();
     let f = (n - 1) / 3;
     let delta = Duration::from_millis(10);
-    let seed = 17;
     let ids: Vec<usize> = (n - f..n).collect();
     let scenarios: [(&str, AdversarySchedule); 3] = [
         ("equivocate", AdversarySchedule::equivocation(&ids)),
@@ -787,65 +781,54 @@ pub fn adversary_suite(scale: ExperimentScale, threads: usize) -> ExperimentRun 
             ),
         ),
     ];
-    let mut jobs = Vec::new();
-    for protocol in compared_protocols() {
-        for (label, schedule) in &scenarios {
-            jobs.push((protocol, *label, schedule.clone()));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "adversaries",
+        scale,
+        threads,
+        seed: 17,
+        header: vec![
+            "protocol",
+            "adversary",
+            "decisions",
+            "eventual worst latency (ms)",
+            "avg latency (ms)",
+            "lat/nΔ",
+            "msgs/decision",
+            "equivocations seen",
+            "safe?",
+        ],
+        jobs: grid(&COMPARED_PROTOCOLS, &scenarios.iter().collect::<Vec<_>>()),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, _, schedule)| {
-        let horizon = Duration::from_millis(4_000 + 2_500 * f as i64);
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(Duration::from_millis(1))
-            .with_adversary(schedule)
-            .with_horizon(horizon)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "adversary",
-        "decisions",
-        "eventual worst latency (ms)",
-        "avg latency (ms)",
-        "lat/nΔ",
-        "msgs/decision",
-        "equivocations seen",
-        "safe?",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, label, _), report) in jobs.into_iter().zip(reports) {
-        let warmup = report.default_warmup();
-        let worst = report
-            .eventual_worst_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        let avg = report
-            .average_latency(warmup)
-            .map(|d| d.as_millis_f64())
-            .unwrap_or(f64::NAN);
-        let decisions = report.decisions().max(1);
-        table.push_row(vec![
-            protocol.name().to_string(),
-            label.to_string(),
-            report.decisions().to_string(),
-            format!("{worst:.1}"),
-            format!("{avg:.2}"),
-            format!("{:.2}", worst / (n as f64 * delta.as_millis_f64())),
-            format!("{:.0}", report.total_messages() as f64 / decisions as f64),
-            report.equivocations_observed.to_string(),
-            if report.safety_ok { "yes" } else { "NO" }.to_string(),
-        ]);
-        cells.push(make_cell(
-            "adversaries",
-            label.to_string(),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, (_, schedule))| {
+            let horizon = Duration::from_millis(4_000 + 2_500 * f as i64);
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(Duration::from_millis(1))
+                .with_adversary(schedule.clone())
+                .with_horizon(horizon)
+        },
+        |&(_, (label, _))| label.to_string(),
+        |&(protocol, (label, _)), report| {
+            let warmup = report.default_warmup();
+            let worst = ms(report.eventual_worst_latency(warmup));
+            let avg = ms(report.average_latency(warmup));
+            let decisions = report.decisions().max(1);
+            Some(vec![
+                protocol.name().to_string(),
+                label.to_string(),
+                report.decisions().to_string(),
+                format!("{worst:.1}"),
+                format!("{avg:.2}"),
+                format!("{:.2}", worst / (n as f64 * delta.as_millis_f64())),
+                format!("{:.0}", report.total_messages() as f64 / decisions as f64),
+                report.equivocations_observed.to_string(),
+                if report.safety_ok { "yes" } else { "NO" }.to_string(),
+            ])
+        },
+    );
     let markdown = format!(
         "## Adversary suite — pluggable strategies at f_a = f\n\n\
          Scenario: n = {n}, Δ = 10 ms, δ = 1 ms, GST = 0, f = {f} corrupted processors.\n\
@@ -854,8 +837,7 @@ pub fn adversary_suite(scale: ExperimentScale, threads: usize) -> ExperimentRun 
          messages crawl at Δ and adversary edges are fast-pathed (per-edge delay rules).\n\
          `crashrec`: corrupted processors go dark in staggered windows and rejoin mid-epoch.\n\
          Lumiere's eventual worst-case honest-commit latency must stay within its Θ(nΔ) \
-         envelope (`lat/nΔ` column) while the relay/naive baselines degrade.\n\n{}",
-        table.render()
+         envelope (`lat/nΔ` column) while the relay/naive baselines degrade.\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -914,101 +896,100 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let seed = 42;
     let fault_cap = 8usize;
     let mut cells = Vec::new();
-    let mut out = String::new();
+    let mut markdown = String::new();
     let _ = writeln!(
-        out,
+        markdown,
         "## Scale — O(n·f_a + n) vs Θ(n²) at n up to the thousands
 "
     );
-
-    // Part 1 — worst-case communication after GST. The quadratic baselines
-    // are capped (see `scale_cap`): past their cap each pays Θ(n²) wall
-    // clock to re-demonstrate an asymptote already visible, while Lumiere
-    // alone continues to n = 4096.
-    let worst_protocols = [
-        ProtocolKind::Lumiere,
-        ProtocolKind::Cogsworth,
-        ProtocolKind::Lp22,
-        ProtocolKind::Naive,
-    ];
-    let mut jobs = Vec::new();
-    for protocol in worst_protocols {
-        for &n in &scale.scale_ns() {
-            if n > scale_cap(protocol, scale) {
-                continue;
-            }
-            jobs.push((protocol, n));
-        }
-    }
-    let gst = Time::from_millis(200);
-    let reports = run_grid(jobs.clone(), threads, |(protocol, n)| {
-        let f = (n - 1) / 3;
-        let byz: Vec<usize> = worst_case_byzantine_ids(protocol, n, seed)
-            .into_iter()
-            .take(f.min(fault_cap))
-            .collect();
-        let horizon = Duration::from_millis(200) + delta * (40 * fault_cap as i64 + 400);
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_adversarial_delay()
-            .with_gst(gst)
-            .with_faulty_ids(byz, ByzBehavior::SilentLeader)
-            .with_horizon(horizon)
-            .with_max_honest_qcs(3)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "n",
-        "f_a",
-        "worst-case msgs [GST+Δ, t*)",
-        "msgs / n",
-        "msgs / n^2",
-        "growth vs previous n",
-    ]);
-    let mut prev: Option<(ProtocolKind, usize)> = None;
-    for ((protocol, n), report) in jobs.into_iter().zip(reports) {
+    // The quadratic baselines are capped (see `scale_cap`); exclusions are
+    // called out in the rendered report rather than applied silently.
+    let capped_grid = |protocols: &[ProtocolKind]| {
+        let mut jobs = grid(protocols, &scale.scale_ns());
+        jobs.retain(|&(protocol, n)| n <= scale_cap(protocol, scale));
+        jobs
+    };
+    let assert_complete = |protocol: ProtocolKind, n: usize, report: &SimReport| {
         assert!(
             !report.truncated,
             "scale sweep truncated at {} n={n}; raise the event cap",
             protocol.name()
         );
-        let msgs = report.worst_case_communication();
-        let growth = match prev {
-            Some((p, m)) if p == protocol && m > 0 => {
-                format!("x{:.2}", msgs as f64 / m as f64)
-            }
-            _ => "-".to_string(),
-        };
-        prev = Some((protocol, msgs));
-        table.push_row(vec![
-            protocol.name().to_string(),
-            n.to_string(),
-            report.f_a.to_string(),
-            msgs.to_string(),
-            format!("{:.1}", msgs as f64 / n as f64),
-            format!("{:.2}", msgs as f64 / (n * n) as f64),
-            growth,
-        ]);
-        cells.push(make_cell(
-            "scale",
-            format!("worst-n{n:03}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
+    };
+    // "growth vs previous n" within one protocol's run of rows.
+    let growth_since = |prev: Option<(ProtocolKind, usize)>, protocol, msgs: usize| match prev {
+        Some((p, m)) if p == protocol && m > 0 => format!("x{:.2}", msgs as f64 / m as f64),
+        _ => "-".to_string(),
+    };
+
+    // Part 1 — worst-case communication after GST: past their cap the
+    // quadratic baselines each pay Θ(n²) wall clock to re-demonstrate an
+    // asymptote already visible, while Lumiere alone continues to n = 4096.
+    let gst = Time::from_millis(200);
+    let mut prev = None;
+    let table = Sweep {
+        slug: "scale",
+        scale,
+        threads,
+        seed,
+        header: vec![
+            "protocol",
+            "n",
+            "f_a",
+            "worst-case msgs [GST+Δ, t*)",
+            "msgs / n",
+            "msgs / n^2",
+            "growth vs previous n",
+        ],
+        jobs: capped_grid(&[
+            ProtocolKind::Lumiere,
+            ProtocolKind::Cogsworth,
+            ProtocolKind::Lp22,
+            ProtocolKind::Naive,
+        ]),
     }
+    .run(
+        &mut cells,
+        |&(protocol, n)| {
+            let f = (n - 1) / 3;
+            let byz: Vec<usize> = worst_case_byzantine_ids(protocol, n, seed)
+                .into_iter()
+                .take(f.min(fault_cap))
+                .collect();
+            let horizon = Duration::from_millis(200) + delta * (40 * fault_cap as i64 + 400);
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_adversarial_delay()
+                .with_gst(gst)
+                .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+                .with_horizon(horizon)
+                .with_max_honest_qcs(3)
+        },
+        |&(_, n)| format!("worst-n{n:03}"),
+        |&(protocol, n), report| {
+            assert_complete(protocol, n, report);
+            let msgs = report.worst_case_communication();
+            let growth = growth_since(prev, protocol, msgs);
+            prev = Some((protocol, msgs));
+            Some(vec![
+                protocol.name().to_string(),
+                n.to_string(),
+                report.f_a.to_string(),
+                msgs.to_string(),
+                format!("{:.1}", msgs as f64 / n as f64),
+                format!("{:.2}", msgs as f64 / (n * n) as f64),
+                growth,
+            ])
+        },
+    );
     let _ = writeln!(
-        out,
+        markdown,
         "### Worst-case communication after GST (f_a = min(f, {fault_cap}) silent leaders on the first slots, all delays = Δ)\n\n\
          A linear protocol doubles its window communication when n doubles (growth ≈ x2); a \
          quadratic one quadruples it (growth ≈ x4). `msgs / n` flat ⇒ O(n·f_a + n); `msgs / n^2` \
          flat ⇒ Θ(n²). The quadratic baselines stop at their caps (naive 512, LP22/Cogsworth \
          1024) — beyond those sizes their Θ(n²) cells dominate the sweep's wall clock without \
-         adding information; only Lumiere is swept to n = 4096.\n\n{}",
-        table.render()
+         adding information; only Lumiere is swept to n = 4096.\n\n{table}"
     );
 
     // Part 2 — fault-free steady state across epoch boundaries. The same
@@ -1016,109 +997,86 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     // and at n = 512 those Θ(n²) syncs (each message costing Θ(n)
     // certificate work) dominate the whole sweep's wall clock while
     // demonstrating the same behaviour LP22 already shows at its own cap
-    // (1024) — exclusions are called out in the rendered report rather
-    // than applied silently.
-    let steady_protocols = [
-        ProtocolKind::Lumiere,
-        ProtocolKind::BasicLumiere,
-        ProtocolKind::Lp22,
-    ];
-    let mut jobs = Vec::new();
-    for protocol in steady_protocols {
-        for &n in &scale.scale_ns() {
-            if n > scale_cap(protocol, scale) {
-                continue;
-            }
-            jobs.push((protocol, n));
-        }
+    // (1024).
+    let warmup = Time::ZERO + delta * 8;
+    let mut prev = None;
+    let table = Sweep {
+        slug: "scale",
+        scale,
+        threads,
+        seed,
+        header: vec![
+            "protocol",
+            "n",
+            "eventual worst msgs/decision",
+            "ewc / n",
+            "ewc / n^2",
+            "heavy-sync epochs after warm-up",
+            "growth vs previous n",
+        ],
+        jobs: capped_grid(&[
+            ProtocolKind::Lumiere,
+            ProtocolKind::BasicLumiere,
+            ProtocolKind::Lp22,
+        ]),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, n)| {
-        // Warm-up: a fixed 8Δ — fault-free, Lumiere's one heavy
-        // synchronization is long finished by then. The honest-QC cap
-        // stops each run once the measurement windows exist. For the
-        // protocols that heavy-sync at epoch boundaries it is max(n, 64):
-        // an epoch is ~n/3 views for LP22 and ~n/2 for Basic Lumiere, so n
-        // honest QCs cover at least two epoch boundaries. Lumiere needs no
-        // epoch crossing — its claim is *zero* heavy syncs after warm-up,
-        // independent of run length — so it stops after 64 honest QCs:
-        // responsive views (one QC every ~3δ) give dozens of post-warm-up
-        // windows at every n, and per-view work grows with n (certificate
-        // handling is Θ(n) per recipient), so an n-proportional target
-        // would make the n = 4096 cell pay Θ(n³) wall clock for no extra
-        // information. The horizon (≈ 2.5 LP22 epochs of ~1.1nΔ each) is
-        // the backstop.
-        let qc_target = if protocol == ProtocolKind::Lumiere {
-            64
-        } else {
-            n.max(64)
-        };
-        let horizon = delta * (5 * n as i64 / 2) + Duration::from_millis(500);
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(Duration::from_millis(1))
-            .with_horizon(horizon)
-            .with_max_honest_qcs(qc_target)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "n",
-        "eventual worst msgs/decision",
-        "ewc / n",
-        "ewc / n^2",
-        "heavy-sync epochs after warm-up",
-        "growth vs previous n",
-    ]);
-    let mut prev: Option<(ProtocolKind, usize)> = None;
-    for ((protocol, n), report) in jobs.into_iter().zip(reports) {
-        assert!(
-            !report.truncated,
-            "scale sweep truncated at {} n={n}; raise the event cap",
-            protocol.name()
-        );
-        let warmup = Time::ZERO + delta * 8;
-        let ewc = report.eventual_worst_communication(warmup);
-        let growth = match prev {
-            Some((p, m)) if p == protocol && m > 0 => {
-                format!("x{:.2}", ewc as f64 / m as f64)
-            }
-            _ => "-".to_string(),
-        };
-        prev = Some((protocol, ewc));
-        table.push_row(vec![
-            protocol.name().to_string(),
-            n.to_string(),
-            ewc.to_string(),
-            format!("{:.1}", ewc as f64 / n as f64),
-            format!("{:.3}", ewc as f64 / (n * n) as f64),
-            report.heavy_sync_epochs_after(warmup).to_string(),
-            growth,
-        ]);
-        cells.push(make_cell(
-            "scale",
-            format!("steady-n{n:03}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, n)| {
+            // Warm-up: a fixed 8Δ — fault-free, Lumiere's one heavy
+            // synchronization is long finished by then. The honest-QC cap
+            // stops each run once the measurement windows exist. For the
+            // protocols that heavy-sync at epoch boundaries it is max(n, 64):
+            // an epoch is ~n/3 views for LP22 and ~n/2 for Basic Lumiere, so n
+            // honest QCs cover at least two epoch boundaries. Lumiere needs no
+            // epoch crossing — its claim is *zero* heavy syncs after warm-up,
+            // independent of run length — so it stops after 64 honest QCs:
+            // responsive views (one QC every ~3δ) give dozens of post-warm-up
+            // windows at every n, and per-view work grows with n (certificate
+            // handling is Θ(n) per recipient), so an n-proportional target
+            // would make the n = 4096 cell pay Θ(n³) wall clock for no extra
+            // information. The horizon (≈ 2.5 LP22 epochs of ~1.1nΔ each) is
+            // the backstop.
+            let qc_target = if protocol == ProtocolKind::Lumiere {
+                64
+            } else {
+                n.max(64)
+            };
+            let horizon = delta * (5 * n as i64 / 2) + Duration::from_millis(500);
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(Duration::from_millis(1))
+                .with_horizon(horizon)
+                .with_max_honest_qcs(qc_target)
+        },
+        |&(_, n)| format!("steady-n{n:03}"),
+        |&(protocol, n), report| {
+            assert_complete(protocol, n, report);
+            let ewc = report.eventual_worst_communication(warmup);
+            let growth = growth_since(prev, protocol, ewc);
+            prev = Some((protocol, ewc));
+            Some(vec![
+                protocol.name().to_string(),
+                n.to_string(),
+                ewc.to_string(),
+                format!("{:.1}", ewc as f64 / n as f64),
+                format!("{:.3}", ewc as f64 / (n * n) as f64),
+                report.heavy_sync_epochs_after(warmup).to_string(),
+                growth,
+            ])
+        },
+    );
     let _ = writeln!(
-        out,
+        markdown,
         "### Fault-free steady state across epoch boundaries (δ = 1 ms, warm-up 8Δ, stop after max(n, 64) honest QCs — 64 for Lumiere)\n\n\
          Lumiere stops heavy-synchronizing after GST, so its eventual worst-case communication \
          between consecutive honest QCs stays O(n); Basic Lumiere and LP22 pay a Θ(n²) heavy \
          sync at every epoch boundary, which dominates their `ewc` column. Basic Lumiere is \
          swept to n = 256 and LP22 to n = 1024: beyond those caps their every-epoch Θ(n²) \
          syncs dominate the sweep's wall clock while showing the asymptote already visible at \
-         the cap; only Lumiere continues to n = 4096.\n\n{}",
-        table.render()
+         the cap; only Lumiere continues to n = 4096.\n\n{table}"
     );
-    ExperimentRun {
-        markdown: out,
-        cells,
-    }
+    ExperimentRun { markdown, cells }
 }
 
 /// Throughput–latency saturation under open-loop client load.
@@ -1136,64 +1094,57 @@ pub fn load_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let delta = Duration::from_millis(10);
     let actual = Duration::from_millis(1);
     let horizon = Duration::from_secs(4);
-    let seed = 29;
-    let mut jobs = Vec::new();
-    for protocol in compared_protocols() {
-        for &rate in &scale.load_rates() {
-            jobs.push((protocol, rate));
-        }
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "load",
+        scale,
+        threads,
+        seed: 29,
+        header: vec![
+            "protocol",
+            "offered (tx/s)",
+            "submitted",
+            "committed",
+            "shed",
+            "goodput (tx/s)",
+            "p50 (ms)",
+            "p95 (ms)",
+            "p99 (ms)",
+        ],
+        jobs: grid(&COMPARED_PROTOCOLS, &scale.load_rates()),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, rate)| {
-        SimConfig::new(protocol, n)
-            .with_delta(delta)
-            .with_actual_delay(actual)
-            .with_horizon(horizon)
-            .with_max_honest_qcs(100_000)
-            .with_workload(WorkloadConfig::constant(rate).with_batch_txs(32))
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "offered (tx/s)",
-        "submitted",
-        "committed",
-        "shed",
-        "goodput (tx/s)",
-        "p50 (ms)",
-        "p95 (ms)",
-        "p99 (ms)",
-    ]);
-    let mut cells = Vec::with_capacity(reports.len());
-    for ((protocol, rate), report) in jobs.into_iter().zip(reports) {
-        table.push_row(vec![
-            protocol.name().to_string(),
-            rate.to_string(),
-            report.txs_submitted.to_string(),
-            report.txs_committed.to_string(),
-            report.txs_shed.to_string(),
-            format!("{:.0}", report.goodput_tps()),
-            format!("{:.1}", report.tx_latency_p50.as_millis_f64()),
-            format!("{:.1}", report.tx_latency_p95.as_millis_f64()),
-            format!("{:.1}", report.tx_latency_p99.as_millis_f64()),
-        ]);
-        cells.push(make_cell(
-            "load",
-            format!("rate{rate:06}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
-    }
+    .run(
+        &mut cells,
+        |&(protocol, rate)| {
+            SimConfig::new(protocol, n)
+                .with_delta(delta)
+                .with_actual_delay(actual)
+                .with_horizon(horizon)
+                .with_max_honest_qcs(100_000)
+                .with_workload(WorkloadConfig::constant(rate).with_batch_txs(32))
+        },
+        |&(_, rate)| format!("rate{rate:06}"),
+        |&(protocol, rate), report| {
+            Some(vec![
+                protocol.name().to_string(),
+                rate.to_string(),
+                report.txs_submitted.to_string(),
+                report.txs_committed.to_string(),
+                report.txs_shed.to_string(),
+                format!("{:.0}", report.goodput_tps()),
+                format!("{:.1}", report.tx_latency_p50.as_millis_f64()),
+                format!("{:.1}", report.tx_latency_p95.as_millis_f64()),
+                format!("{:.1}", report.tx_latency_p99.as_millis_f64()),
+            ])
+        },
+    );
     let markdown = format!(
         "## Load — throughput–latency saturation under open-loop client traffic\n\n\
          Scenario: n = {n}, Δ = 10 ms, δ = 1 ms, GST = 0, no faults, horizon 4 s; \
          constant-profile open-loop clients at the offered rate, batches of 32 txs. \
          Goodput tracks the offered rate until the block pipeline saturates; past \
          the knee the submit→commit percentiles inflate with queueing delay and, \
-         once the mempool overflows, the excess load is shed.\n\n{}",
-        table.render()
+         once the mempool overflows, the excess load is shed.\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -1217,98 +1168,97 @@ pub fn certificates_table(scale: ExperimentScale, threads: usize) -> ExperimentR
     let delta = Duration::from_millis(10);
     let actual = Duration::from_millis(1);
     let seed = 23;
-    let jobs = scale.certificate_ns();
-    let reports = run_grid(jobs.clone(), threads, |n| {
-        SimConfig::new(ProtocolKind::Lumiere, n)
-            .with_delta(delta)
-            .with_actual_delay(actual)
-            .with_horizon(Duration::from_secs(3))
-            .with_max_honest_qcs(64)
-            .with_seed(seed)
-            .run()
-    });
-    let mut table = TextTable::new(vec![
-        "n",
-        "auth B/msg (agg)",
-        "auth B/msg (naive)",
-        "auth B/view (agg)",
-        "auth B/view (naive)",
-        "verify/commit (agg)",
-        "verify/commit (naive)",
-        "naive/agg bytes",
-    ]);
-    let mut cells = Vec::with_capacity(jobs.len() + 1);
-    for (n, report) in jobs.into_iter().zip(reports) {
-        let blowup = if report.auth_bytes > 0 {
-            report.auth_bytes_naive as f64 / report.auth_bytes as f64
-        } else {
-            f64::NAN
-        };
-        table.push_row(vec![
-            n.to_string(),
-            format!("{:.1}", report.auth_bytes_per_message()),
-            format!("{:.1}", report.naive_auth_bytes_per_message()),
-            format!("{:.0}", report.auth_bytes_per_view()),
-            format!("{:.0}", report.naive_auth_bytes_per_view()),
-            format!("{:.1}", report.verify_ops_per_commit()),
-            format!("{:.1}", report.naive_verify_ops_per_commit()),
-            format!("x{blowup:.1}"),
-        ]);
-        cells.push(make_cell(
-            "certificates",
-            format!("n{n:03}"),
-            scale,
-            seed,
-            report,
-            None,
-        ));
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "certificates",
+        scale,
+        threads,
+        seed,
+        header: vec![
+            "n",
+            "auth B/msg (agg)",
+            "auth B/msg (naive)",
+            "auth B/view (agg)",
+            "auth B/view (naive)",
+            "verify/commit (agg)",
+            "verify/commit (naive)",
+            "naive/agg bytes",
+        ],
+        jobs: scale.certificate_ns(),
     }
-    let mut out = format!(
+    .run(
+        &mut cells,
+        |&n| {
+            SimConfig::new(ProtocolKind::Lumiere, n)
+                .with_delta(delta)
+                .with_actual_delay(actual)
+                .with_horizon(Duration::from_secs(3))
+                .with_max_honest_qcs(64)
+        },
+        |&n| format!("n{n:03}"),
+        |&n, report| {
+            let blowup = if report.auth_bytes > 0 {
+                report.auth_bytes_naive as f64 / report.auth_bytes as f64
+            } else {
+                f64::NAN
+            };
+            Some(vec![
+                n.to_string(),
+                format!("{:.1}", report.auth_bytes_per_message()),
+                format!("{:.1}", report.naive_auth_bytes_per_message()),
+                format!("{:.0}", report.auth_bytes_per_view()),
+                format!("{:.0}", report.naive_auth_bytes_per_view()),
+                format!("{:.1}", report.verify_ops_per_commit()),
+                format!("{:.1}", report.naive_verify_ops_per_commit()),
+                format!("x{blowup:.1}"),
+            ])
+        },
+    );
+    let mut markdown = format!(
         "## Certificates — constant-size aggregates vs naive signature vectors\n\n\
          Scenario: Lumiere, Δ = 10 ms, δ = 1 ms, GST = 0, no faults, stop after 64 honest QCs. \
          Both representations are accounted from the same run: per-message authenticator bytes \
          stay O(κ + n/8) with aggregation (flat, plus one bitmap bit per processor) while the \
          naive vector columns grow Θ(quorum) = Θ(n); verifications per commit drop from one \
-         per signer to one per certificate.\n\n{}\n",
-        table.render()
+         per signer to one per certificate.\n\n{table}\n"
     );
 
-    // Part 2 — slashing evidence under the equivocation adversary.
+    // Part 2 — slashing evidence under the equivocation adversary: one cell,
+    // no table, two counters quoted in prose.
     let n = 13;
     let f = (n - 1) / 3;
     let ids: Vec<usize> = (n - f..n).collect();
-    let slash_report = run_grid(vec![()], threads, |()| {
-        SimConfig::new(ProtocolKind::Lumiere, n)
-            .with_delta(delta)
-            .with_actual_delay(actual)
-            .with_adversary(AdversarySchedule::equivocation(&ids))
-            .with_horizon(Duration::from_secs(4))
-            .with_seed(seed)
-            .run()
-    })
-    .pop()
-    .expect("one slash cell");
+    Sweep {
+        slug: "certificates",
+        scale,
+        threads,
+        seed,
+        header: Vec::new(),
+        jobs: vec![()],
+    }
+    .run(
+        &mut cells,
+        |()| {
+            SimConfig::new(ProtocolKind::Lumiere, n)
+                .with_delta(delta)
+                .with_actual_delay(actual)
+                .with_adversary(AdversarySchedule::equivocation(&ids))
+                .with_horizon(Duration::from_secs(4))
+        },
+        |()| "slash".to_string(),
+        |(), _| None,
+    );
+    let slash = &cells.last().expect("the slash cell").report;
     let _ = writeln!(
-        out,
+        markdown,
         "### Slashing evidence under the equivocation adversary\n\n\
          Scenario: n = {n}, f_a = {f} equivocating leaders. Honest engines witnessed \
          {} equivocations and produced {} canonical slashing-evidence records \
          (deduplicated across processors; each names the view, the proposer and the \
          conflicting block-hash pair).",
-        slash_report.equivocations_observed, slash_report.slash_evidence_total,
+        slash.equivocations_observed, slash.slash_evidence_total,
     );
-    cells.push(make_cell(
-        "certificates",
-        "slash".to_string(),
-        scale,
-        seed,
-        slash_report,
-        None,
-    ));
-    ExperimentRun {
-        markdown: out,
-        cells,
-    }
+    ExperimentRun { markdown, cells }
 }
 
 #[cfg(test)]

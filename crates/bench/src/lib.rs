@@ -8,46 +8,41 @@
 //! reference output and compares the measured *shape* with the paper's
 //! asymptotic claims.
 //!
-//! Binaries (in `src/bin/`) wrap one experiment each:
+//! One binary, `lumiere-bench <experiment>… | all` ([`cli`]), runs them by
+//! slug:
 //!
-//! | binary | paper artifact |
+//! | experiment | paper artifact |
 //! |---|---|
-//! | `table1_worst_comm` | Table 1, worst-case communication (E1) |
-//! | `table1_worst_latency` | Table 1, worst-case latency (E3) |
-//! | `table1_eventual_comm` | Table 1, eventual worst-case communication (E2) |
-//! | `table1_eventual_latency` | Table 1, eventual worst-case latency (E4) |
+//! | `table1_worst` | Table 1, worst-case communication and latency (E1 + E3) |
+//! | `table1_eventual` | Table 1, eventual worst-case communication and latency (E2 + E4) |
 //! | `responsiveness` | Theorem 1.1(3), latency vs. actual delay δ |
-//! | `figure1_timeline` | Figure 1 |
+//! | `figure1` | Figure 1 |
 //! | `heavy_syncs` | Section 3.5 / Theorem 1.1(4), heavy-sync suppression |
 //! | `honest_gap` | Lemmas 5.9–5.12, honest-gap dynamics |
-//! | `scale_suite` | the O(n·f_a + n) vs Θ(n²) separation at n up to 512 |
-//! | `load_suite` | throughput–latency saturation under open-loop client load |
-//! | `table1_all` | runs everything above in sequence |
+//! | `adversaries` | equivocation / targeted partition / crash–recovery at `f_a = f` |
+//! | `scale` | the O(n·f_a + n) vs Θ(n²) separation at n up to 4096 |
+//! | `load` | throughput–latency saturation under open-loop client load |
+//! | `certificates` | constant-size aggregates vs naive signature vectors |
 //!
-//! All experiments accept the environment variable `LUMIERE_FULL=1` (or the
-//! `--full` flag) to run the larger parameter sweeps used for the reference
-//! numbers; the default "quick" sweeps finish in well under a minute on a
-//! laptop.
-//!
-//! Two further binaries serve the perf story (`docs/PERFORMANCE.md`):
-//! `scale_suite` sweeps n up to 512 to show the O(n·f_a + n) vs Θ(n²)
-//! separation ([`experiments::scale_table`]), and `bench_gate` gates the
-//! `BENCH_*.json` files emitted by the adaptive criterion shim against the
-//! committed `BENCH_baseline.json` ([`perf`]).
+//! `LUMIERE_FULL=1` (or `--full`) selects the larger parameter sweeps used
+//! for the reference numbers; the default "quick" sweeps finish in well
+//! under a minute on a laptop. The criterion benches under `benches/` are
+//! developer tools (`docs/PERFORMANCE.md`); regressions are judged by paired
+//! runs of `benchmark/`.
 //!
 //! # Persistent reports and parallel sweeps
 //!
 //! Since PR 2 the harness is organised as a pipeline:
 //!
-//! * [`experiments`] — each experiment builds a grid of independent seeded
-//!   simulations and renders the markdown tables;
+//! * [`experiments`] — each experiment hands a grid of independent seeded
+//!   simulations to [`experiments::Sweep`], which renders the markdown table
+//!   and builds the cells;
 //! * [`grid`] — the grid is scattered over OS threads ([`grid::run_grid`]),
 //!   with results restored to deterministic grid order;
 //! * [`report`] — every grid cell can be persisted as a JSON file
 //!   ([`report::SweepCell`], format in `docs/REPORT_SCHEMA.md`), loaded back,
 //!   and diffed across runs for regression checks;
-//! * [`cli`] — the shared `--out` / `--threads` / `--check` / `--diff`
-//!   front end of all ten binaries.
+//! * [`cli`] — the `--out` / `--threads` / `--check` / `--diff` front end.
 //!
 //! The adversary-fuzzing stack is a fourth pillar: [`fuzz`] (per-seed
 //! sampler, safety/liveness oracles, greedy minimizer), [`mutate`]
@@ -69,7 +64,6 @@ pub mod experiments;
 pub mod fuzz;
 pub mod grid;
 pub mod mutate;
-pub mod perf;
 pub mod report;
 pub mod table;
 

@@ -107,8 +107,16 @@ pub fn ensure_writable(dir: &Path) -> Result<(), String> {
 }
 
 /// Writes every cell under `dir` (one pretty-printed JSON file each) and
-/// returns the paths written, in cell order.
+/// returns the paths written, in cell order. Two cells with the same
+/// [`SweepCell::key`] would share a file, so they are an error and nothing
+/// is written.
 pub fn write_cells(dir: &Path, cells: &[SweepCell]) -> Result<Vec<PathBuf>, String> {
+    let mut keys = std::collections::BTreeSet::new();
+    for cell in cells {
+        if !keys.insert(cell.key()) {
+            return Err(format!("two report cells share the key `{}`", cell.key()));
+        }
+    }
     ensure_writable(dir)?;
     let mut paths = Vec::with_capacity(cells.len());
     for cell in cells {
@@ -337,6 +345,19 @@ mod tests {
         let second = fs::read(&paths[0]).unwrap();
         assert_eq!(first, second);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cells_sharing_a_key_are_refused_before_anything_is_written() {
+        let dir = temp_dir("duplicate");
+        let cells = vec![
+            sample_cell("n004", 1),
+            sample_cell("n007", 2),
+            sample_cell("n004", 3),
+        ];
+        let err = write_cells(&dir, &cells).unwrap_err();
+        assert!(err.contains("`unit_test__lumiere__n004`"), "{err}");
+        assert!(!dir.exists(), "a refused set must leave no files behind");
     }
 
     #[test]

@@ -7,17 +7,19 @@
 //! pipeline capacity while the submit→commit percentiles inflate.
 //!
 //! Both tests run miniature grids (short horizons, few protocols): the full
-//! quick grid is exercised in release mode by CI's `load_suite` runs; in
-//! debug builds it would dominate the whole suite's wall clock.
+//! quick grid is exercised in release mode by CI's `lumiere-bench load` runs;
+//! in debug builds it would dominate the whole suite's wall clock.
 
-use lumiere_bench::grid::run_grid;
-use lumiere_bench::report::{write_cells, SweepCell, SCHEMA_VERSION};
+use lumiere_bench::experiments::{grid, ExperimentScale, Sweep};
+use lumiere_bench::report::{write_cells, SweepCell};
 use lumiere_sim::metrics::SimReport;
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::WorkloadConfig;
 use lumiere_types::Duration;
 use std::fs;
 use std::path::PathBuf;
+
+const SEED: u64 = 29;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir =
@@ -26,46 +28,39 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// One loaded run: the `load` experiment's scenario at one grid point,
-/// directly via the simulator. Small batches pull the pipeline's capacity
-/// down into the test's rate grid so saturation is reachable with short
-/// horizons.
-fn loaded_report(protocol: ProtocolKind, rate: u64, horizon_ms: i64) -> SimReport {
+/// The `load` experiment's scenario at one grid point. Small batches pull
+/// the pipeline's capacity down into the test's rate grid so saturation is
+/// reachable with short horizons.
+fn loaded_config(protocol: ProtocolKind, rate: u64, horizon_ms: i64) -> SimConfig {
     SimConfig::new(protocol, 4)
         .with_delta(Duration::from_millis(10))
         .with_actual_delay(Duration::from_millis(1))
         .with_horizon(Duration::from_millis(horizon_ms))
         .with_max_honest_qcs(100_000)
         .with_workload(WorkloadConfig::constant(rate).with_batch_txs(8))
-        .with_seed(29)
-        .run()
+        .with_seed(SEED)
 }
 
 fn sweep_cells(threads: usize) -> Vec<SweepCell> {
-    let mut jobs = Vec::new();
-    for protocol in [ProtocolKind::Lumiere, ProtocolKind::Lp22] {
-        for rate in [400u64, 1_600] {
-            jobs.push((protocol, rate));
-        }
+    let mut cells = Vec::new();
+    Sweep {
+        slug: "tiny_load",
+        scale: ExperimentScale::Quick,
+        threads,
+        seed: SEED,
+        header: Vec::new(),
+        jobs: grid(
+            &[ProtocolKind::Lumiere, ProtocolKind::Lp22],
+            &[400u64, 1_600],
+        ),
     }
-    let reports = run_grid(jobs.clone(), threads, |(protocol, rate)| {
-        loaded_report(protocol, rate, 1_000)
-    });
-    jobs.into_iter()
-        .zip(reports)
-        .map(|((_, rate), report)| SweepCell {
-            schema_version: SCHEMA_VERSION,
-            experiment: "tiny_load".to_string(),
-            label: format!("rate{rate:06}"),
-            protocol: report.protocol.clone(),
-            n: report.n,
-            f_a: report.f_a,
-            seed: 29,
-            scale: "quick".to_string(),
-            report,
-            trace: None,
-        })
-        .collect()
+    .run(
+        &mut cells,
+        |&(protocol, rate)| loaded_config(protocol, rate, 1_000),
+        |&(_, rate)| format!("rate{rate:06}"),
+        |_, _| None,
+    );
+    cells
 }
 
 #[test]
@@ -108,7 +103,7 @@ fn saturation_curve_is_monotone_with_a_knee() {
     let rates = [100u64, 400, 1_600, 6_400];
     let reports: Vec<SimReport> = rates
         .iter()
-        .map(|&r| loaded_report(ProtocolKind::Lumiere, r, 2_000))
+        .map(|&r| loaded_config(ProtocolKind::Lumiere, r, 2_000).run())
         .collect();
 
     for (rate, report) in rates.iter().zip(&reports) {

@@ -2,10 +2,10 @@
 //! grid swept with 2 and with 8 worker threads has to produce byte-identical
 //! report files, and the loader must round-trip every one of them. (The
 //! release-mode equivalent over the real experiments is exercised in CI via
-//! `table1_all --out ... --threads N`.)
+//! `lumiere-bench all --out ... --threads N`.)
 
-use lumiere_bench::grid::run_grid;
-use lumiere_bench::report::{diff_cells, load_dir, write_cells, SweepCell, SCHEMA_VERSION};
+use lumiere_bench::experiments::{grid, ExperimentScale, Sweep};
+use lumiere_bench::report::{diff_cells, load_dir, write_cells, SweepCell};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::ByzBehavior;
 use lumiere_types::Duration;
@@ -21,47 +21,41 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// A miniature but real grid: every protocol at n ∈ {4, 7}, one silent
-/// leader at n = 7, short horizons so the whole grid finishes in seconds
-/// even unoptimized.
-fn tiny_grid() -> Vec<(ProtocolKind, usize)> {
-    let mut jobs = Vec::new();
-    for protocol in ProtocolKind::all() {
-        for n in [4usize, 7] {
-            jobs.push((protocol, n));
-        }
-    }
-    jobs
-}
-
+/// A miniature but real grid through the runner the experiments use: every
+/// protocol at n ∈ {4, 7}, one silent leader at n = 7, short horizons so the
+/// whole grid finishes in seconds even unoptimized.
 fn sweep_cells(threads: usize) -> Vec<SweepCell> {
-    let jobs = tiny_grid();
-    let reports = run_grid(jobs.clone(), threads, |(protocol, n)| {
-        let f_a = usize::from(n >= 7);
-        SimConfig::new(protocol, n)
-            .with_delta(Duration::from_millis(10))
-            .with_actual_delay(Duration::from_millis(1))
-            .with_faults(f_a, ByzBehavior::SilentLeader)
-            .with_horizon(Duration::from_secs(4))
-            .with_max_honest_qcs(12)
-            .with_seed(42)
-            .run()
-    });
-    jobs.into_iter()
-        .zip(reports)
-        .map(|((_, n), report)| SweepCell {
-            schema_version: SCHEMA_VERSION,
-            experiment: "tiny_sweep".to_string(),
-            label: format!("n{n:03}"),
-            protocol: report.protocol.clone(),
-            n: report.n,
-            f_a: report.f_a,
-            seed: 42,
-            scale: "quick".to_string(),
-            report,
-            trace: None,
-        })
-        .collect()
+    let mut cells = Vec::new();
+    let table = Sweep {
+        slug: "tiny_sweep",
+        scale: ExperimentScale::Quick,
+        threads,
+        seed: 42,
+        header: vec!["protocol", "n", "decisions"],
+        jobs: grid(&ProtocolKind::all(), &[4usize, 7]),
+    }
+    .run(
+        &mut cells,
+        |&(protocol, n)| {
+            let f_a = usize::from(n >= 7);
+            SimConfig::new(protocol, n)
+                .with_delta(Duration::from_millis(10))
+                .with_actual_delay(Duration::from_millis(1))
+                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_horizon(Duration::from_secs(4))
+                .with_max_honest_qcs(12)
+        },
+        |&(_, n)| format!("n{n:03}"),
+        |&(protocol, n), report| {
+            Some(vec![
+                protocol.name().to_string(),
+                n.to_string(),
+                report.decisions().to_string(),
+            ])
+        },
+    );
+    assert_eq!(table.lines().count(), 2 + cells.len(), "one row per cell");
+    cells
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //!   ~quadratically, and the steady-state epoch-boundary cost separates
 //!   Lumiere from LP22 the same way (scaled-down mirror of the `scale`
 //!   experiment, sized for debug-mode test runs; CI runs the real
-//!   `scale_suite` in release, whose cells assert `truncated == false`
-//!   internally);
+//!   `lumiere-bench scale` in release, whose cells assert
+//!   `truncated == false` internally);
 //! * no silent truncation at this scale, and an event cap that grows with n;
 //! * determinism at n = 256 — the same seed yields byte-identical reports,
 //!   whether the surrounding grid runs on 2 or 8 worker threads.

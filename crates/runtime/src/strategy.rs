@@ -1,7 +1,7 @@
 //! The strategy host: a [`ProtocolRuntime`] wrapped in an
 //! [`AdversaryStrategy`] harness.
 //!
-//! This is the per-event gating flow the simulator's `Node` has always run —
+//! This is the per-event gating flow the simulator has always run —
 //! snapshot a [`StrategyCtx`], let a stateful strategy react to it, fold its
 //! per-component answers into [`Gates`], drive the runtime's gated entry
 //! points, and finally let the strategy rewrite the outgoing traffic —
@@ -12,8 +12,8 @@
 //! [`StrategyHost`] implements [`ConsensusRuntime`], so every host that can
 //! drive a [`ProtocolRuntime`] (the wall-clock driver, the channel mesh, the
 //! TCP mesh) can drive a corrupted one without knowing it; the simulator's
-//! `Node` delegates here. An honest host (`strategy = None`) adds no
-//! overhead beyond a branch per event.
+//! processors are `StrategyHost`s too. An honest host (`strategy = None`)
+//! adds no overhead beyond a branch per event.
 
 use crate::adversary::{AdversaryStrategy, ProtocolObs, StrategyCtx};
 use crate::message::WireMessage;
@@ -275,6 +275,7 @@ mod tests {
     use super::*;
     use crate::adversary::StrategyKind;
     use crate::protocol::{build_runtime, ProtocolKind};
+    use lumiere_consensus::ConsensusMessage;
     use lumiere_types::TimeRange;
 
     fn host(n: usize, who: usize, strategy: Option<StrategyKind>) -> StrategyHost {
@@ -290,7 +291,70 @@ mod tests {
         assert!(h.is_honest());
         assert_eq!(h.strategy_name(), None);
         assert!(out.entered_views.contains(&View::new(0)));
+        assert!(
+            out.broadcasts
+                .iter()
+                .any(|m| matches!(m, WireMessage::Consensus(_))),
+            "p0 leads Fever view 0 and must propose at boot"
+        );
         assert_eq!(h.gated_total(), 0);
+    }
+
+    #[test]
+    fn non_leader_boot_sends_its_view_message() {
+        let mut h = host(4, 2, None);
+        let mut out = RuntimeOutput::default();
+        h.boot_into(Time::ZERO, &mut out);
+        assert!(out
+            .sends
+            .iter()
+            .any(|(to, m)| *to == ProcessId::new(0) && matches!(m, WireMessage::Pacemaker(_))));
+    }
+
+    #[test]
+    fn silent_leader_enters_views_but_never_proposes() {
+        let mut h = host(4, 0, Some(StrategyKind::SilentLeader));
+        let mut out = RuntimeOutput::default();
+        h.boot_into(Time::ZERO, &mut out);
+        assert!(out.entered_views.contains(&View::new(0)));
+        assert!(
+            !out.broadcasts
+                .iter()
+                .any(|m| matches!(m, WireMessage::Consensus(_))),
+            "a silent leader must not propose"
+        );
+        assert_eq!(h.current_view(), View::new(0), "the pacemaker ran");
+    }
+
+    #[test]
+    fn sync_silent_nodes_skip_the_pacemaker_entirely() {
+        let mut h = host(4, 1, Some(StrategyKind::SyncSilent));
+        let mut out = RuntimeOutput::default();
+        h.boot_into(Time::ZERO, &mut out);
+        assert!(out.sends.is_empty() && out.broadcasts.is_empty());
+        assert_eq!(h.current_view(), View::SENTINEL);
+    }
+
+    #[test]
+    fn equivocating_leader_sends_conflicting_proposals() {
+        let mut h = host(4, 0, Some(StrategyKind::Equivocate));
+        let mut out = RuntimeOutput::default();
+        h.boot_into(Time::ZERO, &mut out);
+        // The proposal broadcast is rewritten into targeted sends carrying
+        // two distinct blocks for the same view.
+        let hashes: std::collections::BTreeSet<u64> = out
+            .sends
+            .iter()
+            .filter_map(|(_, m)| match m {
+                WireMessage::Consensus(ConsensusMessage::Proposal(b)) => Some(b.hash()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hashes.len(), 2, "expected two conflicting proposals");
+        assert!(!out
+            .broadcasts
+            .iter()
+            .any(|m| matches!(m, WireMessage::Consensus(ConsensusMessage::Proposal(_)))));
     }
 
     #[test]

@@ -6,30 +6,25 @@
 //! and the actual network delay `δ`. This crate provides the substrate on
 //! which those quantities are measured for Lumiere and for every baseline:
 //!
-//! * [`network`] — the partial-synchrony network: the adversary picks the
+//! * [`DelayModel`] — the partial-synchrony network: the adversary picks the
 //!   delay of every message subject to delivery by `max(GST, send) + Δ`;
-//!   pluggable [`network::DelayModel`]s cover the responsive (`δ ≪ Δ`),
-//!   adversarial (exactly `Δ`) and randomized regimes.
-//! * [`adversary`] — the pluggable, state-reactive adversary subsystem:
-//!   per-node [`adversary::AdversaryStrategy`] trait objects (equivocation,
+//!   pluggable models cover the responsive (`δ ≪ Δ`), adversarial (exactly
+//!   `Δ`) and randomized regimes.
+//! * [`AdversarySchedule`] — the pluggable, state-reactive adversary
+//!   subsystem: per-node [`AdversaryStrategy`] trait objects (equivocation,
 //!   crash–recovery, the legacy silent behaviours, and *adaptive* attacks —
 //!   leader targeting, QC starvation — that react mid-run to read-only
-//!   [`adversary::ProtocolObs`] snapshots) built from serializable
-//!   [`adversary::StrategyKind`]s, plus [`adversary::AdversarySchedule`]
-//!   plans that also carry per-edge, time-windowed delay rules (targeted
-//!   partitions). See `docs/ADVERSARIES.md` for the mapping to the paper's
-//!   attack arguments.
-//! * [`byzantine`] — the legacy closed behaviour enum
-//!   ([`byzantine::ByzBehavior`]), kept as a convenient shorthand that maps
-//!   onto the strategy subsystem.
-//! * [`node`] — hosts one [`lumiere_runtime::ProtocolRuntime`] under the
-//!   adversary harness. **The simulator is now a transport**: the
-//!   pacemaker/engine stepping logic that used to live here moved to
-//!   `lumiere-runtime`, and this crate is one of three backends (virtual
-//!   network, in-process channel mesh, TCP mesh) driving the identical
-//!   protocol code. The simulator keeps what the live backends don't have —
-//!   adversary gating and output rewriting — by calling the runtime's gated
-//!   entry points.
+//!   [`ProtocolObs`] snapshots) built from serializable [`StrategyKind`]s,
+//!   plus plans that also carry per-edge, time-windowed delay rules
+//!   (targeted partitions). [`ByzBehavior`] is the legacy closed enum, a
+//!   shorthand that maps onto [`StrategyKind`] (pinned by the `byz_mapping`
+//!   test). See `docs/ADVERSARIES.md` for the mapping to the paper's attack
+//!   arguments.
+//! * **The simulator is a transport**: each processor is a
+//!   [`lumiere_runtime::StrategyHost`] — a [`lumiere_runtime::ProtocolRuntime`]
+//!   under the adversary harness — and this crate is one of three backends
+//!   (virtual network, in-process channel mesh, TCP mesh) driving the
+//!   identical protocol code.
 //! * [`event`] — the calendar event queue; [`runner`] — the event loop;
 //!   [`metrics`] — the measurements; [`trace`] — per-processor execution
 //!   traces (used for Figure 1); [`scenario`] — configuration and protocol
@@ -75,59 +70,21 @@
 
 pub mod event;
 pub mod metrics;
-pub mod node;
 pub mod runner;
 pub mod scenario;
 pub mod trace;
 pub mod workload;
 
-// The three modules below are direct re-exports of the adversary subsystem,
-// which moved to `lumiere-runtime` in the runtime-extraction PR so live
-// clusters corrupt themselves with byte-for-byte the same code the
-// simulator gates in virtual time. They exist only to keep the simulator's
-// historical paths (`lumiere_sim::adversary::…`, `::byzantine::ByzBehavior`,
-// `::network::DelayModel`) stable; they were delegating stub *files* until
-// the scale PR folded them in here.
-
-pub mod adversary {
-    //! The pluggable adversary subsystem — re-exported from
-    //! `lumiere-runtime` (see `lumiere_runtime::adversary` for the design
-    //! notes and `docs/ADVERSARIES.md` for the mapping from each strategy to
-    //! the paper's attack arguments).
-    pub use lumiere_runtime::adversary::{
-        AdversarySchedule, AdversaryStrategy, ByzBehavior, Corruption, DelayRule, EdgeClass,
-        MsgClass, ProtocolObs, StrategyCtx, StrategyKind,
-    };
-}
-
-pub mod byzantine {
-    //! Byzantine fault behaviours (legacy shorthand) — re-exported from
-    //! `lumiere-runtime`. Each [`ByzBehavior`] variant maps onto an
-    //! [`adversary::StrategyKind`](crate::adversary::StrategyKind) via
-    //! `From`, and
-    //! [`SimConfig::with_faults`](crate::scenario::SimConfig::with_faults)
-    //! translates it into an
-    //! [`AdversarySchedule`](crate::adversary::AdversarySchedule) under the
-    //! hood (the `byz_mapping` integration test pins the mapping).
-    pub use lumiere_runtime::adversary::ByzBehavior;
-}
-
-pub mod network {
-    //! The partial-synchrony delay models — re-exported from
-    //! `lumiere-runtime`. Every message sent at time `t` must arrive by
-    //! `max(GST, t) + Δ` (Section 2); the adversary chooses actual delays
-    //! subject to that bound via pluggable [`DelayModel`]s.
-    pub use lumiere_runtime::delay::DelayModel;
-}
-
-pub use adversary::{
-    AdversarySchedule, AdversaryStrategy, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs,
-    StrategyCtx, StrategyKind,
-};
-pub use byzantine::ByzBehavior;
+// The adversary subsystem and the delay models live in `lumiere-runtime`, so
+// live clusters corrupt themselves with byte-for-byte the same code the
+// simulator gates in virtual time; the simulator re-exports their names.
 pub use lumiere_core::planted::PlantedBug;
+pub use lumiere_runtime::adversary::{
+    AdversarySchedule, AdversaryStrategy, ByzBehavior, Corruption, DelayRule, EdgeClass, MsgClass,
+    ProtocolObs, StrategyCtx, StrategyKind,
+};
+pub use lumiere_runtime::delay::DelayModel;
 pub use metrics::{CoverageFingerprint, SimReport};
-pub use network::DelayModel;
 pub use runner::{BroadcastMode, ExecOptions};
 pub use scenario::{ProtocolKind, SimConfig};
 pub use workload::{ArrivalProfile, WorkloadConfig};

@@ -29,14 +29,14 @@
 //! between eager and symbolic broadcast modes; `sim_equivalence.rs` and the
 //! scale suite's determinism tests pin this.
 
-use crate::adversary::AdversarySchedule;
 use crate::event::{ClassDelay, Event, EventQueue, SimMessage};
 use crate::metrics::{MetricsCollector, SimReport};
-use crate::network::DelayModel;
-use crate::node::{Node, NodeOutput};
 use crate::scenario::SimConfig;
 use crate::trace::{Trace, TraceKind};
 use lumiere_consensus::BlockHash;
+use lumiere_runtime::adversary::AdversarySchedule;
+use lumiere_runtime::delay::DelayModel;
+use lumiere_runtime::{ConsensusRuntime, RuntimeOutput, StrategyHost};
 use lumiere_types::{Duration, ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,7 +188,7 @@ pub struct Simulation {
     /// Resolved worker count (≥ 1).
     shards: usize,
     schedule: AdversarySchedule,
-    nodes: Vec<Node>,
+    nodes: Vec<StrategyHost>,
     /// Per-processor honesty, shared with symbolic broadcast groups.
     honesty: Arc<Vec<bool>>,
     queue: EventQueue,
@@ -210,13 +210,13 @@ pub struct Simulation {
     events_processed: u64,
     events_since_sweep: u64,
     /// Scratch output buffer, reused across events (capacity persists).
-    scratch: NodeOutput,
+    scratch: RuntimeOutput,
     /// Scratch clock-reading buffer for gap sampling.
     readings: Vec<Duration>,
     /// Same-timestamp batch buffer, reused across batches.
     batch: Vec<Event>,
     /// Per-batched-event output pool for the parallel path.
-    batch_outputs: Vec<NodeOutput>,
+    batch_outputs: Vec<RuntimeOutput>,
 }
 
 impl Simulation {
@@ -282,7 +282,7 @@ impl Simulation {
             truncated: false,
             events_processed: 0,
             events_since_sweep: 0,
-            scratch: NodeOutput::default(),
+            scratch: RuntimeOutput::default(),
             readings: Vec::new(),
             batch: Vec::new(),
             batch_outputs: Vec::new(),
@@ -313,7 +313,7 @@ impl Simulation {
             .nodes
             .iter()
             .filter(|n| n.is_honest())
-            .map(|n| n.mempool_shed())
+            .map(|n| n.runtime().mempool().shed())
             .sum();
         self.collector.record_shed(shed);
         self.collector
@@ -460,7 +460,7 @@ impl Simulation {
     fn process_batch_parallel(&mut self, batch: &[Event]) {
         let len = batch.len();
         if self.batch_outputs.len() < len {
-            self.batch_outputs.resize_with(len, NodeOutput::default);
+            self.batch_outputs.resize_with(len, RuntimeOutput::default);
         }
         let mut outputs = std::mem::take(&mut self.batch_outputs);
         for out in &mut outputs[..len] {
@@ -472,7 +472,7 @@ impl Simulation {
             // Bucket (event, output-slot) pairs by owning shard; within a
             // shard, pop order is preserved, so same-node events still run
             // in sequence.
-            let mut per_shard: Vec<Vec<(&Event, &mut NodeOutput)>> =
+            let mut per_shard: Vec<Vec<(&Event, &mut RuntimeOutput)>> =
                 (0..self.shards).map(|_| Vec::new()).collect();
             for (event, out) in batch.iter().zip(outputs.iter_mut()) {
                 let target = event_target(event).expect("parallel batches hold node events only");
@@ -521,16 +521,16 @@ impl Simulation {
         self.batch_outputs = outputs;
     }
 
-    fn with_node<F>(&mut self, id: ProcessId, out: &mut NodeOutput, f: F)
+    fn with_node<F>(&mut self, id: ProcessId, out: &mut RuntimeOutput, f: F)
     where
-        F: FnOnce(&mut Node, Time, &mut NodeOutput),
+        F: FnOnce(&mut StrategyHost, Time, &mut RuntimeOutput),
     {
         let now = self.now;
         let node = &mut self.nodes[id.as_usize()];
         f(node, now, out);
     }
 
-    fn apply_output(&mut self, from: ProcessId, out: &mut NodeOutput) {
+    fn apply_output(&mut self, from: ProcessId, out: &mut RuntimeOutput) {
         let honest = self.honesty[from.as_usize()];
         let now = self.now;
 
@@ -650,9 +650,9 @@ impl Simulation {
     }
 
     /// Schedules a delivery, letting the adversary schedule's per-edge delay
-    /// rules override the base [`DelayModel`](crate::network::DelayModel)
-    /// for this particular message. Every model keeps the delivery within
-    /// the `max(GST, send) + Δ` envelope.
+    /// rules override the base [`DelayModel`] for this particular message.
+    /// Every model keeps the delivery within the `max(GST, send) + Δ`
+    /// envelope.
     fn schedule_delivery(&mut self, from: ProcessId, to: ProcessId, message: Arc<SimMessage>) {
         let from_honest = self.honesty[from.as_usize()];
         let to_honest = self.honesty[to.as_usize()];

@@ -1,17 +1,16 @@
 //! Scenario configuration: which protocol, how many processors, which faults,
 //! which network adversary.
 
-use crate::adversary::AdversarySchedule;
-use crate::byzantine::ByzBehavior;
 use crate::metrics::SimReport;
-use crate::network::DelayModel;
-use crate::node::Node;
 use crate::runner::Simulation;
 use crate::trace::Trace;
 use crate::workload::WorkloadConfig;
 use lumiere_consensus::HotStuffEngine;
 use lumiere_core::planted::PlantedBug;
 use lumiere_crypto::keygen;
+use lumiere_runtime::adversary::{AdversarySchedule, ByzBehavior};
+use lumiere_runtime::delay::DelayModel;
+use lumiere_runtime::{ProtocolRuntime, StrategyHost};
 use lumiere_types::{Duration, Params, Time};
 use serde::{Deserialize, Serialize};
 
@@ -226,8 +225,9 @@ impl SimConfig {
         Params::new(self.n, self.delta_cap)
     }
 
-    /// Builds all processors for this configuration.
-    pub fn build_nodes(&self) -> Vec<Node> {
+    /// Builds all processors for this configuration: one runtime each, under
+    /// the adversary harness (honest processors carry no strategy).
+    pub fn build_nodes(&self) -> Vec<StrategyHost> {
         let params = self.params();
         assert!(
             self.f_a <= params.f,
@@ -259,7 +259,11 @@ impl SimConfig {
                 let strategy = schedule
                     .strategy_for(id.as_usize())
                     .map(|kind| kind.build());
-                Node::new(id, self.n, pacemaker, engine, strategy)
+                StrategyHost::new(
+                    ProtocolRuntime::new(id, pacemaker, engine),
+                    self.n,
+                    strategy,
+                )
             })
             .collect()
     }
@@ -288,6 +292,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumiere_runtime::adversary::StrategyKind;
 
     fn quick(protocol: ProtocolKind) -> SimConfig {
         SimConfig::new(protocol, 4)
@@ -379,10 +384,7 @@ mod tests {
             vec![0, 3]
         );
         assert_eq!(cfg.f_a, 2);
-        assert_eq!(
-            schedule.strategy_for(3),
-            Some(crate::adversary::StrategyKind::Crash)
-        );
+        assert_eq!(schedule.strategy_for(3), Some(StrategyKind::Crash));
         assert!(schedule.delay_rules.is_empty());
     }
 
@@ -399,7 +401,7 @@ mod tests {
         assert_eq!(cfg.f_a, 1);
         assert_eq!(
             cfg.effective_adversary().strategy_for(1),
-            Some(crate::adversary::StrategyKind::Equivocate)
+            Some(StrategyKind::Equivocate)
         );
     }
 
@@ -473,8 +475,7 @@ mod tests {
     fn invalid_adversary_schedules_are_rejected() {
         // Corrupting the same node twice passes the f_a head-count (the id
         // set deduplicates) but must fail schedule validation.
-        let schedule =
-            AdversarySchedule::equivocation(&[1]).corrupt(1, crate::adversary::StrategyKind::Crash);
+        let schedule = AdversarySchedule::equivocation(&[1]).corrupt(1, StrategyKind::Crash);
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
             .with_adversary(schedule)
             .build_nodes();

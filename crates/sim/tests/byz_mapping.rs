@@ -1,11 +1,8 @@
 //! Pins the legacy [`ByzBehavior`] shorthand to the strategy objects each
 //! variant maps onto, so the enum can never drift from what the simulator
-//! actually executes. (These checks lived in the `byzantine` module while it
-//! was a delegating file; the scale PR folded the module into a direct
-//! re-export and moved them here.)
+//! actually executes.
 
-use lumiere_sim::adversary::{ProtocolObs, StrategyCtx, StrategyKind};
-use lumiere_sim::byzantine::ByzBehavior;
+use lumiere_sim::{ByzBehavior, ProtocolObs, StrategyCtx, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, View};
 
 fn ctx() -> StrategyCtx {

@@ -12,10 +12,9 @@
 //! fingerprint's strategy activation windows — the "gated-event counts" of
 //! the adversary subsystem — as well as every metric series.
 
-use lumiere_sim::adversary::AdversarySchedule;
-use lumiere_sim::byzantine::ByzBehavior;
 use lumiere_sim::runner::{BroadcastMode, ExecOptions};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
+use lumiere_sim::{AdversarySchedule, ByzBehavior};
 use lumiere_types::{Duration, Time};
 use proptest::prelude::*;
 

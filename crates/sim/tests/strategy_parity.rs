@@ -7,21 +7,18 @@
 //! or TCP sockets), so the property to pin is count equality: drive a real
 //! [`ChannelTransport`](lumiere_runtime::ChannelTransport) cluster through a
 //! deterministic tick loop, record every event it processed, replay the
-//! byte-identical event sequence into simulator [`Node`]s built from the
-//! same seed, and require the same outputs and the same gated-event counts,
-//! event for event. A wall-clock TCP run cannot be replayed this way (its
+//! byte-identical event sequence into the hosts the simulator builds
+//! ([`SimConfig::build_nodes`]) from the same seed, and require the same
+//! outputs and the same gated-event counts, event for event. A wall-clock TCP run cannot be replayed this way (its
 //! schedule is nondeterministic), but the strategies and the host are the
 //! same object — `crates/runtime/tests/live_cluster.rs` covers that side
 //! against real processes.
 
-use lumiere_consensus::HotStuffEngine;
-use lumiere_crypto::keygen;
 use lumiere_runtime::{
     channel_mesh, ConsensusRuntime, RuntimeOutput, StrategyHost, Transport, WireMessage,
 };
-use lumiere_sim::node::Node;
-use lumiere_sim::{ProtocolKind, StrategyKind};
-use lumiere_types::{Duration, Params, ProcessId, Time, TimeRange};
+use lumiere_sim::{AdversarySchedule, ProtocolKind, SimConfig, StrategyKind};
+use lumiere_types::{Duration, ProcessId, Time, TimeRange};
 use std::collections::BTreeSet;
 use std::time::Duration as WallDuration;
 
@@ -55,14 +52,13 @@ fn strategy_host(i: usize, corrupted: usize, kind: StrategyKind) -> StrategyHost
     StrategyHost::new(rt, N, strategy)
 }
 
-fn sim_node(i: usize, corrupted: usize, kind: StrategyKind) -> Node {
-    let params = Params::new(N, DELTA);
-    let (keys, pki) = keygen(N, SEED);
-    let pacemaker =
-        ProtocolKind::Lumiere.build_pacemaker(params, keys[i].clone(), pki.clone(), SEED);
-    let engine = HotStuffEngine::new(keys[i].id(), keys[i].clone(), pki, params);
-    let strategy = (i == corrupted).then(|| kind.build());
-    Node::new(ProcessId::new(i), N, pacemaker, engine, strategy)
+/// The simulator's own processors for the same cluster.
+fn sim_nodes(corrupted: usize, kind: StrategyKind) -> Vec<StrategyHost> {
+    SimConfig::new(ProtocolKind::Lumiere, N)
+        .with_delta(DELTA)
+        .with_seed(SEED)
+        .with_adversary(AdversarySchedule::new().corrupt(corrupted, kind))
+        .build_nodes()
 }
 
 /// Drives a channel-mesh cluster deterministically: single thread, virtual
@@ -156,19 +152,20 @@ fn drive_channel_cluster(corrupted: usize, kind: StrategyKind) -> (Vec<Logged>, 
     (log, hosts)
 }
 
-/// Replays a channel-cluster event log into simulator nodes and checks
+/// Replays a channel-cluster event log into the simulator's hosts and checks
 /// output and gated-count equality per event, then end-state equality.
 fn assert_sim_parity(corrupted: usize, kind: StrategyKind) {
     let (log, hosts) = drive_channel_cluster(corrupted, kind);
-    let mut nodes: Vec<Node> = (0..N).map(|i| sim_node(i, corrupted, kind)).collect();
+    let mut nodes = sim_nodes(corrupted, kind);
     let mut gated: Vec<u64> = vec![0; N];
     for entry in &log {
         let node = &mut nodes[entry.node];
-        let out = match &entry.event {
-            Event::Boot => node.boot(entry.at),
-            Event::Wake => node.wake(entry.at),
-            Event::Deliver(from, msg) => node.deliver(*from, msg, entry.at),
-        };
+        let mut out = RuntimeOutput::default();
+        match &entry.event {
+            Event::Boot => node.boot_into(entry.at, &mut out),
+            Event::Wake => node.wake_into(entry.at, &mut out),
+            Event::Deliver(from, msg) => node.deliver_into(*from, msg, entry.at, &mut out),
+        }
         assert_eq!(
             format!("{out:?}"),
             entry.output,

@@ -30,18 +30,18 @@
 //! one iteration processes (simulator events, transactions, ...). The
 //! element count rides along with every subsequent result: the console line
 //! gains an `elem/s` column (computed from the fastest sample) and the JSON
-//! output records `elements` per result, which is how the events/sec gate
-//! in `bench_gate` tracks simulator throughput.
+//! output records `elements` per result, from which a reader derives
+//! simulator events/sec.
 //!
 //! # Machine-readable output
 //!
 //! When `LUMIERE_BENCH_OUT=DIR` is set, [`criterion_main!`] writes every
 //! result to `DIR/BENCH_<harness>.json` (schema in
 //! `docs/REPORT_SCHEMA.md`), including a per-process **calibration**
-//! measurement — the wall-clock cost of a fixed spin workload — that lets
-//! the `bench_gate` binary compare runs across machines of different
-//! speeds. No statistics library and no HTML reports; regression gating
-//! lives in `crates/bench/src/bin/bench_gate.rs`.
+//! measurement — the wall-clock cost of a fixed spin workload — that lets a
+//! reader compare runs across machines of different speeds. No statistics
+//! library, no HTML reports and no regression gate (`docs/PERFORMANCE.md`
+//! says where regressions are judged).
 
 #![forbid(unsafe_code)]
 
