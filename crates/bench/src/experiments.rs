@@ -16,7 +16,7 @@ use lumiere_core::schedule::LeaderSchedule;
 use lumiere_sim::metrics::SimReport;
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::trace::Trace;
-use lumiere_sim::{AdversarySchedule, ByzBehavior, WorkloadConfig};
+use lumiere_sim::{AdversarySchedule, StrategyKind, WorkloadConfig};
 use lumiere_types::{Duration, Time, View};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -366,7 +366,7 @@ pub fn worst_case_table(scale: ExperimentScale, threads: usize) -> ExperimentRun
                 .with_delta(delta)
                 .with_adversarial_delay()
                 .with_gst(gst)
-                .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+                .with_faulty_ids(byz, StrategyKind::SilentLeader)
                 .with_horizon(horizon)
                 .with_max_honest_qcs(3)
         },
@@ -423,7 +423,7 @@ pub fn eventual_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
             SimConfig::new(protocol, n)
                 .with_delta(delta)
                 .with_actual_delay(actual)
-                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_faults(f_a, StrategyKind::SilentLeader)
                 .with_horizon(horizon)
         },
         |&(_, f_a)| format!("fa{f_a}"),
@@ -520,7 +520,7 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
         let (report, trace) = SimConfig::new(protocol, n)
             .with_delta(delta)
             .with_actual_delay(actual)
-            .with_faulty_ids(vec![byz], ByzBehavior::SilentLeader)
+            .with_faulty_ids(vec![byz], StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(3))
             .with_max_honest_qcs(10)
             .with_seed(seed)
@@ -605,7 +605,7 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
             SimConfig::new(protocol, n)
                 .with_delta(delta)
                 .with_actual_delay(actual)
-                .with_faulty_ids(vec![byz], ByzBehavior::SilentLeader)
+                .with_faulty_ids(vec![byz], StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_secs(8))
                 .with_max_honest_qcs(8 * n)
         },
@@ -668,7 +668,7 @@ pub fn heavy_sync_report(scale: ExperimentScale, threads: usize) -> ExperimentRu
             SimConfig::new(protocol, n)
                 .with_delta(delta)
                 .with_actual_delay(Duration::from_millis(1))
-                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_faults(f_a, StrategyKind::SilentLeader)
                 .with_horizon(horizon)
         },
         |&(_, f_a)| format!("fa{f_a}"),
@@ -727,7 +727,7 @@ pub fn honest_gap_report(scale: ExperimentScale, threads: usize) -> ExperimentRu
             SimConfig::new(protocol, n)
                 .with_delta(delta)
                 .with_actual_delay(Duration::from_millis(1))
-                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_faults(f_a, StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_millis(6_000 + 3_000 * f_a as i64))
         },
         |&(_, f_a)| format!("fa{f_a}"),
@@ -961,7 +961,7 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
                 .with_delta(delta)
                 .with_adversarial_delay()
                 .with_gst(gst)
-                .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+                .with_faulty_ids(byz, StrategyKind::SilentLeader)
                 .with_horizon(horizon)
                 .with_max_honest_qcs(3)
         },

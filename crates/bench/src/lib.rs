@@ -26,9 +26,9 @@
 //!
 //! `LUMIERE_FULL=1` (or `--full`) selects the larger parameter sweeps used
 //! for the reference numbers; the default "quick" sweeps finish in well
-//! under a minute on a laptop. The criterion benches under `benches/` are
-//! developer tools (`docs/PERFORMANCE.md`); regressions are judged by paired
-//! runs of `benchmark/`.
+//! under a minute on a laptop. Nothing here times a layer: that is
+//! `benchmark/`'s job (`--trace 1`), and regressions are judged by its
+//! paired runs.
 //!
 //! # Persistent reports and parallel sweeps
 //!

@@ -7,7 +7,7 @@
 use lumiere_bench::experiments::{grid, ExperimentScale, Sweep};
 use lumiere_bench::report::{diff_cells, load_dir, write_cells, SweepCell};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
-use lumiere_sim::ByzBehavior;
+use lumiere_sim::StrategyKind;
 use lumiere_types::Duration;
 use std::fs;
 use std::path::PathBuf;
@@ -41,7 +41,7 @@ fn sweep_cells(threads: usize) -> Vec<SweepCell> {
             SimConfig::new(protocol, n)
                 .with_delta(Duration::from_millis(10))
                 .with_actual_delay(Duration::from_millis(1))
-                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_faults(f_a, StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_secs(4))
                 .with_max_honest_qcs(12)
         },

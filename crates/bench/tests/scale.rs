@@ -15,7 +15,7 @@ use lumiere_bench::experiments::worst_case_byzantine_ids;
 use lumiere_bench::run_grid;
 use lumiere_sim::runner::{event_cap, BroadcastMode, ExecOptions};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
-use lumiere_sim::ByzBehavior;
+use lumiere_sim::StrategyKind;
 use lumiere_types::{Duration, Time};
 
 const DELTA: Duration = Duration::from_millis(10);
@@ -33,7 +33,7 @@ fn worst_case_msgs(protocol: ProtocolKind, n: usize) -> usize {
         .with_delta(DELTA)
         .with_adversarial_delay()
         .with_gst(Time::from_millis(200))
-        .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+        .with_faulty_ids(byz, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(8))
         .with_max_honest_qcs(3)
         .with_seed(SEED)

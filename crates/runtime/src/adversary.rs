@@ -31,7 +31,8 @@
 //! The concrete strategies implemented here are the ones the paper's attack
 //! arguments use (see `docs/ADVERSARIES.md` for the mapping):
 //!
-//! * crash / silent-leader / sync-silent — the legacy [`ByzBehavior`] trio;
+//! * crash / silent-leader / sync-silent — the static faults the paper's
+//!   worst-case arguments use;
 //! * **equivocation** — a corrupted leader sends *conflicting proposals to
 //!   disjoint vote sets*, trying to split the quorum;
 //! * **targeted partition** — expressed as delay rules: honest→honest
@@ -48,41 +49,6 @@ use lumiere_types::{Batch, Duration, ProcessId, Time, TimeRange, View};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
-
-/// Byzantine fault behaviours (legacy shorthand).
-///
-/// Since the adversary subsystem became pluggable, this closed enum is a
-/// convenience layer: each variant maps onto a [`StrategyKind`] (via
-/// `From`), and the simulator's `SimConfig::with_faults` translates it into
-/// an [`AdversarySchedule`] (via [`AdversarySchedule::uniform`]) under the
-/// hood.
-///
-/// The paper's adversary is fully Byzantine; the behaviours named here are
-/// the ones its worst-case arguments actually use, plus crash faults for
-/// the benign regime:
-///
-/// * [`ByzBehavior::Crash`] — the processor never sends anything (it does
-///   not even boot). The remaining `n − f_a` processors must synchronize
-///   without its signatures.
-/// * [`ByzBehavior::SilentLeader`] — the processor follows the protocol
-///   (votes, sends view and epoch-view messages, forwards certificates) but
-///   never proposes when it is the leader. Its views therefore never
-///   produce a QC while the adversary pays nothing in detectability — this
-///   is the behaviour behind Figure 1 and the `Ω(nΔ)` latency attack on
-///   LP22.
-/// * [`ByzBehavior::SyncSilent`] — the processor votes in the underlying
-///   protocol but never participates in view synchronization (sends no
-///   view, epoch-view or wish messages) and never proposes. This stresses
-///   the `f+1` / `2f+1` thresholds of the synchronizers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ByzBehavior {
-    /// Sends nothing at all.
-    Crash,
-    /// Participates fully except it never proposes as leader.
-    SilentLeader,
-    /// Votes but does not help view synchronization and never proposes.
-    SyncSilent,
-}
 
 /// Read-only protocol observations a corrupted processor may react to.
 ///
@@ -185,11 +151,15 @@ pub trait AdversaryStrategy: Debug + Send {
 /// runtime [`AdversaryStrategy`] trait objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
-    /// Sends nothing at all (never boots).
+    /// Sends nothing at all (never boots): the other `n − f_a` processors
+    /// must synchronize without its signatures.
     Crash,
-    /// Participates fully except it never proposes as leader.
+    /// Participates fully except it never proposes as leader, so its views
+    /// never produce a QC while it stays undetectable — the behaviour behind
+    /// Figure 1 and the `Ω(nΔ)` latency attack on LP22.
     SilentLeader,
-    /// Votes but does not help view synchronization and never proposes.
+    /// Votes but sends no view, epoch-view or wish messages and never
+    /// proposes: stresses the synchronizers' `f+1` / `2f+1` thresholds.
     SyncSilent,
     /// Proposes *conflicting* blocks to disjoint halves of the processors,
     /// attempting to split the vote and waste its views (and, against a
@@ -261,16 +231,6 @@ impl StrategyKind {
                 starving_since: None,
                 withheld: BTreeSet::new(),
             }),
-        }
-    }
-}
-
-impl From<ByzBehavior> for StrategyKind {
-    fn from(behavior: ByzBehavior) -> Self {
-        match behavior {
-            ByzBehavior::Crash => StrategyKind::Crash,
-            ByzBehavior::SilentLeader => StrategyKind::SilentLeader,
-            ByzBehavior::SyncSilent => StrategyKind::SyncSilent,
         }
     }
 }
@@ -395,17 +355,13 @@ impl AdversarySchedule {
         self
     }
 
-    /// The uniform adversary: every id corrupted with the same
-    /// [`ByzBehavior`], no delay targeting. (The translation target of the
-    /// retired `with_byzantine` legacy configuration path.)
-    pub fn uniform(ids: &[usize], behavior: ByzBehavior) -> Self {
+    /// The uniform adversary: every id corrupted with the same strategy,
+    /// no delay targeting.
+    pub fn uniform(ids: &[usize], strategy: StrategyKind) -> Self {
         AdversarySchedule {
             corruptions: ids
                 .iter()
-                .map(|&node| Corruption {
-                    node,
-                    strategy: StrategyKind::from(behavior),
-                })
+                .map(|&node| Corruption { node, strategy })
                 .collect(),
             delay_rules: Vec::new(),
         }
@@ -414,16 +370,7 @@ impl AdversarySchedule {
     /// The equivocation adversary: every id proposes conflicting blocks to
     /// disjoint vote sets.
     pub fn equivocation(ids: &[usize]) -> Self {
-        AdversarySchedule {
-            corruptions: ids
-                .iter()
-                .map(|&node| Corruption {
-                    node,
-                    strategy: StrategyKind::Equivocate,
-                })
-                .collect(),
-            delay_rules: Vec::new(),
-        }
+        Self::uniform(ids, StrategyKind::Equivocate)
     }
 
     /// The targeted-partition adversary: its processors stay silent as
@@ -909,17 +856,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_behaviours_map_onto_strategy_kinds() {
-        assert_eq!(StrategyKind::from(ByzBehavior::Crash), StrategyKind::Crash);
-        assert_eq!(
-            StrategyKind::from(ByzBehavior::SilentLeader),
-            StrategyKind::SilentLeader
-        );
-        assert_eq!(
-            StrategyKind::from(ByzBehavior::SyncSilent),
-            StrategyKind::SyncSilent
-        );
-        let schedule = AdversarySchedule::uniform(&[1, 3], ByzBehavior::Crash);
+    fn uniform_corrupts_every_id_with_the_one_strategy() {
+        let schedule = AdversarySchedule::uniform(&[1, 3], StrategyKind::Crash);
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
             [1, 3]

@@ -2,7 +2,7 @@
 //! simulator, runnable on any transport.
 //!
 //! Historically the pacemaker + HotStuff stepping logic lived inside
-//! `lumiere-sim`'s `Node`, so the only way to run the protocol was under the
+//! `lumiere-sim`, so the only way to run the protocol was under the
 //! discrete-event simulator. This crate inverts that relationship:
 //!
 //! * [`ConsensusRuntime`] is the protocol side of the boundary — a state
@@ -22,7 +22,7 @@
 //! The adversary subsystem lives on this side of the boundary too: the
 //! [`adversary`] module holds the strategy machinery ([`StrategyKind`],
 //! [`AdversarySchedule`]), [`StrategyHost`] wraps a runtime in the per-event
-//! gating harness (the simulator's `Node` delegates to it, and
+//! gating harness (the simulator hosts one per processor, and
 //! `lumiere-node --strategy` installs one on a live process), and
 //! [`FaultedTransport`] applies serializable per-peer [`FaultPlan`]s — drop
 //! windows, partitions, added delay — to any transport. Honest live nodes
@@ -50,8 +50,8 @@ pub mod tcp;
 pub mod transport;
 
 pub use adversary::{
-    AdversarySchedule, AdversaryStrategy, ByzBehavior, Corruption, DelayRule, EdgeClass, MsgClass,
-    ProtocolObs, StrategyCtx, StrategyKind,
+    AdversarySchedule, AdversaryStrategy, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs,
+    StrategyCtx, StrategyKind,
 };
 pub use channel::{channel_mesh, ChannelTransport};
 pub use codec::{

@@ -16,10 +16,8 @@
 //!   leader targeting, QC starvation — that react mid-run to read-only
 //!   [`ProtocolObs`] snapshots) built from serializable [`StrategyKind`]s,
 //!   plus plans that also carry per-edge, time-windowed delay rules
-//!   (targeted partitions). [`ByzBehavior`] is the legacy closed enum, a
-//!   shorthand that maps onto [`StrategyKind`] (pinned by the `byz_mapping`
-//!   test). See `docs/ADVERSARIES.md` for the mapping to the paper's attack
-//!   arguments.
+//!   (targeted partitions). See `docs/ADVERSARIES.md` for the mapping to
+//!   the paper's attack arguments.
 //! * **The simulator is a transport**: each processor is a
 //!   [`lumiere_runtime::StrategyHost`] — a [`lumiere_runtime::ProtocolRuntime`]
 //!   under the adversary harness — and this crate is one of three backends
@@ -80,9 +78,14 @@ pub mod workload;
 // simulator gates in virtual time; the simulator re-exports their names.
 pub use lumiere_core::planted::PlantedBug;
 pub use lumiere_runtime::adversary::{
-    AdversarySchedule, AdversaryStrategy, ByzBehavior, Corruption, DelayRule, EdgeClass, MsgClass,
-    ProtocolObs, StrategyCtx, StrategyKind,
+    AdversarySchedule, AdversaryStrategy, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs,
+    StrategyCtx, StrategyKind,
 };
+/// The closed enum [`StrategyKind`] replaced. `benchmark/src/workload.rs`
+/// still says `ByzBehavior::SilentLeader` and only a benchmark-only PR may
+/// edit it: the next one renames that use and deletes this alias.
+#[doc(hidden)]
+pub type ByzBehavior = StrategyKind;
 pub use lumiere_runtime::delay::DelayModel;
 pub use metrics::{CoverageFingerprint, SimReport};
 pub use runner::{BroadcastMode, ExecOptions};

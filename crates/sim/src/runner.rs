@@ -84,14 +84,17 @@ const AUTO_SHARD_MIN_N: usize = 512;
 /// distinct nodes, so returns diminish quickly past this).
 const AUTO_SHARD_MAX: usize = 8;
 
-/// How a run schedules broadcast deliveries.
+/// How a run schedules broadcast deliveries. Every run outside the tests is
+/// symbolic; `Eager` is the test reference `schedule_broadcast`'s per-class
+/// delays are pinned against (`tests/sim_equivalence.rs`,
+/// `bench/tests/scale.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BroadcastMode {
-    /// One queue entry per recipient (the historical representation, kept
-    /// as the reference semantics for the equivalence tests).
+    /// One queue entry per recipient, each with its own delay draw: the
+    /// test reference.
     Eager,
     /// One symbolic group entry per honesty class, lazily expanded at pop
-    /// time (the default; O(1) queue space per broadcast).
+    /// time (O(1) queue space per broadcast).
     Symbolic,
 }
 
@@ -107,7 +110,8 @@ pub struct ExecOptions {
     /// automatically: sequential below [`AUTO_SHARD_MIN_N`] nodes, up to
     /// [`AUTO_SHARD_MAX`] cores beyond it.
     pub shards: usize,
-    /// Broadcast representation (symbolic by default).
+    /// Broadcast representation: symbolic, except where a test asks for
+    /// the eager reference.
     pub broadcast: BroadcastMode,
 }
 
@@ -121,23 +125,15 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Reads overrides from the environment: `LUMIERE_SIM_SHARDS` (a worker
-    /// count, `0` = auto) and `LUMIERE_SIM_BROADCAST` (`eager` or
-    /// `symbolic`). CI's cross-shard determinism smoke drives runs through
-    /// these.
+    /// Reads the one override the environment carries: `LUMIERE_SIM_SHARDS`
+    /// (a worker count, `0` = auto). CI's cross-shard determinism smoke
+    /// drives runs through it.
     pub fn from_env() -> Self {
         let shards = std::env::var("LUMIERE_SIM_SHARDS")
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(0);
-        let broadcast = match std::env::var("LUMIERE_SIM_BROADCAST")
-            .as_deref()
-            .map(str::trim)
-        {
-            Ok("eager") => BroadcastMode::Eager,
-            _ => BroadcastMode::Symbolic,
-        };
-        ExecOptions { shards, broadcast }
+        ExecOptions::default().with_shards(shards)
     }
 
     /// Fixes the worker count.
@@ -146,7 +142,7 @@ impl ExecOptions {
         self
     }
 
-    /// Fixes the broadcast representation.
+    /// Fixes the broadcast representation (test reference runs only).
     pub fn with_broadcast(mut self, broadcast: BroadcastMode) -> Self {
         self.broadcast = broadcast;
         self

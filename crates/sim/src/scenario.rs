@@ -8,7 +8,7 @@ use crate::workload::WorkloadConfig;
 use lumiere_consensus::HotStuffEngine;
 use lumiere_core::planted::PlantedBug;
 use lumiere_crypto::keygen;
-use lumiere_runtime::adversary::{AdversarySchedule, ByzBehavior};
+use lumiere_runtime::adversary::{AdversarySchedule, StrategyKind};
 use lumiere_runtime::delay::DelayModel;
 use lumiere_runtime::{ProtocolRuntime, StrategyHost};
 use lumiere_types::{Duration, Params, Time};
@@ -170,22 +170,22 @@ impl SimConfig {
         self
     }
 
-    /// Corrupts the **last** `f_a` processors with the given behaviour (the
+    /// Corrupts the **last** `f_a` processors with the given strategy (the
     /// convention every experiment in the repo uses unless it targets
     /// specific leaders). Shorthand for
     /// [`with_adversary`](Self::with_adversary) +
     /// [`AdversarySchedule::uniform`].
-    pub fn with_faults(self, f_a: usize, behavior: ByzBehavior) -> Self {
+    pub fn with_faults(self, f_a: usize, strategy: StrategyKind) -> Self {
         let ids: Vec<usize> = (self.n.saturating_sub(f_a)..self.n).collect();
-        self.with_adversary(AdversarySchedule::uniform(&ids, behavior))
+        self.with_adversary(AdversarySchedule::uniform(&ids, strategy))
     }
 
-    /// Corrupts exactly the given processors with the given behaviour.
+    /// Corrupts exactly the given processors with the given strategy.
     /// Shorthand for [`with_adversary`](Self::with_adversary) +
     /// [`AdversarySchedule::uniform`].
-    pub fn with_faulty_ids(self, mut ids: Vec<usize>, behavior: ByzBehavior) -> Self {
+    pub fn with_faulty_ids(self, mut ids: Vec<usize>, strategy: StrategyKind) -> Self {
         ids.sort_unstable();
-        self.with_adversary(AdversarySchedule::uniform(&ids, behavior))
+        self.with_adversary(AdversarySchedule::uniform(&ids, strategy))
     }
 
     /// Installs an adversary plan (strategy assignments plus per-edge delay
@@ -292,7 +292,6 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumiere_runtime::adversary::StrategyKind;
 
     fn quick(protocol: ProtocolKind) -> SimConfig {
         SimConfig::new(protocol, 4)
@@ -323,7 +322,7 @@ mod tests {
     fn every_protocol_survives_silent_leaders() {
         for protocol in ProtocolKind::all() {
             let report = quick(protocol)
-                .with_faults(1, ByzBehavior::SilentLeader)
+                .with_faults(1, StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_secs(8))
                 .run();
             assert!(
@@ -338,7 +337,7 @@ mod tests {
     fn every_protocol_survives_crash_faults() {
         for protocol in ProtocolKind::all() {
             let report = quick(protocol)
-                .with_faults(1, ByzBehavior::Crash)
+                .with_faults(1, StrategyKind::Crash)
                 .with_horizon(Duration::from_secs(8))
                 .run();
             assert!(
@@ -369,7 +368,7 @@ mod tests {
 
     #[test]
     fn fault_builders_corrupt_the_expected_processors() {
-        let cfg = SimConfig::new(ProtocolKind::Lumiere, 7).with_faults(2, ByzBehavior::Crash);
+        let cfg = SimConfig::new(ProtocolKind::Lumiere, 7).with_faults(2, StrategyKind::Crash);
         let schedule = cfg.effective_adversary();
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
@@ -377,7 +376,7 @@ mod tests {
             "with_faults corrupts the last f_a processors"
         );
         assert_eq!(cfg.f_a, 2);
-        let cfg = cfg.with_faulty_ids(vec![3, 0], ByzBehavior::Crash);
+        let cfg = cfg.with_faulty_ids(vec![3, 0], StrategyKind::Crash);
         let schedule = cfg.effective_adversary();
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
@@ -396,7 +395,7 @@ mod tests {
         assert!(schedule.delay_rules.is_empty());
         // The explicit schedule wins over any earlier fault builder.
         let cfg = cfg
-            .with_faults(2, ByzBehavior::Crash)
+            .with_faults(2, StrategyKind::Crash)
             .with_adversary(AdversarySchedule::equivocation(&[1]));
         assert_eq!(cfg.f_a, 1);
         assert_eq!(
@@ -409,7 +408,7 @@ mod tests {
     #[should_panic(expected = "exceeds the tolerated")]
     fn too_many_faults_are_rejected() {
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
-            .with_faults(2, ByzBehavior::Crash)
+            .with_faults(2, StrategyKind::Crash)
             .build_nodes();
     }
 

@@ -1,8 +1,8 @@
-//! Pins the legacy [`ByzBehavior`] shorthand to the strategy objects each
-//! variant maps onto, so the enum can never drift from what the simulator
-//! actually executes.
+//! Pins what the three static strategy kinds let a corrupted processor do,
+//! so the names experiments pass to `SimConfig::with_faults` can never drift
+//! from what the simulator actually executes.
 
-use lumiere_sim::{ByzBehavior, ProtocolObs, StrategyCtx, StrategyKind};
+use lumiere_sim::{ProtocolObs, StrategyCtx, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, View};
 
 fn ctx() -> StrategyCtx {
@@ -26,7 +26,7 @@ fn ctx() -> StrategyCtx {
 
 #[test]
 fn crash_does_nothing() {
-    let s = StrategyKind::from(ByzBehavior::Crash).build();
+    let s = StrategyKind::Crash.build();
     assert!(!s.runs_consensus(&ctx()));
     assert!(!s.runs_pacemaker(&ctx()));
     assert!(!s.proposes(&ctx()));
@@ -34,7 +34,7 @@ fn crash_does_nothing() {
 
 #[test]
 fn silent_leader_participates_but_never_proposes() {
-    let s = StrategyKind::from(ByzBehavior::SilentLeader).build();
+    let s = StrategyKind::SilentLeader.build();
     assert!(s.runs_consensus(&ctx()));
     assert!(s.runs_pacemaker(&ctx()));
     assert!(!s.proposes(&ctx()));
@@ -42,7 +42,7 @@ fn silent_leader_participates_but_never_proposes() {
 
 #[test]
 fn sync_silent_votes_but_does_not_synchronize() {
-    let s = StrategyKind::from(ByzBehavior::SyncSilent).build();
+    let s = StrategyKind::SyncSilent.build();
     assert!(s.runs_consensus(&ctx()));
     assert!(!s.runs_pacemaker(&ctx()));
     assert!(!s.proposes(&ctx()));

@@ -7,9 +7,7 @@
 use lumiere_sim::metrics::{MetricsCollector, SimReport};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::trace::{Trace, TraceKind};
-use lumiere_sim::{
-    AdversarySchedule, ByzBehavior, DelayModel, DelayRule, EdgeClass, MsgClass, StrategyKind,
-};
+use lumiere_sim::{AdversarySchedule, DelayModel, DelayRule, EdgeClass, MsgClass, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, TimeRange, View};
 use proptest::collection;
 use proptest::prelude::*;
@@ -117,9 +115,9 @@ proptest! {
     ) {
         let f = (n - 1) / 3;
         let behavior = match behavior_idx {
-            0 => ByzBehavior::Crash,
-            1 => ByzBehavior::SilentLeader,
-            _ => ByzBehavior::SyncSilent,
+            0 => StrategyKind::Crash,
+            1 => StrategyKind::SilentLeader,
+            _ => StrategyKind::SyncSilent,
         };
         let mut config = SimConfig::new(protocol_from_index(proto_idx), n)
             .with_gst(Time::from_millis(gst_ms))
@@ -218,7 +216,7 @@ fn a_real_simulation_report_round_trips() {
     let (report, trace) = SimConfig::new(ProtocolKind::Lumiere, 7)
         .with_delta(Duration::from_millis(10))
         .with_actual_delay(Duration::from_millis(1))
-        .with_faults(2, ByzBehavior::SilentLeader)
+        .with_faults(2, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(3))
         .with_max_honest_qcs(20)
         .with_seed(42)

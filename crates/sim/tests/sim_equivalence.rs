@@ -14,7 +14,7 @@
 
 use lumiere_sim::runner::{BroadcastMode, ExecOptions};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
-use lumiere_sim::{AdversarySchedule, ByzBehavior};
+use lumiere_sim::{AdversarySchedule, StrategyKind};
 use lumiere_types::{Duration, Time};
 use proptest::prelude::*;
 
@@ -50,8 +50,8 @@ fn scenario(
     if f_a > 0 {
         let ids: Vec<usize> = (n - f_a..n).collect();
         cfg = match adversary_pick % 4 {
-            0 => cfg.with_faulty_ids(ids, ByzBehavior::Crash),
-            1 => cfg.with_faulty_ids(ids, ByzBehavior::SilentLeader),
+            0 => cfg.with_faulty_ids(ids, StrategyKind::Crash),
+            1 => cfg.with_faulty_ids(ids, StrategyKind::SilentLeader),
             2 => cfg.with_adversary(AdversarySchedule::equivocation(&ids)),
             // Per-edge delay rules targeting the honest/corrupt edge
             // classes — the case symbolic broadcasts must split into two
@@ -132,7 +132,7 @@ fn large_mixed_run_is_exec_invariant() {
         .with_uniform_delay(Duration::from_millis(1), Duration::from_millis(4))
         .with_gst(Time::from_millis(50))
         .with_horizon(Duration::from_secs(2))
-        .with_faults(8, ByzBehavior::SilentLeader)
+        .with_faults(8, StrategyKind::SilentLeader)
         .with_max_honest_qcs(12)
         .with_seed(7);
     assert_exec_invariant(cfg);

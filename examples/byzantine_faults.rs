@@ -31,7 +31,7 @@ fn main() {
         let (report, trace) = SimConfig::new(protocol, n)
             .with_delta(delta)
             .with_actual_delay(Duration::from_millis(1))
-            .with_faulty_ids(vec![byz], ByzBehavior::SilentLeader)
+            .with_faulty_ids(vec![byz], StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(3))
             .with_max_honest_qcs(10)
             .with_seed(42)

@@ -26,7 +26,7 @@ fn main() {
             let report = SimConfig::new(protocol, n)
                 .with_delta(Duration::from_millis(10))
                 .with_actual_delay(Duration::from_millis(1))
-                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_faults(f_a, StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_millis(6000 + 3000 * f_a as i64))
                 .run();
             let warmup = report.default_warmup();

@@ -270,11 +270,15 @@ for i in range(n):
 
 # Safety oracle: prefix agreement across ALL nodes, corrupted or not (the
 # strategies under test are liveness adversaries; a fork is always fatal).
-shortest = min(len(s["chain"]) for s in summaries)
-prefix = summaries[0]["chain"][:shortest]
-for i, s in enumerate(summaries[1:], start=1):
-    if s["chain"][:shortest] != prefix:
-        sys.exit(f"ERROR: node {i} disagrees with node 0 on the committed prefix")
+# Every pair on its common length, as driver::check_agreement does:
+# prefix-compatibility is not transitive (a short chain can be compatible
+# with two longer ones that contradict each other).
+chains = [s["chain"] for s in summaries]
+for i, a in enumerate(chains):
+    for j in range(i + 1, n):
+        common = min(len(a), len(chains[j]))
+        if a[:common] != chains[j][:common]:
+            sys.exit(f"ERROR: nodes {i} and {j} disagree on the committed prefix")
 
 # Liveness oracles on the honest, never-killed nodes.
 honest = [i for i in range(n) if i not in corrupted and i not in killed]

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use lumiere_crypto::{keygen, Digest, KeyPair, Pki, Signature, ThresholdSignature};
     pub use lumiere_sim::scenario::{ProtocolKind, SimConfig};
     pub use lumiere_sim::{
-        AdversarySchedule, ByzBehavior, Corruption, DelayModel, DelayRule, EdgeClass, MsgClass,
-        SimReport, StrategyKind,
+        AdversarySchedule, Corruption, DelayModel, DelayRule, EdgeClass, MsgClass, SimReport,
+        StrategyKind,
     };
     pub use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, TimeRange, View};
 }

@@ -17,7 +17,7 @@ fn run_once(protocol: ProtocolKind, seed: u64) -> SimReport {
     SimConfig::new(protocol, 7)
         .with_delta(Duration::from_millis(10))
         .with_uniform_delay(Duration::from_millis(1), Duration::from_millis(6))
-        .with_faults(f, ByzBehavior::SilentLeader)
+        .with_faults(f, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(3))
         .with_seed(seed)
         .run()

@@ -38,7 +38,7 @@ fn all_protocols_tolerate_f_silent_leaders() {
         let n = 7;
         let f = (n - 1) / 3;
         let report = base(protocol, n)
-            .with_faults(f, ByzBehavior::SilentLeader)
+            .with_faults(f, StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(12))
             .run();
         assert!(report.safety_ok, "{}: safety violated", report.protocol);
@@ -56,7 +56,7 @@ fn all_protocols_tolerate_f_crashes() {
         let n = 7;
         let f = (n - 1) / 3;
         let report = base(protocol, n)
-            .with_faults(f, ByzBehavior::Crash)
+            .with_faults(f, StrategyKind::Crash)
             .with_horizon(Duration::from_secs(12))
             .run();
         assert!(report.safety_ok, "{}: safety violated", report.protocol);
@@ -74,7 +74,7 @@ fn lumiere_recovers_after_a_late_gst_under_adversarial_delays() {
         .with_delta(Duration::from_millis(10))
         .with_adversarial_delay()
         .with_gst(Time::from_millis(300))
-        .with_faults(2, ByzBehavior::SilentLeader)
+        .with_faults(2, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(20))
         .with_max_honest_qcs(5)
         .run();
@@ -99,7 +99,7 @@ fn larger_clusters_remain_live() {
         ProtocolKind::Lp22,
     ] {
         let report = base(protocol, 19)
-            .with_faults(3, ByzBehavior::SilentLeader)
+            .with_faults(3, StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(10))
             .run();
         assert!(report.safety_ok, "{}: safety violated", report.protocol);
@@ -124,7 +124,7 @@ fn sync_silent_byzantine_nodes_cannot_block_synchronization() {
         ProtocolKind::Fever,
     ] {
         let report = base(protocol, n)
-            .with_faults(f, ByzBehavior::SyncSilent)
+            .with_faults(f, StrategyKind::SyncSilent)
             .with_horizon(Duration::from_secs(12))
             .run();
         assert!(report.safety_ok, "{}: safety violated", report.protocol);
@@ -144,7 +144,7 @@ fn runs_are_never_silently_truncated() {
     for protocol in ProtocolKind::all() {
         for f_a in [0usize, 2] {
             let report = base(protocol, 7)
-                .with_faults(f_a, ByzBehavior::SilentLeader)
+                .with_faults(f_a, StrategyKind::SilentLeader)
                 .run();
             assert!(
                 !report.truncated,

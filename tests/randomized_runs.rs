@@ -32,7 +32,7 @@ proptest! {
         let report = SimConfig::new(protocol, n)
             .with_delta(Duration::from_millis(10))
             .with_actual_delay(Duration::from_millis(delay_ms))
-            .with_faults(f_a.min(f), ByzBehavior::SilentLeader)
+            .with_faults(f_a.min(f), StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(8))
             .with_max_honest_qcs(25)
             .with_seed(seed)

@@ -29,7 +29,7 @@ fn worst_case_latency_scales_linearly_in_n() {
             .with_delta(DELTA)
             .with_adversarial_delay()
             .with_gst(Time::from_millis(200))
-            .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+            .with_faulty_ids(byz, StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(40))
             .with_max_honest_qcs(3)
             .with_seed(42)
@@ -91,7 +91,7 @@ fn latency_degrades_smoothly_with_faults() {
         let report = SimConfig::new(ProtocolKind::Lumiere, n)
             .with_delta(DELTA)
             .with_actual_delay(Duration::from_millis(1))
-            .with_faults(f_a, ByzBehavior::SilentLeader)
+            .with_faults(f_a, StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(10 + 4 * f_a as i64))
             .run();
         let warmup = report.default_warmup();
@@ -155,7 +155,7 @@ fn figure1_lp22_stall_grows_with_n_but_lumiere_stall_does_not() {
         let report = SimConfig::new(protocol, n)
             .with_delta(DELTA)
             .with_actual_delay(Duration::from_millis(1))
-            .with_faulty_ids(vec![byz], ByzBehavior::SilentLeader)
+            .with_faulty_ids(vec![byz], StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(20))
             .with_max_honest_qcs(60)
             .with_seed(42)
