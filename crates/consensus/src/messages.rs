@@ -2,25 +2,13 @@
 
 use crate::block::{Block, BlockHash};
 use crate::qc::QuorumCert;
-use lumiere_crypto::{Signature, SIGNATURE_SIZE_BYTES};
+use lumiere_crypto::{Authenticator, Signature};
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::View;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Messages exchanged by the underlying protocol within a view.
-///
-/// Per-variant size: `Vote` is `O(κ)` — two integers and one signature
-/// (48 bytes). `Proposal` and `NewQc` embed a [`QuorumCert`] whose
-/// threshold signature is a constant-size aggregate proof plus a
-/// fixed-width signer bitmap: `O(κ + n/8)` — 32 digest bytes, 48 proof
-/// bytes and `8·⌈n/64⌉` bitmap bytes, independent of the signer count.
-/// Before aggregation the same certificate would cost `Θ(signers)` — one
-/// 48-byte signature per contributing signer, i.e. `2f+1` signatures for a
-/// quorum ([`ConsensusMessage::naive_auth_bytes`] still reports that cost
-/// for comparison). `Proposal` additionally carries its transaction
-/// payload. [`ConsensusMessage::wire_size`] reports the actual per-variant
-/// cost.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConsensusMessage {
     /// Leader's proposal for its view.
@@ -48,62 +36,13 @@ impl ConsensusMessage {
         }
     }
 
-    /// Nominal wire size in bytes, computed per variant from the actual
-    /// content: votes carry one signature; proposals and QC announcements
-    /// carry their full embedded certificate (plus, for proposals, the
-    /// transaction payload), so certificate bytes are never under-counted
-    /// as a single bare signature.
-    pub fn wire_size(&self) -> usize {
+    /// What signs the message: the vote's signature, or the embedded
+    /// certificate's (a proposal's `justify`).
+    pub fn authenticator(&self) -> Authenticator<'_> {
         match self {
-            // hash + parent + height + view + proposer + payload + justify QC
-            ConsensusMessage::Proposal(b) => {
-                8 + 8 + 8 + 8 + 4 + b.payload().bytes() as usize + b.justify().wire_size()
-            }
-            ConsensusMessage::Vote { .. } => 8 + 8 + SIGNATURE_SIZE_BYTES,
-            ConsensusMessage::NewQc(qc) => qc.wire_size(),
-        }
-    }
-
-    /// Authenticator bytes carried by this message with the aggregated
-    /// certificate representation: signatures, aggregate proofs, covered
-    /// digests and signer bitmaps (headers and payload excluded).
-    pub fn auth_bytes(&self) -> usize {
-        match self {
-            ConsensusMessage::Proposal(b) => b.justify().auth_bytes(),
-            ConsensusMessage::Vote { .. } => SIGNATURE_SIZE_BYTES,
-            ConsensusMessage::NewQc(qc) => qc.auth_bytes(),
-        }
-    }
-
-    /// Authenticator bytes the same message would carry if certificates
-    /// were naive per-signer signature vectors (`Θ(signers)` per
-    /// certificate).
-    pub fn naive_auth_bytes(&self) -> usize {
-        match self {
-            ConsensusMessage::Proposal(b) => b.justify().naive_auth_bytes(),
-            ConsensusMessage::Vote { .. } => SIGNATURE_SIZE_BYTES,
-            ConsensusMessage::NewQc(qc) => qc.naive_auth_bytes(),
-        }
-    }
-
-    /// Number of signature verifications a receiver performs for this
-    /// message with aggregated certificates: one per bare signature, one
-    /// per aggregate proof (0 for the unsigned genesis certificate).
-    pub fn verify_ops(&self) -> u64 {
-        match self {
-            ConsensusMessage::Proposal(b) => u64::from(!b.justify().is_genesis()),
-            ConsensusMessage::Vote { .. } => 1,
-            ConsensusMessage::NewQc(qc) => u64::from(!qc.is_genesis()),
-        }
-    }
-
-    /// Verifications the same message would require with naive signature
-    /// vectors: one per contributing signer of each certificate.
-    pub fn naive_verify_ops(&self) -> u64 {
-        match self {
-            ConsensusMessage::Proposal(b) => b.justify().signer_count() as u64,
-            ConsensusMessage::Vote { .. } => 1,
-            ConsensusMessage::NewQc(qc) => qc.signer_count() as u64,
+            ConsensusMessage::Proposal(b) => b.justify().authenticator(),
+            ConsensusMessage::Vote { signature, .. } => Authenticator::Signature(signature),
+            ConsensusMessage::NewQc(qc) => qc.authenticator(),
         }
     }
 
@@ -197,59 +136,28 @@ mod tests {
     }
 
     #[test]
-    fn wire_sizes_reflect_per_variant_content() {
-        // Votes are one signature plus two integers; genesis certificates
-        // carry no threshold signature (1 byte for the absent-option tag).
-        let vote = ConsensusMessage::Vote {
-            view: View::new(1),
-            block_hash: 2,
-            signature: Signature::new(ProcessId::new(0), 0),
-        };
-        assert_eq!(vote.wire_size(), 8 + 8 + SIGNATURE_SIZE_BYTES);
-        assert_eq!(
-            ConsensusMessage::NewQc(QuorumCert::genesis()).wire_size(),
-            8 + 8 + 1
-        );
-        // A genesis proposal is header + empty payload + genesis justify.
-        assert_eq!(
-            ConsensusMessage::Proposal(Block::genesis()).wire_size(),
-            8 + 8 + 8 + 8 + 4 + (8 + 8 + 1)
-        );
-        for m in [
-            ConsensusMessage::Proposal(Block::genesis()),
-            vote,
-            ConsensusMessage::NewQc(QuorumCert::genesis()),
-        ] {
-            assert!(m.wire_size() > 0);
-            assert!(!m.to_string().is_empty());
-        }
-    }
-
-    #[test]
-    fn certificate_bytes_are_not_undercounted() {
+    fn genesis_certificates_carry_no_authenticator() {
         use lumiere_crypto::keygen;
         use lumiere_types::{Duration, Params};
 
+        let m = ConsensusMessage::NewQc(QuorumCert::genesis());
+        assert_eq!(m.authenticator(), Authenticator::None);
+        let p = ConsensusMessage::Proposal(Block::genesis());
+        assert_eq!(p.authenticator(), Authenticator::None);
+        let signature = Signature::new(ProcessId::new(0), 0);
+        let vote = ConsensusMessage::Vote {
+            view: View::new(1),
+            block_hash: 2,
+            signature,
+        };
+        assert_eq!(vote.authenticator(), Authenticator::Signature(&signature));
+        // A signed certificate is named by the announcement and by every
+        // proposal it justifies.
         let params = Params::new(7, Duration::from_millis(10));
         let (keys, _) = keygen(7, 3);
-        let view = View::new(2);
-        let digest = QuorumCert::vote_digest(view, 0xabc);
+        let digest = QuorumCert::vote_digest(View::new(2), 0xabc);
         let votes: Vec<_> = keys.iter().take(5).map(|k| k.sign(digest)).collect();
-        let qc = QuorumCert::aggregate(view, 0xabc, &votes, &params).unwrap();
-        // view + block hash + (digest + aggregate proof + one bitmap word
-        // for n = 7): constant in the signer count.
-        assert_eq!(
-            ConsensusMessage::NewQc(qc.clone()).wire_size(),
-            8 + 8 + (32 + 48 + 8)
-        );
-        // The aggregated authenticator is flat while the naive signature
-        // vector pays per signer.
-        let msg = ConsensusMessage::NewQc(qc.clone());
-        assert_eq!(msg.auth_bytes(), 32 + 48 + 8);
-        assert_eq!(msg.naive_auth_bytes(), 32 + 48 * 5);
-        assert_eq!(msg.verify_ops(), 1);
-        assert_eq!(msg.naive_verify_ops(), 5);
-        // A proposal's justify contributes its full certificate size too.
+        let qc = QuorumCert::aggregate(View::new(2), 0xabc, &votes, &params).unwrap();
         let block = Block::new(
             0xabc,
             1,
@@ -258,32 +166,17 @@ mod tests {
             lumiere_types::Batch::empty(),
             qc.clone(),
         );
-        let proposal = ConsensusMessage::Proposal(block);
-        assert_eq!(proposal.wire_size(), 8 + 8 + 8 + 8 + 4 + qc.wire_size());
-        assert_eq!(proposal.auth_bytes(), qc.auth_bytes());
-        assert_eq!(proposal.naive_auth_bytes(), qc.naive_auth_bytes());
-        assert_eq!(proposal.verify_ops(), 1);
-        assert_eq!(proposal.naive_verify_ops(), 5);
-    }
-
-    #[test]
-    fn genesis_certificates_carry_no_authenticator() {
-        let m = ConsensusMessage::NewQc(QuorumCert::genesis());
-        assert_eq!(m.auth_bytes(), 0);
-        assert_eq!(m.naive_auth_bytes(), 0);
-        assert_eq!(m.verify_ops(), 0);
-        assert_eq!(m.naive_verify_ops(), 0);
-        let p = ConsensusMessage::Proposal(Block::genesis());
-        assert_eq!(p.auth_bytes(), 0);
-        assert_eq!(p.verify_ops(), 0);
-        let vote = ConsensusMessage::Vote {
-            view: View::new(1),
-            block_hash: 2,
-            signature: Signature::new(ProcessId::new(0), 0),
-        };
-        assert_eq!(vote.auth_bytes(), SIGNATURE_SIZE_BYTES);
-        assert_eq!(vote.naive_auth_bytes(), SIGNATURE_SIZE_BYTES);
-        assert_eq!(vote.verify_ops(), 1);
-        assert_eq!(vote.naive_verify_ops(), 1);
+        assert!(matches!(qc.authenticator(), Authenticator::Aggregate(_)));
+        assert_eq!(
+            ConsensusMessage::Proposal(block).authenticator(),
+            qc.authenticator()
+        );
+        assert_eq!(
+            ConsensusMessage::NewQc(qc.clone()).authenticator(),
+            qc.authenticator()
+        );
+        for m in [m, p, vote] {
+            assert!(!m.to_string().is_empty());
+        }
     }
 }

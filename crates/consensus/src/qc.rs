@@ -1,7 +1,7 @@
 //! Quorum certificates.
 
 use crate::block::{BlockHash, GENESIS_HASH};
-use lumiere_crypto::{Digest, DigestValue, Pki, Signature, ThresholdSignature};
+use lumiere_crypto::{Authenticator, Digest, DigestValue, Pki, Signature, ThresholdSignature};
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, Params, Result, View};
 use serde::{Deserialize, Serialize};
@@ -106,27 +106,11 @@ impl QuorumCert {
         }
     }
 
-    /// Number of distinct signers (0 for genesis).
-    pub fn signer_count(&self) -> usize {
-        self.tsig.as_ref().map_or(0, |t| t.signer_count())
-    }
-
-    /// Nominal serialized size in bytes: view, block hash, and the threshold
-    /// signature (1 byte for the genesis certificate's absent-signature tag).
-    pub fn wire_size(&self) -> usize {
-        8 + 8 + self.tsig.as_ref().map_or(1, |t| t.wire_size())
-    }
-
-    /// Authenticator bytes carried by this certificate with the aggregated
-    /// representation (0 for genesis, which carries no signature).
-    pub fn auth_bytes(&self) -> usize {
-        self.tsig.as_ref().map_or(0, |t| t.wire_size())
-    }
-
-    /// Authenticator bytes the same certificate would carry as a naive
-    /// per-signer signature vector.
-    pub fn naive_auth_bytes(&self) -> usize {
-        self.tsig.as_ref().map_or(0, |t| t.naive_wire_size())
+    /// The threshold signature, or nothing for genesis.
+    pub fn authenticator(&self) -> Authenticator<'_> {
+        self.tsig
+            .as_ref()
+            .map_or(Authenticator::None, Authenticator::Aggregate)
     }
 }
 
@@ -195,7 +179,7 @@ mod tests {
         let (_, pki, params) = setup(4);
         assert!(QuorumCert::genesis().verify(&pki, &params).is_ok());
         assert!(QuorumCert::genesis().is_genesis());
-        assert_eq!(QuorumCert::genesis().signer_count(), 0);
+        assert_eq!(QuorumCert::genesis().authenticator(), Authenticator::None);
     }
 
     #[test]
@@ -208,7 +192,7 @@ mod tests {
         assert!(qc.verify(&pki, &params).is_ok());
         assert_eq!(qc.view(), view);
         assert_eq!(qc.block_hash(), 0xabc);
-        assert_eq!(qc.signer_count(), 5);
+        assert_eq!(qc.authenticator().naive_verify_ops(), 5, "one per signer");
         assert!(qc.to_string().contains("v4"));
     }
 

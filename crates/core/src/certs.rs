@@ -11,7 +11,7 @@
 //! * [`WishCert`] — `f+1` wish messages aggregated by a prospective leader in
 //!   the Cogsworth / NK20 relay baselines.
 
-use lumiere_crypto::{Digest, DigestValue, Pki, Signature, ThresholdSignature};
+use lumiere_crypto::{Authenticator, Digest, DigestValue, Pki, Signature, ThresholdSignature};
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Params, Result, View};
 use serde::{Deserialize, Serialize};
@@ -72,29 +72,9 @@ macro_rules! certificate {
                 self.view
             }
 
-            /// Number of distinct signers.
-            pub fn signer_count(&self) -> usize {
-                self.tsig.signer_count()
-            }
-
-            /// Nominal serialized size in bytes: the view number plus the
-            /// threshold signature (whose size is dictated by its signer
-            /// representation; see
-            /// [`ThresholdSignature::wire_size`](lumiere_crypto::ThresholdSignature::wire_size)).
-            pub fn wire_size(&self) -> usize {
-                8 + self.tsig.wire_size()
-            }
-
-            /// Authenticator bytes carried by the certificate with the
-            /// aggregated representation (constant in the signer count).
-            pub fn auth_bytes(&self) -> usize {
-                self.tsig.wire_size()
-            }
-
-            /// Authenticator bytes the same certificate would carry as a
-            /// naive per-signer signature vector (`Θ(signers)`).
-            pub fn naive_auth_bytes(&self) -> usize {
-                self.tsig.naive_wire_size()
+            /// The threshold signature.
+            pub fn authenticator(&self) -> Authenticator<'_> {
+                Authenticator::Aggregate(&self.tsig)
             }
 
             /// Verifies the certificate against the PKI and its threshold.
@@ -207,7 +187,7 @@ mod tests {
             .collect();
         let vc = ViewCert::aggregate(v, &sigs, &params).unwrap();
         assert_eq!(vc.view(), v);
-        assert_eq!(vc.signer_count(), 3);
+        assert_eq!(vc.authenticator().naive_verify_ops(), 3, "one per signer");
         assert!(vc.verify(&pki, &params).is_ok());
     }
 

@@ -1,7 +1,7 @@
 //! Wire messages exchanged by pacemakers.
 
 use crate::certs::{EpochCert, TimeoutCert, ViewCert, WishCert};
-use lumiere_crypto::{Signature, SIGNATURE_SIZE_BYTES};
+use lumiere_crypto::{Authenticator, Signature};
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::View;
 use serde::{Deserialize, Serialize};
@@ -13,20 +13,6 @@ use std::fmt;
 /// LP22, Fever, Cogsworth/NK20, naive quadratic) so the simulator can route
 /// them uniformly; each protocol only sends and reacts to the variants its
 /// specification defines.
-///
-/// Per-variant size: the bare-signature variants (`ViewMsg`, `EpochViewMsg`,
-/// `Wish`, `Timeout`) are `O(κ)` — one view number and one 48-byte
-/// signature. The certificate-carrying variants (`ViewCert`, `EpochCert`,
-/// `TimeoutCert`, `SyncCert`) embed a
-/// [`ThresholdSignature`](lumiere_crypto::ThresholdSignature) that is a
-/// constant-size aggregate proof plus a fixed-width signer bitmap:
-/// `O(κ + n/8)` — 32 digest bytes, 48 proof bytes and `8·⌈n/64⌉` bitmap
-/// bytes, independent of the signer count. Before aggregation the same
-/// certificates would cost `Θ(signers)` — one 48-byte signature per
-/// contributing signer, i.e. `f+1` or `2f+1` signatures per certificate
-/// ([`PacemakerMessage::naive_auth_bytes`] still reports that cost for
-/// comparison). [`PacemakerMessage::wire_size`] reports the actual
-/// per-variant cost.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PacemakerMessage {
     /// "I have entered initial view `v`" — sent to `lead(v)` (Fever, Basic
@@ -111,76 +97,18 @@ impl PacemakerMessage {
         )
     }
 
-    /// Nominal wire size in bytes, computed per variant from the actual
-    /// authenticator content: bare-signature variants carry a view number
-    /// and one signature; certificate variants carry their full threshold
-    /// signature, whose size is dictated by the signer representation.
-    pub fn wire_size(&self) -> usize {
+    /// What signs the message: the sender's signature, or the carried
+    /// certificate's threshold signature.
+    pub fn authenticator(&self) -> Authenticator<'_> {
         match self {
-            PacemakerMessage::ViewMsg { .. }
-            | PacemakerMessage::EpochViewMsg { .. }
-            | PacemakerMessage::Wish { .. }
-            | PacemakerMessage::Timeout { .. } => 8 + SIGNATURE_SIZE_BYTES,
-            PacemakerMessage::ViewCert(c) => c.wire_size(),
-            PacemakerMessage::EpochCert(c) => c.wire_size(),
-            PacemakerMessage::TimeoutCert(c) => c.wire_size(),
-            PacemakerMessage::SyncCert(c) => c.wire_size(),
-        }
-    }
-
-    /// Authenticator bytes carried by this message with the aggregated
-    /// certificate representation: one signature for the bare-signature
-    /// variants, digest + aggregate proof + signer bitmap for the
-    /// certificate variants.
-    pub fn auth_bytes(&self) -> usize {
-        match self {
-            PacemakerMessage::ViewMsg { .. }
-            | PacemakerMessage::EpochViewMsg { .. }
-            | PacemakerMessage::Wish { .. }
-            | PacemakerMessage::Timeout { .. } => SIGNATURE_SIZE_BYTES,
-            PacemakerMessage::ViewCert(c) => c.auth_bytes(),
-            PacemakerMessage::EpochCert(c) => c.auth_bytes(),
-            PacemakerMessage::TimeoutCert(c) => c.auth_bytes(),
-            PacemakerMessage::SyncCert(c) => c.auth_bytes(),
-        }
-    }
-
-    /// Authenticator bytes the same message would carry if certificates
-    /// were naive per-signer signature vectors (`Θ(signers)` per
-    /// certificate).
-    pub fn naive_auth_bytes(&self) -> usize {
-        match self {
-            PacemakerMessage::ViewMsg { .. }
-            | PacemakerMessage::EpochViewMsg { .. }
-            | PacemakerMessage::Wish { .. }
-            | PacemakerMessage::Timeout { .. } => SIGNATURE_SIZE_BYTES,
-            PacemakerMessage::ViewCert(c) => c.naive_auth_bytes(),
-            PacemakerMessage::EpochCert(c) => c.naive_auth_bytes(),
-            PacemakerMessage::TimeoutCert(c) => c.naive_auth_bytes(),
-            PacemakerMessage::SyncCert(c) => c.naive_auth_bytes(),
-        }
-    }
-
-    /// Number of signature verifications a receiver performs for this
-    /// message with aggregated certificates: always one — a bare signature
-    /// or a single aggregate proof.
-    pub fn verify_ops(&self) -> u64 {
-        1
-    }
-
-    /// Verifications the same message would require with naive signature
-    /// vectors: one per contributing signer of a certificate, one for a
-    /// bare signature.
-    pub fn naive_verify_ops(&self) -> u64 {
-        match self {
-            PacemakerMessage::ViewMsg { .. }
-            | PacemakerMessage::EpochViewMsg { .. }
-            | PacemakerMessage::Wish { .. }
-            | PacemakerMessage::Timeout { .. } => 1,
-            PacemakerMessage::ViewCert(c) => c.signer_count() as u64,
-            PacemakerMessage::EpochCert(c) => c.signer_count() as u64,
-            PacemakerMessage::TimeoutCert(c) => c.signer_count() as u64,
-            PacemakerMessage::SyncCert(c) => c.signer_count() as u64,
+            PacemakerMessage::ViewMsg { signature, .. }
+            | PacemakerMessage::EpochViewMsg { signature, .. }
+            | PacemakerMessage::Wish { signature, .. }
+            | PacemakerMessage::Timeout { signature, .. } => Authenticator::Signature(signature),
+            PacemakerMessage::ViewCert(c) => c.authenticator(),
+            PacemakerMessage::EpochCert(c) => c.authenticator(),
+            PacemakerMessage::TimeoutCert(c) => c.authenticator(),
+            PacemakerMessage::SyncCert(c) => c.authenticator(),
         }
     }
 }
@@ -307,23 +235,10 @@ mod tests {
         ];
         for m in msgs {
             assert_eq!(m.view(), v);
-            match m {
-                PacemakerMessage::ViewCert(ref c) => {
-                    // view + (digest + aggregate proof + one bitmap word for
-                    // n = 4): constant in the signer count.
-                    assert_eq!(m.wire_size(), 8 + 32 + 48 + 8);
-                    assert_eq!(m.auth_bytes(), 32 + 48 + 8);
-                    assert_eq!(m.naive_auth_bytes(), 32 + 48 * c.signer_count());
-                    assert_eq!(m.naive_verify_ops(), c.signer_count() as u64);
-                }
-                _ => {
-                    assert_eq!(m.wire_size(), 8 + SIGNATURE_SIZE_BYTES);
-                    assert_eq!(m.auth_bytes(), SIGNATURE_SIZE_BYTES);
-                    assert_eq!(m.naive_auth_bytes(), SIGNATURE_SIZE_BYTES);
-                    assert_eq!(m.naive_verify_ops(), 1);
-                }
+            match (&m, m.authenticator()) {
+                (PacemakerMessage::ViewCert(c), auth) => assert_eq!(auth, c.authenticator()),
+                (_, auth) => assert!(matches!(auth, Authenticator::Signature(_))),
             }
-            assert_eq!(m.verify_ops(), 1);
             assert!(!m.kind().is_empty());
             assert!(m.to_string().contains("v6"));
         }

@@ -53,18 +53,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod authenticator;
 pub mod digest;
 pub mod keys;
 pub mod signature;
 pub mod threshold;
 
+pub use authenticator::Authenticator;
 pub use digest::{Digest, DigestValue};
 pub use keys::{keygen, KeyPair, Pki};
 pub use signature::Signature;
 pub use threshold::{SignerBitmap, ThresholdSignature};
 
 /// Nominal size in bytes of a single signature or threshold signature
-/// (`O(κ)` with κ = 32 bytes), used by the simulator's wire-size accounting.
+/// (`O(κ)` with κ = 32 bytes), used by [`Authenticator`]'s cost model.
 pub const SIGNATURE_SIZE_BYTES: usize = 48;
 
 /// Nominal size in bytes of a hash / digest value.

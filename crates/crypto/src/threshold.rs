@@ -73,11 +73,6 @@ impl SignerBitmap {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Serialized footprint: 8 bytes per word, i.e. `8 · ⌈n/64⌉`.
-    pub fn wire_size(&self) -> usize {
-        8 * self.words.len()
-    }
 }
 
 /// Wire form: `u32` word count (at least 1, as [`SignerBitmap::new`]
@@ -203,28 +198,12 @@ impl ThresholdSignature {
     pub fn proof(&self) -> u64 {
         self.proof
     }
-
-    /// Nominal serialized size in bytes with the aggregated representation:
-    /// the covered digest, one constant-size aggregate proof, and the
-    /// fixed-width signer bitmap (`8 · ⌈n/64⌉` bytes). Constant in the
-    /// number of signers.
-    pub fn wire_size(&self) -> usize {
-        crate::DIGEST_SIZE_BYTES + crate::SIGNATURE_SIZE_BYTES + self.signers.wire_size()
-    }
-
-    /// What the same certificate would cost on the wire as a naive
-    /// signature vector: the covered digest plus one full signature per
-    /// contributing signer — `Θ(signers)`. Used by the simulator's
-    /// authenticator-byte accounting to contrast the two representations in
-    /// a single run.
-    pub fn naive_wire_size(&self) -> usize {
-        crate::DIGEST_SIZE_BYTES + crate::SIGNATURE_SIZE_BYTES * self.signer_count()
-    }
 }
 
 /// Wire form: `digest: u64`, `proof: u64`, then the signer bitmap — the
 /// simulated content (16 bytes + bitmap), not the 32 + 48 bytes a real
-/// digest and aggregate are modelled at by [`ThresholdSignature::wire_size`].
+/// digest and aggregate are modelled at by
+/// [`Authenticator::bytes`](crate::Authenticator::bytes).
 impl Wire for ThresholdSignature {
     fn encoded_len(&self) -> usize {
         8 + 8 + self.signers.encoded_len()
@@ -374,31 +353,6 @@ mod tests {
             ThresholdSignature::aggregate(d, &partials, &uniform(4), 3),
             Err(Error::UnknownProcess { .. })
         ));
-    }
-
-    #[test]
-    fn wire_size_is_constant_in_signers_and_steps_with_n() {
-        let d = digest(7);
-        for (n, words) in [(4usize, 1usize), (64, 1), (65, 2), (200, 4)] {
-            let (keys, _) = keygen(n, 1);
-            let f = (n - 1) / 3;
-            let quorum = 2 * f + 1;
-            let partials: Vec<_> = keys.iter().take(quorum).map(|k| k.sign(d)).collect();
-            let tsig = ThresholdSignature::aggregate(d, &partials, &uniform(n), quorum).unwrap();
-            assert_eq!(
-                tsig.wire_size(),
-                crate::DIGEST_SIZE_BYTES + crate::SIGNATURE_SIZE_BYTES + 8 * words
-            );
-            assert_eq!(
-                tsig.naive_wire_size(),
-                crate::DIGEST_SIZE_BYTES + crate::SIGNATURE_SIZE_BYTES * quorum
-            );
-            // The aggregated form wins as soon as the quorum outnumbers the
-            // bitmap words (i.e. everywhere beyond toy systems).
-            if quorum > words + 1 {
-                assert!(tsig.wire_size() < tsig.naive_wire_size());
-            }
-        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use lumiere_consensus::ConsensusMessage;
 use lumiere_core::messages::PacemakerMessage;
+use lumiere_crypto::Authenticator;
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Transaction, View};
 use serde::{Deserialize, Serialize};
@@ -55,57 +56,48 @@ impl WireMessage {
         matches!(self, WireMessage::Pacemaker(m) if m.is_heavy_sync())
     }
 
-    /// Modelled wire size in bytes: the per-variant byte cost the
-    /// complexity accounting charges for this message (see the tables on
-    /// `PacemakerMessage::wire_size` and `ConsensusMessage::wire_size`).
-    /// A client submission costs its 8-byte id, 4-byte size field and the
-    /// declared payload bytes.
+    /// What signs the message (nothing for client traffic): the one fact
+    /// every cost figure below derives from.
+    pub fn authenticator(&self) -> Authenticator<'_> {
+        match self {
+            WireMessage::Pacemaker(m) => m.authenticator(),
+            WireMessage::Consensus(m) => m.authenticator(),
+            WireMessage::Submit(_) => Authenticator::None,
+        }
+    }
+
+    /// Modelled wire size in bytes: the frame's content (`encoded_len()`)
+    /// plus the declared transaction bodies the frame omits, with the
+    /// simulated authenticator widened to real cryptography's size (+36 per
+    /// signature, +60 per aggregate).
     pub fn wire_size(&self) -> usize {
-        match self {
-            WireMessage::Pacemaker(m) => m.wire_size(),
-            WireMessage::Consensus(m) => m.wire_size(),
-            WireMessage::Submit(tx) => 8 + 4 + tx.size as usize,
-        }
+        let bodies = match self {
+            WireMessage::Submit(tx) => tx.size as usize,
+            WireMessage::Consensus(ConsensusMessage::Proposal(b)) => b.payload().bytes() as usize,
+            _ => 0,
+        };
+        let auth = self.authenticator();
+        self.encoded_len() + bodies + auth.bytes() - auth.encoded_len()
     }
 
-    /// Authenticator bytes this message carries with the aggregated
-    /// certificate representation (0 for unsigned client traffic).
+    /// Authenticator bytes with aggregated certificates.
     pub fn auth_bytes(&self) -> usize {
-        match self {
-            WireMessage::Pacemaker(m) => m.auth_bytes(),
-            WireMessage::Consensus(m) => m.auth_bytes(),
-            WireMessage::Submit(_) => 0,
-        }
+        self.authenticator().bytes()
     }
 
-    /// Authenticator bytes the same message would carry if certificates
-    /// were naive per-signer signature vectors.
+    /// Authenticator bytes with naive per-signer signature vectors.
     pub fn naive_auth_bytes(&self) -> usize {
-        match self {
-            WireMessage::Pacemaker(m) => m.naive_auth_bytes(),
-            WireMessage::Consensus(m) => m.naive_auth_bytes(),
-            WireMessage::Submit(_) => 0,
-        }
+        self.authenticator().naive_bytes()
     }
 
-    /// Signature verifications the receiver performs with aggregated
-    /// certificates (0 for unsigned client traffic).
+    /// Signature verifications the receiver performs.
     pub fn verify_ops(&self) -> u64 {
-        match self {
-            WireMessage::Pacemaker(m) => m.verify_ops(),
-            WireMessage::Consensus(m) => m.verify_ops(),
-            WireMessage::Submit(_) => 0,
-        }
+        self.authenticator().verify_ops()
     }
 
-    /// Verifications the receiver would perform with naive signature-vector
-    /// certificates.
+    /// Verifications with naive signature vectors.
     pub fn naive_verify_ops(&self) -> u64 {
-        match self {
-            WireMessage::Pacemaker(m) => m.naive_verify_ops(),
-            WireMessage::Consensus(m) => m.naive_verify_ops(),
-            WireMessage::Submit(_) => 0,
-        }
+        self.authenticator().naive_verify_ops()
     }
 }
 

@@ -2,7 +2,10 @@
 //! on the network must survive `encode_frame` → `decode_frame` (and the
 //! streaming `write_frame` → `read_frame` pair) unchanged, over randomized
 //! views, signers, blocks and certificates; frame lengths are exactly the
-//! structural `encoded_len()`; the byte layout is pinned by golden frames;
+//! structural `encoded_len()`, and the modelled `wire_size()` is that
+//! content plus declared bodies and real cryptography's width; the
+//! authenticator figures the simulator records are pinned to the per-type
+//! arithmetic they replaced; the byte layout is pinned by golden frames;
 //! and no mutation of a valid frame makes the decoder panic, over-read or
 //! allocate beyond the frame.
 //!
@@ -119,6 +122,58 @@ fn all_variants(
     ]
 }
 
+/// The edge cases of the model, none of which carries an authenticator: the
+/// unsigned genesis `NewQc`, a proposal it justifies, and a zero-size
+/// transaction submission (no body either).
+fn unsigned_variants(
+    n: usize,
+    view_raw: i64,
+    height: u64,
+    payload: u64,
+    parent: u64,
+    proposer: usize,
+) -> [WireMessage; 3] {
+    [
+        WireMessage::Consensus(ConsensusMessage::NewQc(QuorumCert::genesis())),
+        WireMessage::Consensus(ConsensusMessage::Proposal(Block::new(
+            parent,
+            height,
+            View::new(view_raw),
+            ProcessId::new(proposer % n),
+            Batch::tag(payload),
+            QuorumCert::genesis(),
+        ))),
+        WireMessage::Submit(Transaction::sized(TxId::new(payload), 0)),
+    ]
+}
+
+/// What the modelled size adds to the frame's content, counted by variant:
+/// declared transaction bodies, then real cryptography's width over the
+/// simulated one — +36 per signature (48 vs 12 bytes), +60 per aggregate
+/// (32-byte digest + 48-byte proof vs 8 + 8).
+fn modelled_extra(msg: &WireMessage) -> usize {
+    let (bodies, signatures, aggregates) = match msg {
+        WireMessage::Submit(tx) => (tx.size as usize, 0, 0),
+        WireMessage::Consensus(ConsensusMessage::Proposal(b)) => (
+            b.payload().bytes() as usize,
+            0,
+            usize::from(!b.justify().is_genesis()),
+        ),
+        WireMessage::Consensus(ConsensusMessage::Vote { .. }) => (0, 1, 0),
+        WireMessage::Consensus(ConsensusMessage::NewQc(qc)) => {
+            (0, 0, usize::from(!qc.is_genesis()))
+        }
+        WireMessage::Pacemaker(
+            PacemakerMessage::ViewMsg { .. }
+            | PacemakerMessage::EpochViewMsg { .. }
+            | PacemakerMessage::Wish { .. }
+            | PacemakerMessage::Timeout { .. },
+        ) => (0, 1, 0),
+        WireMessage::Pacemaker(_) => (0, 0, 1),
+    };
+    bodies + 36 * signatures + 60 * aggregates
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -152,18 +207,10 @@ proptest! {
     }
 
     /// A frame is exactly its 4-byte prefix plus the structural
-    /// `encoded_len()`, and the content never exceeds the modelled
-    /// `wire_size()` by more than tags and transaction headers.
-    ///
-    /// The two measures differ on purpose: `wire_size()` charges what real
-    /// cryptography and real payloads would cost (48-byte signatures,
-    /// 32-byte digests, each transaction's declared `size`), while the frame
-    /// ships the simulation's content (12-byte signatures, 8-byte digests,
-    /// 12 bytes per transaction and no payload body). So the bound is
-    /// one-sided: what the frame adds over the model is only enum tags, the
-    /// bitmap and batch counts, and — for a transaction declaring fewer
-    /// bytes than its own 12-byte header — that header: at most 16 bytes,
-    /// plus 16 per carried transaction.
+    /// `encoded_len()`, and the modelled `wire_size()` is exactly that
+    /// content plus what the frame leaves out: declared transaction bodies,
+    /// and the bytes real signatures and aggregates have over the simulated
+    /// ones.
     #[test]
     fn frame_lengths_are_exact_and_bounded_by_the_model(
         n_pick in 0usize..SIZES.len(),
@@ -179,33 +226,11 @@ proptest! {
         let params = Params::new(n, Duration::from_millis(10));
         let mut variants =
             all_variants(&keys, &params, view_raw, height, payload, parent, proposer);
-        // The cases the bound is tight on: unsigned genesis certificates and
-        // zero-size marker transactions.
-        variants.push(WireMessage::Consensus(ConsensusMessage::NewQc(QuorumCert::genesis())));
-        variants.push(WireMessage::Consensus(ConsensusMessage::Proposal(Block::new(
-            parent,
-            height,
-            View::new(view_raw),
-            ProcessId::new(proposer % n),
-            Batch::tag(payload),
-            QuorumCert::genesis(),
-        ))));
-        variants.push(WireMessage::Submit(Transaction::sized(TxId::new(payload), 0)));
+        variants.extend(unsigned_variants(n, view_raw, height, payload, parent, proposer));
         for msg in &variants {
             let encoded = msg.encoded_len();
             prop_assert_eq!(encode_frame(msg).len(), 4 + encoded, "{}", msg.kind());
-            let txs = match msg {
-                WireMessage::Submit(_) => 1,
-                WireMessage::Consensus(ConsensusMessage::Proposal(b)) => b.payload().len(),
-                _ => 0,
-            };
-            prop_assert!(
-                encoded <= msg.wire_size() + 16 * (1 + txs),
-                "{}: {encoded} content bytes exceed wire_size {} by more than tags and \
-                 {txs} transaction headers",
-                msg.kind(),
-                msg.wire_size()
-            );
+            prop_assert_eq!(msg.wire_size(), encoded + modelled_extra(msg), "{}", msg.kind());
         }
     }
 
@@ -241,17 +266,89 @@ proptest! {
     }
 }
 
+// One signature, nothing, and an aggregate signed by all n, per size.
+const SIG: [u64; 4] = [48, 48, 1, 1];
+const NONE: [u64; 4] = [0, 0, 0, 0];
+const AGG_4: [u64; 4] = [88, 224, 1, 4];
+const AGG_16: [u64; 4] = [88, 800, 1, 16];
+const AGG_64: [u64; 4] = [88, 3104, 1, 64];
+const AGG_129: [u64; 4] = [104, 6224, 1, 129];
+
+/// `(auth_bytes, naive_auth_bytes, verify_ops, naive_verify_ops)` of the
+/// twelve `all_variants` messages (every certificate signed by all `n`)
+/// followed by the three `unsigned_variants`, captured at each size from
+/// the per-type arithmetic `Authenticator` replaced — every figure the
+/// simulator records, pinned to the numbers it recorded before.
+const PINNED_AUTH: [(usize, [[u64; 4]; 15]); 4] = [
+    (
+        4,
+        [
+            SIG, SIG, AGG_4, AGG_4, AGG_4, SIG, AGG_4, SIG, AGG_4, SIG, AGG_4, NONE, NONE, NONE,
+            NONE,
+        ],
+    ),
+    (
+        16,
+        [
+            SIG, SIG, AGG_16, AGG_16, AGG_16, SIG, AGG_16, SIG, AGG_16, SIG, AGG_16, NONE, NONE,
+            NONE, NONE,
+        ],
+    ),
+    (
+        64,
+        [
+            SIG, SIG, AGG_64, AGG_64, AGG_64, SIG, AGG_64, SIG, AGG_64, SIG, AGG_64, NONE, NONE,
+            NONE, NONE,
+        ],
+    ),
+    (
+        129,
+        [
+            SIG, SIG, AGG_129, AGG_129, AGG_129, SIG, AGG_129, SIG, AGG_129, SIG, AGG_129, NONE,
+            NONE, NONE, NONE,
+        ],
+    ),
+];
+
+#[test]
+fn authenticator_figures_match_the_parent_arithmetic() {
+    for (n, expected) in PINNED_AUTH {
+        let (keys, _) = keygen(n, 7);
+        let params = Params::new(n, Duration::from_millis(10));
+        let mut msgs = all_variants(&keys, &params, 1_234, 56, 789, 0xfeed, 3);
+        msgs.extend(unsigned_variants(n, 1_234, 56, 789, 0xfeed, 3));
+        assert_eq!(msgs.len(), expected.len());
+        for (msg, want) in msgs.iter().zip(expected) {
+            let auth = msg.authenticator();
+            let got = [
+                auth.bytes() as u64,
+                auth.naive_bytes() as u64,
+                auth.verify_ops(),
+                auth.naive_verify_ops(),
+            ];
+            assert_eq!(got, want, "{} at n = {n}", msg.kind());
+        }
+    }
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Three frames pinned byte for byte, so a layout change (field order,
-/// widths, tag values, endianness) cannot happen by accident. Spaces
-/// separate the fields; `docs/RUNTIME.md` has the table they follow.
+/// widths, tag values, endianness) cannot happen by accident, each with its
+/// modelled `wire_size()`: the frame's content less the 4-byte prefix, plus
+/// declared bodies and real cryptography's width. Spaces separate the
+/// fields; `docs/RUNTIME.md` has the table they follow.
 #[test]
 fn golden_frames_pin_the_layout() {
-    let golden = |frame: Vec<u8>, spaced: &str| {
-        assert_eq!(hex(&frame), spaced.replace(' ', ""), "layout changed");
+    let golden = |msg: &WireMessage, spaced: &str, wire_size: usize| {
+        assert_eq!(
+            hex(&encode_frame(msg)),
+            spaced.replace(' ', ""),
+            "layout changed"
+        );
+        assert_eq!(msg.wire_size(), wire_size, "{}", msg.kind());
     };
 
     let vote = WireMessage::Consensus(ConsensusMessage::Vote {
@@ -260,17 +357,17 @@ fn golden_frames_pin_the_layout() {
         signature: Signature::new(ProcessId::new(2), 0x1122_3344_5566_7788),
     });
     // prefix | Consensus | Vote | view | block hash | signer | tag
+    // modelled: 30 content bytes + 36 (a 48-byte signature, not 12)
     golden(
-        encode_frame(&vote),
+        &vote,
         "0000001e 01 01 0300000000000000 0807060504030201 02000000 8877665544332211",
+        66,
     );
 
     let submit = WireMessage::Submit(Transaction::sized(TxId::new(0xdead_beef), 256));
     // prefix | Submit | id | size
-    golden(
-        encode_frame(&submit),
-        "0000000d 02 efbeadde00000000 00010000",
-    );
+    // modelled: 13 content bytes + the 256 declared body bytes
+    golden(&submit, "0000000d 02 efbeadde00000000 00010000", 269);
 
     // n = 7, signed by processors 0–4: one bitmap word, 0b11111.
     let (keys, _) = keygen(7, 1);
@@ -281,10 +378,13 @@ fn golden_frames_pin_the_layout() {
     let qc = QuorumCert::aggregate(view, 0xabc, &votes, &params).unwrap();
     // prefix | Consensus | NewQc | view | block hash | tsig present |
     // digest | proof | word count | word
+    // modelled: 47 content bytes + 60 (32-byte digest and 48-byte proof,
+    // not 8 + 8)
     golden(
-        encode_frame(&WireMessage::Consensus(ConsensusMessage::NewQc(qc))),
+        &WireMessage::Consensus(ConsensusMessage::NewQc(qc)),
         "0000002f 01 02 0200000000000000 bc0a000000000000 01 \
          906f757ee6163b44 414bf28c0d31202b 01000000 1f00000000000000",
+        107,
     );
 }
 

@@ -1017,6 +1017,9 @@ mod tests {
 
     #[test]
     fn auth_traffic_accumulates_weighted_copies() {
+        use lumiere_consensus::{ConsensusMessage, QuorumCert};
+        use lumiere_runtime::WireMessage;
+
         let mut c = MetricsCollector::new(
             "test".into(),
             4,
@@ -1025,11 +1028,33 @@ mod tests {
             Duration::from_millis(10),
             Time::ZERO,
         );
-        // A broadcast of a QC-carrying message to 3 recipients: 88 auth
-        // bytes aggregated vs 176 naive, 1 verification vs 3.
-        c.record_auth_message(3, 88, 176, 1, 3);
-        // A single targeted vote: 48 bytes either way, no cert to verify.
-        c.record_auth_message(1, 48, 48, 0, 0);
+        let (keys, _) = lumiere_crypto::keygen(4, 1);
+        let params = lumiere_types::Params::new(4, Duration::from_millis(10));
+        let digest = QuorumCert::vote_digest(View::new(0), 7);
+        let votes: Vec<_> = keys.iter().take(3).map(|k| k.sign(digest)).collect();
+        let qc = QuorumCert::aggregate(View::new(0), 7, &votes, &params).unwrap();
+        let mut record = |copies: u64, msg: WireMessage| {
+            let auth = msg.authenticator();
+            c.record_auth_message(
+                copies,
+                auth.bytes() as u64,
+                auth.naive_bytes() as u64,
+                auth.verify_ops(),
+                auth.naive_verify_ops(),
+            );
+        };
+        // A broadcast of a 3-signer QC to 3 recipients: 88 auth bytes
+        // aggregated vs 176 naive, 1 verification vs 3.
+        record(3, WireMessage::Consensus(ConsensusMessage::NewQc(qc)));
+        // A single targeted vote: 48 bytes and 1 verification either way.
+        record(
+            1,
+            WireMessage::Consensus(ConsensusMessage::Vote {
+                view: View::new(0),
+                block_hash: 7,
+                signature: votes[0],
+            }),
+        );
         c.record_honest_sends(Time::from_millis(1), 3, false);
         c.record_honest_sends(Time::from_millis(2), 1, false);
         c.record_qc(Time::from_millis(3), View::new(0), ProcessId::new(0), true);
@@ -1037,13 +1062,13 @@ mod tests {
         let r = c.finish(Time::from_millis(10));
         assert_eq!(r.auth_bytes, 3 * 88 + 48);
         assert_eq!(r.auth_bytes_naive, 3 * 176 + 48);
-        assert_eq!(r.verify_ops, 3);
-        assert_eq!(r.verify_ops_naive, 9);
+        assert_eq!(r.verify_ops, 4);
+        assert_eq!(r.verify_ops_naive, 10);
         assert!((r.auth_bytes_per_message() - 312.0 / 4.0).abs() < 1e-9);
         assert!((r.naive_auth_bytes_per_message() - 576.0 / 4.0).abs() < 1e-9);
         assert!((r.auth_bytes_per_view() - 312.0).abs() < 1e-9);
-        assert!((r.verify_ops_per_commit() - 3.0).abs() < 1e-9);
-        assert!((r.naive_verify_ops_per_commit() - 9.0).abs() < 1e-9);
+        assert!((r.verify_ops_per_commit() - 4.0).abs() < 1e-9);
+        assert!((r.naive_verify_ops_per_commit() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -636,12 +636,13 @@ impl Simulation {
     /// vectors (both computed analytically from the same message, so one
     /// run yields both curves).
     fn record_auth(&mut self, msg: &SimMessage, copies: u64) {
+        let auth = msg.authenticator();
         self.collector.record_auth_message(
             copies,
-            msg.auth_bytes() as u64,
-            msg.naive_auth_bytes() as u64,
-            msg.verify_ops(),
-            msg.naive_verify_ops(),
+            auth.bytes() as u64,
+            auth.naive_bytes() as u64,
+            auth.verify_ops(),
+            auth.naive_verify_ops(),
         );
     }
 
