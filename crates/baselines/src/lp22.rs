@@ -207,31 +207,29 @@ impl Pacemaker for Lp22 {
         "lp22"
     }
 
-    fn boot(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if self.booted {
-            return out;
+            return;
         }
         self.booted = true;
         self.clock = LocalClock::new(now);
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_message(
+    fn on_message_into(
         &mut self,
         from: ProcessId,
         msg: &PacemakerMessage,
         now: Time,
-    ) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<PacemakerAction>,
+    ) {
         match msg {
             PacemakerMessage::EpochViewMsg { view, signature }
                 if signature.signer() == from
                     && self.pki.verify(signature, epoch_view_digest(*view)).is_ok()
                     && self.layout.is_epoch_view(*view) =>
             {
-                self.record_epoch_msg(from, *view, *signature, now, &mut out);
+                self.record_epoch_msg(from, *view, *signature, now, out);
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
@@ -240,37 +238,38 @@ impl Pacemaker for Lp22 {
                     && ec.verify(&self.pki, &self.params).is_ok()
                 {
                     self.seen_ec.insert(view.as_i64());
-                    self.handle_ec(view, now, &mut out);
+                    self.handle_ec(view, now, out);
                 }
             }
             _ => {}
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_qc(&mut self, qc: &QuorumCert, _formed_locally: bool, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_qc_into(
+        &mut self,
+        qc: &QuorumCert,
+        _formed_locally: bool,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    ) {
         let v = qc.view();
         if v.as_i64() < 0 {
-            return out;
+            return;
         }
         if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
             let next = v.next();
             // Responsive entry into the next view — but NO clock bump: this
             // is the LP22 weakness that Lumiere fixes.
             if !self.layout.is_epoch_view(next) && self.layout.epoch_of(next) == self.epoch {
-                self.set_view(next, &mut out);
+                self.set_view(next, out);
             }
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
-        self.sweep(now, &mut out);
-        out
+    fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
+        self.sweep(now, out);
     }
 
     fn current_view(&self) -> View {

@@ -96,51 +96,51 @@ impl Pacemaker for NaiveQuadratic {
         "naive-quadratic"
     }
 
-    fn boot(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if self.booted {
-            return out;
+            return;
         }
         self.booted = true;
         self.boot_time = now;
-        self.enter(View::new(0), now, &mut out);
-        out
+        self.enter(View::new(0), now, out);
     }
 
-    fn on_message(
+    fn on_message_into(
         &mut self,
         from: ProcessId,
         msg: &PacemakerMessage,
         now: Time,
-    ) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<PacemakerAction>,
+    ) {
         if let PacemakerMessage::Timeout { view, signature } = msg {
             if signature.signer() == from
                 && self.pki.verify(signature, timeout_digest(*view)).is_ok()
                 && view.as_i64() >= 0
             {
-                self.record_timeout(from, *view, *signature, now, &mut out);
+                self.record_timeout(from, *view, *signature, now, out);
             }
         }
-        out
     }
 
-    fn on_qc(&mut self, qc: &QuorumCert, _formed_locally: bool, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_qc_into(
+        &mut self,
+        qc: &QuorumCert,
+        _formed_locally: bool,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    ) {
         let v = qc.view();
         if v.as_i64() < 0 {
-            return out;
+            return;
         }
         if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
-            self.enter(v.next(), now, &mut out);
+            self.enter(v.next(), now, out);
         }
-        out
     }
 
-    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if !self.booted || self.view.as_i64() < 0 {
-            return out;
+            return;
         }
         if now >= self.view_entered_at + self.view_timeout {
             let view = self.view;
@@ -150,14 +150,13 @@ impl Pacemaker for NaiveQuadratic {
                     view,
                     signature,
                 }));
-                self.record_timeout(self.id, view, signature, now, &mut out);
+                self.record_timeout(self.id, view, signature, now, out);
             }
         } else {
             out.push(PacemakerAction::WakeAt(
                 self.view_entered_at + self.view_timeout,
             ));
         }
-        out
     }
 
     fn current_view(&self) -> View {

@@ -196,58 +196,58 @@ impl Pacemaker for RelayPacemaker {
         }
     }
 
-    fn boot(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if self.booted {
-            return out;
+            return;
         }
         self.booted = true;
         self.boot_time = now;
-        self.enter(View::new(0), now, &mut out);
-        out
+        self.enter(View::new(0), now, out);
     }
 
-    fn on_message(
+    fn on_message_into(
         &mut self,
         from: ProcessId,
         msg: &PacemakerMessage,
         now: Time,
-    ) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<PacemakerAction>,
+    ) {
         match msg {
             PacemakerMessage::Wish { view, signature }
                 if signature.signer() == from
                     && self.pki.verify(signature, wish_digest(*view)).is_ok()
                     && view.as_i64() >= 0 =>
             {
-                self.record_wish(from, *view, *signature, now, &mut out);
+                self.record_wish(from, *view, *signature, now, out);
             }
             PacemakerMessage::SyncCert(cert)
                 if cert.view() > self.view && cert.verify(&self.pki, &self.params).is_ok() =>
             {
-                self.enter(cert.view(), now, &mut out);
+                self.enter(cert.view(), now, out);
             }
             _ => {}
         }
-        out
     }
 
-    fn on_qc(&mut self, qc: &QuorumCert, _formed_locally: bool, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_qc_into(
+        &mut self,
+        qc: &QuorumCert,
+        _formed_locally: bool,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    ) {
         let v = qc.view();
         if v.as_i64() < 0 {
-            return out;
+            return;
         }
         if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
-            self.enter(v.next(), now, &mut out);
+            self.enter(v.next(), now, out);
         }
-        out
     }
 
-    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if !self.booted || self.view.as_i64() < 0 {
-            return out;
+            return;
         }
         let target = self.view.next();
         // View timeout: start (or continue) wishing for the next view.
@@ -257,7 +257,7 @@ impl Pacemaker for RelayPacemaker {
             None => true,
         };
         if view_expired && relay_expired {
-            self.send_wish(target, now, &mut out);
+            self.send_wish(target, now, out);
         } else if view_expired {
             if let Some((_, deadline)) = self.relay_deadline {
                 out.push(PacemakerAction::WakeAt(deadline));
@@ -267,7 +267,6 @@ impl Pacemaker for RelayPacemaker {
                 self.view_entered_at + self.view_timeout,
             ));
         }
-        out
     }
 
     fn current_view(&self) -> View {

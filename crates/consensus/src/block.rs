@@ -145,12 +145,15 @@ impl Block {
     }
 }
 
+/// The domain of a block's hash.
+const BLOCK: Digest = Digest::new(b"block");
+
 impl Fields {
     /// The hash these fields call for: every field but `hash` itself, read
     /// in place. [`Block::new`] stores it, [`Block::well_formed`] compares
     /// the stored one against it.
     fn digest(&self) -> BlockHash {
-        Digest::new(b"block")
+        BLOCK
             .push_u64(self.parent)
             .push_u64(self.height)
             .push_i64(self.view.as_i64())
@@ -214,6 +217,11 @@ impl fmt::Display for Block {
 mod tests {
     use super::*;
     use lumiere_types::{Transaction, TxId};
+
+    #[test]
+    fn the_const_domain_is_the_run_time_one() {
+        assert_eq!(BLOCK, Digest::new(std::hint::black_box(b"block")));
+    }
 
     #[test]
     fn genesis_is_well_formed_and_self_parenting() {

@@ -251,14 +251,27 @@ impl HotStuffEngine {
     /// Re-entering the current or an older view is a no-op, so pacemakers may
     /// call this whenever their notion of the current view changes.
     pub fn enter_view(&mut self, view: View, leader: ProcessId, now: Time) -> Vec<ConsensusAction> {
+        let mut out = Vec::new();
+        self.enter_view_into(view, leader, now, &mut out);
+        out
+    }
+
+    /// [`HotStuffEngine::enter_view`], appending the actions to `out` (a
+    /// buffer the host reuses across events).
+    pub fn enter_view_into(
+        &mut self,
+        view: View,
+        leader: ProcessId,
+        now: Time,
+        out: &mut Vec<ConsensusAction>,
+    ) {
         if view <= self.current_view {
-            return Vec::new();
+            return;
         }
         self.current_view = view;
         self.current_leader = Some(leader);
-        let mut out = Vec::new();
         if leader == self.id && self.proposing_enabled && !self.proposed_in(view) {
-            out.extend(self.propose(now));
+            self.propose(now, out);
         }
         let parked = self.pending_proposals.remove(&(view.as_i64(), leader));
         // Whatever else is parked at or below this view can never be voted
@@ -270,12 +283,13 @@ impl HotStuffEngine {
             entry.remove();
         }
         if let Some(block) = parked {
-            out.extend(self.maybe_vote(&block, now));
+            self.maybe_vote(&block, now, out);
         }
-        out
     }
 
-    fn propose(&mut self, now: Time) -> Vec<ConsensusAction> {
+    /// Proposes for the current view: the proposal goes out first, then
+    /// whatever the leader's own vote for it sets off.
+    fn propose(&mut self, now: Time, out: &mut Vec<ConsensusAction>) {
         let parent_hash = self.high_qc.block_hash();
         let parent_height = self.store.get(parent_hash).map(|b| b.height()).unwrap_or(0);
         let block = Block::new(
@@ -290,13 +304,11 @@ impl HotStuffEngine {
             state.proposed = true;
         }
         self.store.insert(&block);
+        out.push(ConsensusAction::Broadcast(ConsensusMessage::Proposal(
+            block.clone(),
+        )));
         // The leader votes for its own proposal locally.
-        let vote = self.maybe_vote(&block, now);
-        let mut out = vec![ConsensusAction::Broadcast(ConsensusMessage::Proposal(
-            block,
-        ))];
-        out.extend(vote);
-        out
+        self.maybe_vote(&block, now, out);
     }
 
     /// Handles a message from another replica.
@@ -306,25 +318,45 @@ impl HotStuffEngine {
         msg: &ConsensusMessage,
         now: Time,
     ) -> Vec<ConsensusAction> {
+        let mut out = Vec::new();
+        self.on_message_into(from, msg, now, &mut out);
+        out
+    }
+
+    /// [`HotStuffEngine::on_message`], appending the actions to `out` (a
+    /// buffer the host reuses across events).
+    pub fn on_message_into(
+        &mut self,
+        from: ProcessId,
+        msg: &ConsensusMessage,
+        now: Time,
+        out: &mut Vec<ConsensusAction>,
+    ) {
         match msg {
-            ConsensusMessage::Proposal(block) => self.on_proposal(from, block, now),
+            ConsensusMessage::Proposal(block) => self.on_proposal(from, block, now, out),
             ConsensusMessage::Vote {
                 view,
                 block_hash,
                 signature,
-            } => self.on_vote(from, *view, *block_hash, *signature, now),
-            ConsensusMessage::NewQc(qc) => self.process_qc(qc),
+            } => self.on_vote(from, *view, *block_hash, *signature, now, out),
+            ConsensusMessage::NewQc(qc) => self.process_qc(qc, out),
         }
     }
 
-    fn on_proposal(&mut self, from: ProcessId, block: &Block, now: Time) -> Vec<ConsensusAction> {
+    fn on_proposal(
+        &mut self,
+        from: ProcessId,
+        block: &Block,
+        now: Time,
+        out: &mut Vec<ConsensusAction>,
+    ) {
         if !block.well_formed() || block.proposer() != from {
-            return Vec::new();
+            return;
         }
         // In the steady state the justify arrived as `NewQc` one message
         // earlier and is `high_qc` (see the invariant on the field).
         if *block.justify() != self.high_qc && !self.verify_qc(block.justify()) {
-            return Vec::new();
+            return;
         }
         // Equivocation bookkeeping: a second, *distinct* block for the same
         // (view, proposer) is tolerated — the vote rule below votes at most
@@ -347,7 +379,7 @@ impl HotStuffEngine {
                 ));
             }
         }
-        let mut out = self.process_verified_qc(block.justify());
+        self.process_verified_qc(block.justify(), out);
         self.store.insert(block);
         if block.view() > self.current_view {
             // We have not entered this view yet; keep the proposal until the
@@ -355,36 +387,35 @@ impl HotStuffEngine {
             // justify QC we just surfaced).
             self.pending_proposals
                 .insert((block.view().as_i64(), from), block.clone());
-            return out;
+            return;
         }
         if block.view() == self.current_view && Some(from) == self.current_leader {
-            out.extend(self.maybe_vote(block, now));
+            self.maybe_vote(block, now, out);
         }
-        out
     }
 
-    fn maybe_vote(&mut self, block: &Block, _now: Time) -> Vec<ConsensusAction> {
+    fn maybe_vote(&mut self, block: &Block, now: Time, out: &mut Vec<ConsensusAction>) {
         if block.view() <= self.last_voted_view {
-            return Vec::new();
+            return;
         }
         if block.justify().view() < self.locked_view {
-            return Vec::new();
+            return;
         }
         self.last_voted_view = block.view();
         let digest = QuorumCert::vote_digest(block.view(), block.hash());
         let signature = self.keys.sign(digest);
         let leader = block.proposer();
         if leader == self.id {
-            self.record_vote(block.view(), block.hash(), signature, _now)
+            self.record_vote(block.view(), block.hash(), signature, now, out);
         } else {
-            vec![ConsensusAction::Send(
+            out.push(ConsensusAction::Send(
                 leader,
                 ConsensusMessage::Vote {
                     view: block.view(),
                     block_hash: block.hash(),
                     signature,
                 },
-            )]
+            ));
         }
     }
 
@@ -395,59 +426,63 @@ impl HotStuffEngine {
         block_hash: BlockHash,
         signature: Signature,
         now: Time,
-    ) -> Vec<ConsensusAction> {
+        out: &mut Vec<ConsensusAction>,
+    ) {
         if signature.signer() != from {
-            return Vec::new();
+            return;
         }
         let digest = QuorumCert::vote_digest(view, block_hash);
         if self.pki.verify(&signature, digest).is_err() {
-            return Vec::new();
+            return;
         }
         // Only the proposer of the block collects votes for it.
         if !self.proposed_in(view) {
-            return Vec::new();
+            return;
         }
-        self.record_vote(view, block_hash, signature, now)
+        self.record_vote(view, block_hash, signature, now, out);
     }
 
+    /// Pools a vote for this replica's own proposal. The one that completes
+    /// the quorum yields `QcFormed`, then the `NewQc` broadcast, then what
+    /// the certificate's intake sets off.
     fn record_vote(
         &mut self,
         view: View,
         block_hash: BlockHash,
         signature: Signature,
         now: Time,
-    ) -> Vec<ConsensusAction> {
+        out: &mut Vec<ConsensusAction>,
+    ) {
         // Only ever reached for a view this replica proposed in, so the
         // record exists; a formed QC has nothing left to collect.
         let Some(state) = self.views.get_mut(view.as_i64()) else {
-            return Vec::new();
+            return;
         };
         if state.formed_qc {
-            return Vec::new();
+            return;
         }
         let pool = state.votes.entry(block_hash).or_default();
         pool.insert(signature.signer(), signature);
         if pool.len() < self.params.quorum() {
-            return Vec::new();
+            return;
         }
         // Lumiere leader rule: past the deadline it is too late to produce
         // this QC.
         if state.qc_deadline.is_some_and(|deadline| now > deadline) {
-            return Vec::new();
+            return;
         }
         self.partials.clear();
         self.partials.extend(pool.values().copied());
         let Ok(qc) = QuorumCert::aggregate(view, block_hash, &self.partials, &self.params) else {
-            return Vec::new();
+            return;
         };
         state.formed_qc = true;
         state.votes.clear();
-        let mut out = vec![
-            ConsensusAction::QcFormed(qc.clone()),
-            ConsensusAction::Broadcast(ConsensusMessage::NewQc(qc.clone())),
-        ];
-        out.extend(self.process_qc(&qc));
-        out
+        out.push(ConsensusAction::QcFormed(qc.clone()));
+        out.push(ConsensusAction::Broadcast(ConsensusMessage::NewQc(
+            qc.clone(),
+        )));
+        self.process_qc(&qc, out);
     }
 
     /// The engine's one certificate check: every certificate that reaches
@@ -463,25 +498,25 @@ impl HotStuffEngine {
 
     /// Intake for a certificate that arrived on its own (`NewQc`) or was
     /// just aggregated here.
-    fn process_qc(&mut self, qc: &QuorumCert) -> Vec<ConsensusAction> {
+    fn process_qc(&mut self, qc: &QuorumCert, out: &mut Vec<ConsensusAction>) {
         // An observed `(view, block)` yields no actions whether or not this
         // copy verifies, so the check is skipped for it.
         let state = self.views.get(qc.view().as_i64());
         if state.is_some_and(|s| s.observed.contains(&qc.block_hash())) || !self.verify_qc(qc) {
-            return Vec::new();
+            return;
         }
-        self.process_verified_qc(qc)
+        self.process_verified_qc(qc, out);
     }
 
     /// Applies a certificate the caller has verified (or found equal to
     /// `high_qc`): first sight of its `(view, block)` updates `high_qc` and
     /// the lock and runs the commit rule; any later copy is a no-op.
-    fn process_verified_qc(&mut self, qc: &QuorumCert) -> Vec<ConsensusAction> {
+    fn process_verified_qc(&mut self, qc: &QuorumCert, out: &mut Vec<ConsensusAction>) {
         let Some(state) = self.views.get_or_insert(qc.view().as_i64()) else {
-            return Vec::new();
+            return;
         };
         if state.observed.contains(&qc.block_hash()) {
-            return Vec::new();
+            return;
         }
         state.observed.push(qc.block_hash());
         if qc.view() > self.high_qc.view() {
@@ -491,14 +526,12 @@ impl HotStuffEngine {
             self.locked_view = qc.view();
             self.locks_advanced += 1;
         }
-        let mut out = Vec::new();
         if !qc.is_genesis() {
             out.push(ConsensusAction::QcObserved(qc.clone()));
         }
         for block in self.store.on_qc(qc) {
             out.push(ConsensusAction::Committed(block));
         }
-        out
     }
 }
 
@@ -1289,11 +1322,7 @@ mod tests {
                 ConsensusMessage::Proposal(block) => {
                     self.reference_on_proposal(from, block.clone(), now)
                 }
-                ConsensusMessage::Vote {
-                    view,
-                    block_hash,
-                    signature,
-                } => self.on_vote(from, *view, *block_hash, *signature, now),
+                ConsensusMessage::Vote { .. } => self.on_message(from, msg, now),
                 ConsensusMessage::NewQc(qc) => self.reference_process_qc(qc.clone()),
             }
         }
@@ -1332,16 +1361,17 @@ mod tests {
                 return out;
             }
             if block.view() == self.current_view && Some(from) == self.current_leader {
-                out.extend(self.maybe_vote(&block, now));
+                self.maybe_vote(&block, now, &mut out);
             }
             out
         }
 
         fn reference_process_qc(&mut self, qc: QuorumCert) -> Vec<ConsensusAction> {
-            if !qc.is_genesis() && qc.verify(&self.pki, &self.params).is_err() {
-                return Vec::new();
+            let mut out = Vec::new();
+            if qc.is_genesis() || qc.verify(&self.pki, &self.params).is_ok() {
+                self.process_verified_qc(&qc, &mut out);
             }
-            self.process_verified_qc(&qc)
+            out
         }
     }
 

@@ -6,18 +6,28 @@ use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, Params, Result, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A quorum certificate: a `2f+1` threshold signature over `(view, block)`
 /// testifying that a quorum completed the view's instructions for that block.
 ///
 /// The genesis certificate (for the genesis block, sentinel view) carries no
 /// threshold signature and is accepted by construction.
+///
+/// The threshold signature sits in one shared allocation, made where the
+/// certificate is aggregated or decoded, so `clone` — into `high_qc`, a
+/// proposal's justify, every notification — is a reference bump. Equality,
+/// `Debug`, the serde form and the wire form are those of the signature
+/// itself; two handles on one allocation compare equal without reading it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuorumCert {
     view: View,
     block_hash: BlockHash,
-    tsig: Option<ThresholdSignature>,
+    tsig: Option<Arc<ThresholdSignature>>,
 }
+
+/// The domain of [`QuorumCert::vote_digest`].
+const VOTE: Digest = Digest::new(b"vote");
 
 impl QuorumCert {
     /// The certificate vouching for the genesis block.
@@ -31,10 +41,7 @@ impl QuorumCert {
 
     /// Digest that replicas sign when voting for `(view, block_hash)`.
     pub fn vote_digest(view: View, block_hash: BlockHash) -> DigestValue {
-        Digest::new(b"vote")
-            .push_i64(view.as_i64())
-            .push_u64(block_hash)
-            .finish()
+        VOTE.push_i64(view.as_i64()).push_u64(block_hash).finish()
     }
 
     /// Aggregates `2f+1` vote signatures into a quorum certificate, tallying
@@ -56,7 +63,7 @@ impl QuorumCert {
         Ok(QuorumCert {
             view,
             block_hash,
-            tsig: Some(tsig),
+            tsig: Some(Arc::new(tsig)),
         })
     }
 
@@ -109,7 +116,7 @@ impl QuorumCert {
     /// The threshold signature, or nothing for genesis.
     pub fn authenticator(&self) -> Authenticator<'_> {
         self.tsig
-            .as_ref()
+            .as_deref()
             .map_or(Authenticator::None, Authenticator::Aggregate)
     }
 }
@@ -119,7 +126,7 @@ impl QuorumCert {
 /// signature otherwise.
 impl Wire for QuorumCert {
     fn encoded_len(&self) -> usize {
-        8 + 8 + 1 + self.tsig.as_ref().map_or(0, Wire::encoded_len)
+        8 + 8 + 1 + self.tsig.as_deref().map_or(0, Wire::encoded_len)
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -140,7 +147,7 @@ impl Wire for QuorumCert {
             block_hash: r.u64("QuorumCert.block_hash")?,
             tsig: match r.tag("QuorumCert.tsig")? {
                 0 => None,
-                1 => Some(ThresholdSignature::decode(r)?),
+                1 => Some(Arc::new(ThresholdSignature::decode(r)?)),
                 tag => {
                     return Err(WireError::UnknownTag {
                         what: "QuorumCert.tsig",
@@ -172,6 +179,33 @@ mod tests {
         let params = Params::new(n, Duration::from_millis(10));
         let (keys, pki) = keygen(n, 1);
         (keys, pki, params)
+    }
+
+    #[test]
+    fn the_const_domain_is_the_run_time_one() {
+        assert_eq!(VOTE, Digest::new(std::hint::black_box(b"vote")));
+    }
+
+    #[test]
+    fn clones_share_the_signature_and_decoding_makes_one() {
+        let (keys, pki, params) = setup(7);
+        let view = View::new(4);
+        let digest = QuorumCert::vote_digest(view, 0xabc);
+        let votes: Vec<_> = keys.iter().take(5).map(|k| k.sign(digest)).collect();
+        let qc = QuorumCert::aggregate(view, 0xabc, &votes, &params).unwrap();
+        let shared = |a: &QuorumCert, b: &QuorumCert| match (&a.tsig, &b.tsig) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(shared(&qc, &qc.clone()));
+        let mut bytes = Vec::new();
+        qc.encode_into(&mut bytes);
+        let decoded = QuorumCert::decode_exact(&bytes).unwrap();
+        assert!(!shared(&qc, &decoded), "a decoded copy is its own");
+        assert_eq!(decoded, qc, "and equal field by field");
+        assert!(decoded.verify(&pki, &params).is_ok());
+        let json = serde::json::to_string(&qc);
+        assert_eq!(serde::json::from_str::<QuorumCert>(&json).unwrap(), qc);
     }
 
     #[test]
@@ -218,7 +252,7 @@ mod tests {
         let qc = QuorumCert {
             view,
             block_hash: 0xabc,
-            tsig: Some(tsig),
+            tsig: Some(Arc::new(tsig)),
         };
         assert!(qc.verify(&pki, &params).is_err());
     }
@@ -237,7 +271,7 @@ mod tests {
         let qc = QuorumCert {
             view,
             block_hash: 0xabc,
-            tsig: Some(tsig),
+            tsig: Some(Arc::new(tsig)),
         };
         let claimed_digest = QuorumCert::vote_digest(view, 0xdead).as_u64();
         let computed_digest = QuorumCert::vote_digest(view, 0xabc).as_u64();

@@ -275,38 +275,36 @@ impl Pacemaker for BasicLumiere {
         "basic-lumiere"
     }
 
-    fn boot(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if self.booted {
-            return out;
+            return;
         }
         self.booted = true;
         self.clock = LocalClock::new(now);
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_message(
+    fn on_message_into(
         &mut self,
         from: ProcessId,
         msg: &PacemakerMessage,
         now: Time,
-    ) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<PacemakerAction>,
+    ) {
         match msg {
             PacemakerMessage::ViewMsg { view, signature }
                 if signature.signer() == from
                     && self.pki.verify(signature, view_msg_digest(*view)).is_ok()
                     && view.is_initial() =>
             {
-                self.record_view_msg(from, *view, *signature, now, &mut out);
+                self.record_view_msg(from, *view, *signature, now, out);
             }
             PacemakerMessage::EpochViewMsg { view, signature }
                 if signature.signer() == from
                     && self.pki.verify(signature, epoch_view_digest(*view)).is_ok()
                     && self.layout.is_epoch_view(*view) =>
             {
-                self.record_epoch_msg(from, *view, *signature, now, &mut out);
+                self.record_epoch_msg(from, *view, *signature, now, out);
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
@@ -320,7 +318,7 @@ impl Pacemaker for BasicLumiere {
                     self.seen_vc.insert(view.as_i64());
                     if view > self.view {
                         self.clock.bump_to(self.c(view), now);
-                        self.set_view(view, &mut out);
+                        self.set_view(view, out);
                     }
                 }
             }
@@ -331,38 +329,39 @@ impl Pacemaker for BasicLumiere {
                     && ec.verify(&self.pki, &self.params).is_ok()
                 {
                     self.seen_ec.insert(view.as_i64());
-                    self.handle_ec(view, now, &mut out);
+                    self.handle_ec(view, now, out);
                 }
             }
             _ => {}
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_qc(&mut self, qc: &QuorumCert, _formed_locally: bool, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_qc_into(
+        &mut self,
+        qc: &QuorumCert,
+        _formed_locally: bool,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    ) {
         let v = qc.view();
         if v.as_i64() < 0 {
-            return out;
+            return;
         }
         if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
             let next = v.next();
             self.clock.bump_to(self.c(next), now);
             if !self.layout.is_epoch_view(next) {
-                self.set_view(next, &mut out);
+                self.set_view(next, out);
             } else if self.view < v {
-                self.set_view(v, &mut out);
+                self.set_view(v, out);
             }
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
-        self.sweep(now, &mut out);
-        out
+    fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
+        self.sweep(now, out);
     }
 
     fn current_view(&self) -> View {

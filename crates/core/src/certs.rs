@@ -16,27 +16,35 @@ use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Params, Result, View};
 use serde::{Deserialize, Serialize};
 
+const VIEW_MSG: Digest = Digest::new(b"view-msg");
+
 /// Digest signed by a processor wishing to tell `lead(v)` it entered initial
 /// view `v`.
 pub fn view_msg_digest(view: View) -> DigestValue {
-    Digest::new(b"view-msg").push_i64(view.as_i64()).finish()
+    VIEW_MSG.push_i64(view.as_i64()).finish()
 }
+
+const EPOCH_VIEW: Digest = Digest::new(b"epoch-view");
 
 /// Digest signed by a processor wishing to enter epoch view `v`.
 pub fn epoch_view_digest(view: View) -> DigestValue {
-    Digest::new(b"epoch-view").push_i64(view.as_i64()).finish()
+    EPOCH_VIEW.push_i64(view.as_i64()).finish()
 }
+
+const WISH: Digest = Digest::new(b"wish");
 
 /// Digest signed by a processor asking to advance to view `v` in the relay
 /// (Cogsworth / NK20) baselines.
 pub fn wish_digest(view: View) -> DigestValue {
-    Digest::new(b"wish").push_i64(view.as_i64()).finish()
+    WISH.push_i64(view.as_i64()).finish()
 }
+
+const TIMEOUT: Digest = Digest::new(b"timeout");
 
 /// Digest signed by a processor reporting a timeout of view `v` in the naive
 /// quadratic pacemaker.
 pub fn timeout_digest(view: View) -> DigestValue {
-    Digest::new(b"timeout").push_i64(view.as_i64()).finish()
+    TIMEOUT.push_i64(view.as_i64()).finish()
 }
 
 macro_rules! certificate {
@@ -168,6 +176,15 @@ mod tests {
         let params = Params::new(7, Duration::from_millis(10));
         let (keys, pki) = keygen(7, 2);
         (keys, pki, params)
+    }
+
+    #[test]
+    fn the_const_domains_are_the_run_time_ones() {
+        let at_run_time = |domain: &[u8]| Digest::new(std::hint::black_box(domain));
+        assert_eq!(VIEW_MSG, at_run_time(b"view-msg"));
+        assert_eq!(EPOCH_VIEW, at_run_time(b"epoch-view"));
+        assert_eq!(WISH, at_run_time(b"wish"));
+        assert_eq!(TIMEOUT, at_run_time(b"timeout"));
     }
 
     #[test]

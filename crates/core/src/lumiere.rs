@@ -497,17 +497,16 @@ impl Lumiere {
         view: View,
         signature: Signature,
         now: Time,
-    ) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<PacemakerAction>,
+    ) {
         if signature.signer() != from
             || self.pki.verify(&signature, view_msg_digest(view)).is_err()
             || !view.is_initial()
         {
-            return out;
+            return;
         }
-        self.record_view_msg(from, view, signature, now, &mut out);
-        self.sweep(now, &mut out);
-        out
+        self.record_view_msg(from, view, signature, now, out);
+        self.sweep(now, out);
     }
 
     fn handle_epoch_view_msg(
@@ -516,8 +515,8 @@ impl Lumiere {
         view: View,
         signature: Signature,
         now: Time,
-    ) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<PacemakerAction>,
+    ) {
         if signature.signer() != from
             || self
                 .pki
@@ -525,78 +524,71 @@ impl Lumiere {
                 .is_err()
             || !self.cfg.layout.is_epoch_view(view)
         {
-            return out;
+            return;
         }
-        self.record_epoch_msg(from, view, signature, now, &mut out);
-        self.sweep(now, &mut out);
-        out
+        self.record_epoch_msg(from, view, signature, now, out);
+        self.sweep(now, out);
     }
 
     /// Lines 36–40: reaction to a VC for an initial view.
-    fn handle_view_cert(&mut self, vc: &ViewCert, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn handle_view_cert(&mut self, vc: &ViewCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = vc.view();
         // Marked only once verified: a forged VC must not use up the view.
         if !view.is_initial()
             || self.has(view, ViewState::SEEN_VC)
             || vc.verify(&self.pki, &self.cfg.params).is_err()
         {
-            return out;
+            return;
         }
         self.mark(view, ViewState::SEEN_VC);
         if view > self.view {
             self.unpause_if(|pv| view >= pv, now);
             if self.clock.reading(now) < self.c(view) {
-                self.send_skipped_view_msgs(view, now, &mut out);
+                self.send_skipped_view_msgs(view, now, out);
                 self.clock.bump_to(self.c(view), now);
             }
-            self.set_view(view, &mut out);
+            self.set_view(view, out);
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
     /// Handles an explicitly relayed EC (equivalent to assembling one from
     /// individual epoch-view messages).
-    fn handle_epoch_cert(&mut self, ec: &EpochCert, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn handle_epoch_cert(&mut self, ec: &EpochCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = ec.view();
         if !self.cfg.layout.is_epoch_view(view) {
-            return out;
+            return;
         }
         // An EC for a marked view has nothing left to do (`seen_ec` implies
         // `seen_tc`), so it is not checked again.
         if !self.has(view, ViewState::SEEN_EC) {
             if ec.verify(&self.pki, &self.cfg.params).is_err() {
-                return out;
+                return;
             }
             if self.mark(view, ViewState::SEEN_TC) {
-                self.handle_tc(view, now, &mut out);
+                self.handle_tc(view, now, out);
             }
             // `handle_tc` may itself have completed the EC from the pool.
             if self.mark(view, ViewState::SEEN_EC) {
-                self.handle_ec(view, now, &mut out);
+                self.handle_ec(view, now, out);
             }
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn handle_timeout_cert(&mut self, tc: &TimeoutCert, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn handle_timeout_cert(&mut self, tc: &TimeoutCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = tc.view();
         if !self.cfg.layout.is_epoch_view(view) {
-            return out;
+            return;
         }
         if !self.has(view, ViewState::SEEN_TC) {
             if tc.verify(&self.pki, &self.cfg.params).is_err() {
-                return out;
+                return;
             }
             self.mark(view, ViewState::SEEN_TC);
-            self.handle_tc(view, now, &mut out);
+            self.handle_tc(view, now, out);
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 }
 
@@ -605,43 +597,47 @@ impl Pacemaker for Lumiere {
         "lumiere"
     }
 
-    fn boot(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         if self.booted {
-            return out;
+            return;
         }
         self.booted = true;
         self.clock = LocalClock::new(now);
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_message(
+    fn on_message_into(
         &mut self,
         from: ProcessId,
         msg: &PacemakerMessage,
         now: Time,
-    ) -> Vec<PacemakerAction> {
+        out: &mut Vec<PacemakerAction>,
+    ) {
         match msg {
             PacemakerMessage::ViewMsg { view, signature } => {
-                self.handle_view_msg(from, *view, *signature, now)
+                self.handle_view_msg(from, *view, *signature, now, out)
             }
             PacemakerMessage::EpochViewMsg { view, signature } => {
-                self.handle_epoch_view_msg(from, *view, *signature, now)
+                self.handle_epoch_view_msg(from, *view, *signature, now, out)
             }
-            PacemakerMessage::ViewCert(vc) => self.handle_view_cert(vc, now),
-            PacemakerMessage::EpochCert(ec) => self.handle_epoch_cert(ec, now),
-            PacemakerMessage::TimeoutCert(tc) => self.handle_timeout_cert(tc, now),
+            PacemakerMessage::ViewCert(vc) => self.handle_view_cert(vc, now, out),
+            PacemakerMessage::EpochCert(ec) => self.handle_epoch_cert(ec, now, out),
+            PacemakerMessage::TimeoutCert(tc) => self.handle_timeout_cert(tc, now, out),
             // Messages belonging to other protocol families are ignored.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    fn on_qc(&mut self, qc: &QuorumCert, formed_locally: bool, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_qc_into(
+        &mut self,
+        qc: &QuorumCert,
+        formed_locally: bool,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    ) {
         let v = qc.view();
         if v.as_i64() < 0 {
-            return out;
+            return;
         }
         // Success-criterion bookkeeping happens for every QC we hear about.
         if let Some(epoch) = self.track_success(qc) {
@@ -655,13 +651,13 @@ impl Pacemaker for Lumiere {
             let next = v.next();
             self.unpause_if(|pv| v >= pv, now);
             if self.clock.reading(now) < self.c(next) {
-                self.send_skipped_view_msgs(next, now, &mut out);
+                self.send_skipped_view_msgs(next, now, out);
                 self.clock.bump_to(self.c(next), now);
             }
             if !self.cfg.layout.is_epoch_view(next) {
-                self.set_view(next, &mut out);
+                self.set_view(next, out);
             } else if self.view < v {
-                self.set_view(v, &mut out);
+                self.set_view(v, out);
             }
         }
 
@@ -679,25 +675,22 @@ impl Pacemaker for Lumiere {
             }
         }
 
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
-    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction> {
-        let mut out = Vec::new();
+    fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         // Line 11: if still paused Δ after pausing, broadcast the epoch-view
         // message.
         if let Some(pause) = self.pause {
             if now >= pause.paused_at + self.cfg.params.delta_cap {
-                self.broadcast_epoch_msg(pause.epoch_view, now, &mut out);
+                self.broadcast_epoch_msg(pause.epoch_view, now, out);
             } else {
                 out.push(PacemakerAction::WakeAt(
                     pause.paused_at + self.cfg.params.delta_cap,
                 ));
             }
         }
-        self.sweep(now, &mut out);
-        out
+        self.sweep(now, out);
     }
 
     fn current_view(&self) -> View {

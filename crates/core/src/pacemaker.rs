@@ -3,9 +3,14 @@
 //! A pacemaker decides *when each processor enters each view* (the BVS task
 //! of Section 2). It is driven by four kinds of events — boot, an incoming
 //! pacemaker message, a QC notification from the underlying protocol, and a
-//! timer wake-up — and responds with a list of [`PacemakerAction`]s that the
-//! hosting node executes (network sends, view entries for the consensus
-//! engine, wake-up requests, metric markers).
+//! timer wake-up — and responds with [`PacemakerAction`]s that the hosting
+//! node executes (network sends, view entries for the consensus engine,
+//! wake-up requests, metric markers).
+//!
+//! A handler appends its actions to a buffer the host owns (`out`), in the
+//! order they are to be executed, and leaves what is already there alone.
+//! The host drains and reuses the one buffer across events, so handling an
+//! event allocates no action list.
 
 use crate::messages::PacemakerMessage;
 use lumiere_consensus::QuorumCert;
@@ -37,8 +42,8 @@ pub enum PacemakerAction {
         /// Latest time at which the QC may be produced.
         deadline: Time,
     },
-    /// Ask the hosting node to call [`Pacemaker::on_wake`] at (or after) the
-    /// given time.
+    /// Ask the hosting node to call [`Pacemaker::on_wake_into`] at (or
+    /// after) the given time.
     WakeAt(Time),
     /// Metric marker: this processor is participating in a heavy (Θ(n²))
     /// epoch synchronization for the epoch starting at `view`.
@@ -52,35 +57,74 @@ pub enum PacemakerAction {
 ///
 /// # Contract
 ///
+/// * Handlers **append** their actions to `out`, in execution order, and
+///   never read, reorder or remove what `out` already holds: the host may
+///   pass a buffer carrying earlier actions.
 /// * Handlers must be **idempotent** with respect to duplicate events: the
 ///   hosting node may deliver the same QC or message more than once.
 /// * Handlers never block and never interact with real time; `now` is the
 ///   simulated time of the event.
 /// * `current_view` must be monotonically non-decreasing over a processor's
 ///   lifetime (condition (1) of the view synchronization task).
+///
+/// Implementations provide the `_into` handlers. The `Vec`-returning
+/// `boot` / `on_message` / `on_qc` / `on_wake` wrap them for callers that
+/// step one pacemaker by hand.
 pub trait Pacemaker: Debug + Send {
     /// A short protocol name used in reports (e.g. `"lumiere"`, `"lp22"`).
     fn name(&self) -> &'static str;
 
     /// Called once when the processor starts, before any other event.
-    fn boot(&mut self, now: Time) -> Vec<PacemakerAction>;
+    fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>);
 
     /// Handles a pacemaker message from `from`.
+    fn on_message_into(
+        &mut self,
+        from: ProcessId,
+        msg: &PacemakerMessage,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    );
+
+    /// Handles a quorum certificate notification from the underlying
+    /// protocol. `formed_locally` is true when this processor, acting as
+    /// leader, aggregated the QC itself.
+    fn on_qc_into(
+        &mut self,
+        qc: &QuorumCert,
+        formed_locally: bool,
+        now: Time,
+        out: &mut Vec<PacemakerAction>,
+    );
+
+    /// Handles a timer wake-up previously requested with
+    /// [`PacemakerAction::WakeAt`]. Spurious wake-ups are allowed.
+    fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>);
+
+    /// [`Pacemaker::boot_into`] into a fresh list.
+    fn boot(&mut self, now: Time) -> Vec<PacemakerAction> {
+        filled(|out| self.boot_into(now, out))
+    }
+
+    /// [`Pacemaker::on_message_into`] into a fresh list.
     fn on_message(
         &mut self,
         from: ProcessId,
         msg: &PacemakerMessage,
         now: Time,
-    ) -> Vec<PacemakerAction>;
+    ) -> Vec<PacemakerAction> {
+        filled(|out| self.on_message_into(from, msg, now, out))
+    }
 
-    /// Handles a quorum certificate notification from the underlying
-    /// protocol. `formed_locally` is true when this processor, acting as
-    /// leader, aggregated the QC itself.
-    fn on_qc(&mut self, qc: &QuorumCert, formed_locally: bool, now: Time) -> Vec<PacemakerAction>;
+    /// [`Pacemaker::on_qc_into`] into a fresh list.
+    fn on_qc(&mut self, qc: &QuorumCert, formed_locally: bool, now: Time) -> Vec<PacemakerAction> {
+        filled(|out| self.on_qc_into(qc, formed_locally, now, out))
+    }
 
-    /// Handles a timer wake-up previously requested with
-    /// [`PacemakerAction::WakeAt`]. Spurious wake-ups are allowed.
-    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction>;
+    /// [`Pacemaker::on_wake_into`] into a fresh list.
+    fn on_wake(&mut self, now: Time) -> Vec<PacemakerAction> {
+        filled(|out| self.on_wake_into(now, out))
+    }
 
     /// The view this processor is currently in (`-1` before the first view).
     fn current_view(&self) -> View;
@@ -92,6 +136,13 @@ pub trait Pacemaker: Debug + Send {
     /// How many entries this pacemaker holds across its per-view records,
     /// sets and message pools: what its memory is proportional to.
     fn state_entries(&self) -> usize;
+}
+
+/// The list `fill` appends to an empty buffer.
+fn filled<A>(fill: impl FnOnce(&mut Vec<A>)) -> Vec<A> {
+    let mut out = Vec::new();
+    fill(&mut out);
+    out
 }
 
 /// Signatures held across the per-view pools of a `view → sender →

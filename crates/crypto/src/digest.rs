@@ -48,11 +48,16 @@ impl fmt::Display for DigestValue {
 
 /// Incremental digest builder with domain separation.
 ///
+/// Every method is a `const fn`, so a domain's prefix is a constant: the
+/// domain string is mixed once, at compile time, and each digest starts
+/// from the result.
+///
 /// ```
 /// use lumiere_crypto::Digest;
-/// let a = Digest::new(b"vote").push_i64(3).push_u64(9).finish();
-/// let b = Digest::new(b"vote").push_i64(3).push_u64(9).finish();
-/// let c = Digest::new(b"vote").push_u64(9).push_i64(3).finish();
+/// const VOTE: Digest = Digest::new(b"vote");
+/// let a = VOTE.push_i64(3).push_u64(9).finish();
+/// let b = VOTE.push_i64(3).push_u64(9).finish();
+/// let c = VOTE.push_u64(9).push_i64(3).finish();
 /// assert_eq!(a, b);
 /// assert_ne!(a, c); // order matters
 /// ```
@@ -64,17 +69,20 @@ pub struct Digest {
 impl Digest {
     /// Starts a digest in the given domain (e.g. `b"view-msg"`). Distinct
     /// domains never collide for the same field sequence.
-    pub fn new(domain: &[u8]) -> Self {
+    pub const fn new(domain: &[u8]) -> Self {
         let mut d = Digest { state: FNV_OFFSET };
         d.mix_bytes(domain);
         d.mix_u64(0x00d0_aa11_5e9a_7a7e);
         d
     }
 
-    fn mix_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.state ^= byte as u64;
+    const fn mix_u64(&mut self, value: u64) {
+        let bytes = value.to_le_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            self.state ^= bytes[i] as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
+            i += 1;
         }
         // Extra avalanche (splitmix64 finaliser step) so nearby integers map
         // to well-spread digests.
@@ -84,45 +92,50 @@ impl Digest {
         self.state = z ^ (z >> 31);
     }
 
-    fn mix_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
+    const fn mix_bytes(&mut self, bytes: &[u8]) {
+        let mut i = 0;
+        while i < bytes.len() {
+            self.state ^= bytes[i] as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
+            i += 1;
         }
         self.mix_u64(bytes.len() as u64);
     }
 
     /// Appends an unsigned 64-bit field.
     #[must_use]
-    pub fn push_u64(mut self, value: u64) -> Self {
+    pub const fn push_u64(mut self, value: u64) -> Self {
         self.mix_u64(value);
         self
     }
 
     /// Appends a signed 64-bit field.
     #[must_use]
-    pub fn push_i64(mut self, value: i64) -> Self {
+    pub const fn push_i64(mut self, value: i64) -> Self {
         self.mix_u64(value as u64);
         self
     }
 
     /// Appends a byte-string field.
     #[must_use]
-    pub fn push_bytes(mut self, bytes: &[u8]) -> Self {
+    pub const fn push_bytes(mut self, bytes: &[u8]) -> Self {
         self.mix_bytes(bytes);
         self
     }
 
     /// Finalises the digest.
-    pub fn finish(self) -> DigestValue {
+    pub const fn finish(self) -> DigestValue {
         DigestValue(self.state)
     }
 }
 
+/// The domain of [`combine`].
+const COMBINE: Digest = Digest::new(b"combine");
+
 /// Convenience helper: hash two 64-bit values (used for chaining block
 /// hashes and combining partial signatures).
 pub fn combine(a: u64, b: u64) -> u64 {
-    Digest::new(b"combine").push_u64(a).push_u64(b).finish().0
+    COMBINE.push_u64(a).push_u64(b).finish().0
 }
 
 #[cfg(test)]
@@ -165,6 +178,11 @@ mod tests {
             seen.insert(Digest::new(b"spread").push_i64(i).finish().as_u64());
         }
         assert_eq!(seen.len(), 10_000);
+    }
+
+    #[test]
+    fn the_const_domain_is_the_run_time_one() {
+        assert_eq!(COMBINE, Digest::new(std::hint::black_box(b"combine")));
     }
 
     #[test]

@@ -4,19 +4,20 @@ use crate::digest::{Digest, DigestValue};
 use crate::signature::Signature;
 use crate::threshold::ThresholdSignature;
 use lumiere_types::{Error, ProcessId, Result, StakeTable};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Secret signing key held by one processor.
 ///
 /// In the simulated scheme the "secret" is a 64-bit scalar derived from the
-/// keygen seed; the [`Pki`] retains, per signer, the digest state that scalar
-/// leads to, so it can recompute and verify keyed hashes (this plays the
-/// role of the public-key relation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// keygen seed. The key holds the [`SignerState`] that scalar leads to — the
+/// same entry the [`Pki`] retains to recompute and verify keyed hashes (this
+/// plays the role of the public-key relation) — so signing is one mix of the
+/// signed digest. Like the `Pki`, a key is never serialized: every node
+/// re-derives it from `(n, seed)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPair {
     id: ProcessId,
-    secret: u64,
+    state: SignerState,
 }
 
 impl KeyPair {
@@ -28,7 +29,7 @@ impl KeyPair {
     /// Signs a digest, producing a partial signature attributable to this
     /// processor.
     pub fn sign(&self, digest: DigestValue) -> Signature {
-        Signature::new(self.id, SignerState::of(self.secret).tag(digest))
+        Signature::new(self.id, self.state.tag(digest))
     }
 }
 
@@ -155,6 +156,9 @@ impl Pki {
     }
 }
 
+/// The domain of [`keygen`]'s secrets.
+const KEYGEN: Digest = Digest::new(b"keygen");
+
 /// Generates key material for an `n`-processor system from a seed.
 ///
 /// The same `(n, seed)` pair always yields the same keys, keeping simulations
@@ -167,17 +171,15 @@ impl Pki {
 /// assert_eq!(pki.n(), 4);
 /// ```
 pub fn keygen(n: usize, seed: u64) -> (Vec<KeyPair>, Pki) {
+    // Every secret shares the seed's mix; processor `i`'s adds `i`.
+    let seeded = KEYGEN.push_u64(seed);
     let keys: Vec<KeyPair> = (0..n)
         .map(|i| KeyPair {
             id: ProcessId::new(i),
-            secret: Digest::new(b"keygen")
-                .push_u64(seed)
-                .push_u64(i as u64)
-                .finish()
-                .as_u64(),
+            state: SignerState::of(seeded.push_u64(i as u64).finish().as_u64()),
         })
         .collect();
-    let signers = keys.iter().map(|k| SignerState::of(k.secret)).collect();
+    let signers = keys.iter().map(|k| k.state).collect();
     (keys, Pki { signers })
 }
 
@@ -186,9 +188,12 @@ pub fn keygen(n: usize, seed: u64) -> (Vec<KeyPair>, Pki) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SignerState(Digest);
 
+/// The domain every signature tag is computed in.
+const SIG: Digest = Digest::new(b"sig");
+
 impl SignerState {
     fn of(secret: u64) -> Self {
-        SignerState(Digest::new(b"sig").push_u64(secret))
+        SignerState(SIG.push_u64(secret))
     }
 
     /// The signer's tag over `digest`.
@@ -216,12 +221,19 @@ mod tests {
     }
 
     #[test]
+    fn the_const_domains_are_the_run_time_ones() {
+        assert_eq!(SIG, Digest::new(std::hint::black_box(b"sig")));
+        assert_eq!(KEYGEN, Digest::new(std::hint::black_box(b"keygen")));
+    }
+
+    #[test]
     fn cached_signer_state_gives_the_two_mix_tag() {
         let (keys, pki) = keygen(16, 9);
-        for (key, state) in keys.iter().zip(pki.signers.iter()) {
+        for (i, (key, state)) in keys.iter().zip(pki.signers.iter()).enumerate() {
             for x in [0, 1, -1, i64::MAX, 0x5eed] {
                 let d = digest(x);
-                let reference = keyed_tag(key.secret, d);
+                let secret = KEYGEN.push_u64(9).push_u64(i as u64).finish().as_u64();
+                let reference = keyed_tag(secret, d);
                 assert_eq!(state.tag(d), reference);
                 assert_eq!(key.sign(d).tag(), reference);
                 assert!(pki.verify(&key.sign(d), d).is_ok());

@@ -43,7 +43,8 @@
 //!
 //! let (keys, pki) = keygen(4, 42);
 //! let stakes = StakeTable::uniform(4);
-//! let digest = Digest::new(b"view-msg").push_i64(7).finish();
+//! const VIEW_MSG: Digest = Digest::new(b"view-msg");
+//! let digest = VIEW_MSG.push_i64(7).finish();
 //! let partials: Vec<_> = keys.iter().map(|k| k.sign(digest)).collect();
 //! let tsig = ThresholdSignature::aggregate(digest, &partials, &stakes, 3).unwrap();
 //! assert!(pki.verify_aggregate(&tsig, digest, &stakes, 3).is_ok());

@@ -68,6 +68,7 @@ impl RuntimeOutput {
             && self.qcs_formed.is_empty()
             && self.commits.is_empty()
             && self.committed_txs.is_empty()
+            && self.committed_blocks.is_empty()
             && self.entered_views.is_empty()
             && self.heavy_syncs.is_empty()
             && self.gated_events == 0
@@ -91,5 +92,11 @@ mod tests {
         out.clear();
         assert!(out.is_empty());
         assert_eq!(out.commits.capacity(), cap);
+        // Every field `clear` empties counts toward `is_empty`, the
+        // committed blocks included.
+        out.committed_blocks.push(Block::genesis());
+        assert!(!out.is_empty());
+        out.clear();
+        assert!(out.is_empty());
     }
 }

@@ -130,9 +130,12 @@ pub struct ProtocolRuntime {
     /// Latest `now` any event carried — the restart floor (see
     /// [`ConsensusRuntime::resume_floor`]).
     last_event_time: Time,
-    /// Persistent cascade queues, reused across events (no per-event
-    /// allocation once warm).
-    pm_queue: VecDeque<PacemakerAction>,
+    /// The cascade's buffers, empty between events and reused across them
+    /// (no per-event allocation once warm). The pacemaker's handlers write
+    /// into `pm_batch` and the engine's into `cons_batch`; consensus actions
+    /// wait in `cons_queue` behind the pacemaker batch one of them set off.
+    pm_batch: Vec<PacemakerAction>,
+    cons_batch: Vec<ConsensusAction>,
     cons_queue: VecDeque<ConsensusAction>,
 }
 
@@ -146,7 +149,8 @@ impl ProtocolRuntime {
             mempool: Mempool::default(),
             booted: false,
             last_event_time: Time::ZERO,
-            pm_queue: VecDeque::new(),
+            pm_batch: Vec::new(),
+            cons_batch: Vec::new(),
             cons_queue: VecDeque::new(),
         }
     }
@@ -209,8 +213,8 @@ impl ProtocolRuntime {
             return;
         }
         self.booted = true;
-        let actions = self.pacemaker.boot(now);
-        self.drain_pacemaker(actions, now, gates, out);
+        self.pacemaker.boot_into(now, &mut self.pm_batch);
+        self.drain_pacemaker(now, gates, out);
     }
 
     /// Boots the processor under `gates`. Returns whether the pacemaker ran
@@ -231,8 +235,8 @@ impl ProtocolRuntime {
         if !gates.pacemaker {
             return false;
         }
-        let actions = self.pacemaker.on_wake(now);
-        self.drain_pacemaker(actions, now, gates, out);
+        self.pacemaker.on_wake_into(now, &mut self.pm_batch);
+        self.drain_pacemaker(now, gates, out);
         true
     }
 
@@ -254,15 +258,17 @@ impl ProtocolRuntime {
                 if !gates.pacemaker {
                     return false;
                 }
-                let actions = self.pacemaker.on_message(from, m, now);
-                self.drain_pacemaker(actions, now, gates, out);
+                self.pacemaker
+                    .on_message_into(from, m, now, &mut self.pm_batch);
+                self.drain_pacemaker(now, gates, out);
             }
             WireMessage::Consensus(m) => {
                 if !gates.consensus {
                     return false;
                 }
-                let actions = self.engine.on_message(from, m, now);
-                self.drain_consensus(actions, now, gates, out);
+                self.engine
+                    .on_message_into(from, m, now, &mut self.cons_batch);
+                self.drain_consensus(now, gates, out);
             }
             WireMessage::Submit(tx) => {
                 if !gates.consensus {
@@ -283,20 +289,15 @@ impl ProtocolRuntime {
         out.committed_blocks.push(block);
     }
 
-    /// Processes pacemaker actions, cascading into the consensus engine as
+    /// Processes the pacemaker batch, cascading into the consensus engine as
     /// needed (view entries trigger proposals, which may trigger QCs, which
-    /// feed back into the pacemaker, and so on until quiescence).
-    fn drain_pacemaker(
-        &mut self,
-        actions: Vec<PacemakerAction>,
-        now: Time,
-        gates: Gates,
-        out: &mut RuntimeOutput,
-    ) {
-        debug_assert!(self.pm_queue.is_empty() && self.cons_queue.is_empty());
-        self.pm_queue.extend(actions);
+    /// feed back into the pacemaker, and so on until quiescence). A batch
+    /// runs to its end before the next consensus action is taken.
+    fn drain_pacemaker(&mut self, now: Time, gates: Gates, out: &mut RuntimeOutput) {
+        debug_assert!(self.cons_batch.is_empty() && self.cons_queue.is_empty());
+        let mut pm = std::mem::take(&mut self.pm_batch);
         loop {
-            if let Some(action) = self.pm_queue.pop_front() {
+            for action in pm.drain(..) {
                 match action {
                     PacemakerAction::SendTo(to, m) => {
                         out.sends.push((to, WireMessage::Pacemaker(m)));
@@ -321,75 +322,59 @@ impl ProtocolRuntime {
                                 let batch = self.mempool.next_batch();
                                 self.engine.stage_payload(batch);
                             }
-                            let actions = self.engine.enter_view(view, leader, now);
-                            self.cons_queue.extend(actions);
+                            self.engine
+                                .enter_view_into(view, leader, now, &mut self.cons_batch);
+                            self.cons_queue.extend(self.cons_batch.drain(..));
                         }
                     }
                 }
-                continue;
             }
-            if let Some(action) = self.cons_queue.pop_front() {
-                match action {
-                    ConsensusAction::Broadcast(m) => {
-                        out.broadcasts.push(WireMessage::Consensus(m));
-                    }
-                    ConsensusAction::Send(to, m) => {
-                        out.sends.push((to, WireMessage::Consensus(m)));
-                    }
-                    ConsensusAction::Committed(block) => self.on_committed(block, out),
-                    ConsensusAction::QcFormed(qc) => {
-                        out.qcs_formed.push(qc.clone());
-                        if gates.pacemaker {
-                            let actions = self.pacemaker.on_qc(&qc, true, now);
-                            self.pm_queue.extend(actions);
-                        }
-                    }
-                    ConsensusAction::QcObserved(qc) => {
-                        if gates.pacemaker {
-                            let actions = self.pacemaker.on_qc(&qc, false, now);
-                            self.pm_queue.extend(actions);
-                        }
-                    }
-                }
-                continue;
-            }
-            break;
+            let Some(action) = self.cons_queue.pop_front() else {
+                break;
+            };
+            self.apply_consensus(action, now, gates, out, &mut pm);
         }
+        self.pm_batch = pm;
     }
 
-    /// Processes consensus actions, cascading into the pacemaker as needed.
-    fn drain_consensus(
+    /// Processes the consensus batch, then the pacemaker actions its
+    /// certificate notifications set off.
+    fn drain_consensus(&mut self, now: Time, gates: Gates, out: &mut RuntimeOutput) {
+        let mut cons = std::mem::take(&mut self.cons_batch);
+        let mut pm = std::mem::take(&mut self.pm_batch);
+        for action in cons.drain(..) {
+            self.apply_consensus(action, now, gates, out, &mut pm);
+        }
+        self.cons_batch = cons;
+        self.pm_batch = pm;
+        self.drain_pacemaker(now, gates, out);
+    }
+
+    /// Executes one consensus action. A certificate notification goes to
+    /// the pacemaker, whose actions are appended to `pm`.
+    fn apply_consensus(
         &mut self,
-        actions: Vec<ConsensusAction>,
+        action: ConsensusAction,
         now: Time,
         gates: Gates,
         out: &mut RuntimeOutput,
+        pm: &mut Vec<PacemakerAction>,
     ) {
-        // Reuse the same cascade machinery by starting from an empty
-        // pacemaker queue and a pre-filled consensus queue.
-        let mut pm_actions = Vec::new();
-        debug_assert!(self.cons_queue.is_empty());
-        self.cons_queue.extend(actions);
-        while let Some(action) = self.cons_queue.pop_front() {
-            match action {
-                ConsensusAction::Broadcast(m) => out.broadcasts.push(WireMessage::Consensus(m)),
-                ConsensusAction::Send(to, m) => out.sends.push((to, WireMessage::Consensus(m))),
-                ConsensusAction::Committed(block) => self.on_committed(block, out),
-                ConsensusAction::QcFormed(qc) => {
-                    out.qcs_formed.push(qc.clone());
-                    if gates.pacemaker {
-                        pm_actions.extend(self.pacemaker.on_qc(&qc, true, now));
-                    }
+        match action {
+            ConsensusAction::Broadcast(m) => out.broadcasts.push(WireMessage::Consensus(m)),
+            ConsensusAction::Send(to, m) => out.sends.push((to, WireMessage::Consensus(m))),
+            ConsensusAction::Committed(block) => self.on_committed(block, out),
+            ConsensusAction::QcFormed(qc) => {
+                if gates.pacemaker {
+                    self.pacemaker.on_qc_into(&qc, true, now, pm);
                 }
-                ConsensusAction::QcObserved(qc) => {
-                    if gates.pacemaker {
-                        pm_actions.extend(self.pacemaker.on_qc(&qc, false, now));
-                    }
+                out.qcs_formed.push(qc);
+            }
+            ConsensusAction::QcObserved(qc) => {
+                if gates.pacemaker {
+                    self.pacemaker.on_qc_into(&qc, false, now, pm);
                 }
             }
-        }
-        if !pm_actions.is_empty() {
-            self.drain_pacemaker(pm_actions, now, gates, out);
         }
     }
 }

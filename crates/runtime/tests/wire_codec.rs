@@ -388,6 +388,55 @@ fn golden_frames_pin_the_layout() {
     );
 }
 
+/// One value per digest domain, each captured before the domain prefixes
+/// became compile-time constants: a signature or hash that moves by one bit
+/// splits a live cluster from every node built before it.
+const PINNED_DIGESTS: [(&str, u64); 8] = [
+    ("vote_digest(7, 9)", 0x128a_12ef_7c79_1d90),
+    ("view_msg_digest(7)", 0xb4a3_774a_c849_88b7),
+    ("epoch_view_digest(7)", 0x469b_968e_a524_f1e8),
+    ("wish_digest(7)", 0x63b2_2fa4_e443_efb2),
+    ("timeout_digest(7)", 0xb54a_4cf3_86e6_9248),
+    ("combine(1, 2)", 0x0574_912c_dd30_7ffc),
+    (
+        "keygen(4, 1)[1] tag on view_msg_digest(7)",
+        0xdc3c_20d6_2c28_13e0,
+    ),
+    ("hash of a 64-transaction block", 0x1582_cf78_1c43_dc87),
+];
+
+#[test]
+fn digests_and_signature_tags_keep_their_values() {
+    let v = View::new(7);
+    let (keys, _) = keygen(4, 1);
+    let payload = Batch {
+        txs: (0..64)
+            .map(|i| Transaction::sized(TxId::new(1_000 + i), 256))
+            .collect(),
+    };
+    let block = Block::new(
+        0xabcd,
+        9,
+        View::new(5),
+        ProcessId::new(2),
+        payload,
+        QuorumCert::genesis(),
+    );
+    let got = [
+        QuorumCert::vote_digest(v, 9).as_u64(),
+        view_msg_digest(v).as_u64(),
+        epoch_view_digest(v).as_u64(),
+        wish_digest(v).as_u64(),
+        timeout_digest(v).as_u64(),
+        lumiere_crypto::digest::combine(1, 2),
+        keys[1].sign(view_msg_digest(v)).tag(),
+        block.hash(),
+    ];
+    for ((what, want), got) in PINNED_DIGESTS.into_iter().zip(got) {
+        assert_eq!(got, want, "{what}: {got:#018x}");
+    }
+}
+
 /// Asserts what must hold of `decode_frame` on *any* bytes: it returns (no
 /// panic); an accepted frame is exactly the canonical encoding of the
 /// message it decoded to, consumed to the last byte of the declared length

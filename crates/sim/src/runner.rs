@@ -192,6 +192,13 @@ pub struct Simulation {
     collector: MetricsCollector,
     trace: Trace,
     scheduled_wakes: HashSet<(usize, i64)>,
+    /// Per node, the time (µs) of the last wake request it made, whose pair
+    /// is therefore in `scheduled_wakes`: nearly every event re-requests
+    /// the same instant, and a repeat needs no set probe. Exact, because a
+    /// sweep at `now` removes only pairs below `now`, and a request is
+    /// raised to at least `now`, so a swept pair's time is never requested
+    /// again.
+    last_wake: Vec<i64>,
     /// Hashes of the blocks whose transactions went to the collector: every
     /// honest processor commits every block, and only the first commit of a
     /// block can be the first commit of a transaction it carries.
@@ -258,6 +265,7 @@ impl Simulation {
         let schedule = cfg.effective_adversary();
         let honesty = Arc::new(nodes.iter().map(|n| n.is_honest()).collect::<Vec<_>>());
         let shards = exec.resolved_shards(cfg.n);
+        let last_wake = vec![i64::MIN; cfg.n];
         Simulation {
             cfg,
             exec,
@@ -270,6 +278,7 @@ impl Simulation {
             collector,
             trace: Trace::new(),
             scheduled_wakes: HashSet::new(),
+            last_wake,
             tx_accounted_blocks: HashSet::new(),
             #[cfg(test)]
             account_txs_per_node: false,
@@ -573,6 +582,11 @@ impl Simulation {
         // Wake-ups (deduplicated per node and time).
         for at in out.wakes.drain(..) {
             let at = at.max(now);
+            let last = &mut self.last_wake[from.as_usize()];
+            if *last == at.as_micros() {
+                continue;
+            }
+            *last = at.as_micros();
             if self
                 .scheduled_wakes
                 .insert((from.as_usize(), at.as_micros()))
