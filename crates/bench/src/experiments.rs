@@ -104,12 +104,14 @@ impl ExperimentScale {
 
     /// Offered client-load rates (txs/sec) for the saturation sweep. The
     /// grid is geometric so the throughput–latency curve shows both the
-    /// linear region and the knee: with small batches the commit pipeline
-    /// saturates well inside the quick grid's top rates.
+    /// linear region and the knee: with small batches every protocol's
+    /// goodput at the top rate is under 0.8× what is offered.
     fn load_rates(&self) -> Vec<u64> {
         match self {
-            ExperimentScale::Quick => vec![200, 800, 3_200, 12_800],
-            ExperimentScale::Full => vec![100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_600],
+            ExperimentScale::Quick => vec![200, 800, 3_200, 12_800, 51_200],
+            ExperimentScale::Full => vec![
+                100, 200, 400, 800, 1_600, 3_200, 6_400, 12_800, 25_600, 51_200,
+            ],
         }
     }
 }

@@ -226,8 +226,10 @@ impl HotStuffEngine {
     }
 
     /// Stages `batch` as the payload of this replica's next proposal and
-    /// returns the batch it displaces (for the host to requeue). The hosting
-    /// runtime calls this just before entering a view this replica leads.
+    /// returns the batch it displaces (one staged for a view this replica
+    /// never proposed in). The hosting runtime calls this just before
+    /// entering a view this replica leads; the proposal extends
+    /// [`HotStuffEngine::high_qc`]'s block.
     pub fn stage_payload(&mut self, batch: Batch) -> Batch {
         std::mem::replace(&mut self.staged, batch)
     }

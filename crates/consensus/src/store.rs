@@ -77,6 +77,19 @@ impl BlockStore {
         &self.committed
     }
 
+    /// The uncommitted chain ending at `hash`, newest first: its block,
+    /// then each parent in turn while the parent is held and above
+    /// [`BlockStore::committed_height`]. Empty when `hash` is committed or
+    /// unknown. What a proposal extending `hash` must not carry again.
+    pub fn uncommitted_ancestry(&self, hash: BlockHash) -> impl Iterator<Item = &Block> + '_ {
+        let mut next = self.blocks.get(&hash);
+        std::iter::from_fn(move || {
+            let block = next.filter(|b| b.height() > self.committed_height)?;
+            next = self.blocks.get(&block.parent());
+            Some(block)
+        })
+    }
+
     /// Applies the two-chain commit rule given a newly observed QC.
     ///
     /// Returns the list of newly committed blocks in chain order (oldest
@@ -280,6 +293,38 @@ mod tests {
         assert_eq!(store.on_qc(&qcs[4]), blocks[1..=3].to_vec());
         let chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
         assert_eq!(store.committed_chain(), chain.as_slice());
+    }
+
+    #[test]
+    fn uncommitted_ancestry_walks_down_to_the_committed_frontier() {
+        let (mut store, blocks, qcs) = chain_fixture();
+        let hashes = |store: &BlockStore, tip: &Block| -> Vec<BlockHash> {
+            store
+                .uncommitted_ancestry(tip.hash())
+                .map(Block::hash)
+                .collect()
+        };
+        let expect = |heights: &[usize]| -> Vec<BlockHash> {
+            heights.iter().map(|&h| blocks[h].hash()).collect()
+        };
+        assert_eq!(hashes(&store, &blocks[5]), expect(&[5, 4, 3, 2, 1]));
+        assert!(
+            hashes(&store, &blocks[0]).is_empty(),
+            "genesis is committed"
+        );
+        store.on_qc(&qcs[3]); // commits heights 1 and 2
+        assert_eq!(hashes(&store, &blocks[5]), expect(&[5, 4, 3]));
+        assert!(hashes(&store, &blocks[2]).is_empty());
+        assert!(
+            store.uncommitted_ancestry(0x1234).next().is_none(),
+            "unknown"
+        );
+        // A gap stops the walk: only what the store holds is walked.
+        let mut gappy = BlockStore::new();
+        for b in [&blocks[1], &blocks[3], &blocks[4]] {
+            gappy.insert(b);
+        }
+        assert_eq!(hashes(&gappy, &blocks[4]), expect(&[4, 3]));
     }
 
     #[test]

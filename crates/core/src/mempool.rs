@@ -2,11 +2,15 @@
 //!
 //! The mempool is a FIFO queue of [`Transaction`]s with dedup by [`TxId`]:
 //! a transaction is admitted at most once over the mempool's lifetime, so
-//! gossip echoes and client retries never inflate a block. When a leader
-//! enters a view it pulls the next [`Batch`] — bounded both by a transaction
-//! count and a byte budget — and stages it as the proposal payload; a batch
-//! displaced by a newer view is requeued at the front so transaction order
-//! (and therefore every downstream report) stays deterministic.
+//! gossip echoes and client retries never inflate a block. A transaction
+//! stays queued until a block carrying it commits. When a leader enters a
+//! view it reads the next [`Batch`] — bounded both by a transaction count and
+//! a byte budget — from the front of the queue, skipping every transaction
+//! the uncommitted chain it extends already carries
+//! ([`Mempool::next_batch_excluding`]), and stages it as the proposal
+//! payload. Reading removes nothing, so a displaced proposal or an abandoned
+//! branch has nothing to give back: its transactions are eligible again as
+//! soon as no chain a leader extends carries them, in their original order.
 //!
 //! # Commit pruning
 //!
@@ -17,9 +21,9 @@
 //! is popped, and one further back stays where it is as a *tombstone* — a
 //! queue entry whose id is committed. Tombstones are invisible from outside:
 //! [`Mempool::len`], [`Mempool::is_empty`] and the capacity check count only
-//! the `live` entries, [`Mempool::next_batch`] drops the tombstones it
-//! meets, and whenever they come to outnumber the live entries one `retain`
-//! sweeps them out, which keeps
+//! the `live` entries, a batch skips the tombstones it meets, and whenever
+//! they come to outnumber the live entries one `retain` sweeps them out,
+//! which keeps
 //!
 //! ```text
 //! physical queue length ≤ 2 · live + batch_txs
@@ -31,11 +35,10 @@
 //!
 //! # One index
 //!
-//! What the pool knows about an id is one [`Slot`] in one hash map —
-//! queued, pulled into a batch, or committed — so every operation probes
-//! the map once per transaction it touches. An id enters the map when it is
-//! admitted or first seen in a committed block and never leaves: dedup is
-//! for the pool's lifetime.
+//! What the pool knows about an id is one [`Slot`] in one hash map — queued
+//! or committed — so every operation probes the map once per transaction it
+//! touches. An id enters the map when it is admitted or first seen in a
+//! committed block and never leaves: dedup is for the pool's lifetime.
 //!
 //! Everything here is integer arithmetic over explicitly ordered
 //! collections (the index is only ever probed, never iterated): the same
@@ -74,11 +77,9 @@ impl Default for MempoolConfig {
 /// never been admitted here nor committed anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
-    /// Admitted and in the queue, as a live entry.
+    /// Admitted and in the queue, as a live entry — whether or not an
+    /// uncommitted block already carries it.
     Queued,
-    /// Pulled by [`Mempool::next_batch`] and neither requeued nor committed
-    /// since: admitted, but not in the queue.
-    Taken,
     /// Committed by *any* leader, whether or not this pool ever admitted
     /// it. Final. A queue entry in this state is a tombstone.
     Committed,
@@ -96,8 +97,8 @@ pub struct Mempool {
     /// and the capacity check report.
     live: usize,
     /// Every id ever admitted or committed. Dedup is deliberately
-    /// *persistent*: a transaction pulled into a committed batch must not
-    /// be re-admittable via a late gossip echo.
+    /// *persistent*: a transaction of a committed batch must not be
+    /// re-admittable via a late gossip echo.
     index: HashMap<TxId, Slot>,
     /// Submissions rejected because the queue was full.
     shed: u64,
@@ -135,20 +136,33 @@ impl Mempool {
         true
     }
 
-    /// Pulls the next batch, bounded by `batch_txs` and `max_block_bytes`.
-    /// Empty when the pool is drained.
-    pub fn next_batch(&mut self) -> Batch {
+    /// The next batch a leader should propose: the first queued
+    /// transactions, in FIFO order, that are neither committed nor in
+    /// `in_flight`, bounded by `batch_txs` and `max_block_bytes`. Empty when
+    /// nothing is eligible. Removes nothing: a transaction leaves the pool
+    /// only by committing.
+    ///
+    /// `in_flight` is sorted: the ids the uncommitted chain the proposal
+    /// extends already carries. Costs a binary search per queue entry
+    /// reached until every in-flight id has been met, plus an index probe
+    /// per entry only while the queue holds tombstones.
+    pub fn next_batch_excluding(&self, in_flight: &[TxId]) -> Batch {
+        debug_assert!(in_flight.is_sorted(), "in_flight must be sorted");
+        let tombstones = self.has_tombstones();
+        // Queue entries are distinct, so once this many have matched, no
+        // later entry can.
+        let mut unmet = in_flight.len();
         let mut txs = Vec::with_capacity(self.cfg.batch_txs.min(self.live));
         let mut bytes = 0u64;
-        while txs.len() < self.cfg.batch_txs {
-            let Some(&tx) = self.queue.front() else { break };
-            // One probe answers "is this a tombstone?" and marks the pull.
-            let slot = self
-                .index
-                .get_mut(&tx.id)
-                .expect("every queue entry is indexed");
-            if *slot == Slot::Committed {
-                self.queue.pop_front();
+        for tx in &self.queue {
+            if txs.len() == self.cfg.batch_txs {
+                break;
+            }
+            if unmet > 0 && in_flight.binary_search(&tx.id).is_ok() {
+                unmet -= 1;
+                continue;
+            }
+            if tombstones && self.index.get(&tx.id) == Some(&Slot::Committed) {
                 continue;
             }
             let tx_bytes = tx.size as u64;
@@ -156,30 +170,22 @@ impl Mempool {
                 break;
             }
             bytes += tx_bytes;
-            *slot = Slot::Taken;
-            self.queue.pop_front();
-            self.live -= 1;
-            txs.push(tx);
+            txs.push(*tx);
         }
-        self.compact_if_sparse();
         Batch { txs }
     }
 
-    /// Returns a pulled-but-unused batch to the *front* of the queue in its
-    /// original order (a staged proposal displaced by a newer view).
-    /// Transactions committed in the meantime are dropped instead.
-    ///
-    /// `batch` must have come from this pool's [`Mempool::next_batch`] and
-    /// not have been requeued since; any other transaction is dropped.
-    pub fn requeue(&mut self, batch: Batch) {
-        for tx in batch.txs.into_iter().rev() {
-            if let Some(slot @ Slot::Taken) = self.index.get_mut(&tx.id) {
-                *slot = Slot::Queued;
-                self.queue.push_front(tx);
-                self.live += 1;
-            }
-        }
+    /// [`Mempool::next_batch_excluding`] with nothing in flight. Takes
+    /// `&mut self` as the pool that pulled batches out of its queue did, so
+    /// its callers compile unchanged.
+    pub fn next_batch(&mut self) -> Batch {
+        self.next_batch_excluding(&[])
     }
+
+    /// Does nothing. A batch is read, not pulled, so a displaced one has
+    /// nothing to give back; kept for the callers written against the pool
+    /// that pulled batches (the benchmark's replay harness).
+    pub fn requeue(&mut self, _batch: Batch) {}
 
     /// Records that `ids` were committed (by this or any other leader):
     /// they are pruned from the queue and permanently rejected from
@@ -189,8 +195,9 @@ impl Mempool {
         // No `reserve` from the iterator's size hint: most committed ids
         // were admitted here first and are in the index already.
         for id in ids {
-            // Blocks are re-committed and ids repeat: only the commit that
-            // finds the id queued may touch `live`.
+            // An id can commit twice (a Byzantine leader may propose one the
+            // chain already carries): only the commit that finds the id
+            // queued may touch `live`.
             if self.index.insert(id, Slot::Committed) != Some(Slot::Queued) {
                 continue;
             }
@@ -234,7 +241,8 @@ impl Mempool {
         self.index.len() + self.queue.len()
     }
 
-    /// Transactions currently queued.
+    /// Transactions queued and not yet committed, those an uncommitted
+    /// block carries included.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -275,9 +283,17 @@ mod tests {
         batch.tx_ids().map(|id| id.as_u64()).collect()
     }
 
-    /// The reference model: the eager mempool this module replaced, which
-    /// prunes with a `retain` over the whole queue on every commit. Slow and
-    /// obviously right; the differential test below holds [`Mempool`] to it.
+    fn sorted_ids(batch: &Batch) -> Vec<TxId> {
+        let mut ids: Vec<TxId> = batch.tx_ids().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The reference model: a queue that a `retain` over the whole of it
+    /// prunes on every commit, whose batch is by definition the first
+    /// `batch_txs` (within `max_block_bytes`) of queued − committed −
+    /// excluded. Slow and obviously right; the differential test below
+    /// holds [`Mempool`] to it.
     struct EagerMempool {
         cfg: MempoolConfig,
         queue: VecDeque<Transaction>,
@@ -310,27 +326,20 @@ mod tests {
             true
         }
 
-        fn next_batch(&mut self) -> Batch {
+        fn next_batch(&self, excluded: &HashSet<TxId>) -> Batch {
             let mut txs = Vec::new();
             let mut bytes = 0u64;
-            while txs.len() < self.cfg.batch_txs {
-                let Some(tx) = self.queue.front() else { break };
+            for tx in self.queue.iter().filter(|tx| !excluded.contains(&tx.id)) {
                 let tx_bytes = tx.size as u64;
-                if !txs.is_empty() && bytes + tx_bytes > self.cfg.max_block_bytes {
+                if txs.len() == self.cfg.batch_txs
+                    || (!txs.is_empty() && bytes + tx_bytes > self.cfg.max_block_bytes)
+                {
                     break;
                 }
                 bytes += tx_bytes;
-                txs.push(self.queue.pop_front().expect("front() was Some"));
+                txs.push(*tx);
             }
             Batch { txs }
-        }
-
-        fn requeue(&mut self, batch: Batch) {
-            for tx in batch.txs.into_iter().rev() {
-                if !self.committed.contains(&tx.id) {
-                    self.queue.push_front(tx);
-                }
-            }
         }
 
         fn mark_committed<I: IntoIterator<Item = TxId>>(&mut self, ids: I) {
@@ -341,10 +350,9 @@ mod tests {
     }
 
     /// Asserts everything observable without mutating, the memory bound,
-    /// and the index against the model's three sets: an id is indexed iff
-    /// the model admitted it or saw it committed, `Queued` iff it sits in
-    /// the model's queue, `Committed` iff the model holds it committed —
-    /// which leaves `Taken` for admitted ids that are neither.
+    /// and the index against the model's sets: an id is indexed iff the
+    /// model admitted it or saw it committed, `Queued` iff it sits in the
+    /// model's queue, and `Committed` otherwise.
     fn assert_same_state(pool: &Mempool, model: &EagerMempool) {
         assert_eq!(pool.len(), model.queue.len());
         assert_eq!(pool.is_empty(), model.queue.is_empty());
@@ -371,12 +379,21 @@ mod tests {
 
     proptest! {
         /// Random interleavings of every operation, on a pool small enough
-        /// that capacity, the byte budget and compaction are all hit: the
-        /// tombstoning pool and the eager model must agree on every return
-        /// value and every observable count after every step.
+        /// that capacity, the byte budget and compaction are all hit, with a
+        /// random in-flight set behind every batch: the tombstoning pool and
+        /// the eager model must agree on every return value and every
+        /// observable count after every step.
+        ///
+        /// Each of these hand mutations of [`Mempool`] fails it: ignoring
+        /// `in_flight`; taking a tombstone into a batch; removing what a
+        /// batch takes from the queue; stopping the `in_flight` searches
+        /// after the first match; never probing for tombstones.
         #[test]
         fn tombstoning_pool_matches_the_eager_model(
-            ops in proptest::collection::vec((0u8..16, 0u64..48, 1u64..12), 1..400)
+            ops in proptest::collection::vec(
+                (0u8..16, 0u64..48, 1u64..12, any::<u64>()),
+                1..400,
+            )
         ) {
             let cfg = MempoolConfig {
                 capacity: 12,
@@ -385,9 +402,9 @@ mod tests {
             };
             let mut pool = Mempool::new(cfg);
             let mut model = EagerMempool::new(cfg);
-            // Batches pulled and not yet requeued, identical on both sides.
+            // Batches read so far, identical on both sides.
             let mut staged: Vec<Batch> = Vec::new();
-            for (step, (op, id, span)) in ops.into_iter().enumerate() {
+            for (step, (op, id, span, mask)) in ops.into_iter().enumerate() {
                 // A window of ids that slides as the run goes on: duplicates,
                 // retries of committed ids and at-capacity arrivals stay
                 // common, and fresh ids never run out.
@@ -397,16 +414,30 @@ mod tests {
                         let tx = Transaction::sized(TxId::new(id), 200 + 50 * (id % 4) as u32);
                         prop_assert_eq!(pool.submit(tx), model.submit(tx));
                     }
+                    // A batch behind a random in-flight set: queued ids
+                    // picked by `mask`, plus ids committed or never seen.
                     9 => {
-                        let batch = pool.next_batch();
-                        prop_assert_eq!(ids(&batch), ids(&model.next_batch()));
+                        let mut in_flight: Vec<TxId> = model
+                            .queue
+                            .iter()
+                            .enumerate()
+                            .filter(|(at, _)| mask >> (at % 64) & 1 == 1)
+                            .map(|(_, tx)| tx.id)
+                            .chain((id..id + span).map(TxId::new))
+                            .collect();
+                        in_flight.sort_unstable();
+                        in_flight.dedup();
+                        let excluded: HashSet<TxId> = in_flight.iter().copied().collect();
+                        let batch = pool.next_batch_excluding(&in_flight);
+                        prop_assert_eq!(ids(&batch), ids(&model.next_batch(&excluded)));
                         staged.push(batch);
                     }
+                    // Handing a batch back restores nothing: there is
+                    // nothing to restore.
                     10 => {
                         if !staged.is_empty() {
                             let batch = staged.remove(id as usize % staged.len());
-                            pool.requeue(batch.clone());
-                            model.requeue(batch);
+                            pool.requeue(batch);
                         }
                     }
                     // Commit a run of ids: queued (front and mid-queue),
@@ -447,15 +478,19 @@ mod tests {
                 }
                 assert_same_state(&pool, &model);
             }
-            // What is left comes out in the same order.
+            // What is left comes out in the same order, one committed batch
+            // at a time.
             loop {
                 let batch = pool.next_batch();
-                prop_assert_eq!(ids(&batch), ids(&model.next_batch()));
+                prop_assert_eq!(ids(&batch), ids(&model.next_batch(&HashSet::new())));
                 if batch.is_empty() {
                     break;
                 }
+                pool.mark_committed(batch.tx_ids());
+                model.mark_committed(batch.tx_ids());
+                assert_same_state(&pool, &model);
             }
-            assert_same_state(&pool, &model);
+            prop_assert!(pool.is_empty());
         }
     }
 
@@ -494,9 +529,17 @@ mod tests {
             pool.submit(tx(i));
         }
         pool.mark_committed([TxId::new(1), TxId::new(2), TxId::new(4)]);
-        assert_eq!(ids(&pool.next_batch()), vec![0, 3, 5]);
-        assert_eq!(pool.len(), 2);
+        let first = pool.next_batch();
+        assert_eq!(ids(&first), vec![0, 3, 5]);
+        assert_eq!(pool.len(), 5, "reading a batch removes nothing");
+        // A leader extending a block that carries the first batch skips it.
+        assert_eq!(
+            ids(&pool.next_batch_excluding(&sorted_ids(&first))),
+            vec![6, 7]
+        );
+        pool.mark_committed(first.tx_ids());
         assert_eq!(ids(&pool.next_batch()), vec![6, 7]);
+        pool.mark_committed([TxId::new(6), TxId::new(7)]);
         assert!(pool.is_empty());
         assert_eq!(pool.queue.len(), 0);
     }
@@ -511,9 +554,8 @@ mod tests {
             pool.submit(tx(i));
         }
         let staged = pool.next_batch(); // [0, 1, 2]
-        assert_eq!(pool.len(), 2);
-        // Another leader's block carried the same transactions; committing
-        // ids that are staged, not queued, must not shrink `len()`.
+        assert_eq!(pool.len(), 5, "a staged batch stays queued");
+        // Another leader's block carried the same transactions.
         pool.mark_committed(staged.tx_ids());
         assert_eq!(pool.len(), 2);
         pool.requeue(staged);
@@ -566,20 +608,26 @@ mod tests {
         for i in 0..4 {
             pool.submit(tx(i));
         }
-        let staged = pool.next_batch(); // [0, 1]; 2 and 3 stay queued
+        let staged = pool.next_batch(); // [0, 1]; all four stay queued
         pool.mark_committed([TxId::new(1)]);
-        // Tx 0 is the only one this pool is waiting to get back: 99 was
-        // never admitted, 2 is still in the queue, 1 has committed.
+        // Nothing handed back is restored: 99 was never admitted, 2 and 0
+        // never left the queue, 1 has committed.
         pool.requeue(Batch {
             txs: vec![tx(99), tx(2), tx(0), tx(1)],
         });
         assert_eq!(pool.len(), 3);
-        assert_eq!(pool.queue.len(), 3, "no second copy of tx 2");
-        // Handing the same batch back twice restores nothing twice.
+        assert_eq!(
+            pool.queue.len(),
+            4,
+            "no second copy of tx 0 or tx 2; tx 1 is a tombstone"
+        );
         pool.requeue(staged);
         assert_eq!(pool.len(), 3);
         assert_eq!(ids(&pool.next_batch()), vec![0, 2]);
-        assert_eq!(ids(&pool.next_batch()), vec![3]);
+        assert_eq!(
+            ids(&pool.next_batch_excluding(&[TxId::new(0), TxId::new(2)])),
+            vec![3]
+        );
         assert!(pool.submit(tx(99)), "a dropped foreign id was not recorded");
     }
 
@@ -593,9 +641,9 @@ mod tests {
         assert!(pool.submit(tx(0)));
         let staged = pool.next_batch(); // tx 0 is out with a leader
         pool.mark_committed([TxId::new(5)]); // learnt from the chain only
-        assert!(pool.submit(tx(1)) && pool.submit(tx(2)));
-        assert_eq!(pool.len(), 2, "full");
-        for known in [0, 1, 2, 5] {
+        assert!(pool.submit(tx(1)));
+        assert_eq!(pool.len(), 2, "full: a staged transaction keeps its place");
+        for known in [0, 1, 5] {
             assert!(!pool.submit(tx(known)));
         }
         assert_eq!(
@@ -615,10 +663,10 @@ mod tests {
         for i in 0..5 {
             assert!(pool.submit(tx(i)));
         }
-        let batch = pool.next_batch();
-        let ids: Vec<u64> = batch.tx_ids().map(|id| id.as_u64()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert!(pool.is_empty());
+        assert_eq!(ids(&pool.next_batch()), vec![0, 1, 2, 3, 4]);
+        assert_eq!(pool.len(), 5, "a batch is read, not pulled");
+        let in_flight = [TxId::new(1), TxId::new(3)];
+        assert_eq!(ids(&pool.next_batch_excluding(&in_flight)), vec![0, 2, 4]);
     }
 
     #[test]
@@ -628,9 +676,11 @@ mod tests {
         assert!(!pool.submit(tx(1)), "queued duplicate");
         let batch = pool.next_batch();
         assert_eq!(batch.len(), 1);
+        assert!(!pool.submit(tx(1)), "staged duplicate");
+        pool.mark_committed(batch.tx_ids());
         assert!(
             !pool.submit(tx(1)),
-            "dedup must persist across next_batch() — a committed tx must not re-enter"
+            "dedup must persist past the commit — a committed tx must not re-enter"
         );
         assert_eq!(pool.shed(), 0, "duplicates are not load shedding");
     }
@@ -647,9 +697,12 @@ mod tests {
         assert!(!pool.submit(tx(3)));
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.shed(), 1);
-        // Draining frees capacity; the shed tx may be resubmitted (it was
-        // never admitted, so its id is not in the dedup set).
-        pool.next_batch();
+        // Committing frees capacity, staging does not; the shed tx may be
+        // resubmitted (it was never admitted, so its id is not in the dedup
+        // set).
+        let batch = pool.next_batch();
+        assert!(!pool.submit(tx(3)), "a staged batch keeps its places");
+        pool.mark_committed(batch.tx_ids());
         assert!(pool.submit(tx(3)));
     }
 
@@ -662,10 +715,14 @@ mod tests {
         for i in 0..5 {
             pool.submit(tx(i));
         }
-        assert_eq!(pool.next_batch().len(), 2);
-        assert_eq!(pool.next_batch().len(), 2);
-        assert_eq!(pool.next_batch().len(), 1);
-        assert!(pool.next_batch().is_empty());
+        // Each leader extends the previous one's block.
+        let mut in_flight = Vec::new();
+        for expected in [2, 2, 1, 0] {
+            let batch = pool.next_batch_excluding(&in_flight);
+            assert_eq!(batch.len(), expected);
+            in_flight.extend(batch.tx_ids());
+            in_flight.sort_unstable();
+        }
     }
 
     #[test]
@@ -681,7 +738,7 @@ mod tests {
         let batch = pool.next_batch();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.bytes(), 512);
-        assert_eq!(pool.next_batch().len(), 1);
+        assert_eq!(pool.next_batch_excluding(&sorted_ids(&batch)).len(), 1);
     }
 
     #[test]
@@ -695,7 +752,7 @@ mod tests {
         let batch = pool.next_batch();
         assert_eq!(batch.len(), 1, "oversized tx must not wedge the queue");
         assert_eq!(batch.bytes(), 5_000);
-        assert_eq!(pool.next_batch().len(), 1);
+        assert_eq!(pool.next_batch_excluding(&sorted_ids(&batch)).len(), 1);
     }
 
     #[test]
@@ -707,23 +764,22 @@ mod tests {
         // Another leader committed txs 1 and 3 (and tx 9, unknown here).
         pool.mark_committed([TxId::new(1), TxId::new(3), TxId::new(9)]);
         assert_eq!(pool.len(), 2, "committed txs leave the queue");
-        let ids: Vec<u64> = pool.next_batch().tx_ids().map(|id| id.as_u64()).collect();
-        assert_eq!(ids, vec![0, 2]);
+        assert_eq!(ids(&pool.next_batch()), vec![0, 2]);
         // A late client retry of a committed tx is rejected, even for an id
         // this pool never admitted itself.
         assert!(!pool.submit(tx(9)));
-        // A staged batch displaced across a commit drops the committed tx.
+        // A staged batch displaced across a commit: the next batch leaves
+        // the committed tx out.
         pool.submit(tx(10));
         pool.submit(tx(11));
         let staged = pool.next_batch();
         pool.mark_committed([TxId::new(10)]);
         pool.requeue(staged);
-        let ids: Vec<u64> = pool.next_batch().tx_ids().map(|id| id.as_u64()).collect();
-        assert_eq!(ids, vec![11]);
+        assert_eq!(ids(&pool.next_batch()), vec![0, 2, 11]);
     }
 
     #[test]
-    fn requeue_restores_front_of_queue_order() {
+    fn a_batch_stays_at_the_front_until_it_commits() {
         let mut pool = Mempool::new(MempoolConfig {
             batch_txs: 3,
             ..MempoolConfig::default()
@@ -732,14 +788,15 @@ mod tests {
             pool.submit(tx(i));
         }
         let staged = pool.next_batch(); // [0, 1, 2]
-        pool.requeue(staged);
-        let ids: Vec<u64> = pool.next_batch().tx_ids().map(|id| id.as_u64()).collect();
-        assert_eq!(
-            ids,
-            vec![0, 1, 2],
-            "requeued batch comes back first, in order"
-        );
-        let ids: Vec<u64> = pool.next_batch().tx_ids().map(|id| id.as_u64()).collect();
-        assert_eq!(ids, vec![3, 4, 5]);
+                                        // Its block is abandoned (or the proposal displaced): a leader whose
+                                        // chain does not carry it proposes the same transactions again,
+                                        // with no step to give them back.
+        pool.requeue(staged.clone());
+        assert_eq!(pool.next_batch(), staged);
+        // A leader whose chain carries it proposes what follows.
+        let in_flight = sorted_ids(&staged);
+        assert_eq!(ids(&pool.next_batch_excluding(&in_flight)), vec![3, 4, 5]);
+        pool.mark_committed(in_flight);
+        assert_eq!(ids(&pool.next_batch()), vec![3, 4, 5]);
     }
 }

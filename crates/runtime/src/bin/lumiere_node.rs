@@ -31,7 +31,9 @@
 //! `--load <tps>` turns the node into an open-loop client as well: it
 //! generates the given number of transactions per second, feeding its own
 //! mempool and broadcasting each to its peers; the summary then reports
-//! committed-transaction counts and submit→commit latency percentiles.
+//! committed-transaction counts, recommits (a transaction committed again,
+//! 0 unless a leader proposed one its chain already held) and submit→commit
+//! latency percentiles.
 //!
 //! Every flag may appear at most once; duplicates are rejected rather than
 //! last-wins, so a typo in a long command line cannot silently discard an
@@ -227,11 +229,12 @@ fn run_node(args: &Args) -> Result<(), String> {
     );
     if args.load.is_some() {
         eprintln!(
-            "[node {}] load: submitted {} txs, committed {} | latency ms \
-             p50 {:.1} / p95 {:.1} / p99 {:.1}",
+            "[node {}] load: submitted {} txs, committed {} ({} recommits) | \
+             latency ms p50 {:.1} / p95 {:.1} / p99 {:.1}",
             summary.node,
             summary.txs_submitted,
             summary.txs_committed,
+            summary.tx_recommits,
             summary.tx_latency_p50_ms,
             summary.tx_latency_p95_ms,
             summary.tx_latency_p99_ms,

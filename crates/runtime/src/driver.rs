@@ -104,6 +104,10 @@ pub struct DriverSummary {
     /// Distinct transactions observed in blocks this node committed
     /// (including transactions generated by peers).
     pub txs_committed: u64,
+    /// Commits of a transaction this node had already committed: 0 unless
+    /// some block carried a transaction its own chain already held, which
+    /// no honest leader proposes.
+    pub tx_recommits: u64,
     /// Median submit→local-commit latency of this node's own transactions,
     /// in wall-clock milliseconds (0 when none committed).
     pub tx_latency_p50_ms: f64,
@@ -159,14 +163,14 @@ fn percentile_ms(sorted_micros: &[i64], p: u64) -> f64 {
 }
 
 /// Book-keeping for the driver's open-loop client load: wall-clock submit
-/// instants of locally generated transactions, and the set of transactions
-/// seen committed (dedup — chained commits report each block once, but the
-/// accounting stays safe if that ever changes).
+/// instants of locally generated transactions, the set of transactions seen
+/// committed, and how many commits named one already in that set.
 #[derive(Debug, Default)]
 struct TxStats {
     submitted: u64,
     submit_micros: HashMap<TxId, i64>,
     committed: HashSet<TxId>,
+    recommits: u64,
     latencies_micros: Vec<i64>,
 }
 
@@ -337,6 +341,7 @@ pub fn run<R: ConsensusRuntime, T: Transport>(
         gated_events,
         txs_submitted: txs.submitted,
         txs_committed: txs.committed.len() as u64,
+        tx_recommits: txs.recommits,
         tx_latency_p50_ms: percentile_ms(&txs.latencies_micros, 50),
         tx_latency_p95_ms: percentile_ms(&txs.latencies_micros, 95),
         tx_latency_p99_ms: percentile_ms(&txs.latencies_micros, 99),
@@ -364,12 +369,14 @@ fn flush<T: Transport>(
     }
     let now_micros = epoch.elapsed().as_micros() as i64;
     for id in out.committed_txs.drain(..) {
-        if txs.committed.insert(id) {
-            // Latency is only known for transactions this node generated
-            // itself (peers' submit instants live on their clocks).
-            if let Some(at) = txs.submit_micros.remove(&id) {
-                txs.latencies_micros.push(now_micros - at);
-            }
+        if !txs.committed.insert(id) {
+            txs.recommits += 1;
+            continue;
+        }
+        // Latency is only known for transactions this node generated
+        // itself (peers' submit instants live on their clocks).
+        if let Some(at) = txs.submit_micros.remove(&id) {
+            txs.latencies_micros.push(now_micros - at);
         }
     }
     *gated_events += out.gated_events as u64;
@@ -561,6 +568,11 @@ mod tests {
             );
             assert!(s.tx_latency_p50_ms <= s.tx_latency_p95_ms);
             assert!(s.tx_latency_p95_ms <= s.tx_latency_p99_ms);
+            assert_eq!(
+                s.tx_recommits, 0,
+                "node {} committed a transaction twice",
+                s.node
+            );
         }
     }
 
@@ -584,6 +596,7 @@ mod tests {
             gated_events: 0,
             txs_submitted: 0,
             txs_committed: 0,
+            tx_recommits: 0,
             tx_latency_p50_ms: 0.0,
             tx_latency_p95_ms: 0.0,
             tx_latency_p99_ms: 0.0,

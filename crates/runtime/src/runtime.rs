@@ -18,7 +18,7 @@ use crate::output::RuntimeOutput;
 use lumiere_consensus::{Block, ConsensusAction, HotStuffEngine};
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::{Mempool, MempoolConfig};
-use lumiere_types::{Batch, Duration, ProcessId, Time, Transaction, View};
+use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
@@ -123,9 +123,14 @@ pub struct ProtocolRuntime {
     id: ProcessId,
     pacemaker: Box<dyn Pacemaker>,
     engine: HotStuffEngine,
-    /// Client transactions waiting to be proposed. On every view entry this
-    /// node leads, the next batch is staged as the proposal payload.
+    /// Client transactions waiting to commit. On every view entry this node
+    /// leads, the next batch not already in flight is staged as the
+    /// proposal payload.
     mempool: Mempool,
+    /// The ids the uncommitted chain of the next proposal's parent carries,
+    /// sorted: what its batch skips. Rebuilt on every view entry this node
+    /// leads, in a buffer reused across them.
+    in_flight: Vec<TxId>,
     booted: bool,
     /// Latest `now` any event carried — the restart floor (see
     /// [`ConsensusRuntime::resume_floor`]).
@@ -147,6 +152,7 @@ impl ProtocolRuntime {
             pacemaker,
             engine,
             mempool: Mempool::default(),
+            in_flight: Vec::new(),
             booted: false,
             last_event_time: Time::ZERO,
             pm_batch: Vec::new(),
@@ -280,6 +286,25 @@ impl ProtocolRuntime {
         true
     }
 
+    /// Stages the payload of the proposal this node is about to make: the
+    /// first batch of its mempool that the chain being extended does not
+    /// already carry. `enter_view_into`, in the same step, proposes on
+    /// `high_qc`'s block, so that block's uncommitted ancestry is what is in
+    /// flight. A batch staged for a view this node never proposed in is
+    /// dropped: its transactions never left the mempool.
+    fn stage_batch(&mut self) {
+        self.in_flight.clear();
+        if !self.mempool.is_empty() {
+            let parent = self.engine.high_qc().block_hash();
+            for block in self.engine.store().uncommitted_ancestry(parent) {
+                self.in_flight.extend(block.payload().tx_ids());
+            }
+            self.in_flight.sort_unstable();
+        }
+        let batch = self.mempool.next_batch_excluding(&self.in_flight);
+        self.engine.stage_payload(batch);
+    }
+
     /// Reports a committed block to the host and prunes its transactions
     /// from the mempool (the one place either cascade does so).
     fn on_committed(&mut self, block: Block, out: &mut RuntimeOutput) {
@@ -314,13 +339,7 @@ impl ProtocolRuntime {
                         out.entered_views.push(view);
                         if gates.consensus {
                             if leader == self.id {
-                                // Return any batch staged for an earlier view
-                                // that never shipped, then stage the next one
-                                // — requeue-first keeps FIFO order.
-                                let displaced = self.engine.stage_payload(Batch::empty());
-                                self.mempool.requeue(displaced);
-                                let batch = self.mempool.next_batch();
-                                self.engine.stage_payload(batch);
+                                self.stage_batch();
                             }
                             self.engine
                                 .enter_view_into(view, leader, now, &mut self.cons_batch);
@@ -456,48 +475,121 @@ mod tests {
         assert!(out.sends.is_empty() && out.broadcasts.is_empty());
     }
 
-    #[test]
-    fn four_runtimes_commit_when_stepped_by_hand() {
-        // A miniature host: synchronous rounds, instant delivery. Proves the
-        // runtime boundary is sufficient to drive the protocol to commits
-        // without the simulator.
-        let n = 4;
-        let mut nodes: Vec<ProtocolRuntime> = (0..n).map(|i| build(n, i)).collect();
-        let mut now = Time::ZERO;
-        let mut pending: Vec<(usize, usize, WireMessage)> = Vec::new(); // (from, to, msg)
-        let mut timers: Vec<Vec<Time>> = vec![Vec::new(); n];
-        let mut out = RuntimeOutput::default();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            out.clear();
-            node.boot(now, &mut out);
-            collect(i, n, &out, &mut pending, &mut timers[i]);
-        }
-        for _round in 0..400 {
-            if nodes.iter().all(|n| n.committed_height() >= 3) {
-                break;
-            }
-            let batch = std::mem::take(&mut pending);
-            for (from, to, msg) in batch {
-                out.clear();
-                nodes[to].deliver(ProcessId::new(from), &msg, now, &mut out);
-                collect(to, n, &out, &mut pending, &mut timers[to]);
-            }
-            now += Duration::from_millis(1);
+    /// A miniature host: synchronous rounds, every message delivered in the
+    /// round after it was sent unless the round's filter drops it, the
+    /// clock advanced 1 ms per round and a node woken in the first round at
+    /// or past one of its timers. Proves the runtime boundary is sufficient
+    /// to drive the protocol without the simulator.
+    struct Hand {
+        nodes: Vec<ProtocolRuntime>,
+        now: Time,
+        /// Messages sent this round: `(from, to, msg)`.
+        pending: Vec<(usize, usize, WireMessage)>,
+        timers: Vec<Vec<Time>>,
+        /// Every node's committed transaction ids, in commit order.
+        committed: Vec<Vec<TxId>>,
+        out: RuntimeOutput,
+    }
+
+    impl Hand {
+        fn boot(n: usize) -> Self {
+            let mut hand = Hand {
+                nodes: (0..n).map(|i| build(n, i)).collect(),
+                now: Time::ZERO,
+                pending: Vec::new(),
+                timers: vec![Vec::new(); n],
+                committed: vec![Vec::new(); n],
+                out: RuntimeOutput::default(),
+            };
             for i in 0..n {
-                let due: Vec<Time> = {
-                    let (fire, keep): (Vec<Time>, Vec<Time>) =
-                        timers[i].drain(..).partition(|t| *t <= now);
-                    timers[i] = keep;
-                    fire
-                };
-                if !due.is_empty() {
-                    out.clear();
-                    nodes[i].wake(now, &mut out);
-                    collect(i, n, &out, &mut pending, &mut timers[i]);
+                hand.step(i, |node, now, out| node.boot(now, out));
+            }
+            hand
+        }
+
+        /// Hands `tx` to every node's mempool, as a client broadcast does.
+        fn submit(&mut self, tx: Transaction) {
+            for node in &mut self.nodes {
+                node.submit_tx(tx);
+            }
+        }
+
+        /// Runs one call into node `i` and routes what it output.
+        fn step(
+            &mut self,
+            i: usize,
+            call: impl FnOnce(&mut ProtocolRuntime, Time, &mut RuntimeOutput),
+        ) {
+            let out = &mut self.out;
+            out.clear();
+            call(&mut self.nodes[i], self.now, out);
+            // The three views of a commit agree.
+            let blocks = &out.committed_blocks;
+            let heights: Vec<u64> = blocks.iter().map(|b| b.height()).collect();
+            let ids: Vec<TxId> = blocks.iter().flat_map(|b| b.payload().tx_ids()).collect();
+            assert_eq!(
+                (heights, ids),
+                (out.commits.clone(), out.committed_txs.clone())
+            );
+            self.committed[i].extend(out.committed_txs.iter().copied());
+            for (to, msg) in &out.sends {
+                self.pending.push((i, to.as_usize(), msg.clone()));
+            }
+            for msg in &out.broadcasts {
+                for to in (0..self.nodes.len()).filter(|&to| to != i) {
+                    self.pending.push((i, to, msg.clone()));
+                }
+            }
+            self.timers[i].extend(out.wakes.iter().copied());
+        }
+
+        /// Delivers this round's messages, except those `drop(from, msg)`
+        /// rejects, then advances the clock and fires the timers due.
+        fn round(&mut self, mut drop: impl FnMut(usize, &WireMessage) -> bool) {
+            for (from, to, msg) in std::mem::take(&mut self.pending) {
+                if !drop(from, &msg) {
+                    let from = ProcessId::new(from);
+                    self.step(to, |node, now, out| node.deliver(from, &msg, now, out));
+                }
+            }
+            self.now += Duration::from_millis(1);
+            for i in 0..self.nodes.len() {
+                let now = self.now;
+                let before = self.timers[i].len();
+                self.timers[i].retain(|t| *t > now);
+                if self.timers[i].len() < before {
+                    self.step(i, |node, now, out| node.wake(now, out));
                 }
             }
         }
-        for node in &nodes {
+
+        fn min_height(&self) -> u64 {
+            let heights = self.nodes.iter().map(|n| n.committed_height());
+            heights.min().expect("a cluster has nodes")
+        }
+
+        /// Asserts that every pair of committed chains is prefix-ordered.
+        fn assert_agreement(&self) {
+            let chains: Vec<Vec<u64>> = self.nodes.iter().map(|n| n.committed_chain()).collect();
+            for (i, a) in chains.iter().enumerate() {
+                for b in &chains[i + 1..] {
+                    let len = a.len().min(b.len());
+                    assert_eq!(a[..len], b[..len], "committed chains diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn four_runtimes_commit_when_stepped_by_hand() {
+        let mut hand = Hand::boot(4);
+        for _round in 0..400 {
+            if hand.min_height() >= 3 {
+                break;
+            }
+            hand.round(|_, _| false);
+        }
+        for node in &hand.nodes {
             assert!(
                 node.committed_height() >= 3,
                 "node {} stalled at height {}",
@@ -505,81 +597,36 @@ mod tests {
                 node.committed_height()
             );
         }
-        let chain0 = nodes[0].committed_chain();
-        for node in &nodes[1..] {
-            let chain = node.committed_chain();
-            let len = chain.len().min(chain0.len());
-            assert_eq!(chain[..len], chain0[..len], "committed chains diverged");
-        }
+        hand.assert_agreement();
     }
 
     #[test]
     fn submitted_transactions_flow_into_committed_blocks() {
-        use lumiere_types::{Transaction, TxId};
         let n = 4;
-        let mut nodes: Vec<ProtocolRuntime> = (0..n).map(|i| build(n, i)).collect();
-        let mut now = Time::ZERO;
-        let mut pending: Vec<(usize, usize, WireMessage)> = Vec::new();
-        let mut timers: Vec<Vec<Time>> = vec![Vec::new(); n];
-        let mut committed: Vec<Vec<TxId>> = vec![Vec::new(); n];
-        let mut out = RuntimeOutput::default();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            out.clear();
-            node.boot(now, &mut out);
-            collect(i, n, &out, &mut pending, &mut timers[i]);
+        let mut hand = Hand::boot(n);
+        for i in 0..n {
             // The same two transactions reach every node: one submitted
             // locally, one arriving over the wire.
-            assert!(node.submit_tx(Transaction::new(TxId::new(1))));
-            out.clear();
-            node.deliver(
-                ProcessId::new((i + 1) % n),
-                &WireMessage::Submit(Transaction::new(TxId::new(2))),
-                now,
-                &mut out,
-            );
-            assert!(out.is_empty(), "a submission has no immediate effects");
+            assert!(hand.nodes[i].submit_tx(Transaction::new(TxId::new(1))));
+            let from = ProcessId::new((i + 1) % n);
+            let submit = WireMessage::Submit(Transaction::new(TxId::new(2)));
+            hand.step(i, |node, now, out| {
+                node.deliver(from, &submit, now, out);
+                assert!(out.is_empty(), "a submission has no immediate effects");
+            });
             assert!(
-                !node.submit_tx(Transaction::new(TxId::new(2))),
+                !hand.nodes[i].submit_tx(Transaction::new(TxId::new(2))),
                 "gossip echo must be rejected"
             );
-            assert_eq!(node.mempool().len(), 2);
+            assert_eq!(hand.nodes[i].mempool().len(), 2);
         }
         for _round in 0..400 {
-            if committed.iter().all(|c| c.len() >= 2) {
+            if hand.committed.iter().all(|c| c.len() >= 2) {
                 break;
             }
-            let batch = std::mem::take(&mut pending);
-            for (from, to, msg) in batch {
-                out.clear();
-                nodes[to].deliver(ProcessId::new(from), &msg, now, &mut out);
-                // The three views of a commit agree.
-                let blocks = &out.committed_blocks;
-                let heights: Vec<u64> = blocks.iter().map(|b| b.height()).collect();
-                let ids: Vec<TxId> = blocks.iter().flat_map(|b| b.payload().tx_ids()).collect();
-                assert_eq!(
-                    (heights, ids),
-                    (out.commits.clone(), out.committed_txs.clone())
-                );
-                committed[to].extend(out.committed_txs.iter().copied());
-                collect(to, n, &out, &mut pending, &mut timers[to]);
-            }
-            now += Duration::from_millis(1);
-            for i in 0..n {
-                let due: Vec<Time> = {
-                    let (fire, keep): (Vec<Time>, Vec<Time>) =
-                        timers[i].drain(..).partition(|t| *t <= now);
-                    timers[i] = keep;
-                    fire
-                };
-                if !due.is_empty() {
-                    out.clear();
-                    nodes[i].wake(now, &mut out);
-                    committed[i].extend(out.committed_txs.iter().copied());
-                    collect(i, n, &out, &mut pending, &mut timers[i]);
-                }
-            }
+            hand.round(|_, _| false);
         }
-        for (i, ids) in committed.iter().enumerate() {
+        for (i, ids) in hand.committed.iter().enumerate() {
             assert_eq!(
                 ids.len(),
                 2,
@@ -587,29 +634,97 @@ mod tests {
             );
             assert!(ids.contains(&TxId::new(1)) && ids.contains(&TxId::new(2)));
             assert!(
-                nodes[i].mempool().is_empty(),
+                hand.nodes[i].mempool().is_empty(),
                 "committed txs must be pruned from node {i}'s mempool"
             );
         }
     }
 
-    fn collect(
-        from: usize,
-        n: usize,
-        out: &RuntimeOutput,
-        pending: &mut Vec<(usize, usize, WireMessage)>,
-        timers: &mut Vec<Time>,
-    ) {
-        for (to, msg) in &out.sends {
-            pending.push((from, to.as_usize(), msg.clone()));
-        }
-        for msg in &out.broadcasts {
-            for to in 0..n {
-                if to != from {
-                    pending.push((from, to, msg.clone()));
-                }
+    #[test]
+    fn a_loaded_cluster_never_commits_a_transaction_twice_on_one_node() {
+        let mut hand = Hand::boot(4);
+        let mut next_id = 0;
+        for _round in 0..2_000 {
+            if hand.min_height() >= 30 {
+                break;
             }
+            // Enough per round that consecutive leaders both hold
+            // transactions the block between them carries.
+            for _ in 0..4 {
+                hand.submit(Transaction::new(TxId::new(next_id)));
+                next_id += 1;
+            }
+            hand.round(|_, _| false);
         }
-        timers.extend(out.wakes.iter().copied());
+        assert!(hand.min_height() >= 30, "the loaded cluster stalled");
+        hand.assert_agreement();
+        for (i, ids) in hand.committed.iter().enumerate() {
+            let distinct: std::collections::HashSet<&TxId> = ids.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                ids.len(),
+                "node {i} committed a transaction twice"
+            );
+            assert!(ids.len() >= 100, "node {i} committed only {}", ids.len());
+        }
+    }
+
+    /// The leader of view `v` proposes the block carrying `t`, and that
+    /// block's certificate reaches no other node. The next leader extends
+    /// the older parent, whose chain does not carry `t`, so it proposes `t`
+    /// again — with no step that gave `t` back to its mempool — and `t`
+    /// commits exactly once on every node.
+    #[test]
+    fn an_abandoned_branch_returns_its_transactions_to_eligibility() {
+        use lumiere_consensus::ConsensusMessage;
+        use std::collections::BTreeSet;
+        let t = TxId::new(77);
+        let mut hand = Hand::boot(4);
+        for _round in 0..2_000 {
+            if hand.min_height() >= 4 {
+                break;
+            }
+            hand.round(|_, _| false);
+        }
+        assert!(
+            hand.min_height() >= 4,
+            "the cluster stalled before the test"
+        );
+        hand.submit(Transaction::new(t));
+        // The view whose certificate is hidden, and every block proposed
+        // with `t` in it.
+        let mut hidden: Option<View> = None;
+        let mut carriers = BTreeSet::new();
+        for _round in 0..2_000 {
+            if hand.committed.iter().all(|ids| ids.contains(&t)) && hand.min_height() >= 12 {
+                break;
+            }
+            hand.round(|_, msg| {
+                let WireMessage::Consensus(msg) = msg else {
+                    return false;
+                };
+                match msg {
+                    ConsensusMessage::Proposal(block) => {
+                        if block.payload().tx_ids().any(|id| id == t) {
+                            carriers.insert(block.hash());
+                            hidden.get_or_insert(block.view());
+                        }
+                        Some(block.justify().view()) == hidden
+                    }
+                    ConsensusMessage::NewQc(qc) => Some(qc.view()) == hidden,
+                    ConsensusMessage::Vote { .. } => false,
+                }
+            });
+        }
+        assert!(hidden.is_some(), "no leader proposed t");
+        assert!(
+            carriers.len() >= 2,
+            "t was proposed once: the next leader did not carry it again"
+        );
+        hand.assert_agreement();
+        for (i, ids) in hand.committed.iter().enumerate() {
+            let times = ids.iter().filter(|&&id| id == t).count();
+            assert_eq!(times, 1, "node {i} committed t {times} times");
+        }
     }
 }

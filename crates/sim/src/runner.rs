@@ -832,9 +832,53 @@ mod tests {
             .with_adversary(AdversarySchedule::equivocation(&[0]));
         assert_accounting_matches_the_per_node_reference(cfg);
 
-        // Overload: a standing backlog, leaders re-proposing what is still
-        // in flight, so most ids ride in more than one block.
+        // Overload: a standing backlog, so every block is full.
         let cfg = loaded(4, 48_000).with_actual_delay(Duration::from_millis(1));
         assert_accounting_matches_the_per_node_reference(cfg);
+    }
+
+    /// A leader's batch skips what the uncommitted chain it extends already
+    /// carries, so no honest committed chain carries a transaction twice —
+    /// checked on the benchmark's two loaded units, `sim_load` (n = 16,
+    /// jittered delays, drained pools) and `sim_backlog` (n = 4, a standing
+    /// backlog).
+    #[test]
+    fn no_honest_committed_chain_carries_a_transaction_twice() {
+        let base = |n: usize| {
+            SimConfig::new(ProtocolKind::Lumiere, n)
+                .with_delta(Duration::from_millis(10))
+                .with_horizon(Duration::from_millis(250))
+                .with_seed(42)
+        };
+        let sim_load = base(16)
+            .with_uniform_delay(Duration::from_micros(990), Duration::from_micros(1_010))
+            .with_workload(WorkloadConfig::constant(12_000).with_batch_txs(64));
+        let sim_backlog = base(4)
+            .with_actual_delay(Duration::from_millis(1))
+            .with_workload(WorkloadConfig::constant(48_000).with_batch_txs(64));
+        for (cfg, least) in [(sim_load, 2_000), (sim_backlog, 6_000)] {
+            let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+            sim.run_loop();
+            for node in sim.nodes.iter().filter(|node| node.is_honest()) {
+                let store = node.runtime().engine().store();
+                let mut carried = HashSet::new();
+                for &hash in store.committed_chain() {
+                    let block = store.get(hash).expect("a committed block is stored");
+                    for id in block.payload().tx_ids() {
+                        assert!(
+                            carried.insert(id),
+                            "node {} committed {id} twice",
+                            node.id()
+                        );
+                    }
+                }
+                assert!(
+                    carried.len() >= least,
+                    "node {} committed only {} transactions",
+                    node.id(),
+                    carried.len()
+                );
+            }
+        }
     }
 }

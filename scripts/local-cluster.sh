@@ -17,7 +17,9 @@
 #   OUT_DIR       logs/configs/summaries directory     (default: cluster-out)
 #   LOAD_RATE     open-loop client load per node, txs/sec passed to every
 #                 node as --load; the verifier then also asserts that the
-#                 honest nodes committed client transactions (default: off)
+#                 honest nodes committed client transactions and, in a run
+#                 with no strategies, fault plans or kills, that none of
+#                 them committed a transaction twice (default: off)
 #
 # Adversarial switches (all optional; ';'-separated lists because strategy
 # and fault-plan JSON contains commas):
@@ -221,6 +223,7 @@ echo "== verifying commit logs =="
 N="$N" TARGET="$TARGET" OUT_DIR="$OUT_DIR" DELTA_MS="$DELTA_MS" \
     EXPECT_STALL="$EXPECT_STALL" LOAD_RATE="$LOAD_RATE" \
     STRATEGY_IDS="$(join_keys STRATEGY_OF)" \
+    FAULTED_IDS="$(join_keys FAULT_OF)" \
     KILLED_IDS="$(join_keys KILL_AT)" \
     python3 - <<'PY'
 import json, os, sys
@@ -232,6 +235,7 @@ delta_ms = int(os.environ["DELTA_MS"])
 expect_stall = os.environ.get("EXPECT_STALL", "0") == "1"
 load_rate = os.environ.get("LOAD_RATE", "")
 corrupted = {int(i) for i in os.environ.get("STRATEGY_IDS", "").split(",") if i}
+faulted = {int(i) for i in os.environ.get("FAULTED_IDS", "").split(",") if i}
 killed = {int(i) for i in os.environ.get("KILLED_IDS", "").split(",") if i}
 
 # The O(nΔ) liveness envelope — the same bound as
@@ -316,8 +320,16 @@ if load_rate:
             sys.exit(f"ERROR: node {i} committed no client transactions "
                      f"under --load {load_rate} ({s['txs_submitted']} submitted)")
         print(f"node {i} load: {s['txs_committed']}/{s['txs_submitted']} txs "
-              f"committed, p50 {s['tx_latency_p50_ms']:.1f} ms, "
+              f"committed, {s['tx_recommits']} recommits, "
+              f"p50 {s['tx_latency_p50_ms']:.1f} ms, "
               f"p99 {s['tx_latency_p99_ms']:.1f} ms")
+    # A leader's batch skips what the chain it extends already carries, so
+    # in a fault-free run no honest node commits a transaction twice.
+    if not (corrupted or faulted or killed):
+        for i in honest:
+            if summaries[i]["tx_recommits"] > 0:
+                sys.exit(f"ERROR: node {i} committed {summaries[i]['tx_recommits']} "
+                         f"transactions it had already committed")
 
 # Killed-and-restarted nodes must have recovered *participation*: the
 # post-restart summary shows the node re-synchronized views with the
