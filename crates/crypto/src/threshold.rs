@@ -60,12 +60,19 @@ impl SignerBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterates the set bits as [`ProcessId`]s in ascending order.
+    /// Iterates the set bits as [`ProcessId`]s in ascending order, visiting
+    /// only the set bits.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
-            (0..64)
-                .filter(move |bit| word & (1u64 << bit) != 0)
-                .map(move |bit| ProcessId::new(i * 64 + bit))
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(ProcessId::new(i * 64 + bit))
+            })
         })
     }
 
@@ -331,6 +338,73 @@ mod tests {
         assert!(pki.verify_threshold(&tsig, d, 3).is_err());
     }
 
+    /// The error for a tampered proof names the lowest set bit, whichever
+    /// word holds it and whatever order the partials came in.
+    #[test]
+    fn tampered_proof_names_the_lowest_signer() {
+        let n = 200;
+        let (keys, pki) = keygen(n, 4);
+        let d = digest(12);
+        for signers in [
+            vec![130usize, 0, 64],
+            vec![199, 70, 3],
+            vec![150, 127, 69, 64],
+        ] {
+            let partials: Vec<_> = signers.iter().map(|&i| keys[i].sign(d)).collect();
+            let count = signers.len();
+            let mut tsig = ThresholdSignature::aggregate(d, &partials, &uniform(n), count).unwrap();
+            assert!(pki.verify_threshold(&tsig, d, count).is_ok());
+            tsig.proof ^= 1 << 17;
+            let lowest = *signers.iter().min().unwrap();
+            assert_eq!(
+                pki.verify_threshold(&tsig, d, count),
+                Err(Error::InvalidSignature {
+                    signer: ProcessId::new(lowest)
+                })
+            );
+        }
+    }
+
+    /// The walk `SignerBitmap::iter` replaced: all 64 bits of every word
+    /// tested in turn.
+    fn bit_filter(bitmap: &SignerBitmap) -> Vec<usize> {
+        bitmap
+            .words()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &word)| {
+                (0..64)
+                    .filter(move |bit| word & (1u64 << bit) != 0)
+                    .map(move |bit| i * 64 + bit)
+            })
+            .collect()
+    }
+
+    fn ids(bitmap: &SignerBitmap) -> Vec<usize> {
+        bitmap.iter().map(|p| p.as_usize()).collect()
+    }
+
+    #[test]
+    fn iter_visits_the_set_bits_of_edge_words_in_order() {
+        let edges = [
+            0u64,
+            1,
+            1 << 63,
+            (1 << 63) | 1,
+            u64::MAX,
+            0x0123_4567_89ab_cdef,
+        ];
+        for len in 1..=3 {
+            for combo in 0..edges.len().pow(len as u32) {
+                let words: Vec<u64> = (0..len)
+                    .map(|k| edges[combo / edges.len().pow(k as u32) % edges.len()])
+                    .collect();
+                let bitmap = SignerBitmap { words };
+                assert_eq!(ids(&bitmap), bit_filter(&bitmap), "{bitmap:?}");
+            }
+        }
+    }
+
     #[test]
     fn signer_set_is_reported_in_order() {
         let (keys, _) = keygen(5, 9);
@@ -412,6 +486,27 @@ mod tests {
             expected.sort_unstable();
             let got: Vec<usize> = tsig.bitmap().iter().map(|p| p.as_usize()).collect();
             prop_assert_eq!(got, expected);
+        }
+
+        /// `iter` equals the bit filter on random 1–3-word bitmaps whose
+        /// words are drawn empty, all ones, with both end bits forced on, or
+        /// uniformly.
+        #[test]
+        fn iter_matches_the_bit_filter(
+            drawn in proptest::collection::vec((0u8..4, any::<u64>()), 1..4),
+        ) {
+            let words = drawn
+                .iter()
+                .map(|&(kind, w)| match kind {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => w | 1 | (1 << 63),
+                    _ => w,
+                })
+                .collect();
+            let bitmap = SignerBitmap { words };
+            prop_assert_eq!(ids(&bitmap), bit_filter(&bitmap));
+            prop_assert_eq!(ids(&bitmap).len(), bitmap.count());
         }
     }
 }

@@ -9,6 +9,13 @@
 //! queue to identical delivery order (`same order as the old BinaryHeap on
 //! random schedules`).
 //!
+//! The bucket being drained is a [`VecDeque`] sorted **ascending** by
+//! `(time, seq)`: the next event pops from the front, and a push that sorts
+//! before the front — in practice a broadcast group re-queued for its next
+//! recipient — is a `push_front` with no search. Any other push into that
+//! bucket binary-searches and inserts, and `VecDeque::insert` shifts
+//! whichever side of the insertion point is shorter.
+//!
 //! # Symbolic broadcasts
 //!
 //! A broadcast to `n − 1` recipients used to cost `n − 1` queue entries; at
@@ -35,7 +42,7 @@
 
 use lumiere_types::{ProcessId, Time, Transaction};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// A message travelling through the simulated network (re-exported from
@@ -199,8 +206,9 @@ const NUM_BUCKETS: usize = 256;
 ///
 /// Three tiers, by distance from the drain cursor:
 ///
-/// * `current` — the bucket being drained, sorted descending by
-///   `(time, seq)` so the next event pops from the back in O(1);
+/// * `current` — the bucket being drained, a deque sorted ascending by
+///   `(time, seq)`: the next event pops from the front in O(1), and so does
+///   a push that sorts before the front;
 /// * `wheel` — a ring of [`NUM_BUCKETS`] unsorted buckets of
 ///   [`BUCKET_WIDTH_MICROS`] each (push is an O(1) append; a bucket is
 ///   sorted once, when the cursor reaches it);
@@ -208,7 +216,8 @@ const NUM_BUCKETS: usize = 256;
 ///   far-future wake-ups land here).
 ///
 /// Events pushed at or before the drain cursor (the simulator schedules at
-/// `now` frequently) are insertion-sorted into `current`, which preserves
+/// `now` frequently) are pushed onto the front of `current` when they sort
+/// before it and insertion-sorted into it otherwise, which preserves
 /// the global `(time, seq)` delivery order for arbitrary push/pop
 /// interleavings — see `wheel_matches_heap_on_random_schedules`.
 ///
@@ -218,7 +227,7 @@ const NUM_BUCKETS: usize = 256;
 /// slots whenever a broadcast group is pending.
 #[derive(Debug)]
 pub struct EventQueue {
-    current: Vec<Scheduled>,
+    current: VecDeque<Scheduled>,
     wheel: Vec<Vec<Scheduled>>,
     /// Absolute index (time / bucket width) of the bucket drained into
     /// `current`; ring slot `b % NUM_BUCKETS` holds absolute bucket `b` for
@@ -235,7 +244,7 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            current: Vec::new(),
+            current: VecDeque::new(),
             wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             base: 0,
             wheel_len: 0,
@@ -346,12 +355,18 @@ impl EventQueue {
     fn route(&mut self, entry: Scheduled) {
         let bucket = bucket_of(entry.at);
         if bucket <= self.base {
-            // At (or before) the bucket being drained: insertion-sort into
-            // the descending `current` buffer so it pops in order. (A
-            // re-queued broadcast group that is still the queue minimum
-            // lands at the very end — an O(1) append.)
-            let pos = self.current.partition_point(|e| e.key() > entry.key());
-            self.current.insert(pos, entry);
+            // At (or before) the bucket being drained. An entry that sorts
+            // before the front (a re-queued broadcast group that is still
+            // the queue minimum) goes on the front with no search; any other
+            // is insertion-sorted into place.
+            let key = entry.key();
+            match self.current.front() {
+                Some(front) if front.key() < key => {
+                    let pos = self.current.partition_point(|e| e.key() < key);
+                    self.current.insert(pos, entry);
+                }
+                _ => self.current.push_front(entry),
+            }
         } else if bucket < self.base + NUM_BUCKETS as i64 {
             self.wheel[bucket.rem_euclid(NUM_BUCKETS as i64) as usize].push(entry);
             self.wheel_len += 1;
@@ -364,7 +379,7 @@ impl EventQueue {
     /// runner to form same-timestamp batches for sharded execution.
     pub fn peek_time(&mut self) -> Option<Time> {
         loop {
-            if let Some(entry) = self.current.last() {
+            if let Some(entry) = self.current.front() {
                 return Some(entry.at);
             }
             if self.wheel_len == 0 && self.overflow.is_empty() {
@@ -386,7 +401,10 @@ impl EventQueue {
     /// following member's reserved sequence number.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         self.peek_time()?;
-        let entry = self.current.pop().expect("peek_time filled `current`");
+        let entry = self
+            .current
+            .pop_front()
+            .expect("peek_time filled `current`");
         self.len -= 1;
         match entry.payload {
             Payload::One(event) => Some((entry.at, event)),
@@ -427,10 +445,11 @@ impl EventQueue {
         let slot = &mut self.wheel[self.base.rem_euclid(NUM_BUCKETS as i64) as usize];
         if !slot.is_empty() {
             self.wheel_len -= slot.len();
-            self.current.append(slot);
-            // Descending order: the earliest (time, seq) pops from the back.
+            // `drain` leaves the slot its capacity for the next lap.
+            self.current.extend(slot.drain(..));
             self.current
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                .make_contiguous()
+                .sort_unstable_by_key(Scheduled::key);
         }
     }
 
@@ -856,6 +875,56 @@ mod tests {
                 }
                 assert_eq!(wheel.len(), heap.len());
             }
+        }
+
+        /// A crowded bucket being drained: every push falls within two
+        /// buckets of the last popped instant, on a 256 µs grid so instants
+        /// collide, with pops interleaved. Pushes then land at the front of
+        /// `current` (before everything pending), in its middle and at its
+        /// back, and a broadcast whose two classes share an instant
+        /// re-queues its groups both as the minimum and behind the other
+        /// class's entry at that instant.
+        #[test]
+        fn wheel_matches_heap_in_a_crowded_current_bucket(
+            ops in proptest::collection::vec((0u8..5, 0i64..9, 0usize..9), 1..60),
+        ) {
+            let n = 9;
+            let honesty = mixed_honesty(n);
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut last_popped = 0i64;
+            fn pop_both(wheel: &mut EventQueue, heap: &mut HeapQueue, last: &mut i64) -> bool {
+                let a = wheel.pop();
+                let b = heap.pop();
+                assert_eq!(a, b, "wheel and heap disagreed mid-drain");
+                if let Some((t, _)) = a {
+                    *last = t.as_micros();
+                }
+                a.is_some()
+            }
+            for &(kind, step, x) in &ops {
+                let at = Time::from_micros(last_popped + step * (BUCKET_WIDTH_MICROS / 4));
+                match kind {
+                    0 | 1 => {
+                        let event = Event::Wake { node: ProcessId::new(x) };
+                        wheel.push(at, event.clone());
+                        heap.push(at, event);
+                    }
+                    2 => {
+                        let from = ProcessId::new(x);
+                        let class = ClassDelay::At(at);
+                        wheel.push_broadcast(from, msg(), &honesty, class, class, |_| unreachable!());
+                        heap.push_broadcast(from, msg(), &honesty, class, class, |_| unreachable!());
+                    }
+                    _ => {
+                        for _ in 0..x {
+                            pop_both(&mut wheel, &mut heap, &mut last_popped);
+                        }
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len());
+            }
+            while pop_both(&mut wheel, &mut heap, &mut last_popped) {}
         }
 
         /// Symbolic broadcast groups pop in exactly the order of eager

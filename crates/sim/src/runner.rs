@@ -176,6 +176,16 @@ fn event_target(event: &Event) -> Option<usize> {
     }
 }
 
+/// Whether every pair of `chains` agrees, i.e. one of each pair is a prefix
+/// of the other. Every pair agrees iff every chain is a prefix of one
+/// longest chain, so that is what is checked: O(n·h), not O(n²·h).
+fn chains_agree(chains: &[Vec<u64>]) -> bool {
+    let Some(longest) = chains.iter().max_by_key(|c| c.len()) else {
+        return true;
+    };
+    chains.iter().all(|c| longest.starts_with(c))
+}
+
 /// A single simulated execution.
 #[derive(Debug)]
 pub struct Simulation {
@@ -213,7 +223,9 @@ pub struct Simulation {
     events_processed: u64,
     events_since_sweep: u64,
     /// Scratch output buffer, reused across events (capacity persists).
-    scratch: RuntimeOutput,
+    /// Boxed so that lending it to a handler moves one pointer, not the
+    /// buffer's nine `Vec` headers; `None` only while an event holds it.
+    scratch: Option<Box<RuntimeOutput>>,
     /// Scratch clock-reading buffer for gap sampling.
     readings: Vec<Duration>,
     /// Same-timestamp batch buffer, reused across batches.
@@ -287,7 +299,7 @@ impl Simulation {
             truncated: false,
             events_processed: 0,
             events_since_sweep: 0,
-            scratch: RuntimeOutput::default(),
+            scratch: Some(Box::default()),
             readings: Vec::new(),
             batch: Vec::new(),
             batch_outputs: Vec::new(),
@@ -351,15 +363,7 @@ impl Simulation {
             .filter(|n| n.is_honest())
             .map(|n| n.committed_chain())
             .collect();
-        for a in &chains {
-            for b in &chains {
-                let len = a.len().min(b.len());
-                if a[..len] != b[..len] {
-                    return false;
-                }
-            }
-        }
-        true
+        chains_agree(&chains)
     }
 
     fn run_loop(&mut self) {
@@ -427,7 +431,10 @@ impl Simulation {
     /// Handles one event on the sequential path: node handler (or
     /// cluster-wide effect) immediately followed by output application.
     fn dispatch_event(&mut self, event: Event) {
-        let mut out = std::mem::take(&mut self.scratch);
+        let mut out = self
+            .scratch
+            .take()
+            .expect("no event holds the scratch buffer");
         out.clear();
         match event {
             Event::Boot { node } => {
@@ -456,7 +463,7 @@ impl Simulation {
             }
             Event::Sample => {}
         }
-        self.scratch = out;
+        self.scratch = Some(out);
     }
 
     /// Handles one same-timestamp batch on the sharded path: node handlers
@@ -747,6 +754,25 @@ mod tests {
     use crate::scenario::ProtocolKind;
     use crate::workload::WorkloadConfig;
     use std::collections::HashMap;
+
+    #[test]
+    fn chains_agree_iff_each_is_a_prefix_of_the_others() {
+        let agree = |chains: &[&[u64]]| {
+            chains_agree(&chains.iter().map(|c| c.to_vec()).collect::<Vec<_>>())
+        };
+        // Pure prefixes, in any order, including the empty chain.
+        assert!(agree(&[]));
+        assert!(agree(&[&[1, 2, 3]]));
+        assert!(agree(&[&[1, 2], &[], &[1, 2, 3, 4], &[1], &[1, 2, 3, 4]]));
+        // Two equal-length chains that diverge, with or without a common
+        // prefix, and beside chains they both extend.
+        assert!(!agree(&[&[1, 2, 3], &[1, 2, 4]]));
+        assert!(!agree(&[&[1], &[1, 2, 3], &[1, 2, 4]]));
+        assert!(!agree(&[&[7], &[8]]));
+        // A short chain that diverges from a long one.
+        assert!(!agree(&[&[1, 2, 3, 4, 5], &[1, 9]]));
+        assert!(!agree(&[&[2], &[1, 2, 3, 4, 5], &[1, 2]]));
+    }
 
     fn loaded(n: usize, rate_tps: u64) -> SimConfig {
         SimConfig::new(ProtocolKind::Lumiere, n)
