@@ -16,8 +16,9 @@ use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A processor's Fever pacemaker.
 #[derive(Debug)]
@@ -32,12 +33,12 @@ pub struct Fever {
     clock: LocalClock,
     view: View,
 
-    view_msg_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_view_msg: HashSet<i64>,
-    formed_vc: HashSet<i64>,
-    seen_vc: HashSet<i64>,
-    observed_qc_views: HashSet<i64>,
-    initial_trigger_fired: HashSet<i64>,
+    view_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
+    sent_view_msg: IdSet<i64>,
+    formed_vc: IdSet<i64>,
+    seen_vc: IdSet<i64>,
+    observed_qc_views: IdSet<i64>,
+    initial_trigger_fired: IdSet<i64>,
     booted: bool,
 }
 
@@ -54,12 +55,12 @@ impl Fever {
             pki,
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
-            view_msg_pool: HashMap::new(),
-            sent_view_msg: HashSet::new(),
-            formed_vc: HashSet::new(),
-            seen_vc: HashSet::new(),
-            observed_qc_views: HashSet::new(),
-            initial_trigger_fired: HashSet::new(),
+            view_msg_pool: IdMap::default(),
+            sent_view_msg: IdSet::default(),
+            formed_vc: IdSet::default(),
+            seen_vc: IdSet::default(),
+            observed_qc_views: IdSet::default(),
+            initial_trigger_fired: IdSet::default(),
             booted: false,
         }
     }

@@ -18,9 +18,10 @@ use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::view::EpochLayout;
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A processor's LP22 pacemaker.
 #[derive(Debug)]
@@ -37,11 +38,11 @@ pub struct Lp22 {
     view: View,
     epoch: Epoch,
 
-    epoch_msg_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_epoch_msg: HashSet<i64>,
-    seen_ec: HashSet<i64>,
-    observed_qc_views: HashSet<i64>,
-    epoch_trigger_fired: HashSet<i64>,
+    epoch_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
+    sent_epoch_msg: IdSet<i64>,
+    seen_ec: IdSet<i64>,
+    observed_qc_views: IdSet<i64>,
+    epoch_trigger_fired: IdSet<i64>,
     paused_at_boundary: Option<View>,
     booted: bool,
 }
@@ -61,11 +62,11 @@ impl Lp22 {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
-            epoch_msg_pool: HashMap::new(),
-            sent_epoch_msg: HashSet::new(),
-            seen_ec: HashSet::new(),
-            observed_qc_views: HashSet::new(),
-            epoch_trigger_fired: HashSet::new(),
+            epoch_msg_pool: IdMap::default(),
+            sent_epoch_msg: IdSet::default(),
+            seen_ec: IdSet::default(),
+            observed_qc_views: IdSet::default(),
+            epoch_trigger_fired: IdSet::default(),
             paused_at_boundary: None,
             booted: false,
         }

@@ -14,8 +14,9 @@ use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A processor's naive quadratic pacemaker.
 #[derive(Debug)]
@@ -30,9 +31,9 @@ pub struct NaiveQuadratic {
     boot_time: Time,
     view: View,
     view_entered_at: Time,
-    timeout_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_timeout: HashSet<i64>,
-    observed_qc_views: HashSet<i64>,
+    timeout_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
+    sent_timeout: IdSet<i64>,
+    observed_qc_views: IdSet<i64>,
     booted: bool,
 }
 
@@ -50,9 +51,9 @@ impl NaiveQuadratic {
             boot_time: Time::ZERO,
             view: View::SENTINEL,
             view_entered_at: Time::ZERO,
-            timeout_pool: HashMap::new(),
-            sent_timeout: HashSet::new(),
-            observed_qc_views: HashSet::new(),
+            timeout_pool: IdMap::default(),
+            sent_timeout: IdSet::default(),
+            observed_qc_views: IdSet::default(),
             booted: false,
         }
     }

@@ -28,8 +28,9 @@ use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Which published protocol this instance reports itself as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +60,13 @@ pub struct RelayPacemaker {
     view_entered_at: Time,
     /// Per-target-view relay attempt counter (how many leaders have been
     /// tried so far).
-    relay_attempts: HashMap<i64, usize>,
+    relay_attempts: IdMap<i64, usize>,
     /// Deadline for the current relay attempt of the pending target view.
     relay_deadline: Option<(View, Time)>,
-    wish_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_wish_to: HashSet<(i64, u32)>,
-    broadcast_sync: HashSet<i64>,
-    observed_qc_views: HashSet<i64>,
+    wish_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
+    sent_wish_to: IdSet<(i64, u32)>,
+    broadcast_sync: IdSet<i64>,
+    observed_qc_views: IdSet<i64>,
     booted: bool,
 }
 
@@ -94,12 +95,12 @@ impl RelayPacemaker {
             boot_time: Time::ZERO,
             view: View::SENTINEL,
             view_entered_at: Time::ZERO,
-            relay_attempts: HashMap::new(),
+            relay_attempts: IdMap::default(),
             relay_deadline: None,
-            wish_pool: HashMap::new(),
-            sent_wish_to: HashSet::new(),
-            broadcast_sync: HashSet::new(),
-            observed_qc_views: HashSet::new(),
+            wish_pool: IdMap::default(),
+            sent_wish_to: IdSet::default(),
+            broadcast_sync: IdSet::default(),
+            observed_qc_views: IdSet::default(),
             booted: false,
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::block::{Block, BlockHash};
 use crate::qc::QuorumCert;
-use std::collections::HashMap;
+use lumiere_types::hash::IdMap;
 
 /// In-memory store of all blocks a replica has seen, plus the committed
 /// prefix of the chain.
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 /// committed.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
-    blocks: HashMap<BlockHash, Block>,
+    blocks: IdMap<BlockHash, Block>,
     committed_height: u64,
     committed: Vec<BlockHash>,
 }
@@ -28,7 +28,7 @@ impl BlockStore {
     /// Creates a store containing only the genesis block (already committed).
     pub fn new() -> Self {
         let genesis = Block::genesis();
-        let mut blocks = HashMap::new();
+        let mut blocks = IdMap::default();
         let hash = genesis.hash();
         blocks.insert(hash, genesis);
         BlockStore {

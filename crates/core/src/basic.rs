@@ -20,9 +20,10 @@ use crate::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::view::EpochLayout;
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A processor's Basic Lumiere pacemaker (Section 3.4).
 #[derive(Debug)]
@@ -39,16 +40,16 @@ pub struct BasicLumiere {
     view: View,
     epoch: Epoch,
 
-    view_msg_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    epoch_msg_pool: HashMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_view_msg: HashSet<i64>,
-    sent_epoch_msg: HashSet<i64>,
-    formed_vc: HashSet<i64>,
-    seen_vc: HashSet<i64>,
-    seen_ec: HashSet<i64>,
-    observed_qc_views: HashSet<i64>,
-    initial_trigger_fired: HashSet<i64>,
-    epoch_trigger_fired: HashSet<i64>,
+    view_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
+    epoch_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
+    sent_view_msg: IdSet<i64>,
+    sent_epoch_msg: IdSet<i64>,
+    formed_vc: IdSet<i64>,
+    seen_vc: IdSet<i64>,
+    seen_ec: IdSet<i64>,
+    observed_qc_views: IdSet<i64>,
+    initial_trigger_fired: IdSet<i64>,
+    epoch_trigger_fired: IdSet<i64>,
 
     /// Epoch view at which the local clock is paused, if any.
     paused_at_boundary: Option<View>,
@@ -70,16 +71,16 @@ impl BasicLumiere {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
-            view_msg_pool: HashMap::new(),
-            epoch_msg_pool: HashMap::new(),
-            sent_view_msg: HashSet::new(),
-            sent_epoch_msg: HashSet::new(),
-            formed_vc: HashSet::new(),
-            seen_vc: HashSet::new(),
-            seen_ec: HashSet::new(),
-            observed_qc_views: HashSet::new(),
-            initial_trigger_fired: HashSet::new(),
-            epoch_trigger_fired: HashSet::new(),
+            view_msg_pool: IdMap::default(),
+            epoch_msg_pool: IdMap::default(),
+            sent_view_msg: IdSet::default(),
+            sent_epoch_msg: IdSet::default(),
+            formed_vc: IdSet::default(),
+            seen_vc: IdSet::default(),
+            seen_ec: IdSet::default(),
+            observed_qc_views: IdSet::default(),
+            initial_trigger_fired: IdSet::default(),
+            epoch_trigger_fired: IdSet::default(),
             paused_at_boundary: None,
             booted: false,
         }

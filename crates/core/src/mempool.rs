@@ -35,19 +35,24 @@
 //!
 //! # One index
 //!
-//! What the pool knows about an id is one [`Slot`] in one hash map — queued
+//! What the pool knows about an id is one [`Slot`] in one [`IdMap`] — queued
 //! or committed — so every operation probes the map once per transaction it
-//! touches. An id enters the map when it is admitted or first seen in a
-//! committed block and never leaves: dedup is for the pool's lifetime.
+//! touches. A probe hashes the id with two folded multiplies under the
+//! pool's own random key (`lumiere_types::hash`), not with SipHash: a peer
+//! that does not know the key cannot pick ids that collide in it. An id
+//! enters the map when it is admitted or first seen in a committed block
+//! and never leaves: dedup is for the pool's lifetime, so nothing but the
+//! commit rate bounds the map's size (`docs/RUNTIME.md`, "Hostile input").
 //!
 //! Everything here is integer arithmetic over explicitly ordered
 //! collections (the index is only ever probed, never iterated): the same
 //! submission sequence yields the same batches on every host and thread
 //! count, which the cross-thread determinism suite relies on.
 
+use lumiere_types::hash::IdMap;
 use lumiere_types::{Batch, Transaction, TxId};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sizing knobs for a [`Mempool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +104,7 @@ pub struct Mempool {
     /// Every id ever admitted or committed. Dedup is deliberately
     /// *persistent*: a transaction of a committed batch must not be
     /// re-admittable via a late gossip echo.
-    index: HashMap<TxId, Slot>,
+    index: IdMap<TxId, Slot>,
     /// Submissions rejected because the queue was full.
     shed: u64,
 }
@@ -111,7 +116,7 @@ impl Mempool {
             cfg,
             queue: VecDeque::new(),
             live: 0,
-            index: HashMap::new(),
+            index: IdMap::default(),
             shed: 0,
         }
     }
@@ -272,8 +277,8 @@ impl Default for Mempool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumiere_types::hash::IdSet;
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
     fn tx(id: u64) -> Transaction {
         Transaction::new(TxId::new(id))
@@ -297,8 +302,8 @@ mod tests {
     struct EagerMempool {
         cfg: MempoolConfig,
         queue: VecDeque<Transaction>,
-        seen: HashSet<TxId>,
-        committed: HashSet<TxId>,
+        seen: IdSet<TxId>,
+        committed: IdSet<TxId>,
         shed: u64,
     }
 
@@ -307,8 +312,8 @@ mod tests {
             EagerMempool {
                 cfg,
                 queue: VecDeque::new(),
-                seen: HashSet::new(),
-                committed: HashSet::new(),
+                seen: IdSet::default(),
+                committed: IdSet::default(),
                 shed: 0,
             }
         }
@@ -326,7 +331,7 @@ mod tests {
             true
         }
 
-        fn next_batch(&self, excluded: &HashSet<TxId>) -> Batch {
+        fn next_batch(&self, excluded: &IdSet<TxId>) -> Batch {
             let mut txs = Vec::new();
             let mut bytes = 0u64;
             for tx in self.queue.iter().filter(|tx| !excluded.contains(&tx.id)) {
@@ -363,7 +368,7 @@ mod tests {
             pool.queue.len(),
             pool.len()
         );
-        let queued: HashSet<TxId> = model.queue.iter().map(|tx| tx.id).collect();
+        let queued: IdSet<TxId> = model.queue.iter().map(|tx| tx.id).collect();
         for (id, slot) in &pool.index {
             assert!(model.seen.contains(id) || model.committed.contains(id));
             assert_eq!(*slot == Slot::Queued, queued.contains(id), "{id}");
@@ -427,7 +432,7 @@ mod tests {
                             .collect();
                         in_flight.sort_unstable();
                         in_flight.dedup();
-                        let excluded: HashSet<TxId> = in_flight.iter().copied().collect();
+                        let excluded: IdSet<TxId> = in_flight.iter().copied().collect();
                         let batch = pool.next_batch_excluding(&in_flight);
                         prop_assert_eq!(ids(&batch), ids(&model.next_batch(&excluded)));
                         staged.push(batch);
@@ -482,7 +487,7 @@ mod tests {
             // at a time.
             loop {
                 let batch = pool.next_batch();
-                prop_assert_eq!(ids(&batch), ids(&model.next_batch(&HashSet::new())));
+                prop_assert_eq!(ids(&batch), ids(&model.next_batch(&IdSet::default())));
                 if batch.is_empty() {
                     break;
                 }

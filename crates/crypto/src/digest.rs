@@ -141,8 +141,8 @@ pub fn combine(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumiere_types::hash::IdSet;
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
     #[test]
     fn identical_inputs_give_identical_digests() {
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn nearby_integers_spread_out() {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         for i in 0..10_000i64 {
             seen.insert(Digest::new(b"spread").push_i64(i).finish().as_u64());
         }

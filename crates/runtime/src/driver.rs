@@ -23,10 +23,11 @@ use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
 use crate::runtime::ConsensusRuntime;
 use crate::transport::{Transport, TransportError};
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -168,8 +169,8 @@ fn percentile_ms(sorted_micros: &[i64], p: u64) -> f64 {
 #[derive(Debug, Default)]
 struct TxStats {
     submitted: u64,
-    submit_micros: HashMap<TxId, i64>,
-    committed: HashSet<TxId>,
+    submit_micros: IdMap<TxId, i64>,
+    committed: IdSet<TxId>,
     recommits: u64,
     latencies_micros: Vec<i64>,
 }
@@ -179,7 +180,7 @@ struct TxStats {
 #[derive(Debug, Default)]
 struct Timers {
     heap: BinaryHeap<Reverse<i64>>,
-    pending: HashSet<i64>,
+    pending: IdSet<i64>,
 }
 
 impl Timers {

@@ -659,7 +659,7 @@ mod tests {
         assert!(hand.min_height() >= 30, "the loaded cluster stalled");
         hand.assert_agreement();
         for (i, ids) in hand.committed.iter().enumerate() {
-            let distinct: std::collections::HashSet<&TxId> = ids.iter().collect();
+            let distinct: lumiere_types::hash::IdSet<&TxId> = ids.iter().collect();
             assert_eq!(
                 distinct.len(),
                 ids.len(),

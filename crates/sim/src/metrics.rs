@@ -21,9 +21,10 @@
 //! least Δ wide). See `docs/PERFORMANCE.md` for the policy.
 
 use crate::workload::WorkloadConfig;
+use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, ProcessId, SlashEvidence, Time, TxId, View};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Number of histogram bins in [`CoverageFingerprint::qc_gap_bins`].
 pub const QC_GAP_BINS: usize = 8;
@@ -477,7 +478,7 @@ pub struct MetricsCollector {
     /// Entries of `qc_events` formed by an honest leader.
     honest_qcs: usize,
     commit_times: Vec<(Time, u64)>,
-    committed_heights: std::collections::HashSet<u64>,
+    committed_heights: IdSet<u64>,
     heavy_sync_participations: Vec<(Time, View)>,
     gap_samples: Vec<(Time, Duration)>,
     wake_events: u64,
@@ -486,9 +487,9 @@ pub struct MetricsCollector {
     strategy_windows: BTreeMap<String, u64>,
     workload: Option<WorkloadConfig>,
     /// Submit instant of every injected transaction, for latency samples.
-    tx_submit_times: HashMap<TxId, Time>,
+    tx_submit_times: IdMap<TxId, Time>,
     /// Transactions whose first honest commit was already recorded.
-    committed_tx_ids: HashSet<TxId>,
+    committed_tx_ids: IdSet<TxId>,
     /// Submit→first-honest-commit latencies, in commit order.
     tx_latencies: Vec<Duration>,
     txs_submitted: u64,
@@ -525,7 +526,7 @@ impl MetricsCollector {
             qc_events: Vec::new(),
             honest_qcs: 0,
             commit_times: Vec::new(),
-            committed_heights: std::collections::HashSet::new(),
+            committed_heights: IdSet::default(),
             heavy_sync_participations: Vec::new(),
             gap_samples: Vec::new(),
             wake_events: 0,
@@ -533,8 +534,8 @@ impl MetricsCollector {
             equivocations: 0,
             strategy_windows: BTreeMap::new(),
             workload: None,
-            tx_submit_times: HashMap::new(),
-            committed_tx_ids: HashSet::new(),
+            tx_submit_times: IdMap::default(),
+            committed_tx_ids: IdSet::default(),
             tx_latencies: Vec::new(),
             txs_submitted: 0,
             txs_shed: 0,

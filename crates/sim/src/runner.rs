@@ -37,10 +37,10 @@ use lumiere_consensus::BlockHash;
 use lumiere_runtime::adversary::AdversarySchedule;
 use lumiere_runtime::delay::DelayModel;
 use lumiere_runtime::{ConsensusRuntime, RuntimeOutput, StrategyHost};
+use lumiere_types::hash::IdSet;
 use lumiere_types::{Duration, ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Baseline hard cap on processed events, as a defence against configuration
@@ -201,7 +201,7 @@ pub struct Simulation {
     rng: StdRng,
     collector: MetricsCollector,
     trace: Trace,
-    scheduled_wakes: HashSet<(usize, i64)>,
+    scheduled_wakes: IdSet<(usize, i64)>,
     /// Per node, the time (µs) of the last wake request it made, whose pair
     /// is therefore in `scheduled_wakes`: nearly every event re-requests
     /// the same instant, and a repeat needs no set probe. Exact, because a
@@ -212,7 +212,7 @@ pub struct Simulation {
     /// Hashes of the blocks whose transactions went to the collector: every
     /// honest processor commits every block, and only the first commit of a
     /// block can be the first commit of a transaction it carries.
-    tx_accounted_blocks: HashSet<BlockHash>,
+    tx_accounted_blocks: IdSet<BlockHash>,
     /// Reference accounting for the equivalence test: every honest commit
     /// forwards every id, which is what the per-block filter must equal.
     #[cfg(test)]
@@ -289,9 +289,9 @@ impl Simulation {
             rng: StdRng::seed_from_u64(seed ^ 0x5349_4d55_4c41_5445),
             collector,
             trace: Trace::new(),
-            scheduled_wakes: HashSet::new(),
+            scheduled_wakes: IdSet::default(),
             last_wake,
-            tx_accounted_blocks: HashSet::new(),
+            tx_accounted_blocks: IdSet::default(),
             #[cfg(test)]
             account_txs_per_node: false,
             last_gap_sample: Time::ZERO,
@@ -753,7 +753,7 @@ mod tests {
     use super::*;
     use crate::scenario::ProtocolKind;
     use crate::workload::WorkloadConfig;
-    use std::collections::HashMap;
+    use lumiere_types::hash::IdMap;
 
     #[test]
     fn chains_agree_iff_each_is_a_prefix_of_the_others() {
@@ -806,7 +806,7 @@ mod tests {
         // so all of them commit the same block in one timestamp batch.
         let cfg = loaded(4, 12_000).with_actual_delay(Duration::from_millis(1));
         let trace = assert_accounting_matches_the_per_node_reference(cfg);
-        let mut committers: HashMap<(Time, u64), usize> = HashMap::new();
+        let mut committers: IdMap<(Time, u64), usize> = IdMap::default();
         for event in trace.events() {
             if let TraceKind::Committed(height) = event.kind {
                 *committers.entry((event.time, height)).or_default() += 1;
@@ -832,8 +832,8 @@ mod tests {
                 Duration::ZERO,
             ));
         let trace = assert_accounting_matches_the_per_node_reference(cfg);
-        let mut seen = HashSet::new();
-        let mut first_commits: HashMap<(Time, ProcessId), usize> = HashMap::new();
+        let mut seen = IdSet::default();
+        let mut first_commits: IdMap<(Time, ProcessId), usize> = IdMap::default();
         for event in trace.events() {
             if let TraceKind::Committed(height) = event.kind {
                 if seen.insert(height) {
@@ -887,7 +887,7 @@ mod tests {
             sim.run_loop();
             for node in sim.nodes.iter().filter(|node| node.is_honest()) {
                 let store = node.runtime().engine().store();
-                let mut carried = HashSet::new();
+                let mut carried = IdSet::default();
                 for &hash in store.committed_chain() {
                     let block = store.get(hash).expect("a committed block is stored");
                     for id in block.payload().tx_ids() {

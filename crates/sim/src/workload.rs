@@ -176,7 +176,7 @@ impl WorkloadConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use lumiere_types::hash::IdSet;
 
     #[test]
     fn constant_profile_hits_the_mean_rate_exactly() {
@@ -199,9 +199,9 @@ mod tests {
         let a = w.arrivals(7, Duration::from_secs(2));
         let b = w.arrivals(7, Duration::from_secs(2));
         assert_eq!(a, b, "same seed must reproduce the same schedule");
-        let ids: HashSet<u64> = a.iter().map(|(_, tx)| tx.id.as_u64()).collect();
+        let ids: IdSet<u64> = a.iter().map(|(_, tx)| tx.id.as_u64()).collect();
         assert_eq!(ids.len(), a.len(), "transaction ids must be unique");
-        let other: HashSet<u64> = w
+        let other: IdSet<u64> = w
             .arrivals(8, Duration::from_secs(2))
             .iter()
             .map(|(_, tx)| tx.id.as_u64())

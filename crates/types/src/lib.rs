@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod id;
 pub mod params;
 pub mod slash;

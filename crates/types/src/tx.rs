@@ -3,8 +3,9 @@
 //! The paper's complexity claims are about *views*, not payloads, so the
 //! reproduction historically committed empty blocks. This module models the
 //! load that "millions of users" implies: opaque fixed-identity
-//! [`Transaction`]s, deduplicated by [`TxId`], pulled from a mempool into a
-//! [`Batch`] when a leader proposes. A batch folds into a single `u64`
+//! [`Transaction`]s, deduplicated by [`TxId`], read from the front of a
+//! mempool into a [`Batch`] when a leader proposes; they leave the mempool
+//! only when a block carrying them commits. A batch folds into a single `u64`
 //! digest ([`Batch::digest64`]) so block hashing stays O(batch) and the
 //! existing integer-payload plumbing (equivocation forging, coverage
 //! fingerprints) keeps working unchanged.
