@@ -12,13 +12,14 @@
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{view_msg_digest, ViewCert};
 use lumiere_core::clock::LocalClock;
+use lumiere_core::ledger::{
+    SigPool, ViewLedger, FORMED_VC, INITIAL_TRIGGER_FIRED, OBSERVED_QC, SEEN_VC,
+};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
-use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
-use std::collections::BTreeMap;
 
 /// A processor's Fever pacemaker.
 #[derive(Debug)]
@@ -33,12 +34,8 @@ pub struct Fever {
     clock: LocalClock,
     view: View,
 
-    view_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_view_msg: IdSet<i64>,
-    formed_vc: IdSet<i64>,
-    seen_vc: IdSet<i64>,
-    observed_qc_views: IdSet<i64>,
-    initial_trigger_fired: IdSet<i64>,
+    views: ViewLedger,
+    view_msg_pool: SigPool,
     booted: bool,
 }
 
@@ -55,12 +52,8 @@ impl Fever {
             pki,
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
-            view_msg_pool: IdMap::default(),
-            sent_view_msg: IdSet::default(),
-            formed_vc: IdSet::default(),
-            seen_vc: IdSet::default(),
-            observed_qc_views: IdSet::default(),
-            initial_trigger_fired: IdSet::default(),
+            views: ViewLedger::default(),
+            view_msg_pool: SigPool::default(),
             booted: false,
         }
     }
@@ -88,10 +81,9 @@ impl Fever {
         }
     }
 
+    /// Sends this processor's view message: once per view, as only the
+    /// initial-view trigger calls it.
     fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.sent_view_msg.insert(view.as_i64()) {
-            return;
-        }
         let signature = self.keys.sign(view_msg_digest(view));
         let leader = self.leader(view);
         if leader == self.id {
@@ -115,18 +107,16 @@ impl Fever {
         let aggregates = self.leader(view) == self.id
             && view.is_initial()
             && view >= self.view
-            && !self.formed_vc.contains(&view.as_i64());
-        let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        if !aggregates || pool.len() < self.params.small_quorum() {
+            && !self.views.has(view, FORMED_VC);
+        let count = self.view_msg_pool.add(view, from, signature);
+        if !aggregates || count < self.params.small_quorum() {
             return;
         }
-        let sigs: Vec<Signature> = pool.values().copied().collect();
+        let sigs = self.view_msg_pool.signatures(view);
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.params) else {
             return;
         };
-        self.formed_vc.insert(view.as_i64());
-        self.seen_vc.insert(view.as_i64());
+        self.views.mark(view, FORMED_VC | SEEN_VC);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(vc)));
         // The broadcast includes the leader itself: catch up if behind.
         if view > self.view {
@@ -142,11 +132,12 @@ impl Fever {
             let start = self.view.as_i64().max(0);
             for v in start..=max_view {
                 let view = View::new(v);
-                if !view.is_initial() || self.initial_trigger_fired.contains(&v) || view < self.view
+                if !view.is_initial()
+                    || view < self.view
+                    || !self.views.mark(view, INITIAL_TRIGGER_FIRED)
                 {
                     continue;
                 }
-                self.initial_trigger_fired.insert(v);
                 self.set_view(view, out);
                 self.send_view_msg(view, now, out);
             }
@@ -192,17 +183,11 @@ impl Pacemaker for Fever {
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
-                // Marked only once verified: a forged VC must not use up
-                // the view.
-                if view.is_initial()
-                    && !self.seen_vc.contains(&view.as_i64())
-                    && vc.verify(&self.pki, &self.params).is_ok()
+                let verify = || vc.verify(&self.pki, &self.params).is_ok();
+                if view.is_initial() && self.views.admit(view, SEEN_VC, verify) && view > self.view
                 {
-                    self.seen_vc.insert(view.as_i64());
-                    if view > self.view {
-                        self.clock.bump_to(self.c(view), now);
-                        self.set_view(view, out);
-                    }
+                    self.clock.bump_to(self.c(view), now);
+                    self.set_view(view, out);
                 }
             }
             _ => {}
@@ -221,7 +206,7 @@ impl Pacemaker for Fever {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
+        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             self.clock.bump_to(self.c(next), now);
             self.set_view(next, out);
@@ -242,12 +227,7 @@ impl Pacemaker for Fever {
     }
 
     fn state_entries(&self) -> usize {
-        pool_entries(self.view_msg_pool.values())
-            + self.sent_view_msg.len()
-            + self.formed_vc.len()
-            + self.seen_vc.len()
-            + self.observed_qc_views.len()
-            + self.initial_trigger_fired.len()
+        self.views.len() + self.view_msg_pool.entries()
     }
 }
 

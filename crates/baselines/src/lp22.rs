@@ -14,14 +14,13 @@
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::epoch_view_digest;
 use lumiere_core::clock::LocalClock;
+use lumiere_core::ledger::{SigPool, ViewLedger, EPOCH_PAUSE_TAKEN, OBSERVED_QC, SEEN_EC};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
-use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::view::EpochLayout;
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
-use std::collections::BTreeMap;
 
 /// A processor's LP22 pacemaker.
 #[derive(Debug)]
@@ -38,11 +37,8 @@ pub struct Lp22 {
     view: View,
     epoch: Epoch,
 
-    epoch_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_epoch_msg: IdSet<i64>,
-    seen_ec: IdSet<i64>,
-    observed_qc_views: IdSet<i64>,
-    epoch_trigger_fired: IdSet<i64>,
+    views: ViewLedger,
+    epoch_msg_pool: SigPool,
     paused_at_boundary: Option<View>,
     booted: bool,
 }
@@ -62,11 +58,8 @@ impl Lp22 {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
-            epoch_msg_pool: IdMap::default(),
-            sent_epoch_msg: IdSet::default(),
-            seen_ec: IdSet::default(),
-            observed_qc_views: IdSet::default(),
-            epoch_trigger_fired: IdSet::default(),
+            views: ViewLedger::default(),
+            epoch_msg_pool: SigPool::default(),
             paused_at_boundary: None,
             booted: false,
         }
@@ -107,10 +100,9 @@ impl Lp22 {
         }
     }
 
+    /// Broadcasts this processor's epoch-view message: once per epoch view,
+    /// as only the epoch trigger calls it.
     fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.sent_epoch_msg.insert(view.as_i64()) {
-            return;
-        }
         let signature = self.keys.sign(epoch_view_digest(view));
         out.push(PacemakerAction::HeavySyncStarted { view });
         out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
@@ -128,11 +120,8 @@ impl Lp22 {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let pool = self.epoch_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        let ready = pool.len() >= self.params.quorum();
-        if ready && !self.seen_ec.contains(&view.as_i64()) {
-            self.seen_ec.insert(view.as_i64());
+        let count = self.epoch_msg_pool.add(view, from, signature);
+        if count >= self.params.quorum() && self.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
@@ -159,9 +148,8 @@ impl Lp22 {
             let next_epoch_view = self.layout.next_epoch_view_after(self.view);
             if self.view < next_epoch_view
                 && self.clock.reading(now) >= self.c(next_epoch_view)
-                && !self.epoch_trigger_fired.contains(&next_epoch_view.as_i64())
+                && self.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
             {
-                self.epoch_trigger_fired.insert(next_epoch_view.as_i64());
                 self.clock.pause(now);
                 self.paused_at_boundary = Some(next_epoch_view);
                 self.broadcast_epoch_msg(next_epoch_view, now, out);
@@ -234,11 +222,8 @@ impl Pacemaker for Lp22 {
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
-                if self.layout.is_epoch_view(view)
-                    && !self.seen_ec.contains(&view.as_i64())
-                    && ec.verify(&self.pki, &self.params).is_ok()
-                {
-                    self.seen_ec.insert(view.as_i64());
+                let verify = || ec.verify(&self.pki, &self.params).is_ok();
+                if self.layout.is_epoch_view(view) && self.views.admit(view, SEEN_EC, verify) {
                     self.handle_ec(view, now, out);
                 }
             }
@@ -258,7 +243,7 @@ impl Pacemaker for Lp22 {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
+        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             // Responsive entry into the next view — but NO clock bump: this
             // is the LP22 weakness that Lumiere fixes.
@@ -282,11 +267,7 @@ impl Pacemaker for Lp22 {
     }
 
     fn state_entries(&self) -> usize {
-        pool_entries(self.epoch_msg_pool.values())
-            + self.sent_epoch_msg.len()
-            + self.seen_ec.len()
-            + self.observed_qc_views.len()
-            + self.epoch_trigger_fired.len()
+        self.views.len() + self.epoch_msg_pool.entries()
     }
 }
 
@@ -400,6 +381,37 @@ mod tests {
             Time::from_millis(1),
         );
         assert_eq!(pm.current_view(), View::new(0));
+    }
+
+    #[test]
+    fn a_forged_ec_does_not_use_up_the_view() {
+        // Marked only once verified: one forged EC must not make the replica
+        // drop the genuine one.
+        use lumiere_types::wire::Wire;
+        let (mut pm, keys, params) = make(4, 0);
+        pm.boot(Time::ZERO);
+        let sigs: Vec<_> = keys
+            .iter()
+            .map(|k| k.sign(epoch_view_digest(View::new(0))))
+            .collect();
+        let ec = EpochCert::aggregate(View::new(0), &sigs, &params).unwrap();
+        // The forgery: one proof bit flipped on the wire (view 8 bytes,
+        // covered digest 8, then the proof).
+        let mut bytes = Vec::new();
+        ec.encode_into(&mut bytes);
+        bytes[16] ^= 1;
+        let forged = EpochCert::decode_exact(&bytes).unwrap();
+        let t = Time::from_millis(1);
+        pm.on_message(keys[3].id(), &PacemakerMessage::EpochCert(forged), t);
+        assert_eq!(pm.current_view(), View::SENTINEL);
+        assert!(pm.is_paused());
+        let ec = PacemakerMessage::EpochCert(ec);
+        let out = pm.on_message(keys[1].id(), &ec, t);
+        assert_eq!(pm.current_view(), View::new(0));
+        assert!(actions::entered_views(&out).contains(&View::new(0)));
+        // A second copy of the genuine EC is dropped as before.
+        let out = pm.on_message(keys[1].id(), &ec, t);
+        assert!(actions::entered_views(&out).is_empty());
     }
 
     #[test]

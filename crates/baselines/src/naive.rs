@@ -10,13 +10,12 @@
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::timeout_digest;
+use lumiere_core::ledger::{SigPool, ViewLedger, OBSERVED_QC, SENT_TIMEOUT};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
-use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
-use std::collections::BTreeMap;
 
 /// A processor's naive quadratic pacemaker.
 #[derive(Debug)]
@@ -31,9 +30,8 @@ pub struct NaiveQuadratic {
     boot_time: Time,
     view: View,
     view_entered_at: Time,
-    timeout_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_timeout: IdSet<i64>,
-    observed_qc_views: IdSet<i64>,
+    views: ViewLedger,
+    timeout_pool: SigPool,
     booted: bool,
 }
 
@@ -51,9 +49,8 @@ impl NaiveQuadratic {
             boot_time: Time::ZERO,
             view: View::SENTINEL,
             view_entered_at: Time::ZERO,
-            timeout_pool: IdMap::default(),
-            sent_timeout: IdSet::default(),
-            observed_qc_views: IdSet::default(),
+            views: ViewLedger::default(),
+            timeout_pool: SigPool::default(),
             booted: false,
         }
     }
@@ -83,9 +80,7 @@ impl NaiveQuadratic {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let pool = self.timeout_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        let count = pool.len();
+        let count = self.timeout_pool.add(view, from, signature);
         if count >= self.params.quorum() && view >= self.view {
             self.enter(view.next(), now, out);
         }
@@ -134,7 +129,7 @@ impl Pacemaker for NaiveQuadratic {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
+        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
             self.enter(v.next(), now, out);
         }
     }
@@ -145,7 +140,7 @@ impl Pacemaker for NaiveQuadratic {
         }
         if now >= self.view_entered_at + self.view_timeout {
             let view = self.view;
-            if self.sent_timeout.insert(view.as_i64()) {
+            if self.views.mark(view, SENT_TIMEOUT) {
                 let signature = self.keys.sign(timeout_digest(view));
                 out.push(PacemakerAction::Broadcast(PacemakerMessage::Timeout {
                     view,
@@ -169,9 +164,7 @@ impl Pacemaker for NaiveQuadratic {
     }
 
     fn state_entries(&self) -> usize {
-        pool_entries(self.timeout_pool.values())
-            + self.sent_timeout.len()
-            + self.observed_qc_views.len()
+        self.views.len() + self.timeout_pool.entries()
     }
 }
 
@@ -246,8 +239,7 @@ mod tests {
             signature: keys[2].sign(timeout_digest(View::new(7))),
         };
         pm.on_message(keys[2].id(), &msg, Time::from_millis(1));
-        let pool = pm.timeout_pool.get(&0).map(|p| p.len()).unwrap_or(0);
-        assert_eq!(pool, 0);
+        assert_eq!(pm.timeout_pool.entries(), 0);
     }
 
     #[test]

@@ -19,18 +19,17 @@
 //! The difference between the two published protocols (Cogsworth relays
 //! echoed signature sets, NK20 validates wishes and aggregates threshold
 //! signatures, improving the Byzantine-case expectation) does not affect the
-//! message/latency *shape* measured here; the [`RelayVariant`] only selects
-//! the reported protocol name. This simplification is recorded in DESIGN.md.
+//! message/latency *shape* measured here, so one protocol models both: the
+//! [`RelayVariant`] only selects the reported protocol name.
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{wish_digest, WishCert};
+use lumiere_core::ledger::{SigPool, ViewLedger, FORMED_SYNC, OBSERVED_QC};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
-use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
-use std::collections::BTreeMap;
 
 /// Which published protocol this instance reports itself as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,15 +57,13 @@ pub struct RelayPacemaker {
     boot_time: Time,
     view: View,
     view_entered_at: Time,
-    /// Per-target-view relay attempt counter (how many leaders have been
-    /// tried so far).
-    relay_attempts: IdMap<i64, usize>,
+    /// Relay attempts made for the wish toward `view + 1`: the only target
+    /// a wish ever has, so entering a view resets it.
+    relay_attempts: usize,
     /// Deadline for the current relay attempt of the pending target view.
     relay_deadline: Option<(View, Time)>,
-    wish_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_wish_to: IdSet<(i64, u32)>,
-    broadcast_sync: IdSet<i64>,
-    observed_qc_views: IdSet<i64>,
+    views: ViewLedger,
+    wish_pool: SigPool,
     booted: bool,
 }
 
@@ -95,12 +92,10 @@ impl RelayPacemaker {
             boot_time: Time::ZERO,
             view: View::SENTINEL,
             view_entered_at: Time::ZERO,
-            relay_attempts: IdMap::default(),
+            relay_attempts: 0,
             relay_deadline: None,
-            wish_pool: IdMap::default(),
-            sent_wish_to: IdSet::default(),
-            broadcast_sync: IdSet::default(),
-            observed_qc_views: IdSet::default(),
+            views: ViewLedger::default(),
+            wish_pool: SigPool::default(),
             booted: false,
         }
     }
@@ -123,6 +118,7 @@ impl RelayPacemaker {
         if view > self.view {
             self.view = view;
             self.view_entered_at = now;
+            self.relay_attempts = 0;
             self.relay_deadline = None;
             out.push(PacemakerAction::EnterView {
                 view,
@@ -133,18 +129,18 @@ impl RelayPacemaker {
     }
 
     fn send_wish(&mut self, target: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        let attempt = *self.relay_attempts.entry(target.as_i64()).or_insert(0);
+        let attempt = self.relay_attempts;
         if attempt > self.params.n {
             return;
         }
+        self.relay_attempts += 1;
         // The wish for view `target` is addressed to the leader of
         // `target + attempt`: attempt 0 is the view's own leader, later
-        // attempts walk down the leader schedule.
-        let relay_leader = self.leader(View::new(target.as_i64() + attempt as i64));
-        if self
-            .sent_wish_to
-            .insert((target.as_i64(), relay_leader.as_u32()))
-        {
+        // attempts walk down the round-robin schedule, so attempts 0..n reach
+        // n distinct leaders. Attempt n would reach the first one again: it
+        // sends nothing, but still waits out one more relay timeout.
+        if attempt < self.params.n {
+            let relay_leader = self.leader(View::new(target.as_i64() + attempt as i64));
             let signature = self.keys.sign(wish_digest(target));
             if relay_leader == self.id {
                 self.record_wish(self.id, target, signature, now, out);
@@ -158,7 +154,6 @@ impl RelayPacemaker {
                 ));
             }
         }
-        self.relay_attempts.insert(target.as_i64(), attempt + 1);
         self.relay_deadline = Some((target, now + self.relay_timeout));
         out.push(PacemakerAction::WakeAt(now + self.relay_timeout));
     }
@@ -171,17 +166,15 @@ impl RelayPacemaker {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let pool = self.wish_pool.entry(target.as_i64()).or_default();
-        pool.insert(from, signature);
-        if pool.len() < self.params.small_quorum() || self.broadcast_sync.contains(&target.as_i64())
-        {
+        let count = self.wish_pool.add(target, from, signature);
+        if count < self.params.small_quorum() || self.views.has(target, FORMED_SYNC) {
             return;
         }
-        let sigs: Vec<Signature> = pool.values().copied().collect();
+        let sigs = self.wish_pool.signatures(target);
         let Ok(cert) = WishCert::aggregate(target, &sigs, &self.params) else {
             return;
         };
-        self.broadcast_sync.insert(target.as_i64());
+        self.views.mark(target, FORMED_SYNC);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::SyncCert(cert)));
         // The broadcast includes the aggregator itself (Section 4's "sends to
         // all processors" convention): enter the view locally too.
@@ -241,7 +234,7 @@ impl Pacemaker for RelayPacemaker {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
+        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
             self.enter(v.next(), now, out);
         }
     }
@@ -279,11 +272,7 @@ impl Pacemaker for RelayPacemaker {
     }
 
     fn state_entries(&self) -> usize {
-        pool_entries(self.wish_pool.values())
-            + self.relay_attempts.len()
-            + self.sent_wish_to.len()
-            + self.broadcast_sync.len()
-            + self.observed_qc_views.len()
+        self.views.len() + self.wish_pool.entries()
     }
 }
 

@@ -15,15 +15,14 @@
 
 use crate::certs::{epoch_view_digest, view_msg_digest, ViewCert};
 use crate::clock::LocalClock;
+use crate::ledger::*;
 use crate::messages::PacemakerMessage;
-use crate::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
+use crate::pacemaker::{Pacemaker, PacemakerAction};
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
-use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::view::EpochLayout;
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
-use std::collections::BTreeMap;
 
 /// A processor's Basic Lumiere pacemaker (Section 3.4).
 #[derive(Debug)]
@@ -40,16 +39,9 @@ pub struct BasicLumiere {
     view: View,
     epoch: Epoch,
 
-    view_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
-    epoch_msg_pool: IdMap<i64, BTreeMap<ProcessId, Signature>>,
-    sent_view_msg: IdSet<i64>,
-    sent_epoch_msg: IdSet<i64>,
-    formed_vc: IdSet<i64>,
-    seen_vc: IdSet<i64>,
-    seen_ec: IdSet<i64>,
-    observed_qc_views: IdSet<i64>,
-    initial_trigger_fired: IdSet<i64>,
-    epoch_trigger_fired: IdSet<i64>,
+    views: ViewLedger,
+    view_msg_pool: SigPool,
+    epoch_msg_pool: SigPool,
 
     /// Epoch view at which the local clock is paused, if any.
     paused_at_boundary: Option<View>,
@@ -71,16 +63,9 @@ impl BasicLumiere {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
-            view_msg_pool: IdMap::default(),
-            epoch_msg_pool: IdMap::default(),
-            sent_view_msg: IdSet::default(),
-            sent_epoch_msg: IdSet::default(),
-            formed_vc: IdSet::default(),
-            seen_vc: IdSet::default(),
-            seen_ec: IdSet::default(),
-            observed_qc_views: IdSet::default(),
-            initial_trigger_fired: IdSet::default(),
-            epoch_trigger_fired: IdSet::default(),
+            views: ViewLedger::default(),
+            view_msg_pool: SigPool::default(),
+            epoch_msg_pool: SigPool::default(),
             paused_at_boundary: None,
             booted: false,
         }
@@ -125,10 +110,9 @@ impl BasicLumiere {
         }
     }
 
+    /// Sends this processor's view message: once per view, as only the
+    /// initial-view trigger calls it.
     fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.sent_view_msg.insert(view.as_i64()) {
-            return;
-        }
         let signature = self.keys.sign(view_msg_digest(view));
         let leader = self.leader(view);
         if leader == self.id {
@@ -153,18 +137,16 @@ impl BasicLumiere {
             && view.is_initial()
             && !self.layout.is_epoch_view(view)
             && view >= self.view
-            && !self.formed_vc.contains(&view.as_i64());
-        let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        if !aggregates || pool.len() < self.params.small_quorum() {
+            && !self.views.has(view, FORMED_VC);
+        let count = self.view_msg_pool.add(view, from, signature);
+        if !aggregates || count < self.params.small_quorum() {
             return;
         }
-        let sigs: Vec<Signature> = pool.values().copied().collect();
+        let sigs = self.view_msg_pool.signatures(view);
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.params) else {
             return;
         };
-        self.formed_vc.insert(view.as_i64());
-        self.seen_vc.insert(view.as_i64());
+        self.views.mark(view, FORMED_VC | SEEN_VC);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(vc)));
         // The broadcast includes the leader itself: catch up if behind.
         if view > self.view {
@@ -173,10 +155,9 @@ impl BasicLumiere {
         }
     }
 
+    /// Broadcasts this processor's epoch-view message: once per epoch view,
+    /// as only the epoch trigger calls it.
     fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.sent_epoch_msg.insert(view.as_i64()) {
-            return;
-        }
         let signature = self.keys.sign(epoch_view_digest(view));
         out.push(PacemakerAction::HeavySyncStarted { view });
         out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
@@ -194,11 +175,8 @@ impl BasicLumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let pool = self.epoch_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        let ec_ready = pool.len() >= self.params.quorum();
-        if ec_ready && !self.seen_ec.contains(&view.as_i64()) {
-            self.seen_ec.insert(view.as_i64());
+        let count = self.epoch_msg_pool.add(view, from, signature);
+        if count >= self.params.quorum() && self.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
@@ -223,9 +201,8 @@ impl BasicLumiere {
             let next_epoch_view = self.layout.next_epoch_view_after(self.view);
             if self.view < next_epoch_view
                 && self.clock.reading(now) >= self.c(next_epoch_view)
-                && !self.epoch_trigger_fired.contains(&next_epoch_view.as_i64())
+                && self.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
             {
-                self.epoch_trigger_fired.insert(next_epoch_view.as_i64());
                 self.clock.pause(now);
                 self.paused_at_boundary = Some(next_epoch_view);
                 self.broadcast_epoch_msg(next_epoch_view, now, out);
@@ -241,13 +218,12 @@ impl BasicLumiere {
                     let view = View::new(v);
                     if !view.is_initial()
                         || self.layout.is_epoch_view(view)
-                        || self.initial_trigger_fired.contains(&v)
                         || self.layout.epoch_of(view) != self.epoch
                         || view < self.view
+                        || !self.views.mark(view, INITIAL_TRIGGER_FIRED)
                     {
                         continue;
                     }
-                    self.initial_trigger_fired.insert(v);
                     self.set_view(view, out);
                     self.send_view_msg(view, now, out);
                     progressed = true;
@@ -309,27 +285,20 @@ impl Pacemaker for BasicLumiere {
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
-                // Marked only once verified: a forged VC must not use up
-                // the view.
+                let verify = || vc.verify(&self.pki, &self.params).is_ok();
                 if view.is_initial()
                     && !self.layout.is_epoch_view(view)
-                    && !self.seen_vc.contains(&view.as_i64())
-                    && vc.verify(&self.pki, &self.params).is_ok()
+                    && self.views.admit(view, SEEN_VC, verify)
+                    && view > self.view
                 {
-                    self.seen_vc.insert(view.as_i64());
-                    if view > self.view {
-                        self.clock.bump_to(self.c(view), now);
-                        self.set_view(view, out);
-                    }
+                    self.clock.bump_to(self.c(view), now);
+                    self.set_view(view, out);
                 }
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
-                if self.layout.is_epoch_view(view)
-                    && !self.seen_ec.contains(&view.as_i64())
-                    && ec.verify(&self.pki, &self.params).is_ok()
-                {
-                    self.seen_ec.insert(view.as_i64());
+                let verify = || ec.verify(&self.pki, &self.params).is_ok();
+                if self.layout.is_epoch_view(view) && self.views.admit(view, SEEN_EC, verify) {
                     self.handle_ec(view, now, out);
                 }
             }
@@ -349,7 +318,7 @@ impl Pacemaker for BasicLumiere {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.observed_qc_views.insert(v.as_i64()) {
+        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             self.clock.bump_to(self.c(next), now);
             if !self.layout.is_epoch_view(next) {
@@ -374,16 +343,7 @@ impl Pacemaker for BasicLumiere {
     }
 
     fn state_entries(&self) -> usize {
-        pool_entries(self.view_msg_pool.values())
-            + pool_entries(self.epoch_msg_pool.values())
-            + self.sent_view_msg.len()
-            + self.sent_epoch_msg.len()
-            + self.formed_vc.len()
-            + self.seen_vc.len()
-            + self.seen_ec.len()
-            + self.observed_qc_views.len()
-            + self.initial_trigger_fired.len()
-            + self.epoch_trigger_fired.len()
+        self.views.len() + self.view_msg_pool.entries() + self.epoch_msg_pool.entries()
     }
 }
 
@@ -465,7 +425,7 @@ mod tests {
         // The QC for the last view bumped the clock to the boundary, so the
         // heavy synchronization for epoch 1 has already been broadcast.
         assert!(pm.is_paused());
-        assert!(pm.sent_epoch_msg.contains(&epoch_len));
+        assert!(pm.views.has(View::new(epoch_len), EPOCH_PAUSE_TAKEN));
     }
 
     #[test]

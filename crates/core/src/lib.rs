@@ -14,6 +14,8 @@
 //!   messages and the VC / EC / TC certificates assembled from them,
 //! * [`pacemaker::Pacemaker`] — the Byzantine View Synchronization interface
 //!   every protocol in this workspace (Lumiere and the baselines) implements,
+//!   and [`ledger`] — the per-view flags and signature pools every one of
+//!   them keeps,
 //! * [`basic::BasicLumiere`] — the Section 3.4 protocol (LP22 epochs + Fever
 //!   clock bumping, heavy synchronization at the start of *every* epoch),
 //! * [`lumiere::Lumiere`] — the full protocol of Algorithm 1, which adds the
@@ -52,6 +54,7 @@
 pub mod basic;
 pub mod certs;
 pub mod clock;
+pub mod ledger;
 pub mod lumiere;
 pub mod mempool;
 pub mod messages;

@@ -18,14 +18,14 @@
 
 use crate::certs::{epoch_view_digest, view_msg_digest, EpochCert, TimeoutCert, ViewCert};
 use crate::clock::LocalClock;
+use crate::ledger::*;
 use crate::messages::PacemakerMessage;
-use crate::pacemaker::{pool_entries, Pacemaker, PacemakerAction};
+use crate::pacemaker::{Pacemaker, PacemakerAction};
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::view::{EpochLayout, ViewWindow};
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
-use std::collections::BTreeMap;
 
 /// Static configuration of a Lumiere instance.
 #[derive(Debug, Clone)]
@@ -81,25 +81,6 @@ struct EpochPause {
     paused_at: Time,
 }
 
-/// What this processor has done in, and seen for, one view: one bit per
-/// fact, so a handler finds everything about a view with one indexed load.
-#[derive(Debug, Clone, Copy, Default)]
-struct ViewState(u16);
-
-impl ViewState {
-    const SENT_VIEW_MSG: u16 = 1 << 0;
-    const SENT_EPOCH_MSG: u16 = 1 << 1;
-    const FORMED_VC: u16 = 1 << 2;
-    const SEEN_VC: u16 = 1 << 3;
-    const SEEN_TC: u16 = 1 << 4;
-    const SEEN_EC: u16 = 1 << 5;
-    const OBSERVED_QC: u16 = 1 << 6;
-    const EPOCH_PAUSE_TAKEN: u16 = 1 << 7;
-    const INITIAL_TRIGGER_FIRED: u16 = 1 << 8;
-    /// A QC for this view is in its epoch's success tally.
-    const TALLIED_QC: u16 = 1 << 9;
-}
-
 /// One epoch's success-criterion bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct EpochState {
@@ -126,19 +107,15 @@ pub struct Lumiere {
     view: View,
     epoch: Epoch,
 
-    /// Per-view flags, from view 0. Extended only for views this
-    /// processor's clock or a verified certificate has reached (see
-    /// [`ViewWindow`]); a view a single peer names is only ever read.
-    views: ViewWindow<ViewState>,
+    /// What this processor has done in, and seen for, each view.
+    views: ViewLedger,
     /// Per-epoch success tallies, from epoch 0; extended only by QCs.
     epochs: ViewWindow<EpochState>,
 
-    /// View messages collected as leader, by view then sender. Any peer can
-    /// name any view here, so the pools are keyed, not indexed: a far-future
-    /// view costs one entry.
-    view_msg_pool: BTreeMap<i64, BTreeMap<ProcessId, Signature>>,
-    /// Epoch-view messages collected (broadcast by everyone), likewise.
-    epoch_msg_pool: BTreeMap<i64, BTreeMap<ProcessId, Signature>>,
+    /// View messages collected as leader.
+    view_msg_pool: SigPool,
+    /// Epoch-view messages collected (broadcast by everyone).
+    epoch_msg_pool: SigPool,
 
     pause: Option<EpochPause>,
     booted: bool,
@@ -156,10 +133,10 @@ impl Lumiere {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
-            views: ViewWindow::new(0),
+            views: ViewLedger::default(),
             epochs: ViewWindow::new(0),
-            view_msg_pool: BTreeMap::new(),
-            epoch_msg_pool: BTreeMap::new(),
+            view_msg_pool: SigPool::default(),
+            epoch_msg_pool: SigPool::default(),
             pause: None,
             booted: false,
         }
@@ -199,25 +176,6 @@ impl Lumiere {
         self.cfg.schedule.leader(view)
     }
 
-    /// Whether `flag` is set for `view`. A read: safe on any view a peer
-    /// names.
-    fn has(&self, view: View, flag: u16) -> bool {
-        let state = self.views.get(view.as_i64());
-        state.is_some_and(|s| s.0 & flag != 0)
-    }
-
-    /// Sets `flag` for `view` and returns whether it was clear before.
-    /// Extends the window: only for views reached by this processor's clock
-    /// or a verified certificate.
-    fn mark(&mut self, view: View, flag: u16) -> bool {
-        let Some(state) = self.views.get_or_insert(view.as_i64()) else {
-            return false;
-        };
-        let fresh = state.0 & flag == 0;
-        state.0 |= flag;
-        fresh
-    }
-
     fn set_view(&mut self, view: View, out: &mut Vec<PacemakerAction>) {
         if view > self.view {
             self.view = view;
@@ -251,7 +209,7 @@ impl Lumiere {
     }
 
     fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.mark(view, ViewState::SENT_VIEW_MSG) {
+        if !self.views.mark(view, SENT_VIEW_MSG) {
             return;
         }
         let signature = self.keys.sign(view_msg_digest(view));
@@ -266,7 +224,7 @@ impl Lumiere {
     }
 
     fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.mark(view, ViewState::SENT_EPOCH_MSG) {
+        if !self.views.mark(view, SENT_EPOCH_MSG) {
             return;
         }
         let signature = self.keys.sign(epoch_view_digest(view));
@@ -292,17 +250,16 @@ impl Lumiere {
         let aggregates = self.leader(view) == self.id
             && view.is_initial()
             && view >= self.view
-            && !self.has(view, ViewState::FORMED_VC);
-        let pool = self.view_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        if !aggregates || pool.len() < self.cfg.params.small_quorum() {
+            && !self.views.has(view, FORMED_VC);
+        let count = self.view_msg_pool.add(view, from, signature);
+        if !aggregates || count < self.cfg.params.small_quorum() {
             return;
         }
-        let sigs: Vec<Signature> = pool.values().copied().collect();
+        let sigs = self.view_msg_pool.signatures(view);
         let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.cfg.params) else {
             return;
         };
-        self.mark(view, ViewState::FORMED_VC | ViewState::SEEN_VC);
+        self.views.mark(view, FORMED_VC | SEEN_VC);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(
             vc.clone(),
         )));
@@ -332,14 +289,11 @@ impl Lumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let pool = self.epoch_msg_pool.entry(view.as_i64()).or_default();
-        pool.insert(from, signature);
-        let tc_ready = pool.len() >= self.cfg.params.small_quorum();
-        let ec_ready = pool.len() >= self.cfg.params.quorum();
-        if tc_ready && self.mark(view, ViewState::SEEN_TC) {
+        let count = self.epoch_msg_pool.add(view, from, signature);
+        if count >= self.cfg.params.small_quorum() && self.views.mark(view, SEEN_TC) {
             self.handle_tc(view, now, out);
         }
-        if ec_ready && self.mark(view, ViewState::SEEN_EC) {
+        if count >= self.cfg.params.quorum() && self.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
@@ -388,7 +342,7 @@ impl Lumiere {
             return None;
         }
         // Each view counts once toward its leader, whatever the copies.
-        let fresh = self.mark(v, ViewState::TALLIED_QC);
+        let fresh = self.views.mark(v, TALLIED_QC);
         let epoch = self.cfg.layout.epoch_of(v).as_i64();
         let leader = self.leader(v).as_usize();
         // A bar of zero is met by a leader's first QC, as any bar is.
@@ -428,7 +382,7 @@ impl Lumiere {
                     self.set_view(next_epoch_view, out);
                     progressed = true;
                 } else if self.pause.is_none()
-                    && self.mark(next_epoch_view, ViewState::EPOCH_PAUSE_TAKEN)
+                    && self.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
                 {
                     // Lines 9–11: pause and, if still paused Δ later,
                     // broadcast the epoch-view message.
@@ -451,7 +405,7 @@ impl Lumiere {
                     if !view.is_initial()
                         || self.cfg.layout.epoch_of(view) != self.epoch
                         || view < self.view
-                        || !self.mark(view, ViewState::INITIAL_TRIGGER_FIRED)
+                        || !self.views.mark(view, INITIAL_TRIGGER_FIRED)
                     {
                         continue;
                     }
@@ -470,7 +424,7 @@ impl Lumiere {
         #[cfg(any(test, feature = "planted-bugs"))]
         if self.cfg.planted == Some(crate::planted::PlantedBug::DropTimeoutRearm)
             && self.view.as_i64() >= 0
-            && !self.has(self.view, ViewState::OBSERVED_QC)
+            && !self.views.has(self.view, OBSERVED_QC)
         {
             // PLANTED BUG (fuzzer calibration, never compiled into release
             // builds without the `planted-bugs` feature): while the current
@@ -533,14 +487,10 @@ impl Lumiere {
     /// Lines 36–40: reaction to a VC for an initial view.
     fn handle_view_cert(&mut self, vc: &ViewCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = vc.view();
-        // Marked only once verified: a forged VC must not use up the view.
-        if !view.is_initial()
-            || self.has(view, ViewState::SEEN_VC)
-            || vc.verify(&self.pki, &self.cfg.params).is_err()
-        {
+        let verify = || vc.verify(&self.pki, &self.cfg.params).is_ok();
+        if !view.is_initial() || !self.views.admit(view, SEEN_VC, verify) {
             return;
         }
-        self.mark(view, ViewState::SEEN_VC);
         if view > self.view {
             self.unpause_if(|pv| view >= pv, now);
             if self.clock.reading(now) < self.c(view) {
@@ -561,15 +511,15 @@ impl Lumiere {
         }
         // An EC for a marked view has nothing left to do (`seen_ec` implies
         // `seen_tc`), so it is not checked again.
-        if !self.has(view, ViewState::SEEN_EC) {
+        if !self.views.has(view, SEEN_EC) {
             if ec.verify(&self.pki, &self.cfg.params).is_err() {
                 return;
             }
-            if self.mark(view, ViewState::SEEN_TC) {
+            if self.views.mark(view, SEEN_TC) {
                 self.handle_tc(view, now, out);
             }
             // `handle_tc` may itself have completed the EC from the pool.
-            if self.mark(view, ViewState::SEEN_EC) {
+            if self.views.mark(view, SEEN_EC) {
                 self.handle_ec(view, now, out);
             }
         }
@@ -581,11 +531,12 @@ impl Lumiere {
         if !self.cfg.layout.is_epoch_view(view) {
             return;
         }
-        if !self.has(view, ViewState::SEEN_TC) {
-            if tc.verify(&self.pki, &self.cfg.params).is_err() {
+        // A TC for a marked view has nothing left to do but the sweep.
+        if !self.views.has(view, SEEN_TC) {
+            let verify = || tc.verify(&self.pki, &self.cfg.params).is_ok();
+            if !self.views.admit(view, SEEN_TC, verify) {
                 return;
             }
-            self.mark(view, ViewState::SEEN_TC);
             self.handle_tc(view, now, out);
         }
         self.sweep(now, out);
@@ -647,7 +598,7 @@ impl Pacemaker for Lumiere {
         }
 
         // Lines 44–49, guarded by "first seeing a QC for view v ≥ view(p)".
-        if v >= self.view && self.mark(v, ViewState::OBSERVED_QC) {
+        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             self.unpause_if(|pv| v >= pv, now);
             if self.clock.reading(now) < self.c(next) {
@@ -704,8 +655,8 @@ impl Pacemaker for Lumiere {
     fn state_entries(&self) -> usize {
         self.views.len()
             + self.epochs.len()
-            + pool_entries(self.view_msg_pool.values())
-            + pool_entries(self.epoch_msg_pool.values())
+            + self.view_msg_pool.entries()
+            + self.epoch_msg_pool.entries()
     }
 }
 
@@ -836,7 +787,7 @@ mod tests {
         // The leader of view 0 must have formed and broadcast a VC: everyone
         // has seen it (seen_vc) or formed it.
         let leader = cfg.schedule.leader(View::new(0));
-        assert!(nodes[leader.as_usize()].has(View::new(0), ViewState::FORMED_VC));
+        assert!(nodes[leader.as_usize()].views.has(View::new(0), FORMED_VC));
     }
 
     #[test]
@@ -939,7 +890,7 @@ mod tests {
         // an epoch-view message for view `epoch_len`.
         assert_eq!(pm.epoch(), Epoch::new(1));
         assert!(!pm.is_paused());
-        assert!(!pm.has(View::new(epoch_len), ViewState::SENT_EPOCH_MSG));
+        assert!(!pm.views.has(View::new(epoch_len), SENT_EPOCH_MSG));
     }
 
     #[test]

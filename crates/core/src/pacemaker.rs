@@ -14,9 +14,7 @@
 
 use crate::messages::PacemakerMessage;
 use lumiere_consensus::QuorumCert;
-use lumiere_crypto::Signature;
 use lumiere_types::{Duration, ProcessId, Time, View};
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Instructions emitted by a pacemaker in response to an event.
@@ -133,8 +131,10 @@ pub trait Pacemaker: Debug + Send {
     /// clocks report elapsed time); used by the honest-gap metrics.
     fn local_clock_reading(&self, now: Time) -> Duration;
 
-    /// How many entries this pacemaker holds across its per-view records,
-    /// sets and message pools: what its memory is proportional to.
+    /// How many entries this pacemaker holds across its
+    /// [`ViewLedger`](crate::ledger::ViewLedger) records and
+    /// [`SigPool`](crate::ledger::SigPool)s: what its memory is proportional
+    /// to.
     fn state_entries(&self) -> usize;
 }
 
@@ -143,14 +143,6 @@ fn filled<A>(fill: impl FnOnce(&mut Vec<A>)) -> Vec<A> {
     let mut out = Vec::new();
     fill(&mut out);
     out
-}
-
-/// Signatures held across the per-view pools of a `view → sender →
-/// signature` collection (for [`Pacemaker::state_entries`]).
-pub fn pool_entries<'a>(
-    pools: impl IntoIterator<Item = &'a BTreeMap<ProcessId, Signature>>,
-) -> usize {
-    pools.into_iter().map(BTreeMap::len).sum()
 }
 
 /// Convenience helpers shared by pacemaker implementations and tests.

@@ -24,8 +24,8 @@
 //! exactly the bitmap's set bits), distinct signer counting, constant-size
 //! certificates for message-size accounting, and the `f+1` / `2f+1`
 //! aggregation thresholds. It is **not** cryptographically secure and must
-//! never be used outside the simulator; see `DESIGN.md` for the
-//! substitution rationale.
+//! never be used outside the simulator; `docs/CERTIFICATES.md`, "The
+//! simulated scheme", gives the rationale and the sizes charged.
 //!
 //! # Paper mapping
 //!

@@ -4,13 +4,13 @@
 //! send, as wire bytes through `ProtocolRuntime::deliver`, against each of
 //! the seven pacemakers.
 //!
-//! Lumiere's and the engine's per-view records are indexed and the five
-//! baselines' pools are hashed by view, so what matters is that none of this
-//! reaches an index or a view-sized allocation: nothing panics or overflows,
-//! the node grows by at most the one keyed entry a message class may leave
-//! per structure it reaches (never by anything proportional to the view
-//! number), and the honest run carries on committing. `state_entries` is the
-//! oracle.
+//! Every pacemaker's per-view flags (`ViewLedger`) and the engine's per-view
+//! records are indexed, and the signature pools (`SigPool`) are ordered maps
+//! keyed by view, so what matters is that none of this reaches an index or a
+//! view-sized allocation: nothing panics or overflows, the node grows by at
+//! most the one keyed entry a message class may leave per structure it
+//! reaches (never by anything proportional to the view number), and the
+//! honest run carries on committing. `state_entries` is the oracle.
 
 use lumiere_consensus::{Block, ConsensusMessage, QuorumCert};
 use lumiere_core::certs::{epoch_view_digest, timeout_digest, view_msg_digest, wish_digest};
@@ -267,8 +267,10 @@ fn a_fault_free_run_grows_by_a_constant_per_view() {
         let per_view = (last.1 - first.1) as f64 / views as f64;
         // Per view: one engine record with its observed block, one stored
         // block, one seen proposal, and what the pacemaker keeps of the
-        // view's synchronization — 4.8 in all for the relays and naive
-        // (one observed-QC view), 5.3 for Lumiere, 8.3 for LP22 (an epoch's
+        // view's synchronization: one ledger record plus the view and
+        // epoch-view messages it pools. That is 4.8 in all for the relays
+        // and naive (nothing pooled while QCs flow), 5.3 for Fever and
+        // Lumiere, 5.7 for Basic Lumiere and 6.8 for LP22 (an epoch's
         // messages every f+1 views).
         assert!(
             (3.0..=10.0).contains(&per_view),

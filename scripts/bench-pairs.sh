@@ -30,23 +30,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+. scripts/worktree.sh
+
 usage="usage: scripts/bench-pairs.sh <parent-ref> [pairs] [seconds] [first-seed]"
 parent_ref=${1:?$usage}
 pairs=${2:-10}
 seconds=${3:-12}
 first_seed=${4:-1001}
-if ! rev=$(git rev-parse --verify --quiet "$parent_ref^{commit}"); then
-    echo "unknown parent ref: $parent_ref" >&2
-    exit 2
-fi
 
 work=target/bench-pairs
 tree=$work/parent
-mkdir -p "$work"
-git worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
-git worktree prune
-git worktree add --quiet --detach "$tree" "$rev"
-trap 'git worktree remove --force "$tree"; git worktree prune' EXIT
+checkout_worktree "$parent_ref" "$tree"
 
 echo "building the parent ($rev) and the change ..." >&2
 CARGO_TARGET_DIR="$PWD/$work/parent-target" \

@@ -1,19 +1,23 @@
 //! Pins the complete `PacemakerAction` / `ConsensusAction` stream of a
-//! hand-stepped n = 7 Lumiere cluster under seeded hostile interleavings.
+//! hand-stepped n = 7 cluster under seeded hostile interleavings, for every
+//! pacemaker.
 //!
-//! Every node is a [`Lumiere`] pacemaker cascaded with a [`HotStuffEngine`]
-//! the way `ProtocolRuntime` cascades them, except that each action either
-//! component emits is folded — in order, with the emitting node's id — into
-//! one 64-bit digest. The driver delivers mail out of order, leaves copies
-//! behind (duplicates), lets proposals overtake view entry, keeps one leader
-//! silent and has another equivocate, relays genuine and forged view /
-//! timeout / epoch certificates, and runs a shortened epoch layout so every
-//! run crosses epoch boundaries both ways (success criterion met, and heavy
-//! synchronization).
+//! Every node is a pacemaker cascaded with a [`HotStuffEngine`] the way
+//! `ProtocolRuntime` cascades them, except that each action either component
+//! emits is folded — in order, with the emitting node's id — into one 64-bit
+//! digest. The driver delivers mail out of order, leaves copies behind
+//! (duplicates), lets proposals overtake view entry, keeps one leader silent
+//! and has another equivocate, and relays genuine and forged view / timeout /
+//! epoch / synchronization certificates. Lumiere runs a shortened epoch
+//! layout so every run crosses epoch boundaries both ways (success criterion
+//! met, and heavy synchronization); the other six protocols run as
+//! [`ProtocolKind::build_pacemaker`] builds them.
 //!
-//! The pinned digests were captured on the tree *before* the per-view hash
-//! collections in `lumiere.rs` and `engine.rs` became indexed records; any
-//! change to either file must reproduce them bit for bit.
+//! Lumiere's digests were captured on the tree *before* the per-view hash
+//! collections in `lumiere.rs` and `engine.rs` became indexed records, and
+//! the other protocols' before their per-view sets and pools moved onto one
+//! ledger; any change to a pacemaker or the engine must reproduce them bit
+//! for bit.
 
 use lumiere::consensus::{Block, ConsensusAction, ConsensusMessage};
 use lumiere::core::{EpochCert, TimeoutCert};
@@ -29,8 +33,8 @@ const SILENT: usize = 5;
 /// Never proposes through its engine; the driver sends two conflicting
 /// blocks in each initial view it leads.
 const EQUIVOCATOR: usize = 6;
-/// Two views per leader per epoch, so a run of ~45 views crosses three epoch
-/// boundaries.
+/// Two views per leader per epoch, so a Lumiere run of ~45 views crosses
+/// three epoch boundaries.
 const EPOCH_LEN: u64 = 2 * N as u64;
 
 /// FNV-1a over the `Debug` rendering of every action, in emission order.
@@ -62,16 +66,15 @@ enum Mail {
     Consensus(ConsensusMessage),
 }
 
-struct Node {
-    pacemaker: Lumiere,
+struct Node<P: ?Sized> {
+    pacemaker: Box<P>,
     engine: HotStuffEngine,
     wakes: BTreeSet<Time>,
 }
 
-struct Cluster {
-    nodes: Vec<Node>,
+struct Cluster<P: ?Sized> {
+    nodes: Vec<Node<P>>,
     params: Params,
-    cfg: LumiereConfig,
     rng: Lcg,
     stream: Stream,
     now: Time,
@@ -80,6 +83,8 @@ struct Cluster {
     /// Epoch-view signatures seen on the wire, for relayed certificates.
     epoch_sigs: BTreeMap<i64, BTreeMap<ProcessId, Signature>>,
     relayed: BTreeSet<(i64, bool)>,
+    /// Synchronization certificates relayed forged-then-genuine.
+    sync_relays: usize,
     equivocated: BTreeSet<i64>,
 }
 
@@ -91,13 +96,12 @@ fn forged<C: Wire>(cert: &C) -> C {
     C::decode_exact(&bytes).expect("a flipped proof bit still decodes")
 }
 
-impl Cluster {
-    fn new(seed: u64) -> Self {
+impl<P: Pacemaker + ?Sized> Cluster<P> {
+    /// `build` makes one node's pacemaker from the cluster's parameters and
+    /// that node's keys.
+    fn new(seed: u64, build: impl Fn(Params, &KeyPair, &Pki) -> Box<P>) -> Self {
         let params = Params::new(N, Duration::from_millis(10));
         let (keys, pki) = keygen(N, seed);
-        let mut cfg = LumiereConfig::new(params, seed);
-        cfg.layout = EpochLayout::new(EPOCH_LEN);
-        cfg.success_qcs_per_leader = 2;
         let nodes = keys
             .iter()
             .map(|k| {
@@ -105,7 +109,7 @@ impl Cluster {
                 let who = k.id().as_usize();
                 engine.set_proposing_enabled(who != SILENT && who != EQUIVOCATOR);
                 Node {
-                    pacemaker: Lumiere::new(cfg.clone(), k.clone(), pki.clone()),
+                    pacemaker: build(params, k, &pki),
                     engine,
                     wakes: BTreeSet::new(),
                 }
@@ -114,13 +118,13 @@ impl Cluster {
         Cluster {
             nodes,
             params,
-            cfg,
             rng: Lcg(seed ^ 0x5eed),
             stream: Stream(0xcbf2_9ce4_8422_2325),
             now: Time::ZERO,
             pool: Vec::new(),
             epoch_sigs: BTreeMap::new(),
             relayed: BTreeSet::new(),
+            sync_relays: 0,
             equivocated: BTreeSet::new(),
         }
     }
@@ -239,7 +243,8 @@ impl Cluster {
     }
 
     /// A Byzantine relay watches the broadcasts: every view certificate is
-    /// followed by a forged copy, and once enough epoch-view messages for a
+    /// followed by a forged copy, every synchronization certificate by a
+    /// forged then a genuine copy, and once enough epoch-view messages for a
     /// view are on the wire it relays a timeout certificate (f+1) and an
     /// epoch certificate (2f+1) built from them, each preceded by a forgery.
     fn observe_broadcast(&mut self, from: usize, msg: &PacemakerMessage) {
@@ -247,6 +252,15 @@ impl Cluster {
             PacemakerMessage::ViewCert(vc) => {
                 let bad = PacemakerMessage::ViewCert(forged(vc));
                 self.broadcast(EQUIVOCATOR, Mail::Pacemaker(bad));
+            }
+            PacemakerMessage::SyncCert(cert) => {
+                self.sync_relays += 1;
+                for m in [
+                    PacemakerMessage::SyncCert(forged(cert)),
+                    PacemakerMessage::SyncCert(cert.clone()),
+                ] {
+                    self.broadcast(EQUIVOCATOR, Mail::Pacemaker(m));
+                }
             }
             PacemakerMessage::EpochViewMsg { view, signature } => {
                 let v = view.as_i64();
@@ -324,8 +338,8 @@ impl Cluster {
         self.now += Duration::from_micros(self.rng.below(400) as i64);
     }
 
-    fn run(seed: u64, until_view: i64) -> Cluster {
-        let mut c = Cluster::new(seed);
+    fn run(seed: u64, build: impl Fn(Params, &KeyPair, &Pki) -> Box<P>) -> Self {
+        let mut c = Cluster::new(seed, build);
         for who in 0..N {
             let actions = c.nodes[who].pacemaker.boot(c.now);
             c.cascade(who, actions, Vec::new());
@@ -333,7 +347,7 @@ impl Cluster {
         let mut steps = 0u64;
         while c.nodes[..SILENT]
             .iter()
-            .any(|n| n.pacemaker.current_view().as_i64() < until_view)
+            .any(|n| n.pacemaker.current_view().as_i64() < UNTIL_VIEW)
         {
             c.step();
             steps += 1;
@@ -341,9 +355,41 @@ impl Cluster {
         }
         c
     }
+
+    /// Asserts that the honest nodes' committed chains are prefixes of one
+    /// another, and returns the slowest one's height.
+    fn agreed_height(&self, label: &str) -> u64 {
+        let chains: Vec<&[u64]> = self.nodes[..SILENT]
+            .iter()
+            .map(|n| n.engine.store().committed_chain())
+            .collect();
+        for chain in &chains {
+            let len = chain.len().min(chains[0].len());
+            assert_eq!(chain[..len], chains[0][..len], "{label}: chains diverged");
+        }
+        let heights = self.nodes[..SILENT].iter();
+        heights.map(|n| n.engine.committed_height()).min().unwrap()
+    }
 }
 
 const UNTIL_VIEW: i64 = 3 * EPOCH_LEN as i64 + 3;
+
+/// Lumiere with the shortened epoch layout and a success bar of two QCs.
+fn lumiere(seed: u64) -> Cluster<Lumiere> {
+    Cluster::run(seed, |params, keys, pki| {
+        let mut cfg = LumiereConfig::new(params, seed);
+        cfg.layout = EpochLayout::new(EPOCH_LEN);
+        cfg.success_qcs_per_leader = 2;
+        Box::new(Lumiere::new(cfg, keys.clone(), pki.clone()))
+    })
+}
+
+/// Any protocol, as the simulator and the live node build it.
+fn stock(kind: ProtocolKind, seed: u64) -> Cluster<dyn Pacemaker> {
+    Cluster::run(seed, |params, keys, pki| {
+        kind.build_pacemaker(params, keys.clone(), pki.clone(), seed)
+    })
+}
 
 /// `(seed, digest of the action stream)`, captured before the refactor.
 const PINNED: [(u64, u64); 6] = [
@@ -355,11 +401,84 @@ const PINNED: [(u64, u64); 6] = [
     (6, 0x172a_3426_59a6_46db),
 ];
 
+/// The other six protocols' digests for seeds 1..=6, captured before their
+/// per-view state moved onto `ViewLedger` / `SigPool`.
+/// The two relay variants differ only in the name they report, so their
+/// streams are equal.
+const BASELINES_PINNED: [(ProtocolKind, [u64; 6]); 6] = [
+    (
+        ProtocolKind::BasicLumiere,
+        [
+            0x09cc_ee4f_2afd_7345,
+            0x7338_fa30_252f_affc,
+            0xa9a5_ef23_ed4d_7d7c,
+            0x03d1_142b_2da9_7911,
+            0xe163_fc16_10f4_0c7f,
+            0x9df8_78f4_f8fb_dbb5,
+        ],
+    ),
+    (
+        ProtocolKind::Lp22,
+        [
+            0xdb50_0486_a802_ee89,
+            0xe328_1973_c813_d70e,
+            0x624d_9894_7458_0c70,
+            0xf0fb_7421_7f9c_6831,
+            0xf78f_a056_9460_bad7,
+            0x5a3f_3463_0ddb_6735,
+        ],
+    ),
+    (
+        ProtocolKind::Fever,
+        [
+            0xd924_ede7_6936_a74f,
+            0xe6ac_6ef5_1314_a916,
+            0xe7c5_d7bb_bf42_1c27,
+            0x4700_565c_dcfa_6287,
+            0x61f4_b13b_9129_a340,
+            0x4766_bba0_2193_0279,
+        ],
+    ),
+    (
+        ProtocolKind::Cogsworth,
+        [
+            0x815e_425f_87e5_2dde,
+            0x7063_3945_0780_7aec,
+            0x6874_4e2e_8de9_fa1d,
+            0xc35c_8390_816b_38d5,
+            0xd1ad_7357_09d9_36de,
+            0xc59d_5ff0_caa9_0d91,
+        ],
+    ),
+    (
+        ProtocolKind::Nk20,
+        [
+            0x815e_425f_87e5_2dde,
+            0x7063_3945_0780_7aec,
+            0x6874_4e2e_8de9_fa1d,
+            0xc35c_8390_816b_38d5,
+            0xd1ad_7357_09d9_36de,
+            0xc59d_5ff0_caa9_0d91,
+        ],
+    ),
+    (
+        ProtocolKind::Naive,
+        [
+            0x2611_ab57_d635_4cc3,
+            0x2d4b_09ed_0000_4fa5,
+            0x1cb6_553e_d928_f5d7,
+            0xc23d_c21a_1ec2_3726,
+            0x27be_f86b_30b9_9fe3,
+            0x8dfd_37b4_78c0_b3ef,
+        ],
+    ),
+];
+
 #[test]
 fn the_action_stream_of_a_hostile_n7_run_is_pinned() {
     let got: Vec<(u64, u64)> = PINNED
         .iter()
-        .map(|&(seed, _)| (seed, Cluster::run(seed, UNTIL_VIEW).stream.0))
+        .map(|&(seed, _)| (seed, lumiere(seed).stream.0))
         .collect();
     let rendered: Vec<String> = got
         .iter()
@@ -369,39 +488,57 @@ fn the_action_stream_of_a_hostile_n7_run_is_pinned() {
 }
 
 #[test]
+fn every_other_protocols_action_stream_is_pinned() {
+    let mut got = Vec::new();
+    for (kind, _) in BASELINES_PINNED {
+        let mut digests = [0; 6];
+        let mut sync_relays = 0;
+        for (seed, digest) in (1..).zip(&mut digests) {
+            let c = stock(kind, seed);
+            let label = format!("{} seed {seed}", kind.name());
+            assert!(c.agreed_height(&label) >= 3, "{label}: too few commits");
+            sync_relays += c.sync_relays;
+            *digest = c.stream.0;
+        }
+        // The relays' certificate path is in their streams.
+        let relays = matches!(kind, ProtocolKind::Cogsworth | ProtocolKind::Nk20);
+        assert_eq!(sync_relays > 0, relays, "{}", kind.name());
+        got.push((kind, digests));
+    }
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(kind, d)| format!("(ProtocolKind::{kind:?}, {d:#018x?})"))
+        .collect();
+    assert_eq!(
+        got,
+        BASELINES_PINNED,
+        "stream digests now:\n{}",
+        rendered.join(",\n")
+    );
+}
+
+#[test]
 fn the_driver_reaches_what_it_claims_to_cover() {
     // Guards the generator: were it to stop producing the interesting cases
     // the pinned digests would keep passing while covering nothing.
+    let layout = EpochLayout::new(EPOCH_LEN);
     let mut heavy_epochs = BTreeSet::new();
     let mut light_epochs = BTreeSet::new();
     let (mut equivocations, mut commits, mut led_twice) = (0, u64::MAX, false);
     for &(seed, _) in &PINNED {
-        let c = Cluster::run(seed, UNTIL_VIEW);
+        let c = lumiere(seed);
         for node in &c.nodes[..SILENT] {
             equivocations += node.engine.equivocations_detected();
-            commits = commits.min(node.engine.committed_height());
             for e in node.pacemaker.successful_epochs() {
                 light_epochs.insert((seed, e));
             }
         }
         for (&view, sigs) in &c.epoch_sigs {
             if view > 0 && sigs.len() >= c.params.quorum() {
-                heavy_epochs.insert((seed, c.cfg.layout.epoch_of(View::new(view)).as_i64()));
+                heavy_epochs.insert((seed, layout.epoch_of(View::new(view)).as_i64()));
             }
         }
-        // Agreement: committed chains are prefixes of one another.
-        let chains: Vec<&[u64]> = c.nodes[..SILENT]
-            .iter()
-            .map(|n| n.engine.store().committed_chain())
-            .collect();
-        for chain in &chains {
-            let len = chain.len().min(chains[0].len());
-            assert_eq!(
-                chain[..len],
-                chains[0][..len],
-                "seed {seed}: chains diverged"
-            );
-        }
+        commits = commits.min(c.agreed_height(&format!("seed {seed}")));
         led_twice |= c.equivocated.len() >= 2;
     }
     assert!(equivocations >= 6, "equivocations seen: {equivocations}");
