@@ -3,7 +3,7 @@
 use crate::qc::QuorumCert;
 use lumiere_crypto::Digest;
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
-use lumiere_types::{Batch, ProcessId, View};
+use lumiere_types::{Batch, Memo, ProcessId, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -25,10 +25,12 @@ pub const GENESIS_HASH: BlockHash = 0x6765_6e65_7369_7321;
 /// A `Block` is a handle: the fields sit in one immutable shared allocation,
 /// so `clone` is a reference bump. A block is allocated once — where it is
 /// built or decoded — and every store, parked proposal and commit
-/// notification in the process shares that allocation. Equality, the serde
-/// form and the wire form are those of the fields.
+/// notification in the process (in the simulator: every replica) shares
+/// that allocation, and with it the answer of [`Block::well_formed`], kept
+/// in the allocation's [`Memo`]. Equality, `Debug`, the serde form and the
+/// wire form are those of the fields.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Block(Arc<Fields>);
+pub struct Block(Arc<Memo<Fields, bool>>);
 
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Fields {
@@ -45,7 +47,7 @@ impl Block {
     /// The genesis block: height 0, sentinel view, self-certified, empty
     /// payload.
     pub fn genesis() -> Self {
-        Block(Arc::new(Fields {
+        Block(Arc::new(Memo::new(Fields {
             hash: GENESIS_HASH,
             parent: GENESIS_HASH,
             height: 0,
@@ -53,7 +55,7 @@ impl Block {
             proposer: ProcessId::new(0),
             payload: Batch::empty(),
             justify: QuorumCert::genesis(),
-        }))
+        })))
     }
 
     /// Creates a new block extending `parent_hash` at `height`, justified by
@@ -77,7 +79,7 @@ impl Block {
             justify,
         };
         fields.hash = fields.digest();
-        Block(Arc::new(fields))
+        Block(Arc::new(Memo::new(fields)))
     }
 
     /// The block's hash.
@@ -127,21 +129,28 @@ impl Block {
     }
 
     /// Checks internal consistency: the hash matches the fields and the
-    /// justify certificate points at the parent. Recomputed on every call —
-    /// a handle shared between replicas carries no "already checked" mark.
+    /// justify certificate points at the parent.
+    ///
+    /// Computed on the first call and kept in the allocation: the fields
+    /// are immutable, so every later call, from this handle or any other
+    /// sharing the allocation, has the same answer. A decoded or
+    /// deserialized block is an allocation of its own and is checked afresh.
     pub fn well_formed(&self) -> bool {
-        if self.is_genesis() {
-            return *self == Block::genesis();
-        }
-        let b = &*self.0;
-        b.justify.block_hash() == b.parent && b.hash == b.digest()
+        *self.0.memo().get_or_init(|| {
+            if self.is_genesis() {
+                return *self == Block::genesis();
+            }
+            let b = &*self.0;
+            b.justify.block_hash() == b.parent && b.hash == b.digest()
+        })
     }
 
     /// The fields, for tests that tamper with one; a shared block is copied
-    /// first, so other handles keep the original.
+    /// first, so other handles keep the original, and the tampered copy is
+    /// checked afresh.
     #[cfg(test)]
     fn fields_mut(&mut self) -> &mut Fields {
-        Arc::make_mut(&mut self.0)
+        Arc::make_mut(&mut self.0).value_mut()
     }
 }
 
@@ -172,8 +181,10 @@ impl Fields {
 /// The stored hash is shipped and taken back as is: decoding does not
 /// re-derive it (that would re-run the O(batch) payload digest per
 /// delivered copy). A decoded block is therefore only as trustworthy as any
-/// other received block — the engine rejects proposals that are not
-/// [`Block::well_formed`] before acting on them.
+/// other received block: it arrives in an allocation of its own, unchecked,
+/// and the engine rejects proposals that are not [`Block::well_formed`]
+/// before acting on them. The answer is never written to or read from the
+/// wire.
 impl Wire for Block {
     fn encoded_len(&self) -> usize {
         8 + 8 + 8 + 8 + 4 + self.0.payload.encoded_len() + self.0.justify.encoded_len()
@@ -191,7 +202,7 @@ impl Wire for Block {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Block(Arc::new(Fields {
+        Ok(Block(Arc::new(Memo::new(Fields {
             hash: r.u64("Block.hash")?,
             parent: r.u64("Block.parent")?,
             height: r.u64("Block.height")?,
@@ -199,7 +210,7 @@ impl Wire for Block {
             proposer: ProcessId::decode(r)?,
             payload: Batch::decode(r)?,
             justify: QuorumCert::decode(r)?,
-        })))
+        }))))
     }
 }
 
@@ -270,6 +281,8 @@ mod tests {
             Batch::tag(7),
             QuorumCert::genesis(),
         );
+        assert!(b.well_formed());
+        // The only handle: tampered in place, and the answer is forgotten.
         b.fields_mut().payload = Batch::tag(9);
         assert!(!b.well_formed());
     }
@@ -305,6 +318,8 @@ mod tests {
         let good = full_block();
         let mut copy = good.clone();
         assert!(Arc::ptr_eq(&good.0, &copy.0));
+        assert!(good.well_formed());
+        assert_eq!(copy.0.memo().get(), Some(&true), "one answer, two handles");
         assert_eq!(
             good.payload().txs.as_ptr(),
             copy.payload().txs.as_ptr(),
@@ -313,6 +328,61 @@ mod tests {
         copy.fields_mut().height += 1;
         assert!(!Arc::ptr_eq(&good.0, &copy.0));
         assert_eq!(good.height() + 1, copy.height());
+        assert_eq!(copy.0.memo().get(), None, "the copy starts unchecked");
+        assert!(!copy.well_formed());
+        assert!(good.well_formed());
+    }
+
+    fn wire(block: &Block) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        block.encode_into(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn a_decoded_or_deserialized_copy_of_a_checked_block_starts_unchecked() {
+        let good = full_block();
+        assert!(good.well_formed());
+        let decoded = Block::decode_exact(&wire(&good)).unwrap();
+        let parsed: Block = serde::json::from_str(&serde::json::to_string(&good)).unwrap();
+        for copy in [decoded, parsed] {
+            assert!(!Arc::ptr_eq(&good.0, &copy.0));
+            assert_eq!(copy.0.memo().get(), None);
+            assert!(copy.well_formed());
+        }
+    }
+
+    /// A checked block and an unchecked (decoded) copy of it read the same
+    /// in every form a report or an action-stream pin is made of.
+    #[test]
+    fn a_checked_and_an_unchecked_block_look_the_same() {
+        let checked = full_block();
+        let unchecked = Block::decode_exact(&wire(&checked)).unwrap();
+        assert!(checked.well_formed());
+        assert_eq!(format!("{checked:?}"), format!("{unchecked:?}"));
+        assert_eq!(format!("{checked:#?}"), format!("{unchecked:#?}"));
+        assert!(format!("{checked:?}").starts_with("Block(Fields { hash: "));
+        assert_eq!(
+            serde::json::to_string(&checked),
+            serde::json::to_string(&unchecked)
+        );
+        assert_eq!(wire(&checked), wire(&unchecked));
+        assert_eq!(checked, unchecked);
+    }
+
+    /// A block tampered with before anyone checked it, then shared by every
+    /// replica: each handle is turned away on every call.
+    #[test]
+    fn a_tampered_block_shared_by_eight_handles_fails_every_check() {
+        let mut bad = full_block();
+        bad.fields_mut().payload.txs[5].size += 1;
+        let handles = vec![bad; 8];
+        for _ in 0..3 {
+            for handle in &handles {
+                assert!(!handle.well_formed());
+            }
+        }
+        assert_eq!(handles[0].0.memo().get(), Some(&false));
     }
 
     #[test]

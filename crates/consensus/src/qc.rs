@@ -1,12 +1,13 @@
 //! Quorum certificates.
 
 use crate::block::{BlockHash, GENESIS_HASH};
-use lumiere_crypto::{Authenticator, Digest, DigestValue, Pki, Signature, ThresholdSignature};
+use lumiere_crypto::{
+    Authenticator, Digest, DigestValue, Pki, SharedAggregate, Signature, ThresholdSignature,
+};
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, Params, Result, View};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A quorum certificate: a `2f+1` threshold signature over `(view, block)`
 /// testifying that a quorum completed the view's instructions for that block.
@@ -14,16 +15,15 @@ use std::sync::Arc;
 /// The genesis certificate (for the genesis block, sentinel view) carries no
 /// threshold signature and is accepted by construction.
 ///
-/// The threshold signature sits in one shared allocation, made where the
+/// The threshold signature is a [`SharedAggregate`], made where the
 /// certificate is aggregated or decoded, so `clone` — into `high_qc`, a
-/// proposal's justify, every notification — is a reference bump. Equality,
-/// `Debug`, the serde form and the wire form are those of the signature
-/// itself; two handles on one allocation compare equal without reading it.
+/// proposal's justify, every notification — is a reference bump, and the
+/// replicas sharing one allocation check it once between them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuorumCert {
     view: View,
     block_hash: BlockHash,
-    tsig: Option<Arc<ThresholdSignature>>,
+    tsig: Option<SharedAggregate>,
 }
 
 /// The domain of [`QuorumCert::vote_digest`].
@@ -63,7 +63,7 @@ impl QuorumCert {
         Ok(QuorumCert {
             view,
             block_hash,
-            tsig: Some(Arc::new(tsig)),
+            tsig: Some(tsig.into()),
         })
     }
 
@@ -100,16 +100,12 @@ impl QuorumCert {
                     ))
                 }
             }
-            Some(tsig) => {
-                let digest = Self::vote_digest(self.view, self.block_hash);
-                if tsig.digest() != digest {
-                    return Err(Error::DigestMismatch {
-                        claimed: tsig.digest().as_u64(),
-                        computed: digest.as_u64(),
-                    });
-                }
-                pki.verify_aggregate(tsig, digest, &params.stakes(), params.quorum())
-            }
+            Some(tsig) => tsig.verify(
+                pki,
+                Self::vote_digest(self.view, self.block_hash),
+                &params.stakes(),
+                params.quorum(),
+            ),
         }
     }
 
@@ -147,7 +143,7 @@ impl Wire for QuorumCert {
             block_hash: r.u64("QuorumCert.block_hash")?,
             tsig: match r.tag("QuorumCert.tsig")? {
                 0 => None,
-                1 => Some(Arc::new(ThresholdSignature::decode(r)?)),
+                1 => Some(SharedAggregate::decode(r)?),
                 tag => {
                     return Err(WireError::UnknownTag {
                         what: "QuorumCert.tsig",
@@ -186,26 +182,77 @@ mod tests {
         assert_eq!(VOTE, Digest::new(std::hint::black_box(b"vote")));
     }
 
-    #[test]
-    fn clones_share_the_signature_and_decoding_makes_one() {
-        let (keys, pki, params) = setup(7);
+    /// A 5-of-7 certificate for block `0xabc` in view 4.
+    fn certificate(keys: &[lumiere_crypto::KeyPair], params: &Params) -> QuorumCert {
         let view = View::new(4);
         let digest = QuorumCert::vote_digest(view, 0xabc);
         let votes: Vec<_> = keys.iter().take(5).map(|k| k.sign(digest)).collect();
-        let qc = QuorumCert::aggregate(view, 0xabc, &votes, &params).unwrap();
-        let shared = |a: &QuorumCert, b: &QuorumCert| match (&a.tsig, &b.tsig) {
-            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+        QuorumCert::aggregate(view, 0xabc, &votes, params).unwrap()
+    }
+
+    fn wire(qc: &QuorumCert) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        qc.encode_into(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn clones_share_the_signature_and_decoding_makes_one() {
+        let (keys, pki, params) = setup(7);
+        let qc = certificate(&keys, &params);
+        let shared = |a: &QuorumCert, b: &QuorumCert| match (a.tsig.as_deref(), b.tsig.as_deref()) {
+            (Some(x), Some(y)) => std::ptr::eq(x, y),
             _ => false,
         };
         assert!(shared(&qc, &qc.clone()));
-        let mut bytes = Vec::new();
-        qc.encode_into(&mut bytes);
-        let decoded = QuorumCert::decode_exact(&bytes).unwrap();
+        let decoded = QuorumCert::decode_exact(&wire(&qc)).unwrap();
         assert!(!shared(&qc, &decoded), "a decoded copy is its own");
         assert_eq!(decoded, qc, "and equal field by field");
         assert!(decoded.verify(&pki, &params).is_ok());
         let json = serde::json::to_string(&qc);
         assert_eq!(serde::json::from_str::<QuorumCert>(&json).unwrap(), qc);
+    }
+
+    /// A checked certificate and an unchecked (decoded) copy of it read the
+    /// same in every form a report or an action-stream pin is made of.
+    #[test]
+    fn a_checked_and_an_unchecked_copy_look_the_same() {
+        let (keys, pki, params) = setup(7);
+        let checked = certificate(&keys, &params);
+        let unchecked = QuorumCert::decode_exact(&wire(&checked)).unwrap();
+        assert!(checked.verify(&pki, &params).is_ok());
+        assert_eq!(format!("{checked:?}"), format!("{unchecked:?}"));
+        assert_eq!(format!("{checked:#?}"), format!("{unchecked:#?}"));
+        assert_eq!(
+            serde::json::to_string(&checked),
+            serde::json::to_string(&unchecked)
+        );
+        assert_eq!(wire(&checked), wire(&unchecked));
+        assert_eq!(checked, unchecked);
+    }
+
+    /// The sharded executor checks one shared certificate from several
+    /// threads at once; each thread gets its own key table's answer.
+    #[test]
+    fn threads_sharing_a_certificate_each_get_their_own_tables_answer() {
+        let (keys, pki, params) = setup(7);
+        let (_, wrong) = keygen(7, 2);
+        let qc = certificate(&keys, &params);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (table, valid) = if t % 2 == 0 {
+                    (&pki, true)
+                } else {
+                    (&wrong, false)
+                };
+                let (qc, params) = (&qc, &params);
+                s.spawn(move || {
+                    for _ in 0..500 {
+                        assert_eq!(qc.clone().verify(table, params).is_ok(), valid);
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -252,7 +299,7 @@ mod tests {
         let qc = QuorumCert {
             view,
             block_hash: 0xabc,
-            tsig: Some(Arc::new(tsig)),
+            tsig: Some(tsig.into()),
         };
         assert!(qc.verify(&pki, &params).is_err());
     }
@@ -271,7 +318,7 @@ mod tests {
         let qc = QuorumCert {
             view,
             block_hash: 0xabc,
-            tsig: Some(Arc::new(tsig)),
+            tsig: Some(tsig.into()),
         };
         let claimed_digest = QuorumCert::vote_digest(view, 0xdead).as_u64();
         let computed_digest = QuorumCert::vote_digest(view, 0xabc).as_u64();

@@ -11,7 +11,9 @@
 //! * [`WishCert`] — `f+1` wish messages aggregated by a prospective leader in
 //!   the Cogsworth / NK20 relay baselines.
 
-use lumiere_crypto::{Authenticator, Digest, DigestValue, Pki, Signature, ThresholdSignature};
+use lumiere_crypto::{
+    Authenticator, Digest, DigestValue, Pki, SharedAggregate, Signature, ThresholdSignature,
+};
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Params, Result, View};
 use serde::{Deserialize, Serialize};
@@ -50,10 +52,14 @@ pub fn timeout_digest(view: View) -> DigestValue {
 macro_rules! certificate {
     ($(#[$doc:meta])* $name:ident, $digest_fn:ident, $threshold:ident) => {
         $(#[$doc])*
+        ///
+        /// The threshold signature is a [`SharedAggregate`]: `clone` is a
+        /// reference bump, and the replicas sharing one allocation check it
+        /// once between them.
         #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
         pub struct $name {
             view: View,
-            tsig: ThresholdSignature,
+            tsig: SharedAggregate,
         }
 
         impl $name {
@@ -72,7 +78,10 @@ macro_rules! certificate {
                     &params.stakes(),
                     params.$threshold(),
                 )?;
-                Ok(Self { view, tsig })
+                Ok(Self {
+                    view,
+                    tsig: tsig.into(),
+                })
             }
 
             /// The view the certificate refers to.
@@ -91,14 +100,12 @@ macro_rules! certificate {
             ///
             /// Propagates signature/threshold verification failures.
             pub fn verify(&self, pki: &Pki, params: &Params) -> Result<()> {
-                let computed = $digest_fn(self.view);
-                if self.tsig.digest() != computed {
-                    return Err(lumiere_types::Error::DigestMismatch {
-                        claimed: self.tsig.digest().as_u64(),
-                        computed: computed.as_u64(),
-                    });
-                }
-                pki.verify_aggregate(&self.tsig, computed, &params.stakes(), params.$threshold())
+                self.tsig.verify(
+                    pki,
+                    $digest_fn(self.view),
+                    &params.stakes(),
+                    params.$threshold(),
+                )
             }
         }
 
@@ -116,7 +123,7 @@ macro_rules! certificate {
             fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, WireError> {
                 Ok(Self {
                     view: View::decode(r)?,
-                    tsig: ThresholdSignature::decode(r)?,
+                    tsig: SharedAggregate::decode(r)?,
                 })
             }
         }
@@ -289,7 +296,8 @@ mod tests {
         let forged = ViewCert {
             view: v,
             tsig: ThresholdSignature::aggregate(wish_digest(v), &sigs, &params.stakes(), 3)
-                .unwrap(),
+                .unwrap()
+                .into(),
         };
         assert!(forged.verify(&pki, &params).is_err());
     }
@@ -309,7 +317,8 @@ mod tests {
         let forged = ViewCert {
             view: v,
             tsig: ThresholdSignature::aggregate(wish_digest(v), &sigs, &params.stakes(), 3)
-                .unwrap(),
+                .unwrap()
+                .into(),
         };
         assert_eq!(
             forged.verify(&pki, &params),
@@ -317,6 +326,68 @@ mod tests {
                 claimed: wish_digest(v).as_u64(),
                 computed: view_msg_digest(v).as_u64(),
             })
+        );
+    }
+
+    fn wire<C: Wire>(cert: &C) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        cert.encode_into(&mut bytes);
+        bytes
+    }
+
+    /// A checked `cert` and an unchecked (decoded) copy of it read the same
+    /// in every form a report or an action-stream pin is made of; a forgery
+    /// of it, made before any check and shared by eight handles, fails
+    /// every check on every handle.
+    fn memo_is_invisible_and_forgeries_always_fail<C>(cert: C, verify: impl Fn(&C) -> bool)
+    where
+        C: Wire + Clone + std::fmt::Debug + Serialize + PartialEq,
+    {
+        let unchecked = C::decode_exact(&wire(&cert)).unwrap();
+        assert!(verify(&cert));
+        assert_eq!(format!("{cert:?}"), format!("{unchecked:?}"));
+        assert_eq!(format!("{cert:#?}"), format!("{unchecked:#?}"));
+        assert!(format!("{cert:?}").contains(", tsig: ThresholdSignature { digest: "));
+        assert_eq!(
+            serde::json::to_string(&cert),
+            serde::json::to_string(&unchecked)
+        );
+        assert_eq!(wire(&cert), wire(&unchecked));
+        assert!(cert == unchecked);
+        let handles = vec![forged(&cert); 8];
+        for _ in 0..3 {
+            for handle in &handles {
+                assert!(!verify(handle));
+            }
+        }
+        assert!(verify(&unchecked));
+    }
+
+    #[test]
+    fn every_certificate_type_hides_its_memo_and_fails_a_shared_forgery() {
+        let (keys, pki, params) = setup();
+        let v = View::new(8);
+        let signed = |digest: DigestValue, count: usize| -> Vec<Signature> {
+            keys.iter().take(count).map(|k| k.sign(digest)).collect()
+        };
+        let sigs = signed(view_msg_digest(v), 3);
+        memo_is_invisible_and_forgeries_always_fail(
+            ViewCert::aggregate(v, &sigs, &params).unwrap(),
+            |c| c.verify(&pki, &params).is_ok(),
+        );
+        let sigs = signed(epoch_view_digest(v), 5);
+        memo_is_invisible_and_forgeries_always_fail(
+            EpochCert::aggregate(v, &sigs, &params).unwrap(),
+            |c| c.verify(&pki, &params).is_ok(),
+        );
+        memo_is_invisible_and_forgeries_always_fail(
+            TimeoutCert::aggregate(v, &sigs, &params).unwrap(),
+            |c| c.verify(&pki, &params).is_ok(),
+        );
+        let sigs = signed(wish_digest(v), 3);
+        memo_is_invisible_and_forgeries_always_fail(
+            WishCert::aggregate(v, &sigs, &params).unwrap(),
+            |c| c.verify(&pki, &params).is_ok(),
         );
     }
 }

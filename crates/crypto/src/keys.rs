@@ -47,6 +47,7 @@ impl KeyPair {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pki {
     signers: Arc<[SignerState]>,
+    fingerprint: u64,
 }
 
 impl Pki {
@@ -88,7 +89,7 @@ impl Pki {
         digest: DigestValue,
         threshold: usize,
     ) -> Result<()> {
-        self.verify_aggregate(tsig, digest, &StakeTable::uniform(self.n()), threshold)
+        self.tally(tsig, digest, &StakeTable::uniform(self.n()), threshold)
     }
 
     /// Verifies an aggregate against the public keys named by its signer
@@ -96,18 +97,27 @@ impl Pki {
     /// set bits, and the distinct-signer count and stake tally are
     /// re-checked against `threshold` and `stakes`.
     ///
+    /// This is the uncached check, one tag per signer on every call. A
+    /// certificate is checked through
+    /// [`SharedAggregate::verify`](crate::SharedAggregate::verify), which
+    /// runs it once per shared allocation and key table; the root
+    /// `clippy.toml` bars every other caller in the workspace.
+    ///
     /// # Errors
     ///
-    /// * [`Error::InsufficientSigners`] if the bitmap carries fewer than
-    ///   `threshold` set bits.
+    /// In the order they are checked:
+    ///
+    /// * [`Error::DigestMismatch`] if the signature covers a different
+    ///   digest than the one being verified (before any signer is visited).
+    /// * [`Error::InsufficientSigners`] if the bitmap is empty or carries
+    ///   fewer than `threshold` set bits.
     /// * [`Error::UnknownProcess`] if a set bit names an unregistered
     ///   processor.
     /// * [`Error::InsufficientStake`] if the set bits' combined stake falls
     ///   short of [`StakeTable::threshold_stake`].
-    /// * [`Error::DigestMismatch`] if the signature covers a different
-    ///   digest than the one being verified.
     /// * [`Error::InvalidSignature`] if the recomputed aggregate proof does
-    ///   not match (a bitmap bit was flipped or the proof was forged).
+    ///   not match (a bitmap bit was flipped or the proof was forged); it
+    ///   names the lowest signer.
     pub fn verify_aggregate(
         &self,
         tsig: &ThresholdSignature,
@@ -115,13 +125,34 @@ impl Pki {
         stakes: &StakeTable,
         threshold: usize,
     ) -> Result<()> {
-        let count = tsig.signer_count();
-        if count < threshold {
-            return Err(Error::InsufficientSigners {
-                got: count,
-                need: threshold,
+        self.tally(tsig, digest, stakes, threshold)
+    }
+
+    /// The body of [`Pki::verify_aggregate`] and [`Pki::verify_threshold`].
+    fn tally(
+        &self,
+        tsig: &ThresholdSignature,
+        digest: DigestValue,
+        stakes: &StakeTable,
+        threshold: usize,
+    ) -> Result<()> {
+        if tsig.digest() != digest {
+            return Err(Error::DigestMismatch {
+                claimed: tsig.digest().as_u64(),
+                computed: digest.as_u64(),
             });
         }
+        let count = tsig.signer_count();
+        let lowest = match tsig.bitmap().iter().next() {
+            Some(lowest) if count >= threshold => lowest,
+            // An empty bitmap falls short of every threshold, zero included.
+            _ => {
+                return Err(Error::InsufficientSigners {
+                    got: count,
+                    need: threshold.max(1),
+                })
+            }
+        };
         let mut proof = 0u64;
         let mut stake = 0u128;
         for signer in tsig.bitmap().iter() {
@@ -136,28 +167,26 @@ impl Pki {
         if stake < need {
             return Err(Error::InsufficientStake { got: stake, need });
         }
-        if tsig.digest() != digest {
-            return Err(Error::DigestMismatch {
-                claimed: tsig.digest().as_u64(),
-                computed: digest.as_u64(),
-            });
-        }
         if proof == tsig.proof() {
             Ok(())
         } else {
-            Err(Error::InvalidSignature {
-                signer: tsig
-                    .bitmap()
-                    .iter()
-                    .next()
-                    .expect("non-empty signer bitmap"),
-            })
+            Err(Error::InvalidSignature { signer: lowest })
         }
+    }
+
+    /// One mix of the `(seed, n)` [`keygen`] built this table from: two
+    /// tables with the same fingerprint hold the same keys. It is what a
+    /// [`SharedAggregate`](crate::SharedAggregate)'s memo names the key table by.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 }
 
 /// The domain of [`keygen`]'s secrets.
 const KEYGEN: Digest = Digest::new(b"keygen");
+
+/// The domain of a key table's fingerprint.
+const PKI: Digest = Digest::new(b"pki");
 
 /// Generates key material for an `n`-processor system from a seed.
 ///
@@ -180,7 +209,14 @@ pub fn keygen(n: usize, seed: u64) -> (Vec<KeyPair>, Pki) {
         })
         .collect();
     let signers = keys.iter().map(|k| k.state).collect();
-    (keys, Pki { signers })
+    let fingerprint = PKI.push_u64(seed).push_u64(n as u64).finish().as_u64();
+    (
+        keys,
+        Pki {
+            signers,
+            fingerprint,
+        },
+    )
 }
 
 /// The tag digest of one signer after its domain and secret are mixed in:
@@ -203,8 +239,10 @@ impl SignerState {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the uncached check is what is tested here
 mod tests {
     use super::*;
+    use lumiere_types::wire::Wire;
 
     fn digest(x: i64) -> DigestValue {
         Digest::new(b"test").push_i64(x).finish()
@@ -224,6 +262,7 @@ mod tests {
     fn the_const_domains_are_the_run_time_ones() {
         assert_eq!(SIG, Digest::new(std::hint::black_box(b"sig")));
         assert_eq!(KEYGEN, Digest::new(std::hint::black_box(b"keygen")));
+        assert_eq!(PKI, Digest::new(std::hint::black_box(b"pki")));
     }
 
     #[test]
@@ -305,5 +344,59 @@ mod tests {
             pki.verify_threshold(&tsig, digest(98), 5),
             Err(Error::DigestMismatch { .. })
         ));
+    }
+
+    /// The wire form of an aggregate: digest, proof, then the bitmap words.
+    fn decoded(digest: DigestValue, proof: u64, words: &[u64]) -> ThresholdSignature {
+        let mut bytes = Vec::new();
+        digest.encode_into(&mut bytes);
+        bytes.extend_from_slice(&proof.to_le_bytes());
+        bytes.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        for word in words {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        ThresholdSignature::decode_exact(&bytes).unwrap()
+    }
+
+    /// Regression: an aggregate naming nobody passed the count check under
+    /// a zero threshold and then panicked naming its lowest signer.
+    #[test]
+    fn an_aggregate_naming_no_signer_is_rejected_without_a_panic() {
+        let (_, pki) = keygen(4, 1);
+        let d = digest(3);
+        let empty = decoded(d, 1, &[0]);
+        for threshold in [0, 1, 3] {
+            assert_eq!(
+                pki.verify_threshold(&empty, d, threshold),
+                Err(Error::InsufficientSigners {
+                    got: 0,
+                    need: threshold.max(1)
+                })
+            );
+        }
+    }
+
+    /// The digest is compared before any signer is visited, so an aggregate
+    /// over another digest costs O(1) whatever its bitmap names.
+    #[test]
+    fn a_wrong_digest_is_rejected_before_the_signer_walk() {
+        let (_, pki) = keygen(4, 1);
+        let d = digest(5);
+        // Signers 0, 1, 2 and 100; the walk fails on 100, which this
+        // four-processor table does not know.
+        let unknown = decoded(d, 7, &[0b111, 1 << 36]);
+        assert_eq!(
+            pki.verify_threshold(&unknown, d, 3),
+            Err(Error::UnknownProcess {
+                id: ProcessId::new(100)
+            })
+        );
+        assert_eq!(
+            pki.verify_threshold(&unknown, digest(6), 3),
+            Err(Error::DigestMismatch {
+                claimed: d.as_u64(),
+                computed: digest(6).as_u64(),
+            })
+        );
     }
 }

@@ -12,7 +12,9 @@
 //!   under the signer's secret,
 //! * a [`ThresholdSignature`] aggregates the partial signatures of distinct
 //!   signers into a single constant-size proof plus a fixed-width
-//!   [`SignerBitmap`] (`⌈n/64⌉` words) naming the contributors, and
+//!   [`SignerBitmap`] (`⌈n/64⌉` words) naming the contributors, held by
+//!   every certificate through one [`SharedAggregate`] handle that checks a
+//!   shared allocation once per key table, and
 //! * quorum tallies are stake-weighted through a
 //!   [`StakeTable`](lumiere_types::StakeTable): uniform stake reproduces
 //!   the paper's processor-count thresholds exactly, weighted stake
@@ -38,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use lumiere_crypto::{keygen, Digest, ThresholdSignature};
+//! use lumiere_crypto::{keygen, Digest, SharedAggregate, ThresholdSignature};
 //! use lumiere_types::{ProcessId, StakeTable};
 //!
 //! let (keys, pki) = keygen(4, 42);
@@ -47,8 +49,10 @@
 //! let digest = VIEW_MSG.push_i64(7).finish();
 //! let partials: Vec<_> = keys.iter().map(|k| k.sign(digest)).collect();
 //! let tsig = ThresholdSignature::aggregate(digest, &partials, &stakes, 3).unwrap();
-//! assert!(pki.verify_aggregate(&tsig, digest, &stakes, 3).is_ok());
-//! assert!(tsig.bitmap().contains(ProcessId::new(0)));
+//! let cert = SharedAggregate::from(tsig);
+//! assert!(cert.verify(&pki, digest, &stakes, 3).is_ok());
+//! assert!(cert.clone().verify(&pki, digest, &stakes, 3).is_ok()); // a memo hit
+//! assert!(cert.bitmap().contains(ProcessId::new(0)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,12 +61,14 @@
 pub mod authenticator;
 pub mod digest;
 pub mod keys;
+pub mod shared;
 pub mod signature;
 pub mod threshold;
 
 pub use authenticator::Authenticator;
 pub use digest::{Digest, DigestValue};
 pub use keys::{keygen, KeyPair, Pki};
+pub use shared::SharedAggregate;
 pub use signature::Signature;
 pub use threshold::{SignerBitmap, ThresholdSignature};
 

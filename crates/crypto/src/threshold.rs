@@ -119,7 +119,7 @@ impl Wire for SignerBitmap {
 /// The protocols use two thresholds: `f+1` (view certificates, TCs) and
 /// `2f+1` (quorum certificates, epoch certificates), generalized to
 /// stake-weighted tallies by a [`StakeTable`]. The threshold is re-checked
-/// at verification time by [`crate::Pki::verify_aggregate`], so a
+/// at verification time by [`crate::SharedAggregate::verify`], so a
 /// certificate built for a lower threshold cannot be passed off as a higher
 /// one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -243,6 +243,7 @@ impl fmt::Display for ThresholdSignature {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the uncached check is what is tested here
 mod tests {
     use super::*;
     use crate::digest::Digest;

@@ -36,6 +36,7 @@
 pub mod error;
 pub mod hash;
 pub mod id;
+pub mod memo;
 pub mod params;
 pub mod slash;
 pub mod stake;
@@ -46,6 +47,7 @@ pub mod wire;
 
 pub use error::{Error, Result};
 pub use id::ProcessId;
+pub use memo::Memo;
 pub use params::{Params, DEFAULT_VIEW_ROUNDS};
 pub use slash::SlashEvidence;
 pub use stake::StakeTable;
