@@ -78,8 +78,8 @@ impl ExperimentScale {
     }
 
     /// Processor counts for the large-`n` scale sweep. Quick runs the CI
-    /// smoke sizes plus n = 1024, which exercises the symbolic-broadcast
-    /// and sharded-batch paths at real scale on every PR; full extends to
+    /// smoke sizes plus n = 1024, which exercises symbolic broadcasts and
+    /// their recipient runs at real scale on every PR; full extends to
     /// n = 4096, where the O(n·f_a + n) vs Θ(n²) separation is over three
     /// orders of magnitude. The quadratic baselines are capped per
     /// protocol (see [`scale_cap`]) so the sweep's wall clock stays
@@ -858,7 +858,7 @@ pub fn adversary_suite(scale: ExperimentScale, threads: usize) -> ExperimentRun 
 /// ceiling (one LP22 steady cell at n = 1024 alone costs several minutes
 /// of Θ(n²) heavy syncs) while still driving the linear protocols —
 /// Lumiere, and Cogsworth's worst-case relay path — through the n = 1024
-/// symbolic-broadcast/sharding machinery. Exclusions are called out in the
+/// symbolic-broadcast machinery. Exclusions are called out in the
 /// rendered report rather than applied silently.
 fn scale_cap(protocol: ProtocolKind, scale: ExperimentScale) -> usize {
     match (scale, protocol) {

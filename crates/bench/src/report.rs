@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 ///
 /// v6: `SimReport` gained `events_processed`, the total number of simulator
 /// events the run consumed — deterministic across broadcast representation
-/// and shard count (part of the byte-identical report guarantee), and the
+/// (part of the byte-identical report guarantee), and the
 /// denominator behind the events/sec benchmark gate.
 ///
 /// v5: `SimReport` gained the client-load block — the echoed `workload`

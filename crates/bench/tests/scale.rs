@@ -138,49 +138,31 @@ fn n256_runs_are_deterministic_across_thread_counts() {
     );
 }
 
-/// Same seed ⇒ byte-identical reports at n = 1024 across the scale PR's
-/// execution options: broadcast representation (eager vs symbolic) and
-/// shard count (1 vs 8 scoped workers), with the surrounding grid itself
-/// running on multiple worker threads. This is the large-`n` companion to
-/// `n256_runs_are_deterministic_across_thread_counts` — at n = 1024 the
-/// boot and broadcast batches comfortably exceed the minimum parallel
-/// batch size, so the sharded path really runs. Bounded tightly (short
-/// horizon, small QC cap) so it stays debug-mode friendly.
+/// Same seed ⇒ byte-identical reports at n = 1024 with eager and symbolic
+/// broadcasts, each run on its own grid worker thread. This is the
+/// large-`n` companion to `n256_runs_are_deterministic_across_thread_counts`:
+/// every broadcast is a 1023-recipient run. Bounded tightly (short horizon,
+/// small QC cap) so it stays debug-mode friendly.
 #[test]
-fn n1024_runs_are_deterministic_across_shards_and_broadcast_modes() {
-    let run_one = |exec: ExecOptions| -> String {
+fn n1024_runs_are_deterministic_across_broadcast_modes() {
+    let run_one = |broadcast: BroadcastMode| -> String {
         let report = SimConfig::new(ProtocolKind::Lumiere, 1024)
             .with_delta(DELTA)
             .with_actual_delay(Duration::from_millis(1))
             .with_horizon(Duration::from_millis(400))
             .with_max_honest_qcs(6)
             .with_seed(7)
-            .run_with(exec);
+            .run_with(ExecOptions::default().with_broadcast(broadcast));
         assert!(!report.truncated);
         assert!(report.decisions() > 0, "n=1024 run must make progress");
         format!("{report:#?}")
     };
-    let combos = vec![
-        ExecOptions::default()
-            .with_shards(1)
-            .with_broadcast(BroadcastMode::Eager),
-        ExecOptions::default()
-            .with_shards(1)
-            .with_broadcast(BroadcastMode::Symbolic),
-        ExecOptions::default()
-            .with_shards(8)
-            .with_broadcast(BroadcastMode::Symbolic),
-        ExecOptions::default()
-            .with_shards(8)
-            .with_broadcast(BroadcastMode::Eager),
-    ];
-    let reports = run_grid(combos, 4, run_one);
-    for (i, report) in reports.iter().enumerate() {
-        assert_eq!(
-            *report, reports[0],
-            "execution-option combo #{i} changed an n=1024 report"
-        );
-    }
+    let modes = vec![BroadcastMode::Eager, BroadcastMode::Symbolic];
+    let reports = run_grid(modes, 2, run_one);
+    assert_eq!(
+        reports[0], reports[1],
+        "symbolic broadcasts changed an n=1024 report"
+    );
 }
 
 #[test]

@@ -231,8 +231,9 @@ mod tests {
         assert_eq!(checked, unchecked);
     }
 
-    /// The sharded executor checks one shared certificate from several
-    /// threads at once; each thread gets its own key table's answer.
+    /// The in-process channel mesh hands one broadcast's clones, and so one
+    /// shared certificate, to several node threads at once; each thread
+    /// gets its own key table's answer.
     #[test]
     fn threads_sharing_a_certificate_each_get_their_own_tables_answer() {
         let (keys, pki, params) = setup(7);

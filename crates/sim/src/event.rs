@@ -11,7 +11,7 @@
 //!
 //! The bucket being drained is a [`VecDeque`] sorted **ascending** by
 //! `(time, seq)`: the next event pops from the front, and a push that sorts
-//! before the front — in practice a broadcast group re-queued for its next
+//! before the front — in practice a broadcast group put back for its next
 //! recipient — is a `push_front` with no search. Any other push into that
 //! bucket binary-searches and inserts, and `VecDeque::insert` shifts
 //! whichever side of the insertion point is shorter.
@@ -39,9 +39,21 @@
 //! global `(time, seq)` delivery order is *identical* to eager expansion,
 //! byte for byte. The property tests in this module hold symbolic pops
 //! against an eagerly-expanded `HeapQueue` on random schedules.
+//!
+//! # Group runs
+//!
+//! The runner does not pop a group one copy at a time. `take_due` hands it
+//! the group whole, as a `Run` positioned at its next recipient; the runner
+//! delivers from the borrowed message and asks `take_member` for the next
+//! recipient, which it grants while that recipient still sorts before
+//! everything queued. A copy then costs no `Arc` clone or drop and no
+//! re-queue; the group goes back on the queue (`put_back`) only when another
+//! entry comes first. [`EventQueue::pop`] is the same code one copy at a
+//! time.
 
 use lumiere_types::{ProcessId, Time, Transaction};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -122,12 +134,9 @@ struct BroadcastGroup {
 }
 
 impl BroadcastGroup {
-    /// The sequence number reserved for recipient `r`: the position eager
-    /// expansion (ascending id order, skipping the sender) would have given
-    /// it.
-    fn seq_of(&self, r: usize) -> u64 {
-        let rank = if r < self.from.as_usize() { r } else { r - 1 };
-        self.base + 1 + rank as u64
+    /// The sequence number reserved for the next recipient.
+    fn seq(&self) -> u64 {
+        broadcast_seq(self.base, self.from, self.next)
     }
 
     /// The first class member with id strictly greater than `r`.
@@ -150,6 +159,58 @@ struct Scheduled {
     at: Time,
     seq: u64,
     payload: Payload,
+}
+
+/// An entry of the batch being delivered, taken off the queue by
+/// [`EventQueue::take_due`].
+#[derive(Debug)]
+pub(crate) enum Taken {
+    /// A single event.
+    One(Event),
+    /// A symbolic broadcast group, whole.
+    Run(Run),
+}
+
+/// A symbolic broadcast group off the queue, positioned at the recipient it
+/// delivers next. Its message is borrowed per copy, never cloned.
+#[derive(Debug)]
+pub(crate) struct Run {
+    at: Time,
+    group: BroadcastGroup,
+}
+
+impl Run {
+    /// The sender.
+    pub(crate) fn from(&self) -> ProcessId {
+        self.group.from
+    }
+
+    /// The recipient of the current copy.
+    pub(crate) fn to(&self) -> ProcessId {
+        ProcessId::new(self.group.next)
+    }
+
+    /// The broadcast message.
+    pub(crate) fn message(&self) -> &SimMessage {
+        &self.group.message
+    }
+
+    /// Moves on to the next class member; `false` once every member has had
+    /// its copy.
+    pub(crate) fn step(&mut self) -> bool {
+        match self.group.member_after(self.group.next) {
+            Some(next) => {
+                self.group.next = next;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The current recipient's place in the delivery order.
+    fn key(&self) -> (i64, u64) {
+        (self.at.as_micros(), self.group.seq())
+    }
 }
 
 impl Scheduled {
@@ -209,9 +270,11 @@ const NUM_BUCKETS: usize = 256;
 /// * `current` — the bucket being drained, a deque sorted ascending by
 ///   `(time, seq)`: the next event pops from the front in O(1), and so does
 ///   a push that sorts before the front;
-/// * `wheel` — a ring of [`NUM_BUCKETS`] unsorted buckets of
-///   [`BUCKET_WIDTH_MICROS`] each (push is an O(1) append; a bucket is
-///   sorted once, when the cursor reaches it);
+/// * `wheel` — a ring of `NUM_BUCKETS` unsorted buckets of
+///   `BUCKET_WIDTH_MICROS` each (push is an O(1) append; a bucket is
+///   sorted once, when the cursor reaches it, and its buffer becomes
+///   `current`: the spent `current` buffer waits in `spare` for the next
+///   slot to take a first entry, so only non-empty slots hold memory);
 /// * `overflow` — a heap for events beyond the ring horizon (rare: only
 ///   far-future wake-ups land here).
 ///
@@ -229,6 +292,8 @@ const NUM_BUCKETS: usize = 256;
 pub struct EventQueue {
     current: VecDeque<Scheduled>,
     wheel: Vec<Vec<Scheduled>>,
+    /// Emptied buffers with capacity, for wheel slots that have none.
+    spare: Vec<Vec<Scheduled>>,
     /// Absolute index (time / bucket width) of the bucket drained into
     /// `current`; ring slot `b % NUM_BUCKETS` holds absolute bucket `b` for
     /// `base < b < base + NUM_BUCKETS`.
@@ -246,6 +311,7 @@ impl Default for EventQueue {
         EventQueue {
             current: VecDeque::new(),
             wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             base: 0,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
@@ -257,6 +323,11 @@ impl Default for EventQueue {
 
 fn bucket_of(at: Time) -> i64 {
     at.as_micros().div_euclid(BUCKET_WIDTH_MICROS)
+}
+
+/// The ring slot of absolute bucket `bucket`.
+fn slot_of(bucket: i64) -> usize {
+    bucket.rem_euclid(NUM_BUCKETS as i64) as usize
 }
 
 impl EventQueue {
@@ -340,12 +411,7 @@ impl EventQueue {
                         base,
                         next: first,
                     };
-                    let entry = Scheduled {
-                        at,
-                        seq: group.seq_of(first),
-                        payload: Payload::Group(group),
-                    };
-                    self.route(entry);
+                    self.put_back(Run { at, group });
                 }
             }
         }
@@ -356,8 +422,7 @@ impl EventQueue {
         let bucket = bucket_of(entry.at);
         if bucket <= self.base {
             // At (or before) the bucket being drained. An entry that sorts
-            // before the front (a re-queued broadcast group that is still
-            // the queue minimum) goes on the front with no search; any other
+            // before the front goes on the front with no search; any other
             // is insertion-sorted into place.
             let key = entry.key();
             match self.current.front() {
@@ -368,89 +433,148 @@ impl EventQueue {
                 _ => self.current.push_front(entry),
             }
         } else if bucket < self.base + NUM_BUCKETS as i64 {
-            self.wheel[bucket.rem_euclid(NUM_BUCKETS as i64) as usize].push(entry);
+            let slot = &mut self.wheel[slot_of(bucket)];
+            if slot.capacity() == 0 {
+                if let Some(spare) = self.spare.pop() {
+                    *slot = spare;
+                }
+            }
+            slot.push(entry);
             self.wheel_len += 1;
         } else {
             self.overflow.push(entry);
         }
     }
 
-    /// The timestamp of the next event without popping it. Used by the
-    /// runner to form same-timestamp batches for sharded execution.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        loop {
-            if let Some(entry) = self.current.front() {
-                return Some(entry.at);
-            }
-            if self.wheel_len == 0 && self.overflow.is_empty() {
-                return None;
-            }
+    /// Fills an empty `current` from the next non-empty bucket, if any.
+    fn fill_current(&mut self) {
+        while self.current.is_empty() {
             if self.wheel_len == 0 {
                 // Everything pending is beyond the ring: jump the cursor to
                 // the earliest overflow bucket instead of scanning a long
                 // run of empty buckets.
-                let min_bucket = bucket_of(self.overflow.peek().expect("overflow non-empty").at);
-                self.base = self.base.max(min_bucket - 1);
+                let Some(first) = self.overflow.peek() else {
+                    return;
+                };
+                self.base = self.base.max(bucket_of(first.at) - 1);
             }
             self.advance();
         }
     }
 
+    /// The timestamp of the next event without popping it.
+    pub fn peek_time(&mut self) -> Option<Time> {
+        self.fill_current();
+        self.current.front().map(|entry| entry.at)
+    }
+
+    /// Takes the next entry off the queue if `due` accepts its time and seq.
+    fn take_front(&mut self, due: impl FnOnce(Time, u64) -> bool) -> Option<(Time, Payload)> {
+        self.fill_current();
+        let front = self.current.front()?;
+        if !due(front.at, front.seq) {
+            return None;
+        }
+        let entry = self.current.pop_front()?;
+        self.len -= 1;
+        Some((entry.at, entry.payload))
+    }
+
     /// Pops the earliest event, if any. A pending broadcast group yields its
-    /// next recipient's [`Event::Deliver`] and re-queues itself at the
+    /// next recipient's [`Event::Deliver`] and goes back on the queue at the
     /// following member's reserved sequence number.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        self.peek_time()?;
-        let entry = self
-            .current
-            .pop_front()
-            .expect("peek_time filled `current`");
-        self.len -= 1;
-        match entry.payload {
-            Payload::One(event) => Some((entry.at, event)),
-            Payload::Group(mut group) => {
-                let to = ProcessId::new(group.next);
+        let (at, payload) = self.take_front(|_, _| true)?;
+        let event = match payload {
+            Payload::One(event) => event,
+            Payload::Group(group) => {
                 let event = Event::Deliver {
-                    to,
+                    to: ProcessId::new(group.next),
                     from: group.from,
                     message: Arc::clone(&group.message),
                 };
-                if let Some(next) = group.member_after(group.next) {
-                    let seq = group.seq_of(next);
-                    group.next = next;
-                    self.route(Scheduled {
-                        at: entry.at,
-                        seq,
-                        payload: Payload::Group(group),
-                    });
+                let mut run = Run { at, group };
+                if run.step() {
+                    self.put_back(run);
                 }
-                Some((entry.at, event))
+                event
             }
-        }
+        };
+        Some((at, event))
+    }
+
+    /// The last sequence number handed out. Every entry queued now holds a
+    /// seq at or below it; every later push gets a larger one.
+    pub(crate) fn last_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Takes the next entry if it is due at `at` with a seq at or below
+    /// `limit`. A broadcast group comes off whole, at its next recipient,
+    /// which counts as taken.
+    pub(crate) fn take_due(&mut self, at: Time, limit: u64) -> Option<Taken> {
+        let (_, payload) = self.take_front(|t, seq| t == at && seq <= limit)?;
+        Some(match payload {
+            Payload::One(event) => Taken::One(event),
+            Payload::Group(group) => Taken::Run(Run { at, group }),
+        })
+    }
+
+    /// Takes `run`'s current recipient if its seq is at or below `limit` and
+    /// it still sorts before every queued entry. Only `current` needs
+    /// checking, without moving the cursor: `run` came off `current`, so
+    /// whatever waits on the wheel or in overflow is in a later bucket.
+    pub(crate) fn take_member(&mut self, run: &Run, limit: u64) -> bool {
+        let key = run.key();
+        let due = key.1 <= limit && self.current.front().is_none_or(|front| key < front.key());
+        self.len -= usize::from(due);
+        due
+    }
+
+    /// Queues `run` again at its current recipient.
+    pub(crate) fn put_back(&mut self, run: Run) {
+        self.route(Scheduled {
+            at: run.at,
+            seq: run.group.seq(),
+            payload: Payload::Group(run.group),
+        });
     }
 
     /// Moves the cursor to the next bucket, draining it into `current` and
     /// pulling newly-in-horizon overflow entries onto the ring.
     fn advance(&mut self) {
         self.base += 1;
-        while let Some(next) = self.overflow.peek() {
+        loop {
+            let Some(next) = self.overflow.peek_mut() else {
+                break;
+            };
             if bucket_of(next.at) >= self.base + NUM_BUCKETS as i64 {
                 break;
             }
-            let entry = self.overflow.pop().expect("peeked entry exists");
             // In horizon now; lands in a ring slot or (for `base` itself)
             // directly in `current`.
+            let entry = PeekMut::pop(next);
             self.route(entry);
         }
-        let slot = &mut self.wheel[self.base.rem_euclid(NUM_BUCKETS as i64) as usize];
-        if !slot.is_empty() {
-            self.wheel_len -= slot.len();
-            // `drain` leaves the slot its capacity for the next lap.
-            self.current.extend(slot.drain(..));
-            self.current
-                .make_contiguous()
-                .sort_unstable_by_key(Scheduled::key);
+        let slot = &mut self.wheel[slot_of(self.base)];
+        if slot.is_empty() {
+            return;
         }
+        self.wheel_len -= slot.len();
+        if self.current.is_empty() {
+            // The slot's buffer becomes `current`; the spent one is kept for
+            // the next slot that takes an entry.
+            let drained = VecDeque::from(std::mem::take(slot));
+            let spent = Vec::from(std::mem::replace(&mut self.current, drained));
+            if spent.capacity() > 0 {
+                self.spare.push(spent);
+            }
+        } else {
+            self.current.extend(slot.drain(..));
+        }
+        self.current
+            .make_contiguous()
+            .sort_unstable_by_key(Scheduled::key);
     }
 
     /// Number of pending **logical** events (broadcast groups count their
@@ -556,6 +680,18 @@ mod tests {
         /// Number of pending events.
         fn len(&self) -> usize {
             self.heap.len()
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|s| s.at)
+        }
+
+        /// Whether the next event belongs to the batch at `at` with seqs
+        /// up to `limit` (the runner's batch rule, one event at a time).
+        fn due(&self, at: Time, limit: u64) -> bool {
+            self.heap
+                .peek()
+                .is_some_and(|s| s.at == at && s.seq <= limit)
         }
     }
 
@@ -825,7 +961,199 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_run_delivers_every_copy_from_the_borrowed_message() {
+        let n = 65;
+        let honesty = Arc::new(vec![true; n]);
+        let message = msg();
+        let at = Time::from_millis(1);
+        let mut q = EventQueue::new();
+        let class = ClassDelay::At(at);
+        q.push_broadcast(
+            ProcessId::new(0),
+            Arc::clone(&message),
+            &honesty,
+            class,
+            class,
+            |_| unreachable!(),
+        );
+        assert_eq!(q.peek_time(), Some(at));
+        let limit = q.last_seq();
+        let Some(Taken::Run(mut run)) = q.take_due(at, limit) else {
+            panic!("a symbolic broadcast comes off the queue as a run");
+        };
+        let mut recipients = Vec::new();
+        loop {
+            assert_eq!(Arc::strong_count(&message), 2, "copy to {}", run.to());
+            assert_eq!(*run.message(), *message);
+            recipients.push(run.to().as_usize());
+            if !run.step() {
+                break;
+            }
+            assert!(q.take_member(&run, limit));
+        }
+        assert_eq!(recipients, (1..n).collect::<Vec<_>>());
+        assert!(q.is_empty());
+        drop(run);
+        assert_eq!(Arc::strong_count(&message), 1);
+    }
+
+    /// Schedules one broadcast of kind `kind` at `at` into both queues:
+    /// 0 both classes at `at` (their reserved seqs interleave), 1 honest
+    /// jittered — even ids at `at` itself, among the corrupted class's
+    /// copies — and corrupted at `at`, 2 the corrupted class one bucket
+    /// later.
+    fn broadcast_both(
+        wheel: &mut EventQueue,
+        heap: &mut HeapQueue,
+        honesty: &Arc<Vec<bool>>,
+        kind: u8,
+        from: ProcessId,
+        at: Time,
+        tag: u64,
+    ) {
+        use lumiere_types::TxId;
+        let message = Arc::new(SimMessage::Submit(Transaction::new(TxId::new(tag))));
+        let (honest, corrupt) = match kind % 3 {
+            0 => (ClassDelay::At(at), ClassDelay::At(at)),
+            1 => (ClassDelay::Jittered, ClassDelay::At(at)),
+            _ => (
+                ClassDelay::At(at),
+                ClassDelay::At(at + lumiere_types::Duration::from_micros(BUCKET_WIDTH_MICROS)),
+            ),
+        };
+        let jitter = |to: ProcessId| {
+            let id = to.as_usize() as i64;
+            at + lumiere_types::Duration::from_micros(id % 2 * id * 97)
+        };
+        wheel.push_broadcast(from, Arc::clone(&message), honesty, honest, corrupt, jitter);
+        heap.push_broadcast(from, message, honesty, honest, corrupt, jitter);
+    }
+
+    /// Drains `wheel` the way the runner does — batch by batch, each group
+    /// delivered as a run — and `heap` one event at a time under the same
+    /// batch rule, asserting the same copies in the same order and the same
+    /// logical length after every copy. Batch `i` takes its budget and seq
+    /// cut (limit = last seq − cut) from `cuts[i % len]`, budget 0 meaning
+    /// none. Copy `k` then pushes `reacts[k]` at its own instant: 1 a wake,
+    /// 2–4 a broadcast of kind 0–2.
+    fn drain_in_runs(
+        wheel: &mut EventQueue,
+        heap: &mut HeapQueue,
+        honesty: &Arc<Vec<bool>>,
+        cuts: &[(u64, u64)],
+        reacts: &[u8],
+    ) {
+        let n = honesty.len();
+        let mut copies = 0usize;
+        let mut batches = 0usize;
+        let mut stalled = false;
+        let mut copy = |at, limit, got, wheel: &mut EventQueue, heap: &mut HeapQueue| {
+            assert!(heap.due(at, limit), "the run went past its batch");
+            let want = heap.pop();
+            assert_eq!(Some((at, got)), want, "run and heap disagreed");
+            assert_eq!(wheel.len(), heap.len(), "logical lengths diverged");
+            let from = ProcessId::new(copies % n);
+            match reacts.get(copies).copied().unwrap_or(0) {
+                0 => {}
+                1 => {
+                    wheel.push(at, Event::Wake { node: from });
+                    heap.push(at, Event::Wake { node: from });
+                }
+                kind => broadcast_both(
+                    wheel,
+                    heap,
+                    honesty,
+                    kind - 2,
+                    from,
+                    at,
+                    1_000 + copies as u64,
+                ),
+            }
+            copies += 1;
+        };
+        while let Some(at) = wheel.peek_time() {
+            assert_eq!(Some(at), heap.peek_time());
+            // A batch that took nothing is followed by an uncut one.
+            let (budget, cut) = if stalled {
+                (0, 0)
+            } else {
+                cuts[batches % cuts.len()]
+            };
+            batches += 1;
+            let budget = if budget == 0 { u64::MAX } else { budget };
+            let limit = wheel.last_seq().saturating_sub(cut);
+            assert_eq!(wheel.last_seq(), heap.seq);
+            let mut taken = 0;
+            while taken < budget {
+                match wheel.take_due(at, limit) {
+                    None => break,
+                    Some(Taken::One(event)) => {
+                        taken += 1;
+                        copy(at, limit, event, wheel, heap);
+                    }
+                    Some(Taken::Run(mut run)) => loop {
+                        taken += 1;
+                        let event = Event::Deliver {
+                            to: run.to(),
+                            from: run.from(),
+                            message: Arc::clone(&run.group.message),
+                        };
+                        copy(at, limit, event, wheel, heap);
+                        if !run.step() {
+                            break;
+                        }
+                        if taken == budget || !wheel.take_member(&run, limit) {
+                            wheel.put_back(run);
+                            break;
+                        }
+                    },
+                }
+            }
+            assert!(
+                taken == budget || !heap.due(at, limit),
+                "the run ended its batch early"
+            );
+            stalled = taken == 0;
+        }
+        assert!(heap.pop().is_none(), "the heap kept events the wheel lost");
+    }
+
     proptest! {
+        /// Group runs hold to the eager heap: random schedules of wakes and
+        /// broadcasts on a 256 µs grid, so instants collide, where a batch
+        /// can hold both honesty classes of one broadcast (interleaved
+        /// reserved seqs), jittered copies among a symbolic class's, and
+        /// pushes made at the run's own instant in mid-run; batches are cut
+        /// by random budgets and seq limits, inside groups too. Fails if a
+        /// run keeps going without comparing against the front of
+        /// `current`, if `take_member` ignores the seq limit, or if a run
+        /// miscounts `len`.
+        #[test]
+        fn group_runs_match_the_eager_heap(
+            n in 3usize..12,
+            stride in 2usize..5,
+            ops in proptest::collection::vec((0u8..4, 0i64..6, 0usize..12), 1..24),
+            cuts in proptest::collection::vec((0u64..5, 0u64..4), 1..8),
+            reacts in proptest::collection::vec(0u8..5, 0..48),
+        ) {
+            let honesty: Arc<Vec<bool>> =
+                Arc::new((0..n).map(|i| i % stride != stride - 1).collect());
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            for (tag, &(kind, step, x)) in ops.iter().enumerate() {
+                let at = Time::from_micros(step * (BUCKET_WIDTH_MICROS / 4));
+                let node = ProcessId::new(x % n);
+                if kind == 3 {
+                    wheel.push(at, Event::Wake { node });
+                    heap.push(at, Event::Wake { node });
+                } else {
+                    broadcast_both(&mut wheel, &mut heap, &honesty, kind, node, at, tag as u64);
+                }
+            }
+            drain_in_runs(&mut wheel, &mut heap, &honesty, &cuts, &reacts);
+        }
+
         /// The calendar queue delivers in exactly the order of the old
         /// `BinaryHeap` on random schedules: random times (spanning several
         /// ring laps and the overflow horizon), random interleaving of

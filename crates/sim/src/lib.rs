@@ -30,13 +30,15 @@
 //!
 //! The hot path scales to `n` in the thousands: broadcasts are queued
 //! *symbolically* (one calendar-queue entry per honesty class, lazily
-//! expanded at pop time) so a broadcast costs O(1) queue space, a single
-//! run can fan its node handlers out over scoped worker threads
-//! ([`runner::ExecOptions`]) with a deterministic merge that keeps
-//! same-seed reports byte-identical across shard counts, node outputs are
-//! drained into reused buffers, and metrics are run-length encoded (and
-//! grid-sampled at large `n`) so reports stay bounded — design notes and
-//! before/after numbers in `docs/PERFORMANCE.md`.
+//! expanded at pop time) so a broadcast costs O(1) queue space, and a run
+//! of its recipients is delivered from one borrowed message. One thread
+//! delivers the queue in batches: a batch is every entry due at the next
+//! instant with a sequence number at or below the queue's last one when
+//! the batch began, and run-stopping checks fall between batches, so a
+//! limit cuts every run at a point fixed by the event stream alone. Node
+//! outputs are drained into one reused buffer, and metrics are run-length
+//! encoded (and grid-sampled at large `n`) so reports stay bounded —
+//! design notes and before/after numbers in `docs/PERFORMANCE.md`.
 //!
 //! # Example: one synchronized run of Lumiere
 //!

@@ -33,7 +33,7 @@ pub const QC_GAP_BINS: usize = 8;
 /// [`SimReport`]. Long adversarial runs can witness an equivocation per
 /// view; the report keeps the first `SLASH_EVIDENCE_CAP` records of the
 /// canonical (sorted, deduplicated) list plus the exact total, so it stays
-/// bounded while remaining byte-identical across shard counts.
+/// bounded while remaining byte-identical across broadcast representations.
 pub const SLASH_EVIDENCE_CAP: usize = 64;
 
 /// Number of time bins in a [`CoverageFingerprint`] strategy-activation
@@ -221,9 +221,9 @@ pub struct SimReport {
     pub tx_latency_p99: Duration,
     /// Total simulator events processed by the run — boots, deliveries,
     /// wakes, arrivals, samples (schema v6). Deterministic for a given
-    /// configuration and seed (identical across broadcast representations
-    /// and shard counts); benches divide it by wall-clock for the
-    /// events/sec throughput the perf gate tracks.
+    /// configuration and seed (identical across broadcast representations);
+    /// benches divide it by wall-clock for the events/sec throughput the
+    /// perf gate tracks.
     pub events_processed: u64,
     /// Authenticator bytes carried by honest point-to-point traffic over
     /// the whole run with the aggregated certificate representation — each

@@ -3,33 +3,29 @@
 //! The hot path is allocation-light so sweeps scale to `n` in the thousands
 //! (see `docs/PERFORMANCE.md`): broadcasts are queued **symbolically** (one
 //! entry per honesty class sharing a single [`Arc`], lazily expanded at pop
-//! time — [`EventQueue::push_broadcast`]), node outputs are drained into
-//! scratch buffers that are reused across events, and the event queue is a
-//! calendar queue instead of one global binary heap.
+//! time — [`EventQueue::push_broadcast`]) and delivered a run of recipients
+//! at a time from the borrowed message, node outputs are drained into one
+//! buffer reused across the run, and the event queue is a calendar queue
+//! instead of one global binary heap.
 //!
-//! # Sharded execution
+//! # Batches
 //!
-//! A single run can use multiple cores ([`ExecOptions::shards`]): the loop
-//! pops all events sharing the next timestamp into a batch, hands each
-//! event's *node handler* to a worker owning a contiguous shard of the node
-//! array (`std::thread::scope`), then applies every handler's output
-//! **sequentially, in pop order**. This is exact, not approximate:
+//! The loop delivers the queue in batches, one after another on one thread.
+//! A batch at instant `at` is every entry due at `at` whose sequence number
+//! is at or below the queue's last one when the batch began, up to the
+//! event cap and `MAX_BATCH`: what a handler schedules at `at` goes to the
+//! next batch. Each entry is delivered as it comes off the queue. The
+//! run-stopping checks (`max_honest_qcs`, the event cap, the horizon) run
+//! between batches, never inside one, so the point where a limit cuts a run
+//! is a pure function of the event stream, the same under either
+//! [`BroadcastMode`]; `sim_equivalence.rs` and the scale suite pin this.
 //!
-//! * node handlers touch only their own node's state plus a private output
-//!   buffer, and two same-timestamp events targeting the same node land in
-//!   the same shard, where they run in pop order;
-//! * everything order-sensitive — RNG draws, queue sequence numbers, metric
-//!   records, trace entries — happens in the sequential apply phase, in
-//!   exactly the order the one-threaded loop would produce;
-//! * batch boundaries are pure functions of the event stream (timestamps
-//!   plus fixed constants), so run-stopping checks performed at batch
-//!   granularity cut the run at the same point for every shard count.
-//!
-//! Same-seed reports are therefore byte-identical across shard counts and
-//! between eager and symbolic broadcast modes; `sim_equivalence.rs` and the
-//! scale suite's determinism tests pin this.
+//! The scheduled-wake sweep also runs between batches, after the one it
+//! counts. Running it before would change nothing: a sweep at `now` removes
+//! only pairs below `now`, and every wake requested during the batch is at
+//! or after `now`.
 
-use crate::event::{ClassDelay, Event, EventQueue, SimMessage};
+use crate::event::{ClassDelay, Event, EventQueue, Run, SimMessage, Taken};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::scenario::SimConfig;
 use crate::trace::{Trace, TraceKind};
@@ -66,23 +62,9 @@ const WAKE_SWEEP_INTERVAL: u64 = 1 << 16;
 
 /// Upper bound on one batch's length. A same-timestamp burst larger than
 /// this (n broadcasts landing on one tick) is split into consecutive
-/// sub-batches, bounding the scratch buffers; the bound is a constant, so
-/// batch boundaries — and the batch-granular stop checks — stay identical
-/// across shard counts and broadcast modes.
-const MAX_BATCH: usize = 1 << 20;
-
-/// Below this batch size the loop stays on one thread even when sharding is
-/// enabled: spawning scoped workers costs more than a handful of handler
-/// calls. Processing is identical either way; only wall-clock changes.
-const MIN_PARALLEL_BATCH: usize = 64;
-
-/// Auto sharding switches on at this node count; smaller runs are dominated
-/// by per-batch overhead and stay sequential.
-const AUTO_SHARD_MIN_N: usize = 512;
-
-/// Cap on the auto-selected shard count (steady-state batches target few
-/// distinct nodes, so returns diminish quickly past this).
-const AUTO_SHARD_MAX: usize = 8;
+/// batches; the bound is a constant, so batch boundaries — and the
+/// batch-granular stop checks — stay identical across broadcast modes.
+const MAX_BATCH: u64 = 1 << 20;
 
 /// How a run schedules broadcast deliveries. Every run outside the tests is
 /// symbolic; `Eager` is the test reference `schedule_broadcast`'s per-class
@@ -98,18 +80,14 @@ pub enum BroadcastMode {
     Symbolic,
 }
 
-/// Execution knobs that change how fast a run executes but never what it
-/// computes: same-seed reports are byte-identical for every combination.
+/// Execution knobs that never change what a run computes: same-seed reports
+/// are byte-identical for every combination.
 ///
 /// Deliberately **not** part of [`SimConfig`] (which is serialized into
-/// sweep cells and fuzzer corpus entries); set them per-process via
-/// [`ExecOptions::from_env`] or per-run via [`SimConfig::run_with`].
+/// sweep cells and fuzzer corpus entries); set per run via
+/// [`SimConfig::run_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker count for same-timestamp batches. `0` (the default) picks
-    /// automatically: sequential below [`AUTO_SHARD_MIN_N`] nodes, up to
-    /// [`AUTO_SHARD_MAX`] cores beyond it.
-    pub shards: usize,
     /// Broadcast representation: symbolic, except where a test asks for
     /// the eager reference.
     pub broadcast: BroadcastMode,
@@ -118,27 +96,18 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            shards: 0,
             broadcast: BroadcastMode::Symbolic,
         }
     }
 }
 
 impl ExecOptions {
-    /// Reads the one override the environment carries: `LUMIERE_SIM_SHARDS`
-    /// (a worker count, `0` = auto). CI's cross-shard determinism smoke
-    /// drives runs through it.
-    pub fn from_env() -> Self {
-        let shards = std::env::var("LUMIERE_SIM_SHARDS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        ExecOptions::default().with_shards(shards)
-    }
-
-    /// Fixes the worker count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    /// Does nothing: the sharded executor whose worker count this set is
+    /// gone. `benchmark/src/workload.rs` still calls it, and the benchmark
+    /// changes only on its own; the next change to it drops the call, and
+    /// this goes with it.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -146,33 +115,6 @@ impl ExecOptions {
     pub fn with_broadcast(mut self, broadcast: BroadcastMode) -> Self {
         self.broadcast = broadcast;
         self
-    }
-
-    /// The effective worker count for a run over `n` nodes.
-    fn resolved_shards(&self, n: usize) -> usize {
-        let shards = if self.shards == 0 {
-            if n >= AUTO_SHARD_MIN_N {
-                std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1)
-                    .min(AUTO_SHARD_MAX)
-            } else {
-                1
-            }
-        } else {
-            self.shards
-        };
-        shards.clamp(1, n.max(1))
-    }
-}
-
-/// The node a batched event is handled by (`None` for cluster-wide events,
-/// which force the batch onto the sequential path).
-fn event_target(event: &Event) -> Option<usize> {
-    match event {
-        Event::Deliver { to, .. } => Some(to.as_usize()),
-        Event::Wake { node } | Event::Boot { node } => Some(node.as_usize()),
-        Event::Arrival { .. } | Event::Sample => None,
     }
 }
 
@@ -190,9 +132,7 @@ fn chains_agree(chains: &[Vec<u64>]) -> bool {
 #[derive(Debug)]
 pub struct Simulation {
     cfg: SimConfig,
-    exec: ExecOptions,
-    /// Resolved worker count (≥ 1).
-    shards: usize,
+    broadcast: BroadcastMode,
     schedule: AdversarySchedule,
     nodes: Vec<StrategyHost>,
     /// Per-processor honesty, shared with symbolic broadcast groups.
@@ -222,24 +162,15 @@ pub struct Simulation {
     truncated: bool,
     events_processed: u64,
     events_since_sweep: u64,
-    /// Scratch output buffer, reused across events (capacity persists).
-    /// Boxed so that lending it to a handler moves one pointer, not the
-    /// buffer's nine `Vec` headers; `None` only while an event holds it.
-    scratch: Option<Box<RuntimeOutput>>,
     /// Scratch clock-reading buffer for gap sampling.
     readings: Vec<Duration>,
-    /// Same-timestamp batch buffer, reused across batches.
-    batch: Vec<Event>,
-    /// Per-batched-event output pool for the parallel path.
-    batch_outputs: Vec<RuntimeOutput>,
 }
 
 impl Simulation {
     /// Builds a simulation from a configuration (see [`SimConfig::run`] for
-    /// the usual entry point), honouring the process-wide execution
-    /// overrides ([`ExecOptions::from_env`]).
+    /// the usual entry point).
     pub fn new(cfg: SimConfig) -> Self {
-        Self::with_exec(cfg, ExecOptions::from_env())
+        Self::with_exec(cfg, ExecOptions::default())
     }
 
     /// Builds a simulation with explicit execution options (the determinism
@@ -276,12 +207,10 @@ impl Simulation {
         let seed = cfg.seed;
         let schedule = cfg.effective_adversary();
         let honesty = Arc::new(nodes.iter().map(|n| n.is_honest()).collect::<Vec<_>>());
-        let shards = exec.resolved_shards(cfg.n);
         let last_wake = vec![i64::MIN; cfg.n];
         Simulation {
             cfg,
-            exec,
-            shards,
+            broadcast: exec.broadcast,
             schedule,
             nodes,
             honesty,
@@ -299,10 +228,7 @@ impl Simulation {
             truncated: false,
             events_processed: 0,
             events_since_sweep: 0,
-            scratch: Some(Box::default()),
             readings: Vec::new(),
-            batch: Vec::new(),
-            batch_outputs: Vec::new(),
         }
     }
 
@@ -337,7 +263,7 @@ impl Simulation {
             .record_events_processed(self.events_processed);
         // Slashing evidence is identical for every honest witness of the
         // same conflict, so the canonical report list is the sorted dedup
-        // across processors — byte-identical for every shard count.
+        // across processors.
         let mut slash: Vec<lumiere_types::SlashEvidence> = self
             .nodes
             .iter()
@@ -369,6 +295,8 @@ impl Simulation {
     fn run_loop(&mut self) {
         let horizon = Time::ZERO + self.cfg.horizon;
         let cap = event_cap(self.cfg.n);
+        // Lent to one handler at a time; its capacity lasts the whole run.
+        let mut out = RuntimeOutput::default();
         while let Some(at) = self.queue.peek_time() {
             if at > horizon {
                 self.now = horizon;
@@ -383,43 +311,32 @@ impl Simulation {
             self.now = at;
             self.maybe_sample_gap();
 
-            // Pop everything sharing this timestamp (bounded by the event
-            // cap and the constant batch cap, so boundaries are identical
-            // for every shard count and broadcast mode).
-            let mut batch = std::mem::take(&mut self.batch);
-            let budget = (cap - self.events_processed).min(MAX_BATCH as u64) as usize;
-            let mut parallel_ok = self.shards > 1;
-            while batch.len() < budget && self.queue.peek_time() == Some(at) {
-                let (_, event) = self.queue.pop().expect("peeked event exists");
-                if event_target(&event).is_none() {
-                    // Cluster-wide events (arrivals, samples) touch every
-                    // node; the whole batch runs sequentially.
-                    parallel_ok = false;
+            // One batch (see the module docs): bounded by the event cap and
+            // the constant batch cap, and by the seq limit, which leaves
+            // what this batch schedules at `at` to the next one.
+            let budget = (cap - self.events_processed).min(MAX_BATCH);
+            let limit = self.queue.last_seq();
+            let mut taken = 0;
+            while taken < budget {
+                match self.queue.take_due(at, limit) {
+                    None => break,
+                    Some(Taken::One(event)) => {
+                        taken += 1;
+                        self.dispatch_event(event, &mut out);
+                    }
+                    Some(Taken::Run(run)) => {
+                        taken += self.deliver_run(run, limit, budget - taken, &mut out);
+                    }
                 }
-                batch.push(event);
             }
-            self.events_processed += batch.len() as u64;
-            self.events_since_sweep += batch.len() as u64;
+            self.events_processed += taken;
+            self.events_since_sweep += taken;
             if self.events_since_sweep >= WAKE_SWEEP_INTERVAL {
                 self.events_since_sweep = 0;
                 let now_micros = at.as_micros();
                 self.scheduled_wakes.retain(|&(_, t)| t >= now_micros);
             }
 
-            if parallel_ok && batch.len() >= MIN_PARALLEL_BATCH {
-                self.process_batch_parallel(&batch);
-                batch.clear();
-            } else {
-                for event in batch.drain(..) {
-                    self.dispatch_event(event);
-                }
-            }
-            self.batch = batch;
-
-            // Run-stopping checks happen at batch granularity (after every
-            // same-timestamp batch), never mid-batch — the point where a
-            // limit cuts the run is then a pure function of the event
-            // stream, identical across shard counts and broadcast modes.
             if let Some(limit) = self.cfg.max_honest_qcs {
                 if self.collector.honest_qc_count() >= limit {
                     break;
@@ -428,118 +345,69 @@ impl Simulation {
         }
     }
 
-    /// Handles one event on the sequential path: node handler (or
-    /// cluster-wide effect) immediately followed by output application.
-    fn dispatch_event(&mut self, event: Event) {
-        let mut out = self
-            .scratch
-            .take()
-            .expect("no event holds the scratch buffer");
-        out.clear();
-        match event {
+    /// Delivers a broadcast group's copies while its next recipient stays
+    /// the batch's next entry, at most `room` of them, and returns how many
+    /// it delivered. The group goes back on the queue if members remain.
+    fn deliver_run(&mut self, mut run: Run, limit: u64, room: u64, out: &mut RuntimeOutput) -> u64 {
+        let mut delivered = 0;
+        loop {
+            self.deliver(run.from(), run.to(), run.message(), out);
+            delivered += 1;
+            if !run.step() {
+                return delivered;
+            }
+            if delivered == room || !self.queue.take_member(&run, limit) {
+                self.queue.put_back(run);
+                return delivered;
+            }
+        }
+    }
+
+    /// Handles one event: node handler (or cluster-wide effect) immediately
+    /// followed by output application.
+    fn dispatch_event(&mut self, event: Event, out: &mut RuntimeOutput) {
+        let now = self.now;
+        let node = match event {
+            Event::Deliver { to, from, message } => {
+                return self.deliver(from, to, &message, out);
+            }
             Event::Boot { node } => {
-                self.with_node(node, &mut out, |n, now, out| n.boot_into(now, out));
-                self.apply_output(node, &mut out);
+                out.clear();
+                self.nodes[node.as_usize()].boot_into(now, out);
+                node
             }
             Event::Wake { node } => {
                 self.collector.record_wake();
-                self.with_node(node, &mut out, |n, now, out| n.wake_into(now, out));
-                self.apply_output(node, &mut out);
-            }
-            Event::Deliver { to, from, message } => {
-                self.with_node(to, &mut out, |n, now, out| {
-                    n.deliver_into(from, &message, now, out)
-                });
-                self.apply_output(to, &mut out);
+                out.clear();
+                self.nodes[node.as_usize()].wake_into(now, out);
+                node
             }
             Event::Arrival { tx } => {
                 // Every processor ingests the transaction (clients
                 // broadcast submissions so any future leader can carry
                 // them); dedup-by-id keeps the copies from multiplying.
-                self.collector.record_submission(self.now, tx.id);
+                self.collector.record_submission(now, tx.id);
                 for node in &mut self.nodes {
                     node.submit_tx(tx);
                 }
+                return;
             }
-            Event::Sample => {}
-        }
-        self.scratch = Some(out);
+            Event::Sample => return,
+        };
+        self.apply_output(node, out);
     }
 
-    /// Handles one same-timestamp batch on the sharded path: node handlers
-    /// run on scoped workers over contiguous node shards, then every output
-    /// is applied sequentially in pop order (the deterministic merge).
-    fn process_batch_parallel(&mut self, batch: &[Event]) {
-        let len = batch.len();
-        if self.batch_outputs.len() < len {
-            self.batch_outputs.resize_with(len, RuntimeOutput::default);
-        }
-        let mut outputs = std::mem::take(&mut self.batch_outputs);
-        for out in &mut outputs[..len] {
-            out.clear();
-        }
-        let chunk = self.cfg.n.div_ceil(self.shards);
-        let now = self.now;
-        {
-            // Bucket (event, output-slot) pairs by owning shard; within a
-            // shard, pop order is preserved, so same-node events still run
-            // in sequence.
-            let mut per_shard: Vec<Vec<(&Event, &mut RuntimeOutput)>> =
-                (0..self.shards).map(|_| Vec::new()).collect();
-            for (event, out) in batch.iter().zip(outputs.iter_mut()) {
-                let target = event_target(event).expect("parallel batches hold node events only");
-                per_shard[target / chunk].push((event, out));
-            }
-            let nodes = &mut self.nodes[..];
-            std::thread::scope(|scope| {
-                let mut rest = nodes;
-                let mut shard_base = 0usize;
-                for work in per_shard {
-                    let take = chunk.min(rest.len());
-                    let (head, tail) = rest.split_at_mut(take);
-                    rest = tail;
-                    let base = shard_base;
-                    shard_base += take;
-                    if work.is_empty() {
-                        continue;
-                    }
-                    scope.spawn(move || {
-                        for (event, out) in work {
-                            match event {
-                                Event::Deliver { to, from, message } => head[to.as_usize() - base]
-                                    .deliver_into(*from, message, now, out),
-                                Event::Wake { node } => {
-                                    head[node.as_usize() - base].wake_into(now, out)
-                                }
-                                Event::Boot { node } => {
-                                    head[node.as_usize() - base].boot_into(now, out)
-                                }
-                                _ => unreachable!("filtered at batch formation"),
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // The merge: everything order-sensitive (RNG, queue seqs, metrics,
-        // trace) replays in exactly the sequential loop's order.
-        for (event, out) in batch.iter().zip(outputs.iter_mut()) {
-            let target = event_target(event).expect("parallel batches hold node events only");
-            if matches!(event, Event::Wake { .. }) {
-                self.collector.record_wake();
-            }
-            self.apply_output(ProcessId::new(target), out);
-        }
-        self.batch_outputs = outputs;
-    }
-
-    fn with_node<F>(&mut self, id: ProcessId, out: &mut RuntimeOutput, f: F)
-    where
-        F: FnOnce(&mut StrategyHost, Time, &mut RuntimeOutput),
-    {
-        let now = self.now;
-        let node = &mut self.nodes[id.as_usize()];
-        f(node, now, out);
+    /// Delivers one copy of `message` to `to` and applies what it caused.
+    fn deliver(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        message: &SimMessage,
+        out: &mut RuntimeOutput,
+    ) {
+        out.clear();
+        self.nodes[to.as_usize()].deliver_into(from, message, self.now, out);
+        self.apply_output(to, out);
     }
 
     fn apply_output(&mut self, from: ProcessId, out: &mut RuntimeOutput) {
@@ -574,7 +442,7 @@ impl Simulation {
             }
             // One allocation per broadcast: every recipient shares the Arc.
             let msg = Arc::new(msg);
-            match self.exec.broadcast {
+            match self.broadcast {
                 BroadcastMode::Eager => {
                     for to in ProcessId::all(self.cfg.n) {
                         if to != from {
@@ -861,6 +729,68 @@ mod tests {
         // Overload: a standing backlog, so every block is full.
         let cfg = loaded(4, 48_000).with_actual_delay(Duration::from_millis(1));
         assert_accounting_matches_the_per_node_reference(cfg);
+    }
+
+    /// `max_honest_qcs` cuts a run after the batch that formed the last QC,
+    /// never inside it and never past it: `events_processed` and a digest
+    /// of the report's JSON text, pinned from the batch-collecting loop this
+    /// one replaced. Both runs are Lumiere at n = 7 with processors 2 and 5
+    /// corrupted, so every broadcast's two honesty classes interleave.
+    ///
+    /// * Every delivery at Δ, cut at the 15th QC (780 ms). That instant
+    ///   holds a wake, the leader's votes — the QC forms on the fourth of
+    ///   six — and then the leader's view certificate to both classes, whose
+    ///   honest group is put back partly delivered each time a corrupted
+    ///   recipient's copy comes first.
+    /// * Edges touching 2 or 5 at zero delay, cut at the 3rd QC (227 ms):
+    ///   the leader broadcasts the new certificate and its proposal, whose
+    ///   copies to 2 and 5 are due at 227 ms itself, past the batch's seq
+    ///   limit, so they stay queued.
+    ///
+    /// Stopping right after the QC fails the first case; a batch that runs
+    /// past its seq limit fails the second.
+    #[test]
+    fn max_honest_qcs_cuts_the_run_where_it_always_did() {
+        use lumiere_crypto::digest::Digest;
+        use lumiere_runtime::adversary::StrategyKind;
+        let base = SimConfig::new(ProtocolKind::Lumiere, 7)
+            .with_delta(Duration::from_millis(10))
+            .with_horizon(Duration::from_millis(900))
+            .with_seed(3);
+        let at_delta = base
+            .clone()
+            .with_adversarial_delay()
+            .with_faulty_ids(vec![2, 5], StrategyKind::SilentLeader)
+            .with_max_honest_qcs(15);
+        let zero_delay = base
+            .with_actual_delay(Duration::from_millis(1))
+            .with_adversary(AdversarySchedule::targeted_partition(
+                &[2, 5],
+                Duration::ZERO,
+            ))
+            .with_max_honest_qcs(3);
+        let cases = [
+            (at_delta, 780, false, 518, 0x6579_3a4c_2ba6_b234),
+            (zero_delay, 227, true, 131, 0x3782_b61e_b3e0_e9aa),
+        ];
+        for (cfg, cut_ms, left_at_cut, events, digest) in cases {
+            let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+            sim.run_loop();
+            let now = sim.now;
+            assert_eq!(now, Time::from_millis(cut_ms));
+            assert_eq!(sim.queue.peek_time() == Some(now), left_at_cut);
+            let (report, _) = sim.finish_report();
+            let text = serde::json::to_string(&report);
+            assert_eq!(report.events_processed, events);
+            assert_eq!(
+                Digest::new(b"report")
+                    .push_bytes(text.as_bytes())
+                    .finish()
+                    .as_u64(),
+                digest,
+                "report at the {cut_ms} ms cut: {text}"
+            );
+        }
     }
 
     /// A leader's batch skips what the uncommitted chain it extends already

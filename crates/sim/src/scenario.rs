@@ -268,17 +268,14 @@ impl SimConfig {
             .collect()
     }
 
-    /// Runs the configured simulation (execution knobs — shard count,
-    /// broadcast representation — come from the environment; see
-    /// [`ExecOptions::from_env`](crate::runner::ExecOptions::from_env)).
+    /// Runs the configured simulation.
     pub fn run(self) -> SimReport {
         Simulation::new(self).run()
     }
 
     /// Runs the configured simulation with explicit execution options.
     /// Execution options change speed only, never results: same-seed
-    /// reports are byte-identical for every shard count and broadcast
-    /// representation.
+    /// reports are byte-identical for either broadcast representation.
     pub fn run_with(self, exec: crate::runner::ExecOptions) -> SimReport {
         Simulation::with_exec(self, exec).run()
     }

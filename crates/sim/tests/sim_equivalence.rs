@@ -1,16 +1,16 @@
-//! Execution options change speed, never results: the equivalence suite.
+//! The broadcast representation changes speed, never results: the
+//! equivalence suite.
 //!
-//! The scale PR introduced two pure-performance degrees of freedom —
-//! broadcast representation (eager per-recipient entries vs symbolic
-//! lazily-expanded groups) and shard count (sequential vs scoped-worker
-//! batches) — with a hard determinism bar: same-seed [`SimReport`]s must be
-//! **byte-identical** for every combination. These properties pin that bar
-//! across random protocols, adversary schedules, delay models (including
-//! the per-recipient-jitter `Uniform` model, whose RNG stream the symbolic
-//! path must consume in exactly the eager order) and GST placements.
-//! Equality covers the full report, so it includes the coverage
-//! fingerprint's strategy activation windows — the "gated-event counts" of
-//! the adversary subsystem — as well as every metric series.
+//! Symbolic broadcasts (one lazily-expanded group per honesty class,
+//! delivered a run of recipients at a time) must give **byte-identical**
+//! same-seed [`SimReport`]s to the eager reference (one queue entry per
+//! recipient). These properties pin that bar across random protocols,
+//! adversary schedules, delay models (including the per-recipient-jitter
+//! `Uniform` model, whose RNG stream the symbolic path must consume in
+//! exactly the eager order) and GST placements. Equality covers the full
+//! report, so it includes the coverage fingerprint's strategy activation
+//! windows — the "gated-event counts" of the adversary subsystem — as well
+//! as every metric series.
 
 use lumiere_sim::runner::{BroadcastMode, ExecOptions};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
@@ -65,47 +65,29 @@ fn scenario(
     cfg
 }
 
-/// Runs `cfg` under every execution-option combination the determinism bar
-/// covers and asserts the reports are identical — `PartialEq` plus the
-/// formatted debug rendering, so a drift in any field shows up byte for
-/// byte.
+/// Runs `cfg` with eager and with symbolic broadcasts and asserts the
+/// reports are identical — `PartialEq` plus the formatted debug rendering,
+/// so a drift in any field shows up byte for byte.
 fn assert_exec_invariant(cfg: SimConfig) {
-    let eager = ExecOptions::default()
-        .with_shards(1)
-        .with_broadcast(BroadcastMode::Eager);
-    let reference = cfg.clone().run_with(eager);
-    let combos = [
-        ExecOptions::default()
-            .with_shards(1)
-            .with_broadcast(BroadcastMode::Symbolic),
-        ExecOptions::default()
-            .with_shards(2)
-            .with_broadcast(BroadcastMode::Symbolic),
-        ExecOptions::default()
-            .with_shards(8)
-            .with_broadcast(BroadcastMode::Symbolic),
-        ExecOptions::default()
-            .with_shards(8)
-            .with_broadcast(BroadcastMode::Eager),
-    ];
-    for exec in combos {
-        let report = cfg.clone().run_with(exec);
-        assert_eq!(
-            format!("{reference:?}"),
-            format!("{report:?}"),
-            "report under {exec:?} diverged from the eager sequential reference"
-        );
-        assert_eq!(reference, report);
-    }
+    let run = |broadcast| {
+        cfg.clone()
+            .run_with(ExecOptions::default().with_broadcast(broadcast))
+    };
+    let reference = run(BroadcastMode::Eager);
+    let report = run(BroadcastMode::Symbolic);
+    assert_eq!(
+        format!("{reference:?}"),
+        format!("{report:?}"),
+        "the symbolic report diverged from the eager reference"
+    );
+    assert_eq!(reference, report);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random scenario ⇒ identical reports across {eager, symbolic} ×
-    /// {1, 2, 8} shards. Small `n` keeps the parallel path below its batch
-    /// threshold sometimes and above it at boot (n ≥ 64 batches) — both
-    /// paths are exercised across the case mix.
+    /// Random scenario ⇒ identical reports under eager and symbolic
+    /// broadcasts.
     #[test]
     fn reports_are_invariant_under_exec_options(
         n in 4usize..16,
@@ -122,9 +104,8 @@ proptest! {
     }
 }
 
-/// A directed case big enough that sharded batches actually go parallel
-/// (boot and broadcast batches exceed the minimum parallel batch size), with
-/// faults and jittered delays in play.
+/// A directed case with large batches (boot, and broadcasts to 95
+/// recipients), with faults and jittered delays in play.
 #[test]
 fn large_mixed_run_is_exec_invariant() {
     let cfg = SimConfig::new(ProtocolKind::Lumiere, 96)
@@ -138,8 +119,8 @@ fn large_mixed_run_is_exec_invariant() {
     assert_exec_invariant(cfg);
 }
 
-/// The workload path (cluster-wide `Arrival` events) must force batches
-/// onto the sequential path without breaking cross-shard identity.
+/// The workload path: cluster-wide `Arrival` events interleave with
+/// broadcast copies.
 #[test]
 fn workload_runs_are_exec_invariant() {
     use lumiere_sim::workload::WorkloadConfig;
