@@ -44,14 +44,14 @@ impl QuorumCert {
         VOTE.push_i64(view.as_i64()).push_u64(block_hash).finish()
     }
 
-    /// Aggregates `2f+1` vote signatures into a quorum certificate, tallying
-    /// both distinct signers and their stake (uniform under
-    /// [`Params::stakes`], so the count and stake thresholds coincide).
+    /// Aggregates `2f+1` vote signatures into a quorum certificate,
+    /// counting distinct signers among the processors of
+    /// [`Params::stakes`].
     ///
     /// # Errors
     ///
-    /// Returns an error if fewer than `2f+1` distinct signers contributed or
-    /// their combined stake misses the quorum's stake threshold.
+    /// Returns an error if a signer is not one of the `n` processors or
+    /// fewer than `2f+1` distinct signers contributed.
     pub fn aggregate(
         view: View,
         block_hash: BlockHash,

@@ -64,13 +64,13 @@ macro_rules! certificate {
 
         impl $name {
             /// Aggregates signatures over the certificate's digest for `view`,
-            /// tallying both distinct signers and their stake (uniform under
-            /// [`Params::stakes`], so both thresholds coincide).
+            /// counting distinct signers among the processors of
+            /// [`Params::stakes`].
             ///
             /// # Errors
             ///
-            /// Fails if fewer than the required number of distinct signers
-            /// contributed or their combined stake misses the threshold.
+            /// Fails if a signer is not one of the `n` processors or fewer
+            /// than the required number of distinct signers contributed.
             pub fn aggregate(view: View, sigs: &[Signature], params: &Params) -> Result<Self> {
                 let tsig = ThresholdSignature::aggregate(
                     $digest_fn(view),

@@ -76,26 +76,11 @@ impl Pki {
         }
     }
 
-    /// Verifies a threshold signature over `digest` with a processor-count
-    /// threshold (uniform stake). Shorthand for [`Pki::verify_aggregate`]
-    /// with a uniform [`StakeTable`] over the registered processors.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pki::verify_aggregate`].
-    pub fn verify_threshold(
-        &self,
-        tsig: &ThresholdSignature,
-        digest: DigestValue,
-        threshold: usize,
-    ) -> Result<()> {
-        self.tally(tsig, digest, &StakeTable::uniform(self.n()), threshold)
-    }
-
     /// Verifies an aggregate against the public keys named by its signer
     /// bitmap: the aggregate proof is recomputed over exactly the bitmap's
-    /// set bits, and the distinct-signer count and stake tally are
-    /// re-checked against `threshold` and `stakes`.
+    /// set bits, and the distinct-signer count is re-checked against
+    /// `threshold`. Signers are looked up in this key table; `stakes` is not
+    /// read.
     ///
     /// This is the uncached check, one tag per signer on every call. A
     /// certificate is checked through
@@ -113,8 +98,6 @@ impl Pki {
     ///   fewer than `threshold` set bits.
     /// * [`Error::UnknownProcess`] if a set bit names an unregistered
     ///   processor.
-    /// * [`Error::InsufficientStake`] if the set bits' combined stake falls
-    ///   short of [`StakeTable::threshold_stake`].
     /// * [`Error::InvalidSignature`] if the recomputed aggregate proof does
     ///   not match (a bitmap bit was flipped or the proof was forged); it
     ///   names the lowest signer.
@@ -122,18 +105,7 @@ impl Pki {
         &self,
         tsig: &ThresholdSignature,
         digest: DigestValue,
-        stakes: &StakeTable,
-        threshold: usize,
-    ) -> Result<()> {
-        self.tally(tsig, digest, stakes, threshold)
-    }
-
-    /// The body of [`Pki::verify_aggregate`] and [`Pki::verify_threshold`].
-    fn tally(
-        &self,
-        tsig: &ThresholdSignature,
-        digest: DigestValue,
-        stakes: &StakeTable,
+        _stakes: &StakeTable,
         threshold: usize,
     ) -> Result<()> {
         if tsig.digest() != digest {
@@ -154,18 +126,12 @@ impl Pki {
             }
         };
         let mut proof = 0u64;
-        let mut stake = 0u128;
         for signer in tsig.bitmap().iter() {
             let state = self
                 .signers
                 .get(signer.as_usize())
                 .ok_or(Error::UnknownProcess { id: signer })?;
             proof ^= state.tag(digest);
-            stake += stakes.stake_of(signer).unwrap_or(0);
-        }
-        let need = stakes.threshold_stake(threshold);
-        if stake < need {
-            return Err(Error::InsufficientStake { got: stake, need });
         }
         if proof == tsig.proof() {
             Ok(())
@@ -337,11 +303,12 @@ mod tests {
         let (keys, pki) = keygen(7, 3);
         let d = digest(99);
         let partials: Vec<_> = keys.iter().take(5).map(|k| k.sign(d)).collect();
-        let tsig = ThresholdSignature::aggregate(d, &partials, &StakeTable::uniform(7), 5).unwrap();
-        assert!(pki.verify_threshold(&tsig, d, 5).is_ok());
-        assert!(pki.verify_threshold(&tsig, d, 6).is_err());
+        let stakes = StakeTable::uniform(7);
+        let tsig = ThresholdSignature::aggregate(d, &partials, &stakes, 5).unwrap();
+        assert!(pki.verify_aggregate(&tsig, d, &stakes, 5).is_ok());
+        assert!(pki.verify_aggregate(&tsig, d, &stakes, 6).is_err());
         assert!(matches!(
-            pki.verify_threshold(&tsig, digest(98), 5),
+            pki.verify_aggregate(&tsig, digest(98), &stakes, 5),
             Err(Error::DigestMismatch { .. })
         ));
     }
@@ -367,7 +334,7 @@ mod tests {
         let empty = decoded(d, 1, &[0]);
         for threshold in [0, 1, 3] {
             assert_eq!(
-                pki.verify_threshold(&empty, d, threshold),
+                pki.verify_aggregate(&empty, d, &StakeTable::uniform(4), threshold),
                 Err(Error::InsufficientSigners {
                     got: 0,
                     need: threshold.max(1)
@@ -386,13 +353,13 @@ mod tests {
         // four-processor table does not know.
         let unknown = decoded(d, 7, &[0b111, 1 << 36]);
         assert_eq!(
-            pki.verify_threshold(&unknown, d, 3),
+            pki.verify_aggregate(&unknown, d, &StakeTable::uniform(4), 3),
             Err(Error::UnknownProcess {
                 id: ProcessId::new(100)
             })
         );
         assert_eq!(
-            pki.verify_threshold(&unknown, digest(6), 3),
+            pki.verify_aggregate(&unknown, digest(6), &StakeTable::uniform(4), 3),
             Err(Error::DigestMismatch {
                 claimed: d.as_u64(),
                 computed: digest(6).as_u64(),

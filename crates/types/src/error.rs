@@ -28,13 +28,6 @@ pub enum Error {
         /// Number of distinct signers required.
         need: usize,
     },
-    /// A certificate tallied less stake than its threshold requires.
-    InsufficientStake {
-        /// Stake tallied over the distinct signers present.
-        got: u128,
-        /// Stake the threshold demands.
-        need: u128,
-    },
     /// A certificate's threshold signature covers a different digest than
     /// the one recomputed from the certificate's own claimed contents.
     DigestMismatch {
@@ -73,9 +66,6 @@ impl fmt::Display for Error {
             Error::InsufficientSigners { got, need } => {
                 write!(f, "certificate has {got} signers but needs {need}")
             }
-            Error::InsufficientStake { got, need } => {
-                write!(f, "certificate tallies {got} stake but needs {need}")
-            }
             Error::DigestMismatch { claimed, computed } => {
                 write!(
                     f,
@@ -110,9 +100,6 @@ mod tests {
         let e = Error::InsufficientSigners { got: 2, need: 5 };
         assert!(e.to_string().contains("2"));
         assert!(e.to_string().contains("5"));
-        let e = Error::InsufficientStake { got: 3, need: 10 };
-        assert!(e.to_string().contains("3 stake"));
-        assert!(e.to_string().contains("10"));
         let e = Error::DigestMismatch {
             claimed: 0xab,
             computed: 0xcd,

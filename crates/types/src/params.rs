@@ -90,13 +90,10 @@ impl Params {
         self.f + 1
     }
 
-    /// The stake table certificate tallies run against: uniform (one unit
-    /// per processor), which makes stake thresholds coincide with the
-    /// paper's processor-count thresholds. Allocation-free, so it is cheap
-    /// to call on every aggregation and verification.
-    ///
-    /// Hosts running weighted-stake experiments construct a
-    /// [`StakeTable::weighted`] directly and pass it to the crypto layer.
+    /// The table certificate tallies count distinct signers against: the
+    /// `n` processors, so thresholds are the paper's processor counts.
+    /// Allocation-free, so it is cheap to call on every aggregation and
+    /// verification.
     pub fn stakes(&self) -> StakeTable {
         StakeTable::uniform(self.n)
     }
@@ -166,17 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn stake_table_is_uniform_over_n() {
+    fn stake_table_counts_the_n_processors() {
         let p = Params::new(10, Duration::from_millis(1));
-        let stakes = p.stakes();
-        assert!(stakes.is_uniform());
-        assert_eq!(stakes.n(), 10);
-        // Uniform stake thresholds coincide with processor-count quorums.
-        assert_eq!(stakes.threshold_stake(p.quorum()), p.quorum() as u128);
-        assert_eq!(
-            stakes.threshold_stake(p.small_quorum()),
-            p.small_quorum() as u128
-        );
+        assert_eq!(p.stakes(), StakeTable::uniform(10));
+        assert_eq!(p.stakes().n(), 10);
     }
 
     #[test]

@@ -1,134 +1,37 @@
-//! Stake tables: per-processor voting weight for quorum tallies.
+//! Stake tables: the system size certificate tallies count against.
 //!
 //! The paper's quorums are counted in *processors* (`f+1`, `2f+1` of `n`),
-//! which is the special case of stake-weighted quorums where every processor
-//! carries equal stake. [`StakeTable`] generalizes the tally: certificate
-//! aggregation and verification sum the stake of the distinct signers and
-//! compare it against a stake threshold derived from the same fraction of
-//! total stake that the processor-count threshold represents.
-//!
-//! The uniform case is represented symbolically (no per-processor vector is
-//! allocated), so [`Params::stakes`](crate::Params::stakes) stays `O(1)` on
-//! the hot certificate-aggregation paths at every system size.
-//!
-//! Stakes are `u128` and deliberately **never serialized**: the table is
-//! reconstructed from [`Params`](crate::Params) (uniform) or supplied by the
-//! host (weighted), so certificates on the wire stay free of stake data and
-//! the deterministic-JSON shim's 64-bit integer model is never exceeded.
+//! so a [`StakeTable`] names `n` and nothing else: certificate aggregation
+//! and verification count distinct signers and reject any signer outside
+//! the `n` processors. It is `O(1)` to build, so
+//! [`Params::stakes`](crate::Params::stakes) is cheap on the hot
+//! certificate-aggregation paths at every system size, and it is never
+//! serialized: certificates on the wire carry no stake data.
 
-use crate::id::ProcessId;
-
-/// Per-processor voting stake, queried during certificate aggregation and
-/// verification.
+/// The processors a certificate's signers are counted among.
 ///
 /// # Example
 ///
 /// ```
-/// use lumiere_types::{ProcessId, StakeTable};
+/// use lumiere_types::StakeTable;
 ///
-/// let uniform = StakeTable::uniform(4);
-/// assert_eq!(uniform.total(), 4);
-/// assert_eq!(uniform.threshold_stake(3), 3);
-///
-/// let weighted = StakeTable::weighted(vec![10, 1, 1, 1]);
-/// assert_eq!(weighted.total(), 13);
-/// assert_eq!(weighted.stake_of(ProcessId::new(0)), Some(10));
-/// // 3-of-4 processors generalizes to ceil(13 * 3 / 4) = 10 stake.
-/// assert_eq!(weighted.threshold_stake(3), 10);
+/// let stakes = StakeTable::uniform(4);
+/// assert_eq!(stakes.n(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StakeTable {
-    weights: Weights,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Weights {
-    /// Every processor holds one unit of stake (allocation-free).
-    Uniform(usize),
-    /// Explicit per-processor stake, indexed by [`ProcessId`].
-    Weighted(Vec<u128>),
+    n: usize,
 }
 
 impl StakeTable {
-    /// A table where each of `n` processors holds exactly one unit of stake.
-    ///
-    /// This reproduces the paper's processor-count quorums and is `O(1)`:
-    /// no per-processor vector is built.
+    /// A table of `n` processors, each counting once towards a quorum.
     pub fn uniform(n: usize) -> Self {
-        StakeTable {
-            weights: Weights::Uniform(n),
-        }
-    }
-
-    /// A table with explicit per-processor stake (`stakes[i]` belongs to
-    /// processor `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stakes` is empty or if the total stake is zero — a system
-    /// where no stake can ever be tallied has no meaningful quorums.
-    pub fn weighted(stakes: Vec<u128>) -> Self {
-        assert!(!stakes.is_empty(), "a stake table needs at least one entry");
-        assert!(
-            stakes.iter().any(|&s| s > 0),
-            "total stake must be positive"
-        );
-        StakeTable {
-            weights: Weights::Weighted(stakes),
-        }
+        StakeTable { n }
     }
 
     /// Number of processors covered by the table.
     pub fn n(&self) -> usize {
-        match &self.weights {
-            Weights::Uniform(n) => *n,
-            Weights::Weighted(stakes) => stakes.len(),
-        }
-    }
-
-    /// Whether every processor holds equal stake.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self.weights, Weights::Uniform(_))
-    }
-
-    /// The stake held by `id`, or `None` if `id` is outside the table.
-    pub fn stake_of(&self, id: ProcessId) -> Option<u128> {
-        match &self.weights {
-            Weights::Uniform(n) => (id.as_usize() < *n).then_some(1),
-            Weights::Weighted(stakes) => stakes.get(id.as_usize()).copied(),
-        }
-    }
-
-    /// Total stake across all processors.
-    pub fn total(&self) -> u128 {
-        match &self.weights {
-            Weights::Uniform(n) => *n as u128,
-            Weights::Weighted(stakes) => stakes.iter().sum(),
-        }
-    }
-
-    /// The stake a certificate must tally to stand in for `count` distinct
-    /// signers out of `n`: the same fraction of total stake, rounded up.
-    ///
-    /// For a uniform table this is exactly `count`, so processor-count
-    /// thresholds (`f+1`, `2f+1`) are unchanged. For a weighted table it is
-    /// `ceil(total * count / n)` (clamped at the total for `count >= n`).
-    pub fn threshold_stake(&self, count: usize) -> u128 {
-        match &self.weights {
-            Weights::Uniform(n) => (count.min(*n)) as u128,
-            Weights::Weighted(stakes) => {
-                let n = stakes.len() as u128;
-                let count = (count as u128).min(n);
-                let total = self.total();
-                // ceil(total * count / n); total and count are bounded by the
-                // caller (u128 stakes, count <= n), overflow would need
-                // total * n > u128::MAX which no test or experiment reaches.
-                total
-                    .checked_mul(count)
-                    .map(|p| p.div_ceil(n))
-                    .unwrap_or(total)
-            }
-        }
+        self.n
     }
 }
 
@@ -140,47 +43,7 @@ mod tests {
     fn uniform_tables_reproduce_processor_counts() {
         let t = StakeTable::uniform(7);
         assert_eq!(t.n(), 7);
-        assert!(t.is_uniform());
-        assert_eq!(t.total(), 7);
-        assert_eq!(t.stake_of(ProcessId::new(0)), Some(1));
-        assert_eq!(t.stake_of(ProcessId::new(6)), Some(1));
-        assert_eq!(t.stake_of(ProcessId::new(7)), None);
-        for count in 0..=8 {
-            assert_eq!(t.threshold_stake(count), count.min(7) as u128);
-        }
-    }
-
-    #[test]
-    fn weighted_tables_scale_thresholds_by_total_stake() {
-        let t = StakeTable::weighted(vec![10, 1, 1, 1]);
-        assert_eq!(t.n(), 4);
-        assert!(!t.is_uniform());
-        assert_eq!(t.total(), 13);
-        // ceil(13 * 3 / 4) = ceil(9.75) = 10: the heavy processor alone
-        // meets a 3-of-4 threshold.
-        assert_eq!(t.threshold_stake(3), 10);
-        // ceil(13 * 1 / 4) = 4: no single light processor meets 1-of-4.
-        assert_eq!(t.threshold_stake(1), 4);
-        assert_eq!(t.threshold_stake(4), 13);
-        assert_eq!(t.threshold_stake(9), 13);
-    }
-
-    #[test]
-    fn out_of_range_processors_hold_no_stake() {
-        let t = StakeTable::weighted(vec![2, 3]);
-        assert_eq!(t.stake_of(ProcessId::new(1)), Some(3));
-        assert_eq!(t.stake_of(ProcessId::new(2)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn empty_tables_are_rejected() {
-        let _ = StakeTable::weighted(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_total_stake_is_rejected() {
-        let _ = StakeTable::weighted(vec![0, 0]);
+        assert_eq!(t, StakeTable::uniform(7));
+        assert_ne!(t, StakeTable::uniform(8));
     }
 }
