@@ -53,7 +53,7 @@ impl Fever {
             clock: LocalClock::new(Time::ZERO),
             view: View::SENTINEL,
             views: ViewLedger::default(),
-            view_msg_pool: SigPool::default(),
+            view_msg_pool: SigPool::new(params.n),
             booted: false,
         }
     }
@@ -87,7 +87,7 @@ impl Fever {
         let signature = self.keys.sign(view_msg_digest(view));
         let leader = self.leader(view);
         if leader == self.id {
-            self.record_view_msg(self.id, view, signature, now, out);
+            self.record_view_msg(view, signature, now, out);
         } else {
             out.push(PacemakerAction::SendTo(
                 leader,
@@ -98,7 +98,6 @@ impl Fever {
 
     fn record_view_msg(
         &mut self,
-        from: ProcessId,
         view: View,
         signature: Signature,
         now: Time,
@@ -108,12 +107,12 @@ impl Fever {
             && view.is_initial()
             && view >= self.view
             && !self.views.has(view, FORMED_VC);
-        let count = self.view_msg_pool.add(view, from, signature);
+        let count = self.view_msg_pool.add(view, signature);
         if !aggregates || count < self.params.small_quorum() {
             return;
         }
         let sigs = self.view_msg_pool.signatures(view);
-        let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.params) else {
+        let Ok(vc) = ViewCert::aggregate(view, sigs, &self.params) else {
             return;
         };
         self.views.mark(view, FORMED_VC | SEEN_VC);
@@ -179,7 +178,7 @@ impl Pacemaker for Fever {
                     && self.pki.verify(signature, view_msg_digest(*view)).is_ok()
                     && view.is_initial() =>
             {
-                self.record_view_msg(from, *view, *signature, now, out);
+                self.record_view_msg(*view, *signature, now, out);
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();

@@ -14,11 +14,11 @@
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::epoch_view_digest;
 use lumiere_core::clock::LocalClock;
-use lumiere_core::ledger::{SigPool, ViewLedger, EPOCH_PAUSE_TAKEN, OBSERVED_QC, SEEN_EC};
+use lumiere_core::ledger::{SenderPool, ViewLedger, EPOCH_PAUSE_TAKEN, OBSERVED_QC, SEEN_EC};
 use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
-use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_crypto::{KeyPair, Pki};
 use lumiere_types::view::EpochLayout;
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
 
@@ -38,7 +38,7 @@ pub struct Lp22 {
     epoch: Epoch,
 
     views: ViewLedger,
-    epoch_msg_pool: SigPool,
+    epoch_msg_pool: SenderPool,
     paused_at_boundary: Option<View>,
     booted: bool,
 }
@@ -59,7 +59,7 @@ impl Lp22 {
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
             views: ViewLedger::default(),
-            epoch_msg_pool: SigPool::default(),
+            epoch_msg_pool: SenderPool::new(params.n),
             paused_at_boundary: None,
             booted: false,
         }
@@ -109,18 +109,17 @@ impl Lp22 {
             view,
             signature,
         }));
-        self.record_epoch_msg(self.id, view, signature, now, out);
+        self.record_epoch_msg(self.id, view, now, out);
     }
 
     fn record_epoch_msg(
         &mut self,
         from: ProcessId,
         view: View,
-        signature: Signature,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.epoch_msg_pool.add(view, from, signature);
+        let count = self.epoch_msg_pool.add(view, from);
         if count >= self.params.quorum() && self.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
@@ -218,7 +217,7 @@ impl Pacemaker for Lp22 {
                     && self.pki.verify(signature, epoch_view_digest(*view)).is_ok()
                     && self.layout.is_epoch_view(*view) =>
             {
-                self.record_epoch_msg(from, *view, *signature, now, out);
+                self.record_epoch_msg(from, *view, now, out);
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();

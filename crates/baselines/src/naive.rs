@@ -10,11 +10,11 @@
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::timeout_digest;
-use lumiere_core::ledger::{SigPool, ViewLedger, OBSERVED_QC, SENT_TIMEOUT};
+use lumiere_core::ledger::{SenderPool, ViewLedger, OBSERVED_QC, SENT_TIMEOUT};
 use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::schedule::LeaderSchedule;
-use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_crypto::{KeyPair, Pki};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
 
 /// A processor's naive quadratic pacemaker.
@@ -31,7 +31,7 @@ pub struct NaiveQuadratic {
     view: View,
     view_entered_at: Time,
     views: ViewLedger,
-    timeout_pool: SigPool,
+    timeout_pool: SenderPool,
     booted: bool,
 }
 
@@ -50,7 +50,7 @@ impl NaiveQuadratic {
             view: View::SENTINEL,
             view_entered_at: Time::ZERO,
             views: ViewLedger::default(),
-            timeout_pool: SigPool::default(),
+            timeout_pool: SenderPool::new(params.n),
             booted: false,
         }
     }
@@ -76,11 +76,10 @@ impl NaiveQuadratic {
         &mut self,
         from: ProcessId,
         view: View,
-        signature: Signature,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.timeout_pool.add(view, from, signature);
+        let count = self.timeout_pool.add(view, from);
         if count >= self.params.quorum() && view >= self.view {
             self.enter(view.next(), now, out);
         }
@@ -113,7 +112,7 @@ impl Pacemaker for NaiveQuadratic {
                 && self.pki.verify(signature, timeout_digest(*view)).is_ok()
                 && view.as_i64() >= 0
             {
-                self.record_timeout(from, *view, *signature, now, out);
+                self.record_timeout(from, *view, now, out);
             }
         }
     }
@@ -146,7 +145,7 @@ impl Pacemaker for NaiveQuadratic {
                     view,
                     signature,
                 }));
-                self.record_timeout(self.id, view, signature, now, out);
+                self.record_timeout(self.id, view, now, out);
             }
         } else {
             out.push(PacemakerAction::WakeAt(

@@ -95,7 +95,7 @@ impl RelayPacemaker {
             relay_attempts: 0,
             relay_deadline: None,
             views: ViewLedger::default(),
-            wish_pool: SigPool::default(),
+            wish_pool: SigPool::new(params.n),
             booted: false,
         }
     }
@@ -143,7 +143,7 @@ impl RelayPacemaker {
             let relay_leader = self.leader(View::new(target.as_i64() + attempt as i64));
             let signature = self.keys.sign(wish_digest(target));
             if relay_leader == self.id {
-                self.record_wish(self.id, target, signature, now, out);
+                self.record_wish(target, signature, now, out);
             } else {
                 out.push(PacemakerAction::SendTo(
                     relay_leader,
@@ -160,18 +160,17 @@ impl RelayPacemaker {
 
     fn record_wish(
         &mut self,
-        from: ProcessId,
         target: View,
         signature: Signature,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.wish_pool.add(target, from, signature);
+        let count = self.wish_pool.add(target, signature);
         if count < self.params.small_quorum() || self.views.has(target, FORMED_SYNC) {
             return;
         }
         let sigs = self.wish_pool.signatures(target);
-        let Ok(cert) = WishCert::aggregate(target, &sigs, &self.params) else {
+        let Ok(cert) = WishCert::aggregate(target, sigs, &self.params) else {
             return;
         };
         self.views.mark(target, FORMED_SYNC);
@@ -212,7 +211,7 @@ impl Pacemaker for RelayPacemaker {
                     && self.pki.verify(signature, wish_digest(*view)).is_ok()
                     && view.as_i64() >= 0 =>
             {
-                self.record_wish(from, *view, *signature, now, out);
+                self.record_wish(*view, *signature, now, out);
             }
             PacemakerMessage::SyncCert(cert)
                 if cert.view() > self.view && cert.verify(&self.pki, &self.params).is_ok() =>

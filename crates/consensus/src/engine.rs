@@ -4,7 +4,7 @@ use crate::block::{Block, BlockHash};
 use crate::messages::ConsensusMessage;
 use crate::qc::QuorumCert;
 use crate::store::BlockStore;
-use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_crypto::{KeyPair, PartialSet, Pki, Signature};
 use lumiere_types::view::ViewWindow;
 use lumiere_types::{Batch, Params, ProcessId, SlashEvidence, Time, View};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,9 +40,9 @@ struct EngineView {
     /// Blocks of the view a verified certificate was seen for (one, unless
     /// more than `f` processors are faulty).
     observed: Vec<BlockHash>,
-    /// Votes collected for this replica's own proposal, by block then
-    /// voter. Emptied once the QC forms.
-    votes: BTreeMap<BlockHash, BTreeMap<ProcessId, Signature>>,
+    /// Votes collected for this replica's own proposal, by block: one
+    /// signer bit and one signature per voter. Emptied once the QC forms.
+    votes: BTreeMap<BlockHash, PartialSet>,
 }
 
 /// A single replica's instance of the underlying protocol.
@@ -88,16 +88,11 @@ pub struct HotStuffEngine {
     /// runtime from its mempool just before view entry. Consumed (taken)
     /// by the proposal; empty when no load is offered.
     staged: Batch,
-    /// Reused aggregation buffer, so forming a QC allocates nothing once
-    /// the buffer has grown to quorum size.
-    partials: Vec<Signature>,
 }
 
 impl HotStuffEngine {
-    /// Creates an engine for processor `id`. The vote buffer is sized for
-    /// one quorum up front.
+    /// Creates an engine for processor `id`.
     pub fn new(id: ProcessId, keys: KeyPair, pki: Pki, params: Params) -> Self {
-        let quorum = params.quorum();
         HotStuffEngine {
             id,
             keys,
@@ -118,7 +113,6 @@ impl HotStuffEngine {
             locks_advanced: 0,
             certs_verified: 0,
             staged: Batch::empty(),
-            partials: Vec::with_capacity(quorum),
         }
     }
 
@@ -200,7 +194,7 @@ impl HotStuffEngine {
     pub fn pending_votes(&self, view: View) -> usize {
         let state = self.views.get(view.as_i64());
         state
-            .and_then(|s| s.votes.values().map(BTreeMap::len).max())
+            .and_then(|s| s.votes.values().map(PartialSet::len).max())
             .unwrap_or(0)
     }
 
@@ -209,7 +203,7 @@ impl HotStuffEngine {
     /// and the block store: what its memory is proportional to.
     pub fn state_entries(&self) -> usize {
         let per_view = |(_, state): (i64, &EngineView)| {
-            1 + state.observed.len() + state.votes.values().map(BTreeMap::len).sum::<usize>()
+            1 + state.observed.len() + state.votes.values().map(PartialSet::len).sum::<usize>()
         };
         self.views.iter().map(per_view).sum::<usize>()
             + self.pending_proposals.len()
@@ -463,8 +457,11 @@ impl HotStuffEngine {
         if state.formed_qc {
             return;
         }
-        let pool = state.votes.entry(block_hash).or_default();
-        pool.insert(signature.signer(), signature);
+        let pool = state
+            .votes
+            .entry(block_hash)
+            .or_insert_with(|| PartialSet::new(self.params.n));
+        pool.insert(signature);
         if pool.len() < self.params.quorum() {
             return;
         }
@@ -473,9 +470,7 @@ impl HotStuffEngine {
         if state.qc_deadline.is_some_and(|deadline| now > deadline) {
             return;
         }
-        self.partials.clear();
-        self.partials.extend(pool.values().copied());
-        let Ok(qc) = QuorumCert::aggregate(view, block_hash, &self.partials, &self.params) else {
+        let Ok(qc) = QuorumCert::aggregate(view, block_hash, pool.as_slice(), &self.params) else {
             return;
         };
         state.formed_qc = true;
@@ -682,6 +677,59 @@ mod tests {
             now,
         );
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_qc_is_the_same_whatever_order_its_votes_arrive_in() {
+        let n = 10;
+        let params = Params::new(n, Duration::from_millis(10));
+        let (keys, pki) = keygen(n, 1);
+        let (view, now) = (View::new(0), Time::ZERO);
+        // The leader's own vote plus six others make the quorum of seven.
+        let orders = [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [3, 6, 1, 5, 2, 4]];
+        let mut qcs = Vec::new();
+        for order in orders {
+            let mut leader =
+                HotStuffEngine::new(keys[0].id(), keys[0].clone(), pki.clone(), params);
+            let block_hash = leader
+                .enter_view(view, keys[0].id(), now)
+                .iter()
+                .find_map(|a| match a {
+                    ConsensusAction::Broadcast(ConsensusMessage::Proposal(b)) => Some(b.hash()),
+                    _ => None,
+                })
+                .unwrap();
+            let vote = |i: usize| ConsensusMessage::Vote {
+                view,
+                block_hash,
+                signature: keys[i].sign(QuorumCert::vote_digest(view, block_hash)),
+            };
+            for (held, &i) in (2..).zip(&order[..order.len() - 1]) {
+                assert!(leader.on_message(keys[i].id(), &vote(i), now).is_empty());
+                assert_eq!(leader.pending_votes(view), held);
+                // A repeat is not counted again.
+                assert!(leader.on_message(keys[i].id(), &vote(i), now).is_empty());
+                assert_eq!(leader.pending_votes(view), held);
+            }
+            let last = order[order.len() - 1];
+            let out = leader.on_message(keys[last].id(), &vote(last), now);
+            let qc = out.iter().find_map(|a| match a {
+                ConsensusAction::QcFormed(qc) => Some(qc.clone()),
+                _ => None,
+            });
+            qcs.push(qc.expect("the seventh vote forms the QC"));
+        }
+        // The leader proposes the same block every time, so one certificate
+        // aggregated from the votes in sender order stands for all three.
+        let block_hash = qcs[0].block_hash();
+        let in_sender_order: Vec<_> = (0..7)
+            .map(|i| keys[i].sign(QuorumCert::vote_digest(view, block_hash)))
+            .collect();
+        let expected = QuorumCert::aggregate(view, block_hash, &in_sender_order, &params).unwrap();
+        for qc in &qcs {
+            assert_eq!(qc, &expected);
+            assert_eq!(format!("{qc:?}"), format!("{expected:?}"));
+        }
     }
 
     #[test]

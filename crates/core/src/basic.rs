@@ -41,7 +41,7 @@ pub struct BasicLumiere {
 
     views: ViewLedger,
     view_msg_pool: SigPool,
-    epoch_msg_pool: SigPool,
+    epoch_msg_pool: SenderPool,
 
     /// Epoch view at which the local clock is paused, if any.
     paused_at_boundary: Option<View>,
@@ -64,8 +64,8 @@ impl BasicLumiere {
             view: View::SENTINEL,
             epoch: Epoch::SENTINEL,
             views: ViewLedger::default(),
-            view_msg_pool: SigPool::default(),
-            epoch_msg_pool: SigPool::default(),
+            view_msg_pool: SigPool::new(params.n),
+            epoch_msg_pool: SenderPool::new(params.n),
             paused_at_boundary: None,
             booted: false,
         }
@@ -116,7 +116,7 @@ impl BasicLumiere {
         let signature = self.keys.sign(view_msg_digest(view));
         let leader = self.leader(view);
         if leader == self.id {
-            self.record_view_msg(self.id, view, signature, now, out);
+            self.record_view_msg(view, signature, now, out);
         } else {
             out.push(PacemakerAction::SendTo(
                 leader,
@@ -127,7 +127,6 @@ impl BasicLumiere {
 
     fn record_view_msg(
         &mut self,
-        from: ProcessId,
         view: View,
         signature: Signature,
         now: Time,
@@ -138,12 +137,12 @@ impl BasicLumiere {
             && !self.layout.is_epoch_view(view)
             && view >= self.view
             && !self.views.has(view, FORMED_VC);
-        let count = self.view_msg_pool.add(view, from, signature);
+        let count = self.view_msg_pool.add(view, signature);
         if !aggregates || count < self.params.small_quorum() {
             return;
         }
         let sigs = self.view_msg_pool.signatures(view);
-        let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.params) else {
+        let Ok(vc) = ViewCert::aggregate(view, sigs, &self.params) else {
             return;
         };
         self.views.mark(view, FORMED_VC | SEEN_VC);
@@ -164,18 +163,17 @@ impl BasicLumiere {
             view,
             signature,
         }));
-        self.record_epoch_msg(self.id, view, signature, now, out);
+        self.record_epoch_msg(self.id, view, now, out);
     }
 
     fn record_epoch_msg(
         &mut self,
         from: ProcessId,
         view: View,
-        signature: Signature,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.epoch_msg_pool.add(view, from, signature);
+        let count = self.epoch_msg_pool.add(view, from);
         if count >= self.params.quorum() && self.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
@@ -274,14 +272,14 @@ impl Pacemaker for BasicLumiere {
                     && self.pki.verify(signature, view_msg_digest(*view)).is_ok()
                     && view.is_initial() =>
             {
-                self.record_view_msg(from, *view, *signature, now, out);
+                self.record_view_msg(*view, *signature, now, out);
             }
             PacemakerMessage::EpochViewMsg { view, signature }
                 if signature.signer() == from
                     && self.pki.verify(signature, epoch_view_digest(*view)).is_ok()
                     && self.layout.is_epoch_view(*view) =>
             {
-                self.record_epoch_msg(from, *view, *signature, now, out);
+                self.record_epoch_msg(from, *view, now, out);
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();

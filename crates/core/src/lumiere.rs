@@ -114,8 +114,9 @@ pub struct Lumiere {
 
     /// View messages collected as leader.
     view_msg_pool: SigPool,
-    /// Epoch-view messages collected (broadcast by everyone).
-    epoch_msg_pool: SigPool,
+    /// Senders of epoch-view messages (broadcast by everyone), counted
+    /// toward a TC and an EC.
+    epoch_msg_pool: SenderPool,
 
     pause: Option<EpochPause>,
     booted: bool,
@@ -124,7 +125,7 @@ pub struct Lumiere {
 impl Lumiere {
     /// Creates the pacemaker for the processor owning `keys`.
     pub fn new(cfg: LumiereConfig, keys: KeyPair, pki: Pki) -> Self {
-        let id = keys.id();
+        let (id, n) = (keys.id(), cfg.params.n);
         Lumiere {
             cfg,
             id,
@@ -135,8 +136,8 @@ impl Lumiere {
             epoch: Epoch::SENTINEL,
             views: ViewLedger::default(),
             epochs: ViewWindow::new(0),
-            view_msg_pool: SigPool::default(),
-            epoch_msg_pool: SigPool::default(),
+            view_msg_pool: SigPool::new(n),
+            epoch_msg_pool: SenderPool::new(n),
             pause: None,
             booted: false,
         }
@@ -217,7 +218,7 @@ impl Lumiere {
         let leader = self.leader(view);
         if leader == self.id {
             // Self-delivery: fold our own message into the pool directly.
-            self.record_view_msg(self.id, view, signature, now, out);
+            self.record_view_msg(view, signature, now, out);
         } else {
             out.push(PacemakerAction::SendTo(leader, msg));
         }
@@ -234,12 +235,11 @@ impl Lumiere {
             signature,
         }));
         // Self-delivery.
-        self.record_epoch_msg(self.id, view, signature, now, out);
+        self.record_epoch_msg(self.id, view, now, out);
     }
 
     fn record_view_msg(
         &mut self,
-        from: ProcessId,
         view: View,
         signature: Signature,
         now: Time,
@@ -251,12 +251,12 @@ impl Lumiere {
             && view.is_initial()
             && view >= self.view
             && !self.views.has(view, FORMED_VC);
-        let count = self.view_msg_pool.add(view, from, signature);
+        let count = self.view_msg_pool.add(view, signature);
         if !aggregates || count < self.cfg.params.small_quorum() {
             return;
         }
         let sigs = self.view_msg_pool.signatures(view);
-        let Ok(vc) = ViewCert::aggregate(view, &sigs, &self.cfg.params) else {
+        let Ok(vc) = ViewCert::aggregate(view, sigs, &self.cfg.params) else {
             return;
         };
         self.views.mark(view, FORMED_VC | SEEN_VC);
@@ -285,11 +285,10 @@ impl Lumiere {
         &mut self,
         from: ProcessId,
         view: View,
-        signature: Signature,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.epoch_msg_pool.add(view, from, signature);
+        let count = self.epoch_msg_pool.add(view, from);
         if count >= self.cfg.params.small_quorum() && self.views.mark(view, SEEN_TC) {
             self.handle_tc(view, now, out);
         }
@@ -459,7 +458,7 @@ impl Lumiere {
         {
             return;
         }
-        self.record_view_msg(from, view, signature, now, out);
+        self.record_view_msg(view, signature, now, out);
         self.sweep(now, out);
     }
 
@@ -480,7 +479,7 @@ impl Lumiere {
         {
             return;
         }
-        self.record_epoch_msg(from, view, signature, now, out);
+        self.record_epoch_msg(from, view, now, out);
         self.sweep(now, out);
     }
 

@@ -132,9 +132,10 @@ pub trait Pacemaker: Debug + Send {
     fn local_clock_reading(&self, now: Time) -> Duration;
 
     /// How many entries this pacemaker holds across its
-    /// [`ViewLedger`](crate::ledger::ViewLedger) records and
-    /// [`SigPool`](crate::ledger::SigPool)s: what its memory is proportional
-    /// to.
+    /// [`ViewLedger`](crate::ledger::ViewLedger) records and the senders in
+    /// its [`SigPool`](crate::ledger::SigPool)s and
+    /// [`SenderPool`](crate::ledger::SenderPool)s: what its memory is
+    /// proportional to.
     fn state_entries(&self) -> usize;
 }
 

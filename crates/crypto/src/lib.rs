@@ -69,7 +69,7 @@ pub use digest::{Digest, DigestValue};
 pub use keys::{keygen, KeyPair, Pki};
 pub use shared::SharedAggregate;
 pub use signature::Signature;
-pub use threshold::{SignerBitmap, ThresholdSignature};
+pub use threshold::{PartialSet, SignerBitmap, ThresholdSignature};
 
 /// Nominal size in bytes of a single signature or threshold signature
 /// (`O(κ)` with κ = 32 bytes), used by [`Authenticator`]'s cost model.

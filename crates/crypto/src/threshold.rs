@@ -113,6 +113,58 @@ impl Wire for SignerBitmap {
     }
 }
 
+/// Partial signatures from distinct signers of an `n`-processor system, in
+/// arrival order: the set a quorum is collected in, and whose
+/// [`as_slice`](Self::as_slice) [`ThresholdSignature::aggregate`] takes.
+///
+/// Membership is one [`SignerBitmap`] bit per processor, so the set costs
+/// `n/8` bytes (rounded up to a word) plus one entry per signer. The first
+/// copy from a signer is kept. Aggregation XORs the tags of distinct
+/// signers, so any arrival order yields the identical certificate.
+#[derive(Debug, Clone)]
+pub struct PartialSet {
+    n: usize,
+    signers: SignerBitmap,
+    partials: Vec<Signature>,
+}
+
+impl PartialSet {
+    /// An empty set for an `n`-processor system.
+    pub fn new(n: usize) -> Self {
+        PartialSet {
+            n,
+            signers: SignerBitmap::new(n),
+            partials: Vec::new(),
+        }
+    }
+
+    /// Adds `signature` and returns whether it was added: a repeat from a
+    /// signer already present, or a signer outside the system (id `≥ n`),
+    /// is refused.
+    pub fn insert(&mut self, signature: Signature) -> bool {
+        let fresh = signature.signer().as_usize() < self.n && self.signers.set(signature.signer());
+        if fresh {
+            self.partials.push(signature);
+        }
+        fresh
+    }
+
+    /// Number of distinct signers held.
+    pub fn len(&self) -> usize {
+        self.partials.len()
+    }
+
+    /// Whether no signature is held.
+    pub fn is_empty(&self) -> bool {
+        self.partials.is_empty()
+    }
+
+    /// The signatures held, in arrival order.
+    pub fn as_slice(&self) -> &[Signature] {
+        &self.partials
+    }
+}
+
 /// A (simulated) threshold signature: a constant-size aggregate proof plus a
 /// fixed-width [`SignerBitmap`] identifying the contributing signers.
 ///
@@ -381,6 +433,59 @@ mod tests {
         let ids: Vec<_> = tsig.signers().iter().map(|p| p.as_usize()).collect();
         assert_eq!(ids, vec![0, 3, 4]);
         assert!(tsig.to_string().contains("3 signers"));
+    }
+
+    #[test]
+    fn a_partial_set_aggregates_alike_in_any_arrival_order() {
+        let n = 130;
+        let (keys, pki) = keygen(n, 5);
+        let d = digest(9);
+        let quorum = 2 * ((n - 1) / 3) + 1;
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut in_order = PartialSet::new(n);
+        for &i in &order {
+            assert!(in_order.insert(keys[i].sign(d)));
+        }
+        // A seeded shuffle, then every signer a second time.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut shuffled = PartialSet::new(n);
+        for &i in order.iter().chain(&order) {
+            shuffled.insert(keys[i].sign(d));
+        }
+        assert_eq!((in_order.len(), shuffled.len()), (n, n));
+        assert_ne!(in_order.as_slice(), shuffled.as_slice());
+        let a = ThresholdSignature::aggregate(d, in_order.as_slice(), &uniform(n), quorum);
+        let b = ThresholdSignature::aggregate(d, shuffled.as_slice(), &uniform(n), quorum);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(pki
+            .verify_aggregate(&a.unwrap(), d, &uniform(n), quorum)
+            .is_ok());
+    }
+
+    #[test]
+    fn a_partial_set_refuses_repeats_and_ids_outside_the_system() {
+        let (keys, _) = keygen(70, 2);
+        let d = digest(10);
+        let mut set = PartialSet::new(7);
+        assert!(set.is_empty());
+        assert!(set.insert(keys[3].sign(d)));
+        let before = ThresholdSignature::aggregate(d, set.as_slice(), &uniform(7), 1).unwrap();
+        // A repeat, even one carrying another tag, leaves the set alone.
+        assert!(!set.insert(keys[3].sign(d)));
+        assert!(!set.insert(Signature::new(ProcessId::new(3), 1)));
+        // Ids past `n`, inside the bitmap's word and past it, are refused.
+        for id in [7, 63, 64, 69] {
+            assert!(!set.insert(keys[id].sign(d)));
+        }
+        assert!(!set.insert(Signature::new(ProcessId::new(u32::MAX as usize), 0)));
+        assert_eq!(set.len(), 1);
+        let after = ThresholdSignature::aggregate(d, set.as_slice(), &uniform(7), 1).unwrap();
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! the seven pacemakers.
 //!
 //! Every pacemaker's per-view flags (`ViewLedger`) and the engine's per-view
-//! records are indexed, and the signature pools (`SigPool`) are ordered maps
-//! keyed by view, so what matters is that none of this reaches an index or a
-//! view-sized allocation: nothing panics or overflows, the node grows by at
+//! records are indexed, and the pools (`SigPool`, `SenderPool`) are ordered
+//! maps keyed by view holding one signer bitmap per view, so what matters is
+//! that none of this reaches an index or a view-sized allocation: a named
+//! view costs one keyed entry and `n/8` bytes of bitmap (rounded up to a
+//! word), nothing panics or overflows, the node grows by at
 //! most the one keyed entry a message class may leave per structure it
 //! reaches (never by anything proportional to the view number), and the
 //! honest run carries on committing. `state_entries` is the oracle.

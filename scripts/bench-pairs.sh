@@ -11,9 +11,12 @@
 # gain is measured on seeds the change was not developed against.
 #
 # Printed: every run's result line, then per workload each end-to-end
-# metric's median and quartiles on both sides, the change/parent ratio of
-# the medians, and how many pairs the change won on `work_per_s` (the
-# quartiles give the parent's interquartile range a claimed gain must beat).
+# metric's median and quartiles on both sides and the change/parent ratio of
+# the medians. The measured metrics a gain can be claimed on (`setup_s`,
+# `work_per_s`, `peak_rss_mb`) are also judged in their BENCHMARK.json
+# `better` direction: how many pairs the change won, whether the medians are
+# further apart than the parent's interquartile range, and whether the
+# median improved by more than the metric's bound.
 #
 # Exits non-zero if, on any workload:
 #   * a run fails its oracle (non-zero exit, "correct": false, or a failed
@@ -77,6 +80,7 @@ import json
 import sys
 
 EXACT = ["msgs_per_commit", "auth_bytes_per_commit", "vlat_ms_p50", "vlat_ms_tail"]
+JUDGED = ["setup_s", "work_per_s", "peak_rss_mb"]
 contract = json.load(open("BENCHMARK.json"))
 metrics = contract["end_to_end"]
 
@@ -135,16 +139,24 @@ for w in [w["name"] for w in contract["workloads"]]:
         q = {s: (quantile(v, 0.25), quantile(v, 0.75)) for s, v in side.items()}
         ratio = med["change"] / med["parent"] if med["parent"] else float("nan")
         worse = ratio < 1 - bound if better == "higher" else ratio > 1 + bound
+        improved = ratio > 1 + bound if better == "higher" else ratio < 1 - bound
         line = (
             f"  {name:22} parent {med['parent']:.6g} [{q['parent'][0]:.6g}, {q['parent'][1]:.6g}]"
             f"  change {med['change']:.6g} [{q['change'][0]:.6g}, {q['change'][1]:.6g}]"
             f"  ratio {ratio:.4f}"
         )
-        if name == "work_per_s":
-            won = sum(value(p["change"], name) > value(p["parent"], name) for p in by_pair.values())
+        if name in JUDGED:
+            sign = 1 if better == "higher" else -1
+            won = sum(
+                sign * (value(p["change"], name) - value(p["parent"], name)) > 0
+                for p in by_pair.values()
+            )
             iqr = q["parent"][1] - q["parent"][0]
             beyond = abs(med["change"] - med["parent"]) > iqr
-            line += f"  won {won}/{len(by_pair)}  medians apart by more than parent IQR: {beyond}"
+            line += (
+                f"  won {won}/{len(by_pair)}  medians apart by more than parent IQR: {beyond}"
+                f"  improved beyond the {bound:.0%} bound: {improved}"
+            )
         if worse:
             line += f"  FAIL worse than the {bound:.0%} bound"
             failed = True
