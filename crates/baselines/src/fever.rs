@@ -58,11 +58,6 @@ impl Fever {
         }
     }
 
-    /// The leader schedule (two consecutive views per leader).
-    pub fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
-    }
-
     fn c(&self, view: View) -> Duration {
         view.clock_time(self.gamma)
     }
@@ -154,6 +149,10 @@ impl Fever {
 impl Pacemaker for Fever {
     fn name(&self) -> &'static str {
         "fever"
+    }
+
+    fn schedule(&self) -> &LeaderSchedule {
+        &self.schedule
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {

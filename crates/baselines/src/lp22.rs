@@ -80,11 +80,6 @@ impl Lp22 {
         self.layout
     }
 
-    /// The leader schedule (round robin).
-    pub fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
-    }
-
     fn c(&self, view: View) -> Duration {
         view.clock_time(self.gamma)
     }
@@ -193,6 +188,10 @@ impl Lp22 {
 impl Pacemaker for Lp22 {
     fn name(&self) -> &'static str {
         "lp22"
+    }
+
+    fn schedule(&self) -> &LeaderSchedule {
+        &self.schedule
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {

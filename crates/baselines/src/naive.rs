@@ -55,11 +55,6 @@ impl NaiveQuadratic {
         }
     }
 
-    /// The leader schedule (round robin).
-    pub fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
-    }
-
     fn enter(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
         if view > self.view {
             self.view = view;
@@ -89,6 +84,10 @@ impl NaiveQuadratic {
 impl Pacemaker for NaiveQuadratic {
     fn name(&self) -> &'static str {
         "naive-quadratic"
+    }
+
+    fn schedule(&self) -> &LeaderSchedule {
+        &self.schedule
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {

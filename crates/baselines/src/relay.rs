@@ -105,11 +105,6 @@ impl RelayPacemaker {
         self.variant
     }
 
-    /// The leader schedule (round robin).
-    pub fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
-    }
-
     fn leader(&self, view: View) -> ProcessId {
         self.schedule.leader(view)
     }
@@ -187,6 +182,10 @@ impl Pacemaker for RelayPacemaker {
             RelayVariant::Cogsworth => "cogsworth",
             RelayVariant::Nk20 => "nk20",
         }
+    }
+
+    fn schedule(&self) -> &LeaderSchedule {
+        &self.schedule
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {

@@ -80,14 +80,14 @@ impl ExperimentScale {
     /// Processor counts for the large-`n` scale sweep. Quick runs the CI
     /// smoke sizes plus n = 1024, which exercises symbolic broadcasts and
     /// their recipient runs at real scale on every PR; full extends to
-    /// n = 4096, where the O(n·f_a + n) vs Θ(n²) separation is over three
+    /// n = 8192, where the O(n·f_a + n) vs Θ(n²) separation is over three
     /// orders of magnitude. The quadratic baselines are capped per
     /// protocol (see [`scale_cap`]) so the sweep's wall clock stays
     /// dominated by the linear protocol, not the baselines' Θ(n²) tails.
     fn scale_ns(&self) -> Vec<usize> {
         match self {
             ExperimentScale::Quick => vec![64, 128, 1024],
-            ExperimentScale::Full => vec![64, 128, 256, 512, 1024, 4096],
+            ExperimentScale::Full => vec![64, 128, 256, 512, 1024, 4096, 8192],
         }
     }
 
@@ -853,7 +853,7 @@ pub fn adversary_suite(scale: ExperimentScale, threads: usize) -> ExperimentRun 
 /// heavy-syncs every epoch) at 256, and LP22 (quadratic at every epoch
 /// boundary in the steady part) and Cogsworth at 1024; only Lumiere — the
 /// protocol whose linearity the sweep certifies — runs uncapped to
-/// n = 4096. The quick sweep is the per-PR CI smoke and must stay in
+/// n = 8192. The quick sweep is the per-PR CI smoke and must stay in
 /// minutes: it keeps every quadratic protocol at its historical n = 128
 /// ceiling (one LP22 steady cell at n = 1024 alone costs several minutes
 /// of Θ(n²) heavy syncs) while still driving the linear protocols —
@@ -926,7 +926,7 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
 
     // Part 1 — worst-case communication after GST: past their cap the
     // quadratic baselines each pay Θ(n²) wall clock to re-demonstrate an
-    // asymptote already visible, while Lumiere alone continues to n = 4096.
+    // asymptote already visible, while Lumiere alone continues to n = 8192.
     let gst = Time::from_millis(200);
     let mut prev = None;
     let table = Sweep {
@@ -991,7 +991,7 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
          quadratic one quadruples it (growth ≈ x4). `msgs / n` flat ⇒ O(n·f_a + n); `msgs / n^2` \
          flat ⇒ Θ(n²). The quadratic baselines stop at their caps (naive 512, LP22/Cogsworth \
          1024) — beyond those sizes their Θ(n²) cells dominate the sweep's wall clock without \
-         adding information; only Lumiere is swept to n = 4096.\n\n{table}"
+         adding information; only Lumiere is swept to n = 8192.\n\n{table}"
     );
 
     // Part 2 — fault-free steady state across epoch boundaries. The same
@@ -1036,7 +1036,7 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
             // responsive views (one QC every ~3δ) give dozens of post-warm-up
             // windows at every n, and per-view work grows with n (certificate
             // handling is Θ(n) per recipient), so an n-proportional target
-            // would make the n = 4096 cell pay Θ(n³) wall clock for no extra
+            // would make the n = 8192 cell pay Θ(n³) wall clock for no extra
             // information. The horizon (≈ 2.5 LP22 epochs of ~1.1nΔ each) is
             // the backstop.
             let qc_target = if protocol == ProtocolKind::Lumiere {
@@ -1076,7 +1076,7 @@ pub fn scale_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
          sync at every epoch boundary, which dominates their `ewc` column. Basic Lumiere is \
          swept to n = 256 and LP22 to n = 1024: beyond those caps their every-epoch Θ(n²) \
          syncs dominate the sweep's wall clock while showing the asymptote already visible at \
-         the cap; only Lumiere continues to n = 4096.\n\n{table}"
+         the cap; only Lumiere continues to n = 8192.\n\n{table}"
     );
     ExperimentRun { markdown, cells }
 }

@@ -20,7 +20,7 @@
 //! | `heavy_syncs` | Section 3.5 / Theorem 1.1(4), heavy-sync suppression |
 //! | `honest_gap` | Lemmas 5.9–5.12, honest-gap dynamics |
 //! | `adversaries` | equivocation / targeted partition / crash–recovery at `f_a = f` |
-//! | `scale` | the O(n·f_a + n) vs Θ(n²) separation at n up to 4096 |
+//! | `scale` | the O(n·f_a + n) vs Θ(n²) separation at n up to 8192 |
 //! | `load` | throughput–latency saturation under open-loop client load |
 //! | `certificates` | constant-size aggregates vs naive signature vectors |
 //!

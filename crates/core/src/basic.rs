@@ -86,11 +86,6 @@ impl BasicLumiere {
         self.layout
     }
 
-    /// The leader schedule used by this instance.
-    pub fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
-    }
-
     fn c(&self, view: View) -> Duration {
         view.clock_time(self.gamma)
     }
@@ -248,6 +243,10 @@ impl BasicLumiere {
 impl Pacemaker for BasicLumiere {
     fn name(&self) -> &'static str {
         "basic-lumiere"
+    }
+
+    fn schedule(&self) -> &LeaderSchedule {
+        &self.schedule
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {

@@ -39,8 +39,9 @@ pub struct LumiereConfig {
     /// Leader schedule (paired-reverse permutation).
     pub schedule: LeaderSchedule,
     /// QCs each leader must produce within an epoch for the success
-    /// criterion (10).
-    pub success_qcs_per_leader: usize,
+    /// criterion (10). A leader's tally stops at this bar, so one byte
+    /// holds it.
+    pub success_qcs_per_leader: u8,
     /// A deliberately planted bug, for fuzzer calibration only. Inert unless
     /// the `planted-bugs` feature (or a test build) compiled the broken code
     /// path in — see [`crate::planted`].
@@ -86,8 +87,9 @@ struct EpochPause {
 struct EpochState {
     /// Whether this processor has observed the success criterion.
     success: bool,
-    /// Distinct views with a QC, per leader (indexed by processor id).
-    qcs_by_leader: Vec<usize>,
+    /// Distinct views with a QC, per leader (indexed by processor id),
+    /// counted up to the criterion's per-leader bar and no further.
+    qcs_by_leader: Vec<u8>,
     /// Leaders whose count has reached the criterion's per-leader bar.
     leaders_done: usize,
 }
@@ -346,15 +348,20 @@ impl Lumiere {
         let leader = self.leader(v).as_usize();
         // A bar of zero is met by a leader's first QC, as any bar is.
         let bar = self.cfg.success_qcs_per_leader.max(1);
-        let quorum = self.cfg.params.quorum();
+        let (n, quorum) = (self.cfg.params.n, self.cfg.params.quorum());
         let state = self.epochs.get_or_insert(epoch)?;
         if fresh {
-            if state.qcs_by_leader.len() <= leader {
-                state.qcs_by_leader.resize(leader + 1, 0);
+            if state.qcs_by_leader.is_empty() {
+                // Allocated once at n bytes: grown by leader id, its
+                // capacity would double to about 2n.
+                state.qcs_by_leader = vec![0; n];
             }
-            state.qcs_by_leader[leader] += 1;
-            if state.qcs_by_leader[leader] == bar {
-                state.leaders_done += 1;
+            let count = &mut state.qcs_by_leader[leader];
+            if *count < bar {
+                *count += 1;
+                if *count == bar {
+                    state.leaders_done += 1;
+                }
             }
         }
         if state.success || state.leaders_done < quorum {
@@ -545,6 +552,10 @@ impl Lumiere {
 impl Pacemaker for Lumiere {
     fn name(&self) -> &'static str {
         "lumiere"
+    }
+
+    fn schedule(&self) -> &LeaderSchedule {
+        &self.cfg.schedule
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
@@ -1046,28 +1057,76 @@ mod tests {
         assert_eq!(pm.current_view(), View::new(0));
     }
 
+    /// A QC for view `v` signed by three of the four keys.
+    fn qc_of(v: i64, keys: &[KeyPair], params: &Params) -> QuorumCert {
+        let digest = QuorumCert::vote_digest(View::new(v), v as u64 + 1);
+        let votes: Vec<_> = keys.iter().take(3).map(|k| k.sign(digest)).collect();
+        QuorumCert::aggregate(View::new(v), v as u64 + 1, &votes, params).unwrap()
+    }
+
     #[test]
     fn copies_of_a_qc_count_once_toward_the_success_criterion() {
-        let (mut pm, keys, params, _) = in_epoch_zero();
-        let epoch_len = pm.config().layout.epoch_len() as i64;
-        let mut now = Time::from_millis(1);
         // Three schedule windows of `2n` views — six views per leader — with
         // every QC delivered twice (as a leader sees its own: formed, then
-        // observed): twelve deliveries per leader, above the bar of ten, but
-        // six distinct views, below it.
-        assert!(epoch_len >= 24);
-        for v in 0..24 {
-            let digest = QuorumCert::vote_digest(View::new(v), v as u64 + 1);
-            let votes: Vec<_> = keys.iter().take(3).map(|k| k.sign(digest)).collect();
-            let qc = QuorumCert::aggregate(View::new(v), v as u64 + 1, &votes, &params).unwrap();
-            for formed_locally in [true, false] {
-                now += Duration::from_micros(100);
-                pm.on_qc(&qc, formed_locally, now);
+        // observed): twelve deliveries per leader. Under the bar of ten that
+        // is six distinct views, below it; under a bar of four each leader
+        // stops at the bar and counts once toward the quorum.
+        for (bar, tally, done) in [(10, 6, 0), (4, 4, 4)] {
+            let (mut pm, keys, params, _) = in_epoch_zero();
+            pm.cfg.success_qcs_per_leader = bar;
+            let epoch_len = pm.config().layout.epoch_len() as i64;
+            let mut now = Time::from_millis(1);
+            assert!(epoch_len >= 24);
+            for v in 0..24 {
+                let qc = qc_of(v, &keys, &params);
+                for formed_locally in [true, false] {
+                    now += Duration::from_micros(100);
+                    pm.on_qc(&qc, formed_locally, now);
+                }
+            }
+            assert_eq!(pm.successful_epochs().is_empty(), done == 0);
+            let state = pm.epochs.get(0).unwrap();
+            assert_eq!(state.qcs_by_leader, [tally; 4], "bar {bar}");
+            assert_eq!(state.leaders_done, done, "bar {bar}");
+        }
+    }
+
+    #[test]
+    fn an_epoch_succeeds_at_the_quorum_th_leader_to_reach_the_bar() {
+        let (mut pm, keys, params, _) = in_epoch_zero();
+        let bar = 2;
+        pm.cfg.success_qcs_per_leader = bar;
+        // Epoch 0's views grouped by leader, leaders in schedule order: each
+        // leader's whole run of QCs (ten, five times the bar) arrives before
+        // the next leader's first.
+        let epoch_len = pm.config().layout.epoch_len() as i64;
+        let mut by_leader: Vec<(ProcessId, Vec<i64>)> = Vec::new();
+        for v in 0..epoch_len {
+            let leader = pm.leader(View::new(v));
+            match by_leader.iter_mut().find(|(l, _)| *l == leader) {
+                Some((_, views)) => views.push(v),
+                None => by_leader.push((leader, vec![v])),
             }
         }
-        assert!(pm.successful_epochs().is_empty());
-        let tallies = &pm.epochs.get(0).unwrap().qcs_by_leader;
-        assert_eq!(tallies, &[6, 6, 6, 6]);
+        let quorum = params.quorum();
+        assert_eq!((by_leader.len(), quorum), (4, 3));
+        let mut now = Time::from_millis(1);
+        for (rank, (_, views)) in by_leader.iter().enumerate() {
+            for (i, &v) in views.iter().enumerate() {
+                now += Duration::from_micros(100);
+                pm.on_qc(&qc_of(v, &keys, &params), false, now);
+                let reached = rank + usize::from(i + 1 >= usize::from(bar));
+                let state = pm.epochs.get(0).unwrap();
+                assert_eq!(state.leaders_done, reached, "view {v}");
+                assert_eq!(
+                    pm.successful_epochs().contains(&0),
+                    reached >= quorum,
+                    "view {v}: success comes with the {quorum}th leader at the bar"
+                );
+            }
+        }
+        let state = pm.epochs.get(0).unwrap();
+        assert_eq!(state.qcs_by_leader, [bar; 4]);
     }
 
     #[test]

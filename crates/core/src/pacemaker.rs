@@ -13,6 +13,7 @@
 //! event allocates no action list.
 
 use crate::messages::PacemakerMessage;
+use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_types::{Duration, ProcessId, Time, View};
 use std::fmt::Debug;
@@ -71,6 +72,9 @@ pub enum PacemakerAction {
 pub trait Pacemaker: Debug + Send {
     /// A short protocol name used in reports (e.g. `"lumiere"`, `"lp22"`).
     fn name(&self) -> &'static str;
+
+    /// The schedule naming each view's leader.
+    fn schedule(&self) -> &LeaderSchedule;
 
     /// Called once when the processor starts, before any other event.
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>);

@@ -14,10 +14,12 @@ use lumiere_types::{ProcessId, View};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A deterministic mapping from views to leaders.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A clone is O(1): the only table, Lumiere's permutation, is shared.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaderSchedule {
     /// `lead(v) = v mod n` (LP22).
     RoundRobin {
@@ -37,8 +39,9 @@ pub enum LeaderSchedule {
     /// first view of window `k+1` — in particular the last leader of every
     /// epoch equals the first leader of the next epoch.
     PairedReverse {
-        /// The base permutation of processor indices.
-        order: Vec<ProcessId>,
+        /// The base permutation of processor indices, shared by every
+        /// replica built from one cluster's configuration.
+        order: Arc<[ProcessId]>,
     },
 }
 
@@ -58,9 +61,11 @@ impl LeaderSchedule {
     /// Lumiere's paired-reverse schedule over a seeded random permutation.
     pub fn lumiere(n: usize, seed: u64) -> Self {
         assert!(n > 0);
-        let mut order: Vec<ProcessId> = ProcessId::all(n).collect();
+        let mut order: Arc<[ProcessId]> = ProcessId::all(n).collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x004c_756d_6965_7265_u64);
-        order.shuffle(&mut rng);
+        Arc::get_mut(&mut order)
+            .expect("a fresh order has one owner")
+            .shuffle(&mut rng);
         LeaderSchedule::PairedReverse { order }
     }
 

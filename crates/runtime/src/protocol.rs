@@ -87,24 +87,51 @@ impl ProtocolKind {
         pki: Pki,
         seed: u64,
     ) -> Box<dyn Pacemaker> {
-        self.build_pacemaker_with(params, keys, pki, seed, None)
+        self.pacemaker_factory(params, &pki, seed, None).build(keys)
     }
 
-    /// Like [`ProtocolKind::build_pacemaker`], optionally planting a
-    /// calibration bug (Lumiere only; other protocols ignore it — see
-    /// [`lumiere_core::planted`]).
-    pub fn build_pacemaker_with(
+    /// The pacemaker builder of one cluster: what every processor shares —
+    /// Lumiere's leader order — is built here once, and
+    /// [`PacemakerFactory::build`] builds each processor's pacemaker around
+    /// it. `planted` plants a calibration bug (Lumiere only; other protocols
+    /// ignore it — see [`lumiere_core::planted`]).
+    pub fn pacemaker_factory<'a>(
         &self,
         params: Params,
-        keys: KeyPair,
-        pki: Pki,
+        pki: &'a Pki,
         seed: u64,
         planted: Option<PlantedBug>,
-    ) -> Box<dyn Pacemaker> {
-        match self {
+    ) -> PacemakerFactory<'a> {
+        let lumiere = (*self == ProtocolKind::Lumiere).then(|| LumiereConfig {
+            planted,
+            ..LumiereConfig::new(params, seed)
+        });
+        PacemakerFactory {
+            kind: *self,
+            params,
+            pki,
+            lumiere,
+        }
+    }
+}
+
+/// Builds one cluster's pacemakers (see [`ProtocolKind::pacemaker_factory`]).
+#[derive(Debug)]
+pub struct PacemakerFactory<'a> {
+    kind: ProtocolKind,
+    params: Params,
+    pki: &'a Pki,
+    /// Lumiere's configuration, its leader order included.
+    lumiere: Option<LumiereConfig>,
+}
+
+impl PacemakerFactory<'_> {
+    /// The pacemaker of the processor owning `keys`.
+    pub fn build(&self, keys: KeyPair) -> Box<dyn Pacemaker> {
+        let (params, pki) = (self.params, self.pki.clone());
+        match self.kind {
             ProtocolKind::Lumiere => {
-                let mut cfg = LumiereConfig::new(params, seed);
-                cfg.planted = planted;
+                let cfg = self.lumiere.clone().expect("built for Lumiere");
                 Box::new(Lumiere::new(cfg, keys, pki))
             }
             ProtocolKind::BasicLumiere => Box::new(BasicLumiere::new(params, keys, pki)),
@@ -150,7 +177,9 @@ pub fn build_runtime_with(
     let params = Params::new(n, delta);
     let (keys, pki) = keygen(n, seed);
     let key = keys[who].clone();
-    let pacemaker = protocol.build_pacemaker_with(params, key.clone(), pki.clone(), seed, planted);
+    let pacemaker = protocol
+        .pacemaker_factory(params, &pki, seed, planted)
+        .build(key.clone());
     let engine = HotStuffEngine::new(key.id(), key, pki, params);
     ProtocolRuntime::new(ProcessId::new(who), pacemaker, engine)
 }

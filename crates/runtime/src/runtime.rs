@@ -17,7 +17,7 @@ use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
 use lumiere_consensus::{Block, ConsensusAction, HotStuffEngine};
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
-use lumiere_core::{Mempool, MempoolConfig};
+use lumiere_core::{LeaderSchedule, Mempool, MempoolConfig};
 use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
 use std::collections::VecDeque;
 use std::fmt::Debug;
@@ -189,6 +189,11 @@ impl ProtocolRuntime {
     /// Whether the pacemaker has booted (run its first event).
     pub fn booted(&self) -> bool {
         self.booted
+    }
+
+    /// The pacemaker's leader schedule.
+    pub fn schedule(&self) -> &LeaderSchedule {
+        self.pacemaker.schedule()
     }
 
     /// The pacemaker's local-clock reading (for honest-gap metrics).

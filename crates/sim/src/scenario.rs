@@ -245,16 +245,13 @@ impl SimConfig {
              code paths (enable the `planted-bugs` feature)"
         );
         let (keys, pki) = keygen(self.n, self.seed);
+        let pacemakers = self
+            .protocol
+            .pacemaker_factory(params, &pki, self.seed, self.planted_bug);
         keys.into_iter()
             .map(|k| {
                 let id = k.id();
-                let pacemaker = self.protocol.build_pacemaker_with(
-                    params,
-                    k.clone(),
-                    pki.clone(),
-                    self.seed,
-                    self.planted_bug,
-                );
+                let pacemaker = pacemakers.build(k.clone());
                 let engine = HotStuffEngine::new(id, k, pki.clone(), params);
                 let strategy = schedule
                     .strategy_for(id.as_usize())
@@ -289,6 +286,10 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumiere_core::LeaderSchedule;
+    use lumiere_runtime::build_runtime;
+    use lumiere_types::View;
+    use std::sync::Arc;
 
     fn quick(protocol: ProtocolKind) -> SimConfig {
         SimConfig::new(protocol, 4)
@@ -360,6 +361,33 @@ mod tests {
                 "{} never recovered after GST",
                 protocol.name()
             );
+        }
+    }
+
+    #[test]
+    fn a_cluster_shares_one_leader_order_and_live_nodes_agree_with_it() {
+        let (n, seed) = (10, 5);
+        let cfg = SimConfig::new(ProtocolKind::Lumiere, n).with_seed(seed);
+        let nodes = cfg.build_nodes();
+        let order_of = |host: &StrategyHost| match host.runtime().schedule() {
+            LeaderSchedule::PairedReverse { order } => Arc::clone(order),
+            other => panic!("Lumiere runs the paired-reverse schedule, not {other:?}"),
+        };
+        let shared = order_of(&nodes[0]);
+        assert!(nodes
+            .iter()
+            .all(|host| Arc::ptr_eq(&order_of(host), &shared)));
+        // The n replicas and `shared`: the builder kept no copy of its own.
+        assert_eq!(Arc::strong_count(&shared), n + 1);
+        for (who, host) in nodes.iter().enumerate() {
+            let live = build_runtime(ProtocolKind::Lumiere, n, who, cfg.delta_cap, seed);
+            for v in (0..4 * n as i64).map(View::new) {
+                assert_eq!(
+                    live.schedule().leader(v),
+                    host.runtime().schedule().leader(v),
+                    "node {who}, view {v:?}"
+                );
+            }
         }
     }
 

@@ -11,11 +11,20 @@
 //! quorum-sized aggregation buffer at build time; 1 404 343 once a quorum's
 //! signers became bits — a `PartialSet` per aggregated view and per voted
 //! block, a count-only `SenderPool` for epoch-view messages, no buffer. Of
-//! the old peak, the epoch-view pools alone were about 31 %. The budget
-//! sits between the two, so a per-signer map coming back fails here.
+//! the old peak, the epoch-view pools alone were about 31 %. Then
+//! 1 245 127 once the cluster shared one leader order instead of one per
+//! replica, and each leader's success tally became one byte that stops at
+//! the bar. The budget sits between the last two, so a per-signer map, a
+//! per-replica order or a word-sized tally coming back fails here.
 //!
-//! The test is alone in its binary so nothing else runs on the counted
-//! thread's allocator.
+//! A second check builds the same configuration at n = 256 and n = 2048
+//! without running it: 1 361 and 1 340 live bytes per replica with the
+//! shared order, against 2 389 and 9 536 while each replica built an order
+//! of its own (4n bytes more per replica).
+//!
+//! The tests are alone in their binary so nothing else runs on the counted
+//! threads' allocator; the counters are per thread, so the two may run
+//! side by side.
 
 use lumiere_sim::runner::Simulation;
 use lumiere_sim::{ProtocolKind, SimConfig};
@@ -62,18 +71,23 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
 
-/// Peak live bytes the run may reach: above the 1 404 343 it reaches, below
-/// the 2 254 055 per-signer maps and per-replica buffers brought.
-const BUDGET: isize = 1_800_000;
+/// Peak live bytes the run may reach: above the 1 245 127 it reaches, below
+/// the 1 404 343 a per-replica leader order and word-sized tallies brought.
+const BUDGET: isize = 1_320_000;
+
+/// The `sim_steady` configuration at `n` processors.
+fn steady(n: usize, seed: u64) -> SimConfig {
+    SimConfig::new(ProtocolKind::Lumiere, n)
+        .with_delta(Duration::from_millis(10))
+        .with_seed(seed)
+        .with_actual_delay(Duration::from_millis(1))
+        .with_max_honest_qcs(20)
+}
 
 /// Builds and runs one `sim_steady` unit; returns the peak live bytes above
 /// what was live before it, and the QCs it formed.
 fn peak_of_one_run(seed: u64) -> (isize, usize) {
-    let cfg = SimConfig::new(ProtocolKind::Lumiere, 128)
-        .with_delta(Duration::from_millis(10))
-        .with_seed(seed)
-        .with_actual_delay(Duration::from_millis(1))
-        .with_max_honest_qcs(20);
+    let cfg = steady(128, seed);
     let base = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(base));
     let report = Simulation::new(cfg).run();
@@ -96,5 +110,26 @@ fn steady_state_peak_heap_stays_within_its_budget() {
     assert!(
         peak <= BUDGET,
         "peak live heap {peak} bytes (budget {BUDGET})"
+    );
+}
+
+/// Live bytes per replica a built, not yet run, `sim_steady` simulation of
+/// `n` processors holds: keys, queue and metrics included.
+fn built_bytes_per_replica(n: usize) -> isize {
+    let base = LIVE.with(Cell::get);
+    let sim = Simulation::new(steady(n, 42));
+    let live = LIVE.with(Cell::get) - base;
+    drop(sim);
+    live / n as isize
+}
+
+#[test]
+fn a_built_replica_holds_no_state_that_grows_with_n() {
+    let small = built_bytes_per_replica(256);
+    let large = built_bytes_per_replica(2048);
+    println!("built: {small} bytes per replica at n = 256, {large} at n = 2048");
+    assert!(
+        large <= small + 64,
+        "a replica built at n = 2048 holds {large} bytes, {small} at n = 256"
     );
 }

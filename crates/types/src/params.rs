@@ -137,7 +137,7 @@ impl Params {
 
     /// Number of QCs a single leader must produce within an epoch for the
     /// Lumiere success criterion (each leader gets 10 views per epoch).
-    pub fn success_qcs_per_leader(&self) -> usize {
+    pub fn success_qcs_per_leader(&self) -> u8 {
         10
     }
 }

@@ -12,9 +12,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Lines of stdin above the first line-initial `#[cfg(test)]`.
+# Lines of stdin above the first line-initial `#[cfg(test)]`. It reads to
+# the end: leaving early would break `git show`'s pipe under pipefail.
 above_tests() {
-    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'
+    awk '/^#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n + 0 }'
 }
 
 total=0
