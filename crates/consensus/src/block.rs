@@ -4,7 +4,6 @@ use crate::qc::QuorumCert;
 use lumiere_crypto::Digest;
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Batch, Memo, ProcessId, View};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -27,12 +26,12 @@ pub const GENESIS_HASH: BlockHash = 0x6765_6e65_7369_7321;
 /// built or decoded — and every store, parked proposal and commit
 /// notification in the process (in the simulator: every replica) shares
 /// that allocation, and with it the answer of [`Block::well_formed`], kept
-/// in the allocation's [`Memo`]. Equality, `Debug`, the serde form and the
-/// wire form are those of the fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// in the allocation's [`Memo`]. Equality, `Debug` and the wire form are
+/// those of the fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block(Arc<Memo<Fields, bool>>);
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Fields {
     hash: BlockHash,
     parent: BlockHash,
@@ -133,8 +132,8 @@ impl Block {
     ///
     /// Computed on the first call and kept in the allocation: the fields
     /// are immutable, so every later call, from this handle or any other
-    /// sharing the allocation, has the same answer. A decoded or
-    /// deserialized block is an allocation of its own and is checked afresh.
+    /// sharing the allocation, has the same answer. A decoded block is an
+    /// allocation of its own and is checked afresh.
     pub fn well_formed(&self) -> bool {
         *self.0.memo().get_or_init(|| {
             if self.is_genesis() {
@@ -340,20 +339,17 @@ mod tests {
     }
 
     #[test]
-    fn a_decoded_or_deserialized_copy_of_a_checked_block_starts_unchecked() {
+    fn a_decoded_copy_of_a_checked_block_starts_unchecked() {
         let good = full_block();
         assert!(good.well_formed());
-        let decoded = Block::decode_exact(&wire(&good)).unwrap();
-        let parsed: Block = serde::json::from_str(&serde::json::to_string(&good)).unwrap();
-        for copy in [decoded, parsed] {
-            assert!(!Arc::ptr_eq(&good.0, &copy.0));
-            assert_eq!(copy.0.memo().get(), None);
-            assert!(copy.well_formed());
-        }
+        let copy = Block::decode_exact(&wire(&good)).unwrap();
+        assert!(!Arc::ptr_eq(&good.0, &copy.0));
+        assert_eq!(copy.0.memo().get(), None);
+        assert!(copy.well_formed());
     }
 
     /// A checked block and an unchecked (decoded) copy of it read the same
-    /// in every form a report or an action-stream pin is made of.
+    /// in every form an action-stream pin or a frame is made of.
     #[test]
     fn a_checked_and_an_unchecked_block_look_the_same() {
         let checked = full_block();
@@ -362,10 +358,6 @@ mod tests {
         assert_eq!(format!("{checked:?}"), format!("{unchecked:?}"));
         assert_eq!(format!("{checked:#?}"), format!("{unchecked:#?}"));
         assert!(format!("{checked:?}").starts_with("Block(Fields { hash: "));
-        assert_eq!(
-            serde::json::to_string(&checked),
-            serde::json::to_string(&unchecked)
-        );
         assert_eq!(wire(&checked), wire(&unchecked));
         assert_eq!(checked, unchecked);
     }
@@ -386,20 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn a_full_block_keeps_its_json_and_wire_bytes() {
-        // Both forms as they were before `Block` became a handle over a
-        // shared allocation: the handle must not show in either.
+    fn a_full_block_keeps_its_wire_bytes() {
+        // The wire form as it was before `Block` became a handle over a
+        // shared allocation: the handle must not show in it.
         let good = full_block();
-        let txs: Vec<String> = (1_000..1_064)
-            .map(|id| format!(r#"{{"id":{id},"size":256}}"#))
-            .collect();
-        let json = format!(
-            r#"{{"hash":11024848359162350376,"parent":43981,"height":9,"view":5,"proposer":2,"payload":{{"txs":[{}]}},"justify":{{"view":4,"block_hash":43981,"tsig":null}}}}"#,
-            txs.join(",")
-        );
-        assert_eq!(serde::json::to_string(&good), json);
-        assert_eq!(serde::json::from_str::<Block>(&json).unwrap(), good);
-
         let mut wire = Vec::new();
         for word in [0x9900_212b_a66b_8b28_u64, 0xabcd, 9, 5] {
             wire.extend_from_slice(&word.to_le_bytes());

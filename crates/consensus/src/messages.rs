@@ -5,11 +5,10 @@ use crate::qc::QuorumCert;
 use lumiere_crypto::{Authenticator, Signature};
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::View;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Messages exchanged by the underlying protocol within a view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConsensusMessage {
     /// Leader's proposal for its view.
     Proposal(Block),

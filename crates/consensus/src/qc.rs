@@ -6,7 +6,6 @@ use lumiere_crypto::{
 };
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, Params, Result, View};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quorum certificate: a `2f+1` threshold signature over `(view, block)`
@@ -19,7 +18,7 @@ use std::fmt;
 /// certificate is aggregated or decoded, so `clone` — into `high_qc`, a
 /// proposal's justify, every notification — is a reference bump, and the
 /// replicas sharing one allocation check it once between them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuorumCert {
     view: View,
     block_hash: BlockHash,
@@ -209,12 +208,10 @@ mod tests {
         assert!(!shared(&qc, &decoded), "a decoded copy is its own");
         assert_eq!(decoded, qc, "and equal field by field");
         assert!(decoded.verify(&pki, &params).is_ok());
-        let json = serde::json::to_string(&qc);
-        assert_eq!(serde::json::from_str::<QuorumCert>(&json).unwrap(), qc);
     }
 
     /// A checked certificate and an unchecked (decoded) copy of it read the
-    /// same in every form a report or an action-stream pin is made of.
+    /// same in every form an action-stream pin or a frame is made of.
     #[test]
     fn a_checked_and_an_unchecked_copy_look_the_same() {
         let (keys, pki, params) = setup(7);
@@ -223,10 +220,6 @@ mod tests {
         assert!(checked.verify(&pki, &params).is_ok());
         assert_eq!(format!("{checked:?}"), format!("{unchecked:?}"));
         assert_eq!(format!("{checked:#?}"), format!("{unchecked:#?}"));
-        assert_eq!(
-            serde::json::to_string(&checked),
-            serde::json::to_string(&unchecked)
-        );
         assert_eq!(wire(&checked), wire(&unchecked));
         assert_eq!(checked, unchecked);
     }

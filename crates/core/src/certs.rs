@@ -16,7 +16,6 @@ use lumiere_crypto::{
 };
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Params, Result, View};
-use serde::{Deserialize, Serialize};
 
 const VIEW_MSG: Digest = Digest::new(b"view-msg");
 
@@ -56,7 +55,7 @@ macro_rules! certificate {
         /// The threshold signature is a [`SharedAggregate`]: `clone` is a
         /// reference bump, and the replicas sharing one allocation check it
         /// once between them.
-        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, PartialEq, Eq)]
         pub struct $name {
             view: View,
             tsig: SharedAggregate,
@@ -336,22 +335,18 @@ mod tests {
     }
 
     /// A checked `cert` and an unchecked (decoded) copy of it read the same
-    /// in every form a report or an action-stream pin is made of; a forgery
+    /// in every form an action-stream pin or a frame is made of; a forgery
     /// of it, made before any check and shared by eight handles, fails
     /// every check on every handle.
     fn memo_is_invisible_and_forgeries_always_fail<C>(cert: C, verify: impl Fn(&C) -> bool)
     where
-        C: Wire + Clone + std::fmt::Debug + Serialize + PartialEq,
+        C: Wire + Clone + std::fmt::Debug + PartialEq,
     {
         let unchecked = C::decode_exact(&wire(&cert)).unwrap();
         assert!(verify(&cert));
         assert_eq!(format!("{cert:?}"), format!("{unchecked:?}"));
         assert_eq!(format!("{cert:#?}"), format!("{unchecked:#?}"));
         assert!(format!("{cert:?}").contains(", tsig: ThresholdSignature { digest: "));
-        assert_eq!(
-            serde::json::to_string(&cert),
-            serde::json::to_string(&unchecked)
-        );
         assert_eq!(wire(&cert), wire(&unchecked));
         assert!(cert == unchecked);
         let handles = vec![forged(&cert); 8];

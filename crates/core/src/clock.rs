@@ -5,7 +5,6 @@
 //! paused, and that the protocol may *bump* forward (never backward).
 
 use lumiere_types::{Duration, Time};
-use serde::{Deserialize, Serialize};
 
 /// A processor's local clock.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// clock.bump_to(Duration::from_millis(20), Time::from_millis(10));
 /// assert_eq!(clock.reading(Time::from_millis(10)), Duration::from_millis(20));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalClock {
     reading_at_anchor: Duration,
     anchor: Time,

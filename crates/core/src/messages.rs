@@ -4,7 +4,6 @@ use crate::certs::{EpochCert, TimeoutCert, ViewCert, WishCert};
 use lumiere_crypto::{Authenticator, Signature};
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::View;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Messages used by the view-synchronization protocols.
@@ -13,7 +12,7 @@ use std::fmt;
 /// LP22, Fever, Cogsworth/NK20, naive quadratic) so the simulator can route
 /// them uniformly; each protocol only sends and reacts to the variants its
 /// specification defines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PacemakerMessage {
     /// "I have entered initial view `v`" — sent to `lead(v)` (Fever, Basic
     /// Lumiere, Lumiere).

@@ -6,16 +6,13 @@
 //! keeps every certificate `Copy`.
 
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Finalised digest value.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DigestValue(pub u64);
 
 impl DigestValue {

@@ -5,7 +5,6 @@ use crate::keys::Pki;
 use crate::threshold::ThresholdSignature;
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Memo, Result, StakeTable};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -22,13 +21,12 @@ use std::sync::Arc;
 /// digest, `n` and the threshold) in the allocation's [`Memo`], and a later
 /// call with exactly that key returns `Ok` without walking the signers.
 ///
-/// A decoded or deserialized handle is a new allocation with an empty memo,
-/// so a live node still checks every copy it receives. A failure is never
-/// recorded, so every error is recomputed and returned as
-/// [`Pki::verify_aggregate`] returns it. Equality, the serde form and the
-/// wire form are the signature's own, and so is `Debug`; two handles on one
-/// allocation compare equal without reading it.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A decoded handle is a new allocation with an empty memo, so a live node
+/// still checks every copy it receives. A failure is never recorded, so
+/// every error is recomputed and returned as [`Pki::verify_aggregate`]
+/// returns it. Equality, `Debug` and the wire form are the signature's own;
+/// two handles on one allocation compare equal without reading it.
+#[derive(Clone, PartialEq, Eq)]
 pub struct SharedAggregate(Arc<Memo<ThresholdSignature, CheckKey>>);
 
 /// Everything a check depends on besides the (immutable) signature.
@@ -160,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn a_decoded_or_deserialized_copy_starts_unchecked_and_looks_the_same() {
+    fn a_decoded_copy_starts_unchecked_and_looks_the_same() {
         let (pki, agg) = five_of_seven(3);
         let unchecked = agg.clone();
         assert_eq!(
@@ -173,18 +171,12 @@ mod tests {
         );
         let mut bytes = Vec::new();
         agg.encode_into(&mut bytes);
-        let decoded = SharedAggregate::decode_exact(&bytes).unwrap();
-        let json = serde::json::to_string(&agg);
-        let parsed: SharedAggregate = serde::json::from_str(&json).unwrap();
-        for copy in [&decoded, &parsed] {
-            assert!(copy.0.memo().get().is_none());
-            assert_eq!(copy, &agg);
-            assert_eq!(format!("{copy:?}"), format!("{:?}", *agg));
-            assert_eq!(format!("{copy:#?}"), format!("{agg:#?}"));
-            assert_eq!(serde::json::to_string(copy), json);
-            assert_eq!(copy.encoded_len(), bytes.len());
-        }
-        assert_eq!(json, serde::json::to_string(&*agg));
+        let copy = SharedAggregate::decode_exact(&bytes).unwrap();
+        assert!(copy.0.memo().get().is_none());
+        assert_eq!(copy, agg);
+        assert_eq!(format!("{copy:?}"), format!("{:?}", *agg));
+        assert_eq!(format!("{copy:#?}"), format!("{agg:#?}"));
+        assert_eq!(copy.encoded_len(), bytes.len());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A (simulated) signature by a single processor over a digest.
@@ -10,7 +9,7 @@ use std::fmt;
 /// The signature is attributable: it carries the signer's identifier, and the
 /// [`crate::Pki`] checks the keyed tag against that identifier's secret, so a
 /// tag copied from one signer cannot be replayed under another identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     signer: ProcessId,
     tag: u64,

@@ -5,7 +5,6 @@ use crate::digest::DigestValue;
 use crate::signature::Signature;
 use lumiere_types::wire::{put_u32, put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, ProcessId, Result, StakeTable};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-width bitmap identifying the distinct signers of an aggregate.
@@ -16,7 +15,7 @@ use std::fmt;
 /// (`n/8` bytes, rounded up to a word), which is what makes aggregated
 /// certificates constant-size in the number of *signers* and only
 /// logarithmically heavier than `O(κ)` in practice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignerBitmap {
     words: Vec<u64>,
 }
@@ -174,7 +173,7 @@ impl PartialSet {
 /// at verification time by [`crate::SharedAggregate::verify`], so a
 /// certificate built for a lower threshold cannot be passed off as a higher
 /// one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ThresholdSignature {
     digest: DigestValue,
     signers: SignerBitmap,

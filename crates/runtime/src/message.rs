@@ -12,16 +12,36 @@ use lumiere_core::messages::PacemakerMessage;
 use lumiere_crypto::Authenticator;
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Transaction, View};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A message travelling between processors: a pacemaker
 /// (view-synchronization) message, an underlying-protocol message, or a
 /// client transaction submission being forwarded into a mempool.
 ///
-/// Crosses the TCP mesh in its binary [`Wire`] form (see [`crate::codec`]);
-/// the serde derives serve traces and reports only.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Crosses the TCP mesh in its binary [`Wire`] form (see [`crate::codec`]),
+/// its one encoding:
+///
+/// ```
+/// use lumiere_runtime::WireMessage;
+/// use lumiere_types::{Transaction, TxId, Wire};
+/// let msg = WireMessage::Submit(Transaction::new(TxId::new(7)));
+/// let mut bytes = Vec::new();
+/// msg.encode_into(&mut bytes);
+/// assert_eq!(WireMessage::decode_exact(&bytes).unwrap(), msg);
+/// ```
+///
+/// It has no serde form, so no report or trace can carry a second one:
+///
+/// ```compile_fail,E0277
+/// use lumiere_runtime::WireMessage;
+/// use lumiere_types::{Transaction, TxId, Wire};
+/// let msg = WireMessage::Submit(Transaction::new(TxId::new(7)));
+/// let _ = serde::json::to_string(&msg);
+/// let mut bytes = Vec::new();
+/// msg.encode_into(&mut bytes);
+/// assert_eq!(WireMessage::decode_exact(&bytes).unwrap(), msg);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMessage {
     /// A view-synchronization message.
     Pacemaker(PacemakerMessage),

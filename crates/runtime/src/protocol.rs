@@ -102,15 +102,23 @@ impl ProtocolKind {
         seed: u64,
         planted: Option<PlantedBug>,
     ) -> PacemakerFactory<'a> {
-        let lumiere = (*self == ProtocolKind::Lumiere).then(|| LumiereConfig {
-            planted,
-            ..LumiereConfig::new(params, seed)
-        });
+        use Recipe::Plain;
+        let recipe = match self {
+            Self::Lumiere => Recipe::Lumiere(LumiereConfig {
+                planted,
+                ..LumiereConfig::new(params, seed)
+            }),
+            Self::BasicLumiere => Plain(|p, k, pki| Box::new(BasicLumiere::new(p, k, pki))),
+            Self::Lp22 => Plain(|p, k, pki| Box::new(Lp22::new(p, k, pki))),
+            Self::Fever => Plain(|p, k, pki| Box::new(Fever::new(p, k, pki))),
+            Self::Cogsworth => Plain(|p, k, pki| Box::new(RelayPacemaker::cogsworth(p, k, pki))),
+            Self::Nk20 => Plain(|p, k, pki| Box::new(RelayPacemaker::nk20(p, k, pki))),
+            Self::Naive => Plain(|p, k, pki| Box::new(NaiveQuadratic::new(p, k, pki))),
+        };
         PacemakerFactory {
-            kind: *self,
             params,
             pki,
-            lumiere,
+            recipe,
         }
     }
 }
@@ -118,28 +126,27 @@ impl ProtocolKind {
 /// Builds one cluster's pacemakers (see [`ProtocolKind::pacemaker_factory`]).
 #[derive(Debug)]
 pub struct PacemakerFactory<'a> {
-    kind: ProtocolKind,
     params: Params,
     pki: &'a Pki,
+    recipe: Recipe,
+}
+
+/// What a factory builds each pacemaker from.
+#[derive(Debug)]
+enum Recipe {
     /// Lumiere's configuration, its leader order included.
-    lumiere: Option<LumiereConfig>,
+    Lumiere(LumiereConfig),
+    /// Any other protocol, built from the parameters and keys alone.
+    Plain(fn(Params, KeyPair, Pki) -> Box<dyn Pacemaker>),
 }
 
 impl PacemakerFactory<'_> {
     /// The pacemaker of the processor owning `keys`.
     pub fn build(&self, keys: KeyPair) -> Box<dyn Pacemaker> {
-        let (params, pki) = (self.params, self.pki.clone());
-        match self.kind {
-            ProtocolKind::Lumiere => {
-                let cfg = self.lumiere.clone().expect("built for Lumiere");
-                Box::new(Lumiere::new(cfg, keys, pki))
-            }
-            ProtocolKind::BasicLumiere => Box::new(BasicLumiere::new(params, keys, pki)),
-            ProtocolKind::Lp22 => Box::new(Lp22::new(params, keys, pki)),
-            ProtocolKind::Fever => Box::new(Fever::new(params, keys, pki)),
-            ProtocolKind::Cogsworth => Box::new(RelayPacemaker::cogsworth(params, keys, pki)),
-            ProtocolKind::Nk20 => Box::new(RelayPacemaker::nk20(params, keys, pki)),
-            ProtocolKind::Naive => Box::new(NaiveQuadratic::new(params, keys, pki)),
+        let pki = self.pki.clone();
+        match &self.recipe {
+            Recipe::Lumiere(cfg) => Box::new(Lumiere::new(cfg.clone(), keys, pki)),
+            Recipe::Plain(build) => build(self.params, keys, pki),
         }
     }
 }

@@ -7,19 +7,17 @@
 //! allocation's contents: the value and a [`OnceLock`] for the result.
 
 use crate::wire::{Reader, Wire, WireError};
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
 /// `value` and a memo of a pure function of it.
 ///
-/// The memo is invisible: `Debug`, equality, the serde form and the wire
-/// form are the value's own. It is only ever read for the allocation it was
-/// computed on — a clone (including the one `Arc::make_mut` makes), a
-/// decoded and a deserialized copy all start with an empty memo, and
-/// [`Memo::value_mut`] empties it — so what the memo answers was computed
-/// from exactly the value beside it.
+/// The memo is invisible: `Debug`, equality and the wire form are the
+/// value's own. It is only ever read for the allocation it was computed on —
+/// a clone (including the one `Arc::make_mut` makes) and a decoded copy both
+/// start with an empty memo, and [`Memo::value_mut`] empties it — so what
+/// the memo answers was computed from exactly the value beside it.
 pub struct Memo<T, M> {
     value: T,
     memo: OnceLock<M>,
@@ -75,18 +73,6 @@ impl<T: fmt::Debug, M> fmt::Debug for Memo<T, M> {
     }
 }
 
-impl<T: Serialize, M> Serialize for Memo<T, M> {
-    fn to_value(&self) -> Value {
-        self.value.to_value()
-    }
-}
-
-impl<'de, T: Deserialize<'de>, M> Deserialize<'de> for Memo<T, M> {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        T::from_value(value).map(Memo::new)
-    }
-}
-
 /// Wire form: the value's.
 impl<T: Wire, M> Wire for Memo<T, M> {
     fn encoded_len(&self) -> usize {
@@ -120,12 +106,7 @@ mod tests {
         let mut memo = checked();
         let mut bytes = Vec::new();
         memo.encode_into(&mut bytes);
-        let json = serde::json::to_string(&memo);
-        let copies = [
-            memo.clone(),
-            Memo::decode_exact(&bytes).unwrap(),
-            serde::json::from_str(&json).unwrap(),
-        ];
+        let copies = [memo.clone(), Memo::decode_exact(&bytes).unwrap()];
         for copy in &copies {
             assert_eq!(copy.memo().get(), None);
             assert_eq!(copy, &memo);
@@ -140,7 +121,6 @@ mod tests {
         let batch: &Batch = &memo;
         assert_eq!(format!("{memo:?}"), format!("{batch:?}"));
         assert_eq!(format!("{memo:#?}"), format!("{batch:#?}"));
-        assert_eq!(serde::json::to_string(&memo), serde::json::to_string(batch));
         let (mut a, mut b) = (Vec::new(), Vec::new());
         memo.encode_into(&mut a);
         batch.encode_into(&mut b);

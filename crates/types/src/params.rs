@@ -3,7 +3,6 @@
 use crate::stake::StakeTable;
 use crate::time::Duration;
 use crate::view::EpochLayout;
-use serde::{Deserialize, Serialize};
 
 /// The number of network round trips (`x` in Section 2, ⋄1) the underlying
 /// protocol needs to complete a view once synchronized: with the chained
@@ -35,7 +34,7 @@ pub const DEFAULT_VIEW_ROUNDS: u32 = 3;
 /// assert_eq!(p.small_quorum(), 4);
 /// assert_eq!(p.gamma(), Duration::from_millis(20) * 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Params {
     /// Number of processors.
     pub n: usize,

@@ -15,7 +15,6 @@
 //! workspace dependency DAG and both need them.
 
 use crate::wire::{put_u32, put_u64, Reader, Wire, WireError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique transaction identifier.
@@ -23,7 +22,7 @@ use std::fmt;
 /// Producers encode their origin in the high bits (the live driver packs the
 /// node id there; the simulator's workload generator uses a single counter),
 /// so ids never collide across submitters without coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(u64);
 
 impl TxId {
@@ -50,7 +49,7 @@ impl fmt::Display for TxId {
 /// not modelled — only the two properties that drive throughput–latency
 /// behaviour: *which* transaction this is (dedup, commit accounting) and
 /// *how big* it is (batch byte budgets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transaction {
     /// Unique identifier, assigned by the submitter.
     pub id: TxId,
@@ -71,7 +70,7 @@ impl Transaction {
 }
 
 /// An ordered batch of transactions — the payload of a block proposal.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Batch {
     /// The transactions, in mempool (FIFO) order.
     pub txs: Vec<Transaction>,
@@ -269,19 +268,6 @@ mod tests {
             vec![TxId::new(0), TxId::new(1)]
         );
         assert_eq!(batch.to_string(), "batch[2 txs, 256 B]");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let batch = Batch {
-            txs: vec![
-                Transaction::sized(TxId::new(42), 512),
-                Transaction::new(TxId::new(7)),
-            ],
-        };
-        let text = serde::json::to_string(&batch);
-        let back: Batch = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, batch);
     }
 
     #[test]

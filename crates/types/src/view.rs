@@ -26,9 +26,7 @@ pub struct View(i64);
 
 /// An epoch number (a contiguous batch of views; the batch length is a
 /// protocol parameter, see [`crate::Params`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(i64);
 
 impl View {
@@ -144,7 +142,7 @@ impl Epoch {
 /// assert!(layout.is_epoch_view(View::new(30)));
 /// assert!(!layout.is_epoch_view(View::new(31)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochLayout {
     epoch_len: u64,
 }

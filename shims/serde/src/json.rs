@@ -10,16 +10,6 @@
 use crate::{DeserializeOwned, Error, Serialize, Value};
 use std::fmt::Write as _;
 
-/// Serializes any [`Serialize`] type into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
-}
-
-/// Deserializes any [`DeserializeOwned`] type out of a [`Value`] tree.
-pub fn from_value<T: DeserializeOwned>(value: &Value) -> Result<T, Error> {
-    T::from_value(value)
-}
-
 /// Renders a value as compact JSON (no whitespace).
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();

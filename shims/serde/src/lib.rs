@@ -19,7 +19,7 @@
 //! * structs → objects with fields in declaration order;
 //! * unit enum variants → `"VariantName"`; data-carrying variants →
 //!   externally tagged objects `{"VariantName": ...}`;
-//! * `Option` → `null` / the inner value; sequences and sets → arrays;
+//! * `Option` → `null` / the inner value; sequences → arrays;
 //! * integers → JSON numbers; non-finite floats → `null`.
 //!
 //! Object member order is preserved (declaration order on serialize, document
@@ -50,7 +50,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -312,18 +312,6 @@ impl<'de> Deserialize<'de> for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        f64::from_value(value).map(|f| f as f32)
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
@@ -345,56 +333,9 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<'de> Deserialize<'de> for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| Error::expected("a one-character string", value, "char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::new(format!(
-                "expected a one-character string for char, found {s:?}"
-            ))),
-        }
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Box::new)
-    }
-}
-
-// `Arc<T>` is transparent, as under the real crate's `rc` feature: sharing
-// is not preserved — every deserialized `Arc` is a fresh allocation.
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for std::sync::Arc<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(std::sync::Arc::new)
     }
 }
 
@@ -433,21 +374,6 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
         let items = value
             .as_seq()
             .ok_or_else(|| Error::expected("an array", value, "Vec"))?;
-        items.iter().map(T::from_value).collect()
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<'de, T: Deserialize<'de> + Ord> Deserialize<'de> for BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items = value
-            .as_seq()
-            .ok_or_else(|| Error::expected("an array", value, "BTreeSet"))?;
         items.iter().map(T::from_value).collect()
     }
 }
@@ -501,8 +427,6 @@ macro_rules! impl_tuple {
 
 impl_tuple!(1 => A: 0);
 impl_tuple!(2 => A: 0, B: 1);
-impl_tuple!(3 => A: 0, B: 1, C: 2);
-impl_tuple!(4 => A: 0, B: 1, C: 2, D: 3);
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
@@ -574,7 +498,6 @@ mod tests {
         assert_eq!(i64::from_value(&(-5i64).to_value()), Ok(-5));
         assert_eq!(u32::from_value(&7u32.to_value()), Ok(7));
         assert_eq!(String::from_value(&"hi".to_value()), Ok("hi".to_string()));
-        assert_eq!(char::from_value(&'x'.to_value()), Ok('x'));
         assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
     }
 
@@ -597,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn sequences_sets_and_tuples_are_arrays() {
+    fn sequences_and_tuples_are_arrays() {
         let v = vec![(1i64, 2u64), (3, 4)].to_value();
         assert_eq!(
             v,
@@ -606,12 +529,6 @@ mod tests {
                 Value::Seq(vec![Value::Int(3), Value::UInt(4)]),
             ])
         );
-        let set: BTreeSet<u32> = [3, 1, 2].into_iter().collect();
-        assert_eq!(
-            set.to_value(),
-            Value::Seq(vec![Value::UInt(1), Value::UInt(2), Value::UInt(3)])
-        );
-        assert_eq!(BTreeSet::<u32>::from_value(&set.to_value()), Ok(set));
     }
 
     #[test]
