@@ -10,13 +10,11 @@
 //! instant with clocks reading zero.
 
 use lumiere_consensus::QuorumCert;
-use lumiere_core::certs::{view_msg_digest, ViewCert};
+use lumiere_core::certs::view_msg_digest;
 use lumiere_core::clock::LocalClock;
-use lumiere_core::ledger::{
-    SigPool, ViewLedger, FORMED_VC, INITIAL_TRIGGER_FIRED, OBSERVED_QC, SEEN_VC,
-};
+use lumiere_core::ledger::{INITIAL_TRIGGER_FIRED, OBSERVED_QC, SEEN_VC};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction, Processor, ViewMsgs};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
@@ -24,71 +22,30 @@ use lumiere_types::{Duration, Params, ProcessId, Time, View};
 /// A processor's Fever pacemaker.
 #[derive(Debug)]
 pub struct Fever {
-    params: Params,
+    me: Processor,
     gamma: Duration,
-    schedule: LeaderSchedule,
-    id: ProcessId,
-    keys: KeyPair,
-    pki: Pki,
-
     clock: LocalClock,
-    view: View,
-
-    views: ViewLedger,
-    view_msg_pool: SigPool,
-    booted: bool,
+    view_msgs: ViewMsgs,
 }
 
 impl Fever {
     /// Creates the pacemaker for the processor owning `keys`.
     pub fn new(params: Params, keys: KeyPair, pki: Pki) -> Self {
-        let id = keys.id();
         Fever {
-            params,
+            me: Processor::new(
+                params,
+                LeaderSchedule::half_round_robin(params.n),
+                keys,
+                pki,
+            ),
             gamma: params.fever_gamma(),
-            schedule: LeaderSchedule::half_round_robin(params.n),
-            id,
-            keys,
-            pki,
             clock: LocalClock::new(Time::ZERO),
-            view: View::SENTINEL,
-            views: ViewLedger::default(),
-            view_msg_pool: SigPool::new(params.n),
-            booted: false,
+            view_msgs: ViewMsgs::new(params.n),
         }
     }
 
     fn c(&self, view: View) -> Duration {
         view.clock_time(self.gamma)
-    }
-
-    fn leader(&self, view: View) -> ProcessId {
-        self.schedule.leader(view)
-    }
-
-    fn set_view(&mut self, view: View, out: &mut Vec<PacemakerAction>) {
-        if view > self.view {
-            self.view = view;
-            out.push(PacemakerAction::EnterView {
-                view,
-                leader: self.leader(view),
-            });
-        }
-    }
-
-    /// Sends this processor's view message: once per view, as only the
-    /// initial-view trigger calls it.
-    fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        let signature = self.keys.sign(view_msg_digest(view));
-        let leader = self.leader(view);
-        if leader == self.id {
-            self.record_view_msg(view, signature, now, out);
-        } else {
-            out.push(PacemakerAction::SendTo(
-                leader,
-                PacemakerMessage::ViewMsg { view, signature },
-            ));
-        }
     }
 
     fn record_view_msg(
@@ -98,49 +55,41 @@ impl Fever {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let aggregates = self.leader(view) == self.id
-            && view.is_initial()
-            && view >= self.view
-            && !self.views.has(view, FORMED_VC);
-        let count = self.view_msg_pool.add(view, signature);
-        if !aggregates || count < self.params.small_quorum() {
-            return;
-        }
-        let sigs = self.view_msg_pool.signatures(view);
-        let Ok(vc) = ViewCert::aggregate(view, sigs, &self.params) else {
-            return;
-        };
-        self.views.mark(view, FORMED_VC | SEEN_VC);
-        out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(vc)));
+        let open = view.is_initial();
         // The broadcast includes the leader itself: catch up if behind.
-        if view > self.view {
-            self.clock.bump_to(self.c(view), now);
-            self.set_view(view, out);
+        let formed = self
+            .view_msgs
+            .record(&mut self.me, view, signature, open, out);
+        if formed && view > self.me.view() {
+            self.catch_up_to(view, now, out);
         }
+    }
+
+    fn catch_up_to(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
+        self.clock.bump_to(self.c(view), now);
+        self.me.enter(view, out);
     }
 
     fn sweep(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
         let reading = self.clock.reading(now);
         if reading >= Duration::ZERO {
             let max_view = reading.as_micros() / self.gamma.as_micros();
-            let start = self.view.as_i64().max(0);
+            let start = self.me.view().as_i64().max(0);
             for v in start..=max_view {
                 let view = View::new(v);
                 if !view.is_initial()
-                    || view < self.view
-                    || !self.views.mark(view, INITIAL_TRIGGER_FIRED)
+                    || view < self.me.view()
+                    || !self.me.views.mark(view, INITIAL_TRIGGER_FIRED)
                 {
                     continue;
                 }
-                self.set_view(view, out);
-                self.send_view_msg(view, now, out);
+                self.me.enter(view, out);
+                if let Some(signature) = self.view_msgs.send(&mut self.me, view, out) {
+                    self.record_view_msg(view, signature, now, out);
+                }
             }
         }
-        let gamma = self.gamma.as_micros();
-        let reading = self.clock.reading(now);
-        let next_even = 2 * (reading.as_micros() / (2 * gamma) + 1);
-        let target = Duration::from_micros(next_even * gamma);
-        if let Some(at) = self.clock.real_time_at(target, now) {
+        if let Some(at) = self.clock.next_tick(self.gamma * 2, now) {
             out.push(PacemakerAction::WakeAt(at));
         }
     }
@@ -151,17 +100,15 @@ impl Pacemaker for Fever {
         "fever"
     }
 
-    fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
+    fn processor(&self) -> &Processor {
+        &self.me
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.booted {
-            return;
+        if self.me.boot() {
+            self.clock = LocalClock::new(now);
+            self.sweep(now, out);
         }
-        self.booted = true;
-        self.clock = LocalClock::new(now);
-        self.sweep(now, out);
     }
 
     fn on_message_into(
@@ -173,19 +120,19 @@ impl Pacemaker for Fever {
     ) {
         match msg {
             PacemakerMessage::ViewMsg { view, signature }
-                if signature.signer() == from
-                    && self.pki.verify(signature, view_msg_digest(*view)).is_ok()
+                if self.me.signed_by(from, signature, view_msg_digest(*view))
                     && view.is_initial() =>
             {
                 self.record_view_msg(*view, *signature, now, out);
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
-                let verify = || vc.verify(&self.pki, &self.params).is_ok();
-                if view.is_initial() && self.views.admit(view, SEEN_VC, verify) && view > self.view
+                let verify = || vc.verify(&self.me.pki, &self.me.params).is_ok();
+                if view.is_initial()
+                    && self.me.views.admit(view, SEEN_VC, verify)
+                    && view > self.me.view()
                 {
-                    self.clock.bump_to(self.c(view), now);
-                    self.set_view(view, out);
+                    self.catch_up_to(view, now, out);
                 }
             }
             _ => {}
@@ -204,10 +151,8 @@ impl Pacemaker for Fever {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
-            let next = v.next();
-            self.clock.bump_to(self.c(next), now);
-            self.set_view(next, out);
+        if v >= self.me.view() && self.me.views.mark(v, OBSERVED_QC) {
+            self.catch_up_to(v.next(), now, out);
         }
         self.sweep(now, out);
     }
@@ -216,22 +161,19 @@ impl Pacemaker for Fever {
         self.sweep(now, out);
     }
 
-    fn current_view(&self) -> View {
-        self.view
-    }
-
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
     }
 
     fn state_entries(&self) -> usize {
-        self.views.len() + self.view_msg_pool.entries()
+        self.me.views.len() + self.view_msgs.entries()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumiere_core::certs::ViewCert;
     use lumiere_core::pacemaker::actions;
     use lumiere_crypto::keygen;
 

@@ -14,9 +14,9 @@
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::epoch_view_digest;
 use lumiere_core::clock::LocalClock;
-use lumiere_core::ledger::{SenderPool, ViewLedger, EPOCH_PAUSE_TAKEN, OBSERVED_QC, SEEN_EC};
+use lumiere_core::ledger::{EPOCH_PAUSE_TAKEN, OBSERVED_QC, SEEN_EC};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{EpochMsgs, Pacemaker, PacemakerAction, Processor};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki};
 use lumiere_types::view::EpochLayout;
@@ -25,49 +25,30 @@ use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
 /// A processor's LP22 pacemaker.
 #[derive(Debug)]
 pub struct Lp22 {
-    params: Params,
+    me: Processor,
     layout: EpochLayout,
     gamma: Duration,
-    schedule: LeaderSchedule,
-    id: ProcessId,
-    keys: KeyPair,
-    pki: Pki,
-
     clock: LocalClock,
-    view: View,
-    epoch: Epoch,
-
-    views: ViewLedger,
-    epoch_msg_pool: SenderPool,
+    epoch_msgs: EpochMsgs,
     paused_at_boundary: Option<View>,
-    booted: bool,
 }
 
 impl Lp22 {
     /// Creates the pacemaker for the processor owning `keys`.
     pub fn new(params: Params, keys: KeyPair, pki: Pki) -> Self {
-        let id = keys.id();
         Lp22 {
-            params,
+            me: Processor::new(params, LeaderSchedule::round_robin(params.n), keys, pki),
             layout: params.lp22_epoch_layout(),
             gamma: params.lp22_gamma(),
-            schedule: LeaderSchedule::round_robin(params.n),
-            id,
-            keys,
-            pki,
             clock: LocalClock::new(Time::ZERO),
-            view: View::SENTINEL,
-            epoch: Epoch::SENTINEL,
-            views: ViewLedger::default(),
-            epoch_msg_pool: SenderPool::new(params.n),
+            epoch_msgs: EpochMsgs::new(params.n),
             paused_at_boundary: None,
-            booted: false,
         }
     }
 
     /// The epoch this processor is currently in.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.layout.epoch_of(self.me.view())
     }
 
     /// Whether the clock is paused at an epoch boundary.
@@ -84,44 +65,21 @@ impl Lp22 {
         view.clock_time(self.gamma)
     }
 
-    fn set_view(&mut self, view: View, out: &mut Vec<PacemakerAction>) {
-        if view > self.view {
-            self.view = view;
-            self.epoch = self.layout.epoch_of(view);
-            out.push(PacemakerAction::EnterView {
-                view,
-                leader: self.schedule.leader(view),
-            });
-        }
-    }
-
-    /// Broadcasts this processor's epoch-view message: once per epoch view,
-    /// as only the epoch trigger calls it.
-    fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        let signature = self.keys.sign(epoch_view_digest(view));
-        out.push(PacemakerAction::HeavySyncStarted { view });
-        out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
-            view,
-            signature,
-        }));
-        self.record_epoch_msg(self.id, view, now, out);
-    }
-
-    fn record_epoch_msg(
+    /// Acts on `count` senders of epoch-view messages for `view`.
+    fn count_epoch_msgs(
         &mut self,
-        from: ProcessId,
         view: View,
+        count: usize,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.epoch_msg_pool.add(view, from);
-        if count >= self.params.quorum() && self.views.mark(view, SEEN_EC) {
+        if count >= self.me.params.quorum() && self.me.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
 
     fn handle_ec(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.layout.epoch_of(view) <= self.epoch {
+        if self.layout.epoch_of(view) <= self.epoch() {
             return;
         }
         if self.paused_at_boundary.is_some_and(|pv| view >= pv) {
@@ -131,7 +89,7 @@ impl Lp22 {
         // enters epoch e and view v."
         self.clock.unpause(now);
         self.clock.bump_to(self.c(view), now);
-        self.set_view(view, out);
+        self.me.enter(view, out);
     }
 
     fn sweep(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
@@ -139,14 +97,19 @@ impl Lp22 {
             let mut progressed = false;
 
             // Epoch boundary: pause and broadcast.
-            let next_epoch_view = self.layout.next_epoch_view_after(self.view);
-            if self.view < next_epoch_view
+            let next_epoch_view = self.layout.next_epoch_view_after(self.me.view());
+            if self.me.view() < next_epoch_view
                 && self.clock.reading(now) >= self.c(next_epoch_view)
-                && self.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
+                && self.me.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
             {
                 self.clock.pause(now);
                 self.paused_at_boundary = Some(next_epoch_view);
-                self.broadcast_epoch_msg(next_epoch_view, now, out);
+                if let Some(count) = self
+                    .epoch_msgs
+                    .broadcast(&mut self.me, next_epoch_view, out)
+                {
+                    self.count_epoch_msgs(next_epoch_view, count, now, out);
+                }
                 progressed = true;
             }
 
@@ -154,16 +117,16 @@ impl Lp22 {
             let reading = self.clock.reading(now);
             if reading >= Duration::ZERO {
                 let max_view = reading.as_micros() / self.gamma.as_micros();
-                let start = self.view.as_i64().max(0);
+                let start = self.me.view().as_i64().max(0);
                 for v in start..=max_view {
                     let view = View::new(v);
-                    if self.layout.is_epoch_view(view)
-                        || self.layout.epoch_of(view) != self.epoch
-                        || view <= self.view
+                    if view <= self.me.view()
+                        || self.layout.is_epoch_view(view)
+                        || self.layout.epoch_of(view) != self.epoch()
                     {
                         continue;
                     }
-                    self.set_view(view, out);
+                    self.me.enter(view, out);
                     progressed = true;
                 }
             }
@@ -173,14 +136,8 @@ impl Lp22 {
             }
         }
 
-        if !self.clock.is_paused() {
-            let reading = self.clock.reading(now);
-            let gamma = self.gamma.as_micros();
-            let next = reading.as_micros() / gamma + 1;
-            let target = Duration::from_micros(next * gamma);
-            if let Some(at) = self.clock.real_time_at(target, now) {
-                out.push(PacemakerAction::WakeAt(at));
-            }
+        if let Some(at) = self.clock.next_tick(self.gamma, now) {
+            out.push(PacemakerAction::WakeAt(at));
         }
     }
 }
@@ -190,17 +147,15 @@ impl Pacemaker for Lp22 {
         "lp22"
     }
 
-    fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
+    fn processor(&self) -> &Processor {
+        &self.me
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.booted {
-            return;
+        if self.me.boot() {
+            self.clock = LocalClock::new(now);
+            self.sweep(now, out);
         }
-        self.booted = true;
-        self.clock = LocalClock::new(now);
-        self.sweep(now, out);
     }
 
     fn on_message_into(
@@ -212,16 +167,16 @@ impl Pacemaker for Lp22 {
     ) {
         match msg {
             PacemakerMessage::EpochViewMsg { view, signature }
-                if signature.signer() == from
-                    && self.pki.verify(signature, epoch_view_digest(*view)).is_ok()
+                if self.me.signed_by(from, signature, epoch_view_digest(*view))
                     && self.layout.is_epoch_view(*view) =>
             {
-                self.record_epoch_msg(from, *view, now, out);
+                let count = self.epoch_msgs.record(from, *view);
+                self.count_epoch_msgs(*view, count, now, out);
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
-                let verify = || ec.verify(&self.pki, &self.params).is_ok();
-                if self.layout.is_epoch_view(view) && self.views.admit(view, SEEN_EC, verify) {
+                let verify = || ec.verify(&self.me.pki, &self.me.params).is_ok();
+                if self.layout.is_epoch_view(view) && self.me.views.admit(view, SEEN_EC, verify) {
                     self.handle_ec(view, now, out);
                 }
             }
@@ -241,12 +196,12 @@ impl Pacemaker for Lp22 {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
+        if v >= self.me.view() && self.me.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             // Responsive entry into the next view — but NO clock bump: this
             // is the LP22 weakness that Lumiere fixes.
-            if !self.layout.is_epoch_view(next) && self.layout.epoch_of(next) == self.epoch {
-                self.set_view(next, out);
+            if !self.layout.is_epoch_view(next) && self.layout.epoch_of(next) == self.epoch() {
+                self.me.enter(next, out);
             }
         }
         self.sweep(now, out);
@@ -256,16 +211,12 @@ impl Pacemaker for Lp22 {
         self.sweep(now, out);
     }
 
-    fn current_view(&self) -> View {
-        self.view
-    }
-
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
     }
 
     fn state_entries(&self) -> usize {
-        self.views.len() + self.epoch_msg_pool.entries()
+        self.me.views.len() + self.epoch_msgs.entries()
     }
 }
 

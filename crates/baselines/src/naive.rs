@@ -10,9 +10,9 @@
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::timeout_digest;
-use lumiere_core::ledger::{SenderPool, ViewLedger, OBSERVED_QC, SENT_TIMEOUT};
+use lumiere_core::ledger::{SenderPool, OBSERVED_QC, SENT_TIMEOUT};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction, Processor};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
@@ -20,49 +20,29 @@ use lumiere_types::{Duration, Params, ProcessId, Time, View};
 /// A processor's naive quadratic pacemaker.
 #[derive(Debug)]
 pub struct NaiveQuadratic {
-    params: Params,
+    me: Processor,
     view_timeout: Duration,
-    schedule: LeaderSchedule,
-    id: ProcessId,
-    keys: KeyPair,
-    pki: Pki,
 
     boot_time: Time,
-    view: View,
     view_entered_at: Time,
-    views: ViewLedger,
     timeout_pool: SenderPool,
-    booted: bool,
 }
 
 impl NaiveQuadratic {
     /// Creates the pacemaker for the processor owning `keys`.
     pub fn new(params: Params, keys: KeyPair, pki: Pki) -> Self {
-        let id = keys.id();
         NaiveQuadratic {
-            params,
+            me: Processor::new(params, LeaderSchedule::round_robin(params.n), keys, pki),
             view_timeout: params.fever_gamma(),
-            schedule: LeaderSchedule::round_robin(params.n),
-            id,
-            keys,
-            pki,
             boot_time: Time::ZERO,
-            view: View::SENTINEL,
             view_entered_at: Time::ZERO,
-            views: ViewLedger::default(),
             timeout_pool: SenderPool::new(params.n),
-            booted: false,
         }
     }
 
     fn enter(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if view > self.view {
-            self.view = view;
+        if self.me.enter(view, out) {
             self.view_entered_at = now;
-            out.push(PacemakerAction::EnterView {
-                view,
-                leader: self.schedule.leader(view),
-            });
             out.push(PacemakerAction::WakeAt(now + self.view_timeout));
         }
     }
@@ -75,7 +55,7 @@ impl NaiveQuadratic {
         out: &mut Vec<PacemakerAction>,
     ) {
         let count = self.timeout_pool.add(view, from);
-        if count >= self.params.quorum() && view >= self.view {
+        if count >= self.me.params.quorum() && view >= self.me.view() {
             self.enter(view.next(), now, out);
         }
     }
@@ -86,17 +66,15 @@ impl Pacemaker for NaiveQuadratic {
         "naive-quadratic"
     }
 
-    fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
+    fn processor(&self) -> &Processor {
+        &self.me
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.booted {
-            return;
+        if self.me.boot() {
+            self.boot_time = now;
+            self.enter(View::new(0), now, out);
         }
-        self.booted = true;
-        self.boot_time = now;
-        self.enter(View::new(0), now, out);
     }
 
     fn on_message_into(
@@ -107,10 +85,7 @@ impl Pacemaker for NaiveQuadratic {
         out: &mut Vec<PacemakerAction>,
     ) {
         if let PacemakerMessage::Timeout { view, signature } = msg {
-            if signature.signer() == from
-                && self.pki.verify(signature, timeout_digest(*view)).is_ok()
-                && view.as_i64() >= 0
-            {
+            if self.me.signed_by(from, signature, timeout_digest(*view)) && view.as_i64() >= 0 {
                 self.record_timeout(from, *view, now, out);
             }
         }
@@ -127,24 +102,24 @@ impl Pacemaker for NaiveQuadratic {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
+        if v >= self.me.view() && self.me.views.mark(v, OBSERVED_QC) {
             self.enter(v.next(), now, out);
         }
     }
 
     fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.booted || self.view.as_i64() < 0 {
+        let view = self.me.view();
+        if view.as_i64() < 0 {
             return;
         }
         if now >= self.view_entered_at + self.view_timeout {
-            let view = self.view;
-            if self.views.mark(view, SENT_TIMEOUT) {
-                let signature = self.keys.sign(timeout_digest(view));
+            if self.me.views.mark(view, SENT_TIMEOUT) {
+                let signature = self.me.keys.sign(timeout_digest(view));
                 out.push(PacemakerAction::Broadcast(PacemakerMessage::Timeout {
                     view,
                     signature,
                 }));
-                self.record_timeout(self.id, view, now, out);
+                self.record_timeout(self.me.id(), view, now, out);
             }
         } else {
             out.push(PacemakerAction::WakeAt(
@@ -153,16 +128,12 @@ impl Pacemaker for NaiveQuadratic {
         }
     }
 
-    fn current_view(&self) -> View {
-        self.view
-    }
-
     fn local_clock_reading(&self, now: Time) -> Duration {
         now - self.boot_time
     }
 
     fn state_entries(&self) -> usize {
-        self.views.len() + self.timeout_pool.entries()
+        self.me.views.len() + self.timeout_pool.entries()
     }
 }
 

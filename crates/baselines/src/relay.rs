@@ -24,9 +24,9 @@
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{wish_digest, WishCert};
-use lumiere_core::ledger::{SigPool, ViewLedger, FORMED_SYNC, OBSERVED_QC};
+use lumiere_core::ledger::{SigPool, FORMED_SYNC, OBSERVED_QC};
 use lumiere_core::messages::PacemakerMessage;
-use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
+use lumiere_core::pacemaker::{Pacemaker, PacemakerAction, Processor};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
@@ -43,28 +43,21 @@ pub enum RelayVariant {
 /// A processor's relay-based pacemaker.
 #[derive(Debug)]
 pub struct RelayPacemaker {
-    params: Params,
+    me: Processor,
     variant: RelayVariant,
     /// Time allotted to a view before the processor asks to advance.
     view_timeout: Duration,
     /// Time allotted to each relay leader before the wish walks onward.
     relay_timeout: Duration,
-    schedule: LeaderSchedule,
-    id: ProcessId,
-    keys: KeyPair,
-    pki: Pki,
 
     boot_time: Time,
-    view: View,
     view_entered_at: Time,
     /// Relay attempts made for the wish toward `view + 1`: the only target
     /// a wish ever has, so entering a view resets it.
     relay_attempts: usize,
     /// Deadline for the current relay attempt of the pending target view.
     relay_deadline: Option<(View, Time)>,
-    views: ViewLedger,
     wish_pool: SigPool,
-    booted: bool,
 }
 
 impl RelayPacemaker {
@@ -79,24 +72,16 @@ impl RelayPacemaker {
     }
 
     fn new(params: Params, keys: KeyPair, pki: Pki, variant: RelayVariant) -> Self {
-        let id = keys.id();
         RelayPacemaker {
-            params,
+            me: Processor::new(params, LeaderSchedule::round_robin(params.n), keys, pki),
             variant,
             view_timeout: params.fever_gamma(),
             relay_timeout: params.delta_cap * 3,
-            schedule: LeaderSchedule::round_robin(params.n),
-            id,
-            keys,
-            pki,
             boot_time: Time::ZERO,
-            view: View::SENTINEL,
             view_entered_at: Time::ZERO,
             relay_attempts: 0,
             relay_deadline: None,
-            views: ViewLedger::default(),
             wish_pool: SigPool::new(params.n),
-            booted: false,
         }
     }
 
@@ -105,27 +90,18 @@ impl RelayPacemaker {
         self.variant
     }
 
-    fn leader(&self, view: View) -> ProcessId {
-        self.schedule.leader(view)
-    }
-
     fn enter(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if view > self.view {
-            self.view = view;
+        if self.me.enter(view, out) {
             self.view_entered_at = now;
             self.relay_attempts = 0;
             self.relay_deadline = None;
-            out.push(PacemakerAction::EnterView {
-                view,
-                leader: self.leader(view),
-            });
             out.push(PacemakerAction::WakeAt(now + self.view_timeout));
         }
     }
 
     fn send_wish(&mut self, target: View, now: Time, out: &mut Vec<PacemakerAction>) {
         let attempt = self.relay_attempts;
-        if attempt > self.params.n {
+        if attempt > self.me.params.n {
             return;
         }
         self.relay_attempts += 1;
@@ -134,10 +110,10 @@ impl RelayPacemaker {
         // attempts walk down the round-robin schedule, so attempts 0..n reach
         // n distinct leaders. Attempt n would reach the first one again: it
         // sends nothing, but still waits out one more relay timeout.
-        if attempt < self.params.n {
-            let relay_leader = self.leader(View::new(target.as_i64() + attempt as i64));
-            let signature = self.keys.sign(wish_digest(target));
-            if relay_leader == self.id {
+        if attempt < self.me.params.n {
+            let relay_leader = self.me.leader(View::new(target.as_i64() + attempt as i64));
+            let signature = self.me.keys.sign(wish_digest(target));
+            if relay_leader == self.me.id() {
                 self.record_wish(target, signature, now, out);
             } else {
                 out.push(PacemakerAction::SendTo(
@@ -161,14 +137,14 @@ impl RelayPacemaker {
         out: &mut Vec<PacemakerAction>,
     ) {
         let count = self.wish_pool.add(target, signature);
-        if count < self.params.small_quorum() || self.views.has(target, FORMED_SYNC) {
+        if count < self.me.params.small_quorum() || self.me.views.has(target, FORMED_SYNC) {
             return;
         }
         let sigs = self.wish_pool.signatures(target);
-        let Ok(cert) = WishCert::aggregate(target, sigs, &self.params) else {
+        let Ok(cert) = WishCert::aggregate(target, sigs, &self.me.params) else {
             return;
         };
-        self.views.mark(target, FORMED_SYNC);
+        self.me.views.mark(target, FORMED_SYNC);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::SyncCert(cert)));
         // The broadcast includes the aggregator itself (Section 4's "sends to
         // all processors" convention): enter the view locally too.
@@ -184,17 +160,15 @@ impl Pacemaker for RelayPacemaker {
         }
     }
 
-    fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
+    fn processor(&self) -> &Processor {
+        &self.me
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.booted {
-            return;
+        if self.me.boot() {
+            self.boot_time = now;
+            self.enter(View::new(0), now, out);
         }
-        self.booted = true;
-        self.boot_time = now;
-        self.enter(View::new(0), now, out);
     }
 
     fn on_message_into(
@@ -206,14 +180,13 @@ impl Pacemaker for RelayPacemaker {
     ) {
         match msg {
             PacemakerMessage::Wish { view, signature }
-                if signature.signer() == from
-                    && self.pki.verify(signature, wish_digest(*view)).is_ok()
-                    && view.as_i64() >= 0 =>
+                if self.me.signed_by(from, signature, wish_digest(*view)) && view.as_i64() >= 0 =>
             {
                 self.record_wish(*view, *signature, now, out);
             }
             PacemakerMessage::SyncCert(cert)
-                if cert.view() > self.view && cert.verify(&self.pki, &self.params).is_ok() =>
+                if cert.view() > self.me.view()
+                    && cert.verify(&self.me.pki, &self.me.params).is_ok() =>
             {
                 self.enter(cert.view(), now, out);
             }
@@ -232,16 +205,16 @@ impl Pacemaker for RelayPacemaker {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
+        if v >= self.me.view() && self.me.views.mark(v, OBSERVED_QC) {
             self.enter(v.next(), now, out);
         }
     }
 
     fn on_wake_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.booted || self.view.as_i64() < 0 {
+        if self.me.view().as_i64() < 0 {
             return;
         }
-        let target = self.view.next();
+        let target = self.me.view().next();
         // View timeout: start (or continue) wishing for the next view.
         let view_expired = now >= self.view_entered_at + self.view_timeout;
         let relay_expired = match self.relay_deadline {
@@ -261,16 +234,12 @@ impl Pacemaker for RelayPacemaker {
         }
     }
 
-    fn current_view(&self) -> View {
-        self.view
-    }
-
     fn local_clock_reading(&self, now: Time) -> Duration {
         now - self.boot_time
     }
 
     fn state_entries(&self) -> usize {
-        self.views.len() + self.wish_pool.entries()
+        self.me.views.len() + self.wish_pool.entries()
     }
 }
 

@@ -6,10 +6,9 @@
 //! lumiere-bench --diff DIR_A DIR_B
 //! ```
 //!
-//! An experiment is named by its slug in
-//! [`ALL_EXPERIMENTS`](crate::experiments::ALL_EXPERIMENTS); `all` runs every
-//! one in registry order under a report heading. `--help` describes the
-//! flags and their environment variables (`LUMIERE_OUT`, `LUMIERE_FULL`).
+//! An experiment is named by its slug in [`ALL_EXPERIMENTS`]; `all` runs
+//! every one in registry order under a report heading. `--help` describes
+//! the flags and their environment variables (`LUMIERE_OUT`, `LUMIERE_FULL`).
 //!
 //! The markdown report goes to stdout; `--out` adds the persistent JSON
 //! cells (see `docs/REPORT_SCHEMA.md`). Output dirs are probed for

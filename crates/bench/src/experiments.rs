@@ -12,12 +12,13 @@
 use crate::grid::run_grid;
 use crate::report::{SweepCell, SCHEMA_VERSION};
 use crate::table::TextTable;
-use lumiere_core::schedule::LeaderSchedule;
+use lumiere_core::Pacemaker;
+use lumiere_crypto::keygen;
 use lumiere_sim::metrics::SimReport;
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::trace::Trace;
 use lumiere_sim::{AdversarySchedule, StrategyKind, WorkloadConfig};
-use lumiere_types::{Duration, Time, View};
+use lumiere_types::{Duration, Params, Time, View};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -305,22 +306,23 @@ const COMPARED_PROTOCOLS: [ProtocolKind; 7] = [
     ProtocolKind::Naive,
 ];
 
-/// The schedule a protocol uses, for adaptive (worst-case) corruption of the
-/// first leaders after GST.
-fn schedule_for(protocol: ProtocolKind, n: usize, seed: u64) -> LeaderSchedule {
-    match protocol {
-        ProtocolKind::Lumiere => LeaderSchedule::lumiere(n, seed),
-        ProtocolKind::BasicLumiere | ProtocolKind::Fever => LeaderSchedule::half_round_robin(n),
-        _ => LeaderSchedule::round_robin(n),
-    }
+/// Processor 0's pacemaker for `protocol` at `n` processors under `seed`:
+/// the experiments read a protocol's leader schedule from it, for adaptive
+/// (worst-case) corruption of the leaders after GST.
+fn pacemaker_for(protocol: ProtocolKind, n: usize, seed: u64) -> Box<dyn Pacemaker> {
+    let (keys, pki) = keygen(n, seed);
+    // No schedule depends on Δ.
+    let params = Params::new(n, Duration::from_millis(1));
+    protocol.build_pacemaker(params, keys[0].clone(), pki, seed)
 }
 
 /// The worst-case adversary corrupts the `f` distinct processors that lead
 /// the earliest views, maximizing the time to the first honest-leader QC.
-/// (Public for the scale-sweep integration tests.)
+/// (Public for the scale-sweep integration tests; `n ≥ 4`, as in a run.)
 pub fn worst_case_byzantine_ids(protocol: ProtocolKind, n: usize, seed: u64) -> Vec<usize> {
     let f = (n - 1) / 3;
-    let schedule = schedule_for(protocol, n, seed);
+    let pacemaker = pacemaker_for(protocol, n, seed);
+    let schedule = pacemaker.schedule();
     let mut ids = BTreeSet::new();
     let mut v = 0i64;
     while ids.len() < f && v < (4 * n as i64) {
@@ -517,12 +519,12 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let traced = run_grid(trace_jobs.clone(), threads, |protocol| {
         // The fourth leader slot: view 3 for LP22's one-view-per-leader
         // schedule, views 6/7 for Lumiere's two-view-per-leader one.
-        let slot_view = View::new(if protocol == ProtocolKind::Lp22 { 3 } else { 6 });
-        let byz = schedule_for(protocol, n, seed).leader(slot_view).as_usize();
+        let slot = View::new(if protocol == ProtocolKind::Lp22 { 3 } else { 6 });
+        let byz = pacemaker_for(protocol, n, seed).schedule().leader(slot);
         let (report, trace) = SimConfig::new(protocol, n)
             .with_delta(delta)
             .with_actual_delay(actual)
-            .with_faulty_ids(vec![byz], StrategyKind::SilentLeader)
+            .with_faulty_ids(vec![byz.as_usize()], StrategyKind::SilentLeader)
             .with_horizon(Duration::from_secs(3))
             .with_max_honest_qcs(10)
             .with_seed(seed)
@@ -545,7 +547,7 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     for (protocol, (byz, report, trace)) in trace_jobs.into_iter().zip(traced) {
         let _ = writeln!(
             markdown,
-            "### {} (Byzantine processor p{byz})\n",
+            "### {} (Byzantine processor {byz})\n",
             protocol.name()
         );
         let _ = writeln!(markdown, "```");
@@ -603,11 +605,11 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     .run(
         &mut cells,
         |&(n, protocol, byz_slot)| {
-            let byz = schedule_for(protocol, n, seed).leader(byz_slot).as_usize();
+            let byz = pacemaker_for(protocol, n, seed).schedule().leader(byz_slot);
             SimConfig::new(protocol, n)
                 .with_delta(delta)
                 .with_actual_delay(actual)
-                .with_faulty_ids(vec![byz], StrategyKind::SilentLeader)
+                .with_faulty_ids(vec![byz.as_usize()], StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_secs(8))
                 .with_max_honest_qcs(8 * n)
         },

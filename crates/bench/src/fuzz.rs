@@ -361,7 +361,7 @@ const MINIMIZE_RUN_BUDGET: usize = 64;
 
 /// Greedily minimizes a finding's configuration: corruptions and delay
 /// rules are dropped one at a time while the verdict persists (at most
-/// [`MINIMIZE_RUN_BUDGET`] candidate simulations). The result is the
+/// `MINIMIZE_RUN_BUDGET` candidate simulations). The result is the
 /// smallest adversary schedule that still reproduces the finding.
 ///
 /// [`Verdict::Truncated`] findings are returned unminimized: reproducing

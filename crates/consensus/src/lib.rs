@@ -16,7 +16,7 @@
 //! aggregates `2f+1` votes into a [`QuorumCert`] and broadcasts it — three
 //! message delays, so the workspace uses `x = 3`
 //! ([`lumiere_types::DEFAULT_VIEW_ROUNDS`]). Blocks are committed under the
-//! two-chain rule (HotStuff-2 [14]).
+//! two-chain rule (HotStuff-2 \[14\]).
 //!
 //! The engine is deliberately independent of *how* views advance: a pacemaker
 //! calls [`engine::HotStuffEngine::enter_view`] and consumes the

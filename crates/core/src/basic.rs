@@ -13,11 +13,11 @@
 //! for property (4) — its eventual worst-case communication remains `Θ(n²)`
 //! because every epoch change is heavy.
 
-use crate::certs::{epoch_view_digest, view_msg_digest, ViewCert};
+use crate::certs::{epoch_view_digest, view_msg_digest};
 use crate::clock::LocalClock;
 use crate::ledger::*;
 use crate::messages::PacemakerMessage;
-use crate::pacemaker::{Pacemaker, PacemakerAction};
+use crate::pacemaker::{EpochMsgs, Pacemaker, PacemakerAction, Processor, ViewMsgs};
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
@@ -27,53 +27,40 @@ use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
 /// A processor's Basic Lumiere pacemaker (Section 3.4).
 #[derive(Debug)]
 pub struct BasicLumiere {
-    params: Params,
+    me: Processor,
     layout: EpochLayout,
     gamma: Duration,
-    schedule: LeaderSchedule,
-    id: ProcessId,
-    keys: KeyPair,
-    pki: Pki,
-
     clock: LocalClock,
-    view: View,
-    epoch: Epoch,
 
-    views: ViewLedger,
-    view_msg_pool: SigPool,
-    epoch_msg_pool: SenderPool,
+    view_msgs: ViewMsgs,
+    epoch_msgs: EpochMsgs,
 
     /// Epoch view at which the local clock is paused, if any.
     paused_at_boundary: Option<View>,
-    booted: bool,
 }
 
 impl BasicLumiere {
     /// Creates the pacemaker for the processor owning `keys`.
     pub fn new(params: Params, keys: KeyPair, pki: Pki) -> Self {
-        let id = keys.id();
         BasicLumiere {
-            params,
+            me: Processor::new(
+                params,
+                LeaderSchedule::half_round_robin(params.n),
+                keys,
+                pki,
+            ),
             layout: params.basic_lumiere_epoch_layout(),
             gamma: params.fever_gamma(),
-            schedule: LeaderSchedule::half_round_robin(params.n),
-            id,
-            keys,
-            pki,
             clock: LocalClock::new(Time::ZERO),
-            view: View::SENTINEL,
-            epoch: Epoch::SENTINEL,
-            views: ViewLedger::default(),
-            view_msg_pool: SigPool::new(params.n),
-            epoch_msg_pool: SenderPool::new(params.n),
+            view_msgs: ViewMsgs::new(params.n),
+            epoch_msgs: EpochMsgs::new(params.n),
             paused_at_boundary: None,
-            booted: false,
         }
     }
 
     /// The epoch this processor is currently in.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.layout.epoch_of(self.me.view())
     }
 
     /// Whether the local clock is paused at an epoch boundary.
@@ -90,34 +77,10 @@ impl BasicLumiere {
         view.clock_time(self.gamma)
     }
 
-    fn leader(&self, view: View) -> ProcessId {
-        self.schedule.leader(view)
-    }
-
-    fn set_view(&mut self, view: View, out: &mut Vec<PacemakerAction>) {
-        if view > self.view {
-            self.view = view;
-            self.epoch = self.layout.epoch_of(view);
-            out.push(PacemakerAction::EnterView {
-                view,
-                leader: self.leader(view),
-            });
-        }
-    }
-
-    /// Sends this processor's view message: once per view, as only the
-    /// initial-view trigger calls it.
-    fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        let signature = self.keys.sign(view_msg_digest(view));
-        let leader = self.leader(view);
-        if leader == self.id {
-            self.record_view_msg(view, signature, now, out);
-        } else {
-            out.push(PacemakerAction::SendTo(
-                leader,
-                PacemakerMessage::ViewMsg { view, signature },
-            ));
-        }
+    /// Bumps the clock to `view`'s clock time and enters it.
+    fn catch_up_to(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
+        self.clock.bump_to(self.c(view), now);
+        self.me.enter(view, out);
     }
 
     fn record_view_msg(
@@ -127,63 +90,39 @@ impl BasicLumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let aggregates = self.leader(view) == self.id
-            && view.is_initial()
-            && !self.layout.is_epoch_view(view)
-            && view >= self.view
-            && !self.views.has(view, FORMED_VC);
-        let count = self.view_msg_pool.add(view, signature);
-        if !aggregates || count < self.params.small_quorum() {
-            return;
-        }
-        let sigs = self.view_msg_pool.signatures(view);
-        let Ok(vc) = ViewCert::aggregate(view, sigs, &self.params) else {
-            return;
-        };
-        self.views.mark(view, FORMED_VC | SEEN_VC);
-        out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(vc)));
+        // Epoch views are entered by an EC only, never by a VC.
+        let open = view.is_initial() && !self.layout.is_epoch_view(view);
         // The broadcast includes the leader itself: catch up if behind.
-        if view > self.view {
-            self.clock.bump_to(self.c(view), now);
-            self.set_view(view, out);
+        let formed = self
+            .view_msgs
+            .record(&mut self.me, view, signature, open, out);
+        if formed && view > self.me.view() {
+            self.catch_up_to(view, now, out);
         }
     }
 
-    /// Broadcasts this processor's epoch-view message: once per epoch view,
-    /// as only the epoch trigger calls it.
-    fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        let signature = self.keys.sign(epoch_view_digest(view));
-        out.push(PacemakerAction::HeavySyncStarted { view });
-        out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
-            view,
-            signature,
-        }));
-        self.record_epoch_msg(self.id, view, now, out);
-    }
-
-    fn record_epoch_msg(
+    /// Acts on `count` senders of epoch-view messages for `view`.
+    fn count_epoch_msgs(
         &mut self,
-        from: ProcessId,
         view: View,
+        count: usize,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.epoch_msg_pool.add(view, from);
-        if count >= self.params.quorum() && self.views.mark(view, SEEN_EC) {
+        if count >= self.me.params.quorum() && self.me.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
 
     fn handle_ec(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.layout.epoch_of(view) <= self.epoch {
+        if self.layout.epoch_of(view) <= self.epoch() {
             return;
         }
         if self.paused_at_boundary.is_some_and(|pv| view >= pv) {
             self.clock.unpause(now);
             self.paused_at_boundary = None;
         }
-        self.clock.bump_to(self.c(view), now);
-        self.set_view(view, out);
+        self.catch_up_to(view, now, out);
     }
 
     fn sweep(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
@@ -191,14 +130,19 @@ impl BasicLumiere {
             let mut progressed = false;
 
             // Heavy synchronization at *every* epoch boundary.
-            let next_epoch_view = self.layout.next_epoch_view_after(self.view);
-            if self.view < next_epoch_view
+            let next_epoch_view = self.layout.next_epoch_view_after(self.me.view());
+            if self.me.view() < next_epoch_view
                 && self.clock.reading(now) >= self.c(next_epoch_view)
-                && self.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
+                && self.me.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
             {
                 self.clock.pause(now);
                 self.paused_at_boundary = Some(next_epoch_view);
-                self.broadcast_epoch_msg(next_epoch_view, now, out);
+                if let Some(count) = self
+                    .epoch_msgs
+                    .broadcast(&mut self.me, next_epoch_view, out)
+                {
+                    self.count_epoch_msgs(next_epoch_view, count, now, out);
+                }
                 progressed = true;
             }
 
@@ -206,19 +150,22 @@ impl BasicLumiere {
             let reading = self.clock.reading(now);
             if reading >= Duration::ZERO {
                 let max_view = reading.as_micros() / self.gamma.as_micros();
-                let start = self.view.as_i64().max(0);
+                let start = self.me.view().as_i64().max(0);
                 for v in start..=max_view {
                     let view = View::new(v);
                     if !view.is_initial()
+                        || view < self.me.view()
+                        || self.me.views.has(view, INITIAL_TRIGGER_FIRED)
                         || self.layout.is_epoch_view(view)
-                        || self.layout.epoch_of(view) != self.epoch
-                        || view < self.view
-                        || !self.views.mark(view, INITIAL_TRIGGER_FIRED)
+                        || self.layout.epoch_of(view) != self.epoch()
                     {
                         continue;
                     }
-                    self.set_view(view, out);
-                    self.send_view_msg(view, now, out);
+                    self.me.views.mark(view, INITIAL_TRIGGER_FIRED);
+                    self.me.enter(view, out);
+                    if let Some(signature) = self.view_msgs.send(&mut self.me, view, out) {
+                        self.record_view_msg(view, signature, now, out);
+                    }
                     progressed = true;
                 }
             }
@@ -228,14 +175,8 @@ impl BasicLumiere {
             }
         }
 
-        if !self.clock.is_paused() {
-            let reading = self.clock.reading(now);
-            let gamma = self.gamma.as_micros();
-            let next_even = 2 * (reading.as_micros() / (2 * gamma) + 1);
-            let target = Duration::from_micros(next_even * gamma);
-            if let Some(at) = self.clock.real_time_at(target, now) {
-                out.push(PacemakerAction::WakeAt(at));
-            }
+        if let Some(at) = self.clock.next_tick(self.gamma * 2, now) {
+            out.push(PacemakerAction::WakeAt(at));
         }
     }
 }
@@ -245,17 +186,15 @@ impl Pacemaker for BasicLumiere {
         "basic-lumiere"
     }
 
-    fn schedule(&self) -> &LeaderSchedule {
-        &self.schedule
+    fn processor(&self) -> &Processor {
+        &self.me
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.booted {
-            return;
+        if self.me.boot() {
+            self.clock = LocalClock::new(now);
+            self.sweep(now, out);
         }
-        self.booted = true;
-        self.clock = LocalClock::new(now);
-        self.sweep(now, out);
     }
 
     fn on_message_into(
@@ -267,35 +206,33 @@ impl Pacemaker for BasicLumiere {
     ) {
         match msg {
             PacemakerMessage::ViewMsg { view, signature }
-                if signature.signer() == from
-                    && self.pki.verify(signature, view_msg_digest(*view)).is_ok()
+                if self.me.signed_by(from, signature, view_msg_digest(*view))
                     && view.is_initial() =>
             {
                 self.record_view_msg(*view, *signature, now, out);
             }
             PacemakerMessage::EpochViewMsg { view, signature }
-                if signature.signer() == from
-                    && self.pki.verify(signature, epoch_view_digest(*view)).is_ok()
+                if self.me.signed_by(from, signature, epoch_view_digest(*view))
                     && self.layout.is_epoch_view(*view) =>
             {
-                self.record_epoch_msg(from, *view, now, out);
+                let count = self.epoch_msgs.record(from, *view);
+                self.count_epoch_msgs(*view, count, now, out);
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
-                let verify = || vc.verify(&self.pki, &self.params).is_ok();
+                let verify = || vc.verify(&self.me.pki, &self.me.params).is_ok();
                 if view.is_initial()
                     && !self.layout.is_epoch_view(view)
-                    && self.views.admit(view, SEEN_VC, verify)
-                    && view > self.view
+                    && self.me.views.admit(view, SEEN_VC, verify)
+                    && view > self.me.view()
                 {
-                    self.clock.bump_to(self.c(view), now);
-                    self.set_view(view, out);
+                    self.catch_up_to(view, now, out);
                 }
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
-                let verify = || ec.verify(&self.pki, &self.params).is_ok();
-                if self.layout.is_epoch_view(view) && self.views.admit(view, SEEN_EC, verify) {
+                let verify = || ec.verify(&self.me.pki, &self.me.params).is_ok();
+                if self.layout.is_epoch_view(view) && self.me.views.admit(view, SEEN_EC, verify) {
                     self.handle_ec(view, now, out);
                 }
             }
@@ -315,13 +252,13 @@ impl Pacemaker for BasicLumiere {
         if v.as_i64() < 0 {
             return;
         }
-        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
+        if v >= self.me.view() && self.me.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             self.clock.bump_to(self.c(next), now);
             if !self.layout.is_epoch_view(next) {
-                self.set_view(next, out);
-            } else if self.view < v {
-                self.set_view(v, out);
+                self.me.enter(next, out);
+            } else if self.me.view() < v {
+                self.me.enter(v, out);
             }
         }
         self.sweep(now, out);
@@ -331,23 +268,19 @@ impl Pacemaker for BasicLumiere {
         self.sweep(now, out);
     }
 
-    fn current_view(&self) -> View {
-        self.view
-    }
-
     fn local_clock_reading(&self, now: Time) -> Duration {
         self.clock.reading(now)
     }
 
     fn state_entries(&self) -> usize {
-        self.views.len() + self.view_msg_pool.entries() + self.epoch_msg_pool.entries()
+        self.me.views.len() + self.view_msgs.entries() + self.epoch_msgs.entries()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::{forged, EpochCert};
+    use crate::certs::{forged, EpochCert, ViewCert};
     use crate::pacemaker::actions;
     use lumiere_crypto::keygen;
 
@@ -422,7 +355,7 @@ mod tests {
         // The QC for the last view bumped the clock to the boundary, so the
         // heavy synchronization for epoch 1 has already been broadcast.
         assert!(pm.is_paused());
-        assert!(pm.views.has(View::new(epoch_len), EPOCH_PAUSE_TAKEN));
+        assert!(pm.me.views.has(View::new(epoch_len), EPOCH_PAUSE_TAKEN));
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl LocalClock {
         }
     }
 
-    /// Whether the clock is currently paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Pauses the clock at `now`. Pausing an already-paused clock is a
     /// no-op.
     pub fn pause(&mut self, now: Time) {
@@ -105,6 +100,18 @@ impl LocalClock {
             Some(now + (target - current))
         }
     }
+
+    /// The real time at which the reading next reaches a multiple of
+    /// `period` above the current one: the wake-up grid a pacemaker's
+    /// clock-driven triggers sit on. `None` while the clock is paused.
+    pub fn next_tick(&self, period: Duration, now: Time) -> Option<Time> {
+        if self.paused {
+            return None;
+        }
+        let period = period.as_micros();
+        let target = (self.reading(now).as_micros() / period + 1) * period;
+        self.real_time_at(Duration::from_micros(target), now)
+    }
 }
 
 #[cfg(test)]
@@ -126,7 +133,7 @@ mod tests {
     fn pause_freezes_and_unpause_resumes() {
         let mut clock = LocalClock::new(Time::ZERO);
         clock.pause(Time::from_millis(3));
-        assert!(clock.is_paused());
+        assert!(clock.paused);
         assert_eq!(
             clock.reading(Time::from_millis(10)),
             Duration::from_millis(3)
@@ -176,7 +183,7 @@ mod tests {
         let mut clock = LocalClock::new(Time::ZERO);
         clock.pause(Time::from_millis(1));
         clock.bump_to(Duration::from_millis(8), Time::from_millis(4));
-        assert!(clock.is_paused());
+        assert!(clock.paused);
         assert_eq!(
             clock.reading(Time::from_millis(20)),
             Duration::from_millis(8)
@@ -203,6 +210,35 @@ mod tests {
     }
 
     proptest! {
+        /// The wake-up grid is the formula each pacemaker wrote out before
+        /// it was shared: the next even multiple of Γ (Fever, Basic Lumiere,
+        /// Lumiere: a period of 2Γ) or the next multiple of Γ (LP22), above
+        /// the reading, negative readings included; and no wake-up while the
+        /// clock is paused.
+        #[test]
+        fn next_tick_is_each_pacemakers_old_grid(
+            reading in -10_000_000i64..10_000_000,
+            gamma in 1i64..100_000,
+            at in 0i64..1_000_000,
+        ) {
+            let now = Time::from_micros(at);
+            let mut clock = LocalClock {
+                reading_at_anchor: Duration::from_micros(reading),
+                anchor: now,
+                paused: false,
+            };
+            let fever = Duration::from_micros(2 * (reading / (2 * gamma) + 1) * gamma);
+            let lp22 = Duration::from_micros((reading / gamma + 1) * gamma);
+            let grid = Duration::from_micros(gamma);
+            for (period, target) in [(grid * 2, fever), (grid, lp22)] {
+                prop_assert!(target > clock.reading(now));
+                prop_assert_eq!(clock.next_tick(period, now), clock.real_time_at(target, now));
+            }
+            clock.pause(now);
+            prop_assert_eq!(clock.next_tick(grid * 2, now), None);
+            prop_assert_eq!(clock.next_tick(grid, now), None);
+        }
+
         /// The core monotonicity invariant used throughout the correctness
         /// proof (Lemma 5.2): the clock never runs backwards, no matter the
         /// interleaving of pauses, unpauses and bumps.

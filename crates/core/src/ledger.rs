@@ -1,8 +1,12 @@
 //! What every pacemaker remembers per view: facts about views this
-//! processor reached, one bit each, in a [`ViewLedger`]; the f+1 or 2f+1
-//! signed messages it aggregates into a certificate, in one [`SigPool`] per
-//! message class; and, for the classes it only counts (epoch-view and
-//! timeout messages), who sent one, in a [`SenderPool`].
+//! processor reached, one bit each, in the [`ViewLedger`] its
+//! [`Processor`](crate::pacemaker::Processor) holds; the f+1 or 2f+1 signed
+//! messages it aggregates into a certificate, in one [`SigPool`] per message
+//! class (view messages in a [`ViewMsgs`](crate::pacemaker::ViewMsgs),
+//! wishes in the relay's own pool); and, for the classes it only counts,
+//! who sent one, in a [`SenderPool`] (epoch-view messages in an
+//! [`EpochMsgs`](crate::pacemaker::EpochMsgs), timeouts in the naive
+//! pacemaker's own pool).
 //!
 //! A ledger record exists only for views this processor's clock or a
 //! verified certificate has reached (see [`ViewWindow`]); a view a single

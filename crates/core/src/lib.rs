@@ -13,14 +13,19 @@
 //! * [`messages::PacemakerMessage`] and [`certs`] — the view / epoch-view
 //!   messages and the VC / EC / TC certificates assembled from them,
 //! * [`pacemaker::Pacemaker`] — the Byzantine View Synchronization interface
-//!   every protocol in this workspace (Lumiere and the baselines) implements,
-//!   and [`ledger`] — the per-view flags and signature pools every one of
-//!   them keeps,
-//! * [`basic::BasicLumiere`] — the Section 3.4 protocol (LP22 epochs + Fever
-//!   clock bumping, heavy synchronization at the start of *every* epoch),
-//! * [`lumiere::Lumiere`] — the full protocol of Algorithm 1, which adds the
-//!   success criterion, TCs, and Δ-deferred epoch-view messages so that heavy
-//!   synchronizations stop once the system is synchronized.
+//!   every protocol in this workspace (Lumiere and the baselines) implements;
+//!   [`pacemaker::Processor`] — what every one of them holds about its own
+//!   processor (keys, schedule, current view and its [`ledger`] of per-view
+//!   flags); and the two message paths the paper builds on,
+//!   [`pacemaker::ViewMsgs`] (Fever's view messages and VCs) and
+//!   [`pacemaker::EpochMsgs`] (LP22's epoch-view messages),
+//! * [`basic::BasicLumiere`] — the Section 3.4 protocol, built from both
+//!   paths: LP22 epochs + Fever clock bumping, heavy synchronization at the
+//!   start of *every* epoch,
+//! * [`lumiere::Lumiere`] — the full protocol of Algorithm 1: Basic
+//!   Lumiere's two paths plus the success criterion, TCs, and Δ-deferred
+//!   epoch-view messages so that heavy synchronizations stop once the system
+//!   is synchronized.
 //!
 //! # Quick start
 //!

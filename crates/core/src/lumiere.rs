@@ -20,7 +20,8 @@ use crate::certs::{epoch_view_digest, view_msg_digest, EpochCert, TimeoutCert, V
 use crate::clock::LocalClock;
 use crate::ledger::*;
 use crate::messages::PacemakerMessage;
-use crate::pacemaker::{Pacemaker, PacemakerAction};
+use crate::pacemaker::{EpochMsgs, Pacemaker, PacemakerAction, Processor, ViewMsgs};
+use crate::planted::PlantedBug;
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
 use lumiere_crypto::{KeyPair, Pki, Signature};
@@ -67,11 +68,6 @@ impl LumiereConfig {
         self.planted = Some(bug);
         self
     }
-
-    /// The clock time `c_v = Γ·v` of a view.
-    pub fn clock_time(&self, view: View) -> Duration {
-        view.clock_time(self.gamma)
-    }
 }
 
 /// State of a paused local clock waiting at an epoch boundary (lines 9–11 of
@@ -100,59 +96,55 @@ struct EpochState {
 /// [`Pacemaker`] for the event interface.
 #[derive(Debug)]
 pub struct Lumiere {
-    cfg: LumiereConfig,
-    id: ProcessId,
-    keys: KeyPair,
-    pki: Pki,
+    me: Processor,
+    layout: EpochLayout,
+    gamma: Duration,
+    success_qcs_per_leader: u8,
+    /// Read only where the planted-bug code path is compiled in.
+    #[cfg_attr(not(any(test, feature = "planted-bugs")), allow(dead_code))]
+    planted: Option<PlantedBug>,
 
     clock: LocalClock,
-    view: View,
-    epoch: Epoch,
-
-    /// What this processor has done in, and seen for, each view.
-    views: ViewLedger,
     /// Per-epoch success tallies, from epoch 0; extended only by QCs.
     epochs: ViewWindow<EpochState>,
 
     /// View messages collected as leader.
-    view_msg_pool: SigPool,
+    view_msgs: ViewMsgs,
     /// Senders of epoch-view messages (broadcast by everyone), counted
     /// toward a TC and an EC.
-    epoch_msg_pool: SenderPool,
+    epoch_msgs: EpochMsgs,
 
     pause: Option<EpochPause>,
-    booted: bool,
 }
 
 impl Lumiere {
     /// Creates the pacemaker for the processor owning `keys`.
     pub fn new(cfg: LumiereConfig, keys: KeyPair, pki: Pki) -> Self {
-        let (id, n) = (keys.id(), cfg.params.n);
+        let LumiereConfig {
+            params,
+            layout,
+            gamma,
+            schedule,
+            success_qcs_per_leader,
+            planted,
+        } = cfg;
         Lumiere {
-            cfg,
-            id,
-            keys,
-            pki,
+            me: Processor::new(params, schedule, keys, pki),
+            layout,
+            gamma,
+            success_qcs_per_leader,
+            planted,
             clock: LocalClock::new(Time::ZERO),
-            view: View::SENTINEL,
-            epoch: Epoch::SENTINEL,
-            views: ViewLedger::default(),
             epochs: ViewWindow::new(0),
-            view_msg_pool: SigPool::new(n),
-            epoch_msg_pool: SenderPool::new(n),
+            view_msgs: ViewMsgs::new(params.n),
+            epoch_msgs: EpochMsgs::new(params.n),
             pause: None,
-            booted: false,
         }
-    }
-
-    /// This processor's identifier.
-    pub fn id(&self) -> ProcessId {
-        self.id
     }
 
     /// The epoch this processor is currently in.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.layout.epoch_of(self.me.view())
     }
 
     /// Whether the local clock is currently paused at an epoch boundary.
@@ -166,28 +158,13 @@ impl Lumiere {
         done.map(|(epoch, _)| epoch).collect()
     }
 
-    /// The protocol configuration.
-    pub fn config(&self) -> &LumiereConfig {
-        &self.cfg
+    /// The epoch layout (`10n` views per epoch).
+    pub fn layout(&self) -> EpochLayout {
+        self.layout
     }
 
     fn c(&self, view: View) -> Duration {
-        self.cfg.clock_time(view)
-    }
-
-    fn leader(&self, view: View) -> ProcessId {
-        self.cfg.schedule.leader(view)
-    }
-
-    fn set_view(&mut self, view: View, out: &mut Vec<PacemakerAction>) {
-        if view > self.view {
-            self.view = view;
-            self.epoch = self.cfg.layout.epoch_of(view);
-            out.push(PacemakerAction::EnterView {
-                view,
-                leader: self.leader(view),
-            });
-        }
+        view.clock_time(self.gamma)
     }
 
     fn unpause_if(&mut self, condition: impl Fn(View) -> bool, now: Time) {
@@ -202,7 +179,7 @@ impl Lumiere {
     /// Lines 18 / 38 / 46: send (not-yet-sent) view messages for every
     /// initial view in `[view(p), upto)`.
     fn send_skipped_view_msgs(&mut self, upto: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        let start = self.view.as_i64().max(0);
+        let start = self.me.view().as_i64().max(0);
         for v in start..upto.as_i64() {
             let view = View::new(v);
             if view.is_initial() {
@@ -212,34 +189,20 @@ impl Lumiere {
     }
 
     fn send_view_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.views.mark(view, SENT_VIEW_MSG) {
-            return;
-        }
-        let signature = self.keys.sign(view_msg_digest(view));
-        let msg = PacemakerMessage::ViewMsg { view, signature };
-        let leader = self.leader(view);
-        if leader == self.id {
+        if let Some(signature) = self.view_msgs.send(&mut self.me, view, out) {
             // Self-delivery: fold our own message into the pool directly.
             self.record_view_msg(view, signature, now, out);
-        } else {
-            out.push(PacemakerAction::SendTo(leader, msg));
         }
     }
 
     fn broadcast_epoch_msg(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if !self.views.mark(view, SENT_EPOCH_MSG) {
-            return;
+        if let Some(count) = self.epoch_msgs.broadcast(&mut self.me, view, out) {
+            self.count_epoch_msgs(view, count, now, out);
         }
-        let signature = self.keys.sign(epoch_view_digest(view));
-        out.push(PacemakerAction::HeavySyncStarted { view });
-        out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
-            view,
-            signature,
-        }));
-        // Self-delivery.
-        self.record_epoch_msg(self.id, view, now, out);
     }
 
+    /// Lines 32–34: the leader of an initial view `v ≥ view(p)` aggregates
+    /// f+1 view messages into a VC and broadcasts it.
     fn record_view_msg(
         &mut self,
         view: View,
@@ -247,54 +210,49 @@ impl Lumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        // Lines 32–34: the leader of an initial view `v ≥ view(p)` aggregates
-        // f+1 view messages into a VC and broadcasts it.
-        let aggregates = self.leader(view) == self.id
-            && view.is_initial()
-            && view >= self.view
-            && !self.views.has(view, FORMED_VC);
-        let count = self.view_msg_pool.add(view, signature);
-        if !aggregates || count < self.cfg.params.small_quorum() {
-            return;
+        let open = view.is_initial();
+        if self
+            .view_msgs
+            .record(&mut self.me, view, signature, open, out)
+        {
+            // Leader rule (Section 4): the QC for this view must be produced
+            // within Γ/2 − 2Δ of sending the VC.
+            out.push(PacemakerAction::SetQcDeadline {
+                view,
+                deadline: now + self.me.params.leader_qc_window(),
+            });
+            // "Send to all processors" includes the leader itself (line 36):
+            // if the leader's own clock is behind, its VC catches it up too.
+            self.catch_up_to(view, now, out);
         }
-        let sigs = self.view_msg_pool.signatures(view);
-        let Ok(vc) = ViewCert::aggregate(view, sigs, &self.cfg.params) else {
-            return;
-        };
-        self.views.mark(view, FORMED_VC | SEEN_VC);
-        out.push(PacemakerAction::Broadcast(PacemakerMessage::ViewCert(
-            vc.clone(),
-        )));
-        // Leader rule (Section 4): the QC for this view must be produced
-        // within Γ/2 − 2Δ of sending the VC.
-        out.push(PacemakerAction::SetQcDeadline {
-            view,
-            deadline: now + self.cfg.params.leader_qc_window(),
-        });
-        // "Send to all processors" includes the leader itself (line 36): if
-        // the leader's own clock is behind, its VC catches it up too.
-        if view > self.view {
+    }
+
+    /// Lines 37–40, on a VC for initial view `v`: if `v > view(p)`, send the
+    /// skipped view messages, bump the clock to `c_v` and enter `v`.
+    fn catch_up_to(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
+        if view > self.me.view() {
             self.unpause_if(|pv| view >= pv, now);
             if self.clock.reading(now) < self.c(view) {
                 self.send_skipped_view_msgs(view, now, out);
                 self.clock.bump_to(self.c(view), now);
             }
-            self.set_view(view, out);
+            self.me.enter(view, out);
         }
     }
 
-    fn record_epoch_msg(
+    /// Acts on `count` senders of epoch-view messages for `view`: a TC at
+    /// f+1, an EC at 2f+1.
+    fn count_epoch_msgs(
         &mut self,
-        from: ProcessId,
         view: View,
+        count: usize,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        let count = self.epoch_msg_pool.add(view, from);
-        if count >= self.cfg.params.small_quorum() && self.views.mark(view, SEEN_TC) {
+        if count >= self.me.params.small_quorum() && self.me.views.mark(view, SEEN_TC) {
             self.handle_tc(view, now, out);
         }
-        if count >= self.cfg.params.quorum() && self.views.mark(view, SEEN_EC) {
+        if count >= self.me.params.quorum() && self.me.views.mark(view, SEEN_EC) {
             self.handle_ec(view, now, out);
         }
     }
@@ -302,7 +260,7 @@ impl Lumiere {
     /// Lines 16–21: reaction to the first TC (f+1 epoch-view messages) for
     /// epoch view `v`.
     fn handle_tc(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.cfg.layout.epoch_of(view) < self.epoch {
+        if self.layout.epoch_of(view) < self.epoch() {
             return;
         }
         // The pause condition releases on a TC for a *strictly greater* view.
@@ -311,28 +269,20 @@ impl Lumiere {
             self.send_skipped_view_msgs(view, now, out);
             self.clock.bump_to(self.c(view), now);
         }
-        if self.view < view.prev() {
-            // Enter the last view of the previous epoch (line 20).
-            let target = view.prev();
-            self.view = target;
-            self.epoch = self.cfg.layout.epoch_of(view).prev();
-            out.push(PacemakerAction::EnterView {
-                view: target,
-                leader: self.leader(target),
-            });
-        }
+        // Enter the last view of the previous epoch (line 20).
+        self.me.enter(view.prev(), out);
         self.broadcast_epoch_msg(view, now, out);
     }
 
     /// Lines 23–24: reaction to the first EC (2f+1 epoch-view messages) for
     /// epoch view `v`.
     fn handle_ec(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.cfg.layout.epoch_of(view) <= self.epoch {
+        if self.layout.epoch_of(view) <= self.epoch() {
             return;
         }
         self.unpause_if(|pv| view >= pv, now);
         self.clock.bump_to(self.c(view), now);
-        self.set_view(view, out);
+        self.me.enter(view, out);
     }
 
     /// Records a QC for the success criterion and returns whether the
@@ -343,12 +293,12 @@ impl Lumiere {
             return None;
         }
         // Each view counts once toward its leader, whatever the copies.
-        let fresh = self.views.mark(v, TALLIED_QC);
-        let epoch = self.cfg.layout.epoch_of(v).as_i64();
-        let leader = self.leader(v).as_usize();
+        let fresh = self.me.views.mark(v, TALLIED_QC);
+        let epoch = self.layout.epoch_of(v).as_i64();
+        let leader = self.me.leader(v).as_usize();
         // A bar of zero is met by a leader's first QC, as any bar is.
-        let bar = self.cfg.success_qcs_per_leader.max(1);
-        let (n, quorum) = (self.cfg.params.n, self.cfg.params.quorum());
+        let bar = self.success_qcs_per_leader.max(1);
+        let (n, quorum) = (self.me.params.n, self.me.params.quorum());
         let state = self.epochs.get_or_insert(epoch)?;
         if fresh {
             if state.qcs_by_leader.is_empty() {
@@ -378,17 +328,18 @@ impl Lumiere {
             let mut progressed = false;
 
             // --- Epoch-view trigger (lines 9–14) ---
-            let next_epoch_view = self.cfg.layout.next_epoch_view_after(self.view);
-            if self.view < next_epoch_view && self.clock.reading(now) >= self.c(next_epoch_view) {
-                let prev_epoch = self.cfg.layout.epoch_of(next_epoch_view).prev().as_i64();
+            let next_epoch_view = self.layout.next_epoch_view_after(self.me.view());
+            let reached = self.clock.reading(now) >= self.c(next_epoch_view);
+            if self.me.view() < next_epoch_view && reached {
+                let prev_epoch = self.layout.epoch_of(next_epoch_view).prev().as_i64();
                 if self.epochs.get(prev_epoch).is_some_and(|e| e.success) {
                     // Line 13–14: treat the epoch view as a standard initial
                     // view and enter directly.
                     self.unpause_if(|pv| pv == next_epoch_view, now);
-                    self.set_view(next_epoch_view, out);
+                    self.me.enter(next_epoch_view, out);
                     progressed = true;
                 } else if self.pause.is_none()
-                    && self.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
+                    && self.me.views.mark(next_epoch_view, EPOCH_PAUSE_TAKEN)
                 {
                     // Lines 9–11: pause and, if still paused Δ later,
                     // broadcast the epoch-view message.
@@ -397,25 +348,26 @@ impl Lumiere {
                         epoch_view: next_epoch_view,
                         paused_at: now,
                     });
-                    out.push(PacemakerAction::WakeAt(now + self.cfg.params.delta_cap));
+                    out.push(PacemakerAction::WakeAt(now + self.me.params.delta_cap));
                 }
             }
 
             // --- Initial-view trigger (lines 28–30) ---
             let reading = self.clock.reading(now);
             if reading >= Duration::ZERO {
-                let max_view = reading.as_micros() / self.cfg.gamma.as_micros();
-                let start = self.view.as_i64().max(0);
+                let max_view = reading.as_micros() / self.gamma.as_micros();
+                let start = self.me.view().as_i64().max(0);
                 for v in start..=max_view {
                     let view = View::new(v);
                     if !view.is_initial()
-                        || self.cfg.layout.epoch_of(view) != self.epoch
-                        || view < self.view
-                        || !self.views.mark(view, INITIAL_TRIGGER_FIRED)
+                        || view < self.me.view()
+                        || self.me.views.has(view, INITIAL_TRIGGER_FIRED)
+                        || self.layout.epoch_of(view) != self.epoch()
                     {
                         continue;
                     }
-                    self.set_view(view, out);
+                    self.me.views.mark(view, INITIAL_TRIGGER_FIRED);
+                    self.me.enter(view, out);
                     self.send_view_msg(view, now, out);
                     progressed = true;
                 }
@@ -428,9 +380,9 @@ impl Lumiere {
 
         // --- Schedule the next clock-driven wake-up ---
         #[cfg(any(test, feature = "planted-bugs"))]
-        if self.cfg.planted == Some(crate::planted::PlantedBug::DropTimeoutRearm)
-            && self.view.as_i64() >= 0
-            && !self.views.has(self.view, OBSERVED_QC)
+        if self.planted == Some(PlantedBug::DropTimeoutRearm)
+            && self.me.view().as_i64() >= 0
+            && !self.me.views.has(self.me.view(), OBSERVED_QC)
         {
             // PLANTED BUG (fuzzer calibration, never compiled into release
             // builds without the `planted-bugs` feature): while the current
@@ -440,14 +392,8 @@ impl Lumiere {
             // path and the node can only ever act on incoming messages.
             return;
         }
-        if !self.clock.is_paused() {
-            let reading = self.clock.reading(now);
-            let gamma = self.cfg.gamma.as_micros();
-            let next_even = 2 * (reading.as_micros() / (2 * gamma) + 1);
-            let target = Duration::from_micros(next_even * gamma);
-            if let Some(at) = self.clock.real_time_at(target, now) {
-                out.push(PacemakerAction::WakeAt(at));
-            }
+        if let Some(at) = self.clock.next_tick(self.gamma * 2, now) {
+            out.push(PacemakerAction::WakeAt(at));
         }
     }
 
@@ -459,10 +405,7 @@ impl Lumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        if signature.signer() != from
-            || self.pki.verify(&signature, view_msg_digest(view)).is_err()
-            || !view.is_initial()
-        {
+        if !self.me.signed_by(from, &signature, view_msg_digest(view)) || !view.is_initial() {
             return;
         }
         self.record_view_msg(view, signature, now, out);
@@ -477,34 +420,24 @@ impl Lumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        if signature.signer() != from
-            || self
-                .pki
-                .verify(&signature, epoch_view_digest(view))
-                .is_err()
-            || !self.cfg.layout.is_epoch_view(view)
+        if !self.me.signed_by(from, &signature, epoch_view_digest(view))
+            || !self.layout.is_epoch_view(view)
         {
             return;
         }
-        self.record_epoch_msg(from, view, now, out);
+        let count = self.epoch_msgs.record(from, view);
+        self.count_epoch_msgs(view, count, now, out);
         self.sweep(now, out);
     }
 
     /// Lines 36–40: reaction to a VC for an initial view.
     fn handle_view_cert(&mut self, vc: &ViewCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = vc.view();
-        let verify = || vc.verify(&self.pki, &self.cfg.params).is_ok();
-        if !view.is_initial() || !self.views.admit(view, SEEN_VC, verify) {
+        let verify = || vc.verify(&self.me.pki, &self.me.params).is_ok();
+        if !view.is_initial() || !self.me.views.admit(view, SEEN_VC, verify) {
             return;
         }
-        if view > self.view {
-            self.unpause_if(|pv| view >= pv, now);
-            if self.clock.reading(now) < self.c(view) {
-                self.send_skipped_view_msgs(view, now, out);
-                self.clock.bump_to(self.c(view), now);
-            }
-            self.set_view(view, out);
-        }
+        self.catch_up_to(view, now, out);
         self.sweep(now, out);
     }
 
@@ -512,20 +445,20 @@ impl Lumiere {
     /// individual epoch-view messages).
     fn handle_epoch_cert(&mut self, ec: &EpochCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = ec.view();
-        if !self.cfg.layout.is_epoch_view(view) {
+        if !self.layout.is_epoch_view(view) {
             return;
         }
         // An EC for a marked view has nothing left to do (`seen_ec` implies
         // `seen_tc`), so it is not checked again.
-        if !self.views.has(view, SEEN_EC) {
-            if ec.verify(&self.pki, &self.cfg.params).is_err() {
+        if !self.me.views.has(view, SEEN_EC) {
+            if ec.verify(&self.me.pki, &self.me.params).is_err() {
                 return;
             }
-            if self.views.mark(view, SEEN_TC) {
+            if self.me.views.mark(view, SEEN_TC) {
                 self.handle_tc(view, now, out);
             }
             // `handle_tc` may itself have completed the EC from the pool.
-            if self.views.mark(view, SEEN_EC) {
+            if self.me.views.mark(view, SEEN_EC) {
                 self.handle_ec(view, now, out);
             }
         }
@@ -534,13 +467,13 @@ impl Lumiere {
 
     fn handle_timeout_cert(&mut self, tc: &TimeoutCert, now: Time, out: &mut Vec<PacemakerAction>) {
         let view = tc.view();
-        if !self.cfg.layout.is_epoch_view(view) {
+        if !self.layout.is_epoch_view(view) {
             return;
         }
         // A TC for a marked view has nothing left to do but the sweep.
-        if !self.views.has(view, SEEN_TC) {
-            let verify = || tc.verify(&self.pki, &self.cfg.params).is_ok();
-            if !self.views.admit(view, SEEN_TC, verify) {
+        if !self.me.views.has(view, SEEN_TC) {
+            let verify = || tc.verify(&self.me.pki, &self.me.params).is_ok();
+            if !self.me.views.admit(view, SEEN_TC, verify) {
                 return;
             }
             self.handle_tc(view, now, out);
@@ -554,17 +487,15 @@ impl Pacemaker for Lumiere {
         "lumiere"
     }
 
-    fn schedule(&self) -> &LeaderSchedule {
-        &self.cfg.schedule
+    fn processor(&self) -> &Processor {
+        &self.me
     }
 
     fn boot_into(&mut self, now: Time, out: &mut Vec<PacemakerAction>) {
-        if self.booted {
-            return;
+        if self.me.boot() {
+            self.clock = LocalClock::new(now);
+            self.sweep(now, out);
         }
-        self.booted = true;
-        self.clock = LocalClock::new(now);
-        self.sweep(now, out);
     }
 
     fn on_message_into(
@@ -603,22 +534,22 @@ impl Pacemaker for Lumiere {
         // Success-criterion bookkeeping happens for every QC we hear about.
         if let Some(epoch) = self.track_success(qc) {
             // The pause condition releases when success(E(v)−1) flips to 1.
-            let boundary = self.cfg.layout.first_view(Epoch::new(epoch + 1));
+            let boundary = self.layout.first_view(Epoch::new(epoch + 1));
             self.unpause_if(|pv| pv == boundary, now);
         }
 
         // Lines 44–49, guarded by "first seeing a QC for view v ≥ view(p)".
-        if v >= self.view && self.views.mark(v, OBSERVED_QC) {
+        if v >= self.me.view() && self.me.views.mark(v, OBSERVED_QC) {
             let next = v.next();
             self.unpause_if(|pv| v >= pv, now);
             if self.clock.reading(now) < self.c(next) {
                 self.send_skipped_view_msgs(next, now, out);
                 self.clock.bump_to(self.c(next), now);
             }
-            if !self.cfg.layout.is_epoch_view(next) {
-                self.set_view(next, out);
-            } else if self.view < v {
-                self.set_view(v, out);
+            if !self.layout.is_epoch_view(next) {
+                self.me.enter(next, out);
+            } else if self.me.view() < v {
+                self.me.enter(v, out);
             }
         }
 
@@ -626,12 +557,12 @@ impl Pacemaker for Lumiere {
         if formed_locally {
             let next = v.next();
             if !next.is_initial()
-                && self.leader(next) == self.id
-                && !self.cfg.layout.is_epoch_view(next)
+                && self.me.leader(next) == self.me.id()
+                && !self.layout.is_epoch_view(next)
             {
                 out.push(PacemakerAction::SetQcDeadline {
                     view: next,
-                    deadline: now + self.cfg.params.leader_qc_window(),
+                    deadline: now + self.me.params.leader_qc_window(),
                 });
             }
         }
@@ -643,19 +574,15 @@ impl Pacemaker for Lumiere {
         // Line 11: if still paused Δ after pausing, broadcast the epoch-view
         // message.
         if let Some(pause) = self.pause {
-            if now >= pause.paused_at + self.cfg.params.delta_cap {
+            if now >= pause.paused_at + self.me.params.delta_cap {
                 self.broadcast_epoch_msg(pause.epoch_view, now, out);
             } else {
                 out.push(PacemakerAction::WakeAt(
-                    pause.paused_at + self.cfg.params.delta_cap,
+                    pause.paused_at + self.me.params.delta_cap,
                 ));
             }
         }
         self.sweep(now, out);
-    }
-
-    fn current_view(&self) -> View {
-        self.view
     }
 
     fn local_clock_reading(&self, now: Time) -> Duration {
@@ -663,10 +590,10 @@ impl Pacemaker for Lumiere {
     }
 
     fn state_entries(&self) -> usize {
-        self.views.len()
+        self.me.views.len()
             + self.epochs.len()
-            + self.view_msg_pool.entries()
-            + self.epoch_msg_pool.entries()
+            + self.view_msgs.entries()
+            + self.epoch_msgs.entries()
     }
 }
 
@@ -791,13 +718,21 @@ mod tests {
             route(to, acts, &mut pending);
         }
         for n in &nodes {
-            assert_eq!(n.current_view(), View::new(0), "{} lagging", n.id());
+            assert_eq!(
+                n.current_view(),
+                View::new(0),
+                "{} lagging",
+                n.processor().id()
+            );
             assert!(!n.is_paused());
         }
         // The leader of view 0 must have formed and broadcast a VC: everyone
         // has seen it (seen_vc) or formed it.
         let leader = cfg.schedule.leader(View::new(0));
-        assert!(nodes[leader.as_usize()].views.has(View::new(0), FORMED_VC));
+        assert!(nodes[leader.as_usize()]
+            .me
+            .views
+            .has(View::new(0), FORMED_VC));
     }
 
     #[test]
@@ -900,7 +835,7 @@ mod tests {
         // an epoch-view message for view `epoch_len`.
         assert_eq!(pm.epoch(), Epoch::new(1));
         assert!(!pm.is_paused());
-        assert!(!pm.views.has(View::new(epoch_len), SENT_EPOCH_MSG));
+        assert!(!pm.me.views.has(View::new(epoch_len), SENT_EPOCH_MSG));
     }
 
     #[test]
@@ -1008,7 +943,7 @@ mod tests {
         }
         // For an unmarked epoch view the check runs first: forged copies are
         // dropped whole, and leave the view open for the genuine one.
-        let next = View::new(pm.config().layout.epoch_len() as i64);
+        let next = View::new(pm.layout().epoch_len() as i64);
         let sigs: Vec<_> = keys
             .iter()
             .map(|k| k.sign(epoch_view_digest(next)))
@@ -1028,8 +963,8 @@ mod tests {
     #[test]
     fn views_one_peer_names_are_read_but_never_indexed() {
         let (mut pm, keys, _, _) = in_epoch_zero();
-        let epoch_len = pm.config().layout.epoch_len() as i64;
-        let records = (pm.views.len(), pm.epochs.len());
+        let epoch_len = pm.layout().epoch_len() as i64;
+        let records = (pm.me.views.len(), pm.epochs.len());
         let entries = pm.state_entries();
         let t = Time::from_millis(2);
         let peer = &keys[3];
@@ -1050,7 +985,7 @@ mod tests {
                 assert!(actions::entered_views(&out).is_empty());
             }
         }
-        assert_eq!((pm.views.len(), pm.epochs.len()), records);
+        assert_eq!((pm.me.views.len(), pm.epochs.len()), records);
         // Three initial views and one epoch view were pooled; `-2` and the
         // mismatched classes were dropped at the door.
         assert_eq!(pm.state_entries(), entries + 4);
@@ -1073,8 +1008,8 @@ mod tests {
         // stops at the bar and counts once toward the quorum.
         for (bar, tally, done) in [(10, 6, 0), (4, 4, 4)] {
             let (mut pm, keys, params, _) = in_epoch_zero();
-            pm.cfg.success_qcs_per_leader = bar;
-            let epoch_len = pm.config().layout.epoch_len() as i64;
+            pm.success_qcs_per_leader = bar;
+            let epoch_len = pm.layout().epoch_len() as i64;
             let mut now = Time::from_millis(1);
             assert!(epoch_len >= 24);
             for v in 0..24 {
@@ -1095,14 +1030,14 @@ mod tests {
     fn an_epoch_succeeds_at_the_quorum_th_leader_to_reach_the_bar() {
         let (mut pm, keys, params, _) = in_epoch_zero();
         let bar = 2;
-        pm.cfg.success_qcs_per_leader = bar;
+        pm.success_qcs_per_leader = bar;
         // Epoch 0's views grouped by leader, leaders in schedule order: each
         // leader's whole run of QCs (ten, five times the bar) arrives before
         // the next leader's first.
-        let epoch_len = pm.config().layout.epoch_len() as i64;
+        let epoch_len = pm.layout().epoch_len() as i64;
         let mut by_leader: Vec<(ProcessId, Vec<i64>)> = Vec::new();
         for v in 0..epoch_len {
-            let leader = pm.leader(View::new(v));
+            let leader = pm.me.leader(View::new(v));
             match by_leader.iter_mut().find(|(l, _)| *l == leader) {
                 Some((_, views)) => views.push(v),
                 None => by_leader.push((leader, vec![v])),

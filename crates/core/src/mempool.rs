@@ -35,7 +35,7 @@
 //!
 //! # One index
 //!
-//! What the pool knows about an id is one [`Slot`] in one [`IdMap`] — queued
+//! What the pool knows about an id is one `Slot` in one [`IdMap`] — queued
 //! or committed — so every operation probes the map once per transaction it
 //! touches. A probe hashes the id with two folded multiplies under the
 //! pool's own random key (`lumiere_types::hash`), not with SipHash: a peer

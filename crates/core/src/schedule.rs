@@ -100,11 +100,6 @@ impl LeaderSchedule {
             }
         }
     }
-
-    /// Whether `p` leads view `v`.
-    pub fn is_leader(&self, p: ProcessId, view: View) -> bool {
-        self.leader(view) == p
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +187,6 @@ mod tests {
         let b = LeaderSchedule::lumiere(10, 2);
         assert_ne!(a, b);
         assert_eq!(a.n(), 10);
-        assert!(a.is_leader(a.leader(View::new(0)), View::new(0)));
     }
 
     #[test]

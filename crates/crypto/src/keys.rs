@@ -9,7 +9,7 @@ use std::sync::Arc;
 /// Secret signing key held by one processor.
 ///
 /// In the simulated scheme the "secret" is a 64-bit scalar derived from the
-/// keygen seed. The key holds the [`SignerState`] that scalar leads to — the
+/// keygen seed. The key holds the `SignerState` that scalar leads to — the
 /// same entry the [`Pki`] retains to recompute and verify keyed hashes (this
 /// plays the role of the public-key relation) — so signing is one mix of the
 /// signed digest. Like the `Pki`, a key is never serialized: every node
@@ -41,7 +41,7 @@ impl KeyPair {
 /// so a cluster holds one table, not `2n`. A `Pki` is never serialized
 /// (every node re-derives it from `(n, seed)`), so it has no serde form.
 ///
-/// An entry is the signer's [`SignerState`]: the tag digest with the domain
+/// An entry is the signer's `SignerState`: the tag digest with the domain
 /// and the secret already mixed in, which is a one-to-one image of the
 /// secret. Checking a tag is then one mix of the signed digest, not three.
 #[derive(Debug, Clone, PartialEq, Eq)]

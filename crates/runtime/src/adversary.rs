@@ -17,7 +17,7 @@
 //!   report files and the `lumiere-node --strategy` flag persist.
 //! * [`AdversarySchedule`] — the *global* plan: which processors are
 //!   corrupted with which strategy, plus time-windowed, per-edge
-//!   [`DelayRule`]s that drive the [`DelayModel`](crate::delay::DelayModel)
+//!   [`DelayRule`]s that drive the [`DelayModel`]
 //!   per message instead of globally. Every rule still respects the
 //!   partial-synchrony envelope (delivery by `max(GST, send) + Δ`): the
 //!   adversary chooses delays, it cannot break the model.
@@ -311,7 +311,7 @@ impl MsgClass {
 /// A time-windowed, per-edge delay directive: while `window` contains the
 /// send time and the edge/message classes match, the message's delay is
 /// drawn from `delay` instead of the scenario's base
-/// [`DelayModel`](crate::delay::DelayModel).
+/// [`DelayModel`].
 ///
 /// Every [`DelayModel`] clamps its samples to Δ, so no rule can push a
 /// delivery past the `max(GST, send) + Δ` envelope.

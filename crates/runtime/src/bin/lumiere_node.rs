@@ -16,13 +16,13 @@
 //! The adversarial switches make a live node a test subject:
 //!
 //! * `--strategy` corrupts the node with the *same*
-//!   [`StrategyKind`](lumiere_runtime::StrategyKind) machinery the simulator
+//!   [`StrategyKind`] machinery the simulator
 //!   uses — a short name (`silent-leader`, `crash`, …) or the serialized
 //!   JSON form for parameterized strategies (e.g.
 //!   `{"CrashRecovery":{"down":{"from":0,"until":5000000}}}`, times in
 //!   microseconds).
 //! * `--fault-plan` installs a serialized
-//!   [`FaultPlan`](lumiere_runtime::FaultPlan) on the transport: per-peer
+//!   [`FaultPlan`] on the transport: per-peer
 //!   drop windows, partitions and added delays in wall-clock milliseconds.
 //! * `--planted-bug` runs a known calibration bug (builds with the
 //!   `planted-bugs` feature only; a stock binary refuses, so CI can never

@@ -86,21 +86,9 @@ impl WorkloadConfig {
         self
     }
 
-    /// Sets the per-transaction wire size.
-    pub fn with_tx_bytes(mut self, tx_bytes: u32) -> Self {
-        self.tx_bytes = tx_bytes;
-        self
-    }
-
     /// Sets the per-batch transaction bound.
     pub fn with_batch_txs(mut self, batch_txs: usize) -> Self {
         self.batch_txs = batch_txs;
-        self
-    }
-
-    /// Sets the per-batch byte budget.
-    pub fn with_max_block_bytes(mut self, max_block_bytes: u64) -> Self {
-        self.max_block_bytes = max_block_bytes;
         self
     }
 
@@ -260,15 +248,14 @@ mod tests {
 
     #[test]
     fn transactions_carry_the_configured_size() {
-        let w = WorkloadConfig::constant(10).with_tx_bytes(1_024);
+        let mut w = WorkloadConfig::constant(10);
+        w.tx_bytes = 1_024;
         for (_, tx) in w.arrivals(1, Duration::from_secs(1)) {
             assert_eq!(tx.size, 1_024);
         }
-        let pool_cfg = w
-            .with_batch_txs(32)
-            .with_max_block_bytes(4_096)
-            .with_capacity(64)
-            .mempool_config();
+        let mut w = w.with_batch_txs(32).with_capacity(64);
+        w.max_block_bytes = 4_096;
+        let pool_cfg = w.mempool_config();
         assert_eq!(pool_cfg.batch_txs, 32);
         assert_eq!(pool_cfg.max_block_bytes, 4_096);
         assert_eq!(pool_cfg.capacity, 64);

@@ -124,11 +124,6 @@ impl Duration {
         self.0 as f64 / 1_000.0
     }
 
-    /// Whether the duration is strictly negative.
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
     /// The larger of two durations.
     pub fn max(self, other: Duration) -> Duration {
         Duration(self.0.max(other.0))
@@ -301,7 +296,6 @@ mod tests {
         assert_eq!(d * 3, Duration::from_millis(6));
         assert_eq!(Duration::from_millis(6) / 3, d);
         assert_eq!(-d, Duration::from_micros(-2000));
-        assert!((-d).is_negative());
         assert_eq!((-d).clamp_non_negative(), Duration::ZERO);
     }
 

@@ -71,11 +71,6 @@ impl View {
         assert!(self.0 >= 0, "negative view {self} has no clock time");
         gamma * self.0
     }
-
-    /// Iterates over all views in `[self, end)`.
-    pub fn range_to(self, end: View) -> impl Iterator<Item = View> {
-        (self.0..end.0).map(View)
-    }
 }
 
 /// Wire form: the signed view number (8 bytes), so the `-1` sentinel
@@ -194,12 +189,6 @@ impl EpochLayout {
             return View::ZERO;
         }
         self.first_view(e.next())
-    }
-
-    /// Position of `view` within its epoch (`0..epoch_len`).
-    pub fn offset_in_epoch(&self, view: View) -> u64 {
-        assert!(view.as_i64() >= 0, "sentinel view has no epoch offset");
-        (view.as_i64() % self.epoch_len as i64) as u64
     }
 }
 
@@ -338,7 +327,6 @@ mod tests {
         assert_eq!(layout.epoch_of(View::SENTINEL), Epoch::SENTINEL);
         assert!(layout.is_epoch_view(View::new(16)));
         assert!(!layout.is_epoch_view(View::new(17)));
-        assert_eq!(layout.offset_in_epoch(View::new(17)), 1);
     }
 
     #[test]
@@ -348,12 +336,6 @@ mod tests {
         assert_eq!(layout.next_epoch_view_after(View::new(0)), View::new(5));
         assert_eq!(layout.next_epoch_view_after(View::new(4)), View::new(5));
         assert_eq!(layout.next_epoch_view_after(View::new(5)), View::new(10));
-    }
-
-    #[test]
-    fn view_range_iterates_half_open() {
-        let views: Vec<_> = View::new(2).range_to(View::new(5)).collect();
-        assert_eq!(views, vec![View::new(2), View::new(3), View::new(4)]);
     }
 
     #[test]

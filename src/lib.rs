@@ -78,7 +78,7 @@ mod tests {
         let (keys, pki) = keygen(4, 0);
         let cfg = LumiereConfig::new(params, 0);
         let pacemaker = Lumiere::new(cfg, keys[0].clone(), pki.clone());
-        assert_eq!(pacemaker.id(), ProcessId::new(0));
+        assert_eq!(pacemaker.processor().id(), ProcessId::new(0));
         let engine = HotStuffEngine::new(keys[1].id(), keys[1].clone(), pki, params);
         assert_eq!(engine.current_view(), View::SENTINEL);
     }
