@@ -6,15 +6,15 @@
 //! fixed menu of behaviours. This module splits the adversary into three
 //! pieces:
 //!
-//! * [`AdversaryStrategy`] — the *per-node* behaviour of a corrupted
-//!   processor: which of its components run at a given time, whether it
-//!   proposes as leader, and how its outgoing traffic is rewritten before it
-//!   reaches the network (equivocation, selective starvation). Strategies
-//!   are trait objects, so new behaviours plug in without touching the
-//!   hosts.
-//! * [`StrategyKind`] — the serializable *description* of a strategy, from
-//!   which the runtime trait object is built. This is what fuzzer findings,
-//!   report files and the `lumiere-node --strategy` flag persist.
+//! * [`StrategyKind`] — the serializable *name* of a per-node behaviour.
+//!   This is what fuzzer findings, report files and the
+//!   `lumiere-node --strategy` flag persist.
+//! * [`Strategy`] — what a corrupted processor runs: a [`StrategyKind`] plus
+//!   the state the forging and adaptive kinds carry. It decides which of the
+//!   node's components run for an event and whether it proposes as leader
+//!   (its [`Gates`]), and rewrites the node's outgoing traffic before it
+//!   reaches the network (equivocation, selective starvation). Each answer
+//!   is one `match` on the kind, so every adversary rule lives in one place.
 //! * [`AdversarySchedule`] — the *global* plan: which processors are
 //!   corrupted with which strategy, plus time-windowed, per-edge
 //!   [`DelayRule`]s that drive the [`DelayModel`]
@@ -44,11 +44,11 @@
 use crate::delay::DelayModel;
 use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
+use crate::runtime::Gates;
 use lumiere_consensus::{Block, ConsensusMessage};
 use lumiere_types::{Batch, Duration, ProcessId, Time, TimeRange, View};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::fmt::Debug;
 
 /// Read-only protocol observations a corrupted processor may react to.
 ///
@@ -104,51 +104,7 @@ impl StrategyCtx {
     }
 }
 
-/// Per-node behaviour of a corrupted processor.
-///
-/// All methods must be deterministic functions of their arguments and the
-/// strategy's own state — the simulator's reproducibility (same seed + same
-/// schedule ⇒ byte-identical report) depends on it.
-pub trait AdversaryStrategy: Debug + Send {
-    /// Short name used in traces and reports.
-    fn name(&self) -> &'static str;
-
-    /// Called once at the start of every event the node processes, before
-    /// any other method. Stateful strategies use it to react to the
-    /// [`ProtocolObs`] snapshot (adaptive corruption); the default is a
-    /// no-op.
-    fn observe(&mut self, _ctx: &StrategyCtx) {}
-
-    /// Whether the node's consensus engine runs for this event
-    /// (votes/proposes).
-    fn runs_consensus(&self, ctx: &StrategyCtx) -> bool;
-
-    /// Whether the node's pacemaker (view synchronization) runs for this
-    /// event.
-    fn runs_pacemaker(&self, ctx: &StrategyCtx) -> bool;
-
-    /// Whether the node proposes blocks when it is the leader.
-    fn proposes(&self, ctx: &StrategyCtx) -> bool;
-
-    /// Extra wake-ups the strategy needs (e.g. the rejoin instant of a
-    /// crash–recovery window). Requested once at boot.
-    fn boot_wakes(&self) -> Vec<Time> {
-        Vec::new()
-    }
-
-    /// Rewrites the node's outgoing traffic before it reaches the network.
-    /// The default is the identity. Implementations should bump
-    /// [`RuntimeOutput::gated_events`] for every message they suppress,
-    /// forge or redirect — the simulator's runner turns those marks into the
-    /// coverage fingerprint's per-strategy activation windows, and the live
-    /// harness reads them back as the corruption's footprint.
-    fn transform_output(&mut self, _ctx: &StrategyCtx, out: RuntimeOutput) -> RuntimeOutput {
-        out
-    }
-}
-
-/// Serializable description of a per-node strategy; the factory for the
-/// runtime [`AdversaryStrategy`] trait objects.
+/// Serializable name of a per-node behaviour: what a [`Strategy`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// Sends nothing at all (never boots): the other `n − f_a` processors
@@ -217,22 +173,216 @@ impl StrategyKind {
     pub fn from_name(name: &str) -> Option<StrategyKind> {
         StrategyKind::SIMPLE.into_iter().find(|k| k.name() == name)
     }
+}
 
-    /// Builds the runtime strategy object.
-    pub fn build(&self) -> Box<dyn AdversaryStrategy> {
-        match self {
-            StrategyKind::Crash => Box::new(CrashStrategy),
-            StrategyKind::SilentLeader => Box::new(SilentLeaderStrategy),
-            StrategyKind::SyncSilent => Box::new(SyncSilentStrategy),
-            StrategyKind::Equivocate => Box::new(EquivocateStrategy { forged: 0 }),
-            StrategyKind::CrashRecovery { down } => Box::new(CrashRecoveryStrategy { down: *down }),
-            StrategyKind::AdaptiveLeaderTargeting => Box::new(AdaptiveLeaderTargetingStrategy),
-            StrategyKind::QcStarvation => Box::new(QcStarvationStrategy {
-                starving_since: None,
-                withheld: BTreeSet::new(),
-            }),
+/// A corrupted processor's behaviour: the [`StrategyKind`] it runs plus the
+/// state the forging and adaptive kinds carry (the kind stays `Copy` and
+/// serializable, so the state sits beside it rather than in its variants).
+///
+/// Every method is a deterministic function of its arguments and this
+/// state — the simulator's reproducibility (same seed + same schedule ⇒
+/// byte-identical report) depends on it.
+#[derive(Debug)]
+pub struct Strategy {
+    kind: StrategyKind,
+    /// Conflicting blocks forged so far ([`StrategyKind::Equivocate`]).
+    forged: u64,
+    /// The pacemaker view at which the current starvation window began;
+    /// `None` while the node participates ([`StrategyKind::QcStarvation`]).
+    starving_since: Option<View>,
+    /// Views whose QCs this node formed but withheld from the network
+    /// ([`StrategyKind::QcStarvation`]).
+    withheld: BTreeSet<i64>,
+}
+
+impl Strategy {
+    /// A fresh strategy of the given kind.
+    pub fn new(kind: StrategyKind) -> Self {
+        Strategy {
+            kind,
+            forged: 0,
+            starving_since: None,
+            withheld: BTreeSet::new(),
         }
     }
+
+    /// The kind this strategy runs.
+    pub fn kind(&self) -> StrategyKind {
+        self.kind
+    }
+
+    /// Reacts to the start-of-event snapshot (adaptive corruption); called
+    /// once per event, before [`Strategy::gates`]. Only
+    /// [`StrategyKind::QcStarvation`] reacts: it flips into the starving
+    /// state exactly when one more vote would complete the QC it is
+    /// collecting, and back out once its pacemaker has moved past the view
+    /// it starved (the clock-driven view change re-arms the attack for the
+    /// next time it leads).
+    pub fn observe(&mut self, ctx: &StrategyCtx) {
+        if self.kind != StrategyKind::QcStarvation {
+            return;
+        }
+        match self.starving_since {
+            None => {
+                if ctx.obs.pending_qc_votes + 1 >= ctx.quorum() && ctx.obs.pending_qc_votes > 0 {
+                    self.starving_since = Some(ctx.obs.view);
+                }
+            }
+            Some(since) => {
+                if ctx.obs.view > since {
+                    self.starving_since = None;
+                }
+            }
+        }
+    }
+
+    /// Which of the node's components run for this event and whether it
+    /// proposes as leader: the whole gate table.
+    pub fn gates(&self, ctx: &StrategyCtx) -> Gates {
+        let (pacemaker, consensus, proposes) = match self.kind {
+            StrategyKind::Crash => (false, false, false),
+            StrategyKind::SilentLeader | StrategyKind::AdaptiveLeaderTargeting => {
+                (true, true, false)
+            }
+            StrategyKind::SyncSilent => (false, true, false),
+            StrategyKind::Equivocate => (true, true, true),
+            StrategyKind::CrashRecovery { down } => {
+                let up = !down.contains(ctx.now);
+                (up, up, up)
+            }
+            StrategyKind::QcStarvation => (true, self.starving_since.is_none(), true),
+        };
+        Gates {
+            pacemaker,
+            consensus,
+            proposes,
+        }
+    }
+
+    /// The extra wake-up requested at boot: a crash–recovery window's rejoin
+    /// instant. Without it the node would stay silent until the next message
+    /// reaches it (its own timer chain broke while dark).
+    pub fn boot_wake(&self) -> Option<Time> {
+        match self.kind {
+            StrategyKind::CrashRecovery { down } if !down.is_empty() => Some(down.until),
+            _ => None,
+        }
+    }
+
+    /// Rewrites the node's outgoing traffic in place before it reaches the
+    /// network, bumping [`RuntimeOutput::gated_events`] for every message
+    /// suppressed, forged or redirected — the simulator's runner turns those
+    /// marks into the coverage fingerprint's per-strategy activation
+    /// windows. Only the equivocating and adaptive kinds rewrite anything.
+    pub fn rewrite(&mut self, ctx: &StrategyCtx, out: &mut RuntimeOutput) {
+        match self.kind {
+            StrategyKind::Equivocate => self.equivocate(ctx, out),
+            StrategyKind::AdaptiveLeaderTargeting => starve_leader(ctx, out),
+            StrategyKind::QcStarvation => self.withhold_qcs(out),
+            _ => {}
+        }
+    }
+
+    /// Splits every broadcast proposal into *two* conflicting proposals.
+    /// Every recipient gets both blocks, but the delivery order is flipped
+    /// between the even and the odd half, so under symmetric delays each
+    /// half votes for a different block (replicas vote for the first
+    /// proposal of a view they see). With an honest quorum rule neither
+    /// disjoint vote set can reach `2f + 1`, so the view is wasted — and
+    /// any protocol whose quorum intersection were broken would commit
+    /// both, which is exactly what the fuzzer's safety oracle watches for.
+    /// Because both blocks reach everyone, honest engines also *witness*
+    /// the equivocation (`SimReport::equivocations_observed`).
+    fn equivocate(&mut self, ctx: &StrategyCtx, out: &mut RuntimeOutput) {
+        let RuntimeOutput {
+            sends,
+            broadcasts,
+            gated_events,
+            ..
+        } = out;
+        broadcasts.retain(|msg| {
+            let WireMessage::Consensus(ConsensusMessage::Proposal(block)) = msg else {
+                return true;
+            };
+            self.forged += 1;
+            let forged = forge_conflicting(block, self.forged);
+            *gated_events += 1;
+            for to in ProcessId::all(ctx.n) {
+                if to == ctx.id {
+                    continue;
+                }
+                let (first, second) = if to.as_usize() % 2 == 0 {
+                    (block, &forged)
+                } else {
+                    (&forged, block)
+                };
+                for b in [first, second] {
+                    sends.push((
+                        to,
+                        WireMessage::Consensus(ConsensusMessage::Proposal(b.clone())),
+                    ));
+                }
+            }
+            false
+        });
+    }
+
+    /// Suppresses any QC broadcast that slips out (a quorum can complete in
+    /// the same event that crosses the threshold) and every later message
+    /// that would reveal a withheld QC as a proposal's justification. Deaf
+    /// periods are marked by the hosting node when it gates an incoming
+    /// message, so only actual suppressions count here.
+    fn withhold_qcs(&mut self, out: &mut RuntimeOutput) {
+        let withheld = &mut self.withheld;
+        let mut dropped = 0u32;
+        let mut suppress = |msg: &WireMessage| -> bool {
+            let drop = match msg {
+                WireMessage::Consensus(ConsensusMessage::NewQc(qc)) => {
+                    withheld.insert(qc.view().as_i64());
+                    true
+                }
+                WireMessage::Consensus(ConsensusMessage::Proposal(block)) => {
+                    withheld.contains(&block.justify().view().as_i64())
+                }
+                _ => false,
+            };
+            dropped += drop as u32;
+            drop
+        };
+        out.broadcasts.retain(|m| !suppress(m));
+        out.sends.retain(|(_, m)| !suppress(m));
+        out.gated_events += dropped;
+    }
+}
+
+/// A well-formed block conflicting with `block`: same parent, height, view,
+/// proposer and justify, different payload (salted by the strategy's
+/// `forged`-th forgery) — hence a different hash competing for the same
+/// view.
+fn forge_conflicting(block: &Block, forged: u64) -> Block {
+    Block::new(
+        block.parent(),
+        block.height(),
+        block.view(),
+        block.proposer(),
+        Batch::tag(block.payload_digest() ^ (0x4551_5549_564f_4321 + forged)),
+        block.justify().clone(),
+    )
+}
+
+/// Drops every unicast addressed to the leader of the view this node is
+/// currently in — its vote and its view message, the two certificates the
+/// leader needs — while every other send and broadcast goes out untouched.
+/// The target follows [`ProtocolObs::leader`], so the attack retargets
+/// itself as views rotate: a static schedule cannot express "always starve
+/// whoever leads right now".
+fn starve_leader(ctx: &StrategyCtx, out: &mut RuntimeOutput) {
+    let Some(target) = ctx.obs.leader.filter(|&leader| leader != ctx.id) else {
+        return;
+    };
+    let before = out.sends.len();
+    out.sends.retain(|(to, _)| *to != target);
+    out.gated_events += (before - out.sends.len()) as u32;
 }
 
 /// One corrupted processor and how it behaves.
@@ -313,7 +463,7 @@ impl MsgClass {
 /// drawn from `delay` instead of the scenario's base
 /// [`DelayModel`].
 ///
-/// Every [`DelayModel`] clamps its samples to Δ, so no rule can push a
+/// Every [`DelayModel`] clamps its samples to `[0, Δ]`, so no rule can push a
 /// delivery past the `max(GST, send) + Δ` envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DelayRule {
@@ -486,299 +636,6 @@ impl AdversarySchedule {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Concrete strategies.
-// ---------------------------------------------------------------------------
-
-/// Never boots, never sends.
-#[derive(Debug)]
-struct CrashStrategy;
-
-impl AdversaryStrategy for CrashStrategy {
-    fn name(&self) -> &'static str {
-        "crash"
-    }
-    fn runs_consensus(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-    fn runs_pacemaker(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-    fn proposes(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-}
-
-/// Participates fully but never proposes as leader.
-#[derive(Debug)]
-struct SilentLeaderStrategy;
-
-impl AdversaryStrategy for SilentLeaderStrategy {
-    fn name(&self) -> &'static str {
-        "silent-leader"
-    }
-    fn runs_consensus(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn runs_pacemaker(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn proposes(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-}
-
-/// Votes but does not help view synchronization and never proposes.
-#[derive(Debug)]
-struct SyncSilentStrategy;
-
-impl AdversaryStrategy for SyncSilentStrategy {
-    fn name(&self) -> &'static str {
-        "sync-silent"
-    }
-    fn runs_consensus(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn runs_pacemaker(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-    fn proposes(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-}
-
-/// Proposes conflicting blocks to disjoint halves of the cluster.
-#[derive(Debug)]
-struct EquivocateStrategy {
-    forged: u64,
-}
-
-impl EquivocateStrategy {
-    /// A well-formed block conflicting with `block`: same parent, height,
-    /// view, proposer and justify, different payload — hence a different
-    /// hash competing for the same view.
-    fn forge_conflicting(&mut self, block: &Block) -> Block {
-        self.forged += 1;
-        Block::new(
-            block.parent(),
-            block.height(),
-            block.view(),
-            block.proposer(),
-            Batch::tag(block.payload_digest() ^ (0x4551_5549_564f_4321 + self.forged)),
-            block.justify().clone(),
-        )
-    }
-}
-
-impl AdversaryStrategy for EquivocateStrategy {
-    fn name(&self) -> &'static str {
-        "equivocate"
-    }
-    fn runs_consensus(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn runs_pacemaker(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn proposes(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-
-    /// Splits every broadcast proposal into *two* conflicting proposals.
-    /// Every recipient gets both blocks, but the delivery order is flipped
-    /// between the even and the odd half, so under symmetric delays each
-    /// half votes for a different block (replicas vote for the first
-    /// proposal of a view they see). With an honest quorum rule neither
-    /// disjoint vote set can reach `2f + 1`, so the view is wasted — and
-    /// any protocol whose quorum intersection were broken would commit
-    /// both, which is exactly what the fuzzer's safety oracle watches for.
-    /// Because both blocks reach everyone, honest engines also *witness*
-    /// the equivocation (`SimReport::equivocations_observed`).
-    fn transform_output(&mut self, ctx: &StrategyCtx, mut out: RuntimeOutput) -> RuntimeOutput {
-        let mut broadcasts = Vec::with_capacity(out.broadcasts.len());
-        for msg in out.broadcasts.drain(..) {
-            match msg {
-                WireMessage::Consensus(ConsensusMessage::Proposal(block)) => {
-                    let forged = self.forge_conflicting(&block);
-                    out.gated_events += 1;
-                    for to in ProcessId::all(ctx.n) {
-                        if to == ctx.id {
-                            continue;
-                        }
-                        let (first, second) = if to.as_usize() % 2 == 0 {
-                            (block.clone(), forged.clone())
-                        } else {
-                            (forged.clone(), block.clone())
-                        };
-                        out.sends.push((
-                            to,
-                            WireMessage::Consensus(ConsensusMessage::Proposal(first)),
-                        ));
-                        out.sends.push((
-                            to,
-                            WireMessage::Consensus(ConsensusMessage::Proposal(second)),
-                        ));
-                    }
-                }
-                other => broadcasts.push(other),
-            }
-        }
-        out.broadcasts = broadcasts;
-        out
-    }
-}
-
-/// Honest behaviour except for a dark window.
-#[derive(Debug)]
-struct CrashRecoveryStrategy {
-    down: TimeRange,
-}
-
-impl AdversaryStrategy for CrashRecoveryStrategy {
-    fn name(&self) -> &'static str {
-        "crash-recovery"
-    }
-    fn runs_consensus(&self, ctx: &StrategyCtx) -> bool {
-        !self.down.contains(ctx.now)
-    }
-    fn runs_pacemaker(&self, ctx: &StrategyCtx) -> bool {
-        !self.down.contains(ctx.now)
-    }
-    fn proposes(&self, ctx: &StrategyCtx) -> bool {
-        !self.down.contains(ctx.now)
-    }
-    fn boot_wakes(&self) -> Vec<Time> {
-        // Rejoin instant: without this wake the node would stay silent until
-        // the next message reaches it (its own timer chain broke while dark).
-        if self.down.is_empty() {
-            Vec::new()
-        } else {
-            vec![self.down.until]
-        }
-    }
-}
-
-/// Withholds everything it would send to the current leader, switching
-/// targets as the leader rotates (see
-/// [`StrategyKind::AdaptiveLeaderTargeting`]).
-#[derive(Debug)]
-struct AdaptiveLeaderTargetingStrategy;
-
-impl AdversaryStrategy for AdaptiveLeaderTargetingStrategy {
-    fn name(&self) -> &'static str {
-        "adaptive-leader-targeting"
-    }
-    fn runs_consensus(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn runs_pacemaker(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn proposes(&self, _ctx: &StrategyCtx) -> bool {
-        false
-    }
-
-    /// Drops every unicast addressed to the leader of the view this node is
-    /// currently in — its vote and its view message, the two certificates
-    /// the leader needs — while every other send and broadcast goes out
-    /// untouched. The target follows [`ProtocolObs::leader`], so the attack
-    /// retargets itself as views rotate: a static schedule cannot express
-    /// "always starve whoever leads right now".
-    fn transform_output(&mut self, ctx: &StrategyCtx, mut out: RuntimeOutput) -> RuntimeOutput {
-        let Some(target) = ctx.obs.leader else {
-            return out;
-        };
-        if target == ctx.id {
-            return out;
-        }
-        let before = out.sends.len();
-        out.sends.retain(|(to, _)| *to != target);
-        out.gated_events += (before - out.sends.len()) as u32;
-        out
-    }
-}
-
-/// Baits votes as leader, then stalls its pending QC one vote short of
-/// quorum (see [`StrategyKind::QcStarvation`]).
-#[derive(Debug)]
-struct QcStarvationStrategy {
-    /// The pacemaker view at which the current starvation window began;
-    /// `None` while the node participates.
-    starving_since: Option<View>,
-    /// Views whose QCs this node formed but withheld from the network.
-    withheld: BTreeSet<i64>,
-}
-
-impl AdversaryStrategy for QcStarvationStrategy {
-    fn name(&self) -> &'static str {
-        "qc-starvation"
-    }
-
-    /// Flips into the starving state exactly when the node observes that one
-    /// more vote would complete the QC it is collecting, and back out once
-    /// its pacemaker has moved past the view it starved (the clock-driven
-    /// view change re-arms the attack for the next time it leads).
-    fn observe(&mut self, ctx: &StrategyCtx) {
-        match self.starving_since {
-            None => {
-                if ctx.obs.pending_qc_votes + 1 >= ctx.quorum() && ctx.obs.pending_qc_votes > 0 {
-                    self.starving_since = Some(ctx.obs.view);
-                }
-            }
-            Some(since) => {
-                if ctx.obs.view > since {
-                    self.starving_since = None;
-                }
-            }
-        }
-    }
-
-    fn runs_consensus(&self, _ctx: &StrategyCtx) -> bool {
-        self.starving_since.is_none()
-    }
-    fn runs_pacemaker(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-    fn proposes(&self, _ctx: &StrategyCtx) -> bool {
-        true
-    }
-
-    /// Suppresses any QC broadcast that slips out (a quorum can complete in
-    /// the same event that crosses the threshold) and every later message
-    /// that would reveal a withheld QC as a proposal's justification.
-    fn transform_output(&mut self, ctx: &StrategyCtx, mut out: RuntimeOutput) -> RuntimeOutput {
-        let withheld = &mut self.withheld;
-        let mut dropped = 0u32;
-        let mut suppress = |msg: &WireMessage| -> bool {
-            match msg {
-                WireMessage::Consensus(ConsensusMessage::NewQc(qc)) => {
-                    withheld.insert(qc.view().as_i64());
-                    true
-                }
-                WireMessage::Consensus(ConsensusMessage::Proposal(block)) => {
-                    withheld.contains(&block.justify().view().as_i64())
-                }
-                _ => false,
-            }
-        };
-        out.broadcasts.retain(|m| {
-            let drop = suppress(m);
-            dropped += drop as u32;
-            !drop
-        });
-        out.sends.retain(|(_, m)| {
-            let drop = suppress(m);
-            dropped += drop as u32;
-            !drop
-        });
-        // Deaf periods are marked by the hosting node when it gates an
-        // incoming message, so only actual suppressions count here.
-        out.gated_events += dropped;
-        let _ = ctx;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,11 +686,10 @@ mod tests {
             (StrategyKind::QcStarvation, "qc-starvation"),
         ] {
             assert_eq!(kind.name(), name);
-            assert_eq!(kind.build().name(), name);
+            assert_eq!(Strategy::new(kind).kind(), kind);
         }
         for kind in StrategyKind::SIMPLE {
             assert!(!matches!(kind, StrategyKind::CrashRecovery { .. }));
-            assert_eq!(kind.build().name(), kind.name());
             assert_eq!(StrategyKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(StrategyKind::from_name("crash-recovery"), None);
@@ -976,14 +832,14 @@ mod tests {
             w1,
             TimeRange::new(Time::from_millis(130), Time::from_millis(180))
         );
-        // The runtime object is dark exactly inside its window and asks for
-        // a rejoin wake at the end of it.
-        let strategy = schedule.strategy_for(2).unwrap().build();
-        assert!(strategy.runs_consensus(&ctx_at(Time::from_millis(99))));
-        assert!(!strategy.runs_consensus(&ctx_at(Time::from_millis(100))));
-        assert!(!strategy.runs_pacemaker(&ctx_at(Time::from_millis(149))));
-        assert!(strategy.runs_pacemaker(&ctx_at(Time::from_millis(150))));
-        assert_eq!(strategy.boot_wakes(), vec![Time::from_millis(150)]);
+        // The strategy is dark exactly inside its window and asks for a
+        // rejoin wake at the end of it.
+        let strategy = Strategy::new(schedule.strategy_for(2).unwrap());
+        assert!(strategy.gates(&ctx_at(Time::from_millis(99))).consensus);
+        assert!(!strategy.gates(&ctx_at(Time::from_millis(100))).consensus);
+        assert!(!strategy.gates(&ctx_at(Time::from_millis(149))).pacemaker);
+        assert!(strategy.gates(&ctx_at(Time::from_millis(150))).pacemaker);
+        assert_eq!(strategy.boot_wake(), Some(Time::from_millis(150)));
     }
 
     #[test]
@@ -1001,7 +857,7 @@ mod tests {
 
     #[test]
     fn equivocation_splits_a_proposal_into_conflicting_halves() {
-        let mut strategy = StrategyKind::Equivocate.build();
+        let mut strategy = Strategy::new(StrategyKind::Equivocate);
         let parent = Block::genesis();
         let block = Block::new(
             parent.hash(),
@@ -1011,7 +867,7 @@ mod tests {
             Batch::empty(),
             QuorumCert::genesis(),
         );
-        let out = RuntimeOutput {
+        let mut out = RuntimeOutput {
             broadcasts: vec![WireMessage::Consensus(ConsensusMessage::Proposal(
                 block.clone(),
             ))],
@@ -1023,7 +879,7 @@ mod tests {
             now: Time::ZERO,
             obs: obs(),
         };
-        let out = strategy.transform_output(&ctx, out);
+        strategy.rewrite(&ctx, &mut out);
         assert!(out.broadcasts.is_empty(), "the broadcast must be rewritten");
         assert!(out.gated_events > 0, "forging marks an activation");
         assert_eq!(out.sends.len(), 12, "both blocks go to every other node");
@@ -1052,11 +908,11 @@ mod tests {
 
     #[test]
     fn adaptive_leader_targeting_drops_exactly_the_leaders_mail() {
-        let mut strategy = StrategyKind::AdaptiveLeaderTargeting.build();
+        let mut strategy = Strategy::new(StrategyKind::AdaptiveLeaderTargeting);
         let leader = ProcessId::new(3);
         let mut ctx = ctx_at(Time::ZERO);
         ctx.obs.leader = Some(leader);
-        let out = RuntimeOutput {
+        let mut out = RuntimeOutput {
             sends: vec![
                 (leader, sync_msg()),
                 (ProcessId::new(1), sync_msg()),
@@ -1065,64 +921,60 @@ mod tests {
             broadcasts: vec![sync_msg()],
             ..RuntimeOutput::default()
         };
-        let out = strategy.transform_output(&ctx, out);
+        strategy.rewrite(&ctx, &mut out);
         assert_eq!(out.sends.len(), 1, "only the non-leader unicast survives");
         assert_eq!(out.sends[0].0, ProcessId::new(1));
         assert_eq!(out.broadcasts.len(), 1, "broadcasts are untouched");
         assert_eq!(out.gated_events, 2);
         // The target follows the observation: a different leader next view.
         ctx.obs.leader = Some(ProcessId::new(1));
-        let out = strategy.transform_output(
-            &ctx,
-            RuntimeOutput {
-                sends: vec![(leader, sync_msg()), (ProcessId::new(1), sync_msg())],
-                ..RuntimeOutput::default()
-            },
-        );
+        let mut out = RuntimeOutput {
+            sends: vec![(leader, sync_msg()), (ProcessId::new(1), sync_msg())],
+            ..RuntimeOutput::default()
+        };
+        strategy.rewrite(&ctx, &mut out);
         assert_eq!(out.sends.len(), 1);
         assert_eq!(out.sends[0].0, leader, "the old leader is safe again");
         // With no leader known (or itself leading) nothing is dropped.
         ctx.obs.leader = None;
-        let out = strategy.transform_output(
-            &ctx,
-            RuntimeOutput {
-                sends: vec![(leader, sync_msg())],
-                ..RuntimeOutput::default()
-            },
-        );
+        let mut out = RuntimeOutput {
+            sends: vec![(leader, sync_msg())],
+            ..RuntimeOutput::default()
+        };
+        strategy.rewrite(&ctx, &mut out);
         assert_eq!(out.sends.len(), 1);
     }
 
     #[test]
     fn qc_starvation_goes_deaf_one_vote_short_of_quorum_and_recovers() {
-        let mut strategy = StrategyKind::QcStarvation.build();
+        let mut strategy = Strategy::new(StrategyKind::QcStarvation);
         let mut ctx = ctx_at(Time::ZERO); // n = 7, quorum = 5
         ctx.obs.view = View::new(2);
         ctx.obs.pending_qc_votes = 3;
         strategy.observe(&ctx);
         assert!(
-            strategy.runs_consensus(&ctx),
+            strategy.gates(&ctx).consensus,
             "two votes short: still collecting"
         );
         ctx.obs.pending_qc_votes = 4;
         strategy.observe(&ctx);
         assert!(
-            !strategy.runs_consensus(&ctx),
+            !strategy.gates(&ctx).consensus,
             "one vote short of quorum: deaf"
         );
-        assert!(strategy.runs_pacemaker(&ctx), "the pacemaker stays alive");
+        assert!(strategy.gates(&ctx).pacemaker, "the pacemaker stays alive");
         // Still deaf while the pacemaker sits in the starved view.
         strategy.observe(&ctx);
-        assert!(!strategy.runs_consensus(&ctx));
+        assert!(!strategy.gates(&ctx).consensus);
         // The clock-driven view change re-arms the attack.
         ctx.obs.view = View::new(3);
         strategy.observe(&ctx);
-        assert!(strategy.runs_consensus(&ctx), "recovers in the next view");
+        assert!(strategy.gates(&ctx).consensus, "recovers in the next view");
     }
 
     #[test]
     fn qc_starvation_withholds_qcs_and_their_justifying_proposals() {
-        let mut strategy = StrategyKind::QcStarvation.build();
+        let mut strategy = Strategy::new(StrategyKind::QcStarvation);
         let ctx = ctx_at(Time::ZERO);
         // A QC the node failed to prevent slips into its output: withheld.
         let digest = QuorumCert::vote_digest(View::new(4), 0xBB);
@@ -1130,11 +982,11 @@ mod tests {
         let (keys, _) = lumiere_crypto::keygen(7, 1);
         let votes: Vec<_> = keys.iter().take(5).map(|k| k.sign(digest)).collect();
         let qc = QuorumCert::aggregate(View::new(4), 0xBB, &votes, &params).unwrap();
-        let out = RuntimeOutput {
+        let mut out = RuntimeOutput {
             broadcasts: vec![WireMessage::Consensus(ConsensusMessage::NewQc(qc.clone()))],
             ..RuntimeOutput::default()
         };
-        let out = strategy.transform_output(&ctx, out);
+        strategy.rewrite(&ctx, &mut out);
         assert!(out.broadcasts.is_empty(), "the QC broadcast is withheld");
         assert!(out.gated_events > 0);
         // A later proposal justified by the withheld QC is suppressed too;
@@ -1148,16 +1000,14 @@ mod tests {
             Batch::tag(1),
             QuorumCert::genesis(),
         );
-        let out = strategy.transform_output(
-            &ctx,
-            RuntimeOutput {
-                broadcasts: vec![
-                    WireMessage::Consensus(ConsensusMessage::Proposal(hidden)),
-                    WireMessage::Consensus(ConsensusMessage::Proposal(public)),
-                ],
-                ..RuntimeOutput::default()
-            },
-        );
+        let mut out = RuntimeOutput {
+            broadcasts: vec![
+                WireMessage::Consensus(ConsensusMessage::Proposal(hidden)),
+                WireMessage::Consensus(ConsensusMessage::Proposal(public)),
+            ],
+            ..RuntimeOutput::default()
+        };
+        strategy.rewrite(&ctx, &mut out);
         assert_eq!(out.broadcasts.len(), 1, "only the public proposal leaks");
     }
 }

@@ -203,7 +203,7 @@ fn run_node(args: &Args) -> Result<(), String> {
         cfg.seed,
         args.planted,
     );
-    let runtime = StrategyHost::new(runtime, cfg.n, args.strategy.map(|k| k.build()));
+    let runtime = StrategyHost::new(runtime, cfg.n, args.strategy);
     let opts = DriverOptions {
         target_commits: cfg.target_commits,
         deadline: cfg.run_timeout_ms.map(WallDuration::from_millis),

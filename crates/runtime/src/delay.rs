@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DelayModel {
     /// Every message takes exactly `delta` (the "actual" network delay δ of
-    /// the optimistic-responsiveness analysis). Must satisfy `delta ≤ Δ`.
+    /// the optimistic-responsiveness analysis), clamped to `[0, Δ]`.
     Fixed {
         /// The uniform actual delay δ.
         delta: Duration,
@@ -41,7 +41,8 @@ impl DelayModel {
     ///
     /// Messages sent before GST are held until GST and then experience the
     /// sampled delay, which keeps every delivery within the
-    /// `max(GST, send) + Δ` envelope.
+    /// `max(GST, send) + Δ` envelope. Every sample is clamped to `[0, Δ]`,
+    /// so no message arrives before it was sent.
     pub fn delivery_time(
         &self,
         send: Time,
@@ -51,7 +52,7 @@ impl DelayModel {
     ) -> Time {
         let base = send.max(gst);
         let delay = match self {
-            DelayModel::Fixed { delta } => (*delta).min(delta_cap),
+            DelayModel::Fixed { delta } => (*delta).max(Duration::ZERO).min(delta_cap),
             DelayModel::AdversarialMax => delta_cap,
             DelayModel::Uniform { min, max } => {
                 let lo = min.as_micros().max(0);
@@ -137,6 +138,19 @@ mod tests {
             &mut rng(),
         );
         assert_eq!(t, Time::from_millis(10));
+    }
+
+    #[test]
+    fn negative_fixed_delay_is_floored_at_zero() {
+        let m = DelayModel::Fixed {
+            delta: Duration::from_millis(-5),
+        };
+        let cap = Duration::from_millis(10);
+        for (send, gst) in [(3, 0), (3, 20)] {
+            let (send, gst) = (Time::from_millis(send), Time::from_millis(gst));
+            let t = m.delivery_time(send, gst, cap, &mut rng());
+            assert_eq!(t, send.max(gst), "no message arrives before it is sent");
+        }
     }
 
     #[test]

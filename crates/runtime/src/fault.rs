@@ -15,7 +15,7 @@
 //! windows of traffic. The first matching rule wins, mirroring
 //! [`AdversarySchedule`](crate::adversary::AdversarySchedule) delay rules.
 //!
-//! Unlike an [`AdversaryStrategy`](crate::adversary::AdversaryStrategy)
+//! Unlike a [`Strategy`](crate::adversary::Strategy)
 //! (which corrupts the *protocol* — what runs, what is forged), a fault plan
 //! corrupts the *network*: messages vanish or arrive late, but the node
 //! behind the transport stays honest. Partitions, asymmetric links and flaky

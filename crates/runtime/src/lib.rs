@@ -50,7 +50,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use adversary::{
-    AdversarySchedule, AdversaryStrategy, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs,
+    AdversarySchedule, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs, Strategy,
     StrategyCtx, StrategyKind,
 };
 pub use channel::{channel_mesh, ChannelTransport};

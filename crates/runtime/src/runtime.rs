@@ -201,23 +201,6 @@ impl ProtocolRuntime {
         self.pacemaker.local_clock_reading(now)
     }
 
-    /// How many equivocations (conflicting proposals for one view and
-    /// proposer) this processor's engine has witnessed.
-    pub fn equivocations_detected(&self) -> usize {
-        self.engine.equivocations_detected()
-    }
-
-    /// How many times this processor's engine lock advanced.
-    pub fn locks_advanced(&self) -> u64 {
-        self.engine.locks_advanced()
-    }
-
-    /// Slashing evidence for every equivocation this processor's engine
-    /// witnessed (one canonical record per conflicting proposal pair).
-    pub fn slash_evidence(&self) -> &[lumiere_types::SlashEvidence] {
-        self.engine.slash_evidence()
-    }
-
     /// Runs the pacemaker's boot once, the first time the node is active.
     fn maybe_boot_pacemaker(&mut self, now: Time, gates: Gates, out: &mut RuntimeOutput) {
         if self.booted || !gates.pacemaker {

@@ -1,13 +1,13 @@
-//! The strategy host: a [`ProtocolRuntime`] wrapped in an
-//! [`AdversaryStrategy`] harness.
+//! The strategy host: a [`ProtocolRuntime`] gated by an adversary
+//! [`Strategy`].
 //!
 //! This is the per-event gating flow the simulator has always run —
-//! snapshot a [`StrategyCtx`], let a stateful strategy react to it, fold its
-//! per-component answers into [`Gates`], drive the runtime's gated entry
-//! points, and finally let the strategy rewrite the outgoing traffic —
-//! extracted behind the runtime boundary so a *live* `lumiere-node` process
-//! (`--strategy`) corrupts itself with byte-for-byte the same machinery the
-//! simulator uses in virtual time.
+//! snapshot a [`StrategyCtx`] before every event, ask the [`Strategy`] for
+//! its [`Gates`], drive the runtime's gated entry points under them, and
+//! finally let the strategy rewrite the outgoing traffic — extracted behind
+//! the runtime boundary so a *live* `lumiere-node` process (`--strategy`)
+//! corrupts itself with byte-for-byte the same machinery the simulator uses
+//! in virtual time.
 //!
 //! [`StrategyHost`] implements [`ConsensusRuntime`], so every host that can
 //! drive a [`ProtocolRuntime`] (the wall-clock driver, the channel mesh, the
@@ -15,51 +15,34 @@
 //! processors are `StrategyHost`s too. An honest host (`strategy = None`)
 //! adds no overhead beyond a branch per event.
 
-use crate::adversary::{AdversaryStrategy, ProtocolObs, StrategyCtx};
+use crate::adversary::{ProtocolObs, Strategy, StrategyCtx, StrategyKind};
 use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
 use crate::runtime::{ConsensusRuntime, Gates, ProtocolRuntime};
-use lumiere_types::{Duration, ProcessId, Time, Transaction, View};
+use lumiere_types::{ProcessId, Time, Transaction, View};
 
 /// A [`ProtocolRuntime`] plus its (optional) adversary strategy.
 ///
 /// Honest hosts run the runtime fully open. Corrupted hosts are driven
-/// through the strategy: it decides, per event time, which components run
-/// and whether the node proposes, and may rewrite the node's outgoing
-/// traffic (equivocation, selective starvation) before it reaches the
-/// network.
+/// through the strategy: it decides, per event, which components run and
+/// whether the node proposes, and may rewrite the node's outgoing traffic
+/// (equivocation, selective starvation) before it reaches the network.
 #[derive(Debug)]
 pub struct StrategyHost {
     n: usize,
     runtime: ProtocolRuntime,
-    strategy: Option<Box<dyn AdversaryStrategy>>,
-    /// Start-of-event [`StrategyCtx`] snapshot, taken once per event for
-    /// corrupted hosts and reused by every gating decision of that event
-    /// (honest hosts never build one).
-    event_ctx: Option<StrategyCtx>,
-    /// Cumulative count of strategy-gated events and suppressed messages,
-    /// measured as the per-event growth of [`RuntimeOutput::gated_events`]
-    /// (which hosts reset between events). The live harness reads this back
-    /// as the corruption's footprint, mirroring what the simulator folds
-    /// into its coverage fingerprint.
-    gated_total: u64,
+    strategy: Option<Strategy>,
 }
 
 impl StrategyHost {
     /// Wraps `runtime` in the gating harness. `strategy` is `None` for
     /// honest hosts; `n` is the cluster size (strategies need it to target
     /// recipients and size quorums).
-    pub fn new(
-        runtime: ProtocolRuntime,
-        n: usize,
-        strategy: Option<Box<dyn AdversaryStrategy>>,
-    ) -> Self {
+    pub fn new(runtime: ProtocolRuntime, n: usize, strategy: Option<StrategyKind>) -> Self {
         StrategyHost {
             n,
             runtime,
-            strategy,
-            event_ctx: None,
-            gated_total: 0,
+            strategy: strategy.map(Strategy::new),
         }
     }
 
@@ -70,12 +53,7 @@ impl StrategyHost {
 
     /// The adversary strategy's name, if the host is corrupted.
     pub fn strategy_name(&self) -> Option<&'static str> {
-        self.strategy.as_ref().map(|s| s.name())
-    }
-
-    /// Total strategy-gated events and suppressed messages so far.
-    pub fn gated_total(&self) -> u64 {
-        self.gated_total
+        self.strategy.as_ref().map(|s| s.kind().name())
     }
 
     /// Read access to the wrapped runtime (introspection).
@@ -89,139 +67,53 @@ impl StrategyHost {
         self.runtime.set_mempool_config(cfg);
     }
 
-    /// The pacemaker's local-clock reading (for honest-gap metrics).
-    pub fn local_clock_reading(&self, now: Time) -> Duration {
-        self.runtime.local_clock_reading(now)
-    }
-
-    /// How many equivocations (conflicting proposals for one view and
-    /// proposer) this host's engine has witnessed.
-    pub fn equivocations_detected(&self) -> usize {
-        self.runtime.equivocations_detected()
-    }
-
-    /// How many times this host's engine lock advanced.
-    pub fn locks_advanced(&self) -> u64 {
-        self.runtime.locks_advanced()
-    }
-
-    /// Slashing evidence this host's engine has accumulated.
-    pub fn slash_evidence(&self) -> &[lumiere_types::SlashEvidence] {
-        self.runtime.slash_evidence()
-    }
-
-    /// Snapshots the host's protocol state into a [`StrategyCtx`] for the
-    /// adversary strategy (cheap: a handful of field reads plus one scan of
-    /// the engine's pending-vote pools for the current view).
-    fn strategy_ctx(&self, now: Time) -> StrategyCtx {
-        let engine = self.runtime.engine();
-        StrategyCtx {
-            id: self.runtime.id(),
-            n: self.n,
-            now,
-            obs: ProtocolObs {
-                view: self.runtime.current_view(),
-                engine_view: engine.current_view(),
-                leader: engine.current_leader(),
-                locked_view: engine.locked_view(),
-                last_voted_view: engine.last_voted_view(),
-                high_qc_view: engine.high_qc().view(),
-                pending_qc_votes: engine.pending_votes(engine.current_view()),
-                clock: self.runtime.local_clock_reading(now),
-                booted: self.runtime.booted(),
-            },
-        }
-    }
-
-    /// Snapshots the event context once and lets a stateful strategy react
-    /// to it before the event is processed (adaptive corruption). Every
-    /// later gating decision of this event reuses the snapshot, so a
-    /// corrupted host pays one [`StrategyHost::strategy_ctx`] build per
-    /// event.
-    fn observe_strategy(&mut self, now: Time) {
-        if self.strategy.is_some() {
-            let ctx = self.strategy_ctx(now);
-            if let Some(strategy) = &mut self.strategy {
+    /// Snapshots the event context once, lets the strategy react to it
+    /// (adaptive corruption) and returns the [`Gates`] the runtime's gated
+    /// entry points take for this event (fully open for honest hosts, which
+    /// never build a snapshot). Called exactly once per event.
+    fn gates(&mut self, now: Time) -> Gates {
+        match &mut self.strategy {
+            Some(strategy) => {
+                let ctx = strategy_ctx(&self.runtime, self.n, now);
                 strategy.observe(&ctx);
+                strategy.gates(&ctx)
             }
-            self.event_ctx = Some(ctx);
+            None => Gates::OPEN,
         }
     }
 
-    /// Folds the strategy's per-event gating decisions into the [`Gates`]
-    /// the runtime's gated entry points take (fully open for honest hosts).
-    /// The decisions read only the strategy and the start-of-event snapshot,
-    /// so they are constant for the duration of the event.
-    fn gates(&self) -> Gates {
-        match (&self.strategy, &self.event_ctx) {
-            (Some(s), Some(ctx)) => Gates {
-                pacemaker: s.runs_pacemaker(ctx),
-                consensus: s.runs_consensus(ctx),
-                proposes: s.proposes(ctx),
-            },
-            _ => Gates::OPEN,
-        }
-    }
-
-    /// Applies the strategy's output rewrite (identity for honest hosts,
-    /// which pay no allocation here). The transform sees a *fresh*
-    /// post-event snapshot — an adaptive strategy rewriting its output must
-    /// react to what the event changed (e.g. the leader of a view entered
-    /// moments ago), not to the state the event started from.
+    /// Applies the strategy's output rewrite (nothing for honest hosts). The
+    /// rewrite sees a *fresh* post-event snapshot — an adaptive strategy
+    /// rewriting its output must react to what the event changed (e.g. the
+    /// leader of a view entered moments ago), not to the state the event
+    /// started from.
     fn finish(&mut self, now: Time, out: &mut RuntimeOutput) {
-        if self.strategy.is_some() {
-            let ctx = self.strategy_ctx(now);
-            if let Some(strategy) = &mut self.strategy {
-                let taken = std::mem::take(out);
-                *out = strategy.transform_output(&ctx, taken);
-            }
+        if let Some(strategy) = &mut self.strategy {
+            strategy.rewrite(&strategy_ctx(&self.runtime, self.n, now), out);
         }
     }
+}
 
-    /// Boots the host, appending its effects to `out`.
-    pub fn boot_into(&mut self, now: Time, out: &mut RuntimeOutput) {
-        let before = out.gated_events;
-        self.observe_strategy(now);
-        if let Some(strategy) = &self.strategy {
-            // Strategy-requested wake-ups (e.g. crash-recovery rejoin) are
-            // scheduled even while the node is dark.
-            out.wakes.extend(strategy.boot_wakes());
-        }
-        self.runtime.boot_gated(now, self.gates(), out);
-        self.finish(now, out);
-        self.gated_total += (out.gated_events - before) as u64;
-    }
-
-    /// Fires a wake-up, appending its effects to `out`.
-    pub fn wake_into(&mut self, now: Time, out: &mut RuntimeOutput) {
-        let before = out.gated_events;
-        self.observe_strategy(now);
-        if !self.runtime.wake_gated(now, self.gates(), out) && self.strategy.is_some() {
-            out.gated_events += 1;
-        }
-        self.finish(now, out);
-        self.gated_total += (out.gated_events - before) as u64;
-    }
-
-    /// Delivers a message, appending its effects to `out`.
-    pub fn deliver_into(
-        &mut self,
-        from: ProcessId,
-        msg: &WireMessage,
-        now: Time,
-        out: &mut RuntimeOutput,
-    ) {
-        let before = out.gated_events;
-        self.observe_strategy(now);
-        if !self
-            .runtime
-            .deliver_gated(from, msg, now, self.gates(), out)
-            && self.strategy.is_some()
-        {
-            out.gated_events += 1;
-        }
-        self.finish(now, out);
-        self.gated_total += (out.gated_events - before) as u64;
+/// Snapshots `runtime`'s protocol state into a [`StrategyCtx`] (cheap: a
+/// handful of field reads plus one scan of the engine's pending-vote pools
+/// for the current view).
+fn strategy_ctx(runtime: &ProtocolRuntime, n: usize, now: Time) -> StrategyCtx {
+    let engine = runtime.engine();
+    StrategyCtx {
+        id: runtime.id(),
+        n,
+        now,
+        obs: ProtocolObs {
+            view: runtime.current_view(),
+            engine_view: engine.current_view(),
+            leader: engine.current_leader(),
+            locked_view: engine.locked_view(),
+            last_voted_view: engine.last_voted_view(),
+            high_qc_view: engine.high_qc().view(),
+            pending_qc_votes: engine.pending_votes(engine.current_view()),
+            clock: runtime.local_clock_reading(now),
+            booted: runtime.booted(),
+        },
     }
 }
 
@@ -235,15 +127,29 @@ impl ConsensusRuntime for StrategyHost {
     }
 
     fn boot(&mut self, now: Time, out: &mut RuntimeOutput) {
-        self.boot_into(now, out);
+        let gates = self.gates(now);
+        // Strategy-requested wake-ups (e.g. crash-recovery rejoin) are
+        // scheduled even while the node is dark.
+        out.wakes
+            .extend(self.strategy.as_ref().and_then(Strategy::boot_wake));
+        self.runtime.boot_gated(now, gates, out);
+        self.finish(now, out);
     }
 
     fn wake(&mut self, now: Time, out: &mut RuntimeOutput) {
-        self.wake_into(now, out);
+        let gates = self.gates(now);
+        if !self.runtime.wake_gated(now, gates, out) && self.strategy.is_some() {
+            out.gated_events += 1;
+        }
+        self.finish(now, out);
     }
 
     fn deliver(&mut self, from: ProcessId, msg: &WireMessage, now: Time, out: &mut RuntimeOutput) {
-        self.deliver_into(from, msg, now, out);
+        let gates = self.gates(now);
+        if !self.runtime.deliver_gated(from, msg, now, gates, out) && self.strategy.is_some() {
+            out.gated_events += 1;
+        }
+        self.finish(now, out);
     }
 
     fn current_view(&self) -> View {
@@ -273,21 +179,20 @@ impl ConsensusRuntime for StrategyHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::StrategyKind;
     use crate::protocol::{build_runtime, ProtocolKind};
     use lumiere_consensus::ConsensusMessage;
-    use lumiere_types::TimeRange;
+    use lumiere_types::{Duration, TimeRange};
 
     fn host(n: usize, who: usize, strategy: Option<StrategyKind>) -> StrategyHost {
         let rt = build_runtime(ProtocolKind::Fever, n, who, Duration::from_millis(10), 2);
-        StrategyHost::new(rt, n, strategy.map(|k| k.build()))
+        StrategyHost::new(rt, n, strategy)
     }
 
     #[test]
     fn honest_hosts_run_fully_open_and_count_nothing() {
         let mut h = host(4, 0, None);
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         assert!(h.is_honest());
         assert_eq!(h.strategy_name(), None);
         assert!(out.entered_views.contains(&View::new(0)));
@@ -297,14 +202,14 @@ mod tests {
                 .any(|m| matches!(m, WireMessage::Consensus(_))),
             "p0 leads Fever view 0 and must propose at boot"
         );
-        assert_eq!(h.gated_total(), 0);
+        assert_eq!(out.gated_events, 0);
     }
 
     #[test]
     fn non_leader_boot_sends_its_view_message() {
         let mut h = host(4, 2, None);
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         assert!(out
             .sends
             .iter()
@@ -315,7 +220,7 @@ mod tests {
     fn silent_leader_enters_views_but_never_proposes() {
         let mut h = host(4, 0, Some(StrategyKind::SilentLeader));
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         assert!(out.entered_views.contains(&View::new(0)));
         assert!(
             !out.broadcasts
@@ -330,7 +235,7 @@ mod tests {
     fn sync_silent_nodes_skip_the_pacemaker_entirely() {
         let mut h = host(4, 1, Some(StrategyKind::SyncSilent));
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         assert!(out.sends.is_empty() && out.broadcasts.is_empty());
         assert_eq!(h.current_view(), View::SENTINEL);
     }
@@ -339,7 +244,7 @@ mod tests {
     fn equivocating_leader_sends_conflicting_proposals() {
         let mut h = host(4, 0, Some(StrategyKind::Equivocate));
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         // The proposal broadcast is rewritten into targeted sends carrying
         // two distinct blocks for the same view.
         let hashes: std::collections::BTreeSet<u64> = out
@@ -361,32 +266,32 @@ mod tests {
     fn crashed_hosts_emit_nothing_and_wakes_count_as_gated() {
         let mut h = host(4, 0, Some(StrategyKind::Crash));
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         assert!(out.is_empty(), "a crashed node must emit nothing at boot");
         // Boot does not count as a gated event (matching the simulator),
         // but every subsequent swallowed wake does.
-        assert_eq!(h.gated_total(), 0);
+        assert_eq!(out.gated_events, 0);
         out.clear();
-        h.wake_into(Time::from_millis(10), &mut out);
-        assert_eq!(h.gated_total(), 1);
+        h.wake(Time::from_millis(10), &mut out);
+        assert_eq!(out.gated_events, 1);
         assert_eq!(h.strategy_name(), Some("crash"));
     }
 
     #[test]
-    fn gated_total_survives_output_clears_between_events() {
+    fn dark_window_wakes_are_gated_and_the_rejoin_wake_is_not() {
         let down = TimeRange::new(Time::ZERO, Time::from_millis(50));
         let mut h = host(4, 2, Some(StrategyKind::CrashRecovery { down }));
         let mut out = RuntimeOutput::default();
-        h.boot_into(Time::ZERO, &mut out);
+        h.boot(Time::ZERO, &mut out);
         assert_eq!(out.wakes, vec![Time::from_millis(50)], "rejoin wake");
-        out.clear(); // the live driver clears after every flush
-        h.wake_into(Time::from_millis(10), &mut out);
+        for at in [10, 20] {
+            out.clear(); // the live driver clears after every flush
+            h.wake(Time::from_millis(at), &mut out);
+            assert_eq!(out.gated_events, 1, "a dark-window wake is gated");
+        }
         out.clear();
-        h.wake_into(Time::from_millis(20), &mut out);
-        assert_eq!(h.gated_total(), 2, "both dark-window wakes were gated");
-        out.clear();
-        h.wake_into(Time::from_millis(50), &mut out);
-        assert_eq!(h.gated_total(), 2, "the rejoin wake runs ungated");
+        h.wake(Time::from_millis(50), &mut out);
+        assert_eq!(out.gated_events, 0, "the rejoin wake runs ungated");
         assert!(!out.is_empty(), "a rejoined node must resume participating");
     }
 }

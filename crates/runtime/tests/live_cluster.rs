@@ -275,7 +275,7 @@ fn planted_timeout_bug_is_flagged_by_the_envelope_oracle_and_stock_passes() {
                 let rt = build_runtime_with(ProtocolKind::Lumiere, n, i, delta, 31, planted_bug);
                 // Node 1 is a silent leader: its views are wasted, which is
                 // exactly the schedule that severs the planted re-arm path.
-                let strategy = (i == 1).then(|| StrategyKind::SilentLeader.build());
+                let strategy = (i == 1).then_some(StrategyKind::SilentLeader);
                 let host = StrategyHost::new(rt, n, strategy);
                 spawn(
                     host,

@@ -11,11 +11,11 @@
 //!   pluggable models cover the responsive (`δ ≪ Δ`), adversarial (exactly
 //!   `Δ`) and randomized regimes.
 //! * [`AdversarySchedule`] — the pluggable, state-reactive adversary
-//!   subsystem: per-node [`AdversaryStrategy`] trait objects (equivocation,
-//!   crash–recovery, the legacy silent behaviours, and *adaptive* attacks —
-//!   leader targeting, QC starvation — that react mid-run to read-only
-//!   [`ProtocolObs`] snapshots) built from serializable [`StrategyKind`]s,
-//!   plus plans that also carry per-edge, time-windowed delay rules
+//!   subsystem: each corrupted processor runs a [`Strategy`] of one
+//!   serializable [`StrategyKind`] (equivocation, crash–recovery, the
+//!   static silent behaviours, and *adaptive* attacks — leader targeting,
+//!   QC starvation — that react mid-run to read-only [`ProtocolObs`]
+//!   snapshots), and plans also carry per-edge, time-windowed delay rules
 //!   (targeted partitions). See `docs/ADVERSARIES.md` for the mapping to
 //!   the paper's attack arguments.
 //! * **The simulator is a transport**: each processor is a
@@ -80,7 +80,7 @@ pub mod workload;
 // simulator gates in virtual time; the simulator re-exports their names.
 pub use lumiere_core::planted::PlantedBug;
 pub use lumiere_runtime::adversary::{
-    AdversarySchedule, AdversaryStrategy, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs,
+    AdversarySchedule, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs, Strategy,
     StrategyCtx, StrategyKind,
 };
 /// The closed enum [`StrategyKind`] replaced. `benchmark/src/workload.rs`

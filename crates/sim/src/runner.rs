@@ -248,8 +248,9 @@ impl Simulation {
     fn finish_report(mut self) -> (SimReport, Trace) {
         let safety_ok = self.check_safety();
         let honest = self.nodes.iter().filter(|n| n.is_honest());
-        let equivocations = honest.clone().map(|n| n.equivocations_detected()).sum();
-        let lock_advances = honest.map(|n| n.locks_advanced()).sum();
+        let engines = honest.map(|n| n.runtime().engine());
+        let equivocations = engines.clone().map(|e| e.equivocations_detected()).sum();
+        let lock_advances = engines.map(|e| e.locks_advanced()).sum();
         self.collector.record_equivocations(equivocations);
         self.collector.record_lock_advances(lock_advances);
         let shed = self
@@ -268,7 +269,7 @@ impl Simulation {
             .nodes
             .iter()
             .filter(|n| n.is_honest())
-            .flat_map(|n| n.slash_evidence().iter().copied())
+            .flat_map(|n| n.runtime().engine().slash_evidence().iter().copied())
             .collect();
         slash.sort_unstable();
         slash.dedup();
@@ -373,13 +374,13 @@ impl Simulation {
             }
             Event::Boot { node } => {
                 out.clear();
-                self.nodes[node.as_usize()].boot_into(now, out);
+                self.nodes[node.as_usize()].boot(now, out);
                 node
             }
             Event::Wake { node } => {
                 self.collector.record_wake();
                 out.clear();
-                self.nodes[node.as_usize()].wake_into(now, out);
+                self.nodes[node.as_usize()].wake(now, out);
                 node
             }
             Event::Arrival { tx } => {
@@ -406,7 +407,7 @@ impl Simulation {
         out: &mut RuntimeOutput,
     ) {
         out.clear();
-        self.nodes[to.as_usize()].deliver_into(from, message, self.now, out);
+        self.nodes[to.as_usize()].deliver(from, message, self.now, out);
         self.apply_output(to, out);
     }
 
@@ -605,7 +606,7 @@ impl Simulation {
             self.nodes
                 .iter()
                 .filter(|n| n.is_honest())
-                .map(|n| n.local_clock_reading(self.now)),
+                .map(|n| n.runtime().local_clock_reading(self.now)),
         );
         if self.readings.len() <= f {
             return;

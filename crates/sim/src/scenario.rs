@@ -253,13 +253,10 @@ impl SimConfig {
                 let id = k.id();
                 let pacemaker = pacemakers.build(k.clone());
                 let engine = HotStuffEngine::new(id, k, pki.clone(), params);
-                let strategy = schedule
-                    .strategy_for(id.as_usize())
-                    .map(|kind| kind.build());
                 StrategyHost::new(
                     ProtocolRuntime::new(id, pacemaker, engine),
                     self.n,
-                    strategy,
+                    schedule.strategy_for(id.as_usize()),
                 )
             })
             .collect()
@@ -435,6 +432,28 @@ mod tests {
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
             .with_faults(2, StrategyKind::Crash)
             .build_nodes();
+    }
+
+    #[test]
+    fn a_negative_delay_rule_commits_nothing_before_time_zero() {
+        use lumiere_runtime::adversary::{DelayRule, EdgeClass, MsgClass};
+        use lumiere_types::TimeRange;
+        let report = quick(ProtocolKind::Lumiere)
+            .with_adversary(AdversarySchedule::new().rule(DelayRule {
+                edge: EdgeClass::Any,
+                msg: MsgClass::Any,
+                window: TimeRange::always(),
+                delay: DelayModel::Fixed {
+                    delta: Duration::from_millis(-5),
+                },
+            }))
+            .run();
+        assert!(report.decisions() > 0);
+        assert!(
+            report.commit_times.iter().all(|&(t, _)| t >= Time::ZERO),
+            "first commit at {:?}",
+            report.commit_times.first()
+        );
     }
 
     #[test]
