@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lumiere-node --config node0.json [--out summary0.json] [--load <tps>]
-//!              [--strategy <name|json>] [--fault-plan <json>]
+//!              [--strategy <name|json> | --schedule <json>]
 //!              [--planted-bug <name>]
 //! ```
 //!
@@ -21,9 +21,12 @@
 //!   JSON form for parameterized strategies (e.g.
 //!   `{"CrashRecovery":{"down":{"from":0,"until":5000000}}}`, times in
 //!   microseconds).
-//! * `--fault-plan` installs a serialized
-//!   [`FaultPlan`] on the transport: per-peer
-//!   drop windows, partitions and added delays in wall-clock milliseconds.
+//! * `--schedule` runs a serialized [`AdversarySchedule`] — the `adversary`
+//!   field of a simulator config or a fuzz corpus entry. The node runs the
+//!   strategy the schedule gives its own id (if any), and its transport
+//!   holds each outbound message a delay rule matches until that rule's
+//!   delivery time, at most Δ after the send. It excludes `--strategy`,
+//!   because a schedule already names every node's strategy.
 //! * `--planted-bug` runs a known calibration bug (builds with the
 //!   `planted-bugs` feature only; a stock binary refuses, so CI can never
 //!   silently measure stock behaviour).
@@ -42,8 +45,8 @@
 use lumiere_core::planted::{self, PlantedBug};
 use lumiere_runtime::driver::{self, DriverOptions};
 use lumiere_runtime::{
-    build_runtime_with, FaultPlan, FaultedTransport, NodeConfig, StrategyHost, StrategyKind,
-    TcpTransport, Transport,
+    build_runtime_with, AdversarySchedule, FaultedTransport, NodeConfig, StrategyHost,
+    StrategyKind, TcpTransport, Transport,
 };
 use serde::json;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -55,7 +58,7 @@ struct Args {
     out: Option<String>,
     load: Option<u64>,
     strategy: Option<StrategyKind>,
-    fault_plan: Option<FaultPlan>,
+    schedule: Option<AdversarySchedule>,
     planted: Option<PlantedBug>,
 }
 
@@ -86,13 +89,13 @@ fn main() {
 
 fn parse_args() -> Result<Args, String> {
     let usage = "usage: lumiere-node --config <node.json> [--out <summary.json>] \
-                 [--load <tps>] [--strategy <name|json>] [--fault-plan <json>] \
+                 [--load <tps>] [--strategy <name|json> | --schedule <json>] \
                  [--planted-bug <name>]";
     let mut config = None;
     let mut out = None;
     let mut load = None;
     let mut strategy = None;
-    let mut fault_plan = None;
+    let mut schedule = None;
     let mut planted = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -113,11 +116,11 @@ fn parse_args() -> Result<Args, String> {
                 let raw = args.next().ok_or(usage)?;
                 set_once(&mut strategy, parse_strategy(&raw)?, "--strategy")?;
             }
-            "--fault-plan" => {
+            "--schedule" => {
                 let raw = args.next().ok_or(usage)?;
-                let plan = json::from_str::<FaultPlan>(&raw)
-                    .map_err(|e| format!("cannot parse --fault-plan: {e}"))?;
-                set_once(&mut fault_plan, plan, "--fault-plan")?;
+                let parsed = json::from_str::<AdversarySchedule>(&raw)
+                    .map_err(|e| format!("cannot parse --schedule: {e}"))?;
+                set_once(&mut schedule, parsed, "--schedule")?;
             }
             "--planted-bug" => {
                 let raw = args.next().ok_or(usage)?;
@@ -133,12 +136,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`\n{usage}")),
         }
     }
+    if strategy.is_some() && schedule.is_some() {
+        return Err(format!(
+            "--strategy and --schedule are exclusive: a schedule names each node's strategy\n{usage}"
+        ));
+    }
     Ok(Args {
         config: config.ok_or(usage)?,
         out,
         load,
         strategy,
-        fault_plan,
+        schedule,
         planted,
     })
 }
@@ -166,33 +174,34 @@ fn run_node(args: &Args) -> Result<(), String> {
                 .to_string(),
         );
     }
-    if let Some(plan) = &args.fault_plan {
-        plan.validate(cfg.n)
-            .map_err(|e| format!("--fault-plan: {e}"))?;
-    }
+    let schedule = args.schedule.clone().unwrap_or_default();
+    schedule
+        .validate(cfg.n, (cfg.n - 1) / 3)
+        .map_err(|e| format!("--schedule: {e}"))?;
+    let strategy = args.strategy.or(schedule.strategy_for(cfg.node_id));
     eprintln!(
         "[node {}] {} | n = {} | listening on {}{}{}{}",
         cfg.node_id,
         protocol.name(),
         cfg.n,
         cfg.listen,
-        args.strategy
+        strategy
             .map(|s| format!(" | strategy = {}", s.name()))
             .unwrap_or_default(),
         args.planted
             .map(|b| format!(" | planted-bug = {}", b.name()))
             .unwrap_or_default(),
-        if args.fault_plan.is_some() {
-            " | fault plan installed"
+        if schedule.delay_rules.is_empty() {
+            String::new()
         } else {
-            ""
+            format!(" | {} delay rules", schedule.delay_rules.len())
         },
     );
 
     let transport = TcpTransport::connect(cfg.mesh()).map_err(|e| e.to_string())?;
-    // An empty plan is transparent, so the faulted wrapper is unconditional:
-    // one code path whether or not faults were requested.
-    let transport = FaultedTransport::new(transport, args.fault_plan.clone().unwrap_or_default());
+    // A schedule without delay rules is transparent, so the wrapper is
+    // unconditional: one code path whether or not rules were given.
+    let transport = FaultedTransport::new(transport, schedule, cfg.delta(), cfg.seed);
     eprintln!("[node {}] mesh up, booting protocol", cfg.node_id);
 
     let runtime = build_runtime_with(
@@ -203,7 +212,7 @@ fn run_node(args: &Args) -> Result<(), String> {
         cfg.seed,
         args.planted,
     );
-    let runtime = StrategyHost::new(runtime, cfg.n, args.strategy);
+    let runtime = StrategyHost::new(runtime, cfg.n, strategy);
     let opts = DriverOptions {
         target_commits: cfg.target_commits,
         deadline: cfg.run_timeout_ms.map(WallDuration::from_millis),
@@ -218,13 +227,12 @@ fn run_node(args: &Args) -> Result<(), String> {
 
     eprintln!(
         "[node {}] done: committed {} blocks in view {} after {:.0} ms \
-         ({} gated events, {} dropped / {} delayed by faults)",
+         ({} gated events, {} delayed by delay rules)",
         summary.node,
         summary.committed_height,
         summary.final_view,
         summary.wall_ms,
         summary.gated_events,
-        transport.dropped(),
         transport.delayed(),
     );
     if args.load.is_some() {

@@ -24,11 +24,12 @@
 //! [`AdversarySchedule`]), [`StrategyHost`] wraps a runtime in the per-event
 //! gating harness (the simulator hosts one per processor, and
 //! `lumiere-node --strategy` installs one on a live process), and
-//! [`FaultedTransport`] applies serializable per-peer [`FaultPlan`]s — drop
-//! windows, partitions, added delay — to any transport. Honest live nodes
-//! run fully open through the plain [`ConsensusRuntime`] trait. Either way
-//! it is the same protocol code down to event ordering — which is what makes
-//! the simulator's Table 1 numbers and the live cluster's behavior
+//! [`FaultedTransport`] applies an [`AdversarySchedule`]'s per-edge delay
+//! rules to any transport in wall time, so a live node runs the same
+//! schedule JSON the simulator does (`lumiere-node --schedule`). Honest live
+//! nodes run fully open through the plain [`ConsensusRuntime`] trait. Either
+//! way it is the same protocol code down to event ordering — which is what
+//! makes the simulator's Table 1 numbers and the live cluster's behavior
 //! commensurable.
 
 #![forbid(unsafe_code)]
@@ -64,7 +65,7 @@ pub use driver::{
     liveness_envelope, spawn as spawn_driver, CommitRecord, DriverHandle, DriverOptions,
     DriverSummary,
 };
-pub use fault::{FaultAction, FaultDirection, FaultPlan, FaultedTransport, LinkFault};
+pub use fault::FaultedTransport;
 pub use message::WireMessage;
 pub use output::RuntimeOutput;
 pub use protocol::{build_runtime, build_runtime_with, ProtocolKind};

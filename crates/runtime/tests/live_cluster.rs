@@ -24,8 +24,8 @@
 use lumiere_core::planted::{self, PlantedBug};
 use lumiere_runtime::driver::{spawn, DriverOptions, DriverSummary};
 use lumiere_runtime::{
-    build_runtime_with, channel_mesh, liveness_envelope, NodeConfig, PeerConfig, ProtocolKind,
-    StrategyHost, StrategyKind,
+    build_runtime_with, channel_mesh, liveness_envelope, AdversarySchedule, NodeConfig, PeerConfig,
+    ProtocolKind, StrategyHost, StrategyKind,
 };
 use lumiere_types::Duration;
 use serde::json;
@@ -37,6 +37,8 @@ use std::time::Duration as WallDuration;
 /// parallel threads) and from the 46xxx ranges the in-process TCP tests own.
 const HONEST_BASE_PORT: u16 = 47110;
 const ADVERSARIAL_BASE_PORT: u16 = 47120;
+/// Never bound: the argument checks below must fail before any socket opens.
+const CLI_BASE_PORT: u16 = 47130;
 
 /// Checks one node's wall-clock commit trace against the `O(nΔ)` liveness
 /// envelope. Returns a description of the first violation, if any — the
@@ -139,7 +141,7 @@ impl Drop for Scratch {
 }
 
 /// Spawns one real `lumiere-node` process. `extra` carries the adversarial
-/// switches (`--strategy`, `--fault-plan`). Stderr goes to a per-node log in
+/// switches (`--strategy`, `--schedule`). Stderr goes to a per-node log in
 /// the scratch dir so a failure is diagnosable.
 fn spawn_node(scratch: &Scratch, cfg: &NodeConfig, extra: &[&str]) -> Child {
     let config_path = scratch.path(&format!("node{}.json", cfg.node_id));
@@ -330,4 +332,72 @@ fn planted_timeout_bug_is_flagged_by_the_envelope_oracle_and_stock_passes() {
         "the planted cluster must stall behind stock (stock {stock_height}, \
          planted {planted_height})"
     );
+}
+
+/// Runs `lumiere-node` on a valid n = 4 config plus `extra` and returns its
+/// exit code and stderr.
+fn node_cli(tag: &str, extra: &[&str]) -> (Option<i32>, String) {
+    let scratch = Scratch::new(tag);
+    let config_path = scratch.path("node0.json");
+    let cfg = cluster_config(0, 4, CLI_BASE_PORT, 20, Some(1), 5_000);
+    std::fs::write(&config_path, json::to_string(&cfg)).expect("write node config");
+    let out = Command::new(env!("CARGO_BIN_EXE_lumiere-node"))
+        .arg("--config")
+        .arg(&config_path)
+        .args(extra)
+        .output()
+        .expect("run lumiere-node");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn strategy_and_schedule_are_exclusive() {
+    let schedule = r#"{"corruptions":[],"delay_rules":[]}"#;
+    let (code, stderr) = node_cli(
+        "cli-exclusive",
+        &["--strategy", "crash", "--schedule", schedule],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--strategy and --schedule are exclusive"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_schedule_out_of_range_is_rejected_before_the_mesh_starts() {
+    let schedule = r#"{"corruptions":[{"node":9,"strategy":"Crash"}],"delay_rules":[]}"#;
+    let (code, stderr) = node_cli("cli-range", &["--schedule", schedule]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--schedule: corrupted node 9 out of range"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("listening on"), "{stderr}");
+}
+
+#[test]
+fn the_fault_plan_flag_is_gone() {
+    let (code, stderr) = node_cli("cli-fault-plan", &["--fault-plan", "{}"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument `--fault-plan`"),
+        "{stderr}"
+    );
+}
+
+/// The schedule CI's `live-cluster-adversarial` job runs over TCP is the
+/// simulator's named targeted-partition adversary, not a drifted copy.
+#[test]
+fn the_ci_schedule_is_the_simulators_targeted_partition() {
+    let text = include_str!("../../../scripts/schedules/targeted-partition-4.json");
+    let schedule: AdversarySchedule = json::from_str(text).expect("parse the CI schedule");
+    assert_eq!(
+        schedule,
+        AdversarySchedule::targeted_partition(&[3], Duration::from_millis(1))
+    );
+    assert!(schedule.validate(4, 1).is_ok());
 }

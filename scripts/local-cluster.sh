@@ -18,15 +18,19 @@
 #   LOAD_RATE     open-loop client load per node, txs/sec passed to every
 #                 node as --load; the verifier then also asserts that the
 #                 honest nodes committed client transactions and, in a run
-#                 with no strategies, fault plans or kills, that none of
+#                 with no strategies, schedule or kills, that none of
 #                 them committed a transaction twice (default: off)
 #
 # Adversarial switches (all optional; ';'-separated lists because strategy
-# and fault-plan JSON contains commas):
+# JSON contains commas):
 #   STRATEGIES    per-node --strategy specs, "i:spec;j:spec". A spec is a
 #                 short name (silent-leader, crash, ...) or StrategyKind
 #                 JSON ('1:{"CrashRecovery":{"down":{"from":0,...}}}').
-#   FAULT_PLANS   per-node --fault-plan JSON, "i:json;j:json".
+#   SCHEDULE      a file holding AdversarySchedule JSON (the simulator's
+#                 adversary, e.g. scripts/schedules/targeted-partition-4.json),
+#                 passed to every node as --schedule: its corruptions pick
+#                 each node's strategy and its delay rules hold messages on
+#                 the sending side. Excludes STRATEGIES.
 #   PLANTED_BUG   planted-bug name passed to every node; forces a release
 #                 build with --features planted-bugs.
 #   KILL_SCHEDULE crash/recovery injections, "i:kill_s[:restart_s];...":
@@ -53,7 +57,7 @@ SEED="${SEED:-42}"
 TIMEOUT_S="${TIMEOUT_S:-180}"
 OUT_DIR="${OUT_DIR:-cluster-out}"
 STRATEGIES="${STRATEGIES:-}"
-FAULT_PLANS="${FAULT_PLANS:-}"
+SCHEDULE="${SCHEDULE:-}"
 PLANTED_BUG="${PLANTED_BUG:-}"
 KILL_SCHEDULE="${KILL_SCHEDULE:-}"
 RUN_FOR_S="${RUN_FOR_S:-}"
@@ -63,6 +67,15 @@ LOAD_RATE="${LOAD_RATE:-}"
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$REPO_ROOT"
 NODE_BIN="target/release/lumiere-node"
+
+SCHEDULE_JSON=""
+if [[ -n "$SCHEDULE" ]]; then
+    if [[ -n "$STRATEGIES" ]]; then
+        echo "ERROR: SCHEDULE and STRATEGIES are exclusive (a schedule names each node's strategy)" >&2
+        exit 2
+    fi
+    SCHEDULE_JSON="$(cat "$SCHEDULE")"
+fi
 
 if [[ -n "$PLANTED_BUG" ]]; then
     # The planted code paths only exist behind the feature; always rebuild so
@@ -79,7 +92,7 @@ rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR"
 
 # Parse the ';'-separated per-node maps before anything can fail.
-declare -A STRATEGY_OF FAULT_OF KILL_AT RESTART_AT
+declare -A STRATEGY_OF KILL_AT RESTART_AT
 parse_map() { # $1 = list, $2 = map name
     local -n map=$2
     local entry
@@ -90,7 +103,6 @@ parse_map() { # $1 = list, $2 = map name
     done
 }
 parse_map "$STRATEGIES" STRATEGY_OF
-parse_map "$FAULT_PLANS" FAULT_OF
 join_keys() { # $1 = map name; prints its keys comma-separated
     local -n keymap=$1
     local out="" k
@@ -157,7 +169,7 @@ boot_node() { # $1 = node id; appends to the node log, refreshes the pid file
     local i=$1
     local args=(--config "$OUT_DIR/node$i.json" --out "$OUT_DIR/summary$i.json")
     [[ -n "${STRATEGY_OF[$i]:-}" ]] && args+=(--strategy "${STRATEGY_OF[$i]}")
-    [[ -n "${FAULT_OF[$i]:-}" ]] && args+=(--fault-plan "${FAULT_OF[$i]}")
+    [[ -n "$SCHEDULE_JSON" ]] && args+=(--schedule "$SCHEDULE_JSON")
     [[ -n "$PLANTED_BUG" ]] && args+=(--planted-bug "$PLANTED_BUG")
     [[ -n "$LOAD_RATE" ]] && args+=(--load "$LOAD_RATE")
     "$NODE_BIN" "${args[@]}" >> "$OUT_DIR/node$i.log" 2>&1 &
@@ -223,7 +235,7 @@ echo "== verifying commit logs =="
 N="$N" TARGET="$TARGET" OUT_DIR="$OUT_DIR" DELTA_MS="$DELTA_MS" \
     EXPECT_STALL="$EXPECT_STALL" LOAD_RATE="$LOAD_RATE" \
     STRATEGY_IDS="$(join_keys STRATEGY_OF)" \
-    FAULTED_IDS="$(join_keys FAULT_OF)" \
+    SCHEDULE="$SCHEDULE" \
     KILLED_IDS="$(join_keys KILL_AT)" \
     python3 - <<'PY'
 import json, os, sys
@@ -235,7 +247,9 @@ delta_ms = int(os.environ["DELTA_MS"])
 expect_stall = os.environ.get("EXPECT_STALL", "0") == "1"
 load_rate = os.environ.get("LOAD_RATE", "")
 corrupted = {int(i) for i in os.environ.get("STRATEGY_IDS", "").split(",") if i}
-faulted = {int(i) for i in os.environ.get("FAULTED_IDS", "").split(",") if i}
+if os.environ.get("SCHEDULE"):
+    with open(os.environ["SCHEDULE"]) as f:
+        corrupted |= {c["node"] for c in json.load(f)["corruptions"]}
 killed = {int(i) for i in os.environ.get("KILLED_IDS", "").split(",") if i}
 
 # The O(nΔ) liveness envelope — the same bound as
@@ -325,7 +339,7 @@ if load_rate:
               f"p99 {s['tx_latency_p99_ms']:.1f} ms")
     # A leader's batch skips what the chain it extends already carries, so
     # in a fault-free run no honest node commits a transaction twice.
-    if not (corrupted or faulted or killed):
+    if not (corrupted or killed):
         for i in honest:
             if summaries[i]["tx_recommits"] > 0:
                 sys.exit(f"ERROR: node {i} committed {summaries[i]['tx_recommits']} "
