@@ -168,6 +168,13 @@ impl Pacemaker for Fever {
     fn state_entries(&self) -> usize {
         self.me.views.len() + self.view_msgs.entries()
     }
+
+    fn prune_below(&mut self, committed: View) {
+        // Nothing below the current view is read.
+        let floor = committed.min(self.me.view());
+        self.me.views.prune_below(floor);
+        self.view_msgs.prune_below(floor);
+    }
 }
 
 #[cfg(test)]

@@ -135,6 +135,13 @@ impl Pacemaker for NaiveQuadratic {
     fn state_entries(&self) -> usize {
         self.me.views.len() + self.timeout_pool.entries()
     }
+
+    fn prune_below(&mut self, committed: View) {
+        // Nothing below the current view is read.
+        let floor = committed.min(self.me.view());
+        self.me.views.prune_below(floor);
+        self.timeout_pool.prune_below(floor);
+    }
 }
 
 #[cfg(test)]

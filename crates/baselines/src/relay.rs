@@ -24,12 +24,13 @@
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{wish_digest, WishCert};
-use lumiere_core::ledger::{SigPool, FORMED_SYNC, OBSERVED_QC};
+use lumiere_core::ledger::{SigPool, OBSERVED_QC};
 use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction, Processor};
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
+use std::collections::BTreeSet;
 
 /// Which published protocol this instance reports itself as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +58,12 @@ pub struct RelayPacemaker {
     relay_attempts: usize,
     /// Deadline for the current relay attempt of the pending target view.
     relay_deadline: Option<(View, Time)>,
+    /// Wishes by target view. Kept whole, with `synced`: a processor that
+    /// lags may still wish for any view it missed, and the certificate its
+    /// wish completes is sent.
     wish_pool: SigPool,
+    /// Views whose synchronization certificate this processor aggregated.
+    synced: BTreeSet<View>,
 }
 
 impl RelayPacemaker {
@@ -82,6 +88,7 @@ impl RelayPacemaker {
             relay_attempts: 0,
             relay_deadline: None,
             wish_pool: SigPool::new(params.n),
+            synced: BTreeSet::new(),
         }
     }
 
@@ -137,14 +144,14 @@ impl RelayPacemaker {
         out: &mut Vec<PacemakerAction>,
     ) {
         let count = self.wish_pool.add(target, signature);
-        if count < self.me.params.small_quorum() || self.me.views.has(target, FORMED_SYNC) {
+        if count < self.me.params.small_quorum() || self.synced.contains(&target) {
             return;
         }
         let sigs = self.wish_pool.signatures(target);
         let Ok(cert) = WishCert::aggregate(target, sigs, &self.me.params) else {
             return;
         };
-        self.me.views.mark(target, FORMED_SYNC);
+        self.synced.insert(target);
         out.push(PacemakerAction::Broadcast(PacemakerMessage::SyncCert(cert)));
         // The broadcast includes the aggregator itself (Section 4's "sends to
         // all processors" convention): enter the view locally too.
@@ -239,7 +246,13 @@ impl Pacemaker for RelayPacemaker {
     }
 
     fn state_entries(&self) -> usize {
-        self.me.views.len() + self.wish_pool.entries()
+        self.me.views.len() + self.wish_pool.entries() + self.synced.len()
+    }
+
+    fn prune_below(&mut self, committed: View) {
+        // The ledger is read at the current view and above; the wishes are
+        // kept (see `wish_pool`).
+        self.me.views.prune_below(committed.min(self.me.view()));
     }
 }
 

@@ -67,18 +67,22 @@ pub struct HotStuffEngine {
     /// equal to it in every field (view, block hash, and the threshold
     /// signature's digest, bitmap and proof) needs no check of its own.
     high_qc: QuorumCert,
-    /// One record per view, from the sentinel view the genesis certificate
-    /// carries. Extended only for views this replica proposes in, is given
+    /// One record per view, from the commit horizon: the view of the newest
+    /// committed block (at first the sentinel view the genesis certificate
+    /// carries). Extended only for views this replica proposes in, is given
     /// a deadline for, or holds a verified certificate of (see
-    /// [`ViewWindow`]); a view a single peer names is only ever read.
+    /// [`ViewWindow`]); a view a single peer names is only ever read. Below
+    /// the horizon every certificate counts as observed, and proposals and
+    /// votes are dropped unread.
     views: ViewWindow<EngineView>,
     /// Proposals for views this replica has not entered yet, by view and
     /// proposer: only the view's leader, known at entry, can claim the vote,
     /// and no other processor's block may displace the one it parked.
     pending_proposals: BTreeMap<(i64, ProcessId), Block>,
     proposing_enabled: bool,
-    /// Every distinct `(view, proposer, block)` proposed to this replica.
-    /// Any peer can name any view here, so it is keyed, not indexed.
+    /// Every distinct `(view, proposer, block)` proposed to this replica at
+    /// or above the commit horizon. Any peer can name any view here, so it
+    /// is keyed, not indexed.
     proposals_seen: BTreeSet<(i64, ProcessId, BlockHash)>,
     equivocations_detected: usize,
     slash_evidence: Vec<SlashEvidence>,
@@ -346,6 +350,11 @@ impl HotStuffEngine {
         now: Time,
         out: &mut Vec<ConsensusAction>,
     ) {
+        // Below the commit horizon a block can be neither voted for nor
+        // committed, and its equivocation record is gone.
+        if block.view().as_i64() < self.views.base() {
+            return;
+        }
         if !block.well_formed() || block.proposer() != from {
             return;
         }
@@ -498,11 +507,19 @@ impl HotStuffEngine {
     fn process_qc(&mut self, qc: &QuorumCert, out: &mut Vec<ConsensusAction>) {
         // An observed `(view, block)` yields no actions whether or not this
         // copy verifies, so the check is skipped for it.
-        let state = self.views.get(qc.view().as_i64());
-        if state.is_some_and(|s| s.observed.contains(&qc.block_hash())) || !self.verify_qc(qc) {
+        if self.observed(qc) || !self.verify_qc(qc) {
             return;
         }
         self.process_verified_qc(qc, out);
+    }
+
+    /// Whether `qc`'s `(view, block)` was observed; below the commit horizon
+    /// every certificate counts as observed.
+    fn observed(&self, qc: &QuorumCert) -> bool {
+        let view = qc.view().as_i64();
+        self.views.get(view).map_or(view < self.views.base(), |s| {
+            s.observed.contains(&qc.block_hash())
+        })
     }
 
     /// Applies a certificate the caller has verified (or found equal to
@@ -526,8 +543,27 @@ impl HotStuffEngine {
         if !qc.is_genesis() {
             out.push(ConsensusAction::QcObserved(qc.clone()));
         }
-        for block in self.store.on_qc(qc) {
-            out.push(ConsensusAction::Committed(block));
+        let committed = self.store.on_qc(qc);
+        if let Some(tip) = committed.last() {
+            self.prune_below(tip.view());
+        }
+        out.extend(committed.into_iter().map(ConsensusAction::Committed));
+    }
+
+    /// The commit horizon: drops the per-view records and seen proposals of
+    /// every view below `horizon`, the view of the newest committed block.
+    /// Nothing below it is read again: a certificate there counts as
+    /// observed, and a proposal or vote there finds no record, so none of
+    /// them yields an action (as a repeat would not have).
+    fn prune_below(&mut self, horizon: View) {
+        let horizon = horizon.as_i64();
+        self.views.prune_below(horizon);
+        while self
+            .proposals_seen
+            .first()
+            .is_some_and(|&(view, _, _)| view < horizon)
+        {
+            self.proposals_seen.pop_first();
         }
     }
 }
@@ -915,13 +951,74 @@ mod tests {
             );
             let proposal = ConsensusMessage::Proposal(block);
             assert!(replica.on_message(peer.id(), &proposal, now).is_empty());
-            // Stored, recorded as seen, and — above the current view — parked.
-            let kept = if v > replica.current_view() { 3 } else { 2 };
+            // Stored, recorded as seen, and — above the current view —
+            // parked; below the horizon (the sentinel view, before any
+            // commit) dropped.
+            let kept = if v < View::SENTINEL {
+                0
+            } else if v > replica.current_view() {
+                3
+            } else {
+                2
+            };
             assert_eq!(replica.state_entries(), entries + kept);
             assert_eq!(replica.pending_votes(v), 0);
         }
         assert_eq!(replica.views.len(), records);
         assert_eq!(replica.last_voted_view(), View::new(0));
+    }
+
+    #[test]
+    fn the_commit_horizon_drops_every_view_below_the_committed_one() {
+        let mut cluster = Cluster::new(4);
+        let (keys, _) = keygen(4, 7);
+        assert_eq!(cluster.run_view(0), 1);
+        // View 0's traffic, replayed below the horizon later: the proposal,
+        // its certificate and a vote for it.
+        let qc = cluster.engines[1].high_qc().clone();
+        let block = cluster.engines[1]
+            .store()
+            .get(qc.block_hash())
+            .unwrap()
+            .clone();
+        let vote = ConsensusMessage::Vote {
+            view: View::new(0),
+            block_hash: block.hash(),
+            signature: keys[2].sign(QuorumCert::vote_digest(View::new(0), block.hash())),
+        };
+        for view in 1..30 {
+            assert_eq!(cluster.run_view(view), 1);
+            // A replica holds a few views' worth whatever view it is in
+            // (its commits may lag a few views here): without the horizon
+            // it would hold about five entries more per view.
+            for e in &cluster.engines {
+                assert!(e.state_entries() <= 20, "replica {} at {view}", e.id());
+            }
+        }
+        for e in &mut cluster.engines {
+            // Nothing below the committed tip's view is held, and what is
+            // held did not grow.
+            let chain = e.store().committed_chain();
+            let tip = e.store().get(chain[chain.len() - 1]).unwrap().view();
+            assert!(tip >= View::new(27), "replica {} committed {tip}", e.id());
+            assert_eq!(e.views.base(), tip.as_i64());
+            let horizon = tip.as_i64();
+            assert!(e.proposals_seen.iter().all(|&(view, _, _)| view >= horizon));
+            assert!(e.store().len() <= 3, "the tip and the blocks above it");
+            // Copies of view 0's messages find no record and change nothing,
+            // and the certificate is not checked again.
+            let (held, checks) = (e.state_entries(), e.certs_verified());
+            let now = Time::from_millis(300);
+            for msg in [
+                ConsensusMessage::Proposal(block.clone()),
+                ConsensusMessage::NewQc(qc.clone()),
+                vote.clone(),
+            ] {
+                assert!(e.on_message(ProcessId::new(0), &msg, now).is_empty());
+            }
+            assert!(e.on_message(ProcessId::new(2), &vote, now).is_empty());
+            assert_eq!((e.state_entries(), e.certs_verified()), (held, checks));
+        }
     }
 
     #[test]
@@ -1383,7 +1480,12 @@ mod tests {
             block: Block,
             now: Time,
         ) -> Vec<ConsensusAction> {
-            if !block.well_formed() || block.proposer() != from {
+            // The commit horizon is not part of what this reference checks:
+            // both intakes drop a proposal below it.
+            if block.view().as_i64() < self.views.base()
+                || !block.well_formed()
+                || block.proposer() != from
+            {
                 return Vec::new();
             }
             if block.justify().verify(&self.pki, &self.params).is_err() {

@@ -4,17 +4,24 @@ use crate::block::{Block, BlockHash};
 use crate::qc::QuorumCert;
 use lumiere_types::hash::IdMap;
 
-/// In-memory store of all blocks a replica has seen, plus the committed
-/// prefix of the chain.
+/// In-memory store of the blocks a replica may still build on or commit,
+/// plus the hashes of the committed prefix of the chain.
 ///
 /// The commit rule is the two-chain rule of HotStuff-2: when a replica sees a
 /// QC for block `b` and `b`'s own justify is a QC for `b`'s parent formed in
 /// the directly preceding view, the parent (and all its ancestors) are
 /// committed.
+///
+/// A commit hands the newly committed blocks to the caller and drops every
+/// committed block below the new tip: the commit walk stops at the tip, and
+/// nothing else reads below it. The tip and any uncommitted fork stay.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
+    /// Genesis or the committed tip, and every block not yet committed.
     blocks: IdMap<BlockHash, Block>,
     committed_height: u64,
+    /// Every committed hash since genesis, 8 bytes each: what agreement is
+    /// checked on.
     committed: Vec<BlockHash>,
 }
 
@@ -57,12 +64,12 @@ impl BlockStore {
         self.blocks.contains_key(&hash)
     }
 
-    /// Number of blocks stored (including genesis).
+    /// Number of blocks stored (including the committed tip).
     pub fn len(&self) -> usize {
         self.blocks.len()
     }
 
-    /// Whether the store holds only genesis.
+    /// Whether the store holds only the committed tip (at first, genesis).
     pub fn is_empty(&self) -> bool {
         self.blocks.len() <= 1
     }
@@ -93,7 +100,9 @@ impl BlockStore {
     /// Applies the two-chain commit rule given a newly observed QC.
     ///
     /// Returns the list of newly committed blocks in chain order (oldest
-    /// first). Blocks whose ancestry is not fully known are not committed.
+    /// first), and removes all but the last of them, and the tip before
+    /// them, from the store. Blocks whose ancestry is not fully known are
+    /// not committed.
     pub fn on_qc(&mut self, qc: &QuorumCert) -> Vec<Block> {
         let Some(block) = self.blocks.get(&qc.block_hash()) else {
             return Vec::new();
@@ -128,9 +137,17 @@ impl BlockStore {
             }
         }
         chain.reverse();
-        self.committed.extend(chain.iter().map(|b| b.hash()));
-        self.committed_height = parent.height();
-        chain.into_iter().cloned().collect()
+        let chain: Vec<Block> = chain.into_iter().cloned().collect();
+        let (tip, passed) = chain.split_last().expect("the walk starts at `parent`");
+        // Below the new tip nothing is walked again.
+        let old_tip = self.committed[self.committed.len() - 1];
+        self.blocks.remove(&old_tip);
+        for block in passed {
+            self.blocks.remove(&block.hash());
+        }
+        self.committed.extend(chain.iter().map(Block::hash));
+        self.committed_height = tip.height();
+        chain
     }
 }
 
@@ -266,17 +283,37 @@ mod tests {
         let f3 = child(&f2, 6, qc_for(&f2, &params, &keys));
         store.insert(&f2);
         store.insert(&f3);
-        let len = store.len();
+        let held = |store: &BlockStore, among: &[&Block]| -> Vec<bool> {
+            among.iter().map(|b| store.contains(b.hash())).collect()
+        };
+        let main: Vec<&Block> = blocks.iter().collect();
+        assert_eq!(store.len(), 8);
         // The QC for the main branch's height-4 block commits heights 1..=3
         // of that branch: whole blocks, oldest first, nothing from the fork.
         assert_eq!(store.on_qc(&qcs[4]), blocks[1..=3].to_vec());
-        let chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
+        let mut chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
         assert_eq!(store.committed_chain(), chain.as_slice());
+        // They leave the store below the new tip, with the old tip
+        // (genesis); the tip, the uncommitted blocks above it and the fork
+        // stay, and so does every committed hash.
+        assert_eq!(held(&store, &main), [false, false, false, true, true, true]);
+        assert_eq!(held(&store, &[&f2, &f3]), [true, true]);
+        assert_eq!(store.len(), 5);
         // A QC on the fork certifies `f2` at height 2, below the frontier.
         assert!(store.on_qc(&qc_for(&f3, &params, &keys)).is_empty());
         assert_eq!(store.committed_chain(), chain.as_slice());
         assert_eq!(store.committed_height(), 3);
-        assert_eq!(store.len(), len, "committing hands blocks out, not away");
+        assert_eq!(store.len(), 5);
+        // The next commit walks down to the tip and then drops it.
+        assert_eq!(store.on_qc(&qcs[5]), blocks[4..=4].to_vec());
+        chain.push(blocks[4].hash());
+        assert_eq!(store.committed_chain(), chain.as_slice());
+        assert_eq!(
+            held(&store, &main),
+            [false, false, false, false, true, true]
+        );
+        assert_eq!(held(&store, &[&f2, &f3]), [true, true]);
+        assert_eq!(store.len(), 4);
     }
 
     #[test]

@@ -275,6 +275,15 @@ impl Pacemaker for BasicLumiere {
     fn state_entries(&self) -> usize {
         self.me.views.len() + self.view_msgs.entries() + self.epoch_msgs.entries()
     }
+
+    fn prune_below(&mut self, committed: View) {
+        // Nothing below the current view is read; the previous epoch is kept
+        // as Lumiere keeps it.
+        let floor = committed.min(self.layout.first_view(self.epoch().prev()));
+        self.me.views.prune_below(floor);
+        self.view_msgs.prune_below(floor);
+        self.epoch_msgs.prune_below(floor);
+    }
 }
 
 #[cfg(test)]

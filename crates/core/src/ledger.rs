@@ -15,6 +15,12 @@
 //! bitmap of n/8 bytes, rounded up to a word: 8 B at n = 4, 512 B at
 //! n = 4096. Per sender a pool stores one bit per view (and, in a
 //! [`SigPool`], the signature itself).
+//!
+//! Each structure is freed from below: on a commit, the pacemaker passes the
+//! lowest view it still reads to every `prune_below`, which drops what lies
+//! under it. Below that horizon a ledger reads every fact as recorded and a
+//! pool takes nothing, so a late or replayed message for a pruned view is
+//! refused as a repeat would have been.
 
 use lumiere_crypto::{PartialSet, Signature, SignerBitmap};
 use lumiere_types::view::ViewWindow;
@@ -47,10 +53,9 @@ pub const INITIAL_TRIGGER_FIRED: Flag = 1 << 8;
 pub const TALLIED_QC: Flag = 1 << 9;
 /// This processor broadcast its timeout message for the view.
 pub const SENT_TIMEOUT: Flag = 1 << 10;
-/// This processor, as relay leader, aggregated the view's wish certificate.
-pub const FORMED_SYNC: Flag = 1 << 11;
 
-/// One [`Flag`] record per view, from view 0, reached by offset.
+/// One [`Flag`] record per view, from view 0 or the horizon
+/// [`ViewLedger::prune_below`] last set, reached by offset.
 #[derive(Debug, Clone)]
 pub struct ViewLedger(ViewWindow<Flag>);
 
@@ -62,15 +67,21 @@ impl Default for ViewLedger {
 
 impl ViewLedger {
     /// Whether any of `flag` is set for `view`. A read: safe on any view a
-    /// peer names.
+    /// peer names. Every flag reads as set for a pruned view (at or above
+    /// zero, below the horizon).
     #[inline]
     pub fn has(&self, view: View, flag: Flag) -> bool {
-        self.0.get(view.as_i64()).is_some_and(|f| f & flag != 0)
+        let v = view.as_i64();
+        match self.0.get(v) {
+            Some(f) => f & flag != 0,
+            None => (0..self.0.base()).contains(&v),
+        }
     }
 
     /// Sets `flag` for `view` and returns whether it was clear before;
-    /// refuses (returns `false`) below the base. Extends the record run: only
-    /// for views reached by this processor's clock or a verified certificate.
+    /// refuses (returns `false`) below the base, as for a flag already set.
+    /// Extends the record run: only for views reached by this processor's
+    /// clock or a verified certificate.
     #[inline]
     pub fn mark(&mut self, view: View, flag: Flag) -> bool {
         let Some(f) = self.0.get_or_insert(view.as_i64()) else {
@@ -87,6 +98,12 @@ impl ViewLedger {
     /// the certificate was admitted.
     pub fn admit(&mut self, view: View, flag: Flag, verify: impl FnOnce() -> bool) -> bool {
         !self.has(view, flag) && verify() && self.mark(view, flag)
+    }
+
+    /// Drops every record below `view`, which becomes the horizon; a view at
+    /// or below the current one changes nothing.
+    pub fn prune_below(&mut self, view: View) {
+        self.0.prune_below(view.as_i64());
     }
 
     /// Records held: every view from the base to the highest one marked.
@@ -109,6 +126,8 @@ impl ViewLedger {
 pub struct SigPool {
     n: usize,
     views: BTreeMap<View, PartialSet>,
+    /// Nothing is kept below this view (see [`SigPool::prune_below`]).
+    horizon: View,
 }
 
 impl SigPool {
@@ -117,14 +136,18 @@ impl SigPool {
         SigPool {
             n,
             views: BTreeMap::new(),
+            horizon: View::new(i64::MIN),
         }
     }
 
     /// Adds `signature` for `view` and returns how many senders the view
     /// now holds. A repeat from the same signer, or a signer id `≥ n`, leaves
-    /// the pool as it was.
+    /// the pool as it was; a view below the horizon holds none.
     #[inline]
     pub fn add(&mut self, view: View, signature: Signature) -> usize {
+        if view < self.horizon {
+            return 0;
+        }
         if signature.signer().as_usize() >= self.n {
             return self.views.get(&view).map_or(0, PartialSet::len);
         }
@@ -141,6 +164,13 @@ impl SigPool {
         self.views.get(&view).map_or(&[], PartialSet::as_slice)
     }
 
+    /// Drops every view below `view`, which becomes the horizon; a view at
+    /// or below the current one changes nothing.
+    pub fn prune_below(&mut self, view: View) {
+        self.horizon = self.horizon.max(view);
+        pop_below(&mut self.views, view);
+    }
+
     /// Signatures held across every view.
     pub fn entries(&self) -> usize {
         self.views.values().map(PartialSet::len).sum()
@@ -154,6 +184,8 @@ impl SigPool {
 pub struct SenderPool {
     n: usize,
     views: BTreeMap<View, (SignerBitmap, usize)>,
+    /// Nothing is kept below this view (see [`SenderPool::prune_below`]).
+    horizon: View,
 }
 
 impl SenderPool {
@@ -162,14 +194,19 @@ impl SenderPool {
         SenderPool {
             n,
             views: BTreeMap::new(),
+            horizon: View::new(i64::MIN),
         }
     }
 
     /// Records that `from` sent its (verified) message for `view` and
     /// returns how many distinct senders the view now holds. A repeat, or an
-    /// id `≥ n`, leaves the count as it was.
+    /// id `≥ n`, leaves the count as it was; a view below the horizon holds
+    /// none.
     #[inline]
     pub fn add(&mut self, view: View, from: ProcessId) -> usize {
+        if view < self.horizon {
+            return 0;
+        }
         if from.as_usize() >= self.n {
             return self.views.get(&view).map_or(0, |&(_, count)| count);
         }
@@ -183,9 +220,23 @@ impl SenderPool {
         *count
     }
 
+    /// Drops every view below `view`, which becomes the horizon; a view at
+    /// or below the current one changes nothing.
+    pub fn prune_below(&mut self, view: View) {
+        self.horizon = self.horizon.max(view);
+        pop_below(&mut self.views, view);
+    }
+
     /// Senders held across every view.
     pub fn entries(&self) -> usize {
         self.views.values().map(|&(_, count)| count).sum()
+    }
+}
+
+/// Pops a pool's views below `view`, oldest first.
+fn pop_below<T>(views: &mut BTreeMap<View, T>, view: View) {
+    while views.first_key_value().is_some_and(|(&v, _)| v < view) {
+        views.pop_first();
     }
 }
 
@@ -240,6 +291,57 @@ mod tests {
         assert!(views.mark(View::new(2), OBSERVED_QC));
         assert!(!views.mark(View::new(2), OBSERVED_QC));
         assert_eq!(views.len(), 3);
+    }
+
+    #[test]
+    fn below_the_horizon_every_fact_reads_as_recorded() {
+        let mut views = ViewLedger::default();
+        for v in 0..8 {
+            views.mark(View::new(v), OBSERVED_QC);
+        }
+        views.mark(View::new(6), SEEN_VC);
+        views.prune_below(View::new(5));
+        assert_eq!(views.len(), 3);
+        // Pruned views: every flag set, nothing to mark, no check run.
+        for v in [0, 4].map(View::new) {
+            assert!(views.has(v, SEEN_EC) && views.has(v, OBSERVED_QC));
+            assert!(!views.mark(v, SEEN_TC));
+            assert!(!views.admit(v, SEEN_VC, || unreachable!("no check")));
+        }
+        // Kept views read as before; negative ones never had a record.
+        assert!(views.has(View::new(6), SEEN_VC) && !views.has(View::new(5), SEEN_VC));
+        assert!(!views.has(View::new(-1), OBSERVED_QC));
+        // A lower horizon changes nothing.
+        views.prune_below(View::new(2));
+        assert_eq!(views.len(), 3);
+        assert!(views.mark(View::new(9), SEEN_TC));
+        assert_eq!(views.len(), 5);
+    }
+
+    #[test]
+    fn pools_drop_and_refuse_the_views_below_the_horizon() {
+        let (keys, _) = keygen(4, 0);
+        let mut pool = SigPool::new(4);
+        let mut senders = SenderPool::new(4);
+        for v in (0..6).map(View::new) {
+            for k in &keys[..2] {
+                pool.add(v, k.sign(view_msg_digest(v)));
+                senders.add(v, k.id());
+            }
+        }
+        pool.prune_below(View::new(4));
+        senders.prune_below(View::new(4));
+        assert_eq!((pool.entries(), senders.entries()), (4, 4));
+        assert!(pool.signatures(View::new(3)).is_empty());
+        // A late copy below the horizon holds nothing and is not kept.
+        let v = View::new(3);
+        assert_eq!(pool.add(v, keys[2].sign(view_msg_digest(v))), 0);
+        assert_eq!(senders.add(v, keys[2].id()), 0);
+        assert_eq!((pool.entries(), senders.entries()), (4, 4));
+        // At the horizon and above, as before.
+        let v = View::new(4);
+        assert_eq!(pool.add(v, keys[2].sign(view_msg_digest(v))), 3);
+        assert_eq!(senders.add(v, keys[2].id()), 3);
     }
 
     #[test]

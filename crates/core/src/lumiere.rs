@@ -105,7 +105,8 @@ pub struct Lumiere {
     planted: Option<PlantedBug>,
 
     clock: LocalClock,
-    /// Per-epoch success tallies, from epoch 0; extended only by QCs.
+    /// Per-epoch success tallies, from epoch 0 or the commit horizon's
+    /// epoch; extended only by QCs.
     epochs: ViewWindow<EpochState>,
 
     /// View messages collected as leader.
@@ -152,7 +153,9 @@ impl Lumiere {
         self.pause.is_some()
     }
 
-    /// Epochs whose success criterion this processor has observed.
+    /// Epochs whose success criterion this processor has observed, among
+    /// those it still holds: the commit horizon drops the epochs before the
+    /// previous one.
     pub fn successful_epochs(&self) -> Vec<i64> {
         let done = self.epochs.iter().filter(|(_, state)| state.success);
         done.map(|(epoch, _)| epoch).collect()
@@ -595,6 +598,16 @@ impl Pacemaker for Lumiere {
             + self.view_msgs.entries()
             + self.epoch_msgs.entries()
     }
+
+    fn prune_below(&mut self, committed: View) {
+        // The success criterion reads one epoch back, and no further.
+        let floor = committed.min(self.layout.first_view(self.epoch().prev()));
+        self.me.views.prune_below(floor);
+        self.epochs
+            .prune_below(self.layout.epoch_of(floor).as_i64());
+        self.view_msgs.prune_below(floor);
+        self.epoch_msgs.prune_below(floor);
+    }
 }
 
 #[cfg(test)]
@@ -1024,6 +1037,34 @@ mod tests {
             assert_eq!(state.qcs_by_leader, [tally; 4], "bar {bar}");
             assert_eq!(state.leaders_done, done, "bar {bar}");
         }
+    }
+
+    #[test]
+    fn the_commit_horizon_keeps_the_previous_epoch() {
+        let (mut pm, keys, params, _) = in_epoch_zero();
+        pm.success_qcs_per_leader = 1;
+        let epoch_len = pm.layout().epoch_len() as i64;
+        let mut now = Time::from_millis(1);
+        for v in 0..3 * epoch_len + 2 {
+            now += Duration::from_micros(100);
+            pm.on_qc(&qc_of(v, &keys, &params), false, now);
+        }
+        assert_eq!(pm.epoch(), Epoch::new(3));
+        assert_eq!(pm.successful_epochs(), [0, 1, 2]);
+        // A commit in epoch 1 frees what lies below it.
+        let mid = View::new(epoch_len + epoch_len / 2);
+        pm.prune_below(mid);
+        assert_eq!(pm.successful_epochs(), [1, 2]);
+        assert!(!pm.me.views.has(View::new(-1), OBSERVED_QC));
+        assert!(pm.me.views.has(mid.prev(), OBSERVED_QC | SEEN_EC));
+        assert!(!pm.me.views.has(mid, SEEN_EC));
+        // A commit in epoch 3 is clamped to epoch 2's first view: the
+        // success criterion still reads epoch 2.
+        pm.prune_below(View::new(3 * epoch_len + 1));
+        assert_eq!(pm.successful_epochs(), [2]);
+        let first = View::new(2 * epoch_len);
+        assert!(!pm.me.views.has(first, SEEN_EC) && pm.me.views.has(first.prev(), SEEN_EC));
+        assert!(pm.me.views.len() as i64 <= epoch_len + 3);
     }
 
     #[test]

@@ -158,6 +158,12 @@ pub trait Pacemaker: Debug + Send {
     /// records and the senders in its [`SigPool`]s and [`SenderPool`]s:
     /// what its memory is proportional to.
     fn state_entries(&self) -> usize;
+
+    /// The commit horizon: a block of view `committed` was just committed.
+    /// Drops the records and pooled messages of every view below
+    /// `committed`, clamped to the lowest view this pacemaker still reads,
+    /// so no later event can tell they are gone.
+    fn prune_below(&mut self, committed: View);
 }
 
 /// What every pacemaker holds about its own processor: the system
@@ -307,6 +313,11 @@ impl ViewMsgs {
     pub fn entries(&self) -> usize {
         self.0.entries()
     }
+
+    /// Drops the signatures of every view below `view`.
+    pub fn prune_below(&mut self, view: View) {
+        self.0.prune_below(view);
+    }
 }
 
 /// LP22's epoch-view messages (Section 3.2), which LP22, Basic Lumiere and
@@ -352,6 +363,11 @@ impl EpochMsgs {
     /// Senders held across every view.
     pub fn entries(&self) -> usize {
         self.0.entries()
+    }
+
+    /// Drops the senders of every view below `view`.
+    pub fn prune_below(&mut self, view: View) {
+        self.0.prune_below(view);
     }
 }
 

@@ -293,9 +293,11 @@ impl ProtocolRuntime {
         self.engine.stage_payload(batch);
     }
 
-    /// Reports a committed block to the host and prunes its transactions
-    /// from the mempool (the one place either cascade does so).
+    /// Reports a committed block to the host, prunes its transactions from
+    /// the mempool (the one place either cascade does so) and hands its view,
+    /// the commit horizon, to the pacemaker.
     fn on_committed(&mut self, block: Block, out: &mut RuntimeOutput) {
+        self.pacemaker.prune_below(block.view());
         out.commits.push(block.height());
         out.committed_txs.extend(block.payload().tx_ids());
         self.mempool.mark_committed(block.payload().tx_ids());

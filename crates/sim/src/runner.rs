@@ -20,10 +20,11 @@
 //! is a pure function of the event stream, the same under either
 //! [`BroadcastMode`]; `sim_equivalence.rs` and the scale suite pin this.
 //!
-//! The scheduled-wake sweep also runs between batches, after the one it
-//! counts. Running it before would change nothing: a sweep at `now` removes
-//! only pairs below `now`, and every wake requested during the batch is at
-//! or after `now`.
+//! The scheduled-wake sweep also runs between batches, once the dedup set
+//! has doubled since the last sweep and holds more than `n` pairs, so the
+//! set stays O(max(n, pending wakes)). Where it runs changes nothing: a
+//! sweep at `now` removes only pairs below `now`, and every wake requested
+//! during the batch is at or after `now`.
 
 use crate::event::{ClassDelay, Event, EventQueue, Run, SimMessage, Taken};
 use crate::metrics::{MetricsCollector, SimReport};
@@ -54,11 +55,6 @@ const EVENTS_PER_NODE: u64 = 3_000_000;
 pub fn event_cap(n: usize) -> u64 {
     MAX_EVENTS.max(n as u64 * EVENTS_PER_NODE)
 }
-
-/// How often (in processed events) the scheduled-wake dedup set is swept for
-/// entries whose time has passed. Keeps the set O(pending wakes) instead of
-/// O(all wakes ever) on long large-`n` runs.
-const WAKE_SWEEP_INTERVAL: u64 = 1 << 16;
 
 /// Upper bound on one batch's length. A same-timestamp burst larger than
 /// this (n broadcasts landing on one tick) is split into consecutive
@@ -157,11 +153,15 @@ pub struct Simulation {
     /// forwards every id, which is what the per-block filter must equal.
     #[cfg(test)]
     account_txs_per_node: bool,
+    /// When set, every block each processor committed, in commit order.
+    #[cfg(test)]
+    commit_log: Option<Vec<Vec<lumiere_consensus::Block>>>,
     last_gap_sample: Time,
     now: Time,
     truncated: bool,
     events_processed: u64,
-    events_since_sweep: u64,
+    /// Pairs `scheduled_wakes` held after its last sweep.
+    swept_wakes: usize,
     /// Scratch clock-reading buffer for gap sampling.
     readings: Vec<Duration>,
 }
@@ -223,11 +223,13 @@ impl Simulation {
             tx_accounted_blocks: IdSet::default(),
             #[cfg(test)]
             account_txs_per_node: false,
+            #[cfg(test)]
+            commit_log: None,
             last_gap_sample: Time::ZERO,
             now: Time::ZERO,
             truncated: false,
             events_processed: 0,
-            events_since_sweep: 0,
+            swept_wakes: 0,
             readings: Vec::new(),
         }
     }
@@ -331,11 +333,10 @@ impl Simulation {
                 }
             }
             self.events_processed += taken;
-            self.events_since_sweep += taken;
-            if self.events_since_sweep >= WAKE_SWEEP_INTERVAL {
-                self.events_since_sweep = 0;
+            if self.scheduled_wakes.len() > self.cfg.n.max(2 * self.swept_wakes) {
                 let now_micros = at.as_micros();
                 self.scheduled_wakes.retain(|&(_, t)| t >= now_micros);
+                self.swept_wakes = self.scheduled_wakes.len();
             }
 
             if let Some(limit) = self.cfg.max_honest_qcs {
@@ -491,6 +492,10 @@ impl Simulation {
         // block carrying it. Blocks are told apart by hash, not height, so
         // the accounting is the same in a run where safety failed.
         for block in out.committed_blocks.drain(..) {
+            #[cfg(test)]
+            if let Some(log) = &mut self.commit_log {
+                log[from.as_usize()].push(block.clone());
+            }
             let first = honest && self.tx_accounted_blocks.insert(block.hash());
             #[cfg(test)]
             let first = first || (honest && self.account_txs_per_node);
@@ -798,7 +803,8 @@ mod tests {
     /// carries, so no honest committed chain carries a transaction twice —
     /// checked on the benchmark's two loaded units, `sim_load` (n = 16,
     /// jittered delays, drained pools) and `sim_backlog` (n = 4, a standing
-    /// backlog).
+    /// backlog). The blocks are read from each node's `Committed` outputs:
+    /// the store keeps only the hashes of the blocks below its tip.
     #[test]
     fn no_honest_committed_chain_carries_a_transaction_twice() {
         let base = |n: usize| {
@@ -814,13 +820,18 @@ mod tests {
             .with_actual_delay(Duration::from_millis(1))
             .with_workload(WorkloadConfig::constant(48_000).with_batch_txs(64));
         for (cfg, least) in [(sim_load, 2_000), (sim_backlog, 6_000)] {
+            let n = cfg.n;
             let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+            sim.commit_log = Some(vec![Vec::new(); n]);
             sim.run_loop();
+            let log = sim.commit_log.take().expect("set above");
             for node in sim.nodes.iter().filter(|node| node.is_honest()) {
-                let store = node.runtime().engine().store();
+                let blocks = &log[node.id().as_usize()];
+                let hashes: Vec<BlockHash> = blocks.iter().map(|b| b.hash()).collect();
+                let chain = node.runtime().engine().store().committed_chain();
+                assert_eq!(hashes, chain[1..], "node {} logged its chain", node.id());
                 let mut carried = IdSet::default();
-                for &hash in store.committed_chain() {
-                    let block = store.get(hash).expect("a committed block is stored");
+                for block in blocks {
                     for id in block.payload().tx_ids() {
                         assert!(
                             carried.insert(id),
@@ -837,5 +848,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The wake-dedup set is swept as it grows: after the benchmark's
+    /// `sim_viewchange` unit (n = 64 Lumiere, the first f leader slots
+    /// silent, every delivery at Δ, GST at 200 ms, 60 honest QCs) it holds
+    /// at most two pairs per node or per pending wake, whichever is more.
+    #[test]
+    fn the_wake_set_stays_within_twice_its_pending_wakes() {
+        use lumiere_core::schedule::LeaderSchedule;
+        use lumiere_runtime::adversary::StrategyKind;
+        use lumiere_types::View;
+        let (n, seed) = (64, 42);
+        let schedule = LeaderSchedule::lumiere(n, seed);
+        let mut silent = std::collections::BTreeSet::new();
+        for v in 0.. {
+            if silent.len() == (n - 1) / 3 {
+                break;
+            }
+            silent.insert(schedule.leader(View::new(v)).as_usize());
+        }
+        let cfg = SimConfig::new(ProtocolKind::Lumiere, n)
+            .with_delta(Duration::from_millis(10))
+            .with_seed(seed)
+            .with_adversarial_delay()
+            .with_gst(Time::from_millis(200))
+            .with_faulty_ids(silent.into_iter().collect(), StrategyKind::SilentLeader)
+            .with_max_honest_qcs(60);
+        let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+        sim.run_loop();
+        let now = sim.now.as_micros();
+        let pending = sim
+            .scheduled_wakes
+            .iter()
+            .filter(|&&(_, t)| t >= now)
+            .count();
+        let held = sim.scheduled_wakes.len();
+        assert!(sim.swept_wakes > 0, "the set was never swept");
+        assert!(
+            held <= 2 * n.max(pending),
+            "{held} pairs held, {pending} pending, n = {n}"
+        );
     }
 }

@@ -1,5 +1,7 @@
 //! Peak live heap of one `sim_steady` simulation: n = 128 Lumiere replicas,
-//! fault-free, every delivery at a fixed 1 ms, cut after 20 honest QCs.
+//! fault-free, every delivery at a fixed 1 ms, cut after 20 honest QCs; and
+//! of one `sim_viewchange` simulation: n = 64, the first f leader slots
+//! silent, every delivery at Δ, GST at 200 ms, cut after 60 honest QCs.
 //!
 //! A counting global allocator keeps this test thread's live bytes (plus on
 //! alloc, minus on dealloc, the difference on realloc) and their high-water
@@ -14,8 +16,19 @@
 //! the old peak, the epoch-view pools alone were about 31 %. Then
 //! 1 245 127 once the cluster shared one leader order instead of one per
 //! replica, and each leader's success tally became one byte that stops at
-//! the bar. The budget sits between the last two, so a per-signer map, a
-//! per-replica order or a word-sized tally coming back fails here.
+//! the bar (1 237 959 on a later tree). Then 715 335 once the commit horizon
+//! freed, below the committed view, the engine's per-view records and seen
+//! proposals, the committed blocks below the store's tip and the
+//! pacemakers' records, and the simulator swept its wake-dedup set as it
+//! grew. The budget sits between the last two, so state that outlives its
+//! view coming back fails here.
+//!
+//! `sim_viewchange` runs the most views per unit of the benchmark's
+//! workloads: 1 796 391 bytes while nothing was freed, 504 119 with the
+//! commit horizon. Its first 42 views are the 21 silent leaders' (two
+//! each) and commit nothing, so each engine's record window grows to that
+//! length first: 875 351 if the window kept that allocation once pruned.
+//! Its budget sits between the last two.
 //!
 //! A second check builds the same configuration at n = 256 and n = 2048
 //! without running it: 1 361 and 1 340 live bytes per replica with the
@@ -23,14 +36,16 @@
 //! of its own (4n bytes more per replica).
 //!
 //! The tests are alone in their binary so nothing else runs on the counted
-//! threads' allocator; the counters are per thread, so the two may run
-//! side by side.
+//! threads' allocator; the counters are per thread, so they may run side
+//! by side.
 
+use lumiere_core::schedule::LeaderSchedule;
 use lumiere_sim::runner::Simulation;
-use lumiere_sim::{ProtocolKind, SimConfig};
-use lumiere_types::Duration;
+use lumiere_sim::{ProtocolKind, SimConfig, StrategyKind};
+use lumiere_types::{Duration, Time, View};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
@@ -71,9 +86,14 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
 
-/// Peak live bytes the run may reach: above the 1 245 127 it reaches, below
-/// the 1 404 343 a per-replica leader order and word-sized tallies brought.
-const BUDGET: isize = 1_320_000;
+/// Peak live bytes the `sim_steady` run may reach: above the 715 335 it
+/// reaches, below the 1 237 959 it reached while nothing was freed.
+const BUDGET: isize = 800_000;
+
+/// Peak live bytes the `sim_viewchange` run may reach: above the 504 119 it
+/// reaches, below the 875 351 of record windows that keep their longest
+/// allocation.
+const VIEWCHANGE_BUDGET: isize = 600_000;
 
 /// The `sim_steady` configuration at `n` processors.
 fn steady(n: usize, seed: u64) -> SimConfig {
@@ -84,10 +104,31 @@ fn steady(n: usize, seed: u64) -> SimConfig {
         .with_max_honest_qcs(20)
 }
 
-/// Builds and runs one `sim_steady` unit; returns the peak live bytes above
+/// The `sim_viewchange` configuration: n = 64 Lumiere, the first f leader
+/// slots silent, every delivery at Δ, GST at 200 ms, cut after 60 honest
+/// QCs.
+fn viewchange(seed: u64) -> SimConfig {
+    let n = 64;
+    let schedule = LeaderSchedule::lumiere(n, seed);
+    let mut silent = BTreeSet::new();
+    for v in 0.. {
+        if silent.len() == (n - 1) / 3 {
+            break;
+        }
+        silent.insert(schedule.leader(View::new(v)).as_usize());
+    }
+    SimConfig::new(ProtocolKind::Lumiere, n)
+        .with_delta(Duration::from_millis(10))
+        .with_seed(seed)
+        .with_adversarial_delay()
+        .with_gst(Time::from_millis(200))
+        .with_faulty_ids(silent.into_iter().collect(), StrategyKind::SilentLeader)
+        .with_max_honest_qcs(60)
+}
+
+/// Builds and runs one unit of `cfg`; returns the peak live bytes above
 /// what was live before it, and the QCs it formed.
-fn peak_of_one_run(seed: u64) -> (isize, usize) {
-    let cfg = steady(128, seed);
+fn peak_of_one_run(cfg: SimConfig) -> (isize, usize) {
     let base = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(base));
     let report = Simulation::new(cfg).run();
@@ -102,14 +143,27 @@ fn peak_of_one_run(seed: u64) -> (isize, usize) {
 
 #[test]
 fn steady_state_peak_heap_stays_within_its_budget() {
-    let (peak, qcs) = peak_of_one_run(42);
-    let (again, _) = peak_of_one_run(42);
+    let (peak, qcs) = peak_of_one_run(steady(128, 42));
+    let (again, _) = peak_of_one_run(steady(128, 42));
     println!("peak live heap {peak} bytes over {qcs} QCs");
     assert!(qcs >= 20, "the run must reach its 20 QCs, formed {qcs}");
     assert_eq!(peak, again, "requested bytes repeat exactly");
     assert!(
         peak <= BUDGET,
         "peak live heap {peak} bytes (budget {BUDGET})"
+    );
+}
+
+#[test]
+fn view_change_peak_heap_stays_within_its_budget() {
+    let (peak, qcs) = peak_of_one_run(viewchange(42));
+    let (again, _) = peak_of_one_run(viewchange(42));
+    println!("view-change peak live heap {peak} bytes over {qcs} QCs");
+    assert!(qcs >= 60, "the run must reach its 60 QCs, formed {qcs}");
+    assert_eq!(peak, again, "requested bytes repeat exactly");
+    assert!(
+        peak <= VIEWCHANGE_BUDGET,
+        "peak live heap {peak} bytes (budget {VIEWCHANGE_BUDGET})"
     );
 }
 

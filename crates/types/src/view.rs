@@ -8,6 +8,7 @@
 use crate::time::Duration;
 use crate::wire::{put_i64, Reader, Wire, WireError};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A view number.
@@ -207,6 +208,7 @@ impl EpochLayout {
 ///
 /// The base is the horizon below which nothing is kept: a lookup under it
 /// answers "no record" and an insert under it is refused.
+/// [`ViewWindow::prune_below`] advances it, dropping the records it passes.
 ///
 /// ```
 /// use lumiere_types::view::ViewWindow;
@@ -217,11 +219,13 @@ impl EpochLayout {
 /// assert_eq!(flags.get(2), Some(&false));
 /// assert_eq!(flags.get(i64::MAX), None);
 /// assert!(flags.get_or_insert(-1).is_none());
+/// flags.prune_below(3);
+/// assert_eq!((flags.base(), flags.len(), flags.get(2)), (3, 1, None));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewWindow<T> {
     base: i64,
-    slots: Vec<T>,
+    slots: VecDeque<T>,
 }
 
 impl<T: Default> ViewWindow<T> {
@@ -229,8 +233,13 @@ impl<T: Default> ViewWindow<T> {
     pub fn new(base: i64) -> Self {
         ViewWindow {
             base,
-            slots: Vec::new(),
+            slots: VecDeque::new(),
         }
+    }
+
+    /// The horizon: the lowest index a record may exist for.
+    pub fn base(&self) -> i64 {
+        self.base
     }
 
     /// Number of records held (`base..base + len`).
@@ -270,6 +279,22 @@ impl<T: Default> ViewWindow<T> {
             self.slots.resize_with(offset.checked_add(1)?, T::default);
         }
         self.slots.get_mut(offset)
+    }
+
+    /// Advances the base to `index`, dropping every record below it; an
+    /// `index` at or below the base changes nothing. Once a quarter or less
+    /// of the allocation is in use it shrinks to twice what is, so a window
+    /// that was long once does not stay that size. Costs the records
+    /// dropped, amortised, not the ones kept.
+    pub fn prune_below(&mut self, index: i64) {
+        let Some(offset) = self.offset(index) else {
+            return;
+        };
+        self.slots.drain(..offset.min(self.slots.len()));
+        if self.slots.len() < self.slots.capacity() / 4 {
+            self.slots.shrink_to(2 * self.slots.len());
+        }
+        self.base = index;
     }
 
     /// Every record with its index, in ascending order.
@@ -380,6 +405,30 @@ mod tests {
         assert_eq!(w.len(), 1);
         *w.get_or_insert(0).unwrap() = 2;
         assert_eq!((w.get(-1), w.get(0), w.get(-2)), (Some(&1), Some(&2), None));
+    }
+
+    #[test]
+    fn pruning_advances_the_base_and_never_moves_it_back() {
+        let mut w: ViewWindow<u8> = ViewWindow::new(0);
+        for i in 0..6 {
+            *w.get_or_insert(i).unwrap() = i as u8;
+        }
+        w.prune_below(4);
+        assert_eq!((w.base(), w.len()), (4, 2));
+        let held: Vec<(i64, u8)> = w.iter().map(|(i, v)| (i, *v)).collect();
+        assert_eq!(held, vec![(4, 4), (5, 5)]);
+        // Below the new base: no record, and none may be made.
+        assert_eq!(w.get(3), None);
+        assert!(w.get_or_insert(3).is_none());
+        // A lower or equal horizon is a no-op.
+        w.prune_below(1);
+        w.prune_below(4);
+        assert_eq!((w.base(), w.len()), (4, 2));
+        // Past the end: the window empties and starts over at the horizon.
+        w.prune_below(9);
+        assert_eq!((w.base(), w.len()), (9, 0));
+        *w.get_or_insert(10).unwrap() = 1;
+        assert_eq!((w.get(9), w.get(10)), (Some(&0), Some(&1)));
     }
 
     #[test]
