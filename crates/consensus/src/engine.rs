@@ -125,6 +125,11 @@ impl HotStuffEngine {
         self.id
     }
 
+    /// The cluster's parameters.
+    pub fn params(&self) -> &Params {
+        &self.params
+    }
+
     /// The view the engine currently executes.
     pub fn current_view(&self) -> View {
         self.current_view

@@ -24,9 +24,10 @@
 //!
 //! The subsystem used to live inside `lumiere-sim`; it moved here so that
 //! the *same* strategy machinery can corrupt a live `lumiere-node` process
-//! (via [`StrategyHost`](crate::strategy::StrategyHost)) that the simulator
-//! gates in virtual time. The simulator re-exports every type from its old
-//! paths.
+//! that the simulator gates in virtual time: either way the corrupted node
+//! is a [`ProtocolRuntime`](crate::ProtocolRuntime) built
+//! [`with_strategy`](crate::ProtocolRuntime::with_strategy). The simulator
+//! re-exports every type from its old paths.
 //!
 //! The concrete strategies implemented here are the ones the paper's attack
 //! arguments use (see `docs/ADVERSARIES.md` for the mapping):

@@ -45,8 +45,8 @@
 use lumiere_core::planted::{self, PlantedBug};
 use lumiere_runtime::driver::{self, DriverOptions};
 use lumiere_runtime::{
-    build_runtime_with, AdversarySchedule, FaultedTransport, NodeConfig, StrategyHost,
-    StrategyKind, TcpTransport, Transport,
+    build_runtime_with, AdversarySchedule, FaultedTransport, NodeConfig, StrategyKind,
+    TcpTransport, Transport,
 };
 use serde::json;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -211,8 +211,8 @@ fn run_node(args: &Args) -> Result<(), String> {
         cfg.delta(),
         cfg.seed,
         args.planted,
-    );
-    let runtime = StrategyHost::new(runtime, cfg.n, strategy);
+    )
+    .with_strategy(strategy);
     let opts = DriverOptions {
         target_commits: cfg.target_commits,
         deadline: cfg.run_timeout_ms.map(WallDuration::from_millis),

@@ -1,5 +1,5 @@
 //! The real-time node driver: the event loop that runs a
-//! [`ConsensusRuntime`] against a [`Transport`] on wall-clock time.
+//! [`ProtocolRuntime`] against a [`Transport`] on wall-clock time.
 //!
 //! The simulator advances virtual time by popping a calendar queue; a live
 //! node cannot. The driver instead anchors an epoch `Instant` at boot and
@@ -21,10 +21,10 @@
 
 use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
-use crate::runtime::ConsensusRuntime;
+use crate::runtime::ProtocolRuntime;
 use crate::transport::{Transport, TransportError};
 use lumiere_types::hash::{IdMap, IdSet};
-use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
+use lumiere_types::{percentile, Duration, ProcessId, Time, Transaction, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -128,39 +128,37 @@ pub fn liveness_envelope(n: usize, delta: Duration) -> Duration {
     delta * (40 * n as i64 + 100)
 }
 
-/// Checks chain agreement across a cluster's summaries: every pair of
-/// committed chains must be prefix-ordered. Returns the length of the
-/// longest prefix shared by *all* nodes — `Ok(0)` for an empty cluster
-/// (agreement over no chains is vacuous, not a panic) — or a description of
-/// the first divergence.
-pub fn check_agreement(summaries: &[DriverSummary]) -> Result<usize, String> {
-    let shortest = summaries.iter().map(|s| s.chain.len()).min().unwrap_or(0);
-    // Full pairwise: prefix-compatibility is not transitive (a short chain
-    // can be compatible with two longer ones that contradict each other).
-    for (i, a) in summaries.iter().enumerate() {
-        for b in &summaries[i + 1..] {
-            let len = a.chain.len().min(b.chain.len());
-            if a.chain[..len] != b.chain[..len] {
-                return Err(format!(
-                    "nodes {} and {} disagree on the committed prefix",
-                    a.node, b.node
-                ));
-            }
+/// Checks agreement across committed chains: every pair must be
+/// prefix-ordered. Every pair is iff every chain is a prefix of one longest
+/// chain, so that is what is checked, in O(n·h) rather than pairwise.
+/// Returns the length of the prefix all chains share — 0 for no chains
+/// (agreement over none is vacuous, not a panic) — or the positions, in
+/// ascending order, of two chains that diverge.
+pub fn chains_agree<C: AsRef<[u64]>>(chains: &[C]) -> Result<usize, (usize, usize)> {
+    let chains = || chains.iter().map(AsRef::as_ref).enumerate();
+    let Some((at, longest)) = chains().max_by_key(|(_, c)| c.len()) else {
+        return Ok(0);
+    };
+    let mut shared = longest.len();
+    for (i, chain) in chains() {
+        if !longest.starts_with(chain) {
+            return Err((i.min(at), i.max(at)));
         }
+        shared = shared.min(chain.len());
     }
-    Ok(shortest)
+    Ok(shared)
 }
 
-/// Nearest-rank percentile (in wall-clock milliseconds) over an
-/// ascending-sorted latency sample; 0 on an empty sample.
-fn percentile_ms(sorted_micros: &[i64], p: u64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted_micros.len() as u64 * p)
-        .div_ceil(100)
-        .clamp(1, sorted_micros.len() as u64);
-    sorted_micros[rank as usize - 1] as f64 / 1_000.0
+/// [`chains_agree`] over a cluster's summaries, naming the two nodes of a
+/// divergence.
+pub fn check_agreement(summaries: &[DriverSummary]) -> Result<usize, String> {
+    let chains: Vec<&[u64]> = summaries.iter().map(|s| s.chain.as_slice()).collect();
+    chains_agree(&chains).map_err(|(a, b)| {
+        format!(
+            "nodes {} and {} disagree on the committed prefix",
+            summaries[a].node, summaries[b].node
+        )
+    })
 }
 
 /// Book-keeping for the driver's open-loop client load: wall-clock submit
@@ -208,7 +206,7 @@ impl Timers {
     }
 }
 
-/// Runs a [`ConsensusRuntime`] over a [`Transport`] until a stop condition
+/// Runs a [`ProtocolRuntime`] over a [`Transport`] until a stop condition
 /// fires, then returns the summary plus the runtime and transport (so tests
 /// can inspect protocol state, or rebuild a fresh runtime on the same
 /// transport to model a process restart).
@@ -216,13 +214,13 @@ impl Timers {
 /// `stop` is the external shutdown flag ([`spawn`] wires it to
 /// [`DriverHandle::stop`]); `committed` mirrors the local committed height
 /// for observers on other threads.
-pub fn run<R: ConsensusRuntime, T: Transport>(
-    mut runtime: R,
+pub fn run<T: Transport>(
+    mut runtime: ProtocolRuntime,
     mut transport: T,
     opts: &DriverOptions,
     stop: &AtomicBool,
     committed: &AtomicU64,
-) -> Result<(DriverSummary, R, T), TransportError> {
+) -> Result<(DriverSummary, ProtocolRuntime, T), TransportError> {
     let epoch = Instant::now();
     // Anchor virtual time at the runtime's resume floor: zero for a fresh
     // node, its last-seen time for one being restarted on live state (its
@@ -343,9 +341,9 @@ pub fn run<R: ConsensusRuntime, T: Transport>(
         txs_submitted: txs.submitted,
         txs_committed: txs.committed.len() as u64,
         tx_recommits: txs.recommits,
-        tx_latency_p50_ms: percentile_ms(&txs.latencies_micros, 50),
-        tx_latency_p95_ms: percentile_ms(&txs.latencies_micros, 95),
-        tx_latency_p99_ms: percentile_ms(&txs.latencies_micros, 99),
+        tx_latency_p50_ms: percentile(&txs.latencies_micros, 50) as f64 / 1_000.0,
+        tx_latency_p95_ms: percentile(&txs.latencies_micros, 95) as f64 / 1_000.0,
+        tx_latency_p99_ms: percentile(&txs.latencies_micros, 99) as f64 / 1_000.0,
     };
     Ok((summary, runtime, transport))
 }
@@ -396,14 +394,14 @@ fn flush<T: Transport>(
 
 /// A handle onto a driver running on its own thread (see [`spawn`]).
 #[derive(Debug)]
-pub struct DriverHandle<R, T> {
+pub struct DriverHandle<T> {
     stop: Arc<AtomicBool>,
     committed: Arc<AtomicU64>,
     local_id: ProcessId,
-    thread: JoinHandle<Result<(DriverSummary, R, T), TransportError>>,
+    thread: JoinHandle<Result<(DriverSummary, ProtocolRuntime, T), TransportError>>,
 }
 
-impl<R, T> DriverHandle<R, T> {
+impl<T> DriverHandle<T> {
     /// The driven node's processor id.
     pub fn local_id(&self) -> ProcessId {
         self.local_id
@@ -429,8 +427,7 @@ impl<R, T> DriverHandle<R, T> {
     /// [`TransportError`] naming the node and carrying the panic message —
     /// never re-panicked, so one crashed node cannot take the harness that
     /// joins it down with a double panic.
-    #[allow(clippy::type_complexity)]
-    pub fn join(self) -> Result<(DriverSummary, R, T), TransportError> {
+    pub fn join(self) -> Result<(DriverSummary, ProtocolRuntime, T), TransportError> {
         match self.thread.join() {
             Ok(result) => result,
             Err(payload) => {
@@ -449,11 +446,11 @@ impl<R, T> DriverHandle<R, T> {
 }
 
 /// Spawns [`run`] on a dedicated thread and returns its [`DriverHandle`].
-pub fn spawn<R, T>(runtime: R, transport: T, opts: DriverOptions) -> DriverHandle<R, T>
-where
-    R: ConsensusRuntime + 'static,
-    T: Transport + 'static,
-{
+pub fn spawn<T: Transport + 'static>(
+    runtime: ProtocolRuntime,
+    transport: T,
+    opts: DriverOptions,
+) -> DriverHandle<T> {
     let stop = Arc::new(AtomicBool::new(false));
     let committed = Arc::new(AtomicU64::new(0));
     let local_id = runtime.id();

@@ -5,7 +5,7 @@
 //! `lumiere-sim`, so the only way to run the protocol was under the
 //! discrete-event simulator. This crate inverts that relationship:
 //!
-//! * [`ConsensusRuntime`] is the protocol side of the boundary — a state
+//! * [`ProtocolRuntime`] is the protocol side of the boundary — a state
 //!   machine stepped by events (`boot` / `wake` / `deliver`) that emits its
 //!   effects into a [`RuntimeOutput`] buffer (sends, broadcasts, wake-up
 //!   requests, commits).
@@ -21,14 +21,14 @@
 //!
 //! The adversary subsystem lives on this side of the boundary too: the
 //! [`adversary`] module holds the strategy machinery ([`StrategyKind`],
-//! [`AdversarySchedule`]), [`StrategyHost`] wraps a runtime in the per-event
-//! gating harness (the simulator hosts one per processor, and
-//! `lumiere-node --strategy` installs one on a live process), and
-//! [`FaultedTransport`] applies an [`AdversarySchedule`]'s per-edge delay
-//! rules to any transport in wall time, so a live node runs the same
-//! schedule JSON the simulator does (`lumiere-node --schedule`). Honest live
-//! nodes run fully open through the plain [`ConsensusRuntime`] trait. Either
-//! way it is the same protocol code down to event ordering — which is what
+//! [`AdversarySchedule`]); a corrupted processor is a [`ProtocolRuntime`]
+//! built [`with_strategy`](ProtocolRuntime::with_strategy), which gates and
+//! rewrites its own events (the simulator builds one per corrupted
+//! processor, and `lumiere-node --strategy` builds one for a live process);
+//! and [`FaultedTransport`] applies an [`AdversarySchedule`]'s per-edge
+//! delay rules to any transport in wall time, so a live node runs the same
+//! schedule JSON the simulator does (`lumiere-node --schedule`). Either way
+//! it is the same protocol code down to event ordering — which is what
 //! makes the simulator's Table 1 numbers and the live cluster's behavior
 //! commensurable.
 
@@ -46,7 +46,6 @@ pub mod message;
 pub mod output;
 pub mod protocol;
 pub mod runtime;
-pub mod strategy;
 pub mod tcp;
 pub mod transport;
 
@@ -70,6 +69,5 @@ pub use message::WireMessage;
 pub use output::RuntimeOutput;
 pub use protocol::{build_runtime, build_runtime_with, ProtocolKind};
 pub use runtime::{ConsensusRuntime, Gates, ProtocolRuntime};
-pub use strategy::StrategyHost;
 pub use tcp::{TcpMeshConfig, TcpTransport};
 pub use transport::{Transport, TransportError};

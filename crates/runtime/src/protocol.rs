@@ -207,7 +207,6 @@ mod tests {
     fn build_runtime_assigns_the_requested_id() {
         let rt = build_runtime(ProtocolKind::Fever, 4, 2, Duration::from_millis(10), 0);
         assert_eq!(rt.id(), ProcessId::new(2));
-        use crate::runtime::ConsensusRuntime as _;
         assert_eq!(rt.protocol_name(), "fever");
     }
 }

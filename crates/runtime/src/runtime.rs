@@ -1,9 +1,9 @@
-//! The `ConsensusRuntime` boundary: step-on-event, emit-outputs, request
-//! timers.
+//! The runtime boundary: step-on-event, emit-outputs, request timers.
 //!
-//! A [`ConsensusRuntime`] is one processor's protocol state machine — a
-//! [`Pacemaker`] coupled with the underlying [`HotStuffEngine`] — detached
-//! from any particular way of delivering its events. The discrete-event
+//! A [`ProtocolRuntime`] is one processor's protocol state machine — a
+//! [`Pacemaker`] coupled with the underlying [`HotStuffEngine`], and on a
+//! corrupted processor the adversary [`Strategy`] it runs — detached from
+//! any particular way of delivering its events. The discrete-event
 //! simulator, the in-process channel mesh and the TCP mesh all drive the
 //! same [`ProtocolRuntime`] bytes; only the host differs.
 //!
@@ -13,6 +13,7 @@
 //! views entered). Nothing in this module knows about sockets, channels or
 //! the simulator's virtual clock.
 
+use crate::adversary::{ProtocolObs, Strategy, StrategyCtx, StrategyKind};
 use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
 use lumiere_consensus::{Block, ConsensusAction, HotStuffEngine};
@@ -20,13 +21,12 @@ use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::{LeaderSchedule, Mempool, MempoolConfig};
 use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
 use std::collections::VecDeque;
-use std::fmt::Debug;
 
 /// Per-event switches deciding which protocol components a step may run.
 ///
-/// Honest hosts always pass [`Gates::OPEN`]. The simulator's adversary
-/// harness closes individual gates to model corrupted processors (a crashed
-/// node runs nothing; a silent leader runs everything but never proposes).
+/// An honest runtime runs every event under [`Gates::OPEN`]; a corrupted
+/// one under what its [`Strategy`] returns for the event (a crashed node
+/// runs nothing; a silent leader runs everything but never proposes).
 /// Gates are constant for the duration of one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gates {
@@ -55,74 +55,38 @@ impl Default for Gates {
     }
 }
 
-/// A single processor's consensus runtime: the step-on-event boundary every
-/// transport host drives.
+/// Old name of [`ProtocolRuntime`], kept for the two imports of it in the
+/// benchmark crate (`benchmark/src/mesh.rs` and `benchmark/src/probes.rs`),
+/// which change only with the benchmark itself.
+#[doc(hidden)]
+pub type ConsensusRuntime = ProtocolRuntime;
+
+/// A single processor's consensus runtime: a [`Pacemaker`] (Lumiere or any
+/// baseline) coupled with the [`HotStuffEngine`], cascading their
+/// notifications until quiescence, plus the adversary [`Strategy`] of a
+/// corrupted processor ([`ProtocolRuntime::with_strategy`]).
 ///
 /// # Contract
 ///
-/// * [`boot`](ConsensusRuntime::boot) is called once, before any other
+/// * [`boot`](ProtocolRuntime::boot) is called once, before any other
 ///   event.
-/// * [`wake`](ConsensusRuntime::wake) fires a timer previously requested
+/// * [`wake`](ProtocolRuntime::wake) fires a timer previously requested
 ///   through [`RuntimeOutput::wakes`]; spurious wake-ups are allowed.
-/// * [`deliver`](ConsensusRuntime::deliver) hands over one network message.
+/// * [`deliver`](ProtocolRuntime::deliver) hands over one network message.
 ///   Duplicate delivery is tolerated (handlers are idempotent).
 /// * `now` is the host's clock reading — virtual time under the simulator,
 ///   wall-clock-derived under the live drivers. Handlers never block and
 ///   never read real time themselves.
-pub trait ConsensusRuntime: Debug + Send {
-    /// The processor's identifier.
-    fn id(&self) -> ProcessId;
-
-    /// The pacemaker protocol's short name (e.g. `"lumiere"`).
-    fn protocol_name(&self) -> &'static str;
-
-    /// Starts the processor, appending its effects to `out`.
-    fn boot(&mut self, now: Time, out: &mut RuntimeOutput);
-
-    /// Fires a timer wake-up, appending its effects to `out`.
-    fn wake(&mut self, now: Time, out: &mut RuntimeOutput);
-
-    /// Delivers a message from `from`, appending its effects to `out`.
-    fn deliver(&mut self, from: ProcessId, msg: &WireMessage, now: Time, out: &mut RuntimeOutput);
-
-    /// The view this processor is currently in.
-    fn current_view(&self) -> View;
-
-    /// Height of the highest block this processor has committed.
-    fn committed_height(&self) -> u64;
-
-    /// Hashes of the blocks this processor has committed, in chain order.
-    fn committed_chain(&self) -> Vec<u64>;
-
-    /// The minimum `now` the next event may carry. Fresh runtimes start at
-    /// zero; a runtime that already processed events (one being re-hosted
-    /// after a process restart) must never see time run backwards — its
-    /// clocks and deadlines all live in virtual time — so hosts anchor
-    /// their clock mapping at this floor.
-    fn resume_floor(&self) -> Time {
-        Time::ZERO
-    }
-
-    /// Submits a client transaction into this processor's mempool. Returns
-    /// `false` when the runtime has no mempool (the default), or when the
-    /// mempool rejected the transaction (duplicate id or at capacity).
-    fn submit_tx(&mut self, _tx: Transaction) -> bool {
-        false
-    }
-}
-
-/// The workspace's [`ConsensusRuntime`] implementation: a [`Pacemaker`]
-/// (Lumiere or any baseline) coupled with the [`HotStuffEngine`], cascading
-/// their notifications until quiescence.
 ///
-/// The gated entry points ([`ProtocolRuntime::boot_gated`] and friends) are
-/// the simulator's adversary hook; live hosts use the trait methods, which
-/// run fully open.
+/// The gated entry points ([`ProtocolRuntime::boot_gated`] and friends) run
+/// one event under explicit [`Gates`], bypassing the strategy.
 #[derive(Debug)]
 pub struct ProtocolRuntime {
     id: ProcessId,
     pacemaker: Box<dyn Pacemaker>,
     engine: HotStuffEngine,
+    /// The adversary strategy; `None` on an honest node.
+    strategy: Option<Strategy>,
     /// Client transactions waiting to commit. On every view entry this node
     /// leads, the next batch not already in flight is staged as the
     /// proposal payload.
@@ -133,7 +97,7 @@ pub struct ProtocolRuntime {
     in_flight: Vec<TxId>,
     booted: bool,
     /// Latest `now` any event carried — the restart floor (see
-    /// [`ConsensusRuntime::resume_floor`]).
+    /// [`ProtocolRuntime::resume_floor`]).
     last_event_time: Time,
     /// The cascade's buffers, empty between events and reused across them
     /// (no per-event allocation once warm). The pacemaker's handlers write
@@ -151,6 +115,7 @@ impl ProtocolRuntime {
             id,
             pacemaker,
             engine,
+            strategy: None,
             mempool: Mempool::default(),
             in_flight: Vec::new(),
             booted: false,
@@ -158,6 +123,146 @@ impl ProtocolRuntime {
             pm_batch: Vec::new(),
             cons_batch: Vec::new(),
             cons_queue: VecDeque::new(),
+        }
+    }
+
+    /// Installs the adversary strategy this node runs: `None` keeps it
+    /// honest.
+    pub fn with_strategy(mut self, strategy: Option<StrategyKind>) -> Self {
+        self.strategy = strategy.map(Strategy::new);
+        self
+    }
+
+    /// Whether the node is honest (runs no strategy).
+    pub fn is_honest(&self) -> bool {
+        self.strategy.is_none()
+    }
+
+    /// The adversary strategy's name, if the node is corrupted.
+    pub fn strategy_name(&self) -> Option<&'static str> {
+        self.strategy.as_ref().map(|s| s.kind().name())
+    }
+
+    /// The processor's identifier.
+    pub fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    /// The pacemaker protocol's short name (e.g. `"lumiere"`).
+    pub fn protocol_name(&self) -> &'static str {
+        self.pacemaker.name()
+    }
+
+    /// Starts the processor, appending its effects to `out`.
+    pub fn boot(&mut self, now: Time, out: &mut RuntimeOutput) {
+        // A strategy's own wake-up (a crash–recovery rejoin) is scheduled
+        // even while the node is dark.
+        out.wakes
+            .extend(self.strategy.as_ref().and_then(Strategy::boot_wake));
+        // A boot is never counted as gated.
+        self.step(now, out, |rt, gates, out| {
+            rt.boot_gated(now, gates, out);
+            true
+        });
+    }
+
+    /// Fires a timer wake-up, appending its effects to `out`.
+    pub fn wake(&mut self, now: Time, out: &mut RuntimeOutput) {
+        self.step(now, out, |rt, gates, out| rt.wake_gated(now, gates, out));
+    }
+
+    /// Delivers a message from `from`, appending its effects to `out`.
+    pub fn deliver(
+        &mut self,
+        from: ProcessId,
+        msg: &WireMessage,
+        now: Time,
+        out: &mut RuntimeOutput,
+    ) {
+        self.step(now, out, |rt, gates, out| {
+            rt.deliver_gated(from, msg, now, gates, out)
+        });
+    }
+
+    /// The view this processor is currently in.
+    pub fn current_view(&self) -> View {
+        self.pacemaker.current_view()
+    }
+
+    /// Height of the highest block this processor has committed.
+    pub fn committed_height(&self) -> u64 {
+        self.engine.committed_height()
+    }
+
+    /// Hashes of the blocks this processor has committed, in chain order.
+    pub fn committed_chain(&self) -> Vec<u64> {
+        self.engine.store().committed_chain().to_vec()
+    }
+
+    /// The minimum `now` the next event may carry. Fresh runtimes start at
+    /// zero; a runtime that already processed events (one being re-hosted
+    /// after a process restart) must never see time run backwards — its
+    /// clocks and deadlines all live in virtual time — so hosts anchor
+    /// their clock mapping at this floor.
+    pub fn resume_floor(&self) -> Time {
+        self.last_event_time
+    }
+
+    /// Submits a client transaction into this processor's mempool. Returns
+    /// `false` when the mempool rejected it (duplicate id or at capacity).
+    /// Client traffic is never strategy-gated: a corrupted node accepting a
+    /// transaction and then sitting on it is indistinguishable from one that
+    /// rejected it.
+    pub fn submit_tx(&mut self, tx: Transaction) -> bool {
+        self.mempool.submit(tx)
+    }
+
+    /// Runs one event through `step`. An honest node goes straight through
+    /// under [`Gates::OPEN`]. A corrupted node's strategy reacts to the
+    /// start-of-event snapshot and picks the gates; the event counts as
+    /// gated when `step` reports its component closed; and the strategy
+    /// rewrites the output against a *fresh* snapshot, so an adaptive
+    /// rewrite reacts to what the event changed (e.g. the leader of a view
+    /// entered moments ago).
+    fn step(
+        &mut self,
+        now: Time,
+        out: &mut RuntimeOutput,
+        step: impl FnOnce(&mut Self, Gates, &mut RuntimeOutput) -> bool,
+    ) {
+        let Some(mut strategy) = self.strategy.take() else {
+            step(self, Gates::OPEN, out);
+            return;
+        };
+        let ctx = self.strategy_ctx(now);
+        strategy.observe(&ctx);
+        if !step(self, strategy.gates(&ctx), out) {
+            out.gated_events += 1;
+        }
+        strategy.rewrite(&self.strategy_ctx(now), out);
+        self.strategy = Some(strategy);
+    }
+
+    /// Snapshots the protocol state a strategy reads (a handful of field
+    /// reads plus one scan of the engine's pending-vote pools for the
+    /// current view).
+    fn strategy_ctx(&self, now: Time) -> StrategyCtx {
+        let engine = &self.engine;
+        StrategyCtx {
+            id: self.id,
+            n: engine.params().n,
+            now,
+            obs: ProtocolObs {
+                view: self.current_view(),
+                engine_view: engine.current_view(),
+                leader: engine.current_leader(),
+                locked_view: engine.locked_view(),
+                last_voted_view: engine.last_voted_view(),
+                high_qc_view: engine.high_qc().view(),
+                pending_qc_votes: engine.pending_votes(engine.current_view()),
+                clock: self.local_clock_reading(now),
+                booted: self.booted,
+            },
         }
     }
 
@@ -388,55 +493,127 @@ impl ProtocolRuntime {
     }
 }
 
-impl ConsensusRuntime for ProtocolRuntime {
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        self.pacemaker.name()
-    }
-
-    fn boot(&mut self, now: Time, out: &mut RuntimeOutput) {
-        self.boot_gated(now, Gates::OPEN, out);
-    }
-
-    fn wake(&mut self, now: Time, out: &mut RuntimeOutput) {
-        self.wake_gated(now, Gates::OPEN, out);
-    }
-
-    fn deliver(&mut self, from: ProcessId, msg: &WireMessage, now: Time, out: &mut RuntimeOutput) {
-        self.deliver_gated(from, msg, now, Gates::OPEN, out);
-    }
-
-    fn current_view(&self) -> View {
-        self.pacemaker.current_view()
-    }
-
-    fn committed_height(&self) -> u64 {
-        self.engine.committed_height()
-    }
-
-    fn committed_chain(&self) -> Vec<u64> {
-        self.engine.store().committed_chain().to_vec()
-    }
-
-    fn resume_floor(&self) -> Time {
-        self.last_event_time
-    }
-
-    fn submit_tx(&mut self, tx: Transaction) -> bool {
-        self.mempool.submit(tx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::ProtocolKind;
+    use lumiere_consensus::ConsensusMessage;
+    use lumiere_types::TimeRange;
 
     fn build(n: usize, who: usize) -> ProtocolRuntime {
         crate::build_runtime(ProtocolKind::Lumiere, n, who, Duration::from_millis(10), 7)
+    }
+
+    fn host(n: usize, who: usize, strategy: Option<StrategyKind>) -> ProtocolRuntime {
+        crate::build_runtime(ProtocolKind::Fever, n, who, Duration::from_millis(10), 2)
+            .with_strategy(strategy)
+    }
+
+    #[test]
+    fn honest_hosts_run_fully_open_and_count_nothing() {
+        let mut h = host(4, 0, None);
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        assert!(h.is_honest());
+        assert_eq!(h.strategy_name(), None);
+        assert!(out.entered_views.contains(&View::new(0)));
+        assert!(
+            out.broadcasts
+                .iter()
+                .any(|m| matches!(m, WireMessage::Consensus(_))),
+            "p0 leads Fever view 0 and must propose at boot"
+        );
+        assert_eq!(out.gated_events, 0);
+    }
+
+    #[test]
+    fn non_leader_boot_sends_its_view_message() {
+        let mut h = host(4, 2, None);
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        assert!(out
+            .sends
+            .iter()
+            .any(|(to, m)| *to == ProcessId::new(0) && matches!(m, WireMessage::Pacemaker(_))));
+    }
+
+    #[test]
+    fn silent_leader_enters_views_but_never_proposes() {
+        let mut h = host(4, 0, Some(StrategyKind::SilentLeader));
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        assert!(out.entered_views.contains(&View::new(0)));
+        assert!(
+            !out.broadcasts
+                .iter()
+                .any(|m| matches!(m, WireMessage::Consensus(_))),
+            "a silent leader must not propose"
+        );
+        assert_eq!(h.current_view(), View::new(0), "the pacemaker ran");
+    }
+
+    #[test]
+    fn sync_silent_nodes_skip_the_pacemaker_entirely() {
+        let mut h = host(4, 1, Some(StrategyKind::SyncSilent));
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        assert!(out.sends.is_empty() && out.broadcasts.is_empty());
+        assert_eq!(h.current_view(), View::SENTINEL);
+    }
+
+    #[test]
+    fn equivocating_leader_sends_conflicting_proposals() {
+        let mut h = host(4, 0, Some(StrategyKind::Equivocate));
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        // The proposal broadcast is rewritten into targeted sends carrying
+        // two distinct blocks for the same view.
+        let hashes: std::collections::BTreeSet<u64> = out
+            .sends
+            .iter()
+            .filter_map(|(_, m)| match m {
+                WireMessage::Consensus(ConsensusMessage::Proposal(b)) => Some(b.hash()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hashes.len(), 2, "expected two conflicting proposals");
+        assert!(!out
+            .broadcasts
+            .iter()
+            .any(|m| matches!(m, WireMessage::Consensus(ConsensusMessage::Proposal(_)))));
+    }
+
+    #[test]
+    fn crashed_hosts_emit_nothing_and_wakes_count_as_gated() {
+        let mut h = host(4, 0, Some(StrategyKind::Crash));
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        assert!(out.is_empty(), "a crashed node must emit nothing at boot");
+        // Boot does not count as a gated event (matching the simulator),
+        // but every subsequent swallowed wake does.
+        assert_eq!(out.gated_events, 0);
+        out.clear();
+        h.wake(Time::from_millis(10), &mut out);
+        assert_eq!(out.gated_events, 1);
+        assert_eq!(h.strategy_name(), Some("crash"));
+    }
+
+    #[test]
+    fn dark_window_wakes_are_gated_and_the_rejoin_wake_is_not() {
+        let down = TimeRange::new(Time::ZERO, Time::from_millis(50));
+        let mut h = host(4, 2, Some(StrategyKind::CrashRecovery { down }));
+        let mut out = RuntimeOutput::default();
+        h.boot(Time::ZERO, &mut out);
+        assert_eq!(out.wakes, vec![Time::from_millis(50)], "rejoin wake");
+        for at in [10, 20] {
+            out.clear(); // the live driver clears after every flush
+            h.wake(Time::from_millis(at), &mut out);
+            assert_eq!(out.gated_events, 1, "a dark-window wake is gated");
+        }
+        out.clear();
+        h.wake(Time::from_millis(50), &mut out);
+        assert_eq!(out.gated_events, 0, "the rejoin wake runs ungated");
+        assert!(!out.is_empty(), "a rejoined node must resume participating");
     }
 
     #[test]
@@ -561,12 +738,8 @@ mod tests {
         /// Asserts that every pair of committed chains is prefix-ordered.
         fn assert_agreement(&self) {
             let chains: Vec<Vec<u64>> = self.nodes.iter().map(|n| n.committed_chain()).collect();
-            for (i, a) in chains.iter().enumerate() {
-                for b in &chains[i + 1..] {
-                    let len = a.len().min(b.len());
-                    assert_eq!(a[..len], b[..len], "committed chains diverged");
-                }
-            }
+            let agreed = crate::driver::chains_agree(&chains);
+            assert!(agreed.is_ok(), "committed chains diverged: {agreed:?}");
         }
     }
 

@@ -21,9 +21,7 @@
 //! The test is alone in its binary so nothing else runs on the counted
 //! thread's allocator.
 
-use lumiere_runtime::{
-    build_runtime, ConsensusRuntime, ProtocolKind, ProtocolRuntime, RuntimeOutput, WireMessage,
-};
+use lumiere_runtime::{build_runtime, ProtocolKind, ProtocolRuntime, RuntimeOutput, WireMessage};
 use lumiere_types::{Duration, ProcessId, Time};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -28,9 +28,7 @@ use lumiere_core::lumiere::{Lumiere, LumiereConfig};
 use lumiere_core::messages::PacemakerMessage;
 use lumiere_crypto::{keygen, KeyPair};
 use lumiere_runtime::codec::{decode_frame, encode_frame};
-use lumiere_runtime::{
-    build_runtime, ConsensusRuntime, ProtocolKind, ProtocolRuntime, RuntimeOutput, WireMessage,
-};
+use lumiere_runtime::{build_runtime, ProtocolKind, ProtocolRuntime, RuntimeOutput, WireMessage};
 use lumiere_types::view::EpochLayout;
 use lumiere_types::{Batch, Duration, Params, ProcessId, Time, View};
 

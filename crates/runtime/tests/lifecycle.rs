@@ -11,7 +11,7 @@
 
 use lumiere_runtime::channel::channel_mesh;
 use lumiere_runtime::driver::{spawn, DriverHandle, DriverOptions};
-use lumiere_runtime::{build_runtime, ChannelTransport, ProtocolKind, ProtocolRuntime};
+use lumiere_runtime::{build_runtime, ChannelTransport, ProtocolKind};
 use lumiere_types::Duration;
 use std::time::{Duration as WallDuration, Instant};
 
@@ -36,7 +36,7 @@ fn open_ended() -> DriverOptions {
 
 /// Blocks until `handle` reports at least `height` commits (or panics after
 /// a minute — liveness failure, not a flake).
-fn wait_for_height(handle: &DriverHandle<ProtocolRuntime, ChannelTransport>, height: u64) {
+fn wait_for_height(handle: &DriverHandle<ChannelTransport>, height: u64) {
     let deadline = Instant::now() + WallDuration::from_secs(60);
     while handle.committed_height() < height {
         assert!(

@@ -22,10 +22,10 @@
 //! real processes with `--features planted-bugs` binaries.
 
 use lumiere_core::planted::{self, PlantedBug};
-use lumiere_runtime::driver::{spawn, DriverOptions, DriverSummary};
+use lumiere_runtime::driver::{check_agreement, spawn, DriverOptions, DriverSummary};
 use lumiere_runtime::{
     build_runtime_with, channel_mesh, liveness_envelope, AdversarySchedule, NodeConfig, PeerConfig,
-    ProtocolKind, StrategyHost, StrategyKind,
+    ProtocolKind, StrategyKind,
 };
 use lumiere_types::Duration;
 use serde::json;
@@ -79,15 +79,8 @@ fn envelope_violation(s: &DriverSummary, n: usize, delta: Duration) -> Option<St
 
 /// Asserts pairwise prefix agreement on the committed chains.
 fn assert_agreement(summaries: &[DriverSummary]) {
-    let shortest = summaries.iter().map(|s| s.chain.len()).min().unwrap();
-    for s in &summaries[1..] {
-        assert_eq!(
-            s.chain[..shortest],
-            summaries[0].chain[..shortest],
-            "nodes {} and {} disagree on the committed prefix",
-            summaries[0].node,
-            s.node
-        );
+    if let Err(divergence) = check_agreement(summaries) {
+        panic!("{divergence}");
     }
 }
 
@@ -274,13 +267,13 @@ fn planted_timeout_bug_is_flagged_by_the_envelope_oracle_and_stock_passes() {
             .into_iter()
             .enumerate()
             .map(|(i, transport)| {
-                let rt = build_runtime_with(ProtocolKind::Lumiere, n, i, delta, 31, planted_bug);
                 // Node 1 is a silent leader: its views are wasted, which is
                 // exactly the schedule that severs the planted re-arm path.
                 let strategy = (i == 1).then_some(StrategyKind::SilentLeader);
-                let host = StrategyHost::new(rt, n, strategy);
+                let rt = build_runtime_with(ProtocolKind::Lumiere, n, i, delta, 31, planted_bug)
+                    .with_strategy(strategy);
                 spawn(
-                    host,
+                    rt,
                     transport,
                     DriverOptions {
                         target_commits: None,

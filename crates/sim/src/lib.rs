@@ -19,8 +19,8 @@
 //!   (targeted partitions). See `docs/ADVERSARIES.md` for the mapping to
 //!   the paper's attack arguments.
 //! * **The simulator is a transport**: each processor is a
-//!   [`lumiere_runtime::StrategyHost`] — a [`lumiere_runtime::ProtocolRuntime`]
-//!   under the adversary harness — and this crate is one of three backends
+//!   [`lumiere_runtime::ProtocolRuntime`] — a corrupted one carrying its
+//!   adversary strategy — and this crate is one of three backends
 //!   (virtual network, in-process channel mesh, TCP mesh) driving the
 //!   identical protocol code.
 //! * [`event`] — the calendar event queue; [`runner`] — the event loop;

@@ -22,7 +22,7 @@
 
 use crate::workload::WorkloadConfig;
 use lumiere_types::hash::{IdMap, IdSet};
-use lumiere_types::{Duration, ProcessId, SlashEvidence, Time, TxId, View};
+use lumiere_types::{percentile, Duration, ProcessId, SlashEvidence, Time, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -425,19 +425,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     } else {
         num as f64 / den as f64
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample vector:
-/// `percentile(s, 50)` is the median, `percentile(s, 100)` the maximum.
-/// [`Duration::ZERO`] on an empty sample.
-fn percentile(sorted: &[Duration], p: u64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = (sorted.len() as u64 * p)
-        .div_ceil(100)
-        .clamp(1, sorted.len() as u64);
-    sorted[rank as usize - 1]
 }
 
 /// Appends `count` sends at `at` to a run-length-encoded series. Collector
@@ -1002,18 +989,6 @@ mod tests {
         assert_eq!(r.tx_latency_p99, Duration::from_millis(100));
         assert!((r.goodput_tps() - 6.0).abs() < 1e-9, "3 txs / 0.5 s");
         assert_eq!(r.workload, None);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank_on_sorted_samples() {
-        assert_eq!(percentile(&[], 50), Duration::ZERO);
-        let one = [Duration::from_millis(5)];
-        assert_eq!(percentile(&one, 1), Duration::from_millis(5));
-        assert_eq!(percentile(&one, 100), Duration::from_millis(5));
-        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 50), Duration::from_millis(50));
-        assert_eq!(percentile(&ms, 95), Duration::from_millis(95));
-        assert_eq!(percentile(&ms, 99), Duration::from_millis(99));
     }
 
     #[test]

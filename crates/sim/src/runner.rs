@@ -33,7 +33,8 @@ use crate::trace::{Trace, TraceKind};
 use lumiere_consensus::BlockHash;
 use lumiere_runtime::adversary::AdversarySchedule;
 use lumiere_runtime::delay::DelayModel;
-use lumiere_runtime::{ConsensusRuntime, RuntimeOutput, StrategyHost};
+use lumiere_runtime::driver::chains_agree;
+use lumiere_runtime::{ProtocolRuntime, RuntimeOutput};
 use lumiere_types::hash::IdSet;
 use lumiere_types::{Duration, ProcessId, Time};
 use rand::rngs::StdRng;
@@ -114,23 +115,13 @@ impl ExecOptions {
     }
 }
 
-/// Whether every pair of `chains` agrees, i.e. one of each pair is a prefix
-/// of the other. Every pair agrees iff every chain is a prefix of one
-/// longest chain, so that is what is checked: O(n·h), not O(n²·h).
-fn chains_agree(chains: &[Vec<u64>]) -> bool {
-    let Some(longest) = chains.iter().max_by_key(|c| c.len()) else {
-        return true;
-    };
-    chains.iter().all(|c| longest.starts_with(c))
-}
-
 /// A single simulated execution.
 #[derive(Debug)]
 pub struct Simulation {
     cfg: SimConfig,
     broadcast: BroadcastMode,
     schedule: AdversarySchedule,
-    nodes: Vec<StrategyHost>,
+    nodes: Vec<ProtocolRuntime>,
     /// Per-processor honesty, shared with symbolic broadcast groups.
     honesty: Arc<Vec<bool>>,
     queue: EventQueue,
@@ -250,7 +241,7 @@ impl Simulation {
     fn finish_report(mut self) -> (SimReport, Trace) {
         let safety_ok = self.check_safety();
         let honest = self.nodes.iter().filter(|n| n.is_honest());
-        let engines = honest.map(|n| n.runtime().engine());
+        let engines = honest.map(|n| n.engine());
         let equivocations = engines.clone().map(|e| e.equivocations_detected()).sum();
         let lock_advances = engines.map(|e| e.locks_advanced()).sum();
         self.collector.record_equivocations(equivocations);
@@ -259,7 +250,7 @@ impl Simulation {
             .nodes
             .iter()
             .filter(|n| n.is_honest())
-            .map(|n| n.runtime().mempool().shed())
+            .map(|n| n.mempool().shed())
             .sum();
         self.collector.record_shed(shed);
         self.collector
@@ -271,7 +262,7 @@ impl Simulation {
             .nodes
             .iter()
             .filter(|n| n.is_honest())
-            .flat_map(|n| n.runtime().engine().slash_evidence().iter().copied())
+            .flat_map(|n| n.engine().slash_evidence().iter().copied())
             .collect();
         slash.sort_unstable();
         slash.dedup();
@@ -292,7 +283,7 @@ impl Simulation {
             .filter(|n| n.is_honest())
             .map(|n| n.committed_chain())
             .collect();
-        chains_agree(&chains)
+        chains_agree(&chains).is_ok()
     }
 
     fn run_loop(&mut self) {
@@ -611,7 +602,7 @@ impl Simulation {
             self.nodes
                 .iter()
                 .filter(|n| n.is_honest())
-                .map(|n| n.runtime().local_clock_reading(self.now)),
+                .map(|n| n.local_clock_reading(self.now)),
         );
         if self.readings.len() <= f {
             return;
@@ -631,9 +622,7 @@ mod tests {
 
     #[test]
     fn chains_agree_iff_each_is_a_prefix_of_the_others() {
-        let agree = |chains: &[&[u64]]| {
-            chains_agree(&chains.iter().map(|c| c.to_vec()).collect::<Vec<_>>())
-        };
+        let agree = |chains: &[&[u64]]| chains_agree(chains).is_ok();
         // Pure prefixes, in any order, including the empty chain.
         assert!(agree(&[]));
         assert!(agree(&[&[1, 2, 3]]));
@@ -828,7 +817,7 @@ mod tests {
             for node in sim.nodes.iter().filter(|node| node.is_honest()) {
                 let blocks = &log[node.id().as_usize()];
                 let hashes: Vec<BlockHash> = blocks.iter().map(|b| b.hash()).collect();
-                let chain = node.runtime().engine().store().committed_chain();
+                let chain = node.engine().store().committed_chain();
                 assert_eq!(hashes, chain[1..], "node {} logged its chain", node.id());
                 let mut carried = IdSet::default();
                 for block in blocks {

@@ -10,7 +10,7 @@ use lumiere_core::planted::PlantedBug;
 use lumiere_crypto::keygen;
 use lumiere_runtime::adversary::{AdversarySchedule, StrategyKind};
 use lumiere_runtime::delay::DelayModel;
-use lumiere_runtime::{ProtocolRuntime, StrategyHost};
+use lumiere_runtime::ProtocolRuntime;
 use lumiere_types::{Duration, Params, Time};
 use serde::{Deserialize, Serialize};
 
@@ -225,9 +225,9 @@ impl SimConfig {
         Params::new(self.n, self.delta_cap)
     }
 
-    /// Builds all processors for this configuration: one runtime each, under
-    /// the adversary harness (honest processors carry no strategy).
-    pub fn build_nodes(&self) -> Vec<StrategyHost> {
+    /// Builds all processors for this configuration: one runtime each, a
+    /// corrupted one carrying its schedule's strategy.
+    pub fn build_nodes(&self) -> Vec<ProtocolRuntime> {
         let params = self.params();
         assert!(
             self.f_a <= params.f,
@@ -253,11 +253,8 @@ impl SimConfig {
                 let id = k.id();
                 let pacemaker = pacemakers.build(k.clone());
                 let engine = HotStuffEngine::new(id, k, pki.clone(), params);
-                StrategyHost::new(
-                    ProtocolRuntime::new(id, pacemaker, engine),
-                    self.n,
-                    schedule.strategy_for(id.as_usize()),
-                )
+                ProtocolRuntime::new(id, pacemaker, engine)
+                    .with_strategy(schedule.strategy_for(id.as_usize()))
             })
             .collect()
     }
@@ -366,22 +363,22 @@ mod tests {
         let (n, seed) = (10, 5);
         let cfg = SimConfig::new(ProtocolKind::Lumiere, n).with_seed(seed);
         let nodes = cfg.build_nodes();
-        let order_of = |host: &StrategyHost| match host.runtime().schedule() {
+        let order_of = |node: &ProtocolRuntime| match node.schedule() {
             LeaderSchedule::PairedReverse { order } => Arc::clone(order),
             other => panic!("Lumiere runs the paired-reverse schedule, not {other:?}"),
         };
         let shared = order_of(&nodes[0]);
         assert!(nodes
             .iter()
-            .all(|host| Arc::ptr_eq(&order_of(host), &shared)));
+            .all(|node| Arc::ptr_eq(&order_of(node), &shared)));
         // The n replicas and `shared`: the builder kept no copy of its own.
         assert_eq!(Arc::strong_count(&shared), n + 1);
-        for (who, host) in nodes.iter().enumerate() {
+        for (who, node) in nodes.iter().enumerate() {
             let live = build_runtime(ProtocolKind::Lumiere, n, who, cfg.delta_cap, seed);
             for v in (0..4 * n as i64).map(View::new) {
                 assert_eq!(
                     live.schedule().leader(v),
-                    host.runtime().schedule().leader(v),
+                    node.schedule().leader(v),
                     "node {who}, view {v:?}"
                 );
             }

@@ -1,22 +1,20 @@
 //! Strategy gating parity: the channel-mesh transport under adversary
 //! strategies must gate *exactly* what the simulator gates.
 //!
-//! The adversary machinery lives above the transport (a
-//! [`StrategyHost`](lumiere_runtime::StrategyHost) wraps the protocol
-//! whether messages arrive over virtual-time calendars, in-process channels
-//! or TCP sockets), so the property to pin is count equality: drive a real
+//! The adversary machinery lives above the transport (a corrupted
+//! [`ProtocolRuntime`] gates its own events whether messages arrive over
+//! virtual-time calendars, in-process channels or TCP sockets), so the
+//! property to pin is count equality: drive a real
 //! [`ChannelTransport`](lumiere_runtime::ChannelTransport) cluster through a
 //! deterministic tick loop, record every event it processed, replay the
 //! byte-identical event sequence into the hosts the simulator builds
 //! ([`SimConfig::build_nodes`]) from the same seed, and require the same
-//! outputs and the same gated-event counts, event for event. A wall-clock TCP run cannot be replayed this way (its
-//! schedule is nondeterministic), but the strategies and the host are the
-//! same object — `crates/runtime/tests/live_cluster.rs` covers that side
-//! against real processes.
+//! outputs and the same gated-event counts, event for event. A wall-clock
+//! TCP run cannot be replayed this way (its schedule is nondeterministic),
+//! but the runtime is the same object — `crates/runtime/tests/
+//! live_cluster.rs` covers that side against real processes.
 
-use lumiere_runtime::{
-    channel_mesh, ConsensusRuntime, RuntimeOutput, StrategyHost, Transport, WireMessage,
-};
+use lumiere_runtime::{channel_mesh, ProtocolRuntime, RuntimeOutput, Transport, WireMessage};
 use lumiere_sim::{AdversarySchedule, ProtocolKind, SimConfig, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, TimeRange};
 use std::collections::BTreeSet;
@@ -46,13 +44,13 @@ struct Logged {
     gated: u32,
 }
 
-fn strategy_host(i: usize, corrupted: usize, kind: StrategyKind) -> StrategyHost {
-    let rt = lumiere_runtime::build_runtime(ProtocolKind::Lumiere, N, i, DELTA, SEED);
-    StrategyHost::new(rt, N, (i == corrupted).then_some(kind))
+fn strategy_node(i: usize, corrupted: usize, kind: StrategyKind) -> ProtocolRuntime {
+    lumiere_runtime::build_runtime(ProtocolKind::Lumiere, N, i, DELTA, SEED)
+        .with_strategy((i == corrupted).then_some(kind))
 }
 
 /// The simulator's own processors for the same cluster.
-fn sim_nodes(corrupted: usize, kind: StrategyKind) -> Vec<StrategyHost> {
+fn sim_nodes(corrupted: usize, kind: StrategyKind) -> Vec<ProtocolRuntime> {
     SimConfig::new(ProtocolKind::Lumiere, N)
         .with_delta(DELTA)
         .with_seed(SEED)
@@ -62,10 +60,14 @@ fn sim_nodes(corrupted: usize, kind: StrategyKind) -> Vec<StrategyHost> {
 
 /// Drives a channel-mesh cluster deterministically: single thread, virtual
 /// ticks, immediate (same-mesh) delivery one tick after send. Returns the
-/// full event log plus the finished hosts.
-fn drive_channel_cluster(corrupted: usize, kind: StrategyKind) -> (Vec<Logged>, Vec<StrategyHost>) {
+/// full event log plus the finished nodes.
+fn drive_channel_cluster(
+    corrupted: usize,
+    kind: StrategyKind,
+) -> (Vec<Logged>, Vec<ProtocolRuntime>) {
     let mut transports = channel_mesh(N);
-    let mut hosts: Vec<StrategyHost> = (0..N).map(|i| strategy_host(i, corrupted, kind)).collect();
+    let mut hosts: Vec<ProtocolRuntime> =
+        (0..N).map(|i| strategy_node(i, corrupted, kind)).collect();
     let mut wakes: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); N];
     let mut log = Vec::new();
 
@@ -75,7 +77,7 @@ fn drive_channel_cluster(corrupted: usize, kind: StrategyKind) -> (Vec<Logged>, 
     let process = |i: usize,
                    at: Time,
                    event: Event,
-                   hosts: &mut Vec<StrategyHost>,
+                   hosts: &mut Vec<ProtocolRuntime>,
                    transports: &mut Vec<lumiere_runtime::ChannelTransport>,
                    wakes: &mut Vec<BTreeSet<i64>>,
                    log: &mut Vec<Logged>| {
@@ -150,7 +152,7 @@ fn drive_channel_cluster(corrupted: usize, kind: StrategyKind) -> (Vec<Logged>, 
     (log, hosts)
 }
 
-/// Replays a channel-cluster event log into the simulator's hosts and checks
+/// Replays a channel-cluster event log into the simulator's nodes and checks
 /// output and gated-count equality per event, then end-state equality.
 fn assert_sim_parity(corrupted: usize, kind: StrategyKind) {
     let (log, hosts) = drive_channel_cluster(corrupted, kind);
@@ -179,7 +181,7 @@ fn assert_sim_parity(corrupted: usize, kind: StrategyKind) {
     for i in 0..N {
         assert_eq!(
             nodes[i].committed_chain(),
-            hosts[i].runtime().committed_chain(),
+            hosts[i].committed_chain(),
             "node {i} committed a different chain in the replay"
         );
     }
@@ -194,6 +196,53 @@ fn assert_sim_parity(corrupted: usize, kind: StrategyKind) {
         "honest nodes must commit under {} within the horizon",
         kind.name()
     );
+}
+
+/// FNV-1a over every logged event's output and gated count, in log order.
+fn log_digest(log: &[Logged]) -> u64 {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for entry in log {
+        for byte in format!("{}:{};", entry.output, entry.gated).bytes() {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// Each strategy's channel-cluster event log, folded by [`log_digest`]. The
+/// simulator and the channel mesh run the same gating code, so parity alone
+/// cannot notice a change to it; these pins can. A change that moves one
+/// changed what a corrupted node does.
+#[test]
+fn channel_cluster_event_logs_match_their_pins() {
+    let crash_recovery = StrategyKind::CrashRecovery {
+        down: TimeRange::new(Time::ZERO, Time::from_millis(40)),
+    };
+    let pins = [
+        (1, StrategyKind::Crash, 0x037b_7c05_84a5_a8b3),
+        (1, StrategyKind::SilentLeader, 0x15b1_8edf_13cd_6fe8),
+        (1, StrategyKind::SyncSilent, 0x6aa7_eb2c_6b2d_3a26),
+        (1, StrategyKind::Equivocate, 0xbd72_1b1e_1b69_e19a),
+        (
+            1,
+            StrategyKind::AdaptiveLeaderTargeting,
+            0x08ac_88eb_d106_f5b5,
+        ),
+        (1, StrategyKind::QcStarvation, 0xee9a_8e7d_938c_c40a),
+        (2, crash_recovery, 0xcf2d_90e8_d3fe_031a),
+    ];
+    assert!(StrategyKind::SIMPLE
+        .iter()
+        .all(|kind| pins.iter().any(|(_, pinned, _)| pinned == kind)));
+    for (corrupted, kind, pin) in pins {
+        let (log, _) = drive_channel_cluster(corrupted, kind);
+        assert_eq!(
+            log_digest(&log),
+            pin,
+            "{}'s event log moved off its pin",
+            kind.name()
+        );
+    }
 }
 
 #[test]
