@@ -13,7 +13,7 @@
 //!   (`SimReport::safety_ok`), equivocation attempts notwithstanding;
 //! * **liveness** — after GST an honest leader must produce a QC, and some
 //!   honest processor must commit, within a generous `O(nΔ)` bound
-//!   ([`liveness_bound`]). A run that exceeds the simulator's event cap
+//!   ([`liveness_envelope`]). A run that exceeds the simulator's event cap
 //!   (`SimReport::truncated`) is also reported.
 //!
 //! Findings carry the reproducing seed and a **greedily minimized**
@@ -27,6 +27,7 @@
 use crate::grid::run_grid;
 use crate::mutate::{sample_rule, sample_strategy};
 use crate::table::TextTable;
+use lumiere_runtime::liveness_envelope;
 use lumiere_sim::{AdversarySchedule, PlantedBug, ProtocolKind, SimConfig, SimReport};
 use lumiere_types::{Duration, Time};
 use rand::rngs::StdRng;
@@ -229,15 +230,6 @@ pub fn parse_args(args: &[String]) -> Result<Option<FuzzOptions>, String> {
     Ok(Some(options))
 }
 
-/// The liveness bound after GST: a generous `O(nΔ)` envelope. The paper's
-/// Theorem 1.1(2) gives worst-case latency `O(nΔ)`; the constant here leaves
-/// room for a commit (two consecutive honest-leader QCs) on top. Delegates
-/// to [`lumiere_runtime::liveness_envelope`] so the simulator's fuzz oracle
-/// and the live-cluster harness judge commits against the same envelope.
-pub fn liveness_bound(n: usize, delta: Duration) -> Duration {
-    lumiere_runtime::liveness_envelope(n, delta)
-}
-
 /// Deterministically expands `seed` into a fuzz case for `protocol`.
 ///
 /// The sampled space covers cluster size, fault count (`0..=f`), a strategy
@@ -259,7 +251,7 @@ pub fn sample_config(protocol: ProtocolKind, seed: u64, quick: bool) -> SimConfi
     let f = (n - 1) / 3;
     let f_a = rng.gen_range(0..=f);
     let gst = Time::from_millis(rng.gen_range(0..=300));
-    let bound = liveness_bound(n, FUZZ_DELTA);
+    let bound = liveness_envelope(n, FUZZ_DELTA);
     let horizon = (gst - Time::ZERO) + bound + FUZZ_DELTA * 40;
 
     // Distinct corrupted processors.
@@ -301,7 +293,7 @@ pub fn verdict(report: &SimReport) -> Verdict {
     if report.truncated {
         return Verdict::Truncated;
     }
-    let bound_end = report.gst + liveness_bound(report.n, report.delta_cap);
+    let bound_end = report.gst + liveness_envelope(report.n, report.delta_cap);
     let qc_ok = report
         .first_honest_qc_after(report.gst)
         .is_some_and(|t| t <= bound_end);
@@ -494,7 +486,7 @@ impl FuzzOutcome {
                 ok.to_string(),
                 (rows.len() - ok).to_string(),
                 max_latency,
-                format!("{:.0}", liveness_bound(n, FUZZ_DELTA).as_millis_f64()),
+                format!("{:.0}", liveness_envelope(n, FUZZ_DELTA).as_millis_f64()),
             ]);
         }
         out.push_str(&table.render());
@@ -626,7 +618,7 @@ mod tests {
             assert!(a.f_a <= f, "seed {seed}: f_a exceeds f");
             let schedule = a.effective_adversary();
             assert!(schedule.validate(a.n, f).is_ok(), "seed {seed}");
-            assert!(a.horizon > (a.gst - Time::ZERO) + liveness_bound(a.n, FUZZ_DELTA));
+            assert!(a.horizon > (a.gst - Time::ZERO) + liveness_envelope(a.n, FUZZ_DELTA));
         }
         // Different seeds explore different corners.
         let distinct: std::collections::BTreeSet<String> = (0..40u64)

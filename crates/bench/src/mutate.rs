@@ -142,7 +142,7 @@ fn apply(
             // Keep the run long enough for the liveness oracle's window
             // (exactly how `fuzz::sample_config` sizes horizons).
             config.horizon = (config.gst - Time::ZERO)
-                + crate::fuzz::liveness_bound(n, config.delta_cap)
+                + lumiere_runtime::liveness_envelope(n, config.delta_cap)
                 + config.delta_cap * 40;
             true
         }
@@ -166,7 +166,7 @@ fn apply(
             let new_f = (new_n - 1) / 3;
             config.n = new_n;
             config.horizon = (config.gst - Time::ZERO)
-                + crate::fuzz::liveness_bound(new_n, config.delta_cap)
+                + lumiere_runtime::liveness_envelope(new_n, config.delta_cap)
                 + config.delta_cap * 40;
             schedule.corruptions.retain(|c| c.node < new_n);
             schedule.corruptions.truncate(new_f);

@@ -236,17 +236,14 @@ fn run_node(args: &Args) -> Result<(), String> {
         transport.delayed(),
     );
     if args.load.is_some() {
-        eprintln!(
-            "[node {}] load: submitted {} txs, committed {} ({} recommits) | \
-             latency ms p50 {:.1} / p95 {:.1} / p99 {:.1}",
-            summary.node,
-            summary.txs_submitted,
-            summary.txs_committed,
-            summary.tx_recommits,
-            summary.tx_latency_p50_ms,
-            summary.tx_latency_p95_ms,
-            summary.tx_latency_p99_ms,
+        let s = &summary;
+        let (node, all, done, again) = (s.node, s.txs_submitted, s.txs_committed, s.tx_recommits);
+        let (p50, p95, p99) = (
+            s.tx_latency_p50_ms,
+            s.tx_latency_p95_ms,
+            s.tx_latency_p99_ms,
         );
+        eprintln!("[node {node}] load: submitted {all} txs, committed {done} ({again} recommits) | latency ms p50 {p50:.1} / p95 {p95:.1} / p99 {p99:.1}");
     }
     let text = json::to_string(&summary);
     match args.out.as_deref() {

@@ -96,10 +96,14 @@ pub struct DriverSummary {
     /// Per-commit wall-clock timestamps, in commit order (the liveness
     /// oracle's raw material).
     pub commits: Vec<CommitRecord>,
+    /// The node's [`ProtocolRuntime::strategy_name`], `None` if honest.
+    pub strategy: Option<String>,
     /// Strategy-gated events, when the node ran under a `--strategy`
     /// corruption (0 for honest nodes) — the live counterpart of the
     /// simulator's per-strategy activation count.
     pub gated_events: u64,
+    /// The node's `--load` rate in transactions per second, `None` without.
+    pub load_tps: Option<u64>,
     /// Client transactions this node generated (under `--load`; 0 without).
     pub txs_submitted: u64,
     /// Distinct transactions observed in blocks this node committed
@@ -149,16 +153,81 @@ pub fn chains_agree<C: AsRef<[u64]>>(chains: &[C]) -> Result<usize, (usize, usiz
     Ok(shared)
 }
 
-/// [`chains_agree`] over a cluster's summaries, naming the two nodes of a
-/// divergence.
-pub fn check_agreement(summaries: &[DriverSummary]) -> Result<usize, String> {
-    let chains: Vec<&[u64]> = summaries.iter().map(|s| s.chain.as_slice()).collect();
-    chains_agree(&chains).map_err(|(a, b)| {
-        format!(
-            "nodes {} and {} disagree on the committed prefix",
-            summaries[a].node, summaries[b].node
-        )
-    })
+/// Checks one node's wall-clock commit trace against the `O(nΔ)` liveness
+/// envelope. Returns a description of the first violation, if any — the
+/// same three gaps the fuzzer's virtual-time oracle bounds: boot to first
+/// commit, commit to commit, last commit to shutdown.
+pub fn envelope_violation(s: &DriverSummary, n: usize, delta: Duration) -> Option<String> {
+    let (node, bound_ms) = (s.node, liveness_envelope(n, delta).as_millis_f64());
+    let stall = |what: String| Some(format!("node {node} {what} (bound {bound_ms:.0} ms)"));
+    let Some(first) = s.commits.first() else {
+        return stall(format!("committed nothing in {:.0} ms", s.wall_ms));
+    };
+    if first.wall_ms > bound_ms {
+        return stall(format!("took {:.0} ms to its first commit", first.wall_ms));
+    }
+    for w in s.commits.windows(2) {
+        let (gap, a, b) = (w[1].wall_ms - w[0].wall_ms, w[0].height, w[1].height);
+        if gap > bound_ms {
+            return stall(format!("stalled {gap:.0} ms between heights {a} and {b}"));
+        }
+    }
+    let tail = s.wall_ms - s.commits.last()?.wall_ms;
+    stall(format!("stalled {tail:.0} ms after its last commit")).filter(|_| tail > bound_ms)
+}
+
+/// A node the live harness SIGKILLed: its id, and whether it was restarted.
+pub type Killed = (usize, bool);
+
+/// Judges a live cluster from its summaries (indexed by node id) into fatal
+/// failures and stalls; a run passes with none of the first, and a stall iff
+/// one is expected. Only a node `killed` for good may lack a summary, and a
+/// restarted one must have left view 0. All chains must agree. A summary's
+/// `strategy` marks a corrupted node. An honest, never-killed node stalls
+/// below `floor` blocks or outside [`liveness_envelope`]; under load
+/// (`load_tps`) it must commit transactions, none twice in a fault-free run.
+pub fn cluster_verdict(
+    summaries: &[Option<DriverSummary>],
+    delta: Duration,
+    floor: u64,
+    killed: &[Killed],
+) -> (Vec<String>, Vec<String>) {
+    let n = summaries.len();
+    let mut fatal: Vec<String> = (0..n)
+        .filter(|&i| summaries[i].is_none() && !killed.contains(&(i, false)))
+        .map(|i| format!("node {i} wrote no summary (see its node{i}.log)"))
+        .collect();
+    let mut stalls = Vec::new();
+    let present: Vec<&DriverSummary> = summaries.iter().flatten().collect();
+    if let Err((a, b)) = chains_agree(&present.iter().map(|s| &s.chain).collect::<Vec<_>>()) {
+        let (a, b) = (present[a].node, present[b].node);
+        fatal.push(format!(
+            "nodes {a} and {b} disagree on the committed prefix"
+        ));
+    }
+    let faulty = !killed.is_empty() || present.iter().any(|s| s.strategy.is_some());
+    let loaded = present.iter().any(|s| s.load_tps.is_some());
+    for s in present.into_iter().filter(|s| s.strategy.is_none()) {
+        let (i, h, again) = (s.node, s.committed_height, s.tx_recommits);
+        if let Some(&(_, restarted)) = killed.iter().find(|k| k.0 == i) {
+            if restarted && s.final_view < View::new(1) {
+                fatal.push(format!(
+                    "restarted node {i} never re-entered a view after recovery"
+                ));
+            }
+            continue;
+        }
+        if loaded && s.txs_committed == 0 {
+            fatal.push(format!("node {i} committed no client transactions"));
+        } else if loaded && !faulty && again > 0 {
+            fatal.push(format!(
+                "node {i} committed {again} transactions it had already committed"
+            ));
+        }
+        let low = (h < floor).then(|| format!("node {i} committed only {h} < {floor} blocks"));
+        stalls.extend(low.or_else(|| envelope_violation(s, n, delta)));
+    }
+    (fatal, stalls)
 }
 
 /// Book-keeping for the driver's open-loop client load: wall-clock submit
@@ -337,7 +406,9 @@ pub fn run<T: Transport>(
         chain: runtime.committed_chain(),
         wall_ms: epoch.elapsed().as_secs_f64() * 1_000.0,
         commits: commit_log,
+        strategy: runtime.strategy_name().map(str::to_string),
         gated_events,
+        load_tps: opts.load_tps,
         txs_submitted: txs.submitted,
         txs_committed: txs.committed.len() as u64,
         tx_recommits: txs.recommits,
@@ -519,11 +590,13 @@ mod tests {
                 "commit records must be monotone in time and height"
             );
             assert_eq!(s.gated_events, 0, "honest nodes gate nothing");
+            assert_eq!(s.strategy, None, "honest nodes run no strategy");
             assert_eq!(s.txs_submitted, 0, "no --load, no generated traffic");
             assert_eq!(s.txs_committed, 0);
         }
-        let agreed = check_agreement(&summaries).expect("chains must agree");
-        assert!(agreed >= 5, "agreed prefix shorter than the commit target");
+        let summaries: Vec<_> = summaries.into_iter().map(Some).collect();
+        let (fatal, _) = cluster_verdict(&summaries, delta, 5, &[]);
+        assert!(fatal.is_empty(), "chains must agree: {fatal:?}");
     }
 
     /// Four loaded channel nodes: client transactions must flow into
@@ -551,8 +624,15 @@ mod tests {
             })
             .collect();
         let summaries: Vec<_> = handles.into_iter().map(|h| h.join().unwrap().0).collect();
-        check_agreement(&summaries).expect("load must not break agreement");
+        let (fatal, _) = cluster_verdict(
+            &summaries.iter().cloned().map(Some).collect::<Vec<_>>(),
+            delta,
+            5,
+            &[],
+        );
+        assert!(fatal.is_empty(), "load must not break agreement: {fatal:?}");
         for s in &summaries {
+            assert_eq!(s.load_tps, Some(200));
             assert!(s.txs_submitted > 0, "node {} generated no load", s.node);
             assert!(
                 s.txs_committed > 0,
@@ -574,47 +654,279 @@ mod tests {
         }
     }
 
-    /// Regression: agreement over an empty cluster (a 0-node config) is
-    /// vacuously true, not a `min().unwrap()` panic.
-    #[test]
-    fn empty_cluster_agreement_is_vacuous() {
-        assert_eq!(check_agreement(&[]), Ok(0));
-    }
+    /// Δ for the verdict cases: at n = 4 the envelope is 5 200 ms.
+    const DELTA: Duration = Duration::from_millis(20);
 
-    #[test]
-    fn agreement_rejects_diverging_chains_across_any_pair() {
-        let summary = |node: usize, chain: Vec<u64>| DriverSummary {
+    /// An honest node that committed blocks 1..=`height`, one every 100 ms,
+    /// and stopped 100 ms after the last.
+    fn healthy(node: usize, height: u64) -> DriverSummary {
+        DriverSummary {
             node,
             protocol: "lumiere".to_string(),
-            committed_height: chain.len() as u64,
-            final_view: View::new(0),
-            chain,
-            wall_ms: 0.0,
-            commits: Vec::new(),
+            committed_height: height,
+            final_view: View::new(height as i64 + 2),
+            chain: (1..=height).collect(),
+            wall_ms: (height + 1) as f64 * 100.0,
+            commits: (1..=height)
+                .map(|height| CommitRecord {
+                    wall_ms: height as f64 * 100.0,
+                    height,
+                })
+                .collect(),
+            strategy: None,
             gated_events: 0,
+            load_tps: None,
             txs_submitted: 0,
             txs_committed: 0,
             tx_recommits: 0,
             tx_latency_p50_ms: 0.0,
             tx_latency_p95_ms: 0.0,
             tx_latency_p99_ms: 0.0,
-        };
-        let agreeing = vec![
-            summary(0, vec![1, 2, 3]),
-            summary(1, vec![1, 2]),
-            summary(2, vec![1, 2, 3, 4]),
+        }
+    }
+
+    /// Every node of `c` ran under load and committed transactions.
+    fn load(c: &mut [Option<DriverSummary>]) {
+        for s in c.iter_mut().flatten() {
+            s.load_tps = Some(100);
+            (s.txs_submitted, s.txs_committed) = (50, 120);
+        }
+    }
+
+    fn node(c: &mut [Option<DriverSummary>], i: usize) -> &mut DriverSummary {
+        c[i].as_mut().unwrap()
+    }
+
+    /// One verdict case: an edit to a healthy 4-node cluster judged at a
+    /// floor of 10 blocks, and what the verdict must say about it.
+    struct Case {
+        name: &'static str,
+        edit: fn(&mut Vec<Option<DriverSummary>>),
+        killed: &'static [Killed],
+        expect_stall: bool,
+        fatal: &'static [&'static str],
+        stall: Option<&'static str>,
+        passes: bool,
+    }
+
+    const HEALTHY: Case = Case {
+        name: "healthy",
+        edit: |_| {},
+        killed: &[],
+        expect_stall: false,
+        fatal: &[],
+        stall: None,
+        passes: true,
+    };
+
+    /// One case per branch of the verdict, plus `--expect-stall` passing
+    /// and failing.
+    #[test]
+    fn the_cluster_verdict_names_each_failure() {
+        let below_floor = |c: &mut Vec<Option<DriverSummary>>| c[0] = Some(healthy(0, 9));
+        let cases = [
+            HEALTHY,
+            Case {
+                name: "--expect-stall without a stall",
+                expect_stall: true,
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a missing summary",
+                edit: |c| c[3] = None,
+                fatal: &["node 3 wrote no summary (see its node3.log)"],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a node killed for good",
+                edit: |c| c[3] = None,
+                killed: &[(3, false)],
+                ..HEALTHY
+            },
+            Case {
+                name: "a restarted node with no summary",
+                edit: |c| c[2] = None,
+                killed: &[(2, true), (3, false)],
+                fatal: &["node 2 wrote no summary (see its node2.log)"],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a diverging pair",
+                edit: |c| node(c, 2).chain[4] = 99,
+                fatal: &["nodes 2 and 3 disagree on the committed prefix"],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a restarted node still in view 0",
+                edit: |c| {
+                    c[2] = Some(DriverSummary {
+                        final_view: View::new(0),
+                        ..healthy(2, 0)
+                    })
+                },
+                killed: &[(2, true)],
+                fatal: &["restarted node 2 never re-entered a view after recovery"],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a restarted node back in a view, with no commits",
+                edit: |c| c[2] = Some(healthy(2, 0)),
+                killed: &[(2, true)],
+                ..HEALTHY
+            },
+            Case {
+                name: "an honest node with no transactions under load",
+                edit: |c| {
+                    load(c);
+                    node(c, 1).txs_committed = 0;
+                },
+                fatal: &["node 1 committed no client transactions"],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "load configured, but no node submitted a transaction",
+                edit: |c| {
+                    load(c);
+                    c.iter_mut().flatten().for_each(|s| {
+                        (s.txs_submitted, s.txs_committed) = (0, 0);
+                    });
+                },
+                fatal: &[
+                    "node 0 committed no client transactions",
+                    "node 1 committed no client transactions",
+                    "node 2 committed no client transactions",
+                    "node 3 committed no client transactions",
+                ],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a recommit in a fault-free loaded run",
+                edit: |c| {
+                    load(c);
+                    node(c, 1).tx_recommits = 3;
+                },
+                fatal: &["node 1 committed 3 transactions it had already committed"],
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a recommit beside a corrupted node",
+                edit: |c| {
+                    load(c);
+                    node(c, 1).tx_recommits = 3;
+                    node(c, 3).strategy = Some("crash".to_string());
+                },
+                ..HEALTHY
+            },
+            Case {
+                name: "an honest node below the floor",
+                edit: below_floor,
+                stall: Some("node 0 committed only 9 < 10 blocks"),
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "--expect-stall with a stall",
+                edit: below_floor,
+                expect_stall: true,
+                stall: Some("node 0 committed only 9 < 10 blocks"),
+                ..HEALTHY
+            },
+            Case {
+                name: "an honest node outside the envelope",
+                edit: |c| node(c, 1).wall_ms += 6_000.0,
+                stall: Some("node 1 stalled 6100 ms after its last commit (bound 5200 ms)"),
+                passes: false,
+                ..HEALTHY
+            },
+            Case {
+                name: "a corrupted node that committed nothing",
+                edit: |c| {
+                    c[3] = Some(DriverSummary {
+                        strategy: Some("silent-leader".to_string()),
+                        ..healthy(3, 0)
+                    })
+                },
+                ..HEALTHY
+            },
         ];
-        assert_eq!(check_agreement(&agreeing), Ok(2));
+        for case in cases {
+            let mut cluster: Vec<_> = (0..4).map(|i| Some(healthy(i, 10))).collect();
+            (case.edit)(&mut cluster);
+            let (fatal, stalls) = cluster_verdict(&cluster, DELTA, 10, case.killed);
+            let name = case.name;
+            assert_eq!(fatal, case.fatal, "{name}");
+            assert_eq!(stalls.first().map(String::as_str), case.stall, "{name}");
+            assert!(stalls.len() <= 1, "{name}: {stalls:?}");
+            let passed = fatal.is_empty() && stalls.is_empty() != case.expect_stall;
+            assert_eq!(passed, case.passes, "{name}: {fatal:?} {stalls:?}");
+        }
+    }
+
+    #[test]
+    fn the_first_gap_past_the_envelope_is_named() {
+        let violation = |edit: fn(&mut DriverSummary)| {
+            let mut s = healthy(1, 10);
+            edit(&mut s);
+            envelope_violation(&s, 4, DELTA)
+        };
+        assert_eq!(violation(|_| {}), None);
+        assert_eq!(
+            violation(|s| *s = DriverSummary {
+                wall_ms: 6_000.0,
+                ..healthy(1, 0)
+            })
+            .as_deref(),
+            Some("node 1 committed nothing in 6000 ms (bound 5200 ms)")
+        );
+        assert_eq!(
+            violation(|s| s.commits.iter_mut().for_each(|c| c.wall_ms += 5_300.0)).as_deref(),
+            Some("node 1 took 5400 ms to its first commit (bound 5200 ms)")
+        );
+        assert_eq!(
+            violation(|s| s.commits[5..].iter_mut().for_each(|c| c.wall_ms += 5_300.0)).as_deref(),
+            Some("node 1 stalled 5400 ms between heights 5 and 6 (bound 5200 ms)")
+        );
+    }
+
+    /// Regression: agreement over an empty cluster (a 0-node config) is
+    /// vacuously true, not a `min().unwrap()` panic.
+    #[test]
+    fn empty_cluster_agreement_is_vacuous() {
+        assert_eq!(cluster_verdict(&[], DELTA, 0, &[]), Default::default());
+        assert_eq!(chains_agree::<&[u64]>(&[]), Ok(0));
+    }
+
+    #[test]
+    fn agreement_rejects_diverging_chains_across_any_pair() {
+        let fatal = |chains: [&[u64]; 3]| {
+            let cluster: Vec<_> = (0..3)
+                .map(|i| {
+                    Some(DriverSummary {
+                        chain: chains[i].to_vec(),
+                        ..healthy(i, 0)
+                    })
+                })
+                .collect();
+            cluster_verdict(&cluster, DELTA, 0, &[]).0
+        };
+        let agreeing: [&[u64]; 3] = [&[1, 2, 3], &[1, 2], &[1, 2, 3, 4]];
+        assert!(fatal(agreeing).is_empty());
+        assert_eq!(chains_agree(&agreeing), Ok(2), "the shared prefix");
         // The short middle chain is compatible with both neighbours, but
         // nodes 0 and 2 contradict each other — adjacent-only comparison
         // would miss this.
-        let diverging = vec![
-            summary(0, vec![1, 2, 3]),
-            summary(1, vec![1]),
-            summary(2, vec![1, 2, 9]),
-        ];
-        let err = check_agreement(&diverging).unwrap_err();
-        assert!(err.contains("nodes 0 and 2"), "got: {err}");
+        assert_eq!(
+            fatal([&[1, 2, 3], &[1], &[1, 2, 9]]),
+            ["nodes 0 and 2 disagree on the committed prefix"]
+        );
     }
 
     /// A panicking driver thread surfaces as a labelled error naming the

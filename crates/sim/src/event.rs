@@ -96,8 +96,6 @@ pub enum Event {
         /// The arriving transaction.
         tx: Transaction,
     },
-    /// Periodic metrics sampling (honest clock gap).
-    Sample,
 }
 
 /// The delivery rule for one honesty class of a broadcast's recipients.
@@ -698,7 +696,12 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(Time::from_millis(5), Event::Sample);
+        q.push(
+            Time::from_millis(5),
+            Event::Wake {
+                node: ProcessId::new(0),
+            },
+        );
         q.push(
             Time::from_millis(1),
             Event::Boot {
@@ -751,7 +754,12 @@ mod tests {
     fn len_and_is_empty_track_contents() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(Time::ZERO, Event::Sample);
+        q.push(
+            Time::ZERO,
+            Event::Wake {
+                node: ProcessId::new(0),
+            },
+        );
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -761,14 +769,24 @@ mod tests {
     fn far_future_events_go_through_the_overflow_heap() {
         let mut q = EventQueue::new();
         // Well beyond the ring horizon (~268 ms).
-        q.push(Time::from_millis(30_000), Event::Sample);
+        q.push(
+            Time::from_millis(30_000),
+            Event::Wake {
+                node: ProcessId::new(0),
+            },
+        );
         q.push(
             Time::from_millis(1),
             Event::Boot {
                 node: ProcessId::new(0),
             },
         );
-        q.push(Time::from_millis(90_000), Event::Sample);
+        q.push(
+            Time::from_millis(90_000),
+            Event::Wake {
+                node: ProcessId::new(0),
+            },
+        );
         assert_eq!(q.len(), 3);
         let times: Vec<i64> = std::iter::from_fn(|| q.pop())
             .map(|(t, _)| t.as_micros())
@@ -786,8 +804,18 @@ mod tests {
     #[test]
     fn pushes_at_the_drain_cursor_are_delivered_in_order() {
         let mut q = EventQueue::new();
-        q.push(Time::from_millis(10), Event::Sample);
-        q.push(Time::from_millis(20), Event::Sample);
+        q.push(
+            Time::from_millis(10),
+            Event::Wake {
+                node: ProcessId::new(0),
+            },
+        );
+        q.push(
+            Time::from_millis(20),
+            Event::Wake {
+                node: ProcessId::new(0),
+            },
+        );
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, Time::from_millis(10));
         // Push at exactly the popped time (the simulator wakes nodes "now")

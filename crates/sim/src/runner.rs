@@ -385,7 +385,6 @@ impl Simulation {
                 }
                 return;
             }
-            Event::Sample => return,
         };
         self.apply_output(node, out);
     }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Boots a local lumiere-node cluster on 127.0.0.1, waits for every node to
-# finish, and verifies the committed chains against the harness oracles:
-# prefix agreement across all nodes, commit floors, and the O(nΔ) liveness
-# envelope on wall-clock commit gaps. Per-node logs and JSON summaries land
-# in OUT_DIR.
+# finish, and judges the run with lumiere-verify (driver::cluster_verdict:
+# prefix agreement across all nodes, commit floors, the O(nΔ) liveness
+# envelope on wall-clock commit gaps and, under load, committed client
+# transactions). Per-node logs and JSON summaries land in OUT_DIR.
 #
 # Usage:
 #   scripts/local-cluster.sh [N] [TARGET]
@@ -16,10 +16,7 @@
 #   TIMEOUT_S     hard wall-clock cap on the whole run (default: 180)
 #   OUT_DIR       logs/configs/summaries directory     (default: cluster-out)
 #   LOAD_RATE     open-loop client load per node, txs/sec passed to every
-#                 node as --load; the verifier then also asserts that the
-#                 honest nodes committed client transactions and, in a run
-#                 with no strategies, schedule or kills, that none of
-#                 them committed a transaction twice (default: off)
+#                 node as --load (default: off)
 #
 # Adversarial switches (all optional; ';'-separated lists because strategy
 # JSON contains commas):
@@ -35,14 +32,15 @@
 #                 build with --features planted-bugs.
 #   KILL_SCHEDULE crash/recovery injections, "i:kill_s[:restart_s];...":
 #                 node i is SIGKILLed kill_s seconds after boot and, if
-#                 restart_s is given, relaunched at restart_s.
+#                 restart_s is given, relaunched at restart_s. A killed node
+#                 is excused from the floor and the envelope, and one never
+#                 restarted from writing a summary.
 #   RUN_FOR_S     fixed-duration mode: nodes run for this many seconds
 #                 instead of stopping at TARGET commits (TARGET then acts
 #                 as the minimum commit floor for honest nodes).
 #   EXPECT_STALL  "1" inverts the liveness verdict: the run passes iff some
 #                 honest node misses its floor or breaks the envelope
-#                 (prints LIVENESS-STALL). Used by the planted-bug
-#                 calibration job.
+#                 (prints LIVENESS-STALL), as the planted-bug job expects.
 #
 # Exit code 0 means the oracles for the selected mode all passed.
 
@@ -67,6 +65,7 @@ LOAD_RATE="${LOAD_RATE:-}"
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$REPO_ROOT"
 NODE_BIN="target/release/lumiere-node"
+VERIFY_BIN="target/release/lumiere-verify"
 
 SCHEDULE_JSON=""
 if [[ -n "$SCHEDULE" ]]; then
@@ -81,11 +80,11 @@ if [[ -n "$PLANTED_BUG" ]]; then
     # The planted code paths only exist behind the feature; always rebuild so
     # a stale stock binary cannot silently measure stock behaviour (the
     # binary itself also refuses --planted-bug on a stock build).
-    echo "== building lumiere-node (release, --features planted-bugs) =="
-    cargo build --release -p lumiere-runtime --features planted-bugs --bin lumiere-node
-elif [[ ! -x "$NODE_BIN" ]]; then
-    echo "== building lumiere-node (release) =="
-    cargo build --release -p lumiere-runtime --bin lumiere-node
+    echo "== building lumiere-node and lumiere-verify (release, --features planted-bugs) =="
+    cargo build --release -p lumiere-runtime --features planted-bugs --bins
+elif [[ ! -x "$NODE_BIN" || ! -x "$VERIFY_BIN" ]]; then
+    echo "== building lumiere-node and lumiere-verify (release) =="
+    cargo build --release -p lumiere-runtime --bins
 fi
 
 rm -rf "$OUT_DIR"
@@ -93,22 +92,10 @@ mkdir -p "$OUT_DIR"
 
 # Parse the ';'-separated per-node maps before anything can fail.
 declare -A STRATEGY_OF KILL_AT RESTART_AT
-parse_map() { # $1 = list, $2 = map name
-    local -n map=$2
-    local entry
-    IFS=';' read -ra entries <<< "$1"
-    for entry in "${entries[@]}"; do
-        [[ -z "$entry" ]] && continue
-        map["${entry%%:*}"]="${entry#*:}"
-    done
-}
-parse_map "$STRATEGIES" STRATEGY_OF
-join_keys() { # $1 = map name; prints its keys comma-separated
-    local -n keymap=$1
-    local out="" k
-    for k in "${!keymap[@]}"; do out+="${out:+,}$k"; done
-    printf '%s' "$out"
-}
+IFS=';' read -ra strategy_entries <<< "$STRATEGIES"
+for entry in "${strategy_entries[@]}"; do
+    [[ -n "$entry" ]] && STRATEGY_OF["${entry%%:*}"]="${entry#*:}"
+done
 IFS=';' read -ra kill_entries <<< "$KILL_SCHEDULE"
 for entry in "${kill_entries[@]}"; do
     [[ -z "$entry" ]] && continue
@@ -206,7 +193,7 @@ done
 # connect or a wedged process must not hang CI — hard-kill past TIMEOUT_S.
 # Liveness of the cluster is judged from the summaries, not exit codes
 # (scheduled kills make exit codes meaningless); a node that dies without
-# writing a summary is caught by the verifier below.
+# writing a summary is caught by lumiere-verify below.
 deadline=$(( SECONDS + TIMEOUT_S ))
 while :; do
     alive=0
@@ -232,130 +219,9 @@ done
 wait 2>/dev/null || true
 
 echo "== verifying commit logs =="
-N="$N" TARGET="$TARGET" OUT_DIR="$OUT_DIR" DELTA_MS="$DELTA_MS" \
-    EXPECT_STALL="$EXPECT_STALL" LOAD_RATE="$LOAD_RATE" \
-    STRATEGY_IDS="$(join_keys STRATEGY_OF)" \
-    SCHEDULE="$SCHEDULE" \
-    KILLED_IDS="$(join_keys KILL_AT)" \
-    python3 - <<'PY'
-import json, os, sys
-
-n = int(os.environ["N"])
-target = int(os.environ["TARGET"])
-out_dir = os.environ["OUT_DIR"]
-delta_ms = int(os.environ["DELTA_MS"])
-expect_stall = os.environ.get("EXPECT_STALL", "0") == "1"
-load_rate = os.environ.get("LOAD_RATE", "")
-corrupted = {int(i) for i in os.environ.get("STRATEGY_IDS", "").split(",") if i}
-if os.environ.get("SCHEDULE"):
-    with open(os.environ["SCHEDULE"]) as f:
-        corrupted |= {c["node"] for c in json.load(f)["corruptions"]}
-killed = {int(i) for i in os.environ.get("KILLED_IDS", "").split(",") if i}
-
-# The O(nΔ) liveness envelope — the same bound as
-# lumiere_runtime::liveness_envelope and the fuzzer's liveness oracle.
-bound_ms = delta_ms * (40 * n + 100)
-
-def envelope_violation(summary):
-    """First violated commit-trace gap, mirroring the Rust harness oracle."""
-    commits = summary["commits"]
-    if not commits:
-        return f"committed nothing in {summary['wall_ms']:.0f} ms"
-    if commits[0]["wall_ms"] > bound_ms:
-        return f"first commit after {commits[0]['wall_ms']:.0f} ms"
-    for a, b in zip(commits, commits[1:]):
-        gap = b["wall_ms"] - a["wall_ms"]
-        if gap > bound_ms:
-            return f"{gap:.0f} ms stall between heights {a['height']} and {b['height']}"
-    tail = summary["wall_ms"] - commits[-1]["wall_ms"]
-    if tail > bound_ms:
-        return f"{tail:.0f} ms stall after the last commit"
-    return None
-
-summaries = []
-for i in range(n):
-    path = os.path.join(out_dir, f"summary{i}.json")
-    try:
-        with open(path) as f:
-            summaries.append(json.load(f))
-    except OSError:
-        sys.exit(f"ERROR: node {i} wrote no summary (crashed? see {out_dir}/node{i}.log)")
-    s = summaries[-1]
-    role = " corrupted" if i in corrupted else (" killed/restarted" if i in killed else "")
-    print(f"node {i}{role}: committed {s['committed_height']} blocks, "
-          f"final view {s['final_view']}, {s['wall_ms']:.0f} ms, "
-          f"{s['gated_events']} gated events")
-
-# Safety oracle: prefix agreement across ALL nodes, corrupted or not (the
-# strategies under test are liveness adversaries; a fork is always fatal).
-# Every pair on its common length, as driver::check_agreement does:
-# prefix-compatibility is not transitive (a short chain can be compatible
-# with two longer ones that contradict each other).
-chains = [s["chain"] for s in summaries]
-for i, a in enumerate(chains):
-    for j in range(i + 1, n):
-        common = min(len(a), len(chains[j]))
-        if a[:common] != chains[j][:common]:
-            sys.exit(f"ERROR: nodes {i} and {j} disagree on the committed prefix")
-
-# Liveness oracles on the honest, never-killed nodes.
-honest = [i for i in range(n) if i not in corrupted and i not in killed]
-stalls = []
-for i in honest:
-    s = summaries[i]
-    if s["committed_height"] < target:
-        stalls.append(f"node {i} committed only {s['committed_height']} < {target} blocks")
-        continue
-    violation = envelope_violation(s)
-    if violation:
-        stalls.append(f"node {i}: {violation} (bound {bound_ms} ms)")
-
-if expect_stall:
-    if not stalls:
-        sys.exit("ERROR: expected a liveness stall, but every honest node "
-                 f"committed {target}+ blocks inside the {bound_ms} ms envelope")
-    for s in stalls:
-        print(f"LIVENESS-STALL: {s}")
-    print(f"OK: stall detected as expected on {len(stalls)} honest node(s)")
-    sys.exit(0)
-
-if stalls:
-    for s in stalls:
-        print(f"ERROR: {s}", file=sys.stderr)
-    sys.exit(1)
-
-# Load oracle: under open-loop client load every honest node must have
-# driven client transactions through to commit — an empty count means the
-# batching path is broken even though empty blocks kept the chain growing.
-if load_rate:
-    for i in honest:
-        s = summaries[i]
-        if s["txs_committed"] <= 0:
-            sys.exit(f"ERROR: node {i} committed no client transactions "
-                     f"under --load {load_rate} ({s['txs_submitted']} submitted)")
-        print(f"node {i} load: {s['txs_committed']}/{s['txs_submitted']} txs "
-              f"committed, {s['tx_recommits']} recommits, "
-              f"p50 {s['tx_latency_p50_ms']:.1f} ms, "
-              f"p99 {s['tx_latency_p99_ms']:.1f} ms")
-    # A leader's batch skips what the chain it extends already carries, so
-    # in a fault-free run no honest node commits a transaction twice.
-    if not (corrupted or killed):
-        for i in honest:
-            if summaries[i]["tx_recommits"] > 0:
-                sys.exit(f"ERROR: node {i} committed {summaries[i]['tx_recommits']} "
-                         f"transactions it had already committed")
-
-# Killed-and-restarted nodes must have recovered *participation*: the
-# post-restart summary shows the node re-synchronized views with the
-# cluster (there is no block-sync subsystem, so a fresh process cannot
-# commit blocks whose ancestors it missed while down — its chain stays a
-# trivial prefix and the agreement check above already covers it).
-for i in killed:
-    if i in corrupted:
-        continue
-    if summaries[i]["final_view"] < 1:
-        sys.exit(f"ERROR: restarted node {i} never re-entered a view after recovery")
-
-print(f"OK: {len(honest)} honest nodes agree, committed >= {target} blocks, "
-      f"and stayed inside the {bound_ms} ms O(nΔ) envelope")
-PY
+verify=("$VERIFY_BIN" "$OUT_DIR" --floor "$TARGET")
+# Every killed node, tagged ":r" if restarted: only an untagged one may lack a summary.
+killed="$(for k in "${!KILL_AT[@]}"; do printf '%s%s,' "$k" "${RESTART_AT[$k]:+:r}"; done)"
+[[ -n "$killed" ]] && verify+=(--killed "$killed")
+[[ "$EXPECT_STALL" == 1 ]] && verify+=(--expect-stall)
+"${verify[@]}"
