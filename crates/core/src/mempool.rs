@@ -33,25 +33,32 @@
 //! tombstone it removes, and a tombstone is made by exactly one committed
 //! id, so it adds O(1) to the cost of that id.
 //!
-//! # One index
+//! # Two run sets
 //!
-//! What the pool knows about an id is one `Slot` in one [`IdMap`] — queued
-//! or committed — so every operation probes the map once per transaction it
-//! touches. A probe hashes the id with two folded multiplies under the
-//! pool's own random key (`lumiere_types::hash`), not with SipHash: a peer
-//! that does not know the key cannot pick ids that collide in it. An id
-//! enters the map when it is admitted or first seen in a committed block
-//! and never leaves: dedup is for the pool's lifetime, so nothing but the
-//! commit rate bounds the map's size (`docs/RUNTIME.md`, "Hostile input").
+//! What the pool knows about an id is two bits, each kept in an [`IdRuns`]:
+//! `seen` holds every id ever admitted here or seen in a committed block,
+//! `committed` every id seen committed. An id is *queued*, a live queue
+//! entry, iff it is seen and not committed; a queue entry whose id is
+//! committed is a tombstone. Nothing is hashed. Ids come from counters and
+//! this pool admits and commits them in FIFO order, so each set is a few
+//! runs `[start, end]`, about one per submitter, and a probe of an id in or
+//! just above the highest run costs two compares. Neither set ever forgets
+//! an id: dedup is for the pool's lifetime.
+//!
+//! The worst case is ids in no order: each gap between two known ids costs a
+//! run, and a probe below the highest run one B-tree search. A peer that
+//! picks scattered ids thus costs one tree entry per id it gets admitted or
+//! committed, as a hash table would, and admission is bounded by `capacity`
+//! live entries at a time. Nothing but the commit rate bounds the sets'
+//! size (`docs/RUNTIME.md`, "Hostile input").
 //!
 //! Everything here is integer arithmetic over explicitly ordered
-//! collections (the index is only ever probed, never iterated): the same
-//! submission sequence yields the same batches on every host and thread
-//! count, which the cross-thread determinism suite relies on.
+//! collections: the same submission sequence yields the same batches on
+//! every host and thread count, which the cross-thread determinism suite
+//! relies on.
 
-use lumiere_types::hash::IdMap;
+use lumiere_types::runs::IdRuns;
 use lumiere_types::{Batch, Transaction, TxId};
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Sizing knobs for a [`Mempool`].
@@ -78,25 +85,13 @@ impl Default for MempoolConfig {
     }
 }
 
-/// Where the pool stands with one id. An id the index does not hold has
-/// never been admitted here nor committed anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Admitted and in the queue, as a live entry — whether or not an
-    /// uncommitted block already carries it.
-    Queued,
-    /// Committed by *any* leader, whether or not this pool ever admitted
-    /// it. Final. A queue entry in this state is a tombstone.
-    Committed,
-}
-
 /// Bounded FIFO transaction pool with lifetime dedup by id.
 #[derive(Debug, Clone)]
 pub struct Mempool {
     cfg: MempoolConfig,
     /// Live transactions in FIFO order, interleaved with tombstones
-    /// (entries whose id is [`Slot::Committed`]; see the module docs).
-    /// Every entry's id is in `index`, as `Queued` or `Committed`.
+    /// (entries whose id is in `committed`; see the module docs). Every
+    /// entry's id is in `seen`.
     queue: VecDeque<Transaction>,
     /// Entries of `queue` that are not tombstones: what [`Mempool::len`]
     /// and the capacity check report.
@@ -104,7 +99,10 @@ pub struct Mempool {
     /// Every id ever admitted or committed. Dedup is deliberately
     /// *persistent*: a transaction of a committed batch must not be
     /// re-admittable via a late gossip echo.
-    index: IdMap<TxId, Slot>,
+    seen: IdRuns,
+    /// Every id seen committed, by *any* leader, whether or not this pool
+    /// ever admitted it. Final.
+    committed: IdRuns,
     /// Submissions rejected because the queue was full.
     shed: u64,
 }
@@ -116,7 +114,8 @@ impl Mempool {
             cfg,
             queue: VecDeque::new(),
             live: 0,
-            index: IdMap::default(),
+            seen: IdRuns::new(),
+            committed: IdRuns::new(),
             shed: 0,
         }
     }
@@ -127,15 +126,14 @@ impl Mempool {
         if self.live >= self.cfg.capacity {
             // Only a transaction that would otherwise have been admitted
             // counts as shed; a duplicate arriving at a full pool does not.
-            if !self.index.contains_key(&tx.id) {
+            if !self.seen.contains(tx.id.as_u64()) {
                 self.shed += 1;
             }
             return false;
         }
-        let Entry::Vacant(slot) = self.index.entry(tx.id) else {
+        if !self.seen.insert(tx.id.as_u64()) {
             return false;
-        };
-        slot.insert(Slot::Queued);
+        }
         self.queue.push_back(tx);
         self.live += 1;
         true
@@ -149,8 +147,8 @@ impl Mempool {
     ///
     /// `in_flight` is sorted: the ids the uncommitted chain the proposal
     /// extends already carries. Costs a binary search per queue entry
-    /// reached until every in-flight id has been met, plus an index probe
-    /// per entry only while the queue holds tombstones.
+    /// reached until every in-flight id has been met, plus a probe of
+    /// `committed` per entry only while the queue holds tombstones.
     pub fn next_batch_excluding(&self, in_flight: &[TxId]) -> Batch {
         debug_assert!(in_flight.is_sorted(), "in_flight must be sorted");
         let tombstones = self.has_tombstones();
@@ -167,7 +165,7 @@ impl Mempool {
                 unmet -= 1;
                 continue;
             }
-            if tombstones && self.index.get(&tx.id) == Some(&Slot::Committed) {
+            if tombstones && self.committed.contains(tx.id.as_u64()) {
                 continue;
             }
             let tx_bytes = tx.size as u64;
@@ -197,13 +195,13 @@ impl Mempool {
     /// resubmission, so a replica never re-proposes transactions the chain
     /// already carries. Costs O(ids), not O(queued) — see the module docs.
     pub fn mark_committed<I: IntoIterator<Item = TxId>>(&mut self, ids: I) {
-        // No `reserve` from the iterator's size hint: most committed ids
-        // were admitted here first and are in the index already.
         for id in ids {
             // An id can commit twice (a Byzantine leader may propose one the
-            // chain already carries): only the commit that finds the id
-            // queued may touch `live`.
-            if self.index.insert(id, Slot::Committed) != Some(Slot::Queued) {
+            // chain already carries), or commit before it was ever admitted
+            // here: only the commit that finds the id queued may touch
+            // `live`. A first commit of an unseen id makes it seen.
+            let raw = id.as_u64();
+            if !self.committed.insert(raw) || self.seen.insert(raw) {
                 continue;
             }
             self.live -= 1;
@@ -217,7 +215,7 @@ impl Mempool {
             && self
                 .queue
                 .front()
-                .is_some_and(|tx| self.index.get(&tx.id) == Some(&Slot::Committed))
+                .is_some_and(|tx| self.committed.contains(tx.id.as_u64()))
         {
             self.queue.pop_front();
         }
@@ -233,17 +231,16 @@ impl Mempool {
     /// live entries need.
     fn compact_if_sparse(&mut self) {
         if self.queue.len() > 2 * self.live + self.cfg.batch_txs {
-            let index = &self.index;
-            self.queue
-                .retain(|tx| index.get(&tx.id) != Some(&Slot::Committed));
+            let committed = &self.committed;
+            self.queue.retain(|tx| !committed.contains(tx.id.as_u64()));
             debug_assert_eq!(self.queue.len(), self.live);
         }
     }
 
-    /// Entries held: one per id ever admitted or committed (the dedup
-    /// index) plus one per queue slot, live or tombstone.
+    /// Entries held: one per run of the two id sets plus one per queue
+    /// slot, live or tombstone.
     pub fn state_entries(&self) -> usize {
-        self.index.len() + self.queue.len()
+        self.seen.runs() + self.committed.runs() + self.queue.len()
     }
 
     /// Transactions queued and not yet committed, those an uncommitted
@@ -355,9 +352,10 @@ mod tests {
     }
 
     /// Asserts everything observable without mutating, the memory bound,
-    /// and the index against the model's sets: an id is indexed iff the
-    /// model admitted it or saw it committed, `Queued` iff it sits in the
-    /// model's queue, and `Committed` otherwise.
+    /// and the two id sets against the model's: over every id up to just
+    /// above the highest the model knows, the pool has seen it iff the
+    /// model admitted it or saw it committed, and holds it committed iff
+    /// the model does.
     fn assert_same_state(pool: &Mempool, model: &EagerMempool) {
         assert_eq!(pool.len(), model.queue.len());
         assert_eq!(pool.is_empty(), model.queue.is_empty());
@@ -368,18 +366,17 @@ mod tests {
             pool.queue.len(),
             pool.len()
         );
-        let queued: IdSet<TxId> = model.queue.iter().map(|tx| tx.id).collect();
-        for (id, slot) in &pool.index {
-            assert!(model.seen.contains(id) || model.committed.contains(id));
-            assert_eq!(*slot == Slot::Queued, queued.contains(id), "{id}");
+        let highest = model.seen.union(&model.committed).max();
+        for raw in 0..=highest.map_or(0, |id| id.as_u64() + 1) {
+            let id = TxId::new(raw);
+            let known = model.seen.contains(&id) || model.committed.contains(&id);
+            assert_eq!(pool.seen.contains(raw), known, "{id}");
             assert_eq!(
-                *slot == Slot::Committed,
-                model.committed.contains(id),
+                pool.committed.contains(raw),
+                model.committed.contains(&id),
                 "{id}"
             );
         }
-        let known = model.seen.union(&model.committed).count();
-        assert_eq!(pool.index.len(), known);
     }
 
     proptest! {
@@ -497,6 +494,78 @@ mod tests {
             }
             prop_assert!(pool.is_empty());
         }
+    }
+
+    /// Commits `pool`'s next batch and checks that every id of it, and
+    /// every id still queued, is turned away when submitted again.
+    fn commit_next_batch_and_resubmit(pool: &mut Mempool) -> Batch {
+        let batch = pool.next_batch();
+        pool.mark_committed(batch.tx_ids());
+        let queued: Vec<Transaction> = pool.queue.iter().copied().collect();
+        for tx in batch.txs.iter().chain(&queued) {
+            assert!(!pool.submit(*tx), "{} admitted twice", tx.id);
+        }
+        batch
+    }
+
+    /// Four submitters whose ids carry the node id in the high bits, as the
+    /// live driver's do, gossiped to one pool in interleaved order: each
+    /// set holds one run per submitter, however many ids go through.
+    #[test]
+    fn interleaved_submitters_cost_one_run_each() {
+        let mut pool = Mempool::new(MempoolConfig {
+            batch_txs: 64,
+            ..MempoolConfig::default()
+        });
+        let id = |node: u64, k: u64| TxId::new(((node + 1) << 40) | k);
+        let mut committed = 0;
+        for round in 0..40 {
+            for k in 20 * round as u64..20 * (round as u64 + 1) {
+                for node in 0..4 {
+                    assert!(pool.submit(Transaction::new(id(node, k))));
+                }
+            }
+            committed += commit_next_batch_and_resubmit(&mut pool).len();
+            assert_eq!(pool.len(), 80 * (round + 1) - committed);
+            // Committed: each node's first 16 ids per commit so far; seen:
+            // every id it sent.
+            assert_eq!((pool.committed.runs(), pool.seen.runs()), (4, 4));
+            assert_eq!(pool.state_entries(), 8 + pool.queue.len());
+        }
+        assert_eq!(committed, 40 * 64);
+        assert!(!pool.submit(Transaction::new(id(3, 0))));
+        assert!(pool.submit(Transaction::new(id(4, 0))), "a fifth submitter");
+        assert_eq!(pool.state_entries(), 9 + pool.queue.len());
+    }
+
+    /// A counter that wraps past `u64::MAX`, as the simulator's
+    /// `id_base.wrapping_add(k)` may: the ids on either side of the wrap
+    /// are two runs, and dedup stays exact across it.
+    #[test]
+    fn ids_wrapping_past_the_top_of_the_id_space() {
+        let mut pool = Mempool::new(MempoolConfig {
+            batch_txs: 50,
+            ..MempoolConfig::default()
+        });
+        let base = u64::MAX - 120;
+        let mut next = 0u64;
+        for _ in 0..20 {
+            for _ in 0..30 {
+                assert!(pool.submit(tx(base.wrapping_add(next))));
+                next += 1;
+            }
+            commit_next_batch_and_resubmit(&mut pool);
+            let wrapped = usize::from(next > 121);
+            assert_eq!(pool.seen.runs(), 1 + wrapped);
+            assert!(pool.committed.runs() <= 2);
+            assert_eq!(
+                pool.state_entries(),
+                pool.seen.runs() + pool.committed.runs() + pool.queue.len()
+            );
+        }
+        assert!(!pool.submit(tx(u64::MAX)) && !pool.submit(tx(0)));
+        assert!(pool.submit(tx(base - 1)), "below the first id");
+        assert_eq!(pool.seen.runs(), 2, "it joins the run the counter began");
     }
 
     #[test]

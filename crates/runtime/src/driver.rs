@@ -24,6 +24,7 @@ use crate::output::RuntimeOutput;
 use crate::runtime::ProtocolRuntime;
 use crate::transport::{Transport, TransportError};
 use lumiere_types::hash::{IdMap, IdSet};
+use lumiere_types::runs::IdRuns;
 use lumiere_types::{percentile, Duration, ProcessId, Time, Transaction, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -232,12 +233,15 @@ pub fn cluster_verdict(
 
 /// Book-keeping for the driver's open-loop client load: wall-clock submit
 /// instants of locally generated transactions, the set of transactions seen
-/// committed, and how many commits named one already in that set.
+/// committed and its size, and how many commits named one already in that
+/// set. Each submitter's ids commit in the order it sent them, so the set
+/// holds about one run per submitter.
 #[derive(Debug, Default)]
 struct TxStats {
     submitted: u64,
     submit_micros: IdMap<TxId, i64>,
-    committed: IdSet<TxId>,
+    committed: IdRuns,
+    committed_count: u64,
     recommits: u64,
     latencies_micros: Vec<i64>,
 }
@@ -410,7 +414,7 @@ pub fn run<T: Transport>(
         gated_events,
         load_tps: opts.load_tps,
         txs_submitted: txs.submitted,
-        txs_committed: txs.committed.len() as u64,
+        txs_committed: txs.committed_count,
         tx_recommits: txs.recommits,
         tx_latency_p50_ms: percentile(&txs.latencies_micros, 50) as f64 / 1_000.0,
         tx_latency_p95_ms: percentile(&txs.latencies_micros, 95) as f64 / 1_000.0,
@@ -439,10 +443,11 @@ fn flush<T: Transport>(
     }
     let now_micros = epoch.elapsed().as_micros() as i64;
     for id in out.committed_txs.drain(..) {
-        if !txs.committed.insert(id) {
+        if !txs.committed.insert(id.as_u64()) {
             txs.recommits += 1;
             continue;
         }
+        txs.committed_count += 1;
         // Latency is only known for transactions this node generated
         // itself (peers' submit instants live on their clocks).
         if let Some(at) = txs.submit_micros.remove(&id) {

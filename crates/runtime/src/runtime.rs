@@ -284,9 +284,9 @@ impl ProtocolRuntime {
     }
 
     /// How many entries this node holds, summed over every per-view record,
-    /// message pool, block store and mempool index of its three components.
-    /// A node's memory is proportional to it: the oracle for "no input may
-    /// grow a node without bound".
+    /// message pool, block store, mempool id run and queue slot of its
+    /// three components. A node's memory is proportional to it: the oracle
+    /// for "no input may grow a node without bound".
     pub fn state_entries(&self) -> usize {
         self.pacemaker.state_entries() + self.engine.state_entries() + self.mempool.state_entries()
     }

@@ -21,7 +21,8 @@
 //! least Δ wide). See `docs/PERFORMANCE.md` for the policy.
 
 use crate::workload::WorkloadConfig;
-use lumiere_types::hash::{IdMap, IdSet};
+use lumiere_types::hash::IdSet;
+use lumiere_types::runs::IdRuns;
 use lumiere_types::{percentile, Duration, ProcessId, SlashEvidence, Time, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -440,6 +441,70 @@ fn push_rle(series: &mut Vec<(Time, u64)>, at: Time, count: u64) {
     series.push((at, count));
 }
 
+/// Submit instants by transaction id, as runs: one run holds the instants of
+/// ids `start, start + 1, …`, indexed by the offset of the id from `start`.
+/// The workload's ids come from one counter, so one run holds them all, and
+/// the highest run is held apart: an id inside it or just above it costs two
+/// compares. A run only grows upward and runs never merge, so ids in no
+/// order cost a run, a B-tree entry, each.
+#[derive(Debug, Default)]
+struct SubmitTimes {
+    /// Every run but the highest, by start.
+    below: BTreeMap<u64, Vec<Time>>,
+    /// Where the highest run starts (meaningless while `top` is empty).
+    top_start: u64,
+    /// The highest run.
+    top: Vec<Time>,
+}
+
+impl SubmitTimes {
+    /// The instant recorded for `id`, if any.
+    fn get(&self, id: u64) -> Option<Time> {
+        let (start, run) = if id >= self.top_start {
+            (self.top_start, &self.top)
+        } else {
+            let (&start, run) = self.below.range(..=id).next_back()?;
+            (start, run)
+        };
+        let offset = usize::try_from(id - start).ok()?;
+        run.get(offset).copied()
+    }
+
+    /// Records `at` for `id` unless `id` already has an instant; returns
+    /// whether it had none.
+    fn insert(&mut self, id: u64, at: Time) -> bool {
+        if id >= self.top_start {
+            let offset = id - self.top_start;
+            if offset < self.top.len() as u64 {
+                return false;
+            }
+            if offset > self.top.len() as u64 {
+                let lower = std::mem::take(&mut self.top);
+                if !lower.is_empty() {
+                    self.below.insert(self.top_start, lower);
+                }
+                self.top_start = id;
+            }
+            self.top.push(at);
+            return true;
+        }
+        // No run contains `id` and none starts at it unless the run found
+        // here does, so extending that run by one keeps the runs disjoint.
+        match self.below.range_mut(..=id).next_back() {
+            Some((&start, run)) if id - start <= run.len() as u64 => {
+                if id - start < run.len() as u64 {
+                    return false;
+                }
+                run.push(at);
+            }
+            _ => {
+                self.below.insert(id, vec![at]);
+            }
+        }
+        true
+    }
+}
+
 fn count_in_range(sorted: &[(Time, u64)], a: Time, b: Time) -> usize {
     if b <= a {
         return 0;
@@ -474,9 +539,11 @@ pub struct MetricsCollector {
     strategy_windows: BTreeMap<String, u64>,
     workload: Option<WorkloadConfig>,
     /// Submit instant of every injected transaction, for latency samples.
-    tx_submit_times: IdMap<TxId, Time>,
+    tx_submit_times: SubmitTimes,
     /// Transactions whose first honest commit was already recorded.
-    committed_tx_ids: IdSet<TxId>,
+    committed_tx_ids: IdRuns,
+    /// How many ids `committed_tx_ids` holds.
+    txs_committed: u64,
     /// Submit→first-honest-commit latencies, in commit order.
     tx_latencies: Vec<Duration>,
     txs_submitted: u64,
@@ -521,8 +588,9 @@ impl MetricsCollector {
             equivocations: 0,
             strategy_windows: BTreeMap::new(),
             workload: None,
-            tx_submit_times: IdMap::default(),
-            committed_tx_ids: IdSet::default(),
+            tx_submit_times: SubmitTimes::default(),
+            committed_tx_ids: IdRuns::new(),
+            txs_committed: 0,
             tx_latencies: Vec::new(),
             txs_submitted: 0,
             txs_shed: 0,
@@ -553,8 +621,7 @@ impl MetricsCollector {
     /// known id keeps the *original* instant — latency is measured from the
     /// first time the cluster saw the transaction.
     pub fn record_submission(&mut self, now: Time, id: TxId) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.tx_submit_times.entry(id) {
-            e.insert(now);
+        if self.tx_submit_times.insert(id.as_u64(), now) {
             self.txs_submitted += 1;
         }
     }
@@ -562,11 +629,12 @@ impl MetricsCollector {
     /// Records that an honest processor committed transaction `id` at
     /// `now`. Only the first commit of each id yields a latency sample.
     pub fn record_tx_commit(&mut self, now: Time, id: TxId) {
-        if !self.committed_tx_ids.insert(id) {
+        if !self.committed_tx_ids.insert(id.as_u64()) {
             return;
         }
-        if let Some(submitted) = self.tx_submit_times.get(&id) {
-            self.tx_latencies.push(now - *submitted);
+        self.txs_committed += 1;
+        if let Some(submitted) = self.tx_submit_times.get(id.as_u64()) {
+            self.tx_latencies.push(now - submitted);
         }
     }
 
@@ -765,7 +833,7 @@ impl MetricsCollector {
             coverage,
             workload: self.workload,
             txs_submitted: self.txs_submitted,
-            txs_committed: self.committed_tx_ids.len() as u64,
+            txs_committed: self.txs_committed,
             txs_shed: self.txs_shed,
             tx_latency_p50: percentile(&latencies, 50),
             tx_latency_p95: percentile(&latencies, 95),
@@ -955,6 +1023,40 @@ mod tests {
         // No honest QC after GST at all.
         assert_eq!(fp.first_qc_bin, -1);
         assert!(fp.key().contains("crash@3"));
+    }
+
+    proptest::proptest! {
+        /// Submit-time runs against a map that keeps each id's first
+        /// instant: ids counting up from a random base (the workload's
+        /// shape, wrapping past `u64::MAX` when the base is near it),
+        /// counting down, near zero and scattered, interleaved.
+        #[test]
+        fn submit_time_runs_match_a_first_instant_map(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u64..40, proptest::prelude::any::<u64>()),
+                1..150,
+            ),
+            base in proptest::prelude::any::<u64>(),
+        ) {
+            let mut runs = SubmitTimes::default();
+            let mut model = BTreeMap::new();
+            for (step, (shape, near, wild)) in ops.into_iter().enumerate() {
+                let id = match shape {
+                    0 | 1 => base.wrapping_add(near),
+                    2 => base.wrapping_add(80).wrapping_sub(step as u64),
+                    3 => near,
+                    _ => wild,
+                };
+                let at = Time::from_micros(step as i64);
+                assert_eq!(runs.insert(id, at), !model.contains_key(&id), "insert {id}");
+                model.entry(id).or_insert(at);
+                for &known in model.keys() {
+                    for probe in [known.wrapping_sub(1), known, known.wrapping_add(1)] {
+                        assert_eq!(runs.get(probe), model.get(&probe).copied(), "{probe}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

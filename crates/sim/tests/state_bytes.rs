@@ -1,7 +1,8 @@
 //! Peak live heap of one `sim_steady` simulation: n = 128 Lumiere replicas,
-//! fault-free, every delivery at a fixed 1 ms, cut after 20 honest QCs; and
-//! of one `sim_viewchange` simulation: n = 64, the first f leader slots
-//! silent, every delivery at Δ, GST at 200 ms, cut after 60 honest QCs.
+//! fault-free, every delivery at a fixed 1 ms, cut after 20 honest QCs; of
+//! one `sim_viewchange` simulation: n = 64, the first f leader slots
+//! silent, every delivery at Δ, GST at 200 ms, cut after 60 honest QCs; and
+//! of one `sim_backlog` simulation (below).
 //!
 //! A counting global allocator keeps this test thread's live bytes (plus on
 //! alloc, minus on dealloc, the difference on realloc) and their high-water
@@ -30,10 +31,24 @@
 //! length first: 875 351 if the window kept that allocation once pruned.
 //! Its budget sits between the last two.
 //!
-//! A second check builds the same configuration at n = 256 and n = 2048
-//! without running it: 1 361 and 1 340 live bytes per replica with the
-//! shared order, against 2 389 and 9 536 while each replica built an order
-//! of its own (4n bytes more per replica).
+//! `sim_backlog` keeps a standing backlog in every mempool: n = 4, 48 000
+//! transactions a second in 64-transaction batches, 250 ms. 3 015 043 bytes
+//! while each mempool's dedup index and the collector's submit instants
+//! and committed ids were hash tables with an entry per transaction;
+//! 1 679 875 once they became runs of ids. Putting one table back reads
+//! 2 793 827 (the mempool index), 1 827 347 (submit instants) or 1 753 619
+//! (committed ids), and the budget sits below the last.
+//!
+//! The two run sets in each mempool are 56 bytes more than the hash table
+//! they replaced before anything is inserted, so a built replica grew by
+//! that: `sim_steady` 714 311 → 721 479 bytes, `sim_viewchange` 503 607 →
+//! 507 191.
+//!
+//! A second check builds the `sim_steady` configuration at n = 256 and
+//! n = 2048 without running it: 1 361 and 1 340 live bytes per replica with
+//! the shared order (1 337 and 1 316 on a later tree, 1 393 and 1 372 with
+//! the run sets), against 2 389 and 9 536 while each replica built an order of its own (4n bytes more per
+//! replica).
 //!
 //! The tests are alone in their binary so nothing else runs on the counted
 //! threads' allocator; the counters are per thread, so they may run side
@@ -41,7 +56,7 @@
 
 use lumiere_core::schedule::LeaderSchedule;
 use lumiere_sim::runner::Simulation;
-use lumiere_sim::{ProtocolKind, SimConfig, StrategyKind};
+use lumiere_sim::{ProtocolKind, SimConfig, StrategyKind, WorkloadConfig};
 use lumiere_types::{Duration, Time, View};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,6 +110,11 @@ const BUDGET: isize = 800_000;
 /// allocation.
 const VIEWCHANGE_BUDGET: isize = 600_000;
 
+/// Peak live bytes the `sim_backlog` run may reach: above the 1 679 875 it
+/// reaches, below the 1 753 619 it reaches with the smallest of the old
+/// per-transaction tables (the collector's committed-id set) back.
+const BACKLOG_BUDGET: isize = 1_720_000;
+
 /// The `sim_steady` configuration at `n` processors.
 fn steady(n: usize, seed: u64) -> SimConfig {
     SimConfig::new(ProtocolKind::Lumiere, n)
@@ -124,6 +144,18 @@ fn viewchange(seed: u64) -> SimConfig {
         .with_gst(Time::from_millis(200))
         .with_faulty_ids(silent.into_iter().collect(), StrategyKind::SilentLeader)
         .with_max_honest_qcs(60)
+}
+
+/// The `sim_backlog` configuration: n = 4 Lumiere, every delivery at 1 ms,
+/// 48 000 transactions a second in 64-transaction batches for 250 ms, a
+/// standing backlog in every mempool.
+fn backlog(seed: u64) -> SimConfig {
+    SimConfig::new(ProtocolKind::Lumiere, 4)
+        .with_delta(Duration::from_millis(10))
+        .with_seed(seed)
+        .with_actual_delay(Duration::from_millis(1))
+        .with_horizon(Duration::from_millis(250))
+        .with_workload(WorkloadConfig::constant(48_000).with_batch_txs(64))
 }
 
 /// Builds and runs one unit of `cfg`; returns the peak live bytes above
@@ -164,6 +196,19 @@ fn view_change_peak_heap_stays_within_its_budget() {
     assert!(
         peak <= VIEWCHANGE_BUDGET,
         "peak live heap {peak} bytes (budget {VIEWCHANGE_BUDGET})"
+    );
+}
+
+#[test]
+fn backlog_peak_heap_stays_within_its_budget() {
+    let (peak, qcs) = peak_of_one_run(backlog(42));
+    let (again, _) = peak_of_one_run(backlog(42));
+    println!("backlog peak live heap {peak} bytes over {qcs} QCs");
+    assert!(qcs > 0, "the run must form QCs");
+    assert_eq!(peak, again, "requested bytes repeat exactly");
+    assert!(
+        peak <= BACKLOG_BUDGET,
+        "peak live heap {peak} bytes (budget {BACKLOG_BUDGET})"
     );
 }
 

@@ -38,6 +38,7 @@ pub mod hash;
 pub mod id;
 pub mod memo;
 pub mod params;
+pub mod runs;
 pub mod slash;
 pub mod stake;
 pub mod time;
