@@ -40,4 +40,4 @@ pub mod relay;
 pub use fever::Fever;
 pub use lp22::Lp22;
 pub use naive::NaiveQuadratic;
-pub use relay::{RelayPacemaker, RelayVariant};
+pub use relay::RelayPacemaker;

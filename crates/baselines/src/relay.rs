@@ -1,4 +1,5 @@
-//! Cogsworth / NK20 style relay-based view synchronization.
+//! Cogsworth / NK20 style relay-based view synchronization: one pacemaker,
+//! reported as `cogsworth`, models both published protocols.
 //!
 //! These protocols synchronize views by *relaying through leaders* instead of
 //! all-to-all broadcast: when a processor gives up on its current view it
@@ -19,8 +20,8 @@
 //! The difference between the two published protocols (Cogsworth relays
 //! echoed signature sets, NK20 validates wishes and aggregates threshold
 //! signatures, improving the Byzantine-case expectation) does not affect the
-//! message/latency *shape* measured here, so one protocol models both: the
-//! [`RelayVariant`] only selects the reported protocol name.
+//! message/latency *shape* measured here, so one protocol models both, and
+//! the experiments report it once, as Cogsworth.
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{wish_digest, WishCert};
@@ -32,20 +33,10 @@ use lumiere_crypto::{KeyPair, Pki, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
 use std::collections::BTreeSet;
 
-/// Which published protocol this instance reports itself as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RelayVariant {
-    /// Cogsworth (Naor, Baudet, Malkhi, Spiegelman 2021).
-    Cogsworth,
-    /// NK20 (Naor–Keidar 2020, expected-linear round synchronization).
-    Nk20,
-}
-
 /// A processor's relay-based pacemaker.
 #[derive(Debug)]
 pub struct RelayPacemaker {
     me: Processor,
-    variant: RelayVariant,
     /// Time allotted to a view before the processor asks to advance.
     view_timeout: Duration,
     /// Time allotted to each relay leader before the wish walks onward.
@@ -67,20 +58,10 @@ pub struct RelayPacemaker {
 }
 
 impl RelayPacemaker {
-    /// Creates a Cogsworth-flavoured instance.
+    /// Creates an instance (Cogsworth and NK20 alike).
     pub fn cogsworth(params: Params, keys: KeyPair, pki: Pki) -> Self {
-        Self::new(params, keys, pki, RelayVariant::Cogsworth)
-    }
-
-    /// Creates an NK20-flavoured instance.
-    pub fn nk20(params: Params, keys: KeyPair, pki: Pki) -> Self {
-        Self::new(params, keys, pki, RelayVariant::Nk20)
-    }
-
-    fn new(params: Params, keys: KeyPair, pki: Pki, variant: RelayVariant) -> Self {
         RelayPacemaker {
             me: Processor::new(params, LeaderSchedule::round_robin(params.n), keys, pki),
-            variant,
             view_timeout: params.fever_gamma(),
             relay_timeout: params.delta_cap * 3,
             boot_time: Time::ZERO,
@@ -90,11 +71,6 @@ impl RelayPacemaker {
             wish_pool: SigPool::new(params.n),
             synced: BTreeSet::new(),
         }
-    }
-
-    /// Which published protocol this instance models.
-    pub fn variant(&self) -> RelayVariant {
-        self.variant
     }
 
     fn enter(&mut self, view: View, now: Time, out: &mut Vec<PacemakerAction>) {
@@ -161,10 +137,7 @@ impl RelayPacemaker {
 
 impl Pacemaker for RelayPacemaker {
     fn name(&self) -> &'static str {
-        match self.variant {
-            RelayVariant::Cogsworth => "cogsworth",
-            RelayVariant::Nk20 => "nk20",
-        }
+        "cogsworth"
     }
 
     fn processor(&self) -> &Processor {
@@ -367,14 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn variants_report_their_names() {
-        let params = Params::new(4, Duration::from_millis(10));
-        let (keys, pki) = keygen(4, 4);
-        let c = RelayPacemaker::cogsworth(params, keys[0].clone(), pki.clone());
-        let n = RelayPacemaker::nk20(params, keys[0].clone(), pki);
-        assert_eq!(c.name(), "cogsworth");
-        assert_eq!(n.name(), "nk20");
-        assert_eq!(c.variant(), RelayVariant::Cogsworth);
-        assert_eq!(n.variant(), RelayVariant::Nk20);
+    fn the_relay_pacemaker_reports_itself_as_cogsworth() {
+        let (pm, _, _) = make(4, 0);
+        assert_eq!(pm.name(), "cogsworth");
     }
 }

@@ -1,9 +1,10 @@
 //! Searches the adversary strategy/schedule space for safety violations and
-//! liveness stalls (see `docs/ADVERSARIES.md`). Deterministic per seed:
-//! `fuzz_adversary --seeds 0..200 --quick` prints the same report for every
-//! `--threads` value — and so does the coverage-guided mode
-//! (`--coverage`), whose corpus evolution is batched into generations.
-//! Exit code 1 when there are findings.
+//! liveness stalls (see `docs/ADVERSARIES.md`) with one search loop,
+//! `corpus::run_coverage_fuzz`: every candidate is a fresh sample, one case
+//! per seed, unless `--coverage` makes most of them mutations of corpus
+//! entries. Deterministic: `fuzz_adversary --seeds 0..200 --quick` prints
+//! the same report for every `--threads` value, with or without
+//! `--coverage`. Exit code 1 when there are findings.
 
 use lumiere_bench::{corpus, fuzz};
 use std::process::ExitCode;
@@ -29,10 +30,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    if (options.corpus_out.is_some() || options.corpus_in.is_some()) && !options.coverage {
-        eprintln!("error: --corpus-out/--corpus-in only apply to --coverage runs");
-        return ExitCode::from(2);
-    }
     // Fail fast on an unwritable output dir, before minutes of simulations.
     for dir in [&options.out, &options.corpus_out].into_iter().flatten() {
         if let Err(message) = lumiere_bench::report::ensure_writable(dir) {
@@ -41,13 +38,8 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "fuzzing {} over {} {}..{} ({} threads{})...",
+        "fuzzing {} over seeds {}..{} ({} threads{})...",
         options.protocol.name(),
-        if options.coverage {
-            "coverage execs"
-        } else {
-            "seeds"
-        },
         options.seed_start,
         options.seed_end,
         options.threads,
@@ -56,28 +48,21 @@ fn main() -> ExitCode {
             None => String::new(),
         },
     );
-    let findings = if options.coverage {
-        let outcome = corpus::run_coverage_fuzz(&options);
-        print!("{}", outcome.render());
-        if let Some(dir) = &options.corpus_out {
-            match corpus::write_corpus(dir, &outcome.corpus) {
-                Ok(paths) => {
-                    eprintln!("wrote {} corpus file(s) to {}", paths.len(), dir.display());
-                }
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::FAILURE;
-                }
+    let outcome = corpus::run_coverage_fuzz(&options);
+    print!("{}", outcome.render());
+    if let Some(dir) = &options.corpus_out {
+        match corpus::write_corpus(dir, &outcome.corpus) {
+            Ok(paths) => {
+                eprintln!("wrote {} corpus file(s) to {}", paths.len(), dir.display());
+            }
+            Err(message) => {
+                eprintln!("error: {message}");
+                return ExitCode::FAILURE;
             }
         }
-        outcome.findings
-    } else {
-        let outcome = fuzz::run_fuzz(&options);
-        print!("{}", outcome.render());
-        outcome.findings
-    };
+    }
     if let Some(dir) = &options.out {
-        match fuzz::write_findings(dir, &findings) {
+        match fuzz::write_findings(dir, &outcome.findings) {
             Ok(paths) => {
                 eprintln!("wrote {} finding file(s) to {}", paths.len(), dir.display());
             }
@@ -87,7 +72,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if findings.is_empty() {
+    if outcome.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

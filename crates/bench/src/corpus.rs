@@ -1,17 +1,19 @@
-//! The coverage-guided fuzzing loop: corpus, novelty search, generations.
-//!
-//! The flat sampler (`fuzz::run_fuzz`) explores the attack space blindly —
-//! every seed is drawn independently, so the search never learns. This
-//! module replaces it with a classic coverage-guided loop over the same
-//! space:
+//! The adversary fuzzer's one search loop: corpus, novelty search,
+//! generations.
 //!
 //! 1. every execution produces a deterministic behavioural
 //!    [`CoverageFingerprint`](lumiere_sim::CoverageFingerprint)
 //!    (`SimReport::coverage`, schema v4);
 //! 2. inputs whose fingerprint was never seen before enter the **corpus**;
-//! 3. later executions usually *mutate* a corpus entry
-//!    (`crate::mutate`) instead of sampling from scratch, so the search
-//!    walks outward from behaviourally novel regions.
+//! 3. a candidate is either a fresh `fuzz::sample_config(protocol,
+//!    exec_id, quick)` or a *mutation* (`crate::mutate`) of a corpus entry,
+//!    so a guided search walks outward from behaviourally novel regions.
+//!
+//! The loop has two settings, chosen by `FuzzOptions::coverage`. Without
+//! it every candidate is fresh: one sampled case per seed, blind to the
+//! corpus, which then only counts distinct fingerprints. With it
+//! (`--coverage`) only `FRESH_SAMPLE_PERCENT` of the candidates are fresh,
+//! to keep injecting global diversity, and the rest mutate corpus entries.
 //!
 //! # Determinism
 //!
@@ -23,18 +25,20 @@
 //! an execution mutated or which fingerprint counts as novel, so the whole
 //! outcome — corpus, findings, rendered report — is byte-identical for every
 //! `--threads` value and across repeated runs. The per-execution RNG is
-//! seeded from the execution id alone, and fresh samples reuse
-//! `fuzz::sample_config(protocol, exec_id, quick)`, i.e. exactly the flat
-//! sampler's case for that id.
+//! seeded from the execution id alone, so a fresh candidate is the same
+//! case in both settings.
 //!
-//! Findings are minimized with the same greedy loop as the flat fuzzer
-//! (`fuzz::minimize_config`).
+//! Findings are minimized with `fuzz::minimize_config`.
 
-use crate::fuzz::{minimize_config, sample_config, verdict, Finding, FuzzOptions};
+use crate::fuzz::{
+    minimize_config, sample_config, verdict, Finding, FuzzOptions, Verdict, FUZZ_DELTA,
+};
 use crate::grid::run_grid;
 use crate::mutate::mutate;
 use crate::table::TextTable;
+use lumiere_runtime::liveness_envelope;
 use lumiere_sim::SimConfig;
+use lumiere_types::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{json, Deserialize, Serialize};
@@ -42,9 +46,10 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Fraction (percent) of executions that sample a fresh configuration even
-/// when the corpus is non-empty, so the loop keeps injecting global
-/// diversity alongside local mutation.
+/// Fraction (percent) of executions of a coverage-guided run that sample a
+/// fresh configuration even when the corpus is non-empty, so the loop keeps
+/// injecting global diversity alongside local mutation. Without coverage
+/// guidance every execution is fresh.
 const FRESH_SAMPLE_PERCENT: u32 = 25;
 
 /// How many of the most recent corpus entries the recency-biased parent
@@ -136,32 +141,29 @@ impl Corpus {
     }
 }
 
-/// Per-generation progress counters (rendered in the report).
+/// What one execution concluded (its fingerprint goes to the corpus): the
+/// report's per-cluster-size table is summed from these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenerationStats {
-    /// Generation index.
-    pub index: usize,
-    /// Executions in this generation.
-    pub executions: usize,
-    /// How many produced a novel fingerprint.
-    pub novel: usize,
-    /// How many were findings (non-`Ok` verdicts).
-    pub findings: usize,
+pub struct Execution {
+    /// Cluster size of the candidate.
+    pub n: usize,
+    /// The oracle verdict.
+    pub verdict: Verdict,
+    /// Worst-case latency after GST, when an honest QC appeared at all.
+    pub latency: Option<Duration>,
 }
 
-/// The outcome of one coverage-guided fuzzing run.
+/// The outcome of one fuzzing run.
 #[derive(Debug, Clone)]
 pub struct CoverageOutcome {
     /// The options the run used.
     pub options: FuzzOptions,
-    /// The final corpus.
+    /// The final corpus: one entry per distinct fingerprint.
     pub corpus: Corpus,
     /// Minimized findings, in execution order.
     pub findings: Vec<Finding>,
-    /// Per-generation counters.
-    pub generations: Vec<GenerationStats>,
-    /// Total executions performed.
-    pub executions: u64,
+    /// Every execution, in execution order.
+    pub executions: Vec<Execution>,
 }
 
 impl CoverageOutcome {
@@ -170,45 +172,70 @@ impl CoverageOutcome {
         self.corpus.len()
     }
 
-    /// Renders the deterministic report (identical for every thread count).
+    /// Renders the deterministic report (identical for every thread count):
+    /// a per-cluster-size table, one line per finding and a summary.
     pub fn render(&self) -> String {
+        let options = &self.options;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "## Coverage-guided adversary fuzz — {} execs {}..{} ({}, generation {}{})\n",
-            self.options.protocol.name(),
-            self.options.seed_start,
-            self.options.seed_end,
-            if self.options.quick { "quick" } else { "deep" },
-            self.options.generation,
-            match self.options.planted {
+            "## Adversary fuzz — {} seeds {}..{} ({}{}{})\n",
+            options.protocol.name(),
+            options.seed_start,
+            options.seed_end,
+            if options.quick { "quick" } else { "deep" },
+            if options.coverage {
+                format!(", coverage-guided, generation {}", options.generation)
+            } else {
+                String::new()
+            },
+            match options.planted {
                 Some(bug) => format!(", planted bug: {}", bug.name()),
                 None => String::new(),
             },
         );
-        let mut table = TextTable::new(vec!["gen", "execs", "novel", "corpus", "findings"]);
-        let mut corpus_size = 0usize;
-        for g in &self.generations {
-            corpus_size += g.novel;
+        let mut table = TextTable::new(vec![
+            "n",
+            "cases",
+            "ok",
+            "findings",
+            "max latency after GST (ms)",
+            "bound (ms)",
+        ]);
+        let ns: BTreeSet<usize> = self.executions.iter().map(|e| e.n).collect();
+        for n in ns {
+            let rows: Vec<&Execution> = self.executions.iter().filter(|e| e.n == n).collect();
+            let ok = rows.iter().filter(|e| e.verdict == Verdict::Ok).count();
+            let max_latency = rows
+                .iter()
+                .filter_map(|e| e.latency)
+                .max()
+                .map(|d| format!("{:.1}", d.as_millis_f64()))
+                .unwrap_or_else(|| "-".to_string());
             table.push_row(vec![
-                g.index.to_string(),
-                g.executions.to_string(),
-                g.novel.to_string(),
-                corpus_size.to_string(),
-                g.findings.to_string(),
+                n.to_string(),
+                rows.len().to_string(),
+                ok.to_string(),
+                (rows.len() - ok).to_string(),
+                max_latency,
+                format!("{:.0}", liveness_envelope(n, FUZZ_DELTA).as_millis_f64()),
             ]);
         }
         out.push_str(&table.render());
         let _ = writeln!(out);
         for finding in &self.findings {
-            let _ = writeln!(out, "{}", finding.render_line("exec"));
+            let _ = writeln!(out, "{}", finding.render_line());
         }
+        let count = |v: Verdict| self.executions.iter().filter(|e| e.verdict == v).count();
         let _ = writeln!(
             out,
-            "coverage: {} execs, {} distinct fingerprints, {} findings",
-            self.executions,
+            "fuzz: {} cases, {} distinct fingerprints, {} findings ({} safety, {} stalls, {} truncated)",
+            self.executions.len(),
             self.distinct_fingerprints(),
             self.findings.len(),
+            count(Verdict::SafetyViolation),
+            count(Verdict::LivenessStall),
+            count(Verdict::Truncated),
         );
         out
     }
@@ -220,10 +247,11 @@ fn exec_rng(exec: u64) -> StdRng {
     StdRng::seed_from_u64(exec.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0xc0ff_ee00_c0ff_ee00)
 }
 
-/// Runs the coverage-guided loop. `options.seed_start..seed_end` is the
-/// execution-budget range (execution ids double as sampling seeds), and
+/// Runs the search loop. `options.seed_start..seed_end` is the
+/// execution-budget range (execution ids double as sampling seeds),
 /// `options.generation` is the batch size between corpus synchronization
-/// points. See the module docs for the determinism argument.
+/// points, and `options.coverage` picks the share of fresh candidates. See
+/// the module docs for the determinism argument.
 pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
     let mut corpus = Corpus::new();
     if let Some(dir) = &options.corpus_in {
@@ -242,8 +270,13 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
             Err(e) => eprintln!("warning: ignoring corpus preload: {e}"),
         }
     }
+    let fresh_percent = if options.coverage {
+        FRESH_SAMPLE_PERCENT
+    } else {
+        100
+    };
     let mut findings = Vec::new();
-    let mut generations = Vec::new();
+    let mut executions = Vec::new();
     let generation = options.generation.max(1);
     let mut exec = options.seed_start;
     while exec < options.seed_end {
@@ -253,7 +286,7 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
         let mut jobs: Vec<(u64, Option<u64>, String, SimConfig)> = Vec::new();
         for id in exec..batch_end {
             let mut rng = exec_rng(id);
-            let fresh = corpus.is_empty() || rng.gen_range(0..100u32) < FRESH_SAMPLE_PERCENT;
+            let fresh = corpus.is_empty() || rng.gen_range(0..100u32) < fresh_percent;
             let (parent, op, mut config) = if fresh {
                 (
                     None,
@@ -271,26 +304,25 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
         // Phase 2 (parallel): simulate the whole batch.
         let results = run_grid(jobs, options.threads, |(id, parent, op, config)| {
             let report = config.clone().run();
-            let fingerprint = report.coverage.key();
-            (id, parent, op, config, verdict(&report), fingerprint)
+            let execution = Execution {
+                n: config.n,
+                verdict: verdict(&report),
+                latency: report.worst_case_latency(),
+            };
+            (id, parent, op, config, execution, report.coverage.key())
         });
         // Phase 3 (sequential, execution order): fold into corpus/findings.
-        let mut stats = GenerationStats {
-            index: generations.len(),
-            executions: results.len(),
-            novel: 0,
-            findings: 0,
-        };
-        for (id, parent, op, config, verdict, fingerprint) in results {
+        for (id, parent, op, config, execution, fingerprint) in results {
+            let verdict = execution.verdict;
             if verdict.is_finding() {
-                stats.findings += 1;
                 findings.push(Finding {
                     seed: id,
                     verdict,
                     config: minimize_config(&config, verdict),
                 });
             }
-            let admitted = corpus.observe(CorpusEntry {
+            executions.push(execution);
+            corpus.observe(CorpusEntry {
                 id,
                 parent,
                 op,
@@ -298,17 +330,14 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
                 verdict: verdict.name().to_string(),
                 config,
             });
-            stats.novel += admitted as usize;
         }
-        generations.push(stats);
         exec = batch_end;
     }
     CoverageOutcome {
         options: options.clone(),
         corpus,
         findings,
-        generations,
-        executions: options.seed_end - options.seed_start,
+        executions,
     }
 }
 
@@ -359,7 +388,6 @@ pub fn load_corpus_entry(path: &Path) -> Result<CorpusEntry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::Verdict;
     use lumiere_sim::ProtocolKind;
 
     fn entry(id: u64, fingerprint: &str) -> CorpusEntry {

@@ -296,9 +296,8 @@ fn ms(measure: Option<Duration>) -> f64 {
 
 /// The protocols compared in the experiments: the Table 1 protocols plus the
 /// two ablations implemented in this workspace.
-const COMPARED_PROTOCOLS: [ProtocolKind; 7] = [
+const COMPARED_PROTOCOLS: [ProtocolKind; 6] = [
     ProtocolKind::Cogsworth,
-    ProtocolKind::Nk20,
     ProtocolKind::Lp22,
     ProtocolKind::Fever,
     ProtocolKind::BasicLumiere,

@@ -1,13 +1,14 @@
-//! A deterministic, seed-driven fuzzer over the adversary strategy space.
+//! The adversary fuzzer's parts: its options, the case sampler, the
+//! oracles and the minimizer.
 //!
 //! The paper's guarantees are worst-case over *all* Byzantine adversaries,
 //! so hand-picked scenarios can only ever sample the attack space. The
-//! fuzzer searches it: every seed deterministically expands into a random
-//! cluster size, fault assignment (any mix of
+//! fuzzer searches it. [`sample_config`] deterministically expands an id
+//! into a random cluster size, fault assignment (any mix of
 //! [`StrategyKind`](lumiere_sim::StrategyKind)s up to `f` corruptions),
 //! GST, base delay model and up to a few per-edge
 //! [`DelayRule`](lumiere_sim::DelayRule)s — all inside the partial-synchrony
-//! envelope — and the resulting simulation is checked against two oracles:
+//! envelope — and every run is checked against two oracles ([`verdict`]):
 //!
 //! * **safety** — honest committed chains must stay prefix-consistent
 //!   (`SimReport::safety_ok`), equivocation attempts notwithstanding;
@@ -16,17 +17,17 @@
 //!   ([`liveness_envelope`]). A run that exceeds the simulator's event cap
 //!   (`SimReport::truncated`) is also reported.
 //!
-//! Findings carry the reproducing seed and a **greedily minimized**
+//! Findings carry the reproducing id and a **greedily minimized**
 //! configuration ([`minimize_config`]): corruptions and delay rules are
 //! dropped one at a time while the verdict persists, so a report shows the
 //! smallest adversary that still breaks the property.
 //!
-//! Runs are scattered over worker threads with [`run_grid`] and reported in
-//! seed order, so the output is byte-identical for every `--threads` value.
+//! The search loop itself is `crate::corpus::run_coverage_fuzz`. It has
+//! two settings: by default every candidate is a fresh [`sample_config`]
+//! (one case per seed), and with `--coverage` most candidates mutate an
+//! entry of the coverage corpus instead.
 
-use crate::grid::run_grid;
 use crate::mutate::{sample_rule, sample_strategy};
-use crate::table::TextTable;
 use lumiere_runtime::liveness_envelope;
 use lumiere_sim::{AdversarySchedule, PlantedBug, ProtocolKind, SimConfig, SimReport};
 use lumiere_types::{Duration, Time};
@@ -34,7 +35,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{json, Serialize};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The known delay bound Δ used by every fuzz case.
@@ -76,8 +76,8 @@ impl Verdict {
 pub struct FuzzOptions {
     /// Protocol under test.
     pub protocol: ProtocolKind,
-    /// Seeds `[start, end)` to expand into cases (in coverage mode, the
-    /// execution-budget range; execution ids double as sampling seeds).
+    /// Execution ids `[start, end)`: the budget of the search loop. An id
+    /// doubles as the seed of its fresh sample.
     pub seed_start: u64,
     /// End of the seed range (exclusive).
     pub seed_end: u64,
@@ -87,16 +87,17 @@ pub struct FuzzOptions {
     pub quick: bool,
     /// Where to persist finding JSON files, if anywhere.
     pub out: Option<PathBuf>,
-    /// Run the coverage-guided corpus/mutation loop
-    /// (`crate::corpus::run_coverage_fuzz`) instead of the flat sampler.
+    /// Guide the search by coverage: most candidates mutate a corpus entry
+    /// and only some are fresh samples. Without it every candidate is a
+    /// fresh sample, one case per seed.
     pub coverage: bool,
-    /// Generation (batch) size of the coverage loop: how many executions
+    /// Generation (batch) size of the search loop: how many executions
     /// run between corpus-synchronization points.
     pub generation: usize,
-    /// Where to persist the final corpus (coverage mode only).
+    /// Where to persist the final corpus.
     pub corpus_out: Option<PathBuf>,
-    /// A previously persisted corpus to preload before the loop starts
-    /// (coverage mode only): its fingerprints seed the novelty set and its
+    /// A previously persisted corpus to preload before the loop starts:
+    /// its fingerprints seed the novelty set, and under `coverage` its
     /// entries are mutation parents from execution zero. A missing
     /// directory is an empty preload — exactly the CI cache-miss case.
     pub corpus_in: Option<PathBuf>,
@@ -132,21 +133,22 @@ pub fn usage(binary: &str) -> String {
         \x20               [--out DIR] [--corpus-out DIR] [--corpus-in DIR]\n\
          \n\
          Searches the adversary strategy/schedule space and reports any safety\n\
-         violation or liveness stall with a minimized configuration. The default\n\
-         mode samples one deterministic case per seed; --coverage runs the\n\
-         corpus + structural-mutation loop guided by behavioural coverage\n\
-         fingerprints (docs/ADVERSARIES.md). Exit code 1 when there are\n\
-         findings; output is byte-identical for every --threads value.\n\
+         violation or liveness stall with a minimized configuration. Every\n\
+         candidate is a fresh deterministic case per seed unless --coverage\n\
+         makes most of them structural mutations of corpus entries, guided by\n\
+         behavioural coverage fingerprints (docs/ADVERSARIES.md). Exit code 1\n\
+         when there are findings; output is byte-identical for every --threads\n\
+         value.\n\
          \n\
          options:\n\
         \x20 --seeds A..B       seed/execution range, half-open (default: 0..50)\n\
         \x20 --protocol NAME    one of lumiere, basic-lumiere, lp22, fever,\n\
-        \x20                    cogsworth, nk20, naive-quadratic (default: lumiere)\n\
+        \x20                    cogsworth, naive-quadratic (default: lumiere)\n\
         \x20 --threads N        worker threads (default: available parallelism)\n\
         \x20 --quick            small clusters, short horizons (default)\n\
         \x20 --deep             larger clusters (n up to 31), longer horizons\n\
-        \x20 --coverage         coverage-guided corpus/mutation loop\n\
-        \x20 --generation N     coverage batch size between corpus syncs (default: 16)\n\
+        \x20 --coverage         mutate corpus entries instead of sampling only fresh cases\n\
+        \x20 --generation N     batch size between corpus syncs (default: 16)\n\
         \x20 --planted-bug NAME fuzz a deliberately broken variant (calibration;\n\
         \x20                    needs the planted-bugs feature): drop-timeout-rearm\n\
         \x20 --out DIR          write one JSON file per finding under DIR\n\
@@ -185,9 +187,7 @@ pub fn parse_args(args: &[String]) -> Result<Option<FuzzOptions>, String> {
             }
             "--protocol" => {
                 let raw = value("--protocol")?;
-                options.protocol = ProtocolKind::all()
-                    .into_iter()
-                    .find(|p| p.name() == raw)
+                options.protocol = ProtocolKind::from_name(&raw)
                     .ok_or_else(|| format!("unknown protocol `{raw}`"))?;
             }
             "--threads" => {
@@ -308,43 +308,6 @@ pub fn verdict(report: &SimReport) -> Verdict {
     }
 }
 
-/// The outcome of one fuzz case.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// The expanding seed.
-    pub seed: u64,
-    /// The sampled configuration.
-    pub config: SimConfig,
-    /// The oracle verdict.
-    pub verdict: Verdict,
-    /// Worst-case latency after GST, when an honest QC appeared at all.
-    pub latency: Option<Duration>,
-    /// The behavioural coverage fingerprint key the run produced
-    /// (`SimReport::coverage`) — the quantity the coverage-guided loop is
-    /// measured against.
-    pub fingerprint: String,
-}
-
-/// Runs one seed end to end. `planted` plants a calibration bug into the
-/// sampled configuration (see [`lumiere_core::planted`]).
-pub fn run_case(
-    protocol: ProtocolKind,
-    seed: u64,
-    quick: bool,
-    planted: Option<PlantedBug>,
-) -> CaseResult {
-    let mut config = sample_config(protocol, seed, quick);
-    config.planted_bug = planted;
-    let report = config.clone().run();
-    CaseResult {
-        seed,
-        verdict: verdict(&report),
-        latency: report.worst_case_latency(),
-        fingerprint: report.coverage.key(),
-        config,
-    }
-}
-
 /// Cap on candidate simulations one minimization may spend. A schedule has
 /// at most `f + 2` droppable parts, so the greedy walk converges well below
 /// this; the cap only guards pathological cases (each candidate is a full
@@ -400,8 +363,8 @@ pub fn minimize_config(config: &SimConfig, target: Verdict) -> SimConfig {
 /// A reportable finding: reproducing seed plus minimized configuration.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
-    /// Seed that reproduces the finding via [`sample_config`] (in coverage
-    /// mode, the execution id; the embedded config is the ground truth).
+    /// The execution id that found it. A fresh sample reproduces via
+    /// [`sample_config`] from it; the embedded config is the ground truth.
     pub seed: u64,
     /// Oracle verdict name.
     pub verdict: Verdict,
@@ -410,10 +373,9 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// The one-line `FINDING ...` rendering shared by the flat and the
-    /// coverage reports (and grepped by the CI planted-bug check);
-    /// `id_label` names the id field (`"seed"` or `"exec"`).
-    pub fn render_line(&self, id_label: &str) -> String {
+    /// The one-line `FINDING seed=...` rendering of the fuzz report (and
+    /// grepped by the CI planted-bug check).
+    pub fn render_line(&self) -> String {
         let schedule = self.config.effective_adversary();
         let strategies: Vec<String> = schedule
             .corruptions
@@ -421,7 +383,7 @@ impl Finding {
             .map(|c| format!("p{}:{}", c.node, c.strategy.name()))
             .collect();
         format!(
-            "FINDING {id_label}={} verdict={} n={} f_a={} strategies=[{}] delay_rules={}",
+            "FINDING seed={} verdict={} n={} f_a={} strategies=[{}] delay_rules={}",
             self.seed,
             self.verdict.name(),
             self.config.n,
@@ -429,122 +391,6 @@ impl Finding {
             strategies.join(","),
             schedule.delay_rules.len(),
         )
-    }
-}
-
-/// The outcome of a whole fuzz run.
-#[derive(Debug, Clone)]
-pub struct FuzzOutcome {
-    /// Options the run used.
-    pub options: FuzzOptions,
-    /// Per-seed results, in seed order.
-    pub results: Vec<CaseResult>,
-    /// Minimized findings, in seed order.
-    pub findings: Vec<Finding>,
-}
-
-impl FuzzOutcome {
-    /// Renders the deterministic report (identical for every thread count).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "## Adversary fuzz — {} seeds {}..{} ({}{})\n",
-            self.options.protocol.name(),
-            self.options.seed_start,
-            self.options.seed_end,
-            if self.options.quick { "quick" } else { "deep" },
-            match self.options.planted {
-                Some(bug) => format!(", planted bug: {}", bug.name()),
-                None => String::new(),
-            },
-        );
-        // Aggregate per cluster size: cases and the worst latency seen.
-        let mut table = TextTable::new(vec![
-            "n",
-            "cases",
-            "ok",
-            "findings",
-            "max latency after GST (ms)",
-            "bound (ms)",
-        ]);
-        let mut ns: Vec<usize> = self.results.iter().map(|r| r.config.n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        for n in ns {
-            let rows: Vec<&CaseResult> = self.results.iter().filter(|r| r.config.n == n).collect();
-            let ok = rows.iter().filter(|r| r.verdict == Verdict::Ok).count();
-            let max_latency = rows
-                .iter()
-                .filter_map(|r| r.latency)
-                .max()
-                .map(|d| format!("{:.1}", d.as_millis_f64()))
-                .unwrap_or_else(|| "-".to_string());
-            table.push_row(vec![
-                n.to_string(),
-                rows.len().to_string(),
-                ok.to_string(),
-                (rows.len() - ok).to_string(),
-                max_latency,
-                format!("{:.0}", liveness_envelope(n, FUZZ_DELTA).as_millis_f64()),
-            ]);
-        }
-        out.push_str(&table.render());
-        let _ = writeln!(out);
-        for finding in &self.findings {
-            let _ = writeln!(out, "{}", finding.render_line("seed"));
-        }
-        let _ = writeln!(
-            out,
-            "fuzz: {} cases, {} distinct fingerprints, {} findings ({} safety, {} stalls, {} truncated)",
-            self.results.len(),
-            self.distinct_fingerprints(),
-            self.findings.len(),
-            self.count(Verdict::SafetyViolation),
-            self.count(Verdict::LivenessStall),
-            self.count(Verdict::Truncated),
-        );
-        out
-    }
-
-    /// Number of distinct coverage fingerprints the flat sampler reached —
-    /// the baseline the coverage-guided loop must beat at an equal budget.
-    pub fn distinct_fingerprints(&self) -> usize {
-        self.results
-            .iter()
-            .map(|r| r.fingerprint.as_str())
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    fn count(&self, v: Verdict) -> usize {
-        self.results.iter().filter(|r| r.verdict == v).count()
-    }
-}
-
-/// Runs the fuzzer: expands every seed, simulates in parallel via
-/// [`run_grid`], minimizes findings, and returns the deterministic outcome.
-pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
-    let seeds: Vec<u64> = (options.seed_start..options.seed_end).collect();
-    let protocol = options.protocol;
-    let quick = options.quick;
-    let planted = options.planted;
-    let results = run_grid(seeds, options.threads, |seed| {
-        run_case(protocol, seed, quick, planted)
-    });
-    let findings = results
-        .iter()
-        .filter(|r| r.verdict.is_finding())
-        .map(|r| Finding {
-            seed: r.seed,
-            verdict: r.verdict,
-            config: minimize_config(&r.config, r.verdict),
-        })
-        .collect();
-    FuzzOutcome {
-        options: options.clone(),
-        results,
-        findings,
     }
 }
 
@@ -668,15 +514,15 @@ mod tests {
             threads: 1,
             ..FuzzOptions::default()
         };
-        let serial = run_fuzz(&options);
-        assert_eq!(serial.results.len(), 6);
+        let serial = crate::corpus::run_coverage_fuzz(&options);
+        assert_eq!(serial.executions.len(), 6);
         assert!(
             serial.findings.is_empty(),
             "Lumiere must survive the sampled adversaries: {}",
             serial.render()
         );
         options.threads = 4;
-        let parallel = run_fuzz(&options);
+        let parallel = crate::corpus::run_coverage_fuzz(&options);
         assert_eq!(serial.render(), parallel.render());
     }
 }

@@ -47,9 +47,9 @@
 //! The adversary-fuzzing stack is a fourth pillar: [`fuzz`] (per-seed
 //! sampler, safety/liveness oracles, greedy minimizer), [`mutate`]
 //! (structural mutation operators over adversary schedules) and [`corpus`]
-//! (the coverage-guided corpus loop over behavioural fingerprints,
-//! including the planted-bug calibration mode) — all behind the
-//! `fuzz_adversary` binary, documented in `docs/ADVERSARIES.md`.
+//! (the one search loop over behavioural fingerprints, all-fresh or
+//! coverage-guided, including the planted-bug calibration mode) — all
+//! behind the `fuzz_adversary` binary, documented in `docs/ADVERSARIES.md`.
 //!
 //! Because each simulation carries its own seed and output ordering is
 //! independent of scheduling, a sweep writes byte-identical files for every
@@ -69,7 +69,7 @@ pub mod table;
 
 pub use corpus::{run_coverage_fuzz, Corpus, CorpusEntry, CoverageOutcome};
 pub use experiments::{ExperimentDef, ExperimentRun, ExperimentScale, ALL_EXPERIMENTS};
-pub use fuzz::{FuzzOptions, FuzzOutcome, Verdict};
+pub use fuzz::{FuzzOptions, Verdict};
 pub use grid::run_grid;
 pub use report::SweepCell;
 pub use table::TextTable;

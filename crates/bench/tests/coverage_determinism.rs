@@ -1,4 +1,4 @@
-//! Determinism of the coverage-guided loop: fingerprints and the whole
+//! Determinism of the coverage-guided setting of the search loop: fingerprints and the whole
 //! corpus evolution are byte-identical across worker-thread counts and
 //! across repeated same-seed runs. The loop synchronizes its corpus at
 //! generation boundaries precisely so that scheduling can never leak into
@@ -14,6 +14,7 @@ fn options(threads: usize) -> FuzzOptions {
         seed_start: 0,
         seed_end: 32,
         threads,
+        coverage: true,
         generation: 8,
         ..FuzzOptions::default()
     }

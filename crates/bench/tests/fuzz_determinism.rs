@@ -1,11 +1,11 @@
 //! Determinism of the adversary fuzzer end to end: the same seed expands to
 //! the same case, the same case produces a byte-identical `SimReport` JSON
-//! rendering, and the parallel driver's report is invariant under the
-//! worker-thread count. Also pins the finding-file writer.
+//! rendering, and the search loop's flat setting (every candidate fresh)
+//! reports the same for every worker-thread count. Also pins the
+//! finding-file writer.
 
-use lumiere_bench::fuzz::{
-    self, parse_args, run_fuzz, sample_config, Finding, FuzzOptions, Verdict,
-};
+use lumiere_bench::corpus::run_coverage_fuzz;
+use lumiere_bench::fuzz::{self, parse_args, sample_config, Finding, FuzzOptions, Verdict};
 use lumiere_sim::{ProtocolKind, SimReport};
 use serde::json;
 use std::fs;
@@ -38,9 +38,9 @@ fn fuzz_driver_output_is_invariant_under_thread_count() {
         out: None,
         ..FuzzOptions::default()
     };
-    let serial = run_fuzz(&base);
+    let serial = run_coverage_fuzz(&base);
     for threads in [2usize, 4, 16] {
-        let parallel = run_fuzz(&FuzzOptions {
+        let parallel = run_coverage_fuzz(&FuzzOptions {
             threads,
             ..base.clone()
         });
@@ -49,14 +49,11 @@ fn fuzz_driver_output_is_invariant_under_thread_count() {
             parallel.render(),
             "threads={threads} changed the fuzz report"
         );
-        // The underlying per-case reports agree byte for byte, not just the
-        // rendered summary.
-        for (a, b) in serial.results.iter().zip(&parallel.results) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.verdict, b.verdict);
-            assert_eq!(a.latency, b.latency);
-        }
+        // The underlying per-execution results agree, not just the rendered
+        // summary: verdicts and latencies, and the configs and fingerprints
+        // the corpus kept.
+        assert_eq!(serial.executions, parallel.executions);
+        assert_eq!(serial.corpus.entries(), parallel.corpus.entries());
     }
     assert!(
         serial.findings.is_empty(),
@@ -72,10 +69,14 @@ fn parsed_cli_options_drive_the_same_deterministic_run() {
         .map(|s| s.to_string())
         .collect();
     let options = parse_args(&args).unwrap().unwrap();
-    let a = run_fuzz(&options);
-    let b = run_fuzz(&options);
+    assert!(
+        !options.coverage,
+        "without --coverage every candidate is fresh"
+    );
+    let a = run_coverage_fuzz(&options);
+    let b = run_coverage_fuzz(&options);
     assert_eq!(a.render(), b.render());
-    assert_eq!(a.results.len(), 3);
+    assert_eq!(a.executions.len(), 3);
 }
 
 #[test]

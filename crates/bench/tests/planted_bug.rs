@@ -1,5 +1,6 @@
 //! The planted-bug detection suite — the calibration proof that the
-//! coverage-guided fuzzer can actually find protocol bugs.
+//! fuzzer, in both settings of its search loop, can actually find protocol
+//! bugs.
 //!
 //! `lumiere_core::planted` plants a deliberately broken pacemaker variant
 //! (the view-synchronization timer is not re-armed while the current view
@@ -8,7 +9,7 @@
 //! severs the clock-driven recovery path. The suite asserts that the
 //! coverage-guided fuzzer reports a liveness finding against the planted
 //! variant within a fixed execution budget, while stock Lumiere stays clean
-//! over the same budget.
+//! over the same budget, and that the flat setting finds it too.
 
 use lumiere_bench::corpus::run_coverage_fuzz;
 use lumiere_bench::fuzz::{FuzzOptions, Verdict};
@@ -25,6 +26,7 @@ fn options(planted: Option<PlantedBug>) -> FuzzOptions {
         seed_start: 0,
         seed_end: BUDGET,
         threads: 2,
+        coverage: true,
         planted,
         ..FuzzOptions::default()
     }
@@ -72,6 +74,26 @@ fn coverage_fuzzer_finds_the_planted_bug_and_stock_stays_clean() {
         stock.findings.is_empty(),
         "stock Lumiere must stay clean over the same budget:\n{}",
         stock.render()
+    );
+}
+
+#[test]
+fn flat_fuzzer_finds_the_planted_bug() {
+    // Every candidate fresh, one case per seed: the budget at which the
+    // flat sampler has always reported the bug.
+    let flat = run_coverage_fuzz(&FuzzOptions {
+        seed_end: 60,
+        coverage: false,
+        ..options(Some(PlantedBug::DropTimeoutRearm))
+    });
+    let seeds: Vec<u64> = flat.findings.iter().map(|f| f.seed).collect();
+    assert_eq!(seeds, [3, 29, 35, 44, 56, 57], "{}", flat.render());
+    assert!(
+        flat.findings
+            .iter()
+            .all(|f| f.verdict == Verdict::LivenessStall),
+        "{}",
+        flat.render()
     );
 }
 

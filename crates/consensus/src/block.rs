@@ -60,6 +60,10 @@ impl Block {
     /// Creates a new block extending `parent_hash` at `height`, justified by
     /// `justify` (a QC for the parent), proposed by `proposer` in `view`,
     /// carrying `payload`.
+    ///
+    /// The hash is computed here, so the allocation starts checked: its
+    /// memo holds what [`Block::well_formed`] would answer, and the first
+    /// check does not digest the payload a second time.
     pub fn new(
         parent_hash: BlockHash,
         height: u64,
@@ -78,7 +82,10 @@ impl Block {
             justify,
         };
         fields.hash = fields.digest();
-        Block(Arc::new(Memo::new(fields)))
+        let well_formed = fields.hash != GENESIS_HASH && fields.justify.block_hash() == parent_hash;
+        let block = Block(Arc::new(Memo::new(fields)));
+        let _ = block.0.memo().set(well_formed);
+        block
     }
 
     /// The block's hash.
@@ -132,8 +139,9 @@ impl Block {
     ///
     /// Computed on the first call and kept in the allocation: the fields
     /// are immutable, so every later call, from this handle or any other
-    /// sharing the allocation, has the same answer. A decoded block is an
-    /// allocation of its own and is checked afresh.
+    /// sharing the allocation, has the same answer. [`Block::new`] records
+    /// the answer as it builds; a decoded block is an allocation of its own
+    /// and is checked afresh.
     pub fn well_formed(&self) -> bool {
         *self.0.memo().get_or_init(|| {
             if self.is_genesis() {
@@ -310,6 +318,27 @@ mod tests {
             payload,
             unsigned(4, 0xabcd),
         )
+    }
+
+    #[test]
+    fn a_built_block_starts_checked_and_a_tampered_copy_is_rechecked() {
+        let good = full_block();
+        assert_eq!(good.0.memo().get(), Some(&true), "built with its answer");
+        let mismatched = Block::new(
+            0xabcd,
+            9,
+            View::new(5),
+            ProcessId::new(2),
+            Batch::empty(),
+            unsigned(4, 0xdcba),
+        );
+        assert_eq!(mismatched.0.memo().get(), Some(&false));
+        assert!(!mismatched.well_formed());
+        let mut copy = good.clone();
+        copy.fields_mut().payload.txs[5].size += 1;
+        assert_eq!(copy.0.memo().get(), None, "the copy starts unchecked");
+        assert!(!copy.well_formed());
+        assert!(good.well_formed());
     }
 
     #[test]

@@ -27,10 +27,8 @@ pub enum ProtocolKind {
     Lp22,
     /// Fever (Section 3.3) — granted its clock-synchrony assumption.
     Fever,
-    /// Cogsworth-style relay synchronizer.
+    /// Cogsworth / NK20-style relay synchronizer (one model of both).
     Cogsworth,
-    /// NK20-style relay synchronizer.
-    Nk20,
     /// Naive PBFT-style all-to-all pacemaker.
     Naive,
 }
@@ -44,7 +42,6 @@ impl ProtocolKind {
             ProtocolKind::Lp22 => "lp22",
             ProtocolKind::Fever => "fever",
             ProtocolKind::Cogsworth => "cogsworth",
-            ProtocolKind::Nk20 => "nk20",
             ProtocolKind::Naive => "naive-quadratic",
         }
     }
@@ -56,23 +53,22 @@ impl ProtocolKind {
     }
 
     /// All implemented protocols.
-    pub fn all() -> [ProtocolKind; 7] {
+    pub fn all() -> [ProtocolKind; 6] {
         [
             ProtocolKind::Lumiere,
             ProtocolKind::BasicLumiere,
             ProtocolKind::Lp22,
             ProtocolKind::Fever,
             ProtocolKind::Cogsworth,
-            ProtocolKind::Nk20,
             ProtocolKind::Naive,
         ]
     }
 
-    /// The protocols that appear in Table 1 of the paper.
-    pub fn table1() -> [ProtocolKind; 5] {
+    /// The protocols that appear in Table 1 of the paper (its Cogsworth
+    /// and NK20 columns are one row here).
+    pub fn table1() -> [ProtocolKind; 4] {
         [
             ProtocolKind::Cogsworth,
-            ProtocolKind::Nk20,
             ProtocolKind::Lp22,
             ProtocolKind::Fever,
             ProtocolKind::Lumiere,
@@ -112,7 +108,6 @@ impl ProtocolKind {
             Self::Lp22 => Plain(|p, k, pki| Box::new(Lp22::new(p, k, pki))),
             Self::Fever => Plain(|p, k, pki| Box::new(Fever::new(p, k, pki))),
             Self::Cogsworth => Plain(|p, k, pki| Box::new(RelayPacemaker::cogsworth(p, k, pki))),
-            Self::Nk20 => Plain(|p, k, pki| Box::new(RelayPacemaker::nk20(p, k, pki))),
             Self::Naive => Plain(|p, k, pki| Box::new(NaiveQuadratic::new(p, k, pki))),
         };
         PacemakerFactory {

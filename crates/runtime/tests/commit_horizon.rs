@@ -1,4 +1,4 @@
-//! The commit horizon is invisible to the pacemakers: each of the seven
+//! The commit horizon is invisible to the pacemakers: each of the six
 //! protocols, and Lumiere with 8-view epochs, runs an n = 4 cluster in
 //! which every node's pacemaker is pruned on each commit, the way
 //! `ProtocolRuntime` prunes it, and a twin of it that is never pruned is fed

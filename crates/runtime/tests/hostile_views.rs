@@ -2,7 +2,7 @@
 //! has reached — `i64::MAX − 1`, `2⁴⁰`, `−2`, a far-future epoch view and 10⁵
 //! distinct far-future views — in every message class a single processor can
 //! send, as wire bytes through `ProtocolRuntime::deliver`, against each of
-//! the seven pacemakers.
+//! the six pacemakers.
 //!
 //! Every pacemaker's per-view flags (`ViewLedger`) and the engine's per-view
 //! records are indexed, and the pools (`SigPool`, `SenderPool`) are ordered

@@ -586,6 +586,6 @@ mod tests {
     #[test]
     fn table1_contains_the_papers_protocols() {
         let names: Vec<_> = ProtocolKind::table1().iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["cogsworth", "nk20", "lp22", "fever", "lumiere"]);
+        assert_eq!(names, vec!["cogsworth", "lp22", "fever", "lumiere"]);
     }
 }

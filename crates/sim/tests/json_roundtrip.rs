@@ -103,7 +103,7 @@ proptest! {
     /// the config tree) round-trip unchanged.
     #[test]
     fn sim_configs_round_trip(
-        proto_idx in 0usize..7,
+        proto_idx in 0usize..6,
         n in 4usize..30,
         behavior_idx in 0u32..3,
         explicit_ids in 0u32..2,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Checks that the working tree's experiment reports and fuzzer outputs are
 # byte-identical to those of <base-ref>: every JSON cell `lumiere-bench all
-# --out` writes and the markdown report it prints, and both adversary
-# fuzzers' corpus and printed reports.
+# --out` writes and the markdown report it prints, and the corpus and the
+# printed reports of the adversary fuzzer's two settings (coverage-guided,
+# and flat: every candidate fresh).
 #
 # The base's `lumiere-bench` and `fuzz_adversary` are built from a git
 # worktree of <base-ref> under target/report-diff/ (removed again on exit;
@@ -12,12 +13,12 @@
 #   fuzz_adversary --coverage --seeds 0..100 --quick --threads <threads> --corpus-out DIR
 #   fuzz_adversary --seeds 0..50 --quick --threads <threads>
 # and their outputs stay in target/report-diff/{base,change}/ (`reports/`
-# and `report.md`; `corpus/`, `coverage.txt` and `fuzz.txt`, each fuzzer's
+# and `report.md`; `corpus/`, `coverage.txt` and `fuzz.txt`, each setting's
 # stdout and stderr together, and its exit status if not zero).
 #
 # Exits 1 if anything differs: `lumiere-bench --diff` names the cells whose
 # contents differ, `diff -rq` any report or corpus file that differs byte
-# for byte, and the markdown reports' and the fuzzers' printed reports'
+# for byte, and the markdown reports' and both settings' printed reports'
 # diffs are printed (the output directory, which the coverage run names,
 # read as DIR on both sides). Exits 2 on a ref that names no commit.
 #

@@ -10,7 +10,7 @@
 //! and has another equivocate, and relays genuine and forged view / timeout /
 //! epoch / synchronization certificates. Lumiere runs a shortened epoch
 //! layout so every run crosses epoch boundaries both ways (success criterion
-//! met, and heavy synchronization); the other six protocols run as
+//! met, and heavy synchronization); the other five protocols run as
 //! [`ProtocolKind::build_pacemaker`] builds them.
 //!
 //! Lumiere's digests were captured on the tree *before* the per-view hash
@@ -401,11 +401,9 @@ const PINNED: [(u64, u64); 6] = [
     (6, 0x172a_3426_59a6_46db),
 ];
 
-/// The other six protocols' digests for seeds 1..=6, captured before their
+/// The other five protocols' digests for seeds 1..=6, captured before their
 /// per-view state moved onto `ViewLedger` / `SigPool`.
-/// The two relay variants differ only in the name they report, so their
-/// streams are equal.
-const BASELINES_PINNED: [(ProtocolKind, [u64; 6]); 6] = [
+const BASELINES_PINNED: [(ProtocolKind, [u64; 6]); 5] = [
     (
         ProtocolKind::BasicLumiere,
         [
@@ -441,17 +439,6 @@ const BASELINES_PINNED: [(ProtocolKind, [u64; 6]); 6] = [
     ),
     (
         ProtocolKind::Cogsworth,
-        [
-            0x815e_425f_87e5_2dde,
-            0x7063_3945_0780_7aec,
-            0x6874_4e2e_8de9_fa1d,
-            0xc35c_8390_816b_38d5,
-            0xd1ad_7357_09d9_36de,
-            0xc59d_5ff0_caa9_0d91,
-        ],
-    ),
-    (
-        ProtocolKind::Nk20,
         [
             0x815e_425f_87e5_2dde,
             0x7063_3945_0780_7aec,
@@ -501,7 +488,7 @@ fn every_other_protocols_action_stream_is_pinned() {
             *digest = c.stream.0;
         }
         // The relays' certificate path is in their streams.
-        let relays = matches!(kind, ProtocolKind::Cogsworth | ProtocolKind::Nk20);
+        let relays = kind == ProtocolKind::Cogsworth;
         assert_eq!(sync_relays > 0, relays, "{}", kind.name());
         got.push((kind, digests));
     }

@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn random_benign_and_faulty_runs_are_safe_and_live(
         n in 4usize..10,
-        proto_idx in 0usize..7,
+        proto_idx in 0usize..6,
         delay_ms in 1i64..10,
         fault_fraction in 0u32..3,
         seed in 0u64..1000,
