@@ -6,6 +6,7 @@
 //! the same report for every `--threads` value, with or without
 //! `--coverage`. Exit code 1 when there are findings.
 
+use lumiere_bench::report::{ensure_writable, write_json};
 use lumiere_bench::{corpus, fuzz};
 use std::process::ExitCode;
 
@@ -32,7 +33,7 @@ fn main() -> ExitCode {
     }
     // Fail fast on an unwritable output dir, before minutes of simulations.
     for dir in [&options.out, &options.corpus_out].into_iter().flatten() {
-        if let Err(message) = lumiere_bench::report::ensure_writable(dir) {
+        if let Err(message) = ensure_writable(dir) {
             eprintln!("error: {message}");
             return ExitCode::FAILURE;
         }
@@ -51,7 +52,7 @@ fn main() -> ExitCode {
     let outcome = corpus::run_coverage_fuzz(&options);
     print!("{}", outcome.render());
     if let Some(dir) = &options.corpus_out {
-        match corpus::write_corpus(dir, &outcome.corpus) {
+        match write_json(dir, outcome.corpus.entries(), |i, e| e.filename(i)) {
             Ok(paths) => {
                 eprintln!("wrote {} corpus file(s) to {}", paths.len(), dir.display());
             }
@@ -62,7 +63,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(dir) = &options.out {
-        match fuzz::write_findings(dir, &outcome.findings) {
+        match write_json(dir, &outcome.findings, |_, f| f.filename()) {
             Ok(paths) => {
                 eprintln!("wrote {} finding file(s) to {}", paths.len(), dir.display());
             }

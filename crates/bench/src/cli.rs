@@ -8,7 +8,7 @@
 //!
 //! An experiment is named by its slug in [`ALL_EXPERIMENTS`]; `all` runs
 //! every one in registry order under a report heading. `--help` describes
-//! the flags and their environment variables (`LUMIERE_OUT`, `LUMIERE_FULL`).
+//! the flags; no environment variable changes what the binary does.
 //!
 //! The markdown report goes to stdout; `--out` adds the persistent JSON
 //! cells (see `docs/REPORT_SCHEMA.md`). Output dirs are probed for
@@ -17,7 +17,9 @@
 
 use crate::experiments::{ExperimentDef, ExperimentScale, ALL_EXPERIMENTS};
 use crate::grid::available_threads;
-use crate::report::{diff_cells, ensure_writable, load_dir, write_cells, SweepCell};
+use crate::report::{
+    diff_cells, ensure_writable, read_json, write_json, SweepCell, SCHEMA_VERSION,
+};
 use serde::json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -25,14 +27,14 @@ use std::process::ExitCode;
 /// The heading `all` prints above the reports.
 const ALL_HEADER: &str = "# Lumiere reproduction — experiment reports";
 
-/// A sweep run, resolved from the command line and environment variables.
+/// A sweep run, resolved from the command line.
 #[derive(Debug, Clone)]
 struct SweepOptions {
     /// The experiments to run, in order.
     experiments: Vec<&'static ExperimentDef>,
     /// Whether they were asked for as `all` (prints the report heading).
     all: bool,
-    /// Sweep scale (`--full` / `LUMIERE_FULL=1` selects the paper scale).
+    /// Sweep scale (`--full` selects the paper scale).
     scale: ExperimentScale,
     /// Worker threads for the experiment grids.
     threads: usize,
@@ -66,9 +68,9 @@ fn usage() -> String {
          \n\
          options:\n\
         \x20 --out DIR      write one JSON file per sweep cell under DIR\n\
-        \x20                (env: LUMIERE_OUT; format: docs/REPORT_SCHEMA.md)\n\
+        \x20                (format: docs/REPORT_SCHEMA.md)\n\
         \x20 --threads N    worker threads (default: available parallelism)\n\
-        \x20 --full         paper-scale sweeps (env: LUMIERE_FULL=1)\n\
+        \x20 --full         paper-scale sweeps\n\
         \x20 --check DIR    validate every report file in DIR (parse + round-trip)\n\
         \x20 --diff A B     compare two report directories\n\
         \x20 --help         this message\n",
@@ -77,9 +79,9 @@ fn usage() -> String {
 }
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut out = std::env::var_os("LUMIERE_OUT").map(PathBuf::from);
+    let mut out: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut scale = ExperimentScale::from_env();
+    let mut scale = ExperimentScale::Quick;
     let mut check: Option<PathBuf> = None;
     let mut diff: Option<(PathBuf, PathBuf)> = None;
     let mut experiments: Vec<&'static ExperimentDef> = Vec::new();
@@ -203,14 +205,28 @@ fn run_sweeps(options: &SweepOptions) -> Result<(), String> {
         cells.extend(run.cells);
     }
     if let Some(dir) = &options.out {
-        let paths = write_cells(dir, &cells)?;
+        let paths = write_json(dir, &cells, |_, cell| cell.filename())?;
         eprintln!("wrote {} report file(s) to {}", paths.len(), dir.display());
     }
     Ok(())
 }
 
+/// Reads the cells under `dir`, refusing one of another [`SCHEMA_VERSION`].
+fn load_cells(dir: &Path) -> Result<Vec<SweepCell>, String> {
+    let cells: Vec<SweepCell> = read_json(dir)?;
+    match cells.iter().find(|c| c.schema_version != SCHEMA_VERSION) {
+        Some(cell) => Err(format!(
+            "{}: cell {} has schema version {}, not the supported version {SCHEMA_VERSION}",
+            dir.display(),
+            cell.key(),
+            cell.schema_version
+        )),
+        None => Ok(cells),
+    }
+}
+
 fn check_dir(dir: &Path) -> Result<(), String> {
-    let cells = load_dir(dir)?;
+    let cells = load_cells(dir)?;
     if cells.is_empty() {
         return Err(format!("{}: no report files found", dir.display()));
     }
@@ -233,7 +249,7 @@ fn check_dir(dir: &Path) -> Result<(), String> {
 }
 
 fn diff_dirs(a: &Path, b: &Path) -> Result<(), String> {
-    let diff = diff_cells(&load_dir(a)?, &load_dir(b)?);
+    let diff = diff_cells(&load_cells(a)?, &load_cells(b)?);
     print!("{}", diff.render());
     if diff.is_empty() {
         Ok(())
@@ -263,16 +279,10 @@ mod tests {
 
     #[test]
     fn default_run_uses_available_parallelism() {
-        // No env mutation here: tests run concurrently and getenv/unsetenv
-        // races are undefined behaviour on glibc. `out` defaults to the
-        // ambient LUMIERE_OUT (unset in CI), so only its None-or-ambient
-        // contract is asserted.
         let options = run_options(&["scale"]);
         assert!(options.threads >= 1);
-        assert_eq!(
-            options.out,
-            std::env::var_os("LUMIERE_OUT").map(PathBuf::from)
-        );
+        assert_eq!(options.out, None);
+        assert_eq!(options.scale, ExperimentScale::Quick);
     }
 
     #[test]
@@ -320,6 +330,18 @@ mod tests {
             Command::Diff(a, b) if a == Path::new("/tmp/a") && b == Path::new("/tmp/b")
         ));
         assert!(matches!(parse(&["--help"]).unwrap(), Command::Help));
+    }
+
+    #[test]
+    fn schema_version_mismatch_is_rejected() {
+        use crate::report::tests::{sample_cell, temp_dir};
+        let dir = temp_dir("schema");
+        let mut cell = sample_cell("n004", 1);
+        cell.schema_version = 999;
+        write_json(&dir, &[cell], |_, cell| cell.filename()).unwrap();
+        let err = load_cells(&dir).unwrap_err();
+        assert!(err.contains("schema version 999"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -35,16 +35,17 @@ use crate::fuzz::{
 };
 use crate::grid::run_grid;
 use crate::mutate::mutate;
+use crate::report::read_json;
 use crate::table::TextTable;
 use lumiere_runtime::liveness_envelope;
 use lumiere_sim::SimConfig;
 use lumiere_types::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{json, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Fraction (percent) of executions of a coverage-guided run that sample a
 /// fresh configuration even when the corpus is non-empty, so the loop keeps
@@ -77,6 +78,16 @@ pub struct CorpusEntry {
     /// The full configuration; replaying it reproduces fingerprint and
     /// verdict exactly.
     pub config: SimConfig,
+}
+
+impl CorpusEntry {
+    /// The file name of the `index`th entry of a persisted corpus. The
+    /// leading index keeps names unique even when a preloaded entry (from a
+    /// previous run's id space) shares an exec id with a fresh one, and
+    /// makes file-name order discovery order, which a preload replays.
+    pub fn filename(&self, index: usize) -> String {
+        format!("corpus__{index:06}__exec{:06}.json", self.id)
+    }
 }
 
 /// The set of behaviourally novel inputs discovered so far.
@@ -247,6 +258,17 @@ fn exec_rng(exec: u64) -> StdRng {
     StdRng::seed_from_u64(exec.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0xc0ff_ee00_c0ff_ee00)
 }
 
+/// Reads a persisted corpus for `--corpus-in`, in discovery order. A missing
+/// directory is an empty corpus: the cache-miss case of a CI corpus restored
+/// across runs.
+fn preload(dir: &Path) -> Result<Vec<CorpusEntry>, String> {
+    if dir.exists() {
+        read_json(dir)
+    } else {
+        Ok(Vec::new())
+    }
+}
+
 /// Runs the search loop. `options.seed_start..seed_end` is the
 /// execution-budget range (execution ids double as sampling seeds),
 /// `options.generation` is the batch size between corpus synchronization
@@ -255,7 +277,7 @@ fn exec_rng(exec: u64) -> StdRng {
 pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
     let mut corpus = Corpus::new();
     if let Some(dir) = &options.corpus_in {
-        match load_corpus(dir) {
+        match preload(dir) {
             Ok(entries) => {
                 let preloaded = entries.len();
                 let mut admitted = 0usize;
@@ -341,54 +363,11 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
     }
 }
 
-/// Writes one pretty-printed JSON file per corpus entry under `dir` and
-/// returns the paths, in discovery order.
-pub fn write_corpus(dir: &Path, corpus: &Corpus) -> Result<Vec<PathBuf>, String> {
-    crate::report::ensure_writable(dir)?;
-    let mut paths = Vec::with_capacity(corpus.len());
-    for (i, entry) in corpus.entries().iter().enumerate() {
-        // The leading discovery index keeps filenames unique even when a
-        // preloaded entry (from a previous run's id space) shares an exec
-        // id with a fresh one, and makes lexicographic order = discovery
-        // order, which is what `load_corpus` replays.
-        let path = dir.join(format!("corpus__{i:06}__exec{:06}.json", entry.id));
-        let mut text = json::to_string_pretty(entry);
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
-/// Loads a persisted corpus directory: every `*.json` file under `dir`, in
-/// lexicographic filename order (= discovery order for [`write_corpus`]
-/// output). A missing directory is an empty corpus — the cache-miss case of
-/// a CI corpus restored across runs — but an unreadable or malformed file
-/// is a hard error, never silently skipped.
-pub fn load_corpus(dir: &Path) -> Result<Vec<CorpusEntry>, String> {
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read corpus directory {}: {e}", dir.display()))?
-        .filter_map(|res| res.ok().map(|entry| entry.path()))
-        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    paths.iter().map(|path| load_corpus_entry(path)).collect()
-}
-
-/// Loads one corpus-entry file (the regression-replay test's reader).
-pub fn load_corpus_entry(path: &Path) -> Result<CorpusEntry, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lumiere_sim::ProtocolKind;
+    use std::path::PathBuf;
 
     fn entry(id: u64, fingerprint: &str) -> CorpusEntry {
         CorpusEntry {
@@ -430,6 +409,11 @@ mod tests {
         assert!(picks_a.iter().any(|id| *id < 12));
     }
 
+    /// What `fuzz_adversary --corpus-out` writes.
+    fn write_corpus(dir: &Path, corpus: &Corpus) -> Result<Vec<PathBuf>, String> {
+        crate::report::write_json(dir, corpus.entries(), |i, entry| entry.filename(i))
+    }
+
     #[test]
     fn corpus_files_round_trip() {
         let dir =
@@ -440,8 +424,8 @@ mod tests {
         let paths = write_corpus(&dir, &corpus).unwrap();
         assert_eq!(paths.len(), 1);
         assert!(paths[0].ends_with("corpus__000000__exec000003.json"));
-        let loaded = load_corpus_entry(&paths[0]).unwrap();
-        assert_eq!(&loaded, &corpus.entries()[0]);
+        let loaded: Vec<CorpusEntry> = read_json(&dir).unwrap();
+        assert_eq!(loaded, corpus.entries());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -457,7 +441,7 @@ mod tests {
         corpus.observe(entry(2, "def"));
         corpus.observe(entry(5, "ghi"));
         write_corpus(&dir, &corpus).unwrap();
-        let loaded = load_corpus(&dir).unwrap();
+        let loaded: Vec<CorpusEntry> = read_json(&dir).unwrap();
         assert_eq!(loaded, corpus.entries());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -468,6 +452,6 @@ mod tests {
             "lumiere-corpus-missing-{}-does-not-exist",
             std::process::id()
         ));
-        assert_eq!(load_corpus(&dir).unwrap(), Vec::new());
+        assert_eq!(preload(&dir).unwrap(), Vec::new());
     }
 }

@@ -27,21 +27,11 @@ use std::fmt::Write as _;
 pub enum ExperimentScale {
     /// Small sweeps that finish in seconds (default).
     Quick,
-    /// The reference sweeps recorded in `EXPERIMENTS.md` (set
-    /// `LUMIERE_FULL=1`).
+    /// The reference sweeps recorded in `EXPERIMENTS.md` (`--full`).
     Full,
 }
 
 impl ExperimentScale {
-    /// Reads the scale from the `LUMIERE_FULL` environment variable.
-    pub fn from_env() -> Self {
-        if std::env::var("LUMIERE_FULL").is_ok_and(|v| v == "1") {
-            ExperimentScale::Full
-        } else {
-            ExperimentScale::Quick
-        }
-    }
-
     /// The name recorded in report files (`"quick"` / `"full"`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -1280,22 +1270,6 @@ mod tests {
         let ids = worst_case_byzantine_ids(ProtocolKind::Lumiere, 13, 42);
         assert_eq!(ids.len(), 4);
         assert!(ids.iter().all(|&i| i < 13));
-    }
-
-    #[test]
-    fn scale_is_read_from_the_environment() {
-        // Read-only check against the ambient environment (mutating env vars
-        // from concurrently running tests is undefined behaviour on glibc):
-        // Full exactly when LUMIERE_FULL=1, Quick otherwise.
-        let expect_full = std::env::var("LUMIERE_FULL").is_ok_and(|v| v == "1");
-        let expected = if expect_full {
-            ExperimentScale::Full
-        } else {
-            ExperimentScale::Quick
-        };
-        assert_eq!(ExperimentScale::from_env(), expected);
-        assert_eq!(ExperimentScale::Quick.name(), "quick");
-        assert_eq!(ExperimentScale::Full.name(), "full");
     }
 
     #[test]

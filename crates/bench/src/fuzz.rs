@@ -12,10 +12,11 @@
 //!
 //! * **safety** — honest committed chains must stay prefix-consistent
 //!   (`SimReport::safety_ok`), equivocation attempts notwithstanding;
-//! * **liveness** — after GST an honest leader must produce a QC, and some
-//!   honest processor must commit, within a generous `O(nΔ)` bound
-//!   ([`liveness_envelope`]). A run that exceeds the simulator's event cap
-//!   (`SimReport::truncated`) is also reported.
+//! * **liveness** — after GST an honest leader must produce a QC within a
+//!   generous `O(nΔ)` bound ([`liveness_envelope`]), and honest commits
+//!   must follow GST, one another and precede the run's end within it: the
+//!   live verdict's rule, [`commit_stall`]. A run that exceeds the
+//!   simulator's event cap (`SimReport::truncated`) is also reported.
 //!
 //! Findings carry the reproducing id and a **greedily minimized**
 //! configuration ([`minimize_config`]): corruptions and delay rules are
@@ -28,27 +29,27 @@
 //! entry of the coverage corpus instead.
 
 use crate::mutate::{sample_rule, sample_strategy};
-use lumiere_runtime::liveness_envelope;
+use lumiere_runtime::{commit_stall, liveness_envelope};
 use lumiere_sim::{AdversarySchedule, PlantedBug, ProtocolKind, SimConfig, SimReport};
 use lumiere_types::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{json, Serialize};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The known delay bound Δ used by every fuzz case.
 pub const FUZZ_DELTA: Duration = Duration::from_millis(10);
 
 /// What one fuzz case concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Verdict {
     /// Safety and liveness both held.
     Ok,
     /// Honest committed chains diverged — a protocol-breaking bug.
     SafetyViolation,
-    /// No honest-leader QC or no honest commit within the liveness bound
-    /// after GST.
+    /// No honest-leader QC within the liveness bound after GST, or honest
+    /// commits further apart than it ([`commit_stall`]).
     LivenessStall,
     /// The run hit the simulator's hard event cap.
     Truncated,
@@ -293,15 +294,12 @@ pub fn verdict(report: &SimReport) -> Verdict {
     if report.truncated {
         return Verdict::Truncated;
     }
-    let bound_end = report.gst + liveness_envelope(report.n, report.delta_cap);
+    let bound = liveness_envelope(report.n, report.delta_cap);
     let qc_ok = report
         .first_honest_qc_after(report.gst)
-        .is_some_and(|t| t <= bound_end);
-    let commit_ok = report
-        .commit_times
-        .iter()
-        .any(|(t, _)| *t > report.gst && *t <= bound_end);
-    if qc_ok && commit_ok {
+        .is_some_and(|t| t <= report.gst + bound);
+    let stall = commit_stall(&report.commit_times, report.gst, report.end_time, bound);
+    if qc_ok && stall.is_none() {
         Verdict::Ok
     } else {
         Verdict::LivenessStall
@@ -361,7 +359,9 @@ pub fn minimize_config(config: &SimConfig, target: Verdict) -> SimConfig {
 }
 
 /// A reportable finding: reproducing seed plus minimized configuration.
-#[derive(Debug, Clone, Serialize)]
+/// `--out` writes one file per finding; its embedded `SimConfig` lets
+/// `docs/ADVERSARIES.md`'s replay recipe rebuild the run exactly.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
     /// The execution id that found it. A fresh sample reproduces via
     /// [`sample_config`] from it; the embedded config is the ground truth.
@@ -373,6 +373,11 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// The file name `--out` stores this finding under.
+    pub fn filename(&self) -> String {
+        format!("finding__seed{:06}.json", self.seed)
+    }
+
     /// The one-line `FINDING seed=...` rendering of the fuzz report (and
     /// grepped by the CI planted-bug check).
     pub fn render_line(&self) -> String {
@@ -392,22 +397,6 @@ impl Finding {
             schedule.delay_rules.len(),
         )
     }
-}
-
-/// Writes one pretty-printed JSON file per finding under `dir` and returns
-/// the paths, in seed order. The file embeds the minimized `SimConfig`, so
-/// `docs/ADVERSARIES.md`'s replay recipe can rebuild the run exactly.
-pub fn write_findings(dir: &Path, findings: &[Finding]) -> Result<Vec<PathBuf>, String> {
-    crate::report::ensure_writable(dir)?;
-    let mut paths = Vec::with_capacity(findings.len());
-    for finding in findings {
-        let path = dir.join(format!("finding__seed{:06}.json", finding.seed));
-        let mut text = json::to_string_pretty(finding);
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        paths.push(path);
-    }
-    Ok(paths)
 }
 
 #[cfg(test)]
@@ -490,6 +479,24 @@ mod tests {
         assert_eq!(verdict(&bad), Verdict::LivenessStall);
         assert!(Verdict::LivenessStall.is_finding());
         assert!(!Verdict::Ok.is_finding());
+    }
+
+    /// A run whose only commit after GST is followed by silence longer than
+    /// the envelope stalls, though that commit came in time.
+    #[test]
+    fn a_stall_after_the_only_commit_after_gst_is_a_finding() {
+        let mut report = sample_config(ProtocolKind::Lumiere, 1, true).run();
+        let after_gst = report
+            .commit_times
+            .partition_point(|(t, _)| *t <= report.gst);
+        report.commit_times.truncate(after_gst + 1);
+        let (last, _) = report.commit_times[after_gst];
+        let bound = liveness_envelope(report.n, report.delta_cap);
+        assert!(last <= report.gst + bound, "the commit itself is in time");
+        report.end_time = last + bound;
+        assert_eq!(verdict(&report), Verdict::Ok);
+        report.end_time = last + bound + Duration::from_micros(1);
+        assert_eq!(verdict(&report), Verdict::LivenessStall);
     }
 
     #[test]

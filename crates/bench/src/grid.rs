@@ -2,7 +2,7 @@
 //!
 //! Every cell of a `protocol × n × f_a` sweep is an independent,
 //! deterministic simulation, so the grid can be scattered across OS threads
-//! for a near-linear speedup at `LUMIERE_FULL=1` scale. Workers pull the next
+//! for a near-linear speedup at `--full` scale. Workers pull the next
 //! unclaimed cell from a shared atomic cursor (work stealing in the
 //! "idle workers take the next job" sense — there are no per-worker queues to
 //! steal back from), so long cells do not serialize behind short ones.

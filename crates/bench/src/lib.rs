@@ -24,9 +24,9 @@
 //! | `load` | throughput–latency saturation under open-loop client load |
 //! | `certificates` | constant-size aggregates vs naive signature vectors |
 //!
-//! `LUMIERE_FULL=1` (or `--full`) selects the larger parameter sweeps used
-//! for the reference numbers; the default "quick" sweeps finish in well
-//! under a minute on a laptop. Nothing here times a layer: that is
+//! `--full` selects the larger parameter sweeps used for the reference
+//! numbers; the default "quick" sweeps finish in well under a minute on a
+//! laptop. Nothing here times a layer: that is
 //! `benchmark/`'s job (`--trace 1`), and regressions are judged by its
 //! paired runs.
 //!

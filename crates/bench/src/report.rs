@@ -9,12 +9,15 @@
 //! configuration and the JSON writer preserves field order, so re-running a
 //! sweep — with any thread count — reproduces every file byte for byte.
 //! That is what makes the on-disk reports diffable across runs:
-//! [`load_dir`] + [`diff_cells`] turn two report directories into a
-//! regression check.
+//! [`read_json`] + [`diff_cells`] turn two report directories into a
+//! regression check. [`write_json`] and [`read_json`] are also the
+//! fuzzer's store: its corpus entries and findings are files of the same
+//! kind.
 
 use lumiere_sim::metrics::SimReport;
 use lumiere_sim::trace::Trace;
-use serde::{json, Deserialize, Serialize};
+use serde::{json, Deserialize, DeserializeOwned, Serialize};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -106,48 +109,37 @@ pub fn ensure_writable(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes every cell under `dir` (one pretty-printed JSON file each) and
-/// returns the paths written, in cell order. Two cells with the same
-/// [`SweepCell::key`] would share a file, so they are an error and nothing
-/// is written.
-pub fn write_cells(dir: &Path, cells: &[SweepCell]) -> Result<Vec<PathBuf>, String> {
-    let mut keys = std::collections::BTreeSet::new();
-    for cell in cells {
-        if !keys.insert(cell.key()) {
-            return Err(format!("two report cells share the key `{}`", cell.key()));
-        }
+/// Writes each item as one pretty-printed JSON file under `dir`, named by
+/// `name(index, item)`, and returns the paths in item order. The one writer
+/// of report cells, corpus entries and findings: the same item always gives
+/// the same bytes. Two items named alike would share a file, so they are an
+/// error and nothing is written.
+pub fn write_json<T: Serialize>(
+    dir: &Path,
+    items: &[T],
+    name: impl Fn(usize, &T) -> String,
+) -> Result<Vec<PathBuf>, String> {
+    let names: Vec<String> = items.iter().enumerate().map(|(i, t)| name(i, t)).collect();
+    let mut seen = BTreeSet::new();
+    if let Some(twice) = names.iter().find(|name| !seen.insert(*name)) {
+        return Err(format!("two files would share the name `{twice}`"));
     }
     ensure_writable(dir)?;
-    let mut paths = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let path = dir.join(cell.filename());
-        let mut text = json::to_string_pretty(cell);
+    let write = |(name, item): (String, &T)| {
+        let path = dir.join(name);
+        let mut text = json::to_string_pretty(item);
         text.push('\n');
         fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        paths.push(path);
-    }
-    Ok(paths)
+        Ok(path)
+    };
+    names.into_iter().zip(items).map(write).collect()
 }
 
-/// Loads one report file, checking the schema version.
-pub fn load_cell(path: &Path) -> Result<SweepCell, String> {
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let cell: SweepCell =
-        json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    if cell.schema_version != SCHEMA_VERSION {
-        return Err(format!(
-            "{}: schema version {} is not the supported version {SCHEMA_VERSION}",
-            path.display(),
-            cell.schema_version
-        ));
-    }
-    Ok(cell)
-}
-
-/// Loads every `*.json` report file under `dir`, sorted by file name (which
-/// is also cell-key order, so two loads of equal sets align).
-pub fn load_dir(dir: &Path) -> Result<Vec<SweepCell>, String> {
+/// Reads every `*.json` file under `dir` as a `T`, in file-name order (for
+/// [`write_json`]'s cells that is key order, for its corpus entries
+/// discovery order). The one reader: an unlistable directory or entry, an
+/// unreadable file and one that does not parse are each an error.
+pub fn read_json<T: DeserializeOwned>(dir: &Path) -> Result<Vec<T>, String> {
     let entries =
         fs::read_dir(dir).map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries
@@ -159,7 +151,12 @@ pub fn load_dir(dir: &Path) -> Result<Vec<SweepCell>, String> {
         .collect::<Result<_, _>>()?;
     paths.retain(|p| p.extension().is_some_and(|ext| ext == "json"));
     paths.sort();
-    paths.iter().map(|p| load_cell(p)).collect()
+    let read = |path: &PathBuf| {
+        let text =
+            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+    };
+    paths.iter().map(read).collect()
 }
 
 /// One changed cell in a [`ReportDiff`]: which metrics moved, and how.
@@ -219,7 +216,7 @@ pub fn diff_cells(left: &[SweepCell], right: &[SweepCell]) -> ReportDiff {
     let mut diff = ReportDiff::default();
     let right_by_key: std::collections::BTreeMap<String, &SweepCell> =
         right.iter().map(|c| (c.key(), c)).collect();
-    let left_keys: std::collections::BTreeSet<String> = left.iter().map(|c| c.key()).collect();
+    let left_keys: BTreeSet<String> = left.iter().map(|c| c.key()).collect();
     for cell in left {
         let key = cell.key();
         match right_by_key.get(&key) {
@@ -283,12 +280,12 @@ fn change_details(left: &SweepCell, right: &SweepCell) -> Vec<String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lumiere_sim::metrics::MetricsCollector;
     use lumiere_types::{Duration, ProcessId, Time, View};
 
-    fn sample_cell(label: &str, decisions: u64) -> SweepCell {
+    pub(crate) fn sample_cell(label: &str, decisions: u64) -> SweepCell {
         let mut collector = MetricsCollector::new(
             "lumiere".to_string(),
             4,
@@ -316,11 +313,16 @@ mod tests {
         }
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
+    pub(crate) fn temp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("lumiere-report-test-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// What [`cli`](crate::cli) writes for a sweep's cells.
+    fn write_cells(dir: &Path, cells: &[SweepCell]) -> Result<Vec<PathBuf>, String> {
+        write_json(dir, cells, |_, cell| cell.filename())
     }
 
     #[test]
@@ -330,7 +332,7 @@ mod tests {
         let paths = write_cells(&dir, &cells).unwrap();
         assert_eq!(paths.len(), 2);
         assert!(paths[0].ends_with("unit_test__lumiere__n004.json"));
-        let loaded = load_dir(&dir).unwrap();
+        let loaded: Vec<SweepCell> = read_json(&dir).unwrap();
         assert_eq!(loaded, cells);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -347,6 +349,67 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Each kind of file the one writer stores comes back equal from the one
+    /// reader, under its file name and as pretty JSON plus a newline.
+    #[test]
+    fn cells_corpus_entries_and_findings_share_one_store() {
+        use crate::corpus::CorpusEntry;
+        use crate::fuzz::{sample_config, Finding, Verdict};
+        use lumiere_sim::ProtocolKind;
+
+        fn round_trip<T>(kind: &str, items: &[T], name: impl Fn(usize, &T) -> String, file: &str)
+        where
+            T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
+        {
+            let dir = temp_dir(kind);
+            let paths = write_json(&dir, items, name).unwrap();
+            assert_eq!(paths.len(), 1);
+            assert!(paths[0].ends_with(file), "{kind}: {}", paths[0].display());
+            let bytes = fs::read(&paths[0]).unwrap();
+            assert_eq!(
+                bytes,
+                format!("{}\n", json::to_string_pretty(&items[0])).as_bytes()
+            );
+            assert_eq!(read_json::<T>(&dir).unwrap(), items, "{kind}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+
+        let cell = sample_cell("n004", 2);
+        round_trip(
+            "cell",
+            &[cell],
+            |_, c| c.filename(),
+            "unit_test__lumiere__n004.json",
+        );
+        let config = sample_config(ProtocolKind::Lumiere, 9, true);
+        let entry = CorpusEntry {
+            id: 3,
+            parent: Some(1),
+            op: "sample".to_string(),
+            fingerprint: "fp".to_string(),
+            verdict: Verdict::Ok.name().to_string(),
+            config: config.clone(),
+        };
+        let entries = [entry];
+        round_trip(
+            "entry",
+            &entries,
+            |i, e| e.filename(i),
+            "corpus__000000__exec000003.json",
+        );
+        let finding = Finding {
+            seed: 9,
+            verdict: Verdict::LivenessStall,
+            config,
+        };
+        round_trip(
+            "finding",
+            &[finding],
+            |_, f| f.filename(),
+            "finding__seed000009.json",
+        );
+    }
+
     #[test]
     fn cells_sharing_a_key_are_refused_before_anything_is_written() {
         let dir = temp_dir("duplicate");
@@ -356,7 +419,7 @@ mod tests {
             sample_cell("n004", 3),
         ];
         let err = write_cells(&dir, &cells).unwrap_err();
-        assert!(err.contains("`unit_test__lumiere__n004`"), "{err}");
+        assert!(err.contains("`unit_test__lumiere__n004.json`"), "{err}");
         assert!(!dir.exists(), "a refused set must leave no files behind");
     }
 
@@ -391,17 +454,6 @@ mod tests {
         let diff = diff_cells(&a, &a.clone());
         assert!(diff.is_empty());
         assert_eq!(diff.render(), "report sets are identical\n");
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_rejected() {
-        let dir = temp_dir("schema");
-        let mut cell = sample_cell("n004", 1);
-        cell.schema_version = 999;
-        write_cells(&dir, &[cell]).unwrap();
-        let err = load_dir(&dir).unwrap_err();
-        assert!(err.contains("schema version 999"), "{err}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::process::{Command, Output};
 fn lumiere_bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lumiere-bench"))
         .args(args)
-        .env_remove("LUMIERE_OUT")
         .output()
         .expect("the binary runs")
 }

@@ -9,8 +9,9 @@
 //! silent change. (An *intentional* behaviour change regenerates the files
 //! with `fuzz_adversary --coverage --corpus-out`.)
 
-use lumiere_bench::corpus::load_corpus_entry;
+use lumiere_bench::corpus::CorpusEntry;
 use lumiere_bench::fuzz::verdict;
+use lumiere_bench::report::read_json;
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -19,32 +20,25 @@ fn corpus_dir() -> PathBuf {
 
 #[test]
 fn every_checked_in_corpus_entry_replays_to_its_recording() {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
-        .expect("tests/corpus exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    paths.sort();
+    let entries: Vec<CorpusEntry> = read_json(&corpus_dir()).unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        paths.len() >= 4,
+        entries.len() >= 4,
         "the regression corpus lost its entries ({} left)",
-        paths.len()
+        entries.len()
     );
     let mut verdicts = std::collections::BTreeSet::new();
-    for path in &paths {
-        let entry = load_corpus_entry(path).unwrap_or_else(|e| panic!("{e}"));
+    for (i, entry) in entries.into_iter().enumerate() {
         let report = entry.config.clone().run();
+        let at = format!("entry {i} in file-name order (exec {})", entry.id);
         assert_eq!(
             report.coverage.key(),
             entry.fingerprint,
-            "{}: fingerprint drifted",
-            path.display()
+            "{at}: fingerprint drifted"
         );
         assert_eq!(
             verdict(&report).name(),
             entry.verdict,
-            "{}: verdict drifted",
-            path.display()
+            "{at}: verdict drifted"
         );
         verdicts.insert(entry.verdict);
     }

@@ -5,7 +5,8 @@
 //! finding-file writer.
 
 use lumiere_bench::corpus::run_coverage_fuzz;
-use lumiere_bench::fuzz::{self, parse_args, sample_config, Finding, FuzzOptions, Verdict};
+use lumiere_bench::fuzz::{parse_args, sample_config, Finding, FuzzOptions, Verdict};
+use lumiere_bench::report::write_json;
 use lumiere_sim::{ProtocolKind, SimReport};
 use serde::json;
 use std::fs;
@@ -90,12 +91,13 @@ fn finding_files_are_deterministic_and_parseable() {
         verdict: Verdict::LivenessStall,
         config: sample_config(ProtocolKind::Lumiere, 9, true),
     };
-    let paths = fuzz::write_findings(&dir, std::slice::from_ref(&finding)).unwrap();
+    let write = |findings: &[Finding]| write_json(&dir, findings, |_, f| f.filename()).unwrap();
+    let paths = write(std::slice::from_ref(&finding));
     assert_eq!(paths.len(), 1);
     assert!(paths[0].ends_with("finding__seed000009.json"));
     let first = fs::read(&paths[0]).unwrap();
     // Re-writing is byte-identical.
-    let paths = fuzz::write_findings(&dir, &[finding]).unwrap();
+    let paths = write(&[finding]);
     let second = fs::read(&paths[0]).unwrap();
     assert_eq!(first, second);
     // The embedded config parses back and reproduces its simulation.

@@ -7,11 +7,11 @@
 //! pipeline capacity while the submit→commit percentiles inflate.
 //!
 //! Both tests run miniature grids (short horizons, few protocols): the full
-//! quick grid is exercised in release mode by CI's `lumiere-bench load` runs;
-//! in debug builds it would dominate the whole suite's wall clock.
+//! quick grid is exercised in release mode by CI's `lumiere-bench all`
+//! runs; in debug builds it would dominate the whole suite's wall clock.
 
 use lumiere_bench::experiments::{grid, ExperimentScale, Sweep};
-use lumiere_bench::report::{write_cells, SweepCell};
+use lumiere_bench::report::{write_json, SweepCell};
 use lumiere_sim::metrics::SimReport;
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::WorkloadConfig;
@@ -79,7 +79,7 @@ fn load_sweep_is_byte_identical_across_thread_counts() {
     let path_sets: Vec<_> = dirs
         .iter()
         .zip(&cell_sets)
-        .map(|(dir, cells)| write_cells(dir, cells).unwrap())
+        .map(|(dir, cells)| write_json(dir, cells, |_, cell| cell.filename()).unwrap())
         .collect();
     for paths in &path_sets[1..] {
         assert_eq!(path_sets[0].len(), paths.len());

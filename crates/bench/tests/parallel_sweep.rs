@@ -5,12 +5,16 @@
 //! `lumiere-bench all --out ... --threads N`.)
 
 use lumiere_bench::experiments::{grid, ExperimentScale, Sweep};
-use lumiere_bench::report::{diff_cells, load_dir, write_cells, SweepCell};
+use lumiere_bench::report::{diff_cells, read_json, write_json, SweepCell};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::StrategyKind;
 use lumiere_types::Duration;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+fn write_cells(dir: &Path, cells: &[SweepCell]) -> Vec<PathBuf> {
+    write_json(dir, cells, |_, cell| cell.filename()).unwrap()
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -62,8 +66,8 @@ fn sweep_cells(threads: usize) -> Vec<SweepCell> {
 fn two_and_eight_thread_sweeps_write_byte_identical_files() {
     let dir2 = temp_dir("threads2");
     let dir8 = temp_dir("threads8");
-    let paths2 = write_cells(&dir2, &sweep_cells(2)).unwrap();
-    let paths8 = write_cells(&dir8, &sweep_cells(8)).unwrap();
+    let paths2 = write_cells(&dir2, &sweep_cells(2));
+    let paths8 = write_cells(&dir8, &sweep_cells(8));
 
     assert_eq!(paths2.len(), paths8.len());
     assert!(!paths2.is_empty());
@@ -80,8 +84,8 @@ fn two_and_eight_thread_sweeps_write_byte_identical_files() {
     }
 
     // The loader round-trips every file and sees no difference at all.
-    let set2 = load_dir(&dir2).unwrap();
-    let set8 = load_dir(&dir8).unwrap();
+    let set2: Vec<SweepCell> = read_json(&dir2).unwrap();
+    let set8: Vec<SweepCell> = read_json(&dir8).unwrap();
     assert_eq!(set2.len(), paths2.len());
     let diff = diff_cells(&set2, &set8);
     assert!(diff.is_empty(), "unexpected diff:\n{}", diff.render());
@@ -94,9 +98,9 @@ fn two_and_eight_thread_sweeps_write_byte_identical_files() {
 fn loaded_cells_match_the_in_memory_sweep() {
     let dir = temp_dir("reload");
     let cells = sweep_cells(4);
-    write_cells(&dir, &cells).unwrap();
-    let loaded = load_dir(&dir).unwrap();
-    // `load_dir` sorts by file name; align by key before comparing.
+    write_cells(&dir, &cells);
+    let loaded: Vec<SweepCell> = read_json(&dir).unwrap();
+    // `read_json` sorts by file name; align by key before comparing.
     let mut expected = cells;
     expected.sort_by_key(|c| c.filename());
     assert_eq!(loaded, expected);

@@ -300,8 +300,8 @@ mod tests {
 
     #[test]
     fn digest_mismatch_names_both_digests() {
-        // Regression: this used to surface as `ViewMismatch` with the same
-        // view in both fields, which named neither the claimed nor the
+        // Regression: this used to surface as a view-mismatch error with the
+        // same view in both fields, which named neither the claimed nor the
         // recomputed digest and pointed at the wrong kind of corruption.
         let (keys, pki, params) = setup(4);
         let view = View::new(2);

@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn digest_mismatch_names_both_digests() {
-        // Regression: the macro used to report this as `ViewMismatch` with
+        // Regression: the macro used to report this as a view mismatch with
         // identical `expected` and `found` views, saying nothing about the
         // digests that actually disagreed.
         let (keys, pki, params) = setup();

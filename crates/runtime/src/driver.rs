@@ -65,19 +65,6 @@ impl Default for DriverOptions {
     }
 }
 
-/// One locally committed block, stamped with the wall-clock time (relative
-/// to the driver's boot) at which the commit happened. The live harness
-/// replays these against the `O(nΔ)` liveness envelope: a commit gap wider
-/// than [`liveness_envelope`] flags a stall the same way the simulator's
-/// liveness oracle does in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CommitRecord {
-    /// Milliseconds since the driver booted.
-    pub wall_ms: f64,
-    /// Height of the committed block.
-    pub height: u64,
-}
-
 /// What a finished driver run reports.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DriverSummary {
@@ -94,9 +81,10 @@ pub struct DriverSummary {
     pub chain: Vec<u64>,
     /// Wall-clock duration of the run in milliseconds.
     pub wall_ms: f64,
-    /// Per-commit wall-clock timestamps, in commit order (the liveness
-    /// oracle's raw material).
-    pub commits: Vec<CommitRecord>,
+    /// `(time, height)` of each local commit, in commit order, the time in
+    /// microseconds since the driver booted: the same form as
+    /// `SimReport::commit_times`, judged by the same [`commit_stall`].
+    pub commits: Vec<(Time, u64)>,
     /// The node's [`ProtocolRuntime::strategy_name`], `None` if honest.
     pub strategy: Option<String>,
     /// Strategy-gated events, when the node ran under a `--strategy`
@@ -126,11 +114,51 @@ pub struct DriverSummary {
 /// The `O(nΔ)` liveness envelope shared by the simulator's fuzzing oracle
 /// and the live-cluster harness: after GST (wall-clock clusters are post-GST
 /// from boot), some honest commit must land within this bound, and no two
-/// consecutive commits may be further apart. The paper's Theorem 1.1(2)
-/// gives worst-case latency `O(nΔ)`; the constant leaves room for a commit
-/// (two consecutive honest-leader QCs) on top.
+/// consecutive commits may be further apart ([`commit_stall`]). The paper's
+/// Theorem 1.1(2) gives worst-case latency `O(nΔ)`; the constant leaves room
+/// for a commit (two consecutive honest-leader QCs) on top.
 pub fn liveness_envelope(n: usize, delta: Duration) -> Duration {
     delta * (40 * n as i64 + 100)
+}
+
+/// Where a commit series first outlasts the liveness bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stall {
+    /// Nothing committed inside the window.
+    Silent,
+    /// The first commit came this long after the window opened.
+    First(Duration),
+    /// Two consecutive commits, at these heights, lay this far apart.
+    Gap(Duration, u64, u64),
+    /// The window closed this long after the last commit.
+    Tail(Duration),
+}
+
+/// The one liveness rule, for the simulator's fuzzing oracle and the live
+/// verdict alike: of the `(time, height)` commits, in time order, those
+/// after `start` must begin within `bound` of it, follow one another within
+/// `bound`, and end within `bound` of `end`. Returns the first breach.
+pub fn commit_stall(
+    commits: &[(Time, u64)],
+    start: Time,
+    end: Time,
+    bound: Duration,
+) -> Option<Stall> {
+    let commits = &commits[commits.partition_point(|(t, _)| *t <= start)..];
+    let Some(&(first, _)) = commits.first() else {
+        return Some(Stall::Silent);
+    };
+    if first - start > bound {
+        return Some(Stall::First(first - start));
+    }
+    for w in commits.windows(2) {
+        let ((a, from), (b, to)) = (w[0], w[1]);
+        if b - a > bound {
+            return Some(Stall::Gap(b - a, from, to));
+        }
+    }
+    let tail = end - commits.last()?.0;
+    (tail > bound).then_some(Stall::Tail(tail))
 }
 
 /// Checks agreement across committed chains: every pair must be
@@ -154,27 +182,23 @@ pub fn chains_agree<C: AsRef<[u64]>>(chains: &[C]) -> Result<usize, (usize, usiz
     Ok(shared)
 }
 
-/// Checks one node's wall-clock commit trace against the `O(nΔ)` liveness
-/// envelope. Returns a description of the first violation, if any — the
-/// same three gaps the fuzzer's virtual-time oracle bounds: boot to first
-/// commit, commit to commit, last commit to shutdown.
+/// Checks one node's wall-clock commit trace, from boot to shutdown,
+/// against [`commit_stall`] with the [`liveness_envelope`] bound, and
+/// describes the first violation, if any.
 pub fn envelope_violation(s: &DriverSummary, n: usize, delta: Duration) -> Option<String> {
-    let (node, bound_ms) = (s.node, liveness_envelope(n, delta).as_millis_f64());
-    let stall = |what: String| Some(format!("node {node} {what} (bound {bound_ms:.0} ms)"));
-    let Some(first) = s.commits.first() else {
-        return stall(format!("committed nothing in {:.0} ms", s.wall_ms));
+    let bound = liveness_envelope(n, delta);
+    let end = Time::from_micros((s.wall_ms * 1_000.0) as i64);
+    let what = match commit_stall(&s.commits, Time::ZERO, end, bound)? {
+        Stall::Silent => format!("committed nothing in {:.0} ms", s.wall_ms),
+        Stall::First(d) => format!("took {:.0} ms to its first commit", d.as_millis_f64()),
+        Stall::Gap(d, a, b) => format!(
+            "stalled {:.0} ms between heights {a} and {b}",
+            d.as_millis_f64()
+        ),
+        Stall::Tail(d) => format!("stalled {:.0} ms after its last commit", d.as_millis_f64()),
     };
-    if first.wall_ms > bound_ms {
-        return stall(format!("took {:.0} ms to its first commit", first.wall_ms));
-    }
-    for w in s.commits.windows(2) {
-        let (gap, a, b) = (w[1].wall_ms - w[0].wall_ms, w[0].height, w[1].height);
-        if gap > bound_ms {
-            return stall(format!("stalled {gap:.0} ms between heights {a} and {b}"));
-        }
-    }
-    let tail = s.wall_ms - s.commits.last()?.wall_ms;
-    stall(format!("stalled {tail:.0} ms after its last commit")).filter(|_| tail > bound_ms)
+    let (node, bound_ms) = (s.node, bound.as_millis_f64());
+    Some(format!("node {node} {what} (bound {bound_ms:.0} ms)"))
 }
 
 /// A node the live harness SIGKILLed: its id, and whether it was restarted.
@@ -304,7 +328,7 @@ pub fn run<T: Transport>(
 
     let mut out = RuntimeOutput::default();
     let mut timers = Timers::default();
-    let mut commit_log: Vec<CommitRecord> = Vec::new();
+    let mut commit_log: Vec<(Time, u64)> = Vec::new();
     let mut gated_events: u64 = 0;
     let mut txs = TxStats::default();
     // Open-loop client generation state: the next arrival instant (in
@@ -431,17 +455,13 @@ fn flush<T: Transport>(
     transport: &mut T,
     timers: &mut Timers,
     epoch: Instant,
-    commit_log: &mut Vec<CommitRecord>,
+    commit_log: &mut Vec<(Time, u64)>,
     gated_events: &mut u64,
     txs: &mut TxStats,
 ) -> Result<(), TransportError> {
-    for height in out.commits.drain(..) {
-        commit_log.push(CommitRecord {
-            wall_ms: epoch.elapsed().as_secs_f64() * 1_000.0,
-            height,
-        });
-    }
     let now_micros = epoch.elapsed().as_micros() as i64;
+    let at = Time::from_micros(now_micros);
+    commit_log.extend(out.commits.drain(..).map(|height| (at, height)));
     for id in out.committed_txs.drain(..) {
         if !txs.committed.insert(id.as_u64()) {
             txs.recommits += 1;
@@ -591,7 +611,7 @@ mod tests {
             assert!(
                 s.commits
                     .windows(2)
-                    .all(|w| w[0].wall_ms <= w[1].wall_ms && w[0].height < w[1].height),
+                    .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1),
                 "commit records must be monotone in time and height"
             );
             assert_eq!(s.gated_events, 0, "honest nodes gate nothing");
@@ -673,10 +693,7 @@ mod tests {
             chain: (1..=height).collect(),
             wall_ms: (height + 1) as f64 * 100.0,
             commits: (1..=height)
-                .map(|height| CommitRecord {
-                    wall_ms: height as f64 * 100.0,
-                    height,
-                })
+                .map(|height| (Time::from_millis(height as i64 * 100), height))
                 .collect(),
             strategy: None,
             gated_events: 0,
@@ -891,13 +908,41 @@ mod tests {
             .as_deref(),
             Some("node 1 committed nothing in 6000 ms (bound 5200 ms)")
         );
+        fn late(commit: &mut (Time, u64)) {
+            commit.0 += Duration::from_millis(5_300);
+        }
         assert_eq!(
-            violation(|s| s.commits.iter_mut().for_each(|c| c.wall_ms += 5_300.0)).as_deref(),
+            violation(|s| s.commits.iter_mut().for_each(late)).as_deref(),
             Some("node 1 took 5400 ms to its first commit (bound 5200 ms)")
         );
         assert_eq!(
-            violation(|s| s.commits[5..].iter_mut().for_each(|c| c.wall_ms += 5_300.0)).as_deref(),
+            violation(|s| s.commits[5..].iter_mut().for_each(late)).as_deref(),
             Some("node 1 stalled 5400 ms between heights 5 and 6 (bound 5200 ms)")
+        );
+    }
+
+    /// One commit and then silence past the envelope is a stall, whatever
+    /// came before: the rule bounds the tail as well as the first commit.
+    #[test]
+    fn a_stall_after_the_only_commit_is_named() {
+        let s = DriverSummary {
+            wall_ms: 5_400.0,
+            ..healthy(1, 1)
+        };
+        assert_eq!(
+            envelope_violation(&s, 4, DELTA).as_deref(),
+            Some("node 1 stalled 5300 ms after its last commit (bound 5200 ms)")
+        );
+        let bound = liveness_envelope(4, DELTA);
+        let end = Time::from_millis(5_400);
+        assert_eq!(
+            commit_stall(&s.commits, Time::ZERO, end, bound),
+            Some(Stall::Tail(Duration::from_millis(5_300)))
+        );
+        // Commits at or before `start` do not count.
+        assert_eq!(
+            commit_stall(&s.commits, Time::from_millis(100), end, bound),
+            Some(Stall::Silent)
         );
     }
 

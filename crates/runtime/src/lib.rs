@@ -61,8 +61,8 @@ pub use codec::{
 pub use config::{ConfigError, NodeConfig, PeerConfig};
 pub use delay::DelayModel;
 pub use driver::{
-    liveness_envelope, spawn as spawn_driver, CommitRecord, DriverHandle, DriverOptions,
-    DriverSummary,
+    commit_stall, liveness_envelope, spawn as spawn_driver, DriverHandle, DriverOptions,
+    DriverSummary, Stall,
 };
 pub use fault::FaultedTransport;
 pub use message::WireMessage;

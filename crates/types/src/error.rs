@@ -1,7 +1,6 @@
 //! Error types shared across the workspace.
 
 use crate::id::ProcessId;
-use crate::view::View;
 use std::fmt;
 
 /// Convenience alias for results using [`Error`].
@@ -36,22 +35,10 @@ pub enum Error {
         /// Digest value recomputed from the certificate's fields.
         computed: u64,
     },
-    /// A certificate was presented for the wrong view.
-    ViewMismatch {
-        /// View the certificate claims.
-        expected: View,
-        /// View found in the signed statement.
-        found: View,
-    },
     /// A message referenced an unknown processor.
     UnknownProcess {
         /// The offending identifier.
         id: ProcessId,
-    },
-    /// A quorum certificate referenced a block that is not in the store.
-    UnknownBlock {
-        /// Hash of the missing block.
-        hash: u64,
     },
     /// Generic protocol violation with a description.
     Protocol(String),
@@ -72,14 +59,7 @@ impl fmt::Display for Error {
                     "certificate signature covers digest {claimed:#018x} but its contents hash to {computed:#018x}"
                 )
             }
-            Error::ViewMismatch { expected, found } => {
-                write!(
-                    f,
-                    "certificate for {found} presented where {expected} expected"
-                )
-            }
             Error::UnknownProcess { id } => write!(f, "unknown processor {id}"),
-            Error::UnknownBlock { hash } => write!(f, "unknown block {hash:#x}"),
             Error::Protocol(msg) => write!(f, "protocol violation: {msg}"),
         }
     }
@@ -106,13 +86,6 @@ mod tests {
         };
         assert!(e.to_string().contains("0x00000000000000ab"));
         assert!(e.to_string().contains("0x00000000000000cd"));
-        let e = Error::ViewMismatch {
-            expected: View::new(4),
-            found: View::new(3),
-        };
-        assert!(e.to_string().contains("v3"));
-        let e = Error::UnknownBlock { hash: 0xabc };
-        assert!(e.to_string().contains("0xabc"));
         let e = Error::Protocol("bad".into());
         assert!(e.to_string().contains("bad"));
         let e = Error::UnknownProcess {

@@ -5,10 +5,13 @@
 # The parent's `benchmark/` is built from a `git worktree` of <parent-ref>
 # under target/bench-pairs/ (removed again on exit; its build directory is
 # kept, so a second run rebuilds only what changed). The change is the
-# working tree. Pair i runs both binaries with `--seed <first-seed>+i` and
-# `--seconds <seconds>`, parent first on even pairs and change first on odd
-# ones, so slow phases of a shared machine hit both sides alike. A claimed
-# gain is measured on seeds the change was not developed against.
+# working tree. Both are built into sibling directories,
+# target/bench-pairs/{parent,change}-target, because `peak_rss_mb` moves
+# with where the binary file sits. Pair i runs both binaries with
+# `--seed <first-seed>+i` and `--seconds <seconds>`, parent first on even
+# pairs and change first on odd ones, so slow phases of a shared machine hit
+# both sides alike. A claimed gain is measured on seeds the change was not
+# developed against.
 #
 # Printed: every run's result line, then per workload each end-to-end
 # metric's median and quartiles on both sides and the change/parent ratio of
@@ -48,9 +51,10 @@ checkout_worktree "$parent_ref" "$tree"
 echo "building the parent ($rev) and the change ..." >&2
 CARGO_TARGET_DIR="$PWD/$work/parent-target" \
     cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$PWD/$work/change-target" \
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 parent_bin=$work/parent-target/release/lumiere-benchmark
-change_bin=benchmark/target/release/lumiere-benchmark
+change_bin=$work/change-target/release/lumiere-benchmark
 
 workloads=$(python3 -c '
 import json
