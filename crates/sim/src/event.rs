@@ -51,7 +51,7 @@
 //! entry comes first. [`EventQueue::pop`] is the same code one copy at a
 //! time.
 
-use lumiere_types::{ProcessId, Time, Transaction};
+use lumiere_types::{ProcessId, Time};
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
@@ -88,13 +88,6 @@ pub enum Event {
     Wake {
         /// The processor to wake.
         node: ProcessId,
-    },
-    /// An open-loop client transaction arriving at the cluster (see
-    /// [`WorkloadConfig`](crate::workload::WorkloadConfig)); the runner
-    /// offers it to every processor's mempool.
-    Arrival {
-        /// The arriving transaction.
-        tx: Transaction,
     },
 }
 
@@ -833,7 +826,7 @@ mod tests {
     }
 
     fn msg() -> Arc<SimMessage> {
-        use lumiere_types::TxId;
+        use lumiere_types::{Transaction, TxId};
         Arc::new(SimMessage::Submit(Transaction::new(TxId::new(7))))
     }
 
@@ -1040,7 +1033,7 @@ mod tests {
         at: Time,
         tag: u64,
     ) {
-        use lumiere_types::TxId;
+        use lumiere_types::{Transaction, TxId};
         let message = Arc::new(SimMessage::Submit(Transaction::new(TxId::new(tag))));
         let (honest, corrupt) = match kind % 3 {
             0 => (ClassDelay::At(at), ClassDelay::At(at)),

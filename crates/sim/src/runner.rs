@@ -20,6 +20,14 @@
 //! is a pure function of the event stream, the same under either
 //! [`BroadcastMode`]; `sim_equivalence.rs` and the scale suite pin this.
 //!
+//! Client arrivals are not queued: an [`ArrivalStream`] generates them one
+//! tick at a time beside the queue, and the next instant is the earlier of
+//! the queue's head and the stream's tick. A batch at `at` takes the boots
+//! first, then `at`'s arrivals, then the rest of the queue — the order one
+//! queue holding all three gave, where the boots held seqs `1..=n` and every
+//! arrival's seq came before anything scheduled during the run. Each
+//! arrival counts as one event toward the batch budget and the cap.
+//!
 //! The scheduled-wake sweep also runs between batches, once the dedup set
 //! has doubled since the last sweep and holds more than `n` pairs, so the
 //! set stays O(max(n, pending wakes)). Where it runs changes nothing: a
@@ -30,6 +38,7 @@ use crate::event::{ClassDelay, Event, EventQueue, Run, SimMessage, Taken};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::scenario::SimConfig;
 use crate::trace::{Trace, TraceKind};
+use crate::workload::ArrivalStream;
 use lumiere_consensus::BlockHash;
 use lumiere_runtime::adversary::AdversarySchedule;
 use lumiere_runtime::delay::DelayModel;
@@ -125,6 +134,8 @@ pub struct Simulation {
     /// Per-processor honesty, shared with symbolic broadcast groups.
     honesty: Arc<Vec<bool>>,
     queue: EventQueue,
+    /// Client arrivals not yet submitted, if the run carries a workload.
+    arrivals: Option<ArrivalStream>,
     rng: StdRng,
     collector: MetricsCollector,
     trace: Trace,
@@ -147,6 +158,11 @@ pub struct Simulation {
     /// When set, every block each processor committed, in commit order.
     #[cfg(test)]
     commit_log: Option<Vec<Vec<lumiere_consensus::Block>>>,
+    /// When set, every handled event's instant and kind, in order: `'b'`
+    /// boot, `'a'` arrival (logged once every mempool has it), `'d'`
+    /// delivery, `'w'` wake (logged before the handler runs).
+    #[cfg(test)]
+    handled: Option<Vec<(Time, char)>>,
     last_gap_sample: Time,
     now: Time,
     truncated: bool,
@@ -183,18 +199,15 @@ impl Simulation {
         for node in &nodes {
             queue.push(Time::ZERO, Event::Boot { node: node.id() });
         }
-        // Client traffic is precomputed (deterministically) before the run:
-        // arrivals interleave with protocol events purely by timestamp, so
-        // the schedule is independent of how the run unfolds — the open-loop
-        // model.
-        if let Some(workload) = &cfg.workload {
+        // Client traffic is open loop: the stream's schedule depends only on
+        // the workload, the seed and the horizon, never on how the run
+        // unfolds, and arrivals interleave with protocol events by instant.
+        let arrivals = cfg.workload.map(|workload| {
             for node in &mut nodes {
                 node.set_mempool_config(workload.mempool_config());
             }
-            for (at, tx) in workload.arrivals(cfg.seed, cfg.horizon) {
-                queue.push(at, Event::Arrival { tx });
-            }
-        }
+            workload.stream(cfg.seed, cfg.horizon)
+        });
         let seed = cfg.seed;
         let schedule = cfg.effective_adversary();
         let honesty = Arc::new(nodes.iter().map(|n| n.is_honest()).collect::<Vec<_>>());
@@ -206,6 +219,7 @@ impl Simulation {
             nodes,
             honesty,
             queue,
+            arrivals,
             rng: StdRng::seed_from_u64(seed ^ 0x5349_4d55_4c41_5445),
             collector,
             trace: Trace::new(),
@@ -216,6 +230,8 @@ impl Simulation {
             account_txs_per_node: false,
             #[cfg(test)]
             commit_log: None,
+            #[cfg(test)]
+            handled: None,
             last_gap_sample: Time::ZERO,
             now: Time::ZERO,
             truncated: false,
@@ -291,7 +307,11 @@ impl Simulation {
         let cap = event_cap(self.cfg.n);
         // Lent to one handler at a time; its capacity lasts the whole run.
         let mut out = RuntimeOutput::default();
-        while let Some(at) = self.queue.peek_time() {
+        loop {
+            let arrival = self.arrivals.as_ref().and_then(ArrivalStream::peek_time);
+            let Some(at) = self.queue.peek_time().into_iter().chain(arrival).min() else {
+                break;
+            };
             if at > horizon {
                 self.now = horizon;
                 break;
@@ -307,22 +327,13 @@ impl Simulation {
 
             // One batch (see the module docs): bounded by the event cap and
             // the constant batch cap, and by the seq limit, which leaves
-            // what this batch schedules at `at` to the next one.
+            // what this batch schedules at `at` to the next one. The boots
+            // hold seqs `1..=n`.
             let budget = (cap - self.events_processed).min(MAX_BATCH);
             let limit = self.queue.last_seq();
-            let mut taken = 0;
-            while taken < budget {
-                match self.queue.take_due(at, limit) {
-                    None => break,
-                    Some(Taken::One(event)) => {
-                        taken += 1;
-                        self.dispatch_event(event, &mut out);
-                    }
-                    Some(Taken::Run(run)) => {
-                        taken += self.deliver_run(run, limit, budget - taken, &mut out);
-                    }
-                }
-            }
+            let mut taken = self.take_queued(at, self.cfg.n as u64, budget, &mut out);
+            taken += self.submit_arrivals(at, budget - taken);
+            taken += self.take_queued(at, limit, budget - taken, &mut out);
             self.events_processed += taken;
             if self.scheduled_wakes.len() > self.cfg.n.max(2 * self.swept_wakes) {
                 let now_micros = at.as_micros();
@@ -336,6 +347,47 @@ impl Simulation {
                 }
             }
         }
+    }
+
+    /// Handles the queued entries due at `at` with a seq at or below
+    /// `limit`, at most `room` of them, and returns how many it handled.
+    fn take_queued(&mut self, at: Time, limit: u64, room: u64, out: &mut RuntimeOutput) -> u64 {
+        let mut taken = 0;
+        while taken < room {
+            match self.queue.take_due(at, limit) {
+                None => break,
+                Some(Taken::One(event)) => {
+                    taken += 1;
+                    self.dispatch_event(event, out);
+                }
+                Some(Taken::Run(run)) => {
+                    taken += self.deliver_run(run, limit, room - taken, out);
+                }
+            }
+        }
+        taken
+    }
+
+    /// Offers the arrivals due at `at`, at most `room` of them, to every
+    /// processor (clients broadcast submissions so any future leader can
+    /// carry them; dedup-by-id keeps the copies from multiplying), and
+    /// returns how many it offered.
+    fn submit_arrivals(&mut self, at: Time, room: u64) -> u64 {
+        let mut taken = 0;
+        while taken < room {
+            let due = self.arrivals.as_mut().filter(|s| s.peek_time() == Some(at));
+            let Some((_, tx)) = due.and_then(Iterator::next) else {
+                break;
+            };
+            self.collector.record_submission(at, tx.id);
+            for node in &mut self.nodes {
+                node.submit_tx(tx);
+            }
+            #[cfg(test)]
+            self.log_handled('a');
+            taken += 1;
+        }
+        taken
     }
 
     /// Delivers a broadcast group's copies while its next recipient stays
@@ -356,8 +408,8 @@ impl Simulation {
         }
     }
 
-    /// Handles one event: node handler (or cluster-wide effect) immediately
-    /// followed by output application.
+    /// Handles one queued event: its node's handler immediately followed by
+    /// output application.
     fn dispatch_event(&mut self, event: Event, out: &mut RuntimeOutput) {
         let now = self.now;
         let node = match event {
@@ -365,25 +417,19 @@ impl Simulation {
                 return self.deliver(from, to, &message, out);
             }
             Event::Boot { node } => {
+                #[cfg(test)]
+                self.log_handled('b');
                 out.clear();
                 self.nodes[node.as_usize()].boot(now, out);
                 node
             }
             Event::Wake { node } => {
+                #[cfg(test)]
+                self.log_handled('w');
                 self.collector.record_wake();
                 out.clear();
                 self.nodes[node.as_usize()].wake(now, out);
                 node
-            }
-            Event::Arrival { tx } => {
-                // Every processor ingests the transaction (clients
-                // broadcast submissions so any future leader can carry
-                // them); dedup-by-id keeps the copies from multiplying.
-                self.collector.record_submission(now, tx.id);
-                for node in &mut self.nodes {
-                    node.submit_tx(tx);
-                }
-                return;
             }
         };
         self.apply_output(node, out);
@@ -397,6 +443,8 @@ impl Simulation {
         message: &SimMessage,
         out: &mut RuntimeOutput,
     ) {
+        #[cfg(test)]
+        self.log_handled('d');
         out.clear();
         self.nodes[to.as_usize()].deliver(from, message, self.now, out);
         self.apply_output(to, out);
@@ -586,6 +634,13 @@ impl Simulation {
             model.delivery_time(now, gst, delta_cap, rng)
         };
         queue.push_broadcast(from, message, honesty, honest_delay, corrupt_delay, jitter);
+    }
+
+    #[cfg(test)]
+    fn log_handled(&mut self, kind: char) {
+        if let Some(log) = &mut self.handled {
+            log.push((self.now, kind));
+        }
     }
 
     /// Samples the `(f+1)`-st honest clock gap roughly twice per Δ.
@@ -836,6 +891,63 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A loaded simulation queues nothing but its boots before the first
+    /// event, however long the run: the `sim_backlog` unit (n = 4, 48 000
+    /// transactions a second) at 250 ms and at 4 s.
+    #[test]
+    fn a_built_loaded_simulation_queues_only_its_boots() {
+        for horizon in [Duration::from_millis(250), Duration::from_secs(4)] {
+            let cfg = loaded(4, 48_000).with_horizon(horizon);
+            let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+            assert_eq!(sim.queue.physical_len(), 4, "{horizon:?}");
+            assert_eq!(sim.queue.peek_time(), Some(Time::ZERO));
+            let stream = sim.arrivals.as_ref().expect("a loaded run has a stream");
+            assert_eq!(stream.peek_time(), Some(Time::ZERO));
+            assert_eq!(stream.pending().len(), 48);
+        }
+    }
+
+    /// At an instant that holds boots, arrivals and other events, the boots
+    /// run first, then every arrival reaches every mempool, then the
+    /// deliveries and wakes run: the order of one queue holding all three.
+    /// Two transactions arrive every millisecond, so the wakes at Δ = 10 ms
+    /// and the messages they send, delivered 1 ms later, land on arrivals.
+    #[test]
+    fn arrivals_reach_the_mempools_between_the_boots_and_the_other_events() {
+        let cfg = loaded(4, 2_000).with_actual_delay(Duration::from_millis(1));
+        let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+        sim.handled = Some(Vec::new());
+        sim.run_loop();
+        let log = sim.handled.take().expect("set above");
+        let at = |t: Time| -> String {
+            log.iter()
+                .filter(|&&(when, _)| when == t)
+                .map(|&(_, kind)| kind)
+                .collect()
+        };
+        assert_eq!(at(Time::ZERO), "bbbbaa");
+        assert_eq!(at(Time::from_millis(10)), "aawwww");
+        assert!(at(Time::from_millis(11)).starts_with("aad"));
+        let rank = |kind: char| match kind {
+            'b' => 0,
+            'a' => 1,
+            _ => 2,
+        };
+        let mut shared = 0;
+        for pair in log.windows(2) {
+            let ((t0, k0), (t1, k1)) = (pair[0], pair[1]);
+            assert!(
+                t0 < t1 || rank(k0) <= rank(k1),
+                "{k0} before {k1} at {t1:?}"
+            );
+            shared += usize::from(t0 == t1 && k0 == 'a' && k1 != 'a');
+        }
+        assert!(
+            shared > 100,
+            "{shared} instants held an arrival and another event"
+        );
     }
 
     /// The wake-dedup set is swept as it grows: after the benchmark's

@@ -1,11 +1,13 @@
 //! Deterministic open-loop client workload generation.
 //!
 //! A [`WorkloadConfig`] describes client traffic as a mean arrival rate
-//! shaped by an [`ArrivalProfile`] (constant, bursty, diurnal). The schedule
-//! of arrivals is precomputed with pure integer arithmetic before the run
-//! starts — the same `(config, seed, horizon)` triple yields byte-identical
-//! transactions at identical instants on every host and thread count, which
-//! the cross-thread determinism suite relies on.
+//! shaped by an [`ArrivalProfile`] (constant, bursty, diurnal). An
+//! [`ArrivalStream`] generates the arrivals one millisecond tick at a time,
+//! as the run reaches them, with pure integer arithmetic whose only inputs
+//! are the `(config, seed, horizon)` triple — never the run's own events —
+//! so the same triple yields byte-identical transactions at identical
+//! instants on every host and thread count, which the cross-thread
+//! determinism suite relies on.
 //!
 //! The clients are **open loop**: they submit at the configured rate no
 //! matter how the cluster is doing, so saturation shows up as growing
@@ -133,31 +135,103 @@ impl WorkloadConfig {
         }
     }
 
-    /// Precomputes the full arrival schedule for a run: `(instant,
-    /// transaction)` pairs in non-decreasing time order. Transaction ids are
-    /// unique and derived from `seed`, so two runs with different seeds
-    /// carry disjoint id spaces while equal seeds reproduce byte-identical
-    /// traffic.
+    /// The arrivals of a run, generated one tick at a time. Transaction
+    /// ids are unique and derived from `seed`, so two runs with different
+    /// seeds carry disjoint id spaces while equal seeds reproduce
+    /// byte-identical traffic.
+    pub fn stream(&self, seed: u64, horizon: Duration) -> ArrivalStream {
+        let mut stream = ArrivalStream {
+            config: *self,
+            id_base: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            horizon_ms: (horizon.as_micros().max(0) / 1_000) as u64,
+            next_ms: 0,
+            acc: 0,
+            generated: 0,
+            tick: Time::ZERO,
+            txs: Vec::new(),
+            taken: 0,
+        };
+        stream.fill();
+        stream
+    }
+
+    /// The whole arrival schedule of a run: `(instant, transaction)` pairs
+    /// in non-decreasing time order, as [`stream`](Self::stream) yields
+    /// them.
     pub fn arrivals(&self, seed: u64, horizon: Duration) -> Vec<(Time, Transaction)> {
-        let horizon_ms = horizon.as_micros().max(0) / 1_000;
-        let id_base = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut out = Vec::new();
-        // Fixed-point integration of the rate curve: each simulated
-        // millisecond adds the instantaneous txs/sec; every 1000
-        // accumulated units is one arrival. Integer arithmetic only, so the
-        // schedule never drifts and is identical everywhere.
-        let mut acc: u64 = 0;
-        let mut k: u64 = 0;
-        for ms in 0..horizon_ms as u64 {
-            acc += self.rate_at_ms(ms);
-            while acc >= 1_000 {
-                acc -= 1_000;
-                let tx = Transaction::sized(TxId::new(id_base.wrapping_add(k)), self.tx_bytes);
-                out.push((Time::from_micros(ms as i64 * 1_000), tx));
-                k += 1;
+        self.stream(seed, horizon).collect()
+    }
+}
+
+/// A run's client arrivals, generated a millisecond tick at a time: a
+/// reusable buffer holds the next tick that carries any, so the stream's
+/// memory is one tick's arrivals whatever the rate and horizon. As an
+/// iterator it yields `(instant, transaction)` pairs in time order.
+#[derive(Debug)]
+pub struct ArrivalStream {
+    config: WorkloadConfig,
+    id_base: u64,
+    /// Ticks at or past this millisecond carry nothing.
+    horizon_ms: u64,
+    /// The next millisecond to integrate.
+    next_ms: u64,
+    /// Fixed-point integral of the rate curve not yet spent on arrivals.
+    acc: u64,
+    /// Transactions generated so far: the next id's offset from `id_base`.
+    generated: u64,
+    /// The instant of the arrivals in `txs`.
+    tick: Time,
+    txs: Vec<Transaction>,
+    /// How many of `txs` have been yielded.
+    taken: usize,
+}
+
+impl ArrivalStream {
+    /// The instant of the next arrival, or `None` once the stream has
+    /// reached the horizon.
+    pub fn peek_time(&self) -> Option<Time> {
+        (self.taken < self.txs.len()).then_some(self.tick)
+    }
+
+    /// The arrivals of the current tick not yet yielded.
+    pub fn pending(&self) -> &[Transaction] {
+        &self.txs[self.taken..]
+    }
+
+    /// Refills the buffer with the next tick that carries arrivals, or
+    /// leaves it empty at the horizon. Fixed-point integration of the rate
+    /// curve: each simulated millisecond adds the instantaneous txs/sec;
+    /// every 1000 accumulated units is one arrival. Integer arithmetic
+    /// only, so the schedule never drifts and is identical everywhere.
+    fn fill(&mut self) {
+        self.txs.clear();
+        self.taken = 0;
+        while self.txs.is_empty() && self.next_ms < self.horizon_ms {
+            let ms = self.next_ms;
+            self.next_ms += 1;
+            self.acc += self.config.rate_at_ms(ms);
+            while self.acc >= 1_000 {
+                self.acc -= 1_000;
+                let id = TxId::new(self.id_base.wrapping_add(self.generated));
+                self.txs.push(Transaction::sized(id, self.config.tx_bytes));
+                self.generated += 1;
             }
+            self.tick = Time::from_micros(ms as i64 * 1_000);
         }
-        out
+    }
+}
+
+impl Iterator for ArrivalStream {
+    type Item = (Time, Transaction);
+
+    fn next(&mut self) -> Option<(Time, Transaction)> {
+        let tx = *self.txs.get(self.taken)?;
+        let at = self.tick;
+        self.taken += 1;
+        if self.taken == self.txs.len() {
+            self.fill();
+        }
+        Some((at, tx))
     }
 }
 
@@ -244,6 +318,69 @@ mod tests {
             .filter(|(t, _)| (225_000..275_000).contains(&t.as_micros()))
             .count();
         assert!(peak_50ms > first_50ms * 2, "peak must outpace the trough");
+    }
+
+    /// The schedule the stream replaced, computed whole before a run by the
+    /// same integration.
+    fn precomputed(w: &WorkloadConfig, seed: u64, horizon: Duration) -> Vec<(Time, Transaction)> {
+        let horizon_ms = horizon.as_micros().max(0) / 1_000;
+        let id_base = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut out = Vec::new();
+        let (mut acc, mut k) = (0, 0);
+        for ms in 0..horizon_ms as u64 {
+            acc += w.rate_at_ms(ms);
+            while acc >= 1_000 {
+                acc -= 1_000;
+                let tx = Transaction::sized(TxId::new(id_base.wrapping_add(k)), w.tx_bytes);
+                out.push((Time::from_micros(ms as i64 * 1_000), tx));
+                k += 1;
+            }
+        }
+        out
+    }
+
+    /// The stream's ticks strictly increase, each carries at least one
+    /// arrival, all lie below the horizon (a whole number of milliseconds
+    /// or not), and together they are the precomputed schedule, for every
+    /// profile. At 700 tps some milliseconds carry nothing.
+    #[test]
+    fn the_stream_yields_the_precomputed_schedule_one_tick_at_a_time() {
+        let profiles = [
+            ArrivalProfile::Constant,
+            ArrivalProfile::Bursty {
+                period_ms: 100,
+                burst_ms: 20,
+                multiplier: 4,
+            },
+            ArrivalProfile::Diurnal { period_ms: 150 },
+        ];
+        for profile in profiles {
+            let w = WorkloadConfig::constant(700).with_profile(profile);
+            for horizon in [Duration::from_millis(400), Duration::from_micros(250_500)] {
+                let mut stream = w.stream(9, horizon);
+                let mut ticks: Vec<Time> = Vec::new();
+                let mut joined = Vec::new();
+                while let Some(at) = stream.peek_time() {
+                    let txs = stream.pending().to_vec();
+                    assert!(!txs.is_empty(), "{profile:?}: empty tick at {at:?}");
+                    assert!(ticks.last().is_none_or(|&last| last < at));
+                    assert!(at < Time::ZERO + horizon, "{profile:?}: {at:?}");
+                    ticks.push(at);
+                    for tx in txs {
+                        assert_eq!(stream.next(), Some((at, tx)));
+                        joined.push((at, tx));
+                    }
+                }
+                assert_eq!(stream.next(), None);
+                let expected = precomputed(&w, 9, horizon);
+                assert!(
+                    (ticks.len() as i64) < horizon.as_micros() / 1_000,
+                    "{profile:?}"
+                );
+                assert_eq!(joined, expected, "{profile:?} over {horizon:?}");
+                assert_eq!(w.arrivals(9, horizon), expected);
+            }
+        }
     }
 
     #[test]

@@ -119,8 +119,8 @@ fn large_mixed_run_is_exec_invariant() {
     assert_exec_invariant(cfg);
 }
 
-/// The workload path: cluster-wide `Arrival` events interleave with
-/// broadcast copies.
+/// The workload path: client arrivals, read from the run's arrival stream,
+/// interleave with broadcast copies.
 #[test]
 fn workload_runs_are_exec_invariant() {
     use lumiere_sim::workload::WorkloadConfig;

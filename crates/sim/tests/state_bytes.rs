@@ -35,9 +35,12 @@
 //! transactions a second in 64-transaction batches, 250 ms. 3 015 043 bytes
 //! while each mempool's dedup index and the collector's submit instants
 //! and committed ids were hash tables with an entry per transaction;
-//! 1 679 875 once they became runs of ids. Putting one table back reads
+//! 1 679 875 once they became runs of ids. Putting one table back read
 //! 2 793 827 (the mempool index), 1 827 347 (submit instants) or 1 753 619
-//! (committed ids), and the budget sits below the last.
+//! (committed ids). Then 818 883 once the runner read arrivals from a
+//! stream, one millisecond tick at a time, instead of queueing all 12 000
+//! before the first event. The budget sits between the last two, so
+//! arrivals put back in the queue, or any per-transaction table, fail here.
 //!
 //! The two run sets in each mempool are 56 bytes more than the hash table
 //! they replaced before anything is inserted, so a built replica grew by
@@ -110,10 +113,10 @@ const BUDGET: isize = 800_000;
 /// allocation.
 const VIEWCHANGE_BUDGET: isize = 600_000;
 
-/// Peak live bytes the `sim_backlog` run may reach: above the 1 679 875 it
-/// reaches, below the 1 753 619 it reaches with the smallest of the old
-/// per-transaction tables (the collector's committed-id set) back.
-const BACKLOG_BUDGET: isize = 1_720_000;
+/// Peak live bytes the `sim_backlog` run may reach: above the 818 883 it
+/// reaches, below the 1 679 875 it reached with every arrival queued before
+/// the first event.
+const BACKLOG_BUDGET: isize = 900_000;
 
 /// The `sim_steady` configuration at `n` processors.
 fn steady(n: usize, seed: u64) -> SimConfig {

@@ -19,7 +19,11 @@
 # `work_per_s`, `peak_rss_mb`) are also judged in their BENCHMARK.json
 # `better` direction: how many pairs the change won, whether the medians are
 # further apart than the parent's interquartile range, and whether the
-# median improved by more than the metric's bound.
+# median improved by more than the metric's bound. Beside their ratio of
+# medians they show the median and quartiles of the per-pair ratios: a slow
+# phase of the machine that hits one side of a few pairs moves the medians
+# of the two sides apart, but only those pairs' ratios. The per-pair ratios
+# are a diagnostic; the exit rule below reads the ratio of medians.
 #
 # Exits non-zero if, on any workload:
 #   * a run fails its oracle (non-zero exit, "correct": false, or a failed
@@ -157,6 +161,16 @@ for w in [w["name"] for w in contract["workloads"]]:
             )
             iqr = q["parent"][1] - q["parent"][0]
             beyond = abs(med["change"] - med["parent"]) > iqr
+            ratios = [
+                value(p["change"], name) / value(p["parent"], name)
+                for p in by_pair.values()
+                if value(p["parent"], name)
+            ]
+            if ratios:
+                line += (
+                    f"  pair ratios {quantile(ratios, 0.5):.4f}"
+                    f" [{quantile(ratios, 0.25):.4f}, {quantile(ratios, 0.75):.4f}]"
+                )
             line += (
                 f"  won {won}/{len(by_pair)}  medians apart by more than parent IQR: {beyond}"
                 f"  improved beyond the {bound:.0%} bound: {improved}"
