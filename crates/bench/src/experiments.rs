@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 pub enum ExperimentScale {
     /// Small sweeps that finish in seconds (default).
     Quick,
-    /// The reference sweeps recorded in `EXPERIMENTS.md` (`--full`).
+    /// The paper-scale sweeps (`--full`).
     Full,
 }
 
@@ -423,8 +423,7 @@ pub fn eventual_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
         |&(protocol, f_a), report| {
             let warmup = report.default_warmup();
             let msgs = report.eventual_worst_communication(warmup);
-            let worst = ms(report.eventual_worst_latency(warmup));
-            let avg = ms(report.average_latency(warmup));
+            let (worst, avg) = eventual_latencies_ms(protocol, f_a, report);
             Some(vec![
                 protocol.name().to_string(),
                 n.to_string(),
@@ -444,17 +443,49 @@ pub fn eventual_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     ExperimentRun { markdown, cells }
 }
 
+/// A `table1_eventual` cell's eventual worst and average honest-QC gap
+/// (ms) after the warm-up. Panics, naming the cell, when fewer than two
+/// honest-leader QCs fall after the warm-up, where both would read NaN.
+fn eventual_latencies_ms(protocol: ProtocolKind, f_a: usize, report: &SimReport) -> (f64, f64) {
+    let warmup = report.default_warmup();
+    let (Some(worst), Some(avg)) = (
+        report.eventual_worst_latency(warmup),
+        report.average_latency(warmup),
+    ) else {
+        panic!(
+            "table1_eventual: {} at f_a = {f_a} holds fewer than two honest-leader QCs \
+             after its warm-up at {warmup}",
+            protocol.name()
+        );
+    };
+    (worst.as_millis_f64(), avg.as_millis_f64())
+}
+
 /// Theorem 1.1(3): smooth optimistic responsiveness — steady-state latency as
-/// a function of the actual network delay δ with no faults.
+/// a function of the actual network delay δ with no faults, first at a
+/// fixed δ, then with each message's delay drawn below δ.
 pub fn responsiveness_table(scale: ExperimentScale, threads: usize) -> ExperimentRun {
     let n = 10;
     let delta_cap = Duration::from_millis(40);
+    let seed = 3;
+    let config = |protocol: ProtocolKind| {
+        SimConfig::new(protocol, n)
+            .with_delta(delta_cap)
+            .with_horizon(Duration::from_secs(20))
+            .with_max_honest_qcs(3_000)
+    };
+    let latencies = |report: &SimReport| {
+        let warmup = report.default_warmup();
+        let avg = ms(report.average_latency(warmup));
+        let worst = ms(report.eventual_worst_latency(warmup));
+        (avg, worst)
+    };
     let mut cells = Vec::new();
     let table = Sweep {
         slug: "responsiveness",
         scale,
         threads,
-        seed: 3,
+        seed,
         header: vec![
             "protocol",
             "δ (ms)",
@@ -466,18 +497,10 @@ pub fn responsiveness_table(scale: ExperimentScale, threads: usize) -> Experimen
     }
     .run(
         &mut cells,
-        |&(protocol, delta_ms)| {
-            SimConfig::new(protocol, n)
-                .with_delta(delta_cap)
-                .with_actual_delay(Duration::from_millis(delta_ms))
-                .with_horizon(Duration::from_secs(20))
-                .with_max_honest_qcs(3_000)
-        },
+        |&(protocol, delta_ms)| config(protocol).with_actual_delay(Duration::from_millis(delta_ms)),
         |&(_, delta_ms)| format!("delta{delta_ms:03}ms"),
         |&(protocol, delta_ms), report| {
-            let warmup = report.default_warmup();
-            let avg = ms(report.average_latency(warmup));
-            let worst = ms(report.eventual_worst_latency(warmup));
+            let (avg, worst) = latencies(report);
             Some(vec![
                 protocol.name().to_string(),
                 delta_ms.to_string(),
@@ -487,9 +510,55 @@ pub fn responsiveness_table(scale: ExperimentScale, threads: usize) -> Experimen
             ])
         },
     );
+    let jittered = Sweep {
+        slug: "responsiveness",
+        scale,
+        threads,
+        seed,
+        header: vec![
+            "protocol",
+            "δ range (ms)",
+            "avg latency (ms)",
+            "eventual worst latency (ms)",
+            "latency / δ",
+        ],
+        // Each delay uniform in [half·δ/2, δ]: [0, δ], then [δ/2, δ].
+        jobs: grid(&COMPARED_PROTOCOLS, &scale.responsiveness_deltas_ms())
+            .into_iter()
+            .flat_map(|(protocol, delta_ms)| [0, 1].map(|half| (protocol, delta_ms, half)))
+            .collect(),
+    }
+    .run(
+        &mut cells,
+        |&(protocol, delta_ms, half)| {
+            let delta = Duration::from_millis(delta_ms);
+            config(protocol).with_uniform_delay(delta * half / 2, delta)
+        },
+        |&(_, delta_ms, half)| {
+            format!(
+                "jitter_{}_delta{delta_ms:03}ms",
+                ["full", "half"][half as usize]
+            )
+        },
+        |&(protocol, delta_ms, half), report| {
+            let (avg, worst) = latencies(report);
+            let min = Duration::from_millis(delta_ms) * half / 2;
+            Some(vec![
+                protocol.name().to_string(),
+                format!("[{}, {delta_ms}]", min.as_millis_f64()),
+                format!("{avg:.2}"),
+                format!("{worst:.1}"),
+                format!("{:.2}", avg / delta_ms as f64),
+            ])
+        },
+    );
     let markdown = format!(
         "## Responsiveness — Theorem 1.1(3): steady-state latency vs actual delay δ (f_a = 0)\n\n\
-         Scenario: n = {n}, Δ = 40 ms, no faults. A smoothly optimistically responsive protocol tracks δ (constant latency/δ); LP22 shows Θ(nΔ) epoch-boundary stalls in the eventual-worst column regardless of δ.\n\n{table}"
+         Scenario: n = {n}, Δ = 40 ms, no faults. A smoothly optimistically responsive protocol tracks δ (constant latency/δ); LP22 shows Θ(nΔ) epoch-boundary stalls in the eventual-worst column regardless of δ.\n\n{table}\n\
+         ### Jittered delays: each message's delay drawn uniform in [0, δ] or in [δ/2, δ]\n\n\
+         Same n, Δ, seed, horizon and QC cap as above; latency / δ divides by the largest delay. \
+         Unlike a fixed δ, independent draws let a message overtake one sent before it, so an \
+         eventual worst latency far above the fixed-δ table's is a stall that table cannot show.\n\n{jittered}"
     );
     ExperimentRun { markdown, cells }
 }
@@ -517,7 +586,6 @@ pub fn figure1_report(scale: ExperimentScale, threads: usize) -> ExperimentRun {
             .with_horizon(Duration::from_secs(3))
             .with_max_honest_qcs(10)
             .with_seed(seed)
-            .with_trace()
             .run_with_trace();
         (byz, report, trace)
     });
@@ -1292,6 +1360,25 @@ mod tests {
             experiment("certificates").title,
             "certificates (constant-size aggregates vs naive signature vectors)"
         );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "table1_eventual: fever at f_a = 2 holds fewer than two honest-leader QCs"
+    )]
+    fn an_eventual_cell_without_a_measurement_window_fails_the_sweep() {
+        use lumiere_sim::metrics::MetricsCollector;
+        let delta = Duration::from_millis(10);
+        let mut collector = MetricsCollector::new("fever".into(), 13, 4, 2, delta, Time::ZERO);
+        // One honest-leader QC after the 520 ms warm-up: no gap to measure.
+        collector.record_qc(
+            Time::from_millis(600),
+            View::new(9),
+            lumiere_types::ProcessId::new(0),
+            true,
+        );
+        let report = collector.finish(Time::from_millis(700));
+        eventual_latencies_ms(ProtocolKind::Fever, 2, &report);
     }
 
     #[test]

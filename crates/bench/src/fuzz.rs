@@ -392,7 +392,7 @@ impl Finding {
             self.seed,
             self.verdict.name(),
             self.config.n,
-            self.config.f_a,
+            self.config.f_a(),
             strategies.join(","),
             schedule.delay_rules.len(),
         )
@@ -450,7 +450,7 @@ mod tests {
             let b = sample_config(ProtocolKind::Lumiere, seed, true);
             assert_eq!(a, b, "seed {seed} did not expand deterministically");
             let f = (a.n - 1) / 3;
-            assert!(a.f_a <= f, "seed {seed}: f_a exceeds f");
+            assert!(a.f_a() <= f, "seed {seed}: f_a exceeds f");
             let schedule = a.effective_adversary();
             assert!(schedule.validate(a.n, f).is_ok(), "seed {seed}");
             assert!(a.horizon > (a.gst - Time::ZERO) + liveness_envelope(a.n, FUZZ_DELTA));
@@ -509,7 +509,7 @@ mod tests {
         let schedule = minimal.effective_adversary();
         assert!(schedule.corruptions.is_empty());
         assert!(schedule.delay_rules.is_empty());
-        assert_eq!(minimal.f_a, 0);
+        assert_eq!(minimal.f_a(), 0);
         assert_eq!(verdict(&minimal.run()), Verdict::Ok);
     }
 

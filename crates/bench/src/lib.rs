@@ -4,9 +4,8 @@
 //! Cogsworth/NK20, LP22, Fever and Lumiere on four measures), Figure 1 (a
 //! concrete LP22 failure scenario) and the four properties of Theorem 1.1.
 //! Each experiment here runs the corresponding simulated scenario for every
-//! protocol and prints the measured rows; `EXPERIMENTS.md` records a
-//! reference output and compares the measured *shape* with the paper's
-//! asymptotic claims.
+//! protocol and prints the measured rows as markdown tables, whose *shape*
+//! is compared with the paper's asymptotic claims.
 //!
 //! One binary, `lumiere-bench <experiment>… | all` ([`cli`]), runs them by
 //! slug:

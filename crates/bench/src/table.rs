@@ -1,8 +1,7 @@
 //! Minimal fixed-width text tables for experiment reports.
 
 /// A simple text table with a header row and aligned columns, rendered in
-//  GitHub-flavoured markdown so it can be pasted directly into
-/// `EXPERIMENTS.md`.
+/// GitHub-flavoured markdown.
 #[derive(Debug, Clone)]
 pub struct TextTable {
     header: Vec<String>,

@@ -59,10 +59,6 @@ fn assert_well_formed(config: &SimConfig, context: &str) {
         }
     }
     assert!(config.gst >= Time::ZERO, "{context}: negative GST");
-    assert!(
-        config.f_a == schedule.corrupted_ids().len(),
-        "{context}: f_a out of sync with the schedule"
-    );
 }
 
 proptest! {

@@ -92,4 +92,4 @@ pub use lumiere_runtime::delay::DelayModel;
 pub use metrics::{CoverageFingerprint, SimReport};
 pub use runner::{BroadcastMode, ExecOptions};
 pub use scenario::{ProtocolKind, SimConfig};
-pub use workload::{ArrivalProfile, WorkloadConfig};
+pub use workload::WorkloadConfig;

@@ -10,10 +10,9 @@
 //! # Bounded reports at large `n`
 //!
 //! Message-send instants are stored **run-length encoded** as
-//! `(time, count)` pairs (a broadcast is one entry, not `n − 1`), and above
-//! a configurable processor count
-//! ([`SimConfig::sample_metrics_above`](crate::scenario::SimConfig)) the
-//! send instants are additionally quantized down to a sampling grid of
+//! `(time, count)` pairs (a broadcast is one entry, not `n − 1`), and from
+//! [`SimConfig::SAMPLED_FROM_N`](crate::scenario::SimConfig::SAMPLED_FROM_N)
+//! processors on the send instants are additionally quantized down to a sampling grid of
 //! `Δ/4` ([`SimReport::metrics_grid`]), so the report stays bounded by the
 //! simulated horizon instead of the Θ(n²) message volume. Message *counts*
 //! are always exact — only their time attribution is coarsened, by strictly
@@ -221,10 +220,9 @@ pub struct SimReport {
     /// 99th-percentile commit latency (schema v5).
     pub tx_latency_p99: Duration,
     /// Total simulator events processed by the run — boots, deliveries,
-    /// wakes, arrivals, samples (schema v6). Deterministic for a given
+    /// wakes and client arrivals (schema v6). Deterministic for a given
     /// configuration and seed (identical across broadcast representations);
-    /// benches divide it by wall-clock for the events/sec throughput the
-    /// perf gate tracks.
+    /// the benchmark's `work_per_s` is this count per wall-clock second.
     pub events_processed: u64,
     /// Authenticator bytes carried by honest point-to-point traffic over
     /// the whole run with the aggregated certificate representation — each

@@ -138,7 +138,9 @@ pub struct Simulation {
     arrivals: Option<ArrivalStream>,
     rng: StdRng,
     collector: MetricsCollector,
-    trace: Trace,
+    /// The execution trace, recorded only for
+    /// [`run_with_trace`](Self::run_with_trace).
+    trace: Option<Trace>,
     scheduled_wakes: IdSet<(usize, i64)>,
     /// Per node, the time (µs) of the last wake request it made, whose pair
     /// is therefore in `scheduled_wakes`: nearly every event re-requests
@@ -185,11 +187,12 @@ impl Simulation {
     pub fn with_exec(cfg: SimConfig, exec: ExecOptions) -> Self {
         let mut nodes = cfg.build_nodes();
         let params = cfg.params();
+        let honesty = Arc::new(nodes.iter().map(|n| n.is_honest()).collect::<Vec<_>>());
         let collector = MetricsCollector::new(
             cfg.protocol.name().to_string(),
             cfg.n,
             params.f,
-            cfg.f_a,
+            honesty.iter().filter(|&&honest| !honest).count(),
             cfg.delta_cap,
             cfg.gst,
         )
@@ -210,7 +213,6 @@ impl Simulation {
         });
         let seed = cfg.seed;
         let schedule = cfg.effective_adversary();
-        let honesty = Arc::new(nodes.iter().map(|n| n.is_honest()).collect::<Vec<_>>());
         let last_wake = vec![i64::MIN; cfg.n];
         Simulation {
             cfg,
@@ -222,7 +224,7 @@ impl Simulation {
             arrivals,
             rng: StdRng::seed_from_u64(seed ^ 0x5349_4d55_4c41_5445),
             collector,
-            trace: Trace::new(),
+            trace: None,
             scheduled_wakes: IdSet::default(),
             last_wake,
             tx_accounted_blocks: IdSet::default(),
@@ -244,17 +246,19 @@ impl Simulation {
     /// Runs to completion and returns the metrics report.
     pub fn run(mut self) -> SimReport {
         self.run_loop();
-        self.finish_report().0
-    }
-
-    /// Runs to completion and returns both the report and the execution
-    /// trace.
-    pub fn run_with_trace(mut self) -> (SimReport, Trace) {
-        self.run_loop();
         self.finish_report()
     }
 
-    fn finish_report(mut self) -> (SimReport, Trace) {
+    /// Runs to completion, recording the execution trace, and returns both
+    /// the report and the trace.
+    pub fn run_with_trace(mut self) -> (SimReport, Trace) {
+        self.trace = Some(Trace::new());
+        self.run_loop();
+        let trace = self.trace.take().unwrap_or_default();
+        (self.finish_report(), trace)
+    }
+
+    fn finish_report(mut self) -> SimReport {
         let safety_ok = self.check_safety();
         let honest = self.nodes.iter().filter(|n| n.is_honest());
         let engines = honest.map(|n| n.engine());
@@ -283,11 +287,10 @@ impl Simulation {
         slash.sort_unstable();
         slash.dedup();
         self.collector.record_slash_evidence(slash);
-        let trace = std::mem::take(&mut self.trace);
         let mut report = self.collector.finish(self.now);
         report.safety_ok = safety_ok;
         report.truncated = self.truncated;
-        (report, trace)
+        report
     }
 
     /// SMR safety: the committed chains of every pair of honest processors
@@ -513,16 +516,16 @@ impl Simulation {
         // Metrics and trace.
         for qc in out.qcs_formed.drain(..) {
             self.collector.record_qc(now, qc.view(), from, honest);
-            if self.cfg.record_trace {
-                self.trace.push(now, from, TraceKind::QcFormed(qc.view()));
+            if let Some(trace) = &mut self.trace {
+                trace.push(now, from, TraceKind::QcFormed(qc.view()));
             }
         }
         for height in out.commits.drain(..) {
             if honest {
                 self.collector.record_commit(now, height);
             }
-            if self.cfg.record_trace {
-                self.trace.push(now, from, TraceKind::Committed(height));
+            if let Some(trace) = &mut self.trace {
+                trace.push(now, from, TraceKind::Committed(height));
             }
         }
         // Only the *first* honest commit of a transaction defines its
@@ -548,18 +551,20 @@ impl Simulation {
             if honest {
                 self.collector.record_heavy_sync(now, view);
             }
-            if self.cfg.record_trace {
-                self.trace.push(now, from, TraceKind::HeavySync(view));
+            if let Some(trace) = &mut self.trace {
+                trace.push(now, from, TraceKind::HeavySync(view));
             }
         }
-        let record_entries = self.cfg.record_trace && !self.cfg.sampled_metrics();
-        for view in out.entered_views.drain(..) {
-            // Above the sampling threshold the per-view × per-node entry
-            // stream (the only O(n·views) trace kind) is dropped so the
-            // trace stays bounded; QCs/commits/heavy syncs are still traced.
-            if record_entries {
-                self.trace.push(now, from, TraceKind::EnteredView(view));
+        // Above the sampling threshold the per-view × per-node entry stream
+        // (the only O(n·views) trace kind) is dropped so the trace stays
+        // bounded; QCs/commits/heavy syncs are still traced.
+        match &mut self.trace {
+            Some(trace) if !self.cfg.sampled_metrics() => {
+                for view in out.entered_views.drain(..) {
+                    trace.push(now, from, TraceKind::EnteredView(view));
+                }
             }
+            _ => out.entered_views.clear(),
         }
     }
 
@@ -697,7 +702,6 @@ mod tests {
             .with_horizon(Duration::from_millis(400))
             .with_workload(WorkloadConfig::constant(rate_tps).with_batch_txs(64))
             .with_seed(20)
-            .with_trace()
     }
 
     /// Runs `cfg` with per-block commit accounting (what ships) and with the
@@ -828,7 +832,7 @@ mod tests {
             let now = sim.now;
             assert_eq!(now, Time::from_millis(cut_ms));
             assert_eq!(sim.queue.peek_time() == Some(now), left_at_cut);
-            let (report, _) = sim.finish_report();
+            let report = sim.finish_report();
             let text = serde::json::to_string(&report);
             assert_eq!(report.events_processed, events);
             assert_eq!(

@@ -27,9 +27,6 @@ pub struct SimConfig {
     pub protocol: ProtocolKind,
     /// Number of processors.
     pub n: usize,
-    /// Number of corrupted processors (`f_a ≤ f`), kept in sync with
-    /// [`SimConfig::adversary`] by the fault builders.
-    pub f_a: usize,
     /// The known delay bound Δ.
     pub delta_cap: Duration,
     /// The network adversary.
@@ -42,15 +39,6 @@ pub struct SimConfig {
     pub max_honest_qcs: Option<usize>,
     /// Seed for key generation, leader permutation and network jitter.
     pub seed: u64,
-    /// Record a full execution trace (needed for Figure 1).
-    pub record_trace: bool,
-    /// Switch metrics to sampling mode at or above this processor count:
-    /// message-send instants are quantized down to a `Δ/4` grid (counts
-    /// stay exact) and the O(n·views) per-view trace entries are dropped,
-    /// so [`SimReport`] stays bounded at large `n`. Defaults to
-    /// [`SimConfig::DEFAULT_SAMPLE_METRICS_ABOVE`]; set to `usize::MAX`
-    /// for exact metrics at any scale.
-    pub sample_metrics_above: usize,
     /// The adversary plan: strategy assignments plus per-edge delay
     /// targeting. `None` means every processor is honest.
     pub adversary: Option<AdversarySchedule>,
@@ -73,7 +61,6 @@ impl SimConfig {
         SimConfig {
             protocol,
             n,
-            f_a: 0,
             delta_cap: Duration::from_millis(10),
             delay: DelayModel::Fixed {
                 delta: Duration::from_millis(1),
@@ -82,8 +69,6 @@ impl SimConfig {
             horizon: Duration::from_secs(10),
             max_honest_qcs: None,
             seed: 42,
-            record_trace: false,
-            sample_metrics_above: Self::DEFAULT_SAMPLE_METRICS_ABOVE,
             adversary: None,
             planted_bug: None,
             workload: None,
@@ -104,22 +89,16 @@ impl SimConfig {
         self
     }
 
-    /// Default threshold for sampling-based metrics: below `n = 64` every
-    /// send instant is exact; from there on instants are grid-quantized.
-    /// Every sweep shipped before the scale experiments ran at `n ≤ 43`,
-    /// so their reports are unaffected.
-    pub const DEFAULT_SAMPLE_METRICS_ABOVE: usize = 64;
-
-    /// Overrides the sampling threshold (see
-    /// [`SimConfig::sample_metrics_above`]).
-    pub fn with_sample_metrics_above(mut self, n: usize) -> Self {
-        self.sample_metrics_above = n;
-        self
-    }
+    /// The processor count from which metrics are sampled: message-send
+    /// instants are quantized down to a `Δ/4` grid (counts stay exact) and
+    /// the O(n·views) per-view trace entries are dropped, so
+    /// [`SimReport`] stays bounded at large `n`. Below it every send
+    /// instant is exact; every Table 1 sweep runs at `n ≤ 43`.
+    pub const SAMPLED_FROM_N: usize = 64;
 
     /// Whether this configuration records sampled (grid-quantized) metrics.
     pub fn sampled_metrics(&self) -> bool {
-        self.n >= self.sample_metrics_above
+        self.n >= Self::SAMPLED_FROM_N
     }
 
     /// The metrics sampling grid in effect: exact ([`Duration::ZERO`])
@@ -189,11 +168,18 @@ impl SimConfig {
     }
 
     /// Installs an adversary plan (strategy assignments plus per-edge delay
-    /// targeting), replacing any previous one and syncing `f_a` with it.
+    /// targeting), replacing any previous one.
     pub fn with_adversary(mut self, schedule: AdversarySchedule) -> Self {
-        self.f_a = schedule.corrupted_ids().len();
         self.adversary = Some(schedule);
         self
+    }
+
+    /// The number of corrupted processors: the adversary plan's distinct
+    /// corrupted ids (0 when every processor is honest).
+    pub fn f_a(&self) -> usize {
+        self.adversary
+            .as_ref()
+            .map_or(0, |schedule| schedule.corrupted_ids().len())
     }
 
     /// The adversary plan in effect (the empty, all-honest schedule when
@@ -214,12 +200,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables execution tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// The derived protocol parameters.
     pub fn params(&self) -> Params {
         Params::new(self.n, self.delta_cap)
@@ -229,12 +209,6 @@ impl SimConfig {
     /// corrupted one carrying its schedule's strategy.
     pub fn build_nodes(&self) -> Vec<ProtocolRuntime> {
         let params = self.params();
-        assert!(
-            self.f_a <= params.f,
-            "f_a = {} exceeds the tolerated f = {}",
-            self.f_a,
-            params.f
-        );
         let schedule = self.effective_adversary();
         if let Err(message) = schedule.validate(self.n, params.f) {
             panic!("invalid adversary schedule: {message}");
@@ -271,7 +245,8 @@ impl SimConfig {
         Simulation::with_exec(self, exec).run()
     }
 
-    /// Runs the configured simulation, returning the execution trace too.
+    /// Runs the configured simulation, recording and returning its
+    /// execution trace too (the one way to turn tracing on).
     pub fn run_with_trace(self) -> (SimReport, Trace) {
         Simulation::new(self).run_with_trace()
     }
@@ -394,14 +369,14 @@ mod tests {
             vec![5, 6],
             "with_faults corrupts the last f_a processors"
         );
-        assert_eq!(cfg.f_a, 2);
+        assert_eq!(cfg.f_a(), 2);
         let cfg = cfg.with_faulty_ids(vec![3, 0], StrategyKind::Crash);
         let schedule = cfg.effective_adversary();
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
             vec![0, 3]
         );
-        assert_eq!(cfg.f_a, 2);
+        assert_eq!(cfg.f_a(), 2);
         assert_eq!(schedule.strategy_for(3), Some(StrategyKind::Crash));
         assert!(schedule.delay_rules.is_empty());
     }
@@ -416,7 +391,7 @@ mod tests {
         let cfg = cfg
             .with_faults(2, StrategyKind::Crash)
             .with_adversary(AdversarySchedule::equivocation(&[1]));
-        assert_eq!(cfg.f_a, 1);
+        assert_eq!(cfg.f_a(), 1);
         assert_eq!(
             cfg.effective_adversary().strategy_for(1),
             Some(StrategyKind::Equivocate)
@@ -424,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the tolerated")]
+    #[should_panic(expected = "2 corrupted processors exceed the tolerated f = 1")]
     fn too_many_faults_are_rejected() {
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
             .with_faults(2, StrategyKind::Crash)
@@ -513,8 +488,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid adversary schedule")]
     fn invalid_adversary_schedules_are_rejected() {
-        // Corrupting the same node twice passes the f_a head-count (the id
-        // set deduplicates) but must fail schedule validation.
+        // Corrupting the same node twice stays within f_a ≤ f (the id set
+        // deduplicates) but must fail schedule validation.
         let schedule = AdversarySchedule::equivocation(&[1]).corrupt(1, StrategyKind::Crash);
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
             .with_adversary(schedule)

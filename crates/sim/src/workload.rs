@@ -1,13 +1,12 @@
 //! Deterministic open-loop client workload generation.
 //!
-//! A [`WorkloadConfig`] describes client traffic as a mean arrival rate
-//! shaped by an [`ArrivalProfile`] (constant, bursty, diurnal). An
-//! [`ArrivalStream`] generates the arrivals one millisecond tick at a time,
-//! as the run reaches them, with pure integer arithmetic whose only inputs
-//! are the `(config, seed, horizon)` triple — never the run's own events —
-//! so the same triple yields byte-identical transactions at identical
-//! instants on every host and thread count, which the cross-thread
-//! determinism suite relies on.
+//! A [`WorkloadConfig`] describes client traffic as a constant arrival rate
+//! of [`TX_BYTES`]-byte transactions. An [`ArrivalStream`] generates the
+//! arrivals one millisecond tick at a time, as the run reaches them, with
+//! pure integer arithmetic whose only inputs are the `(config, seed,
+//! horizon)` triple — never the run's own events — so the same triple
+//! yields byte-identical transactions at identical instants on every host
+//! and thread count, which the cross-thread determinism suite relies on.
 //!
 //! The clients are **open loop**: they submit at the configured rate no
 //! matter how the cluster is doing, so saturation shows up as growing
@@ -18,32 +17,8 @@
 use lumiere_types::{Duration, Time, Transaction, TxId};
 use serde::{Deserialize, Serialize};
 
-/// The shape of the arrival rate over time. Each profile modulates the mean
-/// rate of [`WorkloadConfig::rate_tps`]; arrivals are quantized to 1 ms
-/// ticks (several transactions may share a tick at high rates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArrivalProfile {
-    /// Evenly spaced arrivals at the mean rate.
-    Constant,
-    /// Baseline rate with periodic bursts: in every window of `period_ms`,
-    /// the first `burst_ms` run at `multiplier`× the mean rate (so the
-    /// long-run average is *above* the configured mean).
-    Bursty {
-        /// Window length in milliseconds.
-        period_ms: u64,
-        /// Length of the burst at the start of each window.
-        burst_ms: u64,
-        /// Rate multiplier during the burst.
-        multiplier: u32,
-    },
-    /// A triangle wave between zero and twice the mean rate over
-    /// `period_ms` — a compressed day/night cycle whose long-run average is
-    /// the configured mean.
-    Diurnal {
-        /// Full cycle length in milliseconds.
-        period_ms: u64,
-    },
-}
+/// Wire size of every generated transaction, in bytes.
+pub const TX_BYTES: u32 = 256;
 
 /// An open-loop client workload plus the mempool bounds under which the
 /// cluster absorbs it.
@@ -53,39 +28,25 @@ pub enum ArrivalProfile {
 /// the bounds are never exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkloadConfig {
-    /// Mean arrival rate in transactions per second.
+    /// Arrival rate in transactions per second; arrivals are quantized to
+    /// 1 ms ticks (several transactions may share a tick at high rates).
     pub rate_tps: u64,
-    /// Wire size of every generated transaction, in bytes.
-    pub tx_bytes: u32,
-    /// Arrival shape over time.
-    pub profile: ArrivalProfile,
     /// Maximum transactions per proposed batch.
     pub batch_txs: usize,
-    /// Maximum payload bytes per proposed batch.
-    pub max_block_bytes: u64,
     /// Mempool capacity; arrivals beyond it are shed.
     pub capacity: usize,
 }
 
 impl WorkloadConfig {
-    /// A constant-rate workload of 256-byte transactions under the default
-    /// mempool bounds.
+    /// A constant-rate workload of [`TX_BYTES`]-byte transactions under the
+    /// default mempool bounds.
     pub fn constant(rate_tps: u64) -> Self {
         let mempool = lumiere_core::MempoolConfig::default();
         WorkloadConfig {
             rate_tps,
-            tx_bytes: 256,
-            profile: ArrivalProfile::Constant,
             batch_txs: mempool.batch_txs,
-            max_block_bytes: mempool.max_block_bytes,
             capacity: mempool.capacity,
         }
-    }
-
-    /// Sets the arrival profile.
-    pub fn with_profile(mut self, profile: ArrivalProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// Sets the per-batch transaction bound.
@@ -100,38 +61,13 @@ impl WorkloadConfig {
         self
     }
 
-    /// The mempool bounds this workload runs under.
+    /// The mempool bounds this workload runs under: its own transaction and
+    /// capacity bounds, and the default per-batch byte budget.
     pub fn mempool_config(&self) -> lumiere_core::MempoolConfig {
         lumiere_core::MempoolConfig {
             capacity: self.capacity,
             batch_txs: self.batch_txs,
-            max_block_bytes: self.max_block_bytes,
-        }
-    }
-
-    /// The instantaneous rate (txs/sec) at millisecond `ms` of the run.
-    fn rate_at_ms(&self, ms: u64) -> u64 {
-        match self.profile {
-            ArrivalProfile::Constant => self.rate_tps,
-            ArrivalProfile::Bursty {
-                period_ms,
-                burst_ms,
-                multiplier,
-            } => {
-                if ms % period_ms.max(1) < burst_ms {
-                    self.rate_tps * multiplier as u64
-                } else {
-                    self.rate_tps
-                }
-            }
-            ArrivalProfile::Diurnal { period_ms } => {
-                let period = period_ms.max(2);
-                let half = period / 2;
-                let phase = ms % period;
-                // Triangle wave: 0 at the cycle edges, `half` at the peak.
-                let tri = if phase < half { phase } else { period - phase };
-                self.rate_tps * 2 * tri / half
-            }
+            ..lumiere_core::MempoolConfig::default()
         }
     }
 
@@ -175,7 +111,7 @@ pub struct ArrivalStream {
     horizon_ms: u64,
     /// The next millisecond to integrate.
     next_ms: u64,
-    /// Fixed-point integral of the rate curve not yet spent on arrivals.
+    /// Fixed-point integral of the rate not yet spent on arrivals.
     acc: u64,
     /// Transactions generated so far: the next id's offset from `id_base`.
     generated: u64,
@@ -199,9 +135,9 @@ impl ArrivalStream {
     }
 
     /// Refills the buffer with the next tick that carries arrivals, or
-    /// leaves it empty at the horizon. Fixed-point integration of the rate
-    /// curve: each simulated millisecond adds the instantaneous txs/sec;
-    /// every 1000 accumulated units is one arrival. Integer arithmetic
+    /// leaves it empty at the horizon. Fixed-point integration of the rate:
+    /// each simulated millisecond adds the txs/sec; every 1000 accumulated
+    /// units is one arrival. Integer arithmetic
     /// only, so the schedule never drifts and is identical everywhere.
     fn fill(&mut self) {
         self.txs.clear();
@@ -209,11 +145,11 @@ impl ArrivalStream {
         while self.txs.is_empty() && self.next_ms < self.horizon_ms {
             let ms = self.next_ms;
             self.next_ms += 1;
-            self.acc += self.config.rate_at_ms(ms);
+            self.acc += self.config.rate_tps;
             while self.acc >= 1_000 {
                 self.acc -= 1_000;
                 let id = TxId::new(self.id_base.wrapping_add(self.generated));
-                self.txs.push(Transaction::sized(id, self.config.tx_bytes));
+                self.txs.push(Transaction::sized(id, TX_BYTES));
                 self.generated += 1;
             }
             self.tick = Time::from_micros(ms as i64 * 1_000);
@@ -253,11 +189,7 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_and_ids_unique_per_seed() {
-        let w = WorkloadConfig::constant(997).with_profile(ArrivalProfile::Bursty {
-            period_ms: 250,
-            burst_ms: 50,
-            multiplier: 4,
-        });
+        let w = WorkloadConfig::constant(997);
         let a = w.arrivals(7, Duration::from_secs(2));
         let b = w.arrivals(7, Duration::from_secs(2));
         assert_eq!(a, b, "same seed must reproduce the same schedule");
@@ -271,55 +203,6 @@ mod tests {
         assert!(ids.is_disjoint(&other), "seeds carry disjoint id spaces");
     }
 
-    #[test]
-    fn bursty_profile_front_loads_each_window() {
-        let base = WorkloadConfig::constant(100);
-        let bursty = base.with_profile(ArrivalProfile::Bursty {
-            period_ms: 1_000,
-            burst_ms: 100,
-            multiplier: 10,
-        });
-        let horizon = Duration::from_secs(2);
-        let n_base = base.arrivals(1, horizon).len();
-        let n_bursty = bursty.arrivals(1, horizon).len();
-        assert!(
-            n_bursty > n_base,
-            "bursts must add traffic: {n_bursty} ≤ {n_base}"
-        );
-        // During the burst the rate is 10×: the first 100 ms of each window
-        // carry ~1 tx/ms.
-        let in_first_burst = bursty
-            .arrivals(1, horizon)
-            .iter()
-            .filter(|(t, _)| t.as_micros() < 100_000)
-            .count();
-        assert_eq!(in_first_burst, 100);
-    }
-
-    #[test]
-    fn diurnal_profile_averages_the_mean_over_full_cycles() {
-        let w =
-            WorkloadConfig::constant(400).with_profile(ArrivalProfile::Diurnal { period_ms: 500 });
-        // Two full cycles: the triangle wave integrates to the mean.
-        let arrivals = w.arrivals(3, Duration::from_secs(1));
-        let expected = 400;
-        let got = arrivals.len() as i64;
-        assert!(
-            (got - expected).abs() <= 4,
-            "diurnal mean drifted: got {got}, expected ≈{expected}"
-        );
-        // Quiet at the cycle edge, busy at the peak.
-        let first_50ms = arrivals
-            .iter()
-            .filter(|(t, _)| t.as_micros() < 50_000)
-            .count();
-        let peak_50ms = arrivals
-            .iter()
-            .filter(|(t, _)| (225_000..275_000).contains(&t.as_micros()))
-            .count();
-        assert!(peak_50ms > first_50ms * 2, "peak must outpace the trough");
-    }
-
     /// The schedule the stream replaced, computed whole before a run by the
     /// same integration.
     fn precomputed(w: &WorkloadConfig, seed: u64, horizon: Duration) -> Vec<(Time, Transaction)> {
@@ -328,10 +211,10 @@ mod tests {
         let mut out = Vec::new();
         let (mut acc, mut k) = (0, 0);
         for ms in 0..horizon_ms as u64 {
-            acc += w.rate_at_ms(ms);
+            acc += w.rate_tps;
             while acc >= 1_000 {
                 acc -= 1_000;
-                let tx = Transaction::sized(TxId::new(id_base.wrapping_add(k)), w.tx_bytes);
+                let tx = Transaction::sized(TxId::new(id_base.wrapping_add(k)), TX_BYTES);
                 out.push((Time::from_micros(ms as i64 * 1_000), tx));
                 k += 1;
             }
@@ -341,30 +224,22 @@ mod tests {
 
     /// The stream's ticks strictly increase, each carries at least one
     /// arrival, all lie below the horizon (a whole number of milliseconds
-    /// or not), and together they are the precomputed schedule, for every
-    /// profile. At 700 tps some milliseconds carry nothing.
+    /// or not), and together they are the precomputed schedule. At 700 tps
+    /// some milliseconds carry nothing; at 2 300 every one carries two or
+    /// three.
     #[test]
     fn the_stream_yields_the_precomputed_schedule_one_tick_at_a_time() {
-        let profiles = [
-            ArrivalProfile::Constant,
-            ArrivalProfile::Bursty {
-                period_ms: 100,
-                burst_ms: 20,
-                multiplier: 4,
-            },
-            ArrivalProfile::Diurnal { period_ms: 150 },
-        ];
-        for profile in profiles {
-            let w = WorkloadConfig::constant(700).with_profile(profile);
+        for rate in [700, 2_300] {
+            let w = WorkloadConfig::constant(rate);
             for horizon in [Duration::from_millis(400), Duration::from_micros(250_500)] {
                 let mut stream = w.stream(9, horizon);
                 let mut ticks: Vec<Time> = Vec::new();
                 let mut joined = Vec::new();
                 while let Some(at) = stream.peek_time() {
                     let txs = stream.pending().to_vec();
-                    assert!(!txs.is_empty(), "{profile:?}: empty tick at {at:?}");
+                    assert!(!txs.is_empty(), "{rate} tps: empty tick at {at:?}");
                     assert!(ticks.last().is_none_or(|&last| last < at));
-                    assert!(at < Time::ZERO + horizon, "{profile:?}: {at:?}");
+                    assert!(at < Time::ZERO + horizon, "{rate} tps: {at:?}");
                     ticks.push(at);
                     for tx in txs {
                         assert_eq!(stream.next(), Some((at, tx)));
@@ -373,11 +248,13 @@ mod tests {
                 }
                 assert_eq!(stream.next(), None);
                 let expected = precomputed(&w, 9, horizon);
-                assert!(
-                    (ticks.len() as i64) < horizon.as_micros() / 1_000,
-                    "{profile:?}"
-                );
-                assert_eq!(joined, expected, "{profile:?} over {horizon:?}");
+                let whole_ms = horizon.as_micros() / 1_000;
+                if rate < 1_000 {
+                    assert!((ticks.len() as i64) < whole_ms, "{rate} tps");
+                } else {
+                    assert!(joined.len() as i64 > 2 * ticks.len() as i64, "{rate} tps");
+                }
+                assert_eq!(joined, expected, "{rate} tps over {horizon:?}");
                 assert_eq!(w.arrivals(9, horizon), expected);
             }
         }
@@ -385,23 +262,24 @@ mod tests {
 
     #[test]
     fn transactions_carry_the_configured_size() {
-        let mut w = WorkloadConfig::constant(10);
-        w.tx_bytes = 1_024;
+        let w = WorkloadConfig::constant(10);
         for (_, tx) in w.arrivals(1, Duration::from_secs(1)) {
-            assert_eq!(tx.size, 1_024);
+            assert_eq!(tx.size, TX_BYTES);
         }
-        let mut w = w.with_batch_txs(32).with_capacity(64);
-        w.max_block_bytes = 4_096;
-        let pool_cfg = w.mempool_config();
+        let pool_cfg = w.with_batch_txs(32).with_capacity(64).mempool_config();
         assert_eq!(pool_cfg.batch_txs, 32);
-        assert_eq!(pool_cfg.max_block_bytes, 4_096);
         assert_eq!(pool_cfg.capacity, 64);
+        assert_eq!(
+            pool_cfg.max_block_bytes,
+            lumiere_core::MempoolConfig::default().max_block_bytes
+        );
     }
 
     #[test]
     fn workload_config_round_trips_through_serde() {
         let w = WorkloadConfig::constant(250)
-            .with_profile(ArrivalProfile::Diurnal { period_ms: 2_000 });
+            .with_batch_txs(16)
+            .with_capacity(900);
         let json = serde::json::to_string(&w);
         let back: WorkloadConfig = serde::json::from_str(&json).expect("deserializes");
         assert_eq!(back, w);

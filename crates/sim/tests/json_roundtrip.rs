@@ -2,12 +2,15 @@
 //! identity for every persistable simulation artifact ([`SimReport`],
 //! [`Trace`], [`SimConfig`]), in both the compact and the pretty rendering.
 //! These guard the vendored serde shim's data model, derive expansion, JSON
-//! writer and JSON parser all at once, over randomized inputs.
+//! writer and JSON parser all at once, over randomized inputs. Configs
+//! written before the run configuration lost six keys still load.
 
 use lumiere_sim::metrics::{MetricsCollector, SimReport};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::trace::{Trace, TraceKind};
-use lumiere_sim::{AdversarySchedule, DelayModel, DelayRule, EdgeClass, MsgClass, StrategyKind};
+use lumiere_sim::{
+    AdversarySchedule, DelayModel, DelayRule, EdgeClass, MsgClass, StrategyKind, WorkloadConfig,
+};
 use lumiere_types::{Duration, ProcessId, Time, TimeRange, View};
 use proptest::collection;
 use proptest::prelude::*;
@@ -137,10 +140,7 @@ proptest! {
             config = config.with_max_honest_qcs(limit);
         }
         if seed % 2 == 0 {
-            config = config.with_trace();
-        }
-        if seed % 3 == 0 {
-            config = config.with_sample_metrics_above(n);
+            config = config.with_workload(WorkloadConfig::constant(seed % 5_000).with_batch_txs(n));
         }
         let compact = json::to_string(&config);
         prop_assert_eq!(&json::from_str::<SimConfig>(&compact).unwrap(), &config);
@@ -220,7 +220,6 @@ fn a_real_simulation_report_round_trips() {
         .with_horizon(Duration::from_secs(3))
         .with_max_honest_qcs(20)
         .with_seed(42)
-        .with_trace()
         .run_with_trace();
     assert!(!report.qc_events.is_empty());
     assert!(!trace.events().is_empty());
@@ -229,4 +228,101 @@ fn a_real_simulation_report_round_trips() {
     assert_eq!(json::from_str(&report_json), Ok(report));
     let trace_json = json::to_string_pretty(&trace);
     assert_eq!(json::from_str(&trace_json), Ok(trace));
+}
+
+/// A sampled run (`n` at [`SimConfig::SAMPLED_FROM_N`]): its report carries
+/// a non-zero metrics grid and its trace no view entries, and both
+/// round-trip.
+#[test]
+fn a_sampled_simulation_report_round_trips() {
+    let n = SimConfig::SAMPLED_FROM_N;
+    let (report, trace) = SimConfig::new(ProtocolKind::Lumiere, n)
+        .with_delta(Duration::from_millis(10))
+        .with_actual_delay(Duration::from_millis(1))
+        .with_max_honest_qcs(4)
+        .run_with_trace();
+    assert!(report.metrics_grid > Duration::ZERO, "n = {n} is sampled");
+    assert!(!report.honest_msg_times.is_empty());
+    assert!(!trace.events().is_empty());
+    assert!(trace
+        .events()
+        .iter()
+        .all(|e| !matches!(e.kind, TraceKind::EnteredView(_))));
+    let report_json = json::to_string(&report);
+    assert_eq!(json::from_str(&report_json), Ok(report));
+    let trace_json = json::to_string(&trace);
+    assert_eq!(json::from_str(&trace_json), Ok(trace));
+}
+
+/// A config as written before `f_a`, `record_trace`, `sample_metrics_above`
+/// and the workload's `tx_bytes`, `profile` and `max_block_bytes` were
+/// deleted (corpus entries and findings carry it): it loads, the six keys
+/// are ignored, and it equals the same config built today, which writes
+/// none of them.
+#[test]
+fn a_config_with_the_deleted_keys_loads_as_its_twin() {
+    let old = r#"{
+  "protocol": "Lumiere",
+  "n": 7,
+  "f_a": 2,
+  "delta_cap": 10000,
+  "delay": {
+    "Uniform": {
+      "min": 1000,
+      "max": 3000
+    }
+  },
+  "gst": 0,
+  "horizon": 10000000,
+  "max_honest_qcs": 25,
+  "seed": 11,
+  "record_trace": true,
+  "sample_metrics_above": 8,
+  "adversary": {
+    "corruptions": [
+      {
+        "node": 5,
+        "strategy": "Crash"
+      },
+      {
+        "node": 6,
+        "strategy": "Crash"
+      }
+    ],
+    "delay_rules": []
+  },
+  "planted_bug": null,
+  "workload": {
+    "rate_tps": 1500,
+    "tx_bytes": 256,
+    "profile": "Constant",
+    "batch_txs": 32,
+    "max_block_bytes": 524288,
+    "capacity": 100000
+  }
+}"#;
+    let twin = SimConfig::new(ProtocolKind::Lumiere, 7)
+        .with_delta(Duration::from_millis(10))
+        .with_uniform_delay(Duration::from_millis(1), Duration::from_millis(3))
+        .with_faults(2, StrategyKind::Crash)
+        .with_max_honest_qcs(25)
+        .with_seed(11)
+        .with_workload(WorkloadConfig::constant(1_500).with_batch_txs(32));
+    let loaded: SimConfig = json::from_str(old).unwrap();
+    assert_eq!(loaded, twin);
+    assert_eq!(loaded.f_a(), 2);
+    let written = json::to_string_pretty(&twin);
+    for key in [
+        "f_a",
+        "record_trace",
+        "sample_metrics_above",
+        "tx_bytes",
+        "profile",
+        "max_block_bytes",
+    ] {
+        assert!(
+            !written.contains(&format!("\"{key}\"")),
+            "{key} is still written"
+        );
+    }
 }

@@ -35,7 +35,6 @@ fn main() {
             .with_horizon(Duration::from_secs(3))
             .with_max_honest_qcs(10)
             .with_seed(42)
-            .with_trace()
             .run_with_trace();
 
         println!("=== {} (Byzantine processor p{byz}) ===", report.protocol);

@@ -19,7 +19,11 @@
 # `work_per_s`, `peak_rss_mb`) are also judged in their BENCHMARK.json
 # `better` direction: how many pairs the change won, whether the medians are
 # further apart than the parent's interquartile range, and whether the
-# median improved by more than the metric's bound. Beside their ratio of
+# median improved by more than the metric's bound. Each also prints
+# `claimable: yes` only when the change won at least 9 of every 10 pairs (a
+# tie counts for neither side) and the medians are further apart than the
+# parent's interquartile range, the rule a claimed gain is judged by, and
+# `claimable: no` otherwise; it does not enter the exit rule. Beside their ratio of
 # medians they show the median and quartiles of the per-pair ratios: a slow
 # phase of the machine that hits one side of a few pairs moves the medians
 # of the two sides apart, but only those pairs' ratios. The per-pair ratios
@@ -161,6 +165,7 @@ for w in [w["name"] for w in contract["workloads"]]:
             )
             iqr = q["parent"][1] - q["parent"][0]
             beyond = abs(med["change"] - med["parent"]) > iqr
+            claimable = 10 * won >= 9 * len(by_pair) and beyond
             ratios = [
                 value(p["change"], name) / value(p["parent"], name)
                 for p in by_pair.values()
@@ -174,6 +179,7 @@ for w in [w["name"] for w in contract["workloads"]]:
             line += (
                 f"  won {won}/{len(by_pair)}  medians apart by more than parent IQR: {beyond}"
                 f"  improved beyond the {bound:.0%} bound: {improved}"
+                f"  claimable: {'yes' if claimable else 'no'}"
             )
         if worse:
             line += f"  FAIL worse than the {bound:.0%} bound"

@@ -1,6 +1,6 @@
 //! Empirical checks of the four properties of Theorem 1.1 and of the
-//! Figure 1 comparison, at small scale (the full sweeps live in the
-//! benchmark harness and EXPERIMENTS.md).
+//! Figure 1 comparison, at small scale (the full sweeps are
+//! `lumiere-bench`'s experiments).
 
 use lumiere::core::schedule::LeaderSchedule;
 use lumiere::prelude::*;
