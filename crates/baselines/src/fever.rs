@@ -120,8 +120,8 @@ impl Pacemaker for Fever {
     ) {
         match msg {
             PacemakerMessage::ViewMsg { view, signature }
-                if self.me.signed_by(from, signature, view_msg_digest(*view))
-                    && view.is_initial() =>
+                if view.is_initial()
+                    && self.me.signed_by(from, signature, view_msg_digest(*view)) =>
             {
                 self.record_view_msg(*view, *signature, now, out);
             }

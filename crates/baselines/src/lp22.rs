@@ -12,7 +12,6 @@
 //! force an `Ω(nΔ)` stall (Figure 1) and why every epoch stays heavy.
 
 use lumiere_consensus::QuorumCert;
-use lumiere_core::certs::epoch_view_digest;
 use lumiere_core::clock::LocalClock;
 use lumiere_core::ledger::{EPOCH_PAUSE_TAKEN, OBSERVED_QC, SEEN_EC};
 use lumiere_core::messages::PacemakerMessage;
@@ -167,11 +166,11 @@ impl Pacemaker for Lp22 {
     ) {
         match msg {
             PacemakerMessage::EpochViewMsg { view, signature }
-                if self.me.signed_by(from, signature, epoch_view_digest(*view))
-                    && self.layout.is_epoch_view(*view) =>
+                if self.layout.is_epoch_view(*view) =>
             {
-                let count = self.epoch_msgs.record(from, *view);
-                self.count_epoch_msgs(*view, count, now, out);
+                if let Some(count) = self.epoch_msgs.accept(&self.me, from, *view, signature) {
+                    self.count_epoch_msgs(*view, count, now, out);
+                }
             }
             PacemakerMessage::EpochCert(ec) => {
                 let view = ec.view();
@@ -231,7 +230,7 @@ impl Pacemaker for Lp22 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumiere_core::certs::EpochCert;
+    use lumiere_core::certs::{epoch_view_digest, EpochCert};
     use lumiere_core::pacemaker::actions;
     use lumiere_crypto::keygen;
 
@@ -245,7 +244,7 @@ mod tests {
         for k in keys {
             let msg = PacemakerMessage::EpochViewMsg {
                 view: View::new(0),
-                signature: k.sign(epoch_view_digest(View::new(0))),
+                signature: k.sign(epoch_view_digest(View::new(0))).into(),
             };
             pm.on_message(k.id(), &msg, t);
         }

@@ -160,7 +160,7 @@ impl Pacemaker for RelayPacemaker {
     ) {
         match msg {
             PacemakerMessage::Wish { view, signature }
-                if self.me.signed_by(from, signature, wish_digest(*view)) && view.as_i64() >= 0 =>
+                if view.as_i64() >= 0 && self.me.signed_by(from, signature, wish_digest(*view)) =>
             {
                 self.record_wish(*view, *signature, now, out);
             }

@@ -4,7 +4,7 @@ use crate::block::{Block, BlockHash};
 use crate::messages::ConsensusMessage;
 use crate::qc::QuorumCert;
 use crate::store::BlockStore;
-use lumiere_crypto::{KeyPair, PartialSet, Pki, Signature};
+use lumiere_crypto::{KeyPair, LastDigest, PartialSet, Pki, Signature};
 use lumiere_types::view::ViewWindow;
 use lumiere_types::{Batch, Params, ProcessId, SlashEvidence, Time, View};
 use std::collections::{BTreeMap, BTreeSet};
@@ -88,6 +88,9 @@ pub struct HotStuffEngine {
     slash_evidence: Vec<SlashEvidence>,
     locks_advanced: u64,
     certs_verified: u64,
+    /// The last `(view, block)`'s vote digest: a leader's quorum of votes
+    /// for its proposal arrive together.
+    vote_digests: LastDigest<(View, BlockHash)>,
     /// The batch the next proposal will carry, staged by the hosting
     /// runtime from its mempool just before view entry. Consumed (taken)
     /// by the proposal; empty when no load is offered.
@@ -116,6 +119,9 @@ impl HotStuffEngine {
             slash_evidence: Vec::new(),
             locks_advanced: 0,
             certs_verified: 0,
+            vote_digests: LastDigest::new(|(view, block_hash)| {
+                QuorumCert::vote_digest(view, block_hash)
+            }),
             staged: Batch::empty(),
         }
     }
@@ -412,7 +418,7 @@ impl HotStuffEngine {
             return;
         }
         self.last_voted_view = block.view();
-        let digest = QuorumCert::vote_digest(block.view(), block.hash());
+        let digest = self.vote_digests.get((block.view(), block.hash()));
         let signature = self.keys.sign(digest);
         let leader = block.proposer();
         if leader == self.id {
@@ -438,15 +444,13 @@ impl HotStuffEngine {
         now: Time,
         out: &mut Vec<ConsensusAction>,
     ) {
-        if signature.signer() != from {
+        // Only the proposer of the block collects votes for it; that test
+        // is cheaper than the signature's, so it comes first.
+        if signature.signer() != from || !self.proposed_in(view) {
             return;
         }
-        let digest = QuorumCert::vote_digest(view, block_hash);
+        let digest = self.vote_digests.get((view, block_hash));
         if self.pki.verify(&signature, digest).is_err() {
-            return;
-        }
-        // Only the proposer of the block collects votes for it.
-        if !self.proposed_in(view) {
             return;
         }
         self.record_vote(view, block_hash, signature, now, out);

@@ -2,7 +2,8 @@
 
 use crate::block::{BlockHash, GENESIS_HASH};
 use lumiere_crypto::{
-    Authenticator, Digest, DigestValue, Pki, SharedAggregate, Signature, ThresholdSignature,
+    Authenticator, Digest, DigestValue, Pki, SharedAggregate, Signature, Statement,
+    ThresholdSignature,
 };
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use lumiere_types::{Error, Params, Result, View};
@@ -40,7 +41,13 @@ impl QuorumCert {
 
     /// Digest that replicas sign when voting for `(view, block_hash)`.
     pub fn vote_digest(view: View, block_hash: BlockHash) -> DigestValue {
-        VOTE.push_i64(view.as_i64()).push_u64(block_hash).finish()
+        Self::statement(view, block_hash).digest()
+    }
+
+    /// What a vote for `(view, block_hash)`, and so a certificate of such
+    /// votes, states.
+    fn statement(view: View, block_hash: BlockHash) -> Statement {
+        Statement::for_block(VOTE, view, block_hash)
     }
 
     /// Aggregates `2f+1` vote signatures into a quorum certificate,
@@ -101,7 +108,7 @@ impl QuorumCert {
             }
             Some(tsig) => tsig.verify(
                 pki,
-                Self::vote_digest(self.view, self.block_hash),
+                Self::statement(self.view, self.block_hash),
                 &params.stakes(),
                 params.quorum(),
             ),
@@ -323,6 +330,28 @@ mod tests {
                 computed: computed_digest,
             })
         );
+    }
+
+    /// The shared signature's memo is keyed by what the certificate states:
+    /// a certificate holding a checked allocation under another view or
+    /// block is checked again, and fails.
+    #[test]
+    fn a_checked_signature_under_another_statement_fails() {
+        let (keys, pki, params) = setup(7);
+        let qc = certificate(&keys, &params);
+        assert!(qc.verify(&pki, &params).is_ok());
+        for (view, block_hash) in [(View::new(5), 0xabc), (View::new(4), 0xabd)] {
+            let moved = QuorumCert {
+                view,
+                block_hash,
+                tsig: qc.tsig.clone(),
+            };
+            assert!(matches!(
+                moved.verify(&pki, &params),
+                Err(Error::DigestMismatch { .. })
+            ));
+        }
+        assert!(qc.verify(&pki, &params).is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! for property (4) — its eventual worst-case communication remains `Θ(n²)`
 //! because every epoch change is heavy.
 
-use crate::certs::{epoch_view_digest, view_msg_digest};
+use crate::certs::view_msg_digest;
 use crate::clock::LocalClock;
 use crate::ledger::*;
 use crate::messages::PacemakerMessage;
@@ -206,17 +206,17 @@ impl Pacemaker for BasicLumiere {
     ) {
         match msg {
             PacemakerMessage::ViewMsg { view, signature }
-                if self.me.signed_by(from, signature, view_msg_digest(*view))
-                    && view.is_initial() =>
+                if view.is_initial()
+                    && self.me.signed_by(from, signature, view_msg_digest(*view)) =>
             {
                 self.record_view_msg(*view, *signature, now, out);
             }
             PacemakerMessage::EpochViewMsg { view, signature }
-                if self.me.signed_by(from, signature, epoch_view_digest(*view))
-                    && self.layout.is_epoch_view(*view) =>
+                if self.layout.is_epoch_view(*view) =>
             {
-                let count = self.epoch_msgs.record(from, *view);
-                self.count_epoch_msgs(*view, count, now, out);
+                if let Some(count) = self.epoch_msgs.accept(&self.me, from, *view, signature) {
+                    self.count_epoch_msgs(*view, count, now, out);
+                }
             }
             PacemakerMessage::ViewCert(vc) => {
                 let view = vc.view();
@@ -289,7 +289,7 @@ impl Pacemaker for BasicLumiere {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::{forged, EpochCert, ViewCert};
+    use crate::certs::{epoch_view_digest, forged, EpochCert, ViewCert};
     use crate::pacemaker::actions;
     use lumiere_crypto::keygen;
 
@@ -326,7 +326,7 @@ mod tests {
         for k in keys.iter().skip(1) {
             let msg = PacemakerMessage::EpochViewMsg {
                 view: View::new(0),
-                signature: k.sign(epoch_view_digest(View::new(0))),
+                signature: k.sign(epoch_view_digest(View::new(0))).into(),
             };
             pm.on_message(k.id(), &msg, t);
         }

@@ -12,7 +12,8 @@
 //!   the Cogsworth / NK20 relay baselines.
 
 use lumiere_crypto::{
-    Authenticator, Digest, DigestValue, Pki, SharedAggregate, Signature, ThresholdSignature,
+    Authenticator, Digest, DigestValue, Pki, SharedAggregate, Signature, Statement,
+    ThresholdSignature,
 };
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::{Params, Result, View};
@@ -22,14 +23,14 @@ const VIEW_MSG: Digest = Digest::new(b"view-msg");
 /// Digest signed by a processor wishing to tell `lead(v)` it entered initial
 /// view `v`.
 pub fn view_msg_digest(view: View) -> DigestValue {
-    VIEW_MSG.push_i64(view.as_i64()).finish()
+    Statement::new(VIEW_MSG, view).digest()
 }
 
 const EPOCH_VIEW: Digest = Digest::new(b"epoch-view");
 
 /// Digest signed by a processor wishing to enter epoch view `v`.
 pub fn epoch_view_digest(view: View) -> DigestValue {
-    EPOCH_VIEW.push_i64(view.as_i64()).finish()
+    Statement::new(EPOCH_VIEW, view).digest()
 }
 
 const WISH: Digest = Digest::new(b"wish");
@@ -37,7 +38,7 @@ const WISH: Digest = Digest::new(b"wish");
 /// Digest signed by a processor asking to advance to view `v` in the relay
 /// (Cogsworth / NK20) baselines.
 pub fn wish_digest(view: View) -> DigestValue {
-    WISH.push_i64(view.as_i64()).finish()
+    Statement::new(WISH, view).digest()
 }
 
 const TIMEOUT: Digest = Digest::new(b"timeout");
@@ -45,11 +46,11 @@ const TIMEOUT: Digest = Digest::new(b"timeout");
 /// Digest signed by a processor reporting a timeout of view `v` in the naive
 /// quadratic pacemaker.
 pub fn timeout_digest(view: View) -> DigestValue {
-    TIMEOUT.push_i64(view.as_i64()).finish()
+    Statement::new(TIMEOUT, view).digest()
 }
 
 macro_rules! certificate {
-    ($(#[$doc:meta])* $name:ident, $digest_fn:ident, $threshold:ident) => {
+    ($(#[$doc:meta])* $name:ident, $domain:ident, $threshold:ident) => {
         $(#[$doc])*
         ///
         /// The threshold signature is a [`SharedAggregate`]: `clone` is a
@@ -72,7 +73,7 @@ macro_rules! certificate {
             /// than the required number of distinct signers contributed.
             pub fn aggregate(view: View, sigs: &[Signature], params: &Params) -> Result<Self> {
                 let tsig = ThresholdSignature::aggregate(
-                    $digest_fn(view),
+                    Statement::new($domain, view).digest(),
                     sigs,
                     &params.stakes(),
                     params.$threshold(),
@@ -101,7 +102,7 @@ macro_rules! certificate {
             pub fn verify(&self, pki: &Pki, params: &Params) -> Result<()> {
                 self.tsig.verify(
                     pki,
-                    $digest_fn(self.view),
+                    Statement::new($domain, self.view),
                     &params.stakes(),
                     params.$threshold(),
                 )
@@ -133,7 +134,7 @@ certificate!(
     /// View certificate: `f+1` view-`v` messages aggregated by the leader of
     /// the initial view `v`.
     ViewCert,
-    view_msg_digest,
+    VIEW_MSG,
     small_quorum
 );
 
@@ -141,7 +142,7 @@ certificate!(
     /// Epoch certificate: `2f+1` epoch-view-`v` messages; entering epoch view
     /// `v` on its evidence keeps consistency across the epoch change.
     EpochCert,
-    epoch_view_digest,
+    EPOCH_VIEW,
     quorum
 );
 
@@ -150,7 +151,7 @@ certificate!(
     /// one *honest* processor did not see the success criterion, so everyone
     /// must contribute to the epoch change (Section 3.5).
     TimeoutCert,
-    epoch_view_digest,
+    EPOCH_VIEW,
     small_quorum
 );
 
@@ -158,7 +159,7 @@ certificate!(
     /// Wish certificate used by the relay-based baselines: `f+1` wish
     /// messages for view `v` aggregated by a prospective leader.
     WishCert,
-    wish_digest,
+    WISH,
     small_quorum
 );
 

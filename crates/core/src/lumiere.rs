@@ -16,7 +16,7 @@
 //!
 //! The combination achieves all four properties of Theorem 1.1.
 
-use crate::certs::{epoch_view_digest, view_msg_digest, EpochCert, TimeoutCert, ViewCert};
+use crate::certs::{view_msg_digest, EpochCert, TimeoutCert, ViewCert};
 use crate::clock::LocalClock;
 use crate::ledger::*;
 use crate::messages::PacemakerMessage;
@@ -24,7 +24,7 @@ use crate::pacemaker::{EpochMsgs, Pacemaker, PacemakerAction, Processor, ViewMsg
 use crate::planted::PlantedBug;
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
-use lumiere_crypto::{KeyPair, Pki, Signature};
+use lumiere_crypto::{KeyPair, Pki, SharedSignature, Signature};
 use lumiere_types::view::{EpochLayout, ViewWindow};
 use lumiere_types::{Duration, Epoch, Params, ProcessId, Time, View};
 
@@ -408,7 +408,7 @@ impl Lumiere {
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        if !self.me.signed_by(from, &signature, view_msg_digest(view)) || !view.is_initial() {
+        if !view.is_initial() || !self.me.signed_by(from, &signature, view_msg_digest(view)) {
             return;
         }
         self.record_view_msg(view, signature, now, out);
@@ -419,16 +419,16 @@ impl Lumiere {
         &mut self,
         from: ProcessId,
         view: View,
-        signature: Signature,
+        signature: &SharedSignature,
         now: Time,
         out: &mut Vec<PacemakerAction>,
     ) {
-        if !self.me.signed_by(from, &signature, epoch_view_digest(view))
-            || !self.layout.is_epoch_view(view)
-        {
+        if !self.layout.is_epoch_view(view) {
             return;
         }
-        let count = self.epoch_msgs.record(from, view);
+        let Some(count) = self.epoch_msgs.accept(&self.me, from, view, signature) else {
+            return;
+        };
         self.count_epoch_msgs(view, count, now, out);
         self.sweep(now, out);
     }
@@ -513,7 +513,7 @@ impl Pacemaker for Lumiere {
                 self.handle_view_msg(from, *view, *signature, now, out)
             }
             PacemakerMessage::EpochViewMsg { view, signature } => {
-                self.handle_epoch_view_msg(from, *view, *signature, now, out)
+                self.handle_epoch_view_msg(from, *view, signature, now, out)
             }
             PacemakerMessage::ViewCert(vc) => self.handle_view_cert(vc, now, out),
             PacemakerMessage::EpochCert(ec) => self.handle_epoch_cert(ec, now, out),
@@ -613,7 +613,7 @@ impl Pacemaker for Lumiere {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certs::forged;
+    use crate::certs::{epoch_view_digest, forged};
     use crate::pacemaker::actions;
     use lumiere_crypto::keygen;
 
@@ -670,7 +670,7 @@ mod tests {
         for k in keys.iter().skip(1) {
             let msg = PacemakerMessage::EpochViewMsg {
                 view: View::new(0),
-                signature: k.sign(epoch_view_digest(View::new(0))),
+                signature: k.sign(epoch_view_digest(View::new(0))).into(),
             };
             all.extend(pm.on_message(k.id(), &msg, t));
         }
@@ -990,7 +990,7 @@ mod tests {
                 },
                 PacemakerMessage::EpochViewMsg {
                     view: v,
-                    signature: peer.sign(epoch_view_digest(v)),
+                    signature: peer.sign(epoch_view_digest(v)).into(),
                 },
             ] {
                 let out = pm.on_message(peer.id(), &msg, t);
@@ -1120,7 +1120,7 @@ mod tests {
         // Epoch-view message for a non-epoch view is ignored.
         let msg = PacemakerMessage::EpochViewMsg {
             view: View::new(2),
-            signature: keys[2].sign(epoch_view_digest(View::new(2))),
+            signature: keys[2].sign(epoch_view_digest(View::new(2))).into(),
         };
         let out = pm.on_message(ProcessId::new(2), &msg, Time::from_millis(1));
         assert!(out.is_empty());
@@ -1161,7 +1161,7 @@ mod tests {
                     let ev = View::new(0);
                     let msg = PacemakerMessage::EpochViewMsg {
                         view: ev,
-                        signature: k.sign(epoch_view_digest(ev)),
+                        signature: k.sign(epoch_view_digest(ev)).into(),
                     };
                     pm.on_message(k.id(), &msg, now);
                 }

@@ -1,7 +1,7 @@
 //! Wire messages exchanged by pacemakers.
 
 use crate::certs::{EpochCert, TimeoutCert, ViewCert, WishCert};
-use lumiere_crypto::{Authenticator, Signature};
+use lumiere_crypto::{Authenticator, SharedSignature, Signature};
 use lumiere_types::wire::{Reader, Wire, WireError};
 use lumiere_types::View;
 use std::fmt;
@@ -27,8 +27,9 @@ pub enum PacemakerMessage {
     EpochViewMsg {
         /// The epoch view.
         view: View,
-        /// The sender's signature over [`crate::certs::epoch_view_digest`].
-        signature: Signature,
+        /// The sender's signature over [`crate::certs::epoch_view_digest`],
+        /// shared by every recipient's copy and checked once between them.
+        signature: SharedSignature,
     },
     /// A view certificate broadcast by `lead(v)`.
     ViewCert(ViewCert),
@@ -53,8 +54,9 @@ pub enum PacemakerMessage {
     Timeout {
         /// The view that timed out (the sender wants to enter `view + 1`).
         view: View,
-        /// Signature over [`crate::certs::timeout_digest`].
-        signature: Signature,
+        /// Signature over [`crate::certs::timeout_digest`], shared by every
+        /// recipient's copy and checked once between them.
+        signature: SharedSignature,
     },
 }
 
@@ -101,8 +103,8 @@ impl PacemakerMessage {
     pub fn authenticator(&self) -> Authenticator<'_> {
         match self {
             PacemakerMessage::ViewMsg { signature, .. }
-            | PacemakerMessage::EpochViewMsg { signature, .. }
-            | PacemakerMessage::Wish { signature, .. }
+            | PacemakerMessage::Wish { signature, .. } => Authenticator::Signature(signature),
+            PacemakerMessage::EpochViewMsg { signature, .. }
             | PacemakerMessage::Timeout { signature, .. } => Authenticator::Signature(signature),
             PacemakerMessage::ViewCert(c) => c.authenticator(),
             PacemakerMessage::EpochCert(c) => c.authenticator(),
@@ -115,13 +117,14 @@ impl PacemakerMessage {
 /// Wire form: a 1-byte tag in declaration order — `0` `ViewMsg`, `1`
 /// `EpochViewMsg`, `2` `ViewCert`, `3` `EpochCert`, `4` `TimeoutCert`, `5`
 /// `Wish`, `6` `SyncCert`, `7` `Timeout` — then `view: i64` + signature for
-/// the bare-signature variants, or the certificate.
+/// the bare-signature variants (a shared signature's form is the plain
+/// one's), or the certificate.
 impl Wire for PacemakerMessage {
     fn encoded_len(&self) -> usize {
         1 + match self {
             PacemakerMessage::ViewMsg { signature, .. }
-            | PacemakerMessage::EpochViewMsg { signature, .. }
-            | PacemakerMessage::Wish { signature, .. }
+            | PacemakerMessage::Wish { signature, .. } => 8 + signature.encoded_len(),
+            PacemakerMessage::EpochViewMsg { signature, .. }
             | PacemakerMessage::Timeout { signature, .. } => 8 + signature.encoded_len(),
             PacemakerMessage::ViewCert(c) => c.encoded_len(),
             PacemakerMessage::EpochCert(c) => c.encoded_len(),
@@ -161,7 +164,9 @@ impl Wire for PacemakerMessage {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let signed = |r: &mut Reader<'_>| Ok((View::decode(r)?, Signature::decode(r)?));
+        fn signed<S: Wire>(r: &mut Reader<'_>) -> Result<(View, S), WireError> {
+            Ok((View::decode(r)?, S::decode(r)?))
+        }
         Ok(match r.tag("PacemakerMessage")? {
             0 => {
                 let (view, signature) = signed(r)?;
@@ -225,7 +230,7 @@ mod tests {
             PacemakerMessage::ViewCert(vc),
             PacemakerMessage::Timeout {
                 view: v,
-                signature: keys[0].sign(view_msg_digest(v)),
+                signature: keys[0].sign(view_msg_digest(v)).into(),
             },
             PacemakerMessage::Wish {
                 view: v,
@@ -249,7 +254,7 @@ mod tests {
         let v = View::new(0);
         let heavy = PacemakerMessage::EpochViewMsg {
             view: v,
-            signature: keys[0].sign(view_msg_digest(v)),
+            signature: keys[0].sign(view_msg_digest(v)).into(),
         };
         let light = PacemakerMessage::ViewMsg {
             view: v,

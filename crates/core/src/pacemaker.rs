@@ -26,7 +26,7 @@ use crate::ledger::{
 use crate::messages::PacemakerMessage;
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
-use lumiere_crypto::{DigestValue, KeyPair, Pki, Signature};
+use lumiere_crypto::{DigestValue, KeyPair, LastDigest, Pki, SharedSignature, Signature};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
 use std::fmt::Debug;
 
@@ -236,9 +236,23 @@ impl Processor {
     }
 
     /// Whether `signature` is `from`'s own and verifies over `digest`: the
-    /// intake check of every signed pacemaker message.
+    /// intake check of every signed pacemaker message. The caller runs its
+    /// structural tests (the view's kind, its sign) first, so a misdirected
+    /// or malformed message costs no check.
     pub fn signed_by(&self, from: ProcessId, signature: &Signature, digest: DigestValue) -> bool {
         signature.signer() == from && self.pki.verify(signature, digest).is_ok()
+    }
+
+    /// [`Processor::signed_by`] for a broadcast's shared signature, whose
+    /// check runs once per allocation and digest; whether the signer is
+    /// `from` is compared on every copy.
+    pub fn shared_signed_by(
+        &self,
+        from: ProcessId,
+        signature: &SharedSignature,
+        digest: DigestValue,
+    ) -> bool {
+        signature.signer() == from && signature.verify(&self.pki, digest).is_ok()
     }
 }
 
@@ -323,13 +337,38 @@ impl ViewMsgs {
 /// LP22's epoch-view messages (Section 3.2), which LP22, Basic Lumiere and
 /// Lumiere all run: every processor broadcasts one for an epoch view, and
 /// each counts the senders toward its certificates.
+///
+/// The `n − 1` copies of one epoch view's messages arrive together, so the
+/// pool keeps the last view's digest rather than deriving it per copy.
 #[derive(Debug)]
-pub struct EpochMsgs(SenderPool);
+pub struct EpochMsgs {
+    senders: SenderPool,
+    digests: LastDigest<View>,
+}
 
 impl EpochMsgs {
     /// No epoch-view messages yet, for an `n`-processor system.
     pub fn new(n: usize) -> Self {
-        EpochMsgs(SenderPool::new(n))
+        EpochMsgs {
+            senders: SenderPool::new(n),
+            digests: LastDigest::new(epoch_view_digest),
+        }
+    }
+
+    /// Counts `from`'s epoch-view message for `view` if `signature` is
+    /// `from`'s own and verifies. Returns how many senders the view now
+    /// has, or `None` for a refused message. The caller tests that `view`
+    /// is an epoch view first.
+    pub fn accept(
+        &mut self,
+        me: &Processor,
+        from: ProcessId,
+        view: View,
+        signature: &SharedSignature,
+    ) -> Option<usize> {
+        let digest = self.digests.get(view);
+        me.shared_signed_by(from, signature, digest)
+            .then(|| self.record(from, view))
     }
 
     /// Broadcasts this processor's epoch-view message for `view`, once per
@@ -345,7 +384,7 @@ impl EpochMsgs {
         if !me.views.mark(view, SENT_EPOCH_MSG) {
             return None;
         }
-        let signature = me.keys.sign(epoch_view_digest(view));
+        let signature = me.keys.sign(self.digests.get(view)).into();
         out.push(PacemakerAction::HeavySyncStarted { view });
         out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
             view,
@@ -357,17 +396,17 @@ impl EpochMsgs {
     /// Counts `from`'s verified epoch-view message for `view`. Returns how
     /// many senders the view now has.
     pub fn record(&mut self, from: ProcessId, view: View) -> usize {
-        self.0.add(view, from)
+        self.senders.add(view, from)
     }
 
     /// Senders held across every view.
     pub fn entries(&self) -> usize {
-        self.0.entries()
+        self.senders.entries()
     }
 
     /// Drops the senders of every view below `view`.
     pub fn prune_below(&mut self, view: View) {
-        self.0.prune_below(view);
+        self.senders.prune_below(view);
     }
 }
 
@@ -529,7 +568,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(msgs.record(ProcessId::new(0), view), 1);
         assert_eq!(msgs.broadcast(&mut me, view, &mut out), Some(2));
-        let signature = me.keys.sign(epoch_view_digest(view));
+        let signature = me.keys.sign(epoch_view_digest(view)).into();
         let broadcast = PacemakerMessage::EpochViewMsg { view, signature };
         assert_eq!(
             out,

@@ -135,6 +135,38 @@ pub fn combine(a: u64, b: u64) -> u64 {
     COMBINE.push_u64(a).push_u64(b).finish().0
 }
 
+/// A one-entry memo of a digest function: the last key asked for and its
+/// digest.
+///
+/// The copies of one broadcast, and the votes for one block, reach a
+/// processor together, so a recipient that keeps the last digest derives
+/// it once per statement, not once per copy. A different key replaces the
+/// entry.
+#[derive(Debug, Clone)]
+pub struct LastDigest<K> {
+    of: fn(K) -> DigestValue,
+    last: Option<(K, DigestValue)>,
+}
+
+impl<K: Copy + PartialEq> LastDigest<K> {
+    /// An empty memo of `of`.
+    pub fn new(of: fn(K) -> DigestValue) -> Self {
+        LastDigest { of, last: None }
+    }
+
+    /// `of(key)`, computed only when `key` is not the last key asked for.
+    pub fn get(&mut self, key: K) -> DigestValue {
+        match self.last {
+            Some((last, digest)) if last == key => digest,
+            _ => {
+                let digest = (self.of)(key);
+                self.last = Some((key, digest));
+                digest
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +218,23 @@ mod tests {
     fn combine_is_order_sensitive() {
         assert_ne!(combine(1, 2), combine(2, 1));
         assert_eq!(combine(7, 9), combine(7, 9));
+    }
+
+    #[test]
+    fn the_last_digest_is_the_functions_and_is_computed_once_per_key_run() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn of(x: i64) -> DigestValue {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            Digest::new(b"last").push_i64(x).finish()
+        }
+        let reference = |x: i64| Digest::new(b"last").push_i64(x).finish();
+        let mut memo = LastDigest::new(of);
+        for x in [3, 3, 3, 4, 3, -1, -1, 4] {
+            assert_eq!(memo.get(x), reference(x));
+        }
+        // One computation per run of equal keys: 3, 4, 3, -1, 4.
+        assert_eq!(CALLS.load(Ordering::Relaxed), 5);
     }
 
     #[test]

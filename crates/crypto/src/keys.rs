@@ -58,6 +58,10 @@ impl Pki {
 
     /// Verifies a single signature over `digest`.
     ///
+    /// This is the uncached check. A broadcast's signature is checked
+    /// through [`SharedSignature::verify`](crate::SharedSignature::verify),
+    /// which runs it once per shared allocation, key table and digest.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownProcess`] if the signer is not registered and
@@ -141,8 +145,9 @@ impl Pki {
     }
 
     /// One mix of the `(seed, n)` [`keygen`] built this table from: two
-    /// tables with the same fingerprint hold the same keys. It is what a
-    /// [`SharedAggregate`](crate::SharedAggregate)'s memo names the key table by.
+    /// tables with the same fingerprint hold the same keys. It is what the
+    /// memos of a [`SharedAggregate`](crate::SharedAggregate) and a
+    /// [`SharedSignature`](crate::SharedSignature) name the key table by.
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

@@ -14,7 +14,8 @@
 //!   signers into a single constant-size proof plus a fixed-width
 //!   [`SignerBitmap`] (`⌈n/64⌉` words) naming the contributors, held by
 //!   every certificate through one [`SharedAggregate`] handle that checks a
-//!   shared allocation once per key table, and
+//!   shared allocation once per key table (a broadcast's single signature
+//!   travels the same way, in a [`SharedSignature`]), and
 //! * quorum tallies count distinct processors out of a
 //!   [`StakeTable`](lumiere_types::StakeTable)'s `n`, the paper's `f+1`
 //!   and `2f+1` thresholds exactly.
@@ -39,18 +40,19 @@
 //! # Example
 //!
 //! ```
-//! use lumiere_crypto::{keygen, Digest, SharedAggregate, ThresholdSignature};
-//! use lumiere_types::{ProcessId, StakeTable};
+//! use lumiere_crypto::{keygen, Digest, SharedAggregate, Statement, ThresholdSignature};
+//! use lumiere_types::{ProcessId, StakeTable, View};
 //!
 //! let (keys, pki) = keygen(4, 42);
 //! let stakes = StakeTable::uniform(4);
 //! const VIEW_MSG: Digest = Digest::new(b"view-msg");
-//! let digest = VIEW_MSG.push_i64(7).finish();
+//! let statement = Statement::new(VIEW_MSG, View::new(7));
+//! let digest = statement.digest();
 //! let partials: Vec<_> = keys.iter().map(|k| k.sign(digest)).collect();
 //! let tsig = ThresholdSignature::aggregate(digest, &partials, &stakes, 3).unwrap();
 //! let cert = SharedAggregate::from(tsig);
-//! assert!(cert.verify(&pki, digest, &stakes, 3).is_ok());
-//! assert!(cert.clone().verify(&pki, digest, &stakes, 3).is_ok()); // a memo hit
+//! assert!(cert.verify(&pki, statement, &stakes, 3).is_ok());
+//! assert!(cert.clone().verify(&pki, statement, &stakes, 3).is_ok()); // a memo hit
 //! assert!(cert.bitmap().contains(ProcessId::new(0)));
 //! ```
 
@@ -65,9 +67,9 @@ pub mod signature;
 pub mod threshold;
 
 pub use authenticator::Authenticator;
-pub use digest::{Digest, DigestValue};
+pub use digest::{Digest, DigestValue, LastDigest};
 pub use keys::{keygen, KeyPair, Pki};
-pub use shared::SharedAggregate;
+pub use shared::{SharedAggregate, SharedSignature, Statement};
 pub use signature::Signature;
 pub use threshold::{PartialSet, SignerBitmap, ThresholdSignature};
 

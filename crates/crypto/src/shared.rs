@@ -1,50 +1,133 @@
-//! The handle every certificate holds its threshold signature through.
+//! The handles a broadcast's authenticators travel in: one shared
+//! allocation per signature or certificate, which remembers the check it
+//! passed.
 
-use crate::digest::DigestValue;
+use crate::digest::{Digest, DigestValue};
 use crate::keys::Pki;
+use crate::signature::Signature;
 use crate::threshold::ThresholdSignature;
 use lumiere_types::wire::{Reader, Wire, WireError};
-use lumiere_types::{Memo, Result, StakeTable};
+use lumiere_types::{Memo, Result, StakeTable, View};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// A threshold signature in one shared allocation, which remembers the
-/// check it passed.
+/// What a certificate states: its kind (the domain its digest is computed
+/// in), its view and, for a quorum certificate, the block.
 ///
-/// `clone` is a reference bump: a certificate's copies in `high_qc`, in a
-/// proposal's justify and in every notification share one allocation. In
-/// the simulator all `n` replicas are handed the same message, so all `n`
-/// check the same allocation against the same key table, and that check is
-/// a pure function of the two. [`SharedAggregate::verify`] runs it once:
-/// the first success records its key (the key table's fingerprint, the
-/// digest, `n` and the threshold) in the allocation's [`Memo`], and a later
-/// call with exactly that key returns `Ok` without walking the signers.
+/// The digest a certificate is signed over is a pure function of its
+/// statement, [`Statement::digest`], so a memo keyed by the statement
+/// answers without computing the digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Statement {
+    domain: Digest,
+    view: View,
+    block: Option<u64>,
+}
+
+impl Statement {
+    /// `view` in `domain`: what a view, epoch, timeout or wish certificate
+    /// states.
+    pub const fn new(domain: Digest, view: View) -> Self {
+        Statement {
+            domain,
+            view,
+            block: None,
+        }
+    }
+
+    /// `block` in `view`, in `domain`: what a quorum certificate states.
+    pub const fn for_block(domain: Digest, view: View, block: u64) -> Self {
+        Statement {
+            domain,
+            view,
+            block: Some(block),
+        }
+    }
+
+    /// The digest signed for this statement: the domain, then the view,
+    /// then the block if there is one.
+    pub fn digest(&self) -> DigestValue {
+        let digest = self.domain.push_i64(self.view.as_i64());
+        match self.block {
+            Some(block) => digest.push_u64(block),
+            None => digest,
+        }
+        .finish()
+    }
+}
+
+/// A value in one shared allocation, which remembers the check it passed.
+///
+/// `clone` is a reference bump, so every copy of a message, certificate or
+/// notification shares one allocation. In the simulator all `n` replicas
+/// are handed the same message, so all `n` check the same allocation, and
+/// that check is a pure function of the value and its key `K` (the key
+/// table's fingerprint, and whatever else the check reads). The first
+/// success records its key in the allocation's [`Memo`], and a later check
+/// with exactly that key returns `Ok` without running.
 ///
 /// A decoded handle is a new allocation with an empty memo, so a live node
 /// still checks every copy it receives. A failure is never recorded, so
-/// every error is recomputed and returned as [`Pki::verify_aggregate`]
-/// returns it. Equality, `Debug` and the wire form are the signature's own;
-/// two handles on one allocation compare equal without reading it.
+/// every error is recomputed and returned as the uncached check returns it.
+/// Equality, `Debug` and the wire form are the value's own; two handles on
+/// one allocation compare equal without reading it.
 #[derive(Clone, PartialEq, Eq)]
-pub struct SharedAggregate(Arc<Memo<ThresholdSignature, CheckKey>>);
+pub struct Shared<T, K>(Arc<Memo<T, K>>);
 
-/// Everything a check depends on besides the (immutable) signature.
+/// A certificate's threshold signature, checked through
+/// [`SharedAggregate::verify`]: the recorded key is the key table's
+/// fingerprint, the certificate's [`Statement`], `n` and the threshold, so
+/// a hit computes no digest and walks no signers.
+pub type SharedAggregate = Shared<ThresholdSignature, AggregateKey>;
+
+/// A broadcast's single signature, checked through
+/// [`SharedSignature::verify`]: the recorded key is the key table's
+/// fingerprint and the digest, so a hit computes no tag. Whether the signer
+/// is the sender is not part of the check; the caller compares the two on
+/// every copy.
+pub type SharedSignature = Shared<Signature, SignatureKey>;
+
+/// Everything an aggregate's check depends on besides the (immutable)
+/// signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CheckKey {
+pub struct AggregateKey {
     pki: u64,
-    digest: DigestValue,
+    statement: Statement,
     n: usize,
     threshold: usize,
 }
 
+/// Everything a signature's check depends on besides the (immutable)
+/// signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SignatureKey {
+    pki: u64,
+    digest: DigestValue,
+}
+
+impl<T, K: PartialEq> Shared<T, K> {
+    /// `Ok` if `key` is the recorded one; otherwise runs `check` and, if it
+    /// passes, records `key`. The memo keeps the first key that passed;
+    /// under any other key the check runs every time.
+    fn check_once(&self, key: K, check: impl FnOnce(&T) -> Result<()>) -> Result<()> {
+        if self.0.memo().get() == Some(&key) {
+            return Ok(());
+        }
+        check(&self.0)?;
+        let _ = self.0.memo().set(key);
+        Ok(())
+    }
+}
+
 impl SharedAggregate {
-    /// Verifies the aggregate over `digest` against `pki`, `stakes` and
-    /// `threshold`, as [`Pki::verify_aggregate`] does, at most once per
-    /// allocation and key.
+    /// Verifies the aggregate over `statement`'s digest against `pki`,
+    /// `stakes` and `threshold`, as [`Pki::verify_aggregate`] does, at most
+    /// once per allocation and key.
     ///
-    /// A recorded key holds the digest a successful check compared equal to
-    /// the signature's, so a hit implies the digest matches.
+    /// A recorded key holds a statement whose digest a successful check
+    /// compared equal to the signature's, so a hit implies the digest
+    /// matches; the digest is computed only on a miss.
     ///
     /// # Errors
     ///
@@ -52,50 +135,61 @@ impl SharedAggregate {
     pub fn verify(
         &self,
         pki: &Pki,
-        digest: DigestValue,
+        statement: Statement,
         stakes: &StakeTable,
         threshold: usize,
     ) -> Result<()> {
-        let key = CheckKey {
+        let key = AggregateKey {
             pki: pki.fingerprint(),
-            digest,
+            statement,
             n: stakes.n(),
             threshold,
         };
-        if self.0.memo().get() == Some(&key) {
-            return Ok(());
-        }
-        #[allow(clippy::disallowed_methods)] // the one memoised call site
-        pki.verify_aggregate(self, digest, stakes, threshold)?;
-        // The memo keeps the first key that passed; under any other key the
-        // check is recomputed every time.
-        let _ = self.0.memo().set(key);
-        Ok(())
+        self.check_once(key, |tsig| {
+            #[allow(clippy::disallowed_methods)] // the one memoised call site
+            pki.verify_aggregate(tsig, statement.digest(), stakes, threshold)
+        })
     }
 }
 
-impl From<ThresholdSignature> for SharedAggregate {
-    fn from(tsig: ThresholdSignature) -> Self {
-        SharedAggregate(Arc::new(Memo::new(tsig)))
+impl SharedSignature {
+    /// Verifies the signature over `digest` against `pki`, as
+    /// [`Pki::verify`] does, at most once per allocation and key.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Pki::verify`].
+    pub fn verify(&self, pki: &Pki, digest: DigestValue) -> Result<()> {
+        let key = SignatureKey {
+            pki: pki.fingerprint(),
+            digest,
+        };
+        self.check_once(key, |signature| pki.verify(signature, digest))
     }
 }
 
-impl Deref for SharedAggregate {
-    type Target = ThresholdSignature;
+impl<T, K> From<T> for Shared<T, K> {
+    fn from(value: T) -> Self {
+        Shared(Arc::new(Memo::new(value)))
+    }
+}
 
-    fn deref(&self) -> &ThresholdSignature {
+impl<T, K> Deref for Shared<T, K> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
         &self.0
     }
 }
 
-impl fmt::Debug for SharedAggregate {
+impl<T: fmt::Debug, K> fmt::Debug for Shared<T, K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }
 }
 
-/// Wire form: the threshold signature's.
-impl Wire for SharedAggregate {
+/// Wire form: the value's.
+impl<T: Wire, K> Wire for Shared<T, K> {
     fn encoded_len(&self) -> usize {
         self.0.encoded_len()
     }
@@ -105,7 +199,7 @@ impl Wire for SharedAggregate {
     }
 
     fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, WireError> {
-        Memo::decode(r).map(|memo| SharedAggregate(Arc::new(memo)))
+        Memo::decode(r).map(|memo| Shared(Arc::new(memo)))
     }
 }
 
@@ -113,12 +207,17 @@ impl Wire for SharedAggregate {
 #[allow(clippy::disallowed_methods)] // the uncached check is the reference here
 mod tests {
     use super::*;
-    use crate::digest::Digest;
     use crate::keys::keygen;
-    use lumiere_types::Error;
+    use lumiere_types::{Error, ProcessId};
+
+    const SHARED: Digest = Digest::new(b"shared");
+
+    fn statement(x: i64) -> Statement {
+        Statement::new(SHARED, View::new(x))
+    }
 
     fn digest(x: i64) -> DigestValue {
-        Digest::new(b"shared").push_i64(x).finish()
+        statement(x).digest()
     }
 
     /// A 5-of-7 aggregate over `digest(1)` under `keygen(7, seed)`.
@@ -131,30 +230,79 @@ mod tests {
     }
 
     #[test]
+    fn a_statement_digests_its_domain_view_and_block_in_that_order() {
+        let view = View::new(-3);
+        assert_eq!(
+            Statement::new(SHARED, view).digest(),
+            SHARED.push_i64(-3).finish()
+        );
+        assert_eq!(
+            Statement::for_block(SHARED, view, 0xabc).digest(),
+            SHARED.push_i64(-3).push_u64(0xabc).finish()
+        );
+        assert_ne!(
+            Statement::new(Digest::new(b"other"), view).digest(),
+            Statement::new(SHARED, view).digest()
+        );
+    }
+
+    #[test]
     fn a_memo_never_answers_for_another_key_table_or_threshold() {
         let (pki, agg) = five_of_seven(3);
         let (_, other) = keygen(7, 4);
         let uniform = StakeTable::uniform(7);
         let d = digest(1);
         assert!(agg.0.memo().get().is_none(), "a new handle is unchecked");
-        assert_eq!(agg.verify(&pki, d, &uniform, 5), Ok(()));
+        assert_eq!(agg.verify(&pki, statement(1), &uniform, 5), Ok(()));
         let key = *agg.0.memo().get().expect("a success is recorded");
         for _ in 0..3 {
             // Each answer is the uncached check's, and none moves the memo.
             for (table, threshold) in [(&other, 5), (&pki, 6), (&other, 4), (&pki, 4)] {
                 assert_eq!(
-                    agg.verify(table, d, &uniform, threshold),
+                    agg.verify(table, statement(1), &uniform, threshold),
                     table.verify_aggregate(&agg, d, &uniform, threshold),
                 );
             }
             assert_eq!(
-                agg.verify(&pki, digest(2), &uniform, 5),
+                agg.verify(&pki, statement(2), &uniform, 5),
                 pki.verify_aggregate(&agg, digest(2), &uniform, 5)
             );
-            assert!(agg.verify(&other, d, &uniform, 5).is_err());
-            assert!(agg.verify(&pki, d, &uniform, 6).is_err());
+            assert!(agg.verify(&other, statement(1), &uniform, 5).is_err());
+            assert!(agg.verify(&pki, statement(1), &uniform, 6).is_err());
             assert_eq!(agg.0.memo().get(), Some(&key));
         }
+    }
+
+    /// The memo is keyed by the statement, not the digest: a certificate
+    /// sharing a checked allocation but naming another view, block or kind
+    /// is checked again, and fails on the digest.
+    #[test]
+    fn a_checked_aggregate_under_another_statement_is_checked_again() {
+        let (keys, pki) = keygen(7, 3);
+        let uniform = StakeTable::uniform(7);
+        let vote = Digest::new(b"vote");
+        let stated = Statement::for_block(vote, View::new(4), 0xabc);
+        let d = stated.digest();
+        let partials: Vec<_> = keys.iter().take(5).map(|k| k.sign(d)).collect();
+        let agg = SharedAggregate::from(
+            ThresholdSignature::aggregate(d, &partials, &uniform, 5).unwrap(),
+        );
+        assert_eq!(agg.verify(&pki, stated, &uniform, 5), Ok(()));
+        let key = *agg.0.memo().get().expect("a success is recorded");
+        let moved = agg.clone();
+        for other in [
+            Statement::for_block(vote, View::new(5), 0xabc),
+            Statement::for_block(vote, View::new(4), 0xabd),
+            Statement::new(vote, View::new(4)),
+            Statement::for_block(SHARED, View::new(4), 0xabc),
+        ] {
+            assert!(matches!(
+                moved.verify(&pki, other, &uniform, 5),
+                Err(Error::DigestMismatch { .. })
+            ));
+        }
+        assert_eq!(moved.0.memo().get(), Some(&key));
+        assert_eq!(moved.verify(&pki, stated, &uniform, 5), Ok(()));
     }
 
     #[test]
@@ -162,7 +310,7 @@ mod tests {
         let (pki, agg) = five_of_seven(3);
         let unchecked = agg.clone();
         assert_eq!(
-            agg.verify(&pki, digest(1), &StakeTable::uniform(7), 5),
+            agg.verify(&pki, statement(1), &StakeTable::uniform(7), 5),
             Ok(())
         );
         assert!(
@@ -190,11 +338,98 @@ mod tests {
         for _ in 0..3 {
             for handle in &handles {
                 assert!(matches!(
-                    handle.verify(&pki, digest(1), &StakeTable::uniform(7), 5),
+                    handle.verify(&pki, statement(1), &StakeTable::uniform(7), 5),
                     Err(Error::InvalidSignature { .. })
                 ));
             }
         }
         assert!(handles[0].0.memo().get().is_none());
+    }
+
+    /// Processor 2's signature over `digest(1)` under `keygen(7, seed)`.
+    fn signed(seed: u64) -> (Pki, SharedSignature) {
+        let (keys, pki) = keygen(7, seed);
+        (pki, keys[2].sign(digest(1)).into())
+    }
+
+    #[test]
+    fn a_signature_memo_never_answers_for_another_key_table_or_digest() {
+        let (pki, sig) = signed(3);
+        let (_, other) = keygen(7, 4);
+        // The same seed's keys, but processor 2 is not among them.
+        let (_, fewer) = keygen(2, 3);
+        assert!(sig.0.memo().get().is_none(), "a new handle is unchecked");
+        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
+        let key = *sig.0.memo().get().expect("a success is recorded");
+        for _ in 0..3 {
+            // Each answer is the uncached check's, and none moves the memo.
+            for (table, d) in [(&other, 1), (&fewer, 1), (&pki, 2), (&other, 2)] {
+                assert_eq!(sig.verify(table, digest(d)), table.verify(&sig, digest(d)));
+                assert!(sig.verify(table, digest(d)).is_err());
+            }
+            assert_eq!(sig.0.memo().get(), Some(&key));
+        }
+        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
+    }
+
+    #[test]
+    fn a_failed_signature_check_is_never_recorded() {
+        let (pki, sig) = signed(3);
+        let forged = SharedSignature::from(Signature::new(sig.signer(), sig.tag() ^ 1));
+        let unknown = SharedSignature::from(Signature::new(ProcessId::new(9), sig.tag()));
+        for _ in 0..3 {
+            assert_eq!(
+                forged.verify(&pki, digest(1)),
+                Err(Error::InvalidSignature {
+                    signer: ProcessId::new(2)
+                })
+            );
+            assert_eq!(
+                unknown.verify(&pki, digest(1)),
+                Err(Error::UnknownProcess {
+                    id: ProcessId::new(9)
+                })
+            );
+            // A valid signature checked under the wrong digest first.
+            assert!(sig.verify(&pki, digest(2)).is_err());
+        }
+        assert!(forged.0.memo().get().is_none());
+        assert!(unknown.0.memo().get().is_none());
+        assert!(sig.0.memo().get().is_none());
+    }
+
+    #[test]
+    fn a_signature_clone_shares_the_memo_and_a_new_allocation_starts_empty() {
+        let (pki, sig) = signed(3);
+        let clone = sig.clone();
+        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
+        assert!(clone.0.memo().get().is_some(), "a clone shares the memo");
+        let mut bytes = Vec::new();
+        sig.encode_into(&mut bytes);
+        let decoded = SharedSignature::decode_exact(&bytes).unwrap();
+        let fresh = SharedSignature::from(*sig);
+        for copy in [&decoded, &fresh] {
+            assert!(copy.0.memo().get().is_none());
+            assert_eq!(copy, &sig);
+        }
+    }
+
+    #[test]
+    fn a_shared_signature_looks_like_the_plain_one() {
+        let (pki, sig) = signed(3);
+        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
+        let plain: Signature = *sig;
+        assert_eq!(format!("{sig:?}"), format!("{plain:?}"));
+        assert_eq!(format!("{sig:#?}"), format!("{plain:#?}"));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        sig.encode_into(&mut a);
+        plain.encode_into(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(sig.encoded_len(), plain.encoded_len());
+        assert_eq!(sig, SharedSignature::from(plain));
+        assert_ne!(
+            sig,
+            SharedSignature::from(Signature::new(plain.signer(), plain.tag() ^ 1))
+        );
     }
 }

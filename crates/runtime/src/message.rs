@@ -184,7 +184,7 @@ mod tests {
         let v = View::new(3);
         let pm = WireMessage::Pacemaker(PacemakerMessage::EpochViewMsg {
             view: v,
-            signature: keys[0].sign(view_msg_digest(v)),
+            signature: keys[0].sign(view_msg_digest(v)).into(),
         });
         assert_eq!(pm.kind(), "epoch-view-msg");
         assert_eq!(pm.view(), v);

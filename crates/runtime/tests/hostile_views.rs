@@ -143,7 +143,7 @@ fn naming(view: View, key: &KeyPair) -> Vec<WireMessage> {
         }),
         WireMessage::Pacemaker(PacemakerMessage::EpochViewMsg {
             view,
-            signature: key.sign(epoch_view_digest(view)),
+            signature: key.sign(epoch_view_digest(view)).into(),
         }),
         WireMessage::Pacemaker(PacemakerMessage::Wish {
             view,
@@ -151,7 +151,7 @@ fn naming(view: View, key: &KeyPair) -> Vec<WireMessage> {
         }),
         WireMessage::Pacemaker(PacemakerMessage::Timeout {
             view,
-            signature: key.sign(timeout_digest(view)),
+            signature: key.sign(timeout_digest(view)).into(),
         }),
         WireMessage::Consensus(vote),
         WireMessage::Consensus(ConsensusMessage::Proposal(block)),

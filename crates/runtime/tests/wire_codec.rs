@@ -82,7 +82,7 @@ fn all_variants(
         }),
         WireMessage::Pacemaker(PacemakerMessage::EpochViewMsg {
             view,
-            signature: signer.sign(epoch_view_digest(view)),
+            signature: signer.sign(epoch_view_digest(view)).into(),
         }),
         WireMessage::Pacemaker(PacemakerMessage::ViewCert(
             ViewCert::aggregate(view, &sign_all(view_msg_digest(view)), params)
@@ -106,7 +106,7 @@ fn all_variants(
         )),
         WireMessage::Pacemaker(PacemakerMessage::Timeout {
             view,
-            signature: signer.sign(timeout_digest(view)),
+            signature: signer.sign(timeout_digest(view)).into(),
         }),
         WireMessage::Consensus(ConsensusMessage::Proposal(block.clone())),
         WireMessage::Consensus(ConsensusMessage::Vote {

@@ -1,10 +1,13 @@
 //! A value beside one remembered fact about it.
 //!
-//! The simulator hands all `n` replicas one shared allocation of a block or
-//! a certificate, and each replica checks it. A check is a pure function of
-//! the immutable value (and of the key table it runs against), so its
-//! result can live in the allocation and be computed once. [`Memo`] is that
-//! allocation's contents: the value and a [`OnceLock`] for the result.
+//! The simulator hands all `n` replicas one shared allocation of a block, a
+//! certificate's signature or a broadcast's signature, and each replica
+//! checks it. A check is a pure function of the immutable value (and of the
+//! key table and the statement it runs against), so its result can live in
+//! the allocation and be computed once. [`Memo`] is that allocation's
+//! contents: the value and a [`OnceLock`] for the result. Its users are a
+//! block's well-formedness and `lumiere_crypto`'s `SharedAggregate` and
+//! `SharedSignature`.
 
 use crate::wire::{Reader, Wire, WireError};
 use std::fmt;

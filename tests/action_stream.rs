@@ -265,7 +265,7 @@ impl<P: Pacemaker + ?Sized> Cluster<P> {
             PacemakerMessage::EpochViewMsg { view, signature } => {
                 let v = view.as_i64();
                 let sigs = self.epoch_sigs.entry(v).or_default();
-                sigs.insert(ProcessId::new(from), *signature);
+                sigs.insert(ProcessId::new(from), **signature);
                 let sigs: Vec<Signature> = sigs.values().copied().collect();
                 if sigs.len() >= self.params.small_quorum() && self.relayed.insert((v, false)) {
                     let tc = TimeoutCert::aggregate(*view, &sigs, &self.params).unwrap();
