@@ -14,7 +14,7 @@ use lumiere_core::ledger::{SenderPool, OBSERVED_QC, SENT_TIMEOUT};
 use lumiere_core::messages::PacemakerMessage;
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction, Processor};
 use lumiere_core::schedule::LeaderSchedule;
-use lumiere_crypto::{KeyPair, LastDigest, Pki};
+use lumiere_crypto::{KeyPair, Pki};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
 
 /// A processor's naive quadratic pacemaker.
@@ -26,9 +26,6 @@ pub struct NaiveQuadratic {
     boot_time: Time,
     view_entered_at: Time,
     timeout_pool: SenderPool,
-    /// The last view's timeout digest: the copies of one view's timeout
-    /// broadcasts arrive together.
-    timeout_digests: LastDigest<View>,
 }
 
 impl NaiveQuadratic {
@@ -40,7 +37,6 @@ impl NaiveQuadratic {
             boot_time: Time::ZERO,
             view_entered_at: Time::ZERO,
             timeout_pool: SenderPool::new(params.n),
-            timeout_digests: LastDigest::new(timeout_digest),
         }
     }
 
@@ -89,11 +85,7 @@ impl Pacemaker for NaiveQuadratic {
         out: &mut Vec<PacemakerAction>,
     ) {
         if let PacemakerMessage::Timeout { view, signature } = msg {
-            if view.as_i64() >= 0
-                && self
-                    .me
-                    .shared_signed_by(from, signature, self.timeout_digests.get(*view))
-            {
+            if view.as_i64() >= 0 && self.me.signed_by(from, signature, timeout_digest(*view)) {
                 self.record_timeout(from, *view, now, out);
             }
         }
@@ -122,7 +114,7 @@ impl Pacemaker for NaiveQuadratic {
         }
         if now >= self.view_entered_at + self.view_timeout {
             if self.me.views.mark(view, SENT_TIMEOUT) {
-                let signature = self.me.keys.sign(self.timeout_digests.get(view)).into();
+                let signature = self.me.keys.sign(timeout_digest(view));
                 out.push(PacemakerAction::Broadcast(PacemakerMessage::Timeout {
                     view,
                     signature,
@@ -196,7 +188,7 @@ mod tests {
         for k in keys.iter().skip(1).take(2) {
             let msg = PacemakerMessage::Timeout {
                 view: View::new(0),
-                signature: k.sign(timeout_digest(View::new(0))).into(),
+                signature: k.sign(timeout_digest(View::new(0))),
             };
             pm.on_message(k.id(), &msg, t);
         }
@@ -220,7 +212,7 @@ mod tests {
         pm.boot(Time::ZERO);
         let msg = PacemakerMessage::Timeout {
             view: View::new(0),
-            signature: keys[2].sign(timeout_digest(View::new(7))).into(),
+            signature: keys[2].sign(timeout_digest(View::new(7))),
         };
         pm.on_message(keys[2].id(), &msg, Time::from_millis(1));
         assert_eq!(pm.timeout_pool.entries(), 0);

@@ -332,28 +332,6 @@ mod tests {
         );
     }
 
-    /// The shared signature's memo is keyed by what the certificate states:
-    /// a certificate holding a checked allocation under another view or
-    /// block is checked again, and fails.
-    #[test]
-    fn a_checked_signature_under_another_statement_fails() {
-        let (keys, pki, params) = setup(7);
-        let qc = certificate(&keys, &params);
-        assert!(qc.verify(&pki, &params).is_ok());
-        for (view, block_hash) in [(View::new(5), 0xabc), (View::new(4), 0xabd)] {
-            let moved = QuorumCert {
-                view,
-                block_hash,
-                tsig: qc.tsig.clone(),
-            };
-            assert!(matches!(
-                moved.verify(&pki, &params),
-                Err(Error::DigestMismatch { .. })
-            ));
-        }
-        assert!(qc.verify(&pki, &params).is_ok());
-    }
-
     #[test]
     fn forged_genesis_like_cert_is_rejected() {
         let (_, pki, params) = setup(4);

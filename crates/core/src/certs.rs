@@ -28,9 +28,14 @@ pub fn view_msg_digest(view: View) -> DigestValue {
 
 const EPOCH_VIEW: Digest = Digest::new(b"epoch-view");
 
+/// What a processor wishing to enter epoch view `v` signs.
+pub fn epoch_view_statement(view: View) -> Statement {
+    Statement::new(EPOCH_VIEW, view)
+}
+
 /// Digest signed by a processor wishing to enter epoch view `v`.
 pub fn epoch_view_digest(view: View) -> DigestValue {
-    Statement::new(EPOCH_VIEW, view).digest()
+    epoch_view_statement(view).digest()
 }
 
 const WISH: Digest = Digest::new(b"wish");

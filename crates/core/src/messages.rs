@@ -54,9 +54,8 @@ pub enum PacemakerMessage {
     Timeout {
         /// The view that timed out (the sender wants to enter `view + 1`).
         view: View,
-        /// Signature over [`crate::certs::timeout_digest`], shared by every
-        /// recipient's copy and checked once between them.
-        signature: SharedSignature,
+        /// Signature over [`crate::certs::timeout_digest`].
+        signature: Signature,
     },
 }
 
@@ -103,9 +102,9 @@ impl PacemakerMessage {
     pub fn authenticator(&self) -> Authenticator<'_> {
         match self {
             PacemakerMessage::ViewMsg { signature, .. }
-            | PacemakerMessage::Wish { signature, .. } => Authenticator::Signature(signature),
-            PacemakerMessage::EpochViewMsg { signature, .. }
+            | PacemakerMessage::Wish { signature, .. }
             | PacemakerMessage::Timeout { signature, .. } => Authenticator::Signature(signature),
+            PacemakerMessage::EpochViewMsg { signature, .. } => Authenticator::Signature(signature),
             PacemakerMessage::ViewCert(c) => c.authenticator(),
             PacemakerMessage::EpochCert(c) => c.authenticator(),
             PacemakerMessage::TimeoutCert(c) => c.authenticator(),
@@ -123,9 +122,9 @@ impl Wire for PacemakerMessage {
     fn encoded_len(&self) -> usize {
         1 + match self {
             PacemakerMessage::ViewMsg { signature, .. }
-            | PacemakerMessage::Wish { signature, .. } => 8 + signature.encoded_len(),
-            PacemakerMessage::EpochViewMsg { signature, .. }
+            | PacemakerMessage::Wish { signature, .. }
             | PacemakerMessage::Timeout { signature, .. } => 8 + signature.encoded_len(),
+            PacemakerMessage::EpochViewMsg { signature, .. } => 8 + signature.encoded_len(),
             PacemakerMessage::ViewCert(c) => c.encoded_len(),
             PacemakerMessage::EpochCert(c) => c.encoded_len(),
             PacemakerMessage::TimeoutCert(c) => c.encoded_len(),
@@ -230,7 +229,7 @@ mod tests {
             PacemakerMessage::ViewCert(vc),
             PacemakerMessage::Timeout {
                 view: v,
-                signature: keys[0].sign(view_msg_digest(v)).into(),
+                signature: keys[0].sign(view_msg_digest(v)),
             },
             PacemakerMessage::Wish {
                 view: v,

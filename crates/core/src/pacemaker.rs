@@ -19,14 +19,14 @@
 //! and Lumiere run LP22's epoch-view messages through an [`EpochMsgs`]
 //! (Section 3.2).
 
-use crate::certs::{epoch_view_digest, view_msg_digest, ViewCert};
+use crate::certs::{epoch_view_digest, epoch_view_statement, view_msg_digest, ViewCert};
 use crate::ledger::{
     SenderPool, SigPool, ViewLedger, FORMED_VC, SEEN_VC, SENT_EPOCH_MSG, SENT_VIEW_MSG,
 };
 use crate::messages::PacemakerMessage;
 use crate::schedule::LeaderSchedule;
 use lumiere_consensus::QuorumCert;
-use lumiere_crypto::{DigestValue, KeyPair, LastDigest, Pki, SharedSignature, Signature};
+use lumiere_crypto::{DigestValue, KeyPair, Pki, SharedSignature, Signature, Statement};
 use lumiere_types::{Duration, Params, ProcessId, Time, View};
 use std::fmt::Debug;
 
@@ -243,16 +243,16 @@ impl Processor {
         signature.signer() == from && self.pki.verify(signature, digest).is_ok()
     }
 
-    /// [`Processor::signed_by`] for a broadcast's shared signature, whose
-    /// check runs once per allocation and digest; whether the signer is
-    /// `from` is compared on every copy.
+    /// [`Processor::signed_by`] for a broadcast's shared signature over
+    /// `statement`, whose check runs once per allocation and statement;
+    /// whether the signer is `from` is compared on every copy.
     pub fn shared_signed_by(
         &self,
         from: ProcessId,
         signature: &SharedSignature,
-        digest: DigestValue,
+        statement: Statement,
     ) -> bool {
-        signature.signer() == from && signature.verify(&self.pki, digest).is_ok()
+        signature.signer() == from && signature.verify(&self.pki, statement).is_ok()
     }
 }
 
@@ -337,22 +337,13 @@ impl ViewMsgs {
 /// LP22's epoch-view messages (Section 3.2), which LP22, Basic Lumiere and
 /// Lumiere all run: every processor broadcasts one for an epoch view, and
 /// each counts the senders toward its certificates.
-///
-/// The `n − 1` copies of one epoch view's messages arrive together, so the
-/// pool keeps the last view's digest rather than deriving it per copy.
 #[derive(Debug)]
-pub struct EpochMsgs {
-    senders: SenderPool,
-    digests: LastDigest<View>,
-}
+pub struct EpochMsgs(SenderPool);
 
 impl EpochMsgs {
     /// No epoch-view messages yet, for an `n`-processor system.
     pub fn new(n: usize) -> Self {
-        EpochMsgs {
-            senders: SenderPool::new(n),
-            digests: LastDigest::new(epoch_view_digest),
-        }
+        EpochMsgs(SenderPool::new(n))
     }
 
     /// Counts `from`'s epoch-view message for `view` if `signature` is
@@ -366,8 +357,7 @@ impl EpochMsgs {
         view: View,
         signature: &SharedSignature,
     ) -> Option<usize> {
-        let digest = self.digests.get(view);
-        me.shared_signed_by(from, signature, digest)
+        me.shared_signed_by(from, signature, epoch_view_statement(view))
             .then(|| self.record(from, view))
     }
 
@@ -384,7 +374,7 @@ impl EpochMsgs {
         if !me.views.mark(view, SENT_EPOCH_MSG) {
             return None;
         }
-        let signature = me.keys.sign(self.digests.get(view)).into();
+        let signature = me.keys.sign(epoch_view_digest(view)).into();
         out.push(PacemakerAction::HeavySyncStarted { view });
         out.push(PacemakerAction::Broadcast(PacemakerMessage::EpochViewMsg {
             view,
@@ -395,18 +385,18 @@ impl EpochMsgs {
 
     /// Counts `from`'s verified epoch-view message for `view`. Returns how
     /// many senders the view now has.
-    pub fn record(&mut self, from: ProcessId, view: View) -> usize {
-        self.senders.add(view, from)
+    fn record(&mut self, from: ProcessId, view: View) -> usize {
+        self.0.add(view, from)
     }
 
     /// Senders held across every view.
     pub fn entries(&self) -> usize {
-        self.senders.entries()
+        self.0.entries()
     }
 
     /// Drops the senders of every view below `view`.
     pub fn prune_below(&mut self, view: View) {
-        self.senders.prune_below(view);
+        self.0.prune_below(view);
     }
 }
 

@@ -138,10 +138,9 @@ pub fn combine(a: u64, b: u64) -> u64 {
 /// A one-entry memo of a digest function: the last key asked for and its
 /// digest.
 ///
-/// The copies of one broadcast, and the votes for one block, reach a
-/// processor together, so a recipient that keeps the last digest derives
-/// it once per statement, not once per copy. A different key replaces the
-/// entry.
+/// A leader's quorum of votes for one block reaches it together, so a
+/// leader that keeps the last digest derives it once per block, not once
+/// per vote. A different key replaces the entry.
 #[derive(Debug, Clone)]
 pub struct LastDigest<K> {
     of: fn(K) -> DigestValue,

@@ -14,8 +14,8 @@
 //!   signers into a single constant-size proof plus a fixed-width
 //!   [`SignerBitmap`] (`⌈n/64⌉` words) naming the contributors, held by
 //!   every certificate through one [`SharedAggregate`] handle that checks a
-//!   shared allocation once per key table (a broadcast's single signature
-//!   travels the same way, in a [`SharedSignature`]), and
+//!   shared allocation once per key table (an epoch-view broadcast's single
+//!   signature travels the same way, in a [`SharedSignature`]), and
 //! * quorum tallies count distinct processors out of a
 //!   [`StakeTable`](lumiere_types::StakeTable)'s `n`, the paper's `f+1`
 //!   and `2f+1` thresholds exactly.

@@ -83,9 +83,9 @@ pub type SharedAggregate = Shared<ThresholdSignature, AggregateKey>;
 
 /// A broadcast's single signature, checked through
 /// [`SharedSignature::verify`]: the recorded key is the key table's
-/// fingerprint and the digest, so a hit computes no tag. Whether the signer
-/// is the sender is not part of the check; the caller compares the two on
-/// every copy.
+/// fingerprint and the message's [`Statement`], so a hit computes neither
+/// digest nor tag. Whether the signer is the sender is not part of the
+/// check; the caller compares the two on every copy.
 pub type SharedSignature = Shared<Signature, SignatureKey>;
 
 /// Everything an aggregate's check depends on besides the (immutable)
@@ -103,7 +103,7 @@ pub struct AggregateKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignatureKey {
     pki: u64,
-    digest: DigestValue,
+    statement: Statement,
 }
 
 impl<T, K: PartialEq> Shared<T, K> {
@@ -153,18 +153,19 @@ impl SharedAggregate {
 }
 
 impl SharedSignature {
-    /// Verifies the signature over `digest` against `pki`, as
-    /// [`Pki::verify`] does, at most once per allocation and key.
+    /// Verifies the signature over `statement`'s digest against `pki`, as
+    /// [`Pki::verify`] does, at most once per allocation and key. As for a
+    /// [`SharedAggregate`], the digest is computed only on a miss.
     ///
     /// # Errors
     ///
     /// Exactly those of [`Pki::verify`].
-    pub fn verify(&self, pki: &Pki, digest: DigestValue) -> Result<()> {
+    pub fn verify(&self, pki: &Pki, statement: Statement) -> Result<()> {
         let key = SignatureKey {
             pki: pki.fingerprint(),
-            digest,
+            statement,
         };
-        self.check_once(key, |signature| pki.verify(signature, digest))
+        self.check_once(key, |signature| pki.verify(signature, statement.digest()))
     }
 }
 
@@ -305,26 +306,44 @@ mod tests {
         assert_eq!(moved.verify(&pki, stated, &uniform, 5), Ok(()));
     }
 
+    /// A checked handle's clone shares its memo, while a decoded copy and a
+    /// fresh `From` of its value start empty. Each looks like the plain
+    /// value: `==`, `Debug` and the wire bytes.
+    fn clones_share_and_copies_start_unchecked<T, K>(checked: &Shared<T, K>)
+    where
+        T: Wire + fmt::Debug + PartialEq + Clone,
+        K: PartialEq + Clone,
+    {
+        assert!(
+            checked.clone().0.memo().get().is_some(),
+            "a clone shares the memo"
+        );
+        let (mut bytes, mut plain) = (Vec::new(), Vec::new());
+        checked.encode_into(&mut bytes);
+        (**checked).encode_into(&mut plain);
+        assert_eq!(bytes, plain);
+        assert_eq!(checked.encoded_len(), bytes.len());
+        let decoded = Shared::<T, K>::decode_exact(&bytes).unwrap();
+        let fresh = Shared::<T, K>::from((**checked).clone());
+        for copy in [&decoded, &fresh] {
+            assert!(copy.0.memo().get().is_none());
+            assert_eq!(copy, checked);
+            assert_eq!(format!("{copy:?}"), format!("{:?}", **checked));
+            assert_eq!(format!("{copy:#?}"), format!("{:#?}", **checked));
+        }
+    }
+
     #[test]
     fn a_decoded_copy_starts_unchecked_and_looks_the_same() {
         let (pki, agg) = five_of_seven(3);
-        let unchecked = agg.clone();
         assert_eq!(
             agg.verify(&pki, statement(1), &StakeTable::uniform(7), 5),
             Ok(())
         );
-        assert!(
-            unchecked.0.memo().get().is_some(),
-            "a clone shares the memo"
-        );
-        let mut bytes = Vec::new();
-        agg.encode_into(&mut bytes);
-        let copy = SharedAggregate::decode_exact(&bytes).unwrap();
-        assert!(copy.0.memo().get().is_none());
-        assert_eq!(copy, agg);
-        assert_eq!(format!("{copy:?}"), format!("{:?}", *agg));
-        assert_eq!(format!("{copy:#?}"), format!("{agg:#?}"));
-        assert_eq!(copy.encoded_len(), bytes.len());
+        clones_share_and_copies_start_unchecked(&agg);
+        let (pki, sig) = signed(3);
+        assert_eq!(sig.verify(&pki, statement(1)), Ok(()));
+        clones_share_and_copies_start_unchecked(&sig);
     }
 
     #[test]
@@ -353,23 +372,33 @@ mod tests {
     }
 
     #[test]
-    fn a_signature_memo_never_answers_for_another_key_table_or_digest() {
+    fn a_signature_memo_never_answers_for_another_key_table_or_statement() {
         let (pki, sig) = signed(3);
         let (_, other) = keygen(7, 4);
         // The same seed's keys, but processor 2 is not among them.
         let (_, fewer) = keygen(2, 3);
+        let kind = Statement::new(Digest::new(b"other"), View::new(1));
         assert!(sig.0.memo().get().is_none(), "a new handle is unchecked");
-        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
+        assert_eq!(sig.verify(&pki, statement(1)), Ok(()));
         let key = *sig.0.memo().get().expect("a success is recorded");
         for _ in 0..3 {
             // Each answer is the uncached check's, and none moves the memo.
-            for (table, d) in [(&other, 1), (&fewer, 1), (&pki, 2), (&other, 2)] {
-                assert_eq!(sig.verify(table, digest(d)), table.verify(&sig, digest(d)));
-                assert!(sig.verify(table, digest(d)).is_err());
+            for (table, stated) in [
+                (&other, statement(1)),
+                (&fewer, statement(1)),
+                (&pki, statement(2)),
+                (&pki, kind),
+                (&other, statement(2)),
+            ] {
+                assert_eq!(
+                    sig.verify(table, stated),
+                    table.verify(&sig, stated.digest())
+                );
+                assert!(sig.verify(table, stated).is_err());
             }
             assert_eq!(sig.0.memo().get(), Some(&key));
         }
-        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
+        assert_eq!(sig.verify(&pki, statement(1)), Ok(()));
     }
 
     #[test]
@@ -379,57 +408,22 @@ mod tests {
         let unknown = SharedSignature::from(Signature::new(ProcessId::new(9), sig.tag()));
         for _ in 0..3 {
             assert_eq!(
-                forged.verify(&pki, digest(1)),
+                forged.verify(&pki, statement(1)),
                 Err(Error::InvalidSignature {
                     signer: ProcessId::new(2)
                 })
             );
             assert_eq!(
-                unknown.verify(&pki, digest(1)),
+                unknown.verify(&pki, statement(1)),
                 Err(Error::UnknownProcess {
                     id: ProcessId::new(9)
                 })
             );
-            // A valid signature checked under the wrong digest first.
-            assert!(sig.verify(&pki, digest(2)).is_err());
+            // A valid signature checked under the wrong statement first.
+            assert!(sig.verify(&pki, statement(2)).is_err());
         }
         assert!(forged.0.memo().get().is_none());
         assert!(unknown.0.memo().get().is_none());
         assert!(sig.0.memo().get().is_none());
-    }
-
-    #[test]
-    fn a_signature_clone_shares_the_memo_and_a_new_allocation_starts_empty() {
-        let (pki, sig) = signed(3);
-        let clone = sig.clone();
-        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
-        assert!(clone.0.memo().get().is_some(), "a clone shares the memo");
-        let mut bytes = Vec::new();
-        sig.encode_into(&mut bytes);
-        let decoded = SharedSignature::decode_exact(&bytes).unwrap();
-        let fresh = SharedSignature::from(*sig);
-        for copy in [&decoded, &fresh] {
-            assert!(copy.0.memo().get().is_none());
-            assert_eq!(copy, &sig);
-        }
-    }
-
-    #[test]
-    fn a_shared_signature_looks_like_the_plain_one() {
-        let (pki, sig) = signed(3);
-        assert_eq!(sig.verify(&pki, digest(1)), Ok(()));
-        let plain: Signature = *sig;
-        assert_eq!(format!("{sig:?}"), format!("{plain:?}"));
-        assert_eq!(format!("{sig:#?}"), format!("{plain:#?}"));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        sig.encode_into(&mut a);
-        plain.encode_into(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(sig.encoded_len(), plain.encoded_len());
-        assert_eq!(sig, SharedSignature::from(plain));
-        assert_ne!(
-            sig,
-            SharedSignature::from(Signature::new(plain.signer(), plain.tag() ^ 1))
-        );
     }
 }

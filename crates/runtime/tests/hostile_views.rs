@@ -151,7 +151,7 @@ fn naming(view: View, key: &KeyPair) -> Vec<WireMessage> {
         }),
         WireMessage::Pacemaker(PacemakerMessage::Timeout {
             view,
-            signature: key.sign(timeout_digest(view)).into(),
+            signature: key.sign(timeout_digest(view)),
         }),
         WireMessage::Consensus(vote),
         WireMessage::Consensus(ConsensusMessage::Proposal(block)),

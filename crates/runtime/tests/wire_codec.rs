@@ -106,7 +106,7 @@ fn all_variants(
         )),
         WireMessage::Pacemaker(PacemakerMessage::Timeout {
             view,
-            signature: signer.sign(timeout_digest(view)).into(),
+            signature: signer.sign(timeout_digest(view)),
         }),
         WireMessage::Consensus(ConsensusMessage::Proposal(block.clone())),
         WireMessage::Consensus(ConsensusMessage::Vote {

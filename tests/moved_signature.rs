@@ -1,6 +1,6 @@
 //! A broadcast's shared signature remembers the check it passed, but only
-//! for the digest it was checked over, and the sender is compared on every
-//! copy. So a signature that one recipient accepted and that then reaches
+//! for the statement (here, the epoch view) it was checked over, and the
+//! sender is compared on every copy. So a signature that one recipient accepted and that then reaches
 //! another recipient under another epoch view, or from another sender, is
 //! refused there exactly as a forged one would be.
 //!
