@@ -8,9 +8,12 @@ use lumiere_types::{ProcessId, Time, TxId, View};
 /// Everything a processor wants its host (simulator event loop, live node
 /// driver) to do after handling an event.
 ///
-/// Hosts own one scratch instance and reuse it across events (see
-/// [`RuntimeOutput::clear`]), so steady-state stepping allocates nothing once
-/// the buffers have grown to their working size.
+/// Hosts own one scratch instance and reuse it across events, so
+/// steady-state stepping allocates nothing once the buffers have grown to
+/// their working size. A handler appends to the buffer and expects it empty.
+/// The simulator's runner leaves it so by draining every class it applies,
+/// with no [`clear`](RuntimeOutput::clear) between events; the live driver
+/// drains the classes it acts on and clears the rest after each flush.
 #[derive(Debug, Default)]
 pub struct RuntimeOutput {
     /// Point-to-point sends.
@@ -46,7 +49,9 @@ pub struct RuntimeOutput {
 
 impl RuntimeOutput {
     /// Empties every buffer while keeping its capacity, so one instance can
-    /// be reused across events without reallocating.
+    /// be reused across events without reallocating. The live driver calls
+    /// it after each flush; the simulator's runner never does, since
+    /// applying an output already leaves every class empty.
     pub fn clear(&mut self) {
         self.sends.clear();
         self.broadcasts.clear();

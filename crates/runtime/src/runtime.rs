@@ -230,10 +230,14 @@ impl ProtocolRuntime {
         out: &mut RuntimeOutput,
         step: impl FnOnce(&mut Self, Gates, &mut RuntimeOutput) -> bool,
     ) {
-        let Some(mut strategy) = self.strategy.take() else {
+        if self.is_honest() {
             step(self, Gates::OPEN, out);
             return;
-        };
+        }
+        let mut strategy = self
+            .strategy
+            .take()
+            .expect("a corrupted node has a strategy");
         let ctx = self.strategy_ctx(now);
         strategy.observe(&ctx);
         if !step(self, strategy.gates(&ctx), out) {
@@ -412,9 +416,13 @@ impl ProtocolRuntime {
     /// Processes the pacemaker batch, cascading into the consensus engine as
     /// needed (view entries trigger proposals, which may trigger QCs, which
     /// feed back into the pacemaker, and so on until quiescence). A batch
-    /// runs to its end before the next consensus action is taken.
+    /// runs to its end before the next consensus action is taken. An empty
+    /// batch returns at once: nothing is queued behind it.
     fn drain_pacemaker(&mut self, now: Time, gates: Gates, out: &mut RuntimeOutput) {
         debug_assert!(self.cons_batch.is_empty() && self.cons_queue.is_empty());
+        if self.pm_batch.is_empty() {
+            return;
+        }
         let mut pm = std::mem::take(&mut self.pm_batch);
         loop {
             for action in pm.drain(..) {
@@ -454,13 +462,15 @@ impl ProtocolRuntime {
     /// Processes the consensus batch, then the pacemaker actions its
     /// certificate notifications set off.
     fn drain_consensus(&mut self, now: Time, gates: Gates, out: &mut RuntimeOutput) {
-        let mut cons = std::mem::take(&mut self.cons_batch);
-        let mut pm = std::mem::take(&mut self.pm_batch);
-        for action in cons.drain(..) {
-            self.apply_consensus(action, now, gates, out, &mut pm);
+        if !self.cons_batch.is_empty() {
+            let mut cons = std::mem::take(&mut self.cons_batch);
+            let mut pm = std::mem::take(&mut self.pm_batch);
+            for action in cons.drain(..) {
+                self.apply_consensus(action, now, gates, out, &mut pm);
+            }
+            self.cons_batch = cons;
+            self.pm_batch = pm;
         }
-        self.cons_batch = cons;
-        self.pm_batch = pm;
         self.drain_pacemaker(now, gates, out);
     }
 

@@ -35,10 +35,12 @@
 //! delivers the queue in batches: a batch is every entry due at the next
 //! instant with a sequence number at or below the queue's last one when
 //! the batch began, and run-stopping checks fall between batches, so a
-//! limit cuts every run at a point fixed by the event stream alone. Node
-//! outputs are drained into one reused buffer, and metrics are run-length
-//! encoded (and grid-sampled at large `n`) so reports stay bounded —
-//! design notes and before/after numbers in `docs/PERFORMANCE.md`.
+//! limit cuts every run at a point fixed by the event stream alone. Every
+//! handler writes into one reused output buffer, and applying the output
+//! visits only the classes it filled and leaves the buffer empty for the
+//! next handler. Metrics are run-length encoded (and grid-sampled at large
+//! `n`) so reports stay bounded — design notes and before/after numbers in
+//! `docs/PERFORMANCE.md`.
 //!
 //! # Example: one synchronized run of Lumiere
 //!

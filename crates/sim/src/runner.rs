@@ -4,9 +4,11 @@
 //! (see `docs/PERFORMANCE.md`): broadcasts are queued **symbolically** (one
 //! entry per honesty class sharing a single [`Arc`], lazily expanded at pop
 //! time — [`EventQueue::push_broadcast`]) and delivered a run of recipients
-//! at a time from the borrowed message, node outputs are drained into one
-//! buffer reused across the run, and the event queue is a calendar queue
-//! instead of one global binary heap.
+//! at a time from the borrowed message, every handler writes into one output
+//! buffer reused across the run, which applying its output leaves empty
+//! (visiting only the classes the handler filled, so no event pays a
+//! `clear`), and the event queue is a calendar queue instead of one global
+//! binary heap.
 //!
 //! # Batches
 //!
@@ -422,7 +424,7 @@ impl Simulation {
             Event::Boot { node } => {
                 #[cfg(test)]
                 self.log_handled('b');
-                out.clear();
+                debug_assert!(out.is_empty(), "the last event's output was left behind");
                 self.nodes[node.as_usize()].boot(now, out);
                 node
             }
@@ -430,7 +432,7 @@ impl Simulation {
                 #[cfg(test)]
                 self.log_handled('w');
                 self.collector.record_wake();
-                out.clear();
+                debug_assert!(out.is_empty(), "the last event's output was left behind");
                 self.nodes[node.as_usize()].wake(now, out);
                 node
             }
@@ -448,11 +450,15 @@ impl Simulation {
     ) {
         #[cfg(test)]
         self.log_handled('d');
-        out.clear();
+        debug_assert!(out.is_empty(), "the last event's output was left behind");
         self.nodes[to.as_usize()].deliver(from, message, self.now, out);
         self.apply_output(to, out);
     }
 
+    /// Applies the output of `from`'s handler and leaves `out` empty, every
+    /// class and `gated_events`, so the next handler starts on an empty
+    /// buffer without a `clear`. Only the classes the handler filled are
+    /// visited: most events emit a wake-up at most.
     fn apply_output(&mut self, from: ProcessId, out: &mut RuntimeOutput) {
         let honest = self.honesty[from.as_usize()];
         let now = self.now;
@@ -467,104 +473,121 @@ impl Simulation {
         }
 
         // Network sends.
-        for (to, msg) in out.sends.drain(..) {
-            if honest {
-                self.collector
-                    .record_honest_sends(now, 1, msg.is_heavy_sync());
-                self.record_auth(&msg, 1);
+        if !out.sends.is_empty() {
+            for (to, msg) in out.sends.drain(..) {
+                if honest {
+                    self.collector
+                        .record_honest_sends(now, 1, msg.is_heavy_sync());
+                    self.record_auth(&msg, 1);
+                }
+                let msg = Arc::new(msg);
+                self.schedule_delivery(from, to, msg);
             }
-            let msg = Arc::new(msg);
-            self.schedule_delivery(from, to, msg);
         }
-        for msg in out.broadcasts.drain(..) {
-            let recipients = self.cfg.n.saturating_sub(1);
-            if honest {
-                self.collector
-                    .record_honest_sends(now, recipients, msg.is_heavy_sync());
-                self.record_auth(&msg, recipients as u64);
-            }
-            // One allocation per broadcast: every recipient shares the Arc.
-            let msg = Arc::new(msg);
-            match self.broadcast {
-                BroadcastMode::Eager => {
-                    for to in ProcessId::all(self.cfg.n) {
-                        if to != from {
-                            self.schedule_delivery(from, to, Arc::clone(&msg));
+        if !out.broadcasts.is_empty() {
+            for msg in out.broadcasts.drain(..) {
+                let recipients = self.cfg.n.saturating_sub(1);
+                if honest {
+                    self.collector
+                        .record_honest_sends(now, recipients, msg.is_heavy_sync());
+                    self.record_auth(&msg, recipients as u64);
+                }
+                // One allocation per broadcast: every recipient shares the Arc.
+                let msg = Arc::new(msg);
+                match self.broadcast {
+                    BroadcastMode::Eager => {
+                        for to in ProcessId::all(self.cfg.n) {
+                            if to != from {
+                                self.schedule_delivery(from, to, Arc::clone(&msg));
+                            }
                         }
                     }
+                    BroadcastMode::Symbolic => self.schedule_broadcast(from, msg),
                 }
-                BroadcastMode::Symbolic => self.schedule_broadcast(from, msg),
             }
         }
 
         // Wake-ups (deduplicated per node and time).
-        for at in out.wakes.drain(..) {
-            let at = at.max(now);
-            let last = &mut self.last_wake[from.as_usize()];
-            if *last == at.as_micros() {
-                continue;
-            }
-            *last = at.as_micros();
-            if self
-                .scheduled_wakes
-                .insert((from.as_usize(), at.as_micros()))
-            {
-                self.queue.push(at, Event::Wake { node: from });
+        if !out.wakes.is_empty() {
+            for at in out.wakes.drain(..) {
+                let at = at.max(now);
+                let last = &mut self.last_wake[from.as_usize()];
+                if *last == at.as_micros() {
+                    continue;
+                }
+                *last = at.as_micros();
+                if self
+                    .scheduled_wakes
+                    .insert((from.as_usize(), at.as_micros()))
+                {
+                    self.queue.push(at, Event::Wake { node: from });
+                }
             }
         }
 
         // Metrics and trace.
-        for qc in out.qcs_formed.drain(..) {
-            self.collector.record_qc(now, qc.view(), from, honest);
-            if let Some(trace) = &mut self.trace {
-                trace.push(now, from, TraceKind::QcFormed(qc.view()));
+        if !out.qcs_formed.is_empty() {
+            for qc in out.qcs_formed.drain(..) {
+                self.collector.record_qc(now, qc.view(), from, honest);
+                if let Some(trace) = &mut self.trace {
+                    trace.push(now, from, TraceKind::QcFormed(qc.view()));
+                }
             }
         }
-        for height in out.commits.drain(..) {
-            if honest {
-                self.collector.record_commit(now, height);
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(now, from, TraceKind::Committed(height));
+        if !out.commits.is_empty() {
+            for height in out.commits.drain(..) {
+                if honest {
+                    self.collector.record_commit(now, height);
+                }
+                if let Some(trace) = &mut self.trace {
+                    trace.push(now, from, TraceKind::Committed(height));
+                }
             }
         }
         // Only the *first* honest commit of a transaction defines its
         // end-to-end latency, and that is the first honest commit of the
         // block carrying it. Blocks are told apart by hash, not height, so
         // the accounting is the same in a run where safety failed.
-        for block in out.committed_blocks.drain(..) {
-            #[cfg(test)]
-            if let Some(log) = &mut self.commit_log {
-                log[from.as_usize()].push(block.clone());
-            }
-            let first = honest && self.tx_accounted_blocks.insert(block.hash());
-            #[cfg(test)]
-            let first = first || (honest && self.account_txs_per_node);
-            if first {
-                for id in block.payload().tx_ids() {
-                    self.collector.record_tx_commit(now, id);
+        if !out.committed_blocks.is_empty() {
+            for block in out.committed_blocks.drain(..) {
+                #[cfg(test)]
+                if let Some(log) = &mut self.commit_log {
+                    log[from.as_usize()].push(block.clone());
+                }
+                let first = honest && self.tx_accounted_blocks.insert(block.hash());
+                #[cfg(test)]
+                let first = first || (honest && self.account_txs_per_node);
+                if first {
+                    for id in block.payload().tx_ids() {
+                        self.collector.record_tx_commit(now, id);
+                    }
                 }
             }
         }
+        // The blocks' ids, read above from the blocks themselves.
         out.committed_txs.clear();
-        for view in out.heavy_syncs.drain(..) {
-            if honest {
-                self.collector.record_heavy_sync(now, view);
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(now, from, TraceKind::HeavySync(view));
+        if !out.heavy_syncs.is_empty() {
+            for view in out.heavy_syncs.drain(..) {
+                if honest {
+                    self.collector.record_heavy_sync(now, view);
+                }
+                if let Some(trace) = &mut self.trace {
+                    trace.push(now, from, TraceKind::HeavySync(view));
+                }
             }
         }
         // Above the sampling threshold the per-view × per-node entry stream
         // (the only O(n·views) trace kind) is dropped so the trace stays
         // bounded; QCs/commits/heavy syncs are still traced.
-        match &mut self.trace {
-            Some(trace) if !self.cfg.sampled_metrics() => {
-                for view in out.entered_views.drain(..) {
-                    trace.push(now, from, TraceKind::EnteredView(view));
+        if !out.entered_views.is_empty() {
+            match &mut self.trace {
+                Some(trace) if !self.cfg.sampled_metrics() => {
+                    for view in out.entered_views.drain(..) {
+                        trace.push(now, from, TraceKind::EnteredView(view));
+                    }
                 }
+                _ => out.entered_views.clear(),
             }
-            _ => out.entered_views.clear(),
         }
     }
 
@@ -952,6 +975,94 @@ mod tests {
             shared > 100,
             "{shared} instants held an arrival and another event"
         );
+    }
+
+    /// An output with every class filled, `gated_events` included.
+    fn full_output() -> RuntimeOutput {
+        use lumiere_consensus::{Block, QuorumCert};
+        use lumiere_runtime::WireMessage;
+        use lumiere_types::{Transaction, TxId, View};
+        let tx = Transaction::new(TxId::new(7));
+        RuntimeOutput {
+            sends: vec![(ProcessId::new(1), WireMessage::Submit(tx))],
+            broadcasts: vec![WireMessage::Submit(tx)],
+            wakes: vec![Time::from_millis(5)],
+            qcs_formed: vec![QuorumCert::genesis()],
+            commits: vec![1],
+            committed_txs: vec![tx.id],
+            committed_blocks: vec![Block::genesis()],
+            entered_views: vec![View::new(1)],
+            heavy_syncs: vec![View::new(1)],
+            gated_events: 2,
+        }
+    }
+
+    /// `apply_output` leaves every class of the buffer empty, which is what
+    /// lets the next handler start on it with no `clear`: for an honest and
+    /// a corrupted sender, with a trace and without, below the sampling
+    /// threshold (entered views are traced) and at it (they are cleared
+    /// untraced).
+    #[test]
+    fn applying_an_output_leaves_every_class_empty() {
+        use lumiere_runtime::adversary::StrategyKind;
+        for n in [7, SimConfig::SAMPLED_FROM_N] {
+            for traced in [false, true] {
+                let cfg = SimConfig::new(ProtocolKind::Lumiere, n)
+                    .with_faulty_ids(vec![2], StrategyKind::SilentLeader);
+                let mut sim = Simulation::new(cfg);
+                if traced {
+                    sim.trace = Some(Trace::new());
+                }
+                for (from, honest) in [(0, true), (2, false)] {
+                    assert_eq!(sim.honesty[from], honest);
+                    let mut out = full_output();
+                    assert!(!out.is_empty());
+                    sim.apply_output(ProcessId::new(from), &mut out);
+                    assert!(
+                        out.is_empty(),
+                        "n = {n}, traced: {traced}, from {from}: {out:?}"
+                    );
+                }
+                let entered = sim.trace.as_ref().map(|trace| {
+                    let events = trace.events().iter();
+                    events
+                        .filter(|e| matches!(e.kind, TraceKind::EnteredView(_)))
+                        .count()
+                });
+                let expected = traced.then_some(if n < SimConfig::SAMPLED_FROM_N { 2 } else { 0 });
+                assert_eq!(entered, expected, "n = {n}");
+            }
+        }
+    }
+
+    /// Every strategy kind runs through the runner in a debug build, so
+    /// each one's `rewrite` path meets the handler-entry check that the
+    /// previous output left the buffer empty: Lumiere at n = 7 with two
+    /// corrupted processors, 300 ms of virtual time.
+    #[test]
+    fn every_strategy_kind_runs_through_the_runner() {
+        use lumiere_runtime::adversary::StrategyKind;
+        use lumiere_types::TimeRange;
+        let down = TimeRange::new(Time::from_millis(40), Time::from_millis(120));
+        let kinds = [
+            StrategyKind::Crash,
+            StrategyKind::SilentLeader,
+            StrategyKind::SyncSilent,
+            StrategyKind::Equivocate,
+            StrategyKind::CrashRecovery { down },
+            StrategyKind::AdaptiveLeaderTargeting,
+            StrategyKind::QcStarvation,
+        ];
+        for kind in kinds {
+            let report = SimConfig::new(ProtocolKind::Lumiere, 7)
+                .with_delta(Duration::from_millis(10))
+                .with_horizon(Duration::from_millis(300))
+                .with_seed(5)
+                .with_faulty_ids(vec![1, 4], kind)
+                .run();
+            assert!(report.safety_ok, "{}", kind.name());
+            assert!(report.events_processed > 0, "{}", kind.name());
+        }
     }
 
     /// The wake-dedup set is swept as it grows: after the benchmark's

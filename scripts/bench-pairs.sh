@@ -29,6 +29,13 @@
 # of the two sides apart, but only those pairs' ratios. The per-pair ratios
 # are a diagnostic; the exit rule below reads the ratio of medians.
 #
+# Each workload then lists its slow runs, by pair and side: those whose
+# `work_per_s` is below 0.8x the median of their own side. On a shared
+# machine such a run is most often a slow phase of the host, and one on
+# either side can turn a pair won on the code into a lost one; the list
+# names the pairs to read with that in mind. It enters neither the exit
+# rule nor `claimable:`.
+#
 # Exits non-zero if, on any workload:
 #   * a run fails its oracle (non-zero exit, "correct": false, or a failed
 #     unit);
@@ -93,6 +100,7 @@ import sys
 
 EXACT = ["msgs_per_commit", "auth_bytes_per_commit", "vlat_ms_p50", "vlat_ms_tail"]
 JUDGED = ["setup_s", "work_per_s", "peak_rss_mb"]
+SLOW = 0.8
 contract = json.load(open("BENCHMARK.json"))
 metrics = contract["end_to_end"]
 
@@ -185,5 +193,14 @@ for w in [w["name"] for w in contract["workloads"]]:
             line += f"  FAIL worse than the {bound:.0%} bound"
             failed = True
         print(line)
+    slow = []
+    for s in ("parent", "change"):
+        floor = SLOW * quantile([value(p[s], "work_per_s") for p in by_pair.values()], 0.5)
+        slow += [
+            f'pair {pair} {s} {value(sides[s], "work_per_s"):.6g}'
+            for pair, sides in sorted(by_pair.items())
+            if value(sides[s], "work_per_s") < floor
+        ]
+    print(f"  slow runs (work_per_s below {SLOW}x their side's median): {', '.join(slow) or 'none'}")
 sys.exit(1 if failed else 0)
 EOF
