@@ -45,6 +45,15 @@
 //! just above the highest run costs two compares. Neither set ever forgets
 //! an id: dedup is for the pool's lifetime.
 //!
+//! The ids also arrive and commit as runs, and the pool takes a run whole.
+//! [`Mempool::submit_all`] admits consecutive ids above every id seen,
+//! within `capacity`, with one append to `seen` and one extend of the
+//! queue. [`Mempool::mark_committed`] takes its leading ids that are the
+//! queue's front entries, consecutive and above every committed id, with one
+//! append to `committed` and one drain of the queue's front. Whatever does
+//! not fit goes id by id, so either leaves the pool exactly as the per-id
+//! path would.
+//!
 //! The worst case is ids in no order: each gap between two known ids costs a
 //! run, and a probe below the highest run one B-tree search. A peer that
 //! picks scattered ids thus costs one tree entry per id it gets admitted or
@@ -57,7 +66,7 @@
 //! every host and thread count, which the cross-thread determinism suite
 //! relies on.
 
-use lumiere_types::runs::IdRuns;
+use lumiere_types::runs::{as_run, IdRuns};
 use lumiere_types::{Batch, Transaction, TxId};
 use std::collections::VecDeque;
 
@@ -139,6 +148,27 @@ impl Mempool {
         true
     }
 
+    /// Admits `txs` in order, leaving the pool as a [`Mempool::submit`] of
+    /// each would. A slice of consecutive ids above every id seen that fits
+    /// in `capacity` — one arrival tick of a counter — is admitted in one
+    /// step; any other goes through `submit` per transaction.
+    pub fn submit_all(&mut self, txs: &[Transaction]) {
+        let fresh = as_run(txs.iter().map(|tx| tx.id.as_u64()))
+            .filter(|&(start, _)| self.seen.last().is_none_or(|last| start > last));
+        match fresh {
+            Some((start, end)) if self.live + txs.len() <= self.cfg.capacity => {
+                self.seen.append_run(start, end);
+                self.queue.extend(txs);
+                self.live += txs.len();
+            }
+            _ => {
+                for tx in txs {
+                    self.submit(*tx);
+                }
+            }
+        }
+    }
+
     /// The next batch a leader should propose: the first queued
     /// transactions, in FIFO order, that are neither committed nor in
     /// `in_flight`, bounded by `batch_txs` and `max_block_bytes`. Empty when
@@ -155,15 +185,27 @@ impl Mempool {
         // Queue entries are distinct, so once this many have matched, no
         // later entry can.
         let mut unmet = in_flight.len();
+        // Where the next queue entry is expected in `in_flight`: the chain
+        // carries the queue's front in queue order, so an entry is usually
+        // the id after the last one met, and needs no search.
+        let mut cursor = 0;
         let mut txs = Vec::with_capacity(self.cfg.batch_txs.min(self.live));
         let mut bytes = 0u64;
         for tx in &self.queue {
             if txs.len() == self.cfg.batch_txs {
                 break;
             }
-            if unmet > 0 && in_flight.binary_search(&tx.id).is_ok() {
-                unmet -= 1;
-                continue;
+            if unmet > 0 {
+                let met = if in_flight.get(cursor) == Some(&tx.id) {
+                    Some(cursor)
+                } else {
+                    in_flight.binary_search(&tx.id).ok()
+                };
+                if let Some(at) = met {
+                    cursor = at + 1;
+                    unmet -= 1;
+                    continue;
+                }
             }
             if tombstones && self.committed.contains(tx.id.as_u64()) {
                 continue;
@@ -195,7 +237,9 @@ impl Mempool {
     /// resubmission, so a replica never re-proposes transactions the chain
     /// already carries. Costs O(ids), not O(queued) — see the module docs.
     pub fn mark_committed<I: IntoIterator<Item = TxId>>(&mut self, ids: I) {
-        for id in ids {
+        let mut ids = ids.into_iter();
+        let rest = self.commit_front_run(&mut ids);
+        for id in rest.into_iter().chain(ids) {
             // An id can commit twice (a Byzantine leader may propose one the
             // chain already carries), or commit before it was ever admitted
             // here: only the commit that finds the id queued may touch
@@ -220,6 +264,39 @@ impl Mempool {
             self.queue.pop_front();
         }
         self.compact_if_sparse();
+    }
+
+    /// Commits the leading `ids` that are the queue's front entries in
+    /// order, consecutive and above every committed id, in one step, and
+    /// returns the first id it did not take. No tombstone can be among them
+    /// (a tombstone's id is committed), so each is live and leaves from the
+    /// front, as the per-id loop would have it.
+    fn commit_front_run(&mut self, ids: &mut impl Iterator<Item = TxId>) -> Option<TxId> {
+        let (mut start, mut k) = (0, 0);
+        let rest = loop {
+            let Some(id) = ids.next() else {
+                break None;
+            };
+            let raw = id.as_u64();
+            let continues = if k == 0 {
+                self.committed.last().is_none_or(|last| raw > last)
+            } else {
+                raw.checked_sub(k as u64) == Some(start)
+            };
+            if !continues || self.queue.get(k).is_none_or(|tx| tx.id != id) {
+                break Some(id);
+            }
+            if k == 0 {
+                start = raw;
+            }
+            k += 1;
+        };
+        if k > 0 {
+            self.committed.append_run(start, start + (k as u64 - 1));
+            self.live -= k;
+            self.queue.drain(..k);
+        }
+        rest
     }
 
     fn has_tombstones(&self) -> bool {
@@ -352,10 +429,10 @@ mod tests {
     }
 
     /// Asserts everything observable without mutating, the memory bound,
-    /// and the two id sets against the model's: over every id up to just
-    /// above the highest the model knows, the pool has seen it iff the
-    /// model admitted it or saw it committed, and holds it committed iff
-    /// the model does.
+    /// the live queue entries against the model's queue, in order, and the
+    /// two id sets against the model's: for every id the model knows and
+    /// both its neighbours, the pool has seen it iff the model admitted it
+    /// or saw it committed, and holds it committed iff the model does.
     fn assert_same_state(pool: &Mempool, model: &EagerMempool) {
         assert_eq!(pool.len(), model.queue.len());
         assert_eq!(pool.is_empty(), model.queue.is_empty());
@@ -366,16 +443,23 @@ mod tests {
             pool.queue.len(),
             pool.len()
         );
-        let highest = model.seen.union(&model.committed).max();
-        for raw in 0..=highest.map_or(0, |id| id.as_u64() + 1) {
-            let id = TxId::new(raw);
-            let known = model.seen.contains(&id) || model.committed.contains(&id);
-            assert_eq!(pool.seen.contains(raw), known, "{id}");
-            assert_eq!(
-                pool.committed.contains(raw),
-                model.committed.contains(&id),
-                "{id}"
-            );
+        assert!(pool
+            .queue
+            .iter()
+            .filter(|tx| !pool.committed.contains(tx.id.as_u64()))
+            .eq(&model.queue));
+        for known in model.seen.union(&model.committed) {
+            let raw = known.as_u64();
+            for probe in [raw.wrapping_sub(1), raw, raw.wrapping_add(1)] {
+                let id = TxId::new(probe);
+                let known = model.seen.contains(&id) || model.committed.contains(&id);
+                assert_eq!(pool.seen.contains(probe), known, "{id}");
+                assert_eq!(
+                    pool.committed.contains(probe),
+                    model.committed.contains(&id),
+                    "{id}"
+                );
+            }
         }
     }
 
@@ -386,16 +470,26 @@ mod tests {
         /// the eager model must agree on every return value and every
         /// observable count after every step.
         ///
+        /// Slices go in through `submit_all`: runs just above every id
+        /// seen or past a gap (the one-step path), and runs that overlap
+        /// the ids seen, cross `capacity`, hold a gap or a duplicate inside
+        /// or, in a quarter of the cases, wrap past `u64::MAX`. Commits
+        /// include runs that match the queue's front and then diverge,
+        /// while tombstones wait further back or not.
+        ///
         /// Each of these hand mutations of [`Mempool`] fails it: ignoring
         /// `in_flight`; taking a tombstone into a batch; removing what a
         /// batch takes from the queue; stopping the `in_flight` searches
-        /// after the first match; never probing for tombstones.
+        /// after the first match; never probing for tombstones;
+        /// `submit_all` ignoring `capacity`; the commit run taken past the
+        /// committed ids, tombstones and all; a commit run's end off by one.
         #[test]
         fn tombstoning_pool_matches_the_eager_model(
             ops in proptest::collection::vec(
-                (0u8..16, 0u64..48, 1u64..12, any::<u64>()),
+                (0u8..19, 0u64..48, 1u64..12, any::<u64>()),
                 1..400,
-            )
+            ),
+            near_top in 0u8..4,
         ) {
             let cfg = MempoolConfig {
                 capacity: 12,
@@ -463,6 +557,51 @@ mod tests {
                                 model.mark_committed(batch.tx_ids());
                             }
                         }
+                    }
+                    // A run of `span` ids above every id known (next to the
+                    // highest or one past it); or, picked by `mask`, one
+                    // with a duplicate or a gap inside, one that overlaps
+                    // the ids known, or one from the top of the id space.
+                    16 | 17 => {
+                        let highest = model.seen.union(&model.committed).max();
+                        let highest = highest.map(|id| id.as_u64());
+                        let above = highest.map_or(0, |id| id.wrapping_add(1 + mask % 2));
+                        let start = match (op, mask >> 1 & 3) {
+                            (17, _) if near_top == 0 => u64::MAX - id % 8,
+                            (_, 3) => highest.map_or(0, |id| id.wrapping_sub(span / 2)),
+                            _ => above,
+                        };
+                        let mut raw: Vec<u64> =
+                            (0..span).map(|k| start.wrapping_add(k)).collect();
+                        let last = span as usize - 1;
+                        match mask >> 1 & 3 {
+                            1 => raw[last - last / 2] = raw[0],
+                            2 => raw[last] = raw[last].wrapping_add(1),
+                            _ => {}
+                        }
+                        let txs: Vec<Transaction> = raw
+                            .iter()
+                            .map(|&id| {
+                                Transaction::sized(TxId::new(id), 200 + 50 * (id % 4) as u32)
+                            })
+                            .collect();
+                        pool.submit_all(&txs);
+                        for tx in txs {
+                            model.submit(tx);
+                        }
+                    }
+                    // Commit the first `span` queued ids, then diverge: a
+                    // fresh id, an id further back, or the first one again.
+                    18 => {
+                        let mut run: Vec<TxId> =
+                            model.queue.iter().take(span as usize).map(|tx| tx.id).collect();
+                        run.push(match mask % 3 {
+                            0 => TxId::new(u64::MAX / 2 + id),
+                            1 => model.queue.back().map_or(TxId::new(id), |tx| tx.id),
+                            _ => run.first().copied().unwrap_or(TxId::new(id)),
+                        });
+                        pool.mark_committed(run.iter().copied());
+                        model.mark_committed(run);
                     }
                     // Commit most of the queue but not its front, so the
                     // tombstones outnumber the live entries and are swept.

@@ -217,6 +217,12 @@ impl ProtocolRuntime {
         self.mempool.submit(tx)
     }
 
+    /// Submits `txs` in order, as a [`submit_tx`](Self::submit_tx) of each
+    /// would, through [`Mempool::submit_all`].
+    pub fn submit_txs(&mut self, txs: &[Transaction]) {
+        self.mempool.submit_all(txs);
+    }
+
     /// Runs one event through `step`. An honest node goes straight through
     /// under [`Gates::OPEN`]. A corrupted node's strategy reacts to the
     /// start-of-event snapshot and picks the gates; the event counts as

@@ -116,8 +116,9 @@ struct BroadcastGroup {
     message: Arc<SimMessage>,
     /// Per-processor honesty, shared with the runner (index = id).
     honesty: Arc<Vec<bool>>,
-    /// Which honesty class this group delivers to.
-    to_honest: bool,
+    /// Which honesty class this group delivers to; `None` for both, when
+    /// the two share one instant.
+    to_honest: Option<bool>,
     /// Sequence-number base: recipient id `r` owns `base + 1 + rank(r)`.
     base: u64,
     /// The next class member to deliver (always valid while queued).
@@ -132,8 +133,7 @@ impl BroadcastGroup {
 
     /// The first class member with id strictly greater than `r`.
     fn member_after(&self, r: usize) -> Option<usize> {
-        ((r + 1)..self.honesty.len())
-            .find(|&id| id != self.from.as_usize() && self.honesty[id] == self.to_honest)
+        member_from(&self.honesty, self.from, self.to_honest, r + 1)
     }
 }
 
@@ -229,10 +229,17 @@ impl Ord for Scheduled {
     }
 }
 
-/// Finds the first recipient of `to_honest` class (ascending id, skipping
-/// `from`), shared by both queues' broadcast paths.
-fn first_member(honesty: &[bool], from: ProcessId, to_honest: bool) -> Option<usize> {
-    (0..honesty.len()).find(|&id| id != from.as_usize() && honesty[id] == to_honest)
+/// Finds the first recipient at or above id `lo` of `to_honest` class
+/// (either class for `None`; ascending id, skipping `from`), shared by both
+/// queues' broadcast paths.
+fn member_from(
+    honesty: &[bool],
+    from: ProcessId,
+    to_honest: Option<bool>,
+    lo: usize,
+) -> Option<usize> {
+    (lo..honesty.len())
+        .find(|&id| id != from.as_usize() && to_honest.is_none_or(|class| honesty[id] == class))
 }
 
 /// The sequence number eager expansion would give recipient `r` of a
@@ -390,10 +397,17 @@ impl EventQueue {
             }
         }
         // Constant-delay classes stay symbolic: one group entry per class,
-        // keyed to its first member's reserved seq.
-        for (to_honest, class) in [(true, honest), (false, corrupt)] {
+        // keyed to its first member's reserved seq, or one for both classes
+        // when they share an instant (their seqs interleave in id order, so
+        // one group delivers them in the same order).
+        let classes: &[(Option<bool>, ClassDelay)] = if honest == corrupt {
+            &[(None, honest)]
+        } else {
+            &[(Some(true), honest), (Some(false), corrupt)]
+        };
+        for &(to_honest, class) in classes {
             if let ClassDelay::At(at) = class {
-                if let Some(first) = first_member(honesty, from, to_honest) {
+                if let Some(first) = member_from(honesty, from, to_honest, 0) {
                     let group = BroadcastGroup {
                         from,
                         message: Arc::clone(&message),
@@ -1017,6 +1031,38 @@ mod tests {
         assert!(q.is_empty());
         drop(run);
         assert_eq!(Arc::strong_count(&message), 1);
+    }
+
+    /// Both honesty classes at one instant are one group: one slot, and one
+    /// run delivers every copy in id order with no `put_back` between the
+    /// classes.
+    #[test]
+    fn classes_sharing_an_instant_are_one_group() {
+        let n = 10;
+        let honesty = mixed_honesty(n); // 2, 5 and 8 corrupted
+        let at = Time::from_millis(3);
+        let mut q = EventQueue::new();
+        let class = ClassDelay::At(at);
+        q.push_broadcast(
+            ProcessId::new(4),
+            msg(),
+            &honesty,
+            class,
+            class,
+            |_| unreachable!(),
+        );
+        assert_eq!((q.len(), q.physical_len()), (n - 1, 1));
+        let limit = q.last_seq();
+        let Some(Taken::Run(mut run)) = q.take_due(at, limit) else {
+            panic!("a symbolic broadcast comes off the queue as a run");
+        };
+        let mut recipients = vec![run.to().as_usize()];
+        while run.step() {
+            assert!(q.take_member(&run, limit), "copy to {}", run.to());
+            recipients.push(run.to().as_usize());
+        }
+        assert_eq!(recipients, [0, 1, 2, 3, 5, 6, 7, 8, 9]);
+        assert!(q.is_empty() && q.physical_len() == 0);
     }
 
     /// Schedules one broadcast of kind `kind` at `at` into both queues:

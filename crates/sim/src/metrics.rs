@@ -21,8 +21,10 @@
 
 use crate::workload::WorkloadConfig;
 use lumiere_types::hash::IdSet;
-use lumiere_types::runs::IdRuns;
-use lumiere_types::{percentile, Duration, ProcessId, SlashEvidence, Time, TxId, View};
+use lumiere_types::runs::{as_run, IdRuns};
+use lumiere_types::{
+    percentile, Duration, ProcessId, SlashEvidence, Time, Transaction, TxId, View,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -468,6 +470,22 @@ impl SubmitTimes {
         run.get(offset).copied()
     }
 
+    /// Records `at` for every id of `txs` with one `resize` of the highest
+    /// run when the ids are consecutive and continue it (or start the
+    /// first); returns whether it did. Records nothing otherwise.
+    fn append(&mut self, txs: &[Transaction], at: Time) -> bool {
+        let Some((start, _)) = as_run(txs.iter().map(|tx| tx.id.as_u64())) else {
+            return false;
+        };
+        if self.top.is_empty() {
+            self.top_start = start;
+        } else if self.top_start.checked_add(self.top.len() as u64) != Some(start) {
+            return false;
+        }
+        self.top.resize(self.top.len() + txs.len(), at);
+        true
+    }
+
     /// Records `at` for `id` unless `id` already has an instant; returns
     /// whether it had none.
     fn insert(&mut self, id: u64, at: Time) -> bool {
@@ -621,6 +639,19 @@ impl MetricsCollector {
     pub fn record_submission(&mut self, now: Time, id: TxId) {
         if self.tx_submit_times.insert(id.as_u64(), now) {
             self.txs_submitted += 1;
+        }
+    }
+
+    /// Records the transactions of `txs` injected at `now`, as a
+    /// [`record_submission`](Self::record_submission) of each would: in one
+    /// step when their ids continue the highest run of ids recorded.
+    pub fn record_submissions(&mut self, now: Time, txs: &[Transaction]) {
+        if self.tx_submit_times.append(txs, now) {
+            self.txs_submitted += txs.len() as u64;
+        } else {
+            for tx in txs {
+                self.record_submission(now, tx.id);
+            }
         }
     }
 
@@ -1051,6 +1082,61 @@ mod tests {
                 for &known in model.keys() {
                     for probe in [known.wrapping_sub(1), known, known.wrapping_add(1)] {
                         assert_eq!(runs.get(probe), model.get(&probe).copied(), "{probe}");
+                    }
+                }
+            }
+        }
+
+        /// `record_submissions` of a slice against a `record_submission`
+        /// per id, slice by slice: slices that continue the highest run,
+        /// start past a gap, repeat known ids, hold a gap or a duplicate,
+        /// or cross `u64::MAX`.
+        #[test]
+        fn record_submissions_matches_a_loop_of_record_submission(
+            ops in proptest::collection::vec(
+                (0u8..6, 0u64..6, proptest::prelude::any::<u64>()),
+                1..60,
+            ),
+            base in proptest::prelude::any::<u64>(),
+        ) {
+            let collector = || {
+                MetricsCollector::new("test".into(), 4, 1, 0, Duration::from_millis(10), Time::ZERO)
+            };
+            let (mut sliced, mut per_id) = (collector(), collector());
+            let mut next = base;
+            let mut known = Vec::new();
+            for (step, (shape, len, wild)) in ops.into_iter().enumerate() {
+                let start = match shape {
+                    0..=2 => next,
+                    3 => next.wrapping_add(1 + len),
+                    4 => next.wrapping_sub(1 + len),
+                    _ => wild,
+                };
+                let mut ids: Vec<u64> = (0..=len).map(|k| start.wrapping_add(k)).collect();
+                match wild % 8 {
+                    0 => ids[len as usize / 2] = ids[0],
+                    1 if len > 1 => {
+                        ids.remove(1);
+                    }
+                    _ => {}
+                }
+                next = ids.last().map_or(next, |last| last.wrapping_add(1));
+                let txs: Vec<Transaction> =
+                    ids.iter().map(|&id| Transaction::new(TxId::new(id))).collect();
+                let at = Time::from_micros(step as i64);
+                sliced.record_submissions(at, &txs);
+                for tx in &txs {
+                    per_id.record_submission(at, tx.id);
+                }
+                known.extend(ids);
+                assert_eq!(sliced.txs_submitted, per_id.txs_submitted);
+                for &id in &known {
+                    for probe in [id.wrapping_sub(1), id, id.wrapping_add(1)] {
+                        assert_eq!(
+                            sliced.tx_submit_times.get(probe),
+                            per_id.tx_submit_times.get(probe),
+                            "{probe}"
+                        );
                     }
                 }
             }

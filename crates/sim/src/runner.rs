@@ -27,8 +27,10 @@
 //! the queue's head and the stream's tick. A batch at `at` takes the boots
 //! first, then `at`'s arrivals, then the rest of the queue — the order one
 //! queue holding all three gave, where the boots held seqs `1..=n` and every
-//! arrival's seq came before anything scheduled during the run. Each
-//! arrival counts as one event toward the batch budget and the cap.
+//! arrival's seq came before anything scheduled during the run. A tick's
+//! arrivals reach each mempool as one slice (`submit_arrivals`), and each
+//! arrival still counts as one event toward `events_processed`, the batch
+//! budget and the cap.
 //!
 //! The scheduled-wake sweep also runs between batches, once the dedup set
 //! has doubled since the last sweep and holds more than `n` pairs, so the
@@ -376,23 +378,26 @@ impl Simulation {
     /// Offers the arrivals due at `at`, at most `room` of them, to every
     /// processor (clients broadcast submissions so any future leader can
     /// carry them; dedup-by-id keeps the copies from multiplying), and
-    /// returns how many it offered.
+    /// returns how many it offered. They go as one slice per node: the
+    /// mempools are independent, so node by node leaves each as arrival by
+    /// arrival did.
     fn submit_arrivals(&mut self, at: Time, room: u64) -> u64 {
-        let mut taken = 0;
-        while taken < room {
-            let due = self.arrivals.as_mut().filter(|s| s.peek_time() == Some(at));
-            let Some((_, tx)) = due.and_then(Iterator::next) else {
-                break;
-            };
-            self.collector.record_submission(at, tx.id);
-            for node in &mut self.nodes {
-                node.submit_tx(tx);
-            }
-            #[cfg(test)]
-            self.log_handled('a');
-            taken += 1;
+        let Some(stream) = self.arrivals.as_mut().filter(|s| s.peek_time() == Some(at)) else {
+            return 0;
+        };
+        let pending = stream.pending();
+        let txs = &pending[..pending.len().min(room as usize)];
+        self.collector.record_submissions(at, txs);
+        for node in &mut self.nodes {
+            node.submit_txs(txs);
         }
-        taken
+        let taken = txs.len();
+        stream.consume(taken);
+        #[cfg(test)]
+        for _ in 0..taken {
+            self.log_handled('a');
+        }
+        taken as u64
     }
 
     /// Delivers a broadcast group's copies while its next recipient stays

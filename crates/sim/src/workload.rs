@@ -134,6 +134,16 @@ impl ArrivalStream {
         &self.txs[self.taken..]
     }
 
+    /// Marks the first `k` of [`pending`](Self::pending) as yielded, moving
+    /// on to the next tick once the current one is spent.
+    pub fn consume(&mut self, k: usize) {
+        debug_assert!(k <= self.pending().len());
+        self.taken += k;
+        if self.taken == self.txs.len() {
+            self.fill();
+        }
+    }
+
     /// Refills the buffer with the next tick that carries arrivals, or
     /// leaves it empty at the horizon. Fixed-point integration of the rate:
     /// each simulated millisecond adds the txs/sec; every 1000 accumulated
@@ -163,10 +173,7 @@ impl Iterator for ArrivalStream {
     fn next(&mut self) -> Option<(Time, Transaction)> {
         let tx = *self.txs.get(self.taken)?;
         let at = self.tick;
-        self.taken += 1;
-        if self.taken == self.txs.len() {
-            self.fill();
-        }
+        self.consume(1);
         Some((at, tx))
     }
 }

@@ -101,10 +101,48 @@ impl IdRuns {
         true
     }
 
+    /// The highest id held, if any.
+    #[inline]
+    pub fn last(&self) -> Option<u64> {
+        self.top.map(|(_, end)| end)
+    }
+
+    /// Adds every id from `start` to `end` inclusive, all of them above
+    /// every id held (`start` above [`IdRuns::last`], `start <= end`): one
+    /// compare, and one new run only if `start` leaves a gap.
+    #[inline]
+    pub fn append_run(&mut self, start: u64, end: u64) {
+        debug_assert!(start <= end && self.last().is_none_or(|last| start > last));
+        self.top = match self.top {
+            // `top_end < start`, so the `+ 1` cannot overflow.
+            Some((top_start, top_end)) if top_end + 1 == start => Some((top_start, end)),
+            Some((top_start, top_end)) => {
+                self.below.insert(top_start, top_end);
+                Some((start, end))
+            }
+            None => Some((start, end)),
+        };
+    }
+
     /// The number of runs held: the set's size in memory, in entries.
     pub fn runs(&self) -> usize {
         self.below.len() + usize::from(self.top.is_some())
     }
+}
+
+/// The first and last of `ids` when they are one run of consecutive
+/// ascending ids; `None` when `ids` is empty or is not such a run (one that
+/// would pass `u64::MAX` is not).
+pub fn as_run(mut ids: impl Iterator<Item = u64>) -> Option<(u64, u64)> {
+    let start = ids.next()?;
+    let mut end = start;
+    for id in ids {
+        if end.checked_add(1) != Some(id) {
+            return None;
+        }
+        end = id;
+    }
+    Some((start, end))
 }
 
 #[cfg(test)]
@@ -121,25 +159,59 @@ mod tests {
             .count()
     }
 
-    /// Inserts `ids` into both sides, checking every return value, then
-    /// `contains` for each id the model holds and for both its neighbours,
-    /// and the run count.
+    /// One step of a model check.
+    enum Op {
+        Insert(u64),
+        /// [`IdRuns::append_run`] of `len + 1` ids starting `gap` above
+        /// the highest id held; skipped where that passes `u64::MAX`.
+        Append {
+            gap: u64,
+            len: u64,
+        },
+    }
+
+    /// Inserts `ids` into both sides; see [`check_ops`].
     fn check(ids: impl IntoIterator<Item = u64>) {
+        check_ops(ids.into_iter().map(Op::Insert));
+    }
+
+    /// Applies `ops` to both sides, checking every return value (an
+    /// appended id must be absent from the model), then `contains` for each
+    /// id the model holds and for both its neighbours, `last`, and the run
+    /// count.
+    fn check_ops(ops: impl IntoIterator<Item = Op>) {
         let mut set = IdRuns::new();
         let mut model = BTreeSet::new();
-        for id in ids {
-            prop_assert_eq!(set.insert(id), model.insert(id), "insert {}", id);
+        for op in ops {
+            match op {
+                Op::Insert(id) => {
+                    prop_assert_eq!(set.insert(id), model.insert(id), "insert {}", id);
+                }
+                Op::Append { gap, len } => {
+                    let start = set
+                        .last()
+                        .map_or(Some(gap), |last| last.checked_add(1 + gap));
+                    let Some((start, end)) = start.and_then(|s| Some((s, s.checked_add(len)?)))
+                    else {
+                        continue;
+                    };
+                    set.append_run(start, end);
+                    for id in start..=end {
+                        prop_assert!(model.insert(id), "append {}..={} holds {}", start, end, id);
+                    }
+                }
+            }
             for &known in &model {
                 for probe in [known.wrapping_sub(1), known, known.wrapping_add(1)] {
                     prop_assert_eq!(
                         set.contains(probe),
                         model.contains(&probe),
-                        "contains {} after inserting {}",
-                        probe,
-                        id
+                        "contains {}",
+                        probe
                     );
                 }
             }
+            prop_assert_eq!(set.last(), model.last().copied());
             prop_assert_eq!(set.runs(), model_runs(&model));
         }
     }
@@ -147,23 +219,35 @@ mod tests {
     proptest! {
         /// Ids near a random base (gaps that fill, inserts just below the
         /// top run, repeats), near both ends of the id space, descending
-        /// runs and scattered ids, interleaved.
+        /// runs, scattered ids and runs appended above the highest id (next
+        /// to it or past a gap, and cut off near `u64::MAX`), interleaved.
         #[test]
         fn runs_match_a_btreeset_model(
-            ops in proptest::collection::vec((0u8..6, 0u64..24, any::<u64>()), 1..120),
+            ops in proptest::collection::vec((0u8..7, 0u64..24, any::<u64>()), 1..120),
             base in any::<u64>(),
         ) {
-            let ids = ops.into_iter().enumerate().map(|(step, (shape, near, wild))| {
+            let ops = ops.into_iter().enumerate().map(|(step, (shape, near, wild))| {
                 match shape {
-                    0 | 1 => base.wrapping_add(near),
-                    2 => near,
-                    3 => u64::MAX - near,
+                    0 | 1 => Op::Insert(base.wrapping_add(near)),
+                    2 => Op::Insert(near),
+                    3 => Op::Insert(u64::MAX - near),
                     // Counting down from the base's neighbourhood.
-                    4 => base.wrapping_add(48).wrapping_sub(step as u64),
-                    _ => wild,
+                    4 => Op::Insert(base.wrapping_add(48).wrapping_sub(step as u64)),
+                    5 => Op::Insert(wild),
+                    _ => Op::Append { gap: near % 3, len: wild % 6 },
                 }
             });
-            check(ids);
+            check_ops(ops);
+        }
+    }
+
+    #[test]
+    fn as_run_takes_only_consecutive_ascending_ids() {
+        assert_eq!(as_run([7, 8, 9].into_iter()), Some((7, 9)));
+        assert_eq!(as_run([u64::MAX].into_iter()), Some((u64::MAX, u64::MAX)));
+        assert_eq!(as_run(std::iter::empty()), None);
+        for ids in [vec![7, 9], vec![7, 7], vec![8, 7], vec![u64::MAX, 0]] {
+            assert_eq!(as_run(ids.into_iter()), None, "not a run");
         }
     }
 
