@@ -16,7 +16,7 @@
 
 use lumiere_sim::metrics::SimReport;
 use lumiere_sim::trace::Trace;
-use serde::{json, Deserialize, DeserializeOwned, Serialize};
+use serde::{json, Deserialize, DeserializeOwned, Serialize, Value};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
@@ -273,17 +273,38 @@ fn change_details(left: &SweepCell, right: &SweepCell) -> Vec<String> {
     compare("safety", lr.safety_ok.to_string(), rr.safety_ok.to_string());
     if details.is_empty() {
         // The headline metrics agree but the full contents differ (e.g. a
-        // message timestamp moved); report it rather than staying silent.
-        details.push("full report contents differ (same headline metrics)".to_string());
+        // message timestamp moved): name the fields that did, the report's
+        // first, then any other of the cell's.
+        let mut fields = differing_fields(&left.report.to_value(), &right.report.to_value());
+        fields.extend(
+            differing_fields(&left.to_value(), &right.to_value())
+                .into_iter()
+                .filter(|field| field != "report"),
+        );
+        details.push(format!(
+            "full report contents differ: {}",
+            fields.join(", ")
+        ));
     }
     details
+}
+
+/// The fields of serialized struct `left` whose values differ in `right`,
+/// in field order.
+fn differing_fields(left: &Value, right: &Value) -> Vec<String> {
+    let fields = left.as_map().unwrap_or_default();
+    fields
+        .iter()
+        .filter(|(field, value)| right.get(field) != Some(value))
+        .map(|(field, _)| field.clone())
+        .collect()
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use lumiere_sim::metrics::MetricsCollector;
-    use lumiere_types::{Duration, ProcessId, Time, View};
+    use lumiere_types::{Duration, ProcessId, SlashEvidence, Time, View};
 
     pub(crate) fn sample_cell(label: &str, decisions: u64) -> SweepCell {
         let mut collector = MetricsCollector::new(
@@ -446,6 +467,23 @@ pub(crate) mod tests {
         let rendered = diff.render();
         assert!(rendered.contains("only in left"));
         assert!(rendered.contains("~ changed"));
+    }
+
+    #[test]
+    fn a_diff_with_equal_headlines_names_the_fields_that_moved() {
+        let a = vec![sample_cell("n004", 1)];
+        let mut b = a.clone();
+        b[0].report.slash_evidence = vec![SlashEvidence {
+            view: View::new(3),
+            proposer: ProcessId::new(1),
+            first: 0xabc,
+            second: 0xdef,
+        }];
+        let diff = diff_cells(&a, &b);
+        assert_eq!(
+            diff.changed[0].details,
+            vec!["full report contents differ: slash_evidence".to_string()]
+        );
     }
 
     #[test]

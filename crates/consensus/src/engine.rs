@@ -37,12 +37,32 @@ struct EngineView {
     formed_qc: bool,
     /// Lumiere's leader rule: no QC for the view after this instant.
     qc_deadline: Option<Time>,
-    /// Blocks of the view a verified certificate was seen for (one, unless
-    /// more than `f` processors are faulty).
-    observed: Vec<BlockHash>,
+    /// The first block of the view a verified certificate was seen for.
+    observed: Option<BlockHash>,
+    /// Any other such block: none unless more than `f` processors are
+    /// faulty, so a view's first certificate allocates nothing.
+    observed_more: Vec<BlockHash>,
     /// Votes collected for this replica's own proposal, by block: one
     /// signer bit and one signature per voter. Emptied once the QC forms.
     votes: BTreeMap<BlockHash, PartialSet>,
+}
+
+impl EngineView {
+    fn has_observed(&self, hash: BlockHash) -> bool {
+        self.observed == Some(hash) || self.observed_more.contains(&hash)
+    }
+
+    /// Records `hash` as observed; false when it already was.
+    fn observe(&mut self, hash: BlockHash) -> bool {
+        if self.has_observed(hash) {
+            return false;
+        }
+        match self.observed {
+            None => self.observed = Some(hash),
+            Some(_) => self.observed_more.push(hash),
+        }
+        true
+    }
 }
 
 /// A single replica's instance of the underlying protocol.
@@ -91,6 +111,9 @@ pub struct HotStuffEngine {
     /// The last `(view, block)`'s vote digest: a leader's quorum of votes
     /// for its proposal arrive together.
     vote_digests: LastDigest<(View, BlockHash)>,
+    /// The blocks the last certificate committed, on their way into the
+    /// caller's actions: one buffer, reused by every certificate.
+    committed: Vec<Block>,
     /// The batch the next proposal will carry, staged by the hosting
     /// runtime from its mempool just before view entry. Consumed (taken)
     /// by the proposal; empty when no load is offered.
@@ -122,6 +145,7 @@ impl HotStuffEngine {
             vote_digests: LastDigest::new(|(view, block_hash)| {
                 QuorumCert::vote_digest(view, block_hash)
             }),
+            committed: Vec::new(),
             staged: Batch::empty(),
         }
     }
@@ -218,7 +242,9 @@ impl HotStuffEngine {
     /// and the block store: what its memory is proportional to.
     pub fn state_entries(&self) -> usize {
         let per_view = |(_, state): (i64, &EngineView)| {
-            1 + state.observed.len() + state.votes.values().map(PartialSet::len).sum::<usize>()
+            1 + usize::from(state.observed.is_some())
+                + state.observed_more.len()
+                + state.votes.values().map(PartialSet::len).sum::<usize>()
         };
         self.views.iter().map(per_view).sum::<usize>()
             + self.pending_proposals.len()
@@ -527,7 +553,7 @@ impl HotStuffEngine {
     fn observed(&self, qc: &QuorumCert) -> bool {
         let view = qc.view().as_i64();
         self.views.get(view).map_or(view < self.views.base(), |s| {
-            s.observed.contains(&qc.block_hash())
+            s.has_observed(qc.block_hash())
         })
     }
 
@@ -538,10 +564,9 @@ impl HotStuffEngine {
         let Some(state) = self.views.get_or_insert(qc.view().as_i64()) else {
             return;
         };
-        if state.observed.contains(&qc.block_hash()) {
+        if !state.observe(qc.block_hash()) {
             return;
         }
-        state.observed.push(qc.block_hash());
         if qc.view() > self.high_qc.view() {
             self.high_qc = qc.clone();
         }
@@ -552,11 +577,11 @@ impl HotStuffEngine {
         if !qc.is_genesis() {
             out.push(ConsensusAction::QcObserved(qc.clone()));
         }
-        let committed = self.store.on_qc(qc);
-        if let Some(tip) = committed.last() {
-            self.prune_below(tip.view());
+        self.store.on_qc(qc, &mut self.committed);
+        if let Some(horizon) = self.committed.last().map(Block::view) {
+            self.prune_below(horizon);
         }
-        out.extend(committed.into_iter().map(ConsensusAction::Committed));
+        out.extend(self.committed.drain(..).map(ConsensusAction::Committed));
     }
 
     /// The commit horizon: drops the per-view records and seen proposals of

@@ -99,45 +99,49 @@ impl BlockStore {
 
     /// Applies the two-chain commit rule given a newly observed QC.
     ///
-    /// Returns the list of newly committed blocks in chain order (oldest
+    /// Appends the newly committed blocks to `out` in chain order (oldest
     /// first), and removes all but the last of them, and the tip before
     /// them, from the store. Blocks whose ancestry is not fully known are
-    /// not committed.
-    pub fn on_qc(&mut self, qc: &QuorumCert) -> Vec<Block> {
+    /// not committed, and `out` is left as it was.
+    pub fn on_qc(&mut self, qc: &QuorumCert, out: &mut Vec<Block>) {
         let Some(block) = self.blocks.get(&qc.block_hash()) else {
-            return Vec::new();
+            return;
         };
         // Two-chain rule: the QC certifies `block`; if `block.justify`
         // certifies its parent in the immediately preceding view, the parent
         // becomes committed.
         if block.is_genesis() {
-            return Vec::new();
+            return;
         }
         let Some(parent) = self.blocks.get(&block.parent()) else {
-            return Vec::new();
+            return;
         };
         if block.justify().block_hash() != block.parent() {
-            return Vec::new();
+            return;
         }
         if !parent.is_genesis() && block.view().as_i64() != block.justify().view().as_i64() + 1 {
-            return Vec::new();
+            return;
         }
         if parent.height() <= self.committed_height {
-            return Vec::new();
+            return;
         }
         // Walk back from `parent` to the committed frontier over the stored
         // blocks; the caller gets handles to the new suffix.
-        let mut chain = Vec::new();
+        let start = out.len();
         let mut cursor = parent;
         while cursor.height() > self.committed_height {
-            chain.push(cursor);
+            out.push(cursor.clone());
             match self.blocks.get(&cursor.parent()) {
                 Some(ancestor) => cursor = ancestor,
-                None => return Vec::new(), // unknown ancestry: defer commit
+                None => {
+                    // Unknown ancestry: defer commit.
+                    out.truncate(start);
+                    return;
+                }
             }
         }
+        let chain = &mut out[start..];
         chain.reverse();
-        let chain: Vec<Block> = chain.into_iter().cloned().collect();
         let (tip, passed) = chain.split_last().expect("the walk starts at `parent`");
         // Below the new tip nothing is walked again.
         let old_tip = self.committed[self.committed.len() - 1];
@@ -147,7 +151,6 @@ impl BlockStore {
         }
         self.committed.extend(chain.iter().map(Block::hash));
         self.committed_height = tip.height();
-        chain
     }
 }
 
@@ -165,6 +168,14 @@ mod tests {
             .map(|k| k.sign(digest))
             .collect();
         QuorumCert::aggregate(block.view(), block.hash(), &votes, params).unwrap()
+    }
+
+    /// What `on_qc` appends to a buffer that already holds a block.
+    fn commit(store: &mut BlockStore, qc: &QuorumCert) -> Vec<Block> {
+        let mut out = vec![Block::genesis()];
+        store.on_qc(qc, &mut out);
+        assert_eq!(out[0], Block::genesis(), "on_qc appends");
+        out.split_off(1)
     }
 
     fn chain_fixture() -> (BlockStore, Vec<Block>, Vec<QuorumCert>) {
@@ -204,12 +215,12 @@ mod tests {
         let (mut store, blocks, qcs) = chain_fixture();
         // QC for block at height 2 (view 1) whose justify is view 0 on the
         // direct parent: commits block at height 1.
-        let committed = store.on_qc(&qcs[2]);
+        let committed = commit(&mut store, &qcs[2]);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].hash(), blocks[1].hash());
         assert_eq!(store.committed_height(), 1);
         // The next QC commits the next block.
-        let committed = store.on_qc(&qcs[3]);
+        let committed = commit(&mut store, &qcs[3]);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].hash(), blocks[2].hash());
     }
@@ -217,14 +228,14 @@ mod tests {
     #[test]
     fn qcs_are_idempotent_for_commits() {
         let (mut store, _, qcs) = chain_fixture();
-        assert_eq!(store.on_qc(&qcs[2]).len(), 1);
-        assert!(store.on_qc(&qcs[2]).is_empty());
+        assert_eq!(commit(&mut store, &qcs[2]).len(), 1);
+        assert!(commit(&mut store, &qcs[2]).is_empty());
     }
 
     #[test]
     fn skipping_intermediate_qcs_commits_the_whole_prefix() {
         let (mut store, _, qcs) = chain_fixture();
-        let committed = store.on_qc(&qcs[4]);
+        let committed = commit(&mut store, &qcs[4]);
         // QC for height-4 block commits heights 1..=3.
         assert_eq!(committed.len(), 3);
         assert_eq!(store.committed_height(), 3);
@@ -258,7 +269,7 @@ mod tests {
         let qc2 = qc_for(&b2, &params, &keys);
         store.insert(&b1);
         store.insert(&b2);
-        assert!(store.on_qc(&qc2).is_empty());
+        assert!(commit(&mut store, &qc2).is_empty());
         assert_eq!(store.committed_height(), 0);
     }
 
@@ -290,7 +301,7 @@ mod tests {
         assert_eq!(store.len(), 8);
         // The QC for the main branch's height-4 block commits heights 1..=3
         // of that branch: whole blocks, oldest first, nothing from the fork.
-        assert_eq!(store.on_qc(&qcs[4]), blocks[1..=3].to_vec());
+        assert_eq!(commit(&mut store, &qcs[4]), blocks[1..=3].to_vec());
         let mut chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
         assert_eq!(store.committed_chain(), chain.as_slice());
         // They leave the store below the new tip, with the old tip
@@ -300,12 +311,12 @@ mod tests {
         assert_eq!(held(&store, &[&f2, &f3]), [true, true]);
         assert_eq!(store.len(), 5);
         // A QC on the fork certifies `f2` at height 2, below the frontier.
-        assert!(store.on_qc(&qc_for(&f3, &params, &keys)).is_empty());
+        assert!(commit(&mut store, &qc_for(&f3, &params, &keys)).is_empty());
         assert_eq!(store.committed_chain(), chain.as_slice());
         assert_eq!(store.committed_height(), 3);
         assert_eq!(store.len(), 5);
         // The next commit walks down to the tip and then drops it.
-        assert_eq!(store.on_qc(&qcs[5]), blocks[4..=4].to_vec());
+        assert_eq!(commit(&mut store, &qcs[5]), blocks[4..=4].to_vec());
         chain.push(blocks[4].hash());
         assert_eq!(store.committed_chain(), chain.as_slice());
         assert_eq!(
@@ -323,11 +334,14 @@ mod tests {
         for b in [&blocks[1], &blocks[3], &blocks[4]] {
             store.insert(b);
         }
-        assert!(store.on_qc(&qcs[4]).is_empty(), "height 2 is unknown");
+        assert!(
+            commit(&mut store, &qcs[4]).is_empty(),
+            "height 2 is unknown"
+        );
         assert_eq!(store.committed_height(), 0);
         assert_eq!(store.committed_chain().len(), 1);
         store.insert(&blocks[2]);
-        assert_eq!(store.on_qc(&qcs[4]), blocks[1..=3].to_vec());
+        assert_eq!(commit(&mut store, &qcs[4]), blocks[1..=3].to_vec());
         let chain: Vec<_> = blocks[..=3].iter().map(Block::hash).collect();
         assert_eq!(store.committed_chain(), chain.as_slice());
     }
@@ -349,7 +363,7 @@ mod tests {
             hashes(&store, &blocks[0]).is_empty(),
             "genesis is committed"
         );
-        store.on_qc(&qcs[3]); // commits heights 1 and 2
+        commit(&mut store, &qcs[3]); // commits heights 1 and 2
         assert_eq!(hashes(&store, &blocks[5]), expect(&[5, 4, 3]));
         assert!(hashes(&store, &blocks[2]).is_empty());
         assert!(
@@ -378,6 +392,6 @@ mod tests {
             QuorumCert::genesis(),
         );
         let qc = qc_for(&foreign, &params, &keys);
-        assert!(store.on_qc(&qc).is_empty());
+        assert!(commit(&mut store, &qc).is_empty());
     }
 }

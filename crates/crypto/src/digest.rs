@@ -1,15 +1,16 @@
 //! Deterministic 64-bit message digests.
 //!
-//! Protocol messages are summarised by a domain-separated 64-bit digest built
-//! with an FNV-1a-style mixing function. Sixty-four bits is plenty for a
-//! simulation (collisions would require ~2³² distinct statements per run) and
-//! keeps every certificate `Copy`.
+//! Protocol messages are summarised by a domain-separated 64-bit digest: the
+//! workspace's one word mixer ([`lumiere_types::hash::mix`]) folds each
+//! field, one multiply per 64-bit word, and [`lumiere_types::hash::finish`]
+//! ends it. Sixty-four bits is plenty for a simulation (collisions would
+//! require ~2³² distinct statements per run) and keeps every certificate
+//! `Copy`. The digest models spread, not a PRF: it is unkeyed, and inputs
+//! that collide can be computed.
 
+use lumiere_types::hash;
 use lumiere_types::wire::{put_u64, Reader, Wire, WireError};
 use std::fmt;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Finalised digest value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -67,35 +68,20 @@ impl Digest {
     /// Starts a digest in the given domain (e.g. `b"view-msg"`). Distinct
     /// domains never collide for the same field sequence.
     pub const fn new(domain: &[u8]) -> Self {
-        let mut d = Digest { state: FNV_OFFSET };
+        let mut d = Digest { state: hash::SEED };
         d.mix_bytes(domain);
         d.mix_u64(0x00d0_aa11_5e9a_7a7e);
         d
     }
 
     const fn mix_u64(&mut self, value: u64) {
-        let bytes = value.to_le_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            self.state ^= bytes[i] as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-            i += 1;
-        }
-        // Extra avalanche (splitmix64 finaliser step) so nearby integers map
-        // to well-spread digests.
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.state = z ^ (z >> 31);
+        self.state = hash::mix(self.state, value);
     }
 
+    /// Zero-padded 8-byte words, then the length, so field boundaries
+    /// matter.
     const fn mix_bytes(&mut self, bytes: &[u8]) {
-        let mut i = 0;
-        while i < bytes.len() {
-            self.state ^= bytes[i] as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-            i += 1;
-        }
+        self.state = hash::mix_bytes(self.state, bytes);
         self.mix_u64(bytes.len() as u64);
     }
 
@@ -122,7 +108,7 @@ impl Digest {
 
     /// Finalises the digest.
     pub const fn finish(self) -> DigestValue {
-        DigestValue(self.state)
+        DigestValue(hash::finish(self.state))
     }
 }
 

@@ -25,7 +25,7 @@ use crate::runtime::ProtocolRuntime;
 use crate::transport::{Transport, TransportError};
 use lumiere_types::hash::{IdMap, IdSet};
 use lumiere_types::runs::IdRuns;
-use lumiere_types::{percentile, Duration, ProcessId, Time, Transaction, TxId, View};
+use lumiere_types::{p50_p95_p99, Duration, ProcessId, Time, Transaction, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -425,7 +425,7 @@ pub fn run<T: Transport>(
     }
 
     committed.store(runtime.committed_height(), Ordering::SeqCst);
-    txs.latencies_micros.sort_unstable();
+    let [p50, p95, p99] = p50_p95_p99(&mut txs.latencies_micros);
     let summary = DriverSummary {
         node: runtime.id().as_usize(),
         protocol: runtime.protocol_name().to_string(),
@@ -440,9 +440,9 @@ pub fn run<T: Transport>(
         txs_submitted: txs.submitted,
         txs_committed: txs.committed_count,
         tx_recommits: txs.recommits,
-        tx_latency_p50_ms: percentile(&txs.latencies_micros, 50) as f64 / 1_000.0,
-        tx_latency_p95_ms: percentile(&txs.latencies_micros, 95) as f64 / 1_000.0,
-        tx_latency_p99_ms: percentile(&txs.latencies_micros, 99) as f64 / 1_000.0,
+        tx_latency_p50_ms: p50 as f64 / 1_000.0,
+        tx_latency_p95_ms: p95 as f64 / 1_000.0,
+        tx_latency_p99_ms: p99 as f64 / 1_000.0,
     };
     Ok((summary, runtime, transport))
 }

@@ -23,7 +23,7 @@ use crate::workload::WorkloadConfig;
 use lumiere_types::hash::IdSet;
 use lumiere_types::runs::{as_run, IdRuns};
 use lumiere_types::{
-    percentile, Duration, ProcessId, SlashEvidence, Time, Transaction, TxId, View,
+    p50_p95_p99, Duration, ProcessId, SlashEvidence, Time, Transaction, TxId, View,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -840,7 +840,7 @@ impl MetricsCollector {
     pub fn finish(self, end_time: Time) -> SimReport {
         let coverage = self.fingerprint();
         let mut latencies = self.tx_latencies;
-        latencies.sort_unstable();
+        let [tx_latency_p50, tx_latency_p95, tx_latency_p99] = p50_p95_p99(&mut latencies);
         SimReport {
             protocol: self.protocol,
             n: self.n,
@@ -864,9 +864,9 @@ impl MetricsCollector {
             txs_submitted: self.txs_submitted,
             txs_committed: self.txs_committed,
             txs_shed: self.txs_shed,
-            tx_latency_p50: percentile(&latencies, 50),
-            tx_latency_p95: percentile(&latencies, 95),
-            tx_latency_p99: percentile(&latencies, 99),
+            tx_latency_p50,
+            tx_latency_p95,
+            tx_latency_p99,
             events_processed: self.events_processed,
             auth_bytes: self.auth_bytes,
             auth_bytes_naive: self.auth_bytes_naive,

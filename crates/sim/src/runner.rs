@@ -851,8 +851,8 @@ mod tests {
             ))
             .with_max_honest_qcs(3);
         let cases = [
-            (at_delta, 780, false, 518, 0x6579_3a4c_2ba6_b234),
-            (zero_delay, 227, true, 131, 0x3782_b61e_b3e0_e9aa),
+            (at_delta, 780, false, 518, 0x8517_5878_5590_290e),
+            (zero_delay, 227, true, 131, 0x7309_bf6c_3dba_a7ea),
         ];
         for (cfg, cut_ms, left_at_cut, events, digest) in cases {
             let mut sim = Simulation::with_exec(cfg, ExecOptions::default());

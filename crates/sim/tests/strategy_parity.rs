@@ -219,17 +219,17 @@ fn channel_cluster_event_logs_match_their_pins() {
         down: TimeRange::new(Time::ZERO, Time::from_millis(40)),
     };
     let pins = [
-        (1, StrategyKind::Crash, 0x037b_7c05_84a5_a8b3),
-        (1, StrategyKind::SilentLeader, 0x15b1_8edf_13cd_6fe8),
-        (1, StrategyKind::SyncSilent, 0x6aa7_eb2c_6b2d_3a26),
-        (1, StrategyKind::Equivocate, 0xbd72_1b1e_1b69_e19a),
+        (1, StrategyKind::Crash, 0xebf2_5fee_157e_7a94),
+        (1, StrategyKind::SilentLeader, 0xad3f_a51c_ff77_2756),
+        (1, StrategyKind::SyncSilent, 0x96ba_19a4_78e4_1389),
+        (1, StrategyKind::Equivocate, 0xfd21_7109_2b31_3534),
         (
             1,
             StrategyKind::AdaptiveLeaderTargeting,
-            0x08ac_88eb_d106_f5b5,
+            0x71c5_bc72_f4e3_cda0,
         ),
-        (1, StrategyKind::QcStarvation, 0xee9a_8e7d_938c_c40a),
-        (2, crash_recovery, 0xcf2d_90e8_d3fe_031a),
+        (1, StrategyKind::QcStarvation, 0xa09e_2b29_db8b_0a90),
+        (2, crash_recovery, 0xdef8_106f_bfad_4160),
     ];
     assert!(StrategyKind::SIMPLE
         .iter()

@@ -1,19 +1,28 @@
-//! The one hasher behind every hash table in the workspace.
+//! The one mixer behind every hash table and every modelled digest in the
+//! workspace.
 //!
 //! The tables dedup integers the protocol produced — transaction ids, block
 //! hashes, views, `(node, instant)` wake pairs — so what they need from a
-//! hash is spread, not a PRF over arbitrary bytes. [`IdHasher`] folds each
-//! 64-bit word into its state with one 64×64→128-bit multiply whose halves
-//! are xored, and [`Hasher::finish`] folds once more, so both the low bits
-//! hashbrown picks a bucket with and the top seven it tags the bucket with
-//! depend on every input bit. A derived `Hash` of any integer of up to 64
-//! bits, and of any struct or tuple of them, takes
-//! [`IdHasher::write_u64`] directly.
+//! hash is spread, not a PRF over arbitrary bytes. [`mix`] folds one 64-bit
+//! word into a state with one 64×64→128-bit multiply whose halves are xored
+//! (the wyhash/foldhash construction), and [`finish`] folds once more, so
+//! both the low bits hashbrown picks a bucket with and the top seven it tags
+//! the bucket with depend on every input bit. [`IdHasher`] is that pair as
+//! a [`Hasher`]: a derived `Hash` of any integer of up to 64 bits, and of
+//! any struct or tuple of them, takes [`IdHasher::write_u64`] directly.
+//!
+//! The same two functions build the simulated authenticators:
+//! `lumiere_crypto::Digest` (statement digests, signature tags, block
+//! hashes) and [`crate::Batch::digest64`] fold their fields with [`mix`]
+//! from a fixed seed and end with [`finish`]. Those are `const fn`s, so a
+//! digest domain is a compile-time constant.
 //!
 //! Each table ([`IdState::default`]) gets its own random key: a per-thread
 //! seed drawn once from std's `RandomState`, advanced by a counter, as std
 //! advances its own keys. A peer that does not know a table's key cannot pick
-//! ids that collide in it. The fold is not a PRF like SipHash;
+//! ids that collide in it. The fold is not a PRF like SipHash, and a modelled
+//! digest, unkeyed, promises only spread: collisions can be computed, as
+//! they could for the FNV-1a and splitmix chain it replaced.
 //! `docs/RUNTIME.md` ("Hostile input") states what that does and does not
 //! promise.
 
@@ -22,17 +31,49 @@ use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// The multiplier each word is folded with.
 const FOLD: u64 = 0x2d35_8dcc_aa6c_78a5;
-/// The multiplier [`Hasher::finish`] folds the state with.
+/// The multiplier [`finish`] folds the state with.
 const FINISH: u64 = 0x8bb8_4b93_962e_acc9;
+/// The state an unkeyed modelled digest starts from: the first 64 bits of
+/// π's fraction. Any fixed nonzero word serves; zero would hash the empty
+/// input to zero.
+pub const SEED: u64 = 0x243f_6a88_85a3_08d3;
 /// What each new table's key advances by (odd, so keys repeat only after
 /// 2⁶⁴ tables on one thread).
 const KEY_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The xor of the high and low halves of the 128-bit product `x · k`.
 #[inline]
-fn fold(x: u64, k: u64) -> u64 {
-    let product = u128::from(x) * u128::from(k);
+const fn fold(x: u64, k: u64) -> u64 {
+    let product = x as u128 * k as u128;
     (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// Folds `word` into `state`: one multiply per 64-bit word.
+#[inline]
+pub const fn mix(state: u64, word: u64) -> u64 {
+    fold(state ^ word, FOLD)
+}
+
+/// Folds `bytes` into `state` as little-endian 8-byte words, the last one
+/// zero-padded: bytes that spell an integer fold as the integer does.
+pub const fn mix_bytes(mut state: u64, mut bytes: &[u8]) -> u64 {
+    while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+        state = mix(state, u64::from_le_bytes(*word));
+        bytes = rest;
+    }
+    if !bytes.is_empty() {
+        let mut word = [0u8; 8];
+        word.split_at_mut(bytes.len()).0.copy_from_slice(bytes);
+        state = mix(state, u64::from_le_bytes(word));
+    }
+    state
+}
+
+/// The final fold of a state, so every output bit depends on every input
+/// bit.
+#[inline]
+pub const fn finish(state: u64) -> u64 {
+    fold(state, FINISH)
 }
 
 thread_local! {
@@ -79,17 +120,13 @@ pub struct IdHasher {
 impl Hasher for IdHasher {
     #[inline]
     fn write_u64(&mut self, x: u64) {
-        self.state = fold(self.state ^ x, FOLD);
+        self.state = mix(self.state, x);
     }
 
     /// Little-endian 8-byte words, the last one zero-padded: bytes that
     /// spell an integer hash as the integer does.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
+        self.state = mix_bytes(self.state, bytes);
     }
 
     #[inline]
@@ -114,7 +151,7 @@ impl Hasher for IdHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        fold(self.state, FINISH)
+        finish(self.state)
     }
 }
 
@@ -131,6 +168,16 @@ mod tests {
     use super::*;
     use crate::TxId;
     use std::hash::Hash;
+
+    #[test]
+    fn the_const_mixer_is_the_run_time_one() {
+        const WORDS: u64 = finish(mix(mix(SEED, 7), u64::MAX));
+        const BYTES: u64 = mix_bytes(SEED, b"eleven byte");
+        use std::hint::black_box;
+        let (seed, max) = (black_box(SEED), black_box(u64::MAX));
+        assert_eq!(WORDS, finish(mix(mix(seed, black_box(7)), max)));
+        assert_eq!(BYTES, mix_bytes(seed, black_box(b"eleven byte")));
+    }
 
     #[test]
     fn fresh_states_hash_one_id_differently() {

@@ -72,6 +72,25 @@ pub fn percentile<T: Copy + Default>(sorted: &[T], p: u64) -> T {
     sorted[rank as usize - 1]
 }
 
+/// The nearest-rank p50, p95 and p99 of `samples`, each what [`percentile`]
+/// reads off them sorted, found by three selections instead of a sort: p99
+/// first, then p95 among the samples up to it, then p50 among those up to
+/// p95. Reorders `samples`.
+pub fn p50_p95_p99<T: Copy + Default + Ord>(samples: &mut [T]) -> [T; 3] {
+    let len = samples.len() as u64;
+    if len == 0 {
+        return [T::default(); 3];
+    }
+    let mut end = samples.len();
+    let [p99, p95, p50] = [99, 95, 50].map(|p| {
+        let k = ((len * p).div_ceil(100).clamp(1, len) - 1) as usize;
+        let at = *samples[..end].select_nth_unstable(k).1;
+        end = k + 1;
+        at
+    });
+    [p50, p95, p99]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,5 +105,35 @@ mod tests {
         assert_eq!(percentile(&ms, 50), Duration::from_millis(50));
         assert_eq!(percentile(&ms, 95), Duration::from_millis(95));
         assert_eq!(percentile(&ms, 99), Duration::from_millis(99));
+    }
+
+    fn sorted_percentiles(mut samples: Vec<Duration>) -> [Duration; 3] {
+        samples.sort_unstable();
+        [50, 95, 99].map(|p| percentile(&samples, p))
+    }
+
+    #[test]
+    fn three_selections_read_what_the_sort_reads_on_edge_samples() {
+        let ms = Duration::from_millis;
+        for samples in [
+            vec![],
+            vec![ms(5)],
+            vec![ms(3); 40],
+            (1..=100).rev().map(ms).collect(),
+        ] {
+            let want = sorted_percentiles(samples.clone());
+            assert_eq!(p50_p95_p99(&mut samples.clone()), want, "{samples:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn three_selections_read_what_the_sort_reads(
+            micros in proptest::collection::vec(0..2_000i64, 0..300),
+        ) {
+            let samples: Vec<Duration> = micros.into_iter().map(Duration::from_micros).collect();
+            let want = sorted_percentiles(samples.clone());
+            proptest::prop_assert_eq!(p50_p95_p99(&mut samples.clone()), want);
+        }
     }
 }

@@ -14,6 +14,7 @@
 //! (in `lumiere-core`) and the consensus engine sit on opposite sides of the
 //! workspace dependency DAG and both need them.
 
+use crate::hash;
 use crate::wire::{put_u32, put_u64, Reader, Wire, WireError};
 use std::fmt;
 
@@ -112,27 +113,20 @@ impl Batch {
         self.txs.iter().map(|tx| tx.id)
     }
 
-    /// Deterministic 64-bit digest of the batch (an FNV-1a fold over ids
-    /// and sizes). This is what block hashing commits to: two batches with
-    /// different contents collide only with the usual 2⁻⁶⁴-ish probability,
-    /// which is the same standard the workspace's simulated signatures and
-    /// block hashes already accept.
+    /// Deterministic 64-bit digest of the batch: the length, then each
+    /// transaction's id and size, folded from [`hash::SEED`] one word per
+    /// multiply by the workspace's one mixer ([`hash::mix`], ended by
+    /// [`hash::finish`]). This is what block hashing commits to: two batches
+    /// with different contents collide only with the usual 2⁻⁶⁴-ish
+    /// probability, which is the same standard the workspace's simulated
+    /// signatures and block hashes already accept.
     pub fn digest64(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.txs.len() as u64);
+        let mut h = hash::mix(hash::SEED, self.txs.len() as u64);
         for tx in &self.txs {
-            mix(tx.id.as_u64());
-            mix(tx.size as u64);
+            h = hash::mix(h, tx.id.as_u64());
+            h = hash::mix(h, tx.size as u64);
         }
-        h
+        hash::finish(h)
     }
 }
 
@@ -244,6 +238,36 @@ mod tests {
             ],
         };
         assert_ne!(ab.digest64(), ba.digest64());
+    }
+
+    #[test]
+    fn every_bit_of_every_id_and_size_moves_the_digest() {
+        let batch = Batch {
+            txs: (0..64)
+                .map(|i| Transaction::sized(TxId::new(1_000 + i), 256))
+                .collect(),
+        };
+        let digest = batch.digest64();
+        for i in 0..batch.len() {
+            for bit in 0..64 {
+                let mut flipped = batch.clone();
+                flipped.txs[i].id = TxId::new(batch.txs[i].id.as_u64() ^ (1 << bit));
+                assert_ne!(flipped.digest64(), digest, "tx {i} id bit {bit}");
+            }
+            for bit in 0..32 {
+                let mut flipped = batch.clone();
+                flipped.txs[i].size ^= 1 << bit;
+                assert_ne!(flipped.digest64(), digest, "tx {i} size bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_one_transaction_batches_never_collide() {
+        let digests: hash::IdSet<u64> = (0..1u64 << 16)
+            .map(|id| Batch::tag(id).digest64())
+            .collect();
+        assert_eq!(digests.len(), 1 << 16);
     }
 
     #[test]
