@@ -12,62 +12,69 @@
 //! branch has nothing to give back: its transactions are eligible again as
 //! soon as no chain a leader extends carries them, in their original order.
 //!
+//! The queue holds [`TxRun`]s, not transactions: a transaction that
+//! continues the back slot's ids at the same size extends that slot, and
+//! any other starts a new one. Ids come from counters and are admitted in
+//! order, so a backlog of thousands is one slot, and a batch builds its
+//! transactions from the runs it walks.
+//!
 //! # Commit pruning
 //!
 //! Every replica prunes every committed block from its pool, so
 //! [`Mempool::mark_committed`] runs once per commit per node and must not
 //! depend on how much is queued. It costs O(ids in the block), amortized:
-//! the ids are recorded, a committed transaction at the front of the queue
-//! is popped, and one further back stays where it is as a *tombstone* — a
-//! queue entry whose id is committed. Tombstones are invisible from outside:
+//! the ids are recorded, a committed id at the front of the queue is
+//! trimmed off, and one further back stays where it is as a *tombstone* — a
+//! queued id that is committed. Tombstones are invisible from outside:
 //! [`Mempool::len`], [`Mempool::is_empty`] and the capacity check count only
-//! the `live` entries, a batch skips the tombstones it meets, and whenever
-//! they come to outnumber the live entries one `retain` sweeps them out,
-//! which keeps
+//! the `live` ids, a batch skips the tombstones it meets, and whenever they
+//! come to outnumber the live ids one rebuild of the runs sweeps them out,
+//! which keeps, counted in ids,
 //!
 //! ```text
-//! physical queue length ≤ 2 · live + batch_txs
+//! queued ≤ 2 · live + batch_txs
 //! ```
 //!
-//! after every operation. The sweep walks fewer than two entries per
-//! tombstone it removes, and a tombstone is made by exactly one committed
-//! id, so it adds O(1) to the cost of that id.
+//! after every operation; the slots holding them are never more. The sweep
+//! walks fewer than two ids per tombstone it removes, and a tombstone is
+//! made by exactly one committed id, so it adds O(1) to the cost of that id.
 //!
 //! # Two run sets
 //!
 //! What the pool knows about an id is two bits, each kept in an [`IdRuns`]:
 //! `seen` holds every id ever admitted here or seen in a committed block,
-//! `committed` every id seen committed. An id is *queued*, a live queue
-//! entry, iff it is seen and not committed; a queue entry whose id is
-//! committed is a tombstone. Nothing is hashed. Ids come from counters and
-//! this pool admits and commits them in FIFO order, so each set is a few
-//! runs `[start, end]`, about one per submitter, and a probe of an id in or
-//! just above the highest run costs two compares. Neither set ever forgets
-//! an id: dedup is for the pool's lifetime.
+//! `committed` every id seen committed. An id is *queued*, live in the
+//! queue, iff it is seen and not committed; a queued id that is committed
+//! is a tombstone. Nothing is hashed. Ids come from counters and this pool
+//! admits and commits them in FIFO order, so each set is a few runs
+//! `[start, end]`, about one per submitter, and a probe of an id in or just
+//! above the highest run costs two compares. Neither set ever forgets an
+//! id: dedup is for the pool's lifetime.
 //!
-//! The ids also arrive and commit as runs, and the pool takes a run whole.
-//! [`Mempool::submit_all`] admits consecutive ids above every id seen,
-//! within `capacity`, with one append to `seen` and one extend of the
-//! queue. [`Mempool::mark_committed`] takes its leading ids that are the
-//! queue's front entries, consecutive and above every committed id, with one
-//! append to `committed` and one drain of the queue's front. Whatever does
-//! not fit goes id by id, so either leaves the pool exactly as the per-id
-//! path would.
+//! The ids also arrive and commit as runs, and the pool takes a run whole,
+//! as the queue stores it. [`Mempool::submit_run`] admits a run above every
+//! id seen, within `capacity`, with one append to `seen` and one push onto
+//! the queue. [`Mempool::mark_committed`] takes its leading ids that are the
+//! queue's front ids, consecutive and above every committed id, with one
+//! append to `committed` and one trim of the queue's front slots. Whatever
+//! does not fit goes id by id, so either leaves the pool exactly as the
+//! per-id path would.
 //!
 //! The worst case is ids in no order: each gap between two known ids costs a
-//! run, and a probe below the highest run one B-tree search. A peer that
-//! picks scattered ids thus costs one tree entry per id it gets admitted or
-//! committed, as a hash table would, and admission is bounded by `capacity`
-//! live entries at a time. Nothing but the commit rate bounds the sets'
-//! size (`docs/RUNTIME.md`, "Hostile input").
+//! run in each set and a queue slot, and a probe below the highest run one
+//! B-tree search. A peer that picks scattered ids thus costs one tree entry
+//! and one slot per id it gets admitted or committed, as a hash table would,
+//! and admission is bounded by `capacity` live ids at a time. Nothing but
+//! the commit rate bounds the sets' size (`docs/RUNTIME.md`, "Hostile
+//! input").
 //!
 //! Everything here is integer arithmetic over explicitly ordered
 //! collections: the same submission sequence yields the same batches on
 //! every host and thread count, which the cross-thread determinism suite
 //! relies on.
 
-use lumiere_types::runs::{as_run, IdRuns};
-use lumiere_types::{Batch, Transaction, TxId};
+use lumiere_types::runs::IdRuns;
+use lumiere_types::{Batch, Transaction, TxId, TxRun};
 use std::collections::VecDeque;
 
 /// Sizing knobs for a [`Mempool`].
@@ -98,12 +105,14 @@ impl Default for MempoolConfig {
 #[derive(Debug, Clone)]
 pub struct Mempool {
     cfg: MempoolConfig,
-    /// Live transactions in FIFO order, interleaved with tombstones
-    /// (entries whose id is in `committed`; see the module docs). Every
-    /// entry's id is in `seen`.
-    queue: VecDeque<Transaction>,
-    /// Entries of `queue` that are not tombstones: what [`Mempool::len`]
-    /// and the capacity check report.
+    /// Live ids in FIFO order, interleaved with tombstones (ids in
+    /// `committed`; see the module docs), as runs. Every id is in `seen`,
+    /// and no slot could extend the one before it.
+    queue: VecDeque<TxRun>,
+    /// Ids `queue` holds, tombstones included.
+    queued: usize,
+    /// Ids of `queue` that are not tombstones: what [`Mempool::len`] and
+    /// the capacity check report.
     live: usize,
     /// Every id ever admitted or committed. Dedup is deliberately
     /// *persistent*: a transaction of a committed batch must not be
@@ -122,6 +131,7 @@ impl Mempool {
         Mempool {
             cfg,
             queue: VecDeque::new(),
+            queued: 0,
             live: 0,
             seen: IdRuns::new(),
             committed: IdRuns::new(),
@@ -143,29 +153,61 @@ impl Mempool {
         if !self.seen.insert(tx.id.as_u64()) {
             return false;
         }
-        self.queue.push_back(tx);
+        self.push(TxRun::one(tx));
         self.live += 1;
         true
     }
 
-    /// Admits `txs` in order, leaving the pool as a [`Mempool::submit`] of
-    /// each would. A slice of consecutive ids above every id seen that fits
-    /// in `capacity` — one arrival tick of a counter — is admitted in one
-    /// step; any other goes through `submit` per transaction.
-    pub fn submit_all(&mut self, txs: &[Transaction]) {
-        let fresh = as_run(txs.iter().map(|tx| tx.id.as_u64()))
-            .filter(|&(start, _)| self.seen.last().is_none_or(|last| start > last));
-        match fresh {
-            Some((start, end)) if self.live + txs.len() <= self.cfg.capacity => {
-                self.seen.append_run(start, end);
-                self.queue.extend(txs);
-                self.live += txs.len();
+    /// Admits the ids of `run` in order, leaving the pool as a
+    /// [`Mempool::submit`] of each would. A run above every id seen that
+    /// fits in `capacity` — one arrival tick of a counter — is admitted in
+    /// one step; any other goes through `submit` per id.
+    pub fn submit_run(&mut self, run: TxRun) {
+        let fresh = self
+            .seen
+            .last()
+            .is_none_or(|last| run.first.as_u64() > last);
+        if fresh && self.live + run.len as usize <= self.cfg.capacity {
+            self.seen
+                .append_run(run.first.as_u64(), run.last().as_u64());
+            self.push(run);
+            self.live += run.len as usize;
+        } else {
+            for tx in run.txs() {
+                self.submit(tx);
             }
-            _ => {
-                for tx in txs {
-                    self.submit(*tx);
+        }
+    }
+
+    /// Queues `run` at the back: it extends the back slot when its ids
+    /// continue that slot's at the same size, and takes a slot of its own
+    /// otherwise.
+    fn push(&mut self, run: TxRun) {
+        self.queued += run.len as usize;
+        if let Some(back) = self.queue.back_mut() {
+            let continues = back.last().as_u64().checked_add(1) == Some(run.first.as_u64());
+            if continues && back.size == run.size {
+                if let Some(len) = back.len.checked_add(run.len) {
+                    back.len = len;
+                    return;
                 }
             }
+        }
+        self.queue.push_back(run);
+    }
+
+    /// Removes the queue's first `k` ids, slot by slot.
+    fn trim_front(&mut self, mut k: usize) {
+        self.queued -= k;
+        while k > 0 {
+            let front = self.queue.front_mut().expect("k ids are queued");
+            if (front.len as usize) > k {
+                front.first = TxId::new(front.first.as_u64() + k as u64);
+                front.len -= k as u32;
+                return;
+            }
+            k -= front.len as usize;
+            self.queue.pop_front();
         }
     }
 
@@ -176,46 +218,64 @@ impl Mempool {
     /// only by committing.
     ///
     /// `in_flight` is sorted: the ids the uncommitted chain the proposal
-    /// extends already carries. Costs a binary search per queue entry
-    /// reached until every in-flight id has been met, plus a probe of
-    /// `committed` per entry only while the queue holds tombstones.
+    /// extends already carries. Costs a binary search per stretch of
+    /// consecutive in-flight ids met until every one has been met (the
+    /// stretch is skipped whole), plus a probe of `committed` per id only
+    /// while the queue holds tombstones; a transaction is built only for the
+    /// batch.
     pub fn next_batch_excluding(&self, in_flight: &[TxId]) -> Batch {
         debug_assert!(in_flight.is_sorted(), "in_flight must be sorted");
         let tombstones = self.has_tombstones();
-        // Queue entries are distinct, so once this many have matched, no
-        // later entry can.
+        // Queued ids are distinct, so once this many have matched, no later
+        // id can.
         let mut unmet = in_flight.len();
-        // Where the next queue entry is expected in `in_flight`: the chain
-        // carries the queue's front in queue order, so an entry is usually
-        // the id after the last one met, and needs no search.
+        // Where the next queued id is expected in `in_flight`: the chain
+        // carries the queue's front in queue order, so an id is usually the
+        // one after the last one met, and needs no search.
         let mut cursor = 0;
         let mut txs = Vec::with_capacity(self.cfg.batch_txs.min(self.live));
         let mut bytes = 0u64;
-        for tx in &self.queue {
-            if txs.len() == self.cfg.batch_txs {
-                break;
-            }
-            if unmet > 0 {
-                let met = if in_flight.get(cursor) == Some(&tx.id) {
-                    Some(cursor)
-                } else {
-                    in_flight.binary_search(&tx.id).ok()
-                };
-                if let Some(at) = met {
-                    cursor = at + 1;
-                    unmet -= 1;
+        'runs: for run in &self.queue {
+            let (first, len) = (run.first.as_u64(), run.len as u64);
+            // The offset in `run` of the next id to read.
+            let mut k = 0;
+            while k < len {
+                if txs.len() == self.cfg.batch_txs {
+                    break 'runs;
+                }
+                let id = TxId::new(first + k);
+                if unmet > 0 {
+                    let met = if in_flight.get(cursor) == Some(&id) {
+                        Some(cursor)
+                    } else {
+                        in_flight.binary_search(&id).ok()
+                    };
+                    if let Some(at) = met {
+                        // `in_flight` is sorted and its ids distinct, so the
+                        // ids of the run it holds from `id` on are those that
+                        // follow `at` up to the first gap: skipped whole.
+                        let stretch = in_flight[at..]
+                            .iter()
+                            .zip(k..len)
+                            .take_while(|&(carried, at_k)| carried.as_u64() == first + at_k)
+                            .count();
+                        cursor = at + stretch;
+                        unmet -= stretch;
+                        k += stretch as u64;
+                        continue;
+                    }
+                }
+                k += 1;
+                if tombstones && self.committed.contains(id.as_u64()) {
                     continue;
                 }
+                let tx_bytes = run.size as u64;
+                if !txs.is_empty() && bytes + tx_bytes > self.cfg.max_block_bytes {
+                    break 'runs;
+                }
+                bytes += tx_bytes;
+                txs.push(Transaction::sized(id, run.size));
             }
-            if tombstones && self.committed.contains(tx.id.as_u64()) {
-                continue;
-            }
-            let tx_bytes = tx.size as u64;
-            if !txs.is_empty() && bytes + tx_bytes > self.cfg.max_block_bytes {
-                break;
-            }
-            bytes += tx_bytes;
-            txs.push(*tx);
         }
         Batch { txs }
     }
@@ -250,72 +310,88 @@ impl Mempool {
             }
             self.live -= 1;
             // Replicas queue in the same order the chain commits in, so the
-            // id is usually the front entry and leaves no tombstone.
-            if self.queue.front().is_some_and(|tx| tx.id == id) {
-                self.queue.pop_front();
+            // id is usually the front one and leaves no tombstone.
+            if self.queue.front().is_some_and(|run| run.first == id) {
+                self.trim_front(1);
             }
         }
         while self.has_tombstones()
             && self
                 .queue
                 .front()
-                .is_some_and(|tx| self.committed.contains(tx.id.as_u64()))
+                .is_some_and(|run| self.committed.contains(run.first.as_u64()))
         {
-            self.queue.pop_front();
+            self.trim_front(1);
         }
         self.compact_if_sparse();
     }
 
-    /// Commits the leading `ids` that are the queue's front entries in
-    /// order, consecutive and above every committed id, in one step, and
-    /// returns the first id it did not take. No tombstone can be among them
-    /// (a tombstone's id is committed), so each is live and leaves from the
-    /// front, as the per-id loop would have it.
+    /// Commits the leading `ids` that are the queue's front ids in order,
+    /// consecutive and above every committed id, in one step, and returns
+    /// the first id it did not take. The ids it takes are those of the
+    /// front slot and of each next slot that continues them. No tombstone
+    /// can be among them (a tombstone's id is committed), so each is live
+    /// and leaves from the front, as the per-id loop would have it.
     fn commit_front_run(&mut self, ids: &mut impl Iterator<Item = TxId>) -> Option<TxId> {
-        let (mut start, mut k) = (0, 0);
+        let Some(front) = self.queue.front() else {
+            return ids.next();
+        };
+        let start = front.first.as_u64();
+        if self.committed.last().is_some_and(|last| start <= last) {
+            return ids.next();
+        }
+        // The last id of the slots read so far, and the next slot to read.
+        let (mut reach, mut slot) = (front.last().as_u64(), 1);
+        let mut k = 0u64;
         let rest = loop {
             let Some(id) = ids.next() else {
                 break None;
             };
             let raw = id.as_u64();
-            let continues = if k == 0 {
-                self.committed.last().is_none_or(|last| raw > last)
-            } else {
-                raw.checked_sub(k as u64) == Some(start)
-            };
-            if !continues || self.queue.get(k).is_none_or(|tx| tx.id != id) {
+            if start.checked_add(k) != Some(raw) {
                 break Some(id);
             }
-            if k == 0 {
-                start = raw;
+            if raw > reach {
+                // `raw` is `reach + 1`: the next slot must begin with it.
+                match self.queue.get(slot) {
+                    Some(next) if next.first == id => reach = next.last().as_u64(),
+                    _ => break Some(id),
+                }
+                slot += 1;
             }
             k += 1;
         };
         if k > 0 {
-            self.committed.append_run(start, start + (k as u64 - 1));
-            self.live -= k;
-            self.queue.drain(..k);
+            self.committed.append_run(start, start + (k - 1));
+            self.live -= k as usize;
+            self.trim_front(k as usize);
         }
         rest
     }
 
     fn has_tombstones(&self) -> bool {
-        self.queue.len() > self.live
+        self.queued > self.live
     }
 
-    /// Sweeps the tombstones out once they outnumber the live entries by
-    /// more than a batch, so the queue's memory stays within twice what the
-    /// live entries need.
+    /// Sweeps the tombstones out once they outnumber the live ids by more
+    /// than a batch, so the queue's memory stays within twice what the live
+    /// ids need: the runs are rebuilt from the live ids alone.
     fn compact_if_sparse(&mut self) {
-        if self.queue.len() > 2 * self.live + self.cfg.batch_txs {
-            let committed = &self.committed;
-            self.queue.retain(|tx| !committed.contains(tx.id.as_u64()));
-            debug_assert_eq!(self.queue.len(), self.live);
+        if self.queued > 2 * self.live + self.cfg.batch_txs {
+            let old = std::mem::take(&mut self.queue);
+            self.queued = 0;
+            for tx in old.iter().flat_map(|run| run.txs()) {
+                if !self.committed.contains(tx.id.as_u64()) {
+                    self.push(TxRun::one(tx));
+                }
+            }
+            debug_assert_eq!(self.queued, self.live);
         }
     }
 
     /// Entries held: one per run of the two id sets plus one per queue
-    /// slot, live or tombstone.
+    /// slot. A slot is a run of ids, live or tombstone, so a backlog of
+    /// consecutive ids counts one however long it grows.
     pub fn state_entries(&self) -> usize {
         self.seen.runs() + self.committed.runs() + self.queue.len()
     }
@@ -428,23 +504,35 @@ mod tests {
         }
     }
 
-    /// Asserts everything observable without mutating, the memory bound,
-    /// the live queue entries against the model's queue, in order, and the
-    /// two id sets against the model's: for every id the model knows and
-    /// both its neighbours, the pool has seen it iff the model admitted it
-    /// or saw it committed, and holds it committed iff the model does.
+    /// The queued transactions, tombstones included, in queue order.
+    fn queued_txs(pool: &Mempool) -> Vec<Transaction> {
+        pool.queue.iter().flat_map(|run| run.txs()).collect()
+    }
+
+    /// Asserts everything observable without mutating, the memory bound in
+    /// ids, the queue's id count, that no slot could have extended the one
+    /// before it, the live queued transactions against the model's queue,
+    /// in order, and the two id sets against the model's: for every id the
+    /// model knows and both its neighbours, the pool has seen it iff the
+    /// model admitted it or saw it committed, and holds it committed iff
+    /// the model does.
     fn assert_same_state(pool: &Mempool, model: &EagerMempool) {
         assert_eq!(pool.len(), model.queue.len());
         assert_eq!(pool.is_empty(), model.queue.is_empty());
         assert_eq!(pool.shed(), model.shed);
+        let queued = queued_txs(pool);
+        assert_eq!(pool.queued, queued.len());
         assert!(
-            pool.queue.len() <= 2 * pool.len() + pool.config().batch_txs,
-            "{} queue entries for {} live",
-            pool.queue.len(),
+            pool.queued <= 2 * pool.len() + pool.config().batch_txs,
+            "{} queued ids for {} live",
+            pool.queued,
             pool.len()
         );
-        assert!(pool
-            .queue
+        for pair in pool.queue.iter().collect::<Vec<_>>().windows(2) {
+            let joins = pair[0].last().as_u64().checked_add(1) == Some(pair[1].first.as_u64());
+            assert!(!joins || pair[0].size != pair[1].size, "{pair:?}");
+        }
+        assert!(queued
             .iter()
             .filter(|tx| !pool.committed.contains(tx.id.as_u64()))
             .eq(&model.queue));
@@ -470,19 +558,26 @@ mod tests {
         /// the eager model must agree on every return value and every
         /// observable count after every step.
         ///
-        /// Slices go in through `submit_all`: runs just above every id
-        /// seen or past a gap (the one-step path), and runs that overlap
-        /// the ids seen, cross `capacity`, hold a gap or a duplicate inside
-        /// or, in a quarter of the cases, wrap past `u64::MAX`. Commits
-        /// include runs that match the queue's front and then diverge,
-        /// while tombstones wait further back or not.
+        /// Runs go in through `submit_run`: runs just above every id seen
+        /// or one past it (the one-step path, extending the back slot or
+        /// not), one whose size differs from the back slot's, and runs that
+        /// overlap the ids seen, cross `capacity` or, in a quarter of the
+        /// cases, end at `u64::MAX`. Single transactions vary in size, so
+        /// consecutive ids take a slot each or share one. Commits include
+        /// runs that match the queue's front and then diverge, while
+        /// tombstones wait further back or not.
         ///
         /// Each of these hand mutations of [`Mempool`] fails it: ignoring
         /// `in_flight`; taking a tombstone into a batch; removing what a
         /// batch takes from the queue; stopping the `in_flight` searches
-        /// after the first match; never probing for tombstones;
-        /// `submit_all` ignoring `capacity`; the commit run taken past the
-        /// committed ids, tombstones and all; a commit run's end off by one.
+        /// after the first match; skipping a stretch of in-flight ids past
+        /// its first gap, or one id past its end; never probing for
+        /// tombstones;
+        /// `submit_run` ignoring `capacity`; the commit run taken past the
+        /// committed ids, tombstones and all; a commit run's end off by
+        /// one; a commit run crossing into a slot that does not continue
+        /// the ids; the back slot extended by a run of another size; the
+        /// front trimmed by one id too few or too many.
         #[test]
         fn tombstoning_pool_matches_the_eager_model(
             ops in proptest::collection::vec(
@@ -506,8 +601,9 @@ mod tests {
                 // common, and fresh ids never run out.
                 let id = id + step as u64;
                 match op {
+                    // Four consecutive ids share a size, so some share a slot.
                     0..=8 => {
-                        let tx = Transaction::sized(TxId::new(id), 200 + 50 * (id % 4) as u32);
+                        let tx = Transaction::sized(TxId::new(id), 200 + 50 * (id / 4 % 4) as u32);
                         prop_assert_eq!(pool.submit(tx), model.submit(tx));
                     }
                     // A batch behind a random in-flight set: queued ids
@@ -558,43 +654,45 @@ mod tests {
                             }
                         }
                     }
-                    // A run of `span` ids above every id known (next to the
-                    // highest or one past it); or, picked by `mask`, one
-                    // with a duplicate or a gap inside, one that overlaps
-                    // the ids known, or one from the top of the id space.
+                    // A run of up to `span` ids above every id known (next
+                    // to the highest or one past it) at the back slot's
+                    // size, or, picked by `mask`, at another size; one that
+                    // overlaps the ids known; or one that ends at the top
+                    // of the id space.
                     16 | 17 => {
                         let highest = model.seen.union(&model.committed).max();
                         let highest = highest.map(|id| id.as_u64());
                         let above = highest.map_or(0, |id| id.wrapping_add(1 + mask % 2));
                         let start = match (op, mask >> 1 & 3) {
                             (17, _) if near_top == 0 => u64::MAX - id % 8,
-                            (_, 3) => highest.map_or(0, |id| id.wrapping_sub(span / 2)),
+                            (_, 3) => highest.map_or(0, |id| id.saturating_sub(span / 2)),
                             _ => above,
                         };
-                        let mut raw: Vec<u64> =
-                            (0..span).map(|k| start.wrapping_add(k)).collect();
-                        let last = span as usize - 1;
-                        match mask >> 1 & 3 {
-                            1 => raw[last - last / 2] = raw[0],
-                            2 => raw[last] = raw[last].wrapping_add(1),
-                            _ => {}
-                        }
-                        let txs: Vec<Transaction> = raw
-                            .iter()
-                            .map(|&id| {
-                                Transaction::sized(TxId::new(id), 200 + 50 * (id % 4) as u32)
-                            })
-                            .collect();
-                        pool.submit_all(&txs);
-                        for tx in txs {
+                        let back = pool.queue.back().map_or(256, |run| run.size);
+                        let size = match mask >> 1 & 3 {
+                            2 => 200 + (back + 50) % 200,
+                            _ => back,
+                        };
+                        let len = (span - 1).min(u64::MAX - start) as u32 + 1;
+                        let run = TxRun::new(TxId::new(start), len, size);
+                        pool.submit_run(run);
+                        for tx in run.txs() {
                             model.submit(tx);
                         }
                     }
-                    // Commit the first `span` queued ids, then diverge: a
-                    // fresh id, an id further back, or the first one again.
+                    // Commit the first `span` queued ids, or, picked by
+                    // `mask`, `span` consecutive ids from the first queued
+                    // one, whether the queue holds them in that order or
+                    // not; then diverge: a fresh id, an id further back, or
+                    // the first one again.
                     18 => {
-                        let mut run: Vec<TxId> =
-                            model.queue.iter().take(span as usize).map(|tx| tx.id).collect();
+                        let mut run: Vec<TxId> = match model.queue.front() {
+                            Some(front) if mask >> 2 & 1 == 1 => {
+                                let first = front.id.as_u64();
+                                (first..first.saturating_add(span)).map(TxId::new).collect()
+                            }
+                            _ => model.queue.iter().take(span as usize).map(|tx| tx.id).collect(),
+                        };
                         run.push(match mask % 3 {
                             0 => TxId::new(u64::MAX / 2 + id),
                             1 => model.queue.back().map_or(TxId::new(id), |tx| tx.id),
@@ -640,8 +738,7 @@ mod tests {
     fn commit_next_batch_and_resubmit(pool: &mut Mempool) -> Batch {
         let batch = pool.next_batch();
         pool.mark_committed(batch.tx_ids());
-        let queued: Vec<Transaction> = pool.queue.iter().copied().collect();
-        for tx in batch.txs.iter().chain(&queued) {
+        for tx in batch.txs.iter().chain(&queued_txs(pool)) {
             assert!(!pool.submit(*tx), "{} admitted twice", tx.id);
         }
         batch
@@ -675,6 +772,40 @@ mod tests {
         assert!(!pool.submit(Transaction::new(id(3, 0))));
         assert!(pool.submit(Transaction::new(id(4, 0))), "a fifth submitter");
         assert_eq!(pool.state_entries(), 9 + pool.queue.len());
+    }
+
+    /// 12 000 consecutive ids of one size, arriving 48 a tick as the
+    /// `sim_backlog` workload's do, every other tick as one run and the
+    /// others one transaction at a time, with half of them committed in
+    /// 64-id batches along the way: the backlog is one queue slot
+    /// throughout, so what the pool holds does not grow with it.
+    #[test]
+    fn a_backlog_of_consecutive_ids_is_one_queue_slot() {
+        let mut pool = Mempool::new(MempoolConfig {
+            batch_txs: 64,
+            ..MempoolConfig::default()
+        });
+        let mut committed = 0;
+        for tick in 0..250u64 {
+            let run = TxRun::new(TxId::new(1_000 + 48 * tick), 48, 256);
+            if tick % 2 == 0 {
+                pool.submit_run(run);
+            } else {
+                assert!(run.txs().all(|tx| pool.submit(tx)));
+            }
+            while committed + 64 <= 24 * (tick as usize + 1) {
+                let batch = pool.next_batch();
+                assert_eq!(batch.len(), 64);
+                pool.mark_committed(batch.tx_ids());
+                committed += 64;
+            }
+            assert_eq!(pool.queue.len(), 1, "tick {tick}");
+            let runs = 2 + usize::from(committed > 0);
+            assert_eq!(pool.state_entries(), runs, "tick {tick}");
+        }
+        assert_eq!((pool.len(), committed), (12_000 - 5_952, 5_952));
+        assert_eq!(pool.queued, pool.len());
+        assert_eq!(pool.queue[0], TxRun::new(TxId::new(6_952), 6_048, 256));
     }
 
     /// A counter that wraps past `u64::MAX`, as the simulator's
@@ -720,7 +851,7 @@ mod tests {
         // Odd ids: none is at the front, so each leaves a tombstone.
         pool.mark_committed((0..40).map(|i| TxId::new(2 * i + 1)));
         assert_eq!(pool.len(), 60);
-        assert_eq!(pool.queue.len(), 100, "tombstones stay until they dominate");
+        assert_eq!(pool.queued, 100, "tombstones stay until they dominate");
         // Committing an id twice, or one never seen, changes nothing.
         pool.mark_committed([TxId::new(1), TxId::new(3), TxId::new(1_000)]);
         assert_eq!(pool.len(), 60);
@@ -728,7 +859,7 @@ mod tests {
         // once the tombstones outnumber the live entries they are swept.
         pool.mark_committed((1..40).map(|i| TxId::new(2 * i)));
         assert_eq!(pool.len(), 21);
-        assert_eq!(pool.queue.len(), 21);
+        assert_eq!(pool.queued, 21);
         assert_eq!(ids(&pool.next_batch()), vec![0, 80, 81, 82]);
     }
 
@@ -754,7 +885,7 @@ mod tests {
         assert_eq!(ids(&pool.next_batch()), vec![6, 7]);
         pool.mark_committed([TxId::new(6), TxId::new(7)]);
         assert!(pool.is_empty());
-        assert_eq!(pool.queue.len(), 0);
+        assert_eq!((pool.queued, pool.queue.len()), (0, 0));
     }
 
     #[test]
@@ -792,7 +923,7 @@ mod tests {
         // Everything but the front entry commits: seven tombstones remain
         // in memory, and seven places are free again.
         pool.mark_committed((1..8).map(TxId::new));
-        assert_eq!((pool.len(), pool.queue.len()), (1, 8));
+        assert_eq!((pool.len(), pool.queued), (1, 8));
         for i in 8..15 {
             assert!(pool.submit(tx(i)), "tx {i} fits once commits freed room");
         }
@@ -807,7 +938,7 @@ mod tests {
         pool.mark_committed([TxId::new(7)]);
         assert_eq!(pool.len(), 0, "nothing was queued, nothing left");
         assert!(!pool.submit(tx(7)), "the chain already carries it");
-        assert_eq!((pool.len(), pool.queue.len(), pool.shed()), (0, 0, 0));
+        assert_eq!((pool.len(), pool.queued, pool.shed()), (0, 0, 0));
         assert!(pool.next_batch().is_empty());
         assert!(pool.submit(tx(8)), "its neighbour is unaffected");
     }
@@ -830,8 +961,7 @@ mod tests {
         });
         assert_eq!(pool.len(), 3);
         assert_eq!(
-            pool.queue.len(),
-            4,
+            pool.queued, 4,
             "no second copy of tx 0 or tx 2; tx 1 is a tombstone"
         );
         pool.requeue(staged);

@@ -19,7 +19,7 @@ use crate::output::RuntimeOutput;
 use lumiere_consensus::{Block, ConsensusAction, HotStuffEngine};
 use lumiere_core::pacemaker::{Pacemaker, PacemakerAction};
 use lumiere_core::{LeaderSchedule, Mempool, MempoolConfig};
-use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
+use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, TxRun, View};
 use std::collections::VecDeque;
 
 /// Per-event switches deciding which protocol components a step may run.
@@ -217,10 +217,11 @@ impl ProtocolRuntime {
         self.mempool.submit(tx)
     }
 
-    /// Submits `txs` in order, as a [`submit_tx`](Self::submit_tx) of each
-    /// would, through [`Mempool::submit_all`].
-    pub fn submit_txs(&mut self, txs: &[Transaction]) {
-        self.mempool.submit_all(txs);
+    /// Submits the ids of `run` in order, as a
+    /// [`submit_tx`](Self::submit_tx) of each would, through
+    /// [`Mempool::submit_run`].
+    pub fn submit_run(&mut self, run: TxRun) {
+        self.mempool.submit_run(run);
     }
 
     /// Runs one event through `step`. An honest node goes straight through

@@ -21,10 +21,8 @@
 
 use crate::workload::WorkloadConfig;
 use lumiere_types::hash::IdSet;
-use lumiere_types::runs::{as_run, IdRuns};
-use lumiere_types::{
-    p50_p95_p99, Duration, ProcessId, SlashEvidence, Time, Transaction, TxId, View,
-};
+use lumiere_types::runs::IdRuns;
+use lumiere_types::{p50_p95_p99, Duration, ProcessId, SlashEvidence, Time, TxId, TxRun, View};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -470,19 +468,17 @@ impl SubmitTimes {
         run.get(offset).copied()
     }
 
-    /// Records `at` for every id of `txs` with one `resize` of the highest
-    /// run when the ids are consecutive and continue it (or start the
-    /// first); returns whether it did. Records nothing otherwise.
-    fn append(&mut self, txs: &[Transaction], at: Time) -> bool {
-        let Some((start, _)) = as_run(txs.iter().map(|tx| tx.id.as_u64())) else {
-            return false;
-        };
+    /// Records `at` for every id of `run` with one `resize` of the highest
+    /// run when `run` continues it (or starts the first); returns whether it
+    /// did. Records nothing otherwise.
+    fn append(&mut self, run: TxRun, at: Time) -> bool {
+        let start = run.first.as_u64();
         if self.top.is_empty() {
             self.top_start = start;
         } else if self.top_start.checked_add(self.top.len() as u64) != Some(start) {
             return false;
         }
-        self.top.resize(self.top.len() + txs.len(), at);
+        self.top.resize(self.top.len() + run.len as usize, at);
         true
     }
 
@@ -642,14 +638,14 @@ impl MetricsCollector {
         }
     }
 
-    /// Records the transactions of `txs` injected at `now`, as a
+    /// Records the transactions of `run` injected at `now`, as a
     /// [`record_submission`](Self::record_submission) of each would: in one
     /// step when their ids continue the highest run of ids recorded.
-    pub fn record_submissions(&mut self, now: Time, txs: &[Transaction]) {
-        if self.tx_submit_times.append(txs, now) {
-            self.txs_submitted += txs.len() as u64;
+    pub fn record_submissions(&mut self, now: Time, run: TxRun) {
+        if self.tx_submit_times.append(run, now) {
+            self.txs_submitted += run.len as u64;
         } else {
-            for tx in txs {
+            for tx in run.txs() {
                 self.record_submission(now, tx.id);
             }
         }
@@ -1087,10 +1083,10 @@ mod tests {
             }
         }
 
-        /// `record_submissions` of a slice against a `record_submission`
-        /// per id, slice by slice: slices that continue the highest run,
-        /// start past a gap, repeat known ids, hold a gap or a duplicate,
-        /// or cross `u64::MAX`.
+        /// `record_submissions` of a run against a `record_submission` per
+        /// id, run by run: runs that continue the highest run, start past a
+        /// gap, repeat known ids or end at `u64::MAX`, the next one then
+        /// starting from zero.
         #[test]
         fn record_submissions_matches_a_loop_of_record_submission(
             ops in proptest::collection::vec(
@@ -1112,23 +1108,14 @@ mod tests {
                     4 => next.wrapping_sub(1 + len),
                     _ => wild,
                 };
-                let mut ids: Vec<u64> = (0..=len).map(|k| start.wrapping_add(k)).collect();
-                match wild % 8 {
-                    0 => ids[len as usize / 2] = ids[0],
-                    1 if len > 1 => {
-                        ids.remove(1);
-                    }
-                    _ => {}
-                }
-                next = ids.last().map_or(next, |last| last.wrapping_add(1));
-                let txs: Vec<Transaction> =
-                    ids.iter().map(|&id| Transaction::new(TxId::new(id))).collect();
+                let run = TxRun::new(TxId::new(start), len.min(u64::MAX - start) as u32 + 1, 256);
+                next = run.last().as_u64().wrapping_add(1);
                 let at = Time::from_micros(step as i64);
-                sliced.record_submissions(at, &txs);
-                for tx in &txs {
+                sliced.record_submissions(at, run);
+                for tx in run.txs() {
                     per_id.record_submission(at, tx.id);
                 }
-                known.extend(ids);
+                known.extend(run.txs().map(|tx| tx.id.as_u64()));
                 assert_eq!(sliced.txs_submitted, per_id.txs_submitted);
                 for &id in &known {
                     for probe in [id.wrapping_sub(1), id, id.wrapping_add(1)] {

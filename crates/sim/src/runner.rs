@@ -28,9 +28,10 @@
 //! first, then `at`'s arrivals, then the rest of the queue — the order one
 //! queue holding all three gave, where the boots held seqs `1..=n` and every
 //! arrival's seq came before anything scheduled during the run. A tick's
-//! arrivals reach each mempool as one slice (`submit_arrivals`), and each
-//! arrival still counts as one event toward `events_processed`, the batch
-//! budget and the cap.
+//! arrivals are consecutive ids of one size and reach each mempool as one
+//! [`TxRun`](lumiere_types::TxRun) (`submit_arrivals`; two runs when the
+//! ids cross `u64::MAX`), and each arrival still counts as one event toward
+//! `events_processed`, the batch budget and the cap.
 //!
 //! The scheduled-wake sweep also runs between batches, once the dedup set
 //! has doubled since the last sweep and holds more than `n` pairs, so the
@@ -378,26 +379,29 @@ impl Simulation {
     /// Offers the arrivals due at `at`, at most `room` of them, to every
     /// processor (clients broadcast submissions so any future leader can
     /// carry them; dedup-by-id keeps the copies from multiplying), and
-    /// returns how many it offered. They go as one slice per node: the
-    /// mempools are independent, so node by node leaves each as arrival by
-    /// arrival did.
+    /// returns how many it offered. They go as one run per node, or two
+    /// when the tick's ids cross `u64::MAX`: the mempools are independent,
+    /// so node by node leaves each as arrival by arrival did.
     fn submit_arrivals(&mut self, at: Time, room: u64) -> u64 {
-        let Some(stream) = self.arrivals.as_mut().filter(|s| s.peek_time() == Some(at)) else {
-            return 0;
-        };
-        let pending = stream.pending();
-        let txs = &pending[..pending.len().min(room as usize)];
-        self.collector.record_submissions(at, txs);
-        for node in &mut self.nodes {
-            node.submit_txs(txs);
+        let mut taken = 0;
+        while taken < room {
+            let Some(stream) = self.arrivals.as_mut().filter(|s| s.peek_time() == Some(at)) else {
+                break;
+            };
+            let pending = stream.pending().expect("a tick carries arrivals");
+            let run = pending.take((room - taken).min(pending.len as u64) as u32);
+            stream.consume(run.len);
+            self.collector.record_submissions(at, run);
+            for node in &mut self.nodes {
+                node.submit_run(run);
+            }
+            taken += run.len as u64;
+            #[cfg(test)]
+            for _ in 0..run.len {
+                self.log_handled('a');
+            }
         }
-        let taken = txs.len();
-        stream.consume(taken);
-        #[cfg(test)]
-        for _ in 0..taken {
-            self.log_handled('a');
-        }
-        taken as u64
+        taken
     }
 
     /// Delivers a broadcast group's copies while its next recipient stays
@@ -937,7 +941,7 @@ mod tests {
             assert_eq!(sim.queue.peek_time(), Some(Time::ZERO));
             let stream = sim.arrivals.as_ref().expect("a loaded run has a stream");
             assert_eq!(stream.peek_time(), Some(Time::ZERO));
-            assert_eq!(stream.pending().len(), 48);
+            assert_eq!(stream.pending().map(|run| run.len), Some(48));
         }
     }
 
@@ -980,6 +984,48 @@ mod tests {
             shared > 100,
             "{shared} instants held an arrival and another event"
         );
+    }
+
+    /// A tick whose ids cross `u64::MAX` reaches every mempool whole, in the
+    /// batch at its instant: this seed puts the id base at `u64::MAX − 20`,
+    /// so at 48 000 tps the first tick is 21 ids up to the top and 27 from
+    /// zero, two runs. The `'a'` log is the per-id schedule's, one entry
+    /// per arrival at its instant, and every mempool ends as one fed the
+    /// arrivals one `submit` at a time.
+    #[test]
+    fn a_tick_whose_ids_wrap_reaches_every_mempool_in_its_batch() {
+        const SEED: u64 = 2_936_116_602_622_675_967;
+        let horizon = Duration::from_millis(3);
+        let cfg = loaded(4, 48_000).with_seed(SEED).with_horizon(horizon);
+        let workload = cfg.workload.expect("loaded");
+        let mut sim = Simulation::with_exec(cfg, ExecOptions::default());
+        sim.handled = Some(Vec::new());
+        sim.run_loop();
+        let log = sim.handled.take().expect("set above");
+        let at_zero: String = log
+            .iter()
+            .filter(|&&(when, _)| when == Time::ZERO)
+            .map(|&(_, kind)| kind)
+            .collect();
+        assert_eq!(at_zero, format!("bbbb{}", "a".repeat(48)));
+        let arrivals = workload.arrivals(SEED, horizon);
+        assert_eq!(arrivals[20].1.id.as_u64(), u64::MAX);
+        assert_eq!(arrivals[21].1.id.as_u64(), 0);
+        let logged: Vec<Time> = log
+            .iter()
+            .filter(|&&(_, kind)| kind == 'a')
+            .map(|&(when, _)| when)
+            .collect();
+        assert!(logged.iter().eq(arrivals.iter().map(|(when, _)| when)));
+        let mut reference = lumiere_core::Mempool::new(workload.mempool_config());
+        for &(_, tx) in &arrivals {
+            assert!(reference.submit(tx));
+        }
+        for node in &sim.nodes {
+            let pool = node.mempool();
+            assert_eq!(pool.len(), reference.len(), "node {}", node.id());
+            assert_eq!(pool.next_batch_excluding(&[]), reference.next_batch());
+        }
     }
 
     /// An output with every class filled, `gated_events` included.

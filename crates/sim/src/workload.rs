@@ -7,6 +7,9 @@
 //! horizon)` triple — never the run's own events — so the same triple
 //! yields byte-identical transactions at identical instants on every host
 //! and thread count, which the cross-thread determinism suite relies on.
+//! Ids come from one counter, so a tick's arrivals are a [`TxRun`]: the
+//! stream holds the tick as its first id and a count, and hands it on whole
+//! (two runs when the counter crosses `u64::MAX` inside it).
 //!
 //! The clients are **open loop**: they submit at the configured rate no
 //! matter how the cluster is doing, so saturation shows up as growing
@@ -14,7 +17,7 @@
 //! as load shedding — exactly the throughput–latency behaviour the `load`
 //! experiment plots.
 
-use lumiere_types::{Duration, Time, Transaction, TxId};
+use lumiere_types::{Duration, Time, Transaction, TxId, TxRun};
 use serde::{Deserialize, Serialize};
 
 /// Wire size of every generated transaction, in bytes.
@@ -84,8 +87,8 @@ impl WorkloadConfig {
             acc: 0,
             generated: 0,
             tick: Time::ZERO,
-            txs: Vec::new(),
-            taken: 0,
+            next_id: 0,
+            remaining: 0,
         };
         stream.fill();
         stream
@@ -99,9 +102,9 @@ impl WorkloadConfig {
     }
 }
 
-/// A run's client arrivals, generated a millisecond tick at a time: a
-/// reusable buffer holds the next tick that carries any, so the stream's
-/// memory is one tick's arrivals whatever the rate and horizon. As an
+/// A run's client arrivals, generated a millisecond tick at a time: the
+/// stream holds the next tick that carries any as its first id and a count,
+/// so its memory is a few words whatever the rate and horizon. As an
 /// iterator it yields `(instant, transaction)` pairs in time order.
 #[derive(Debug)]
 pub struct ArrivalStream {
@@ -115,55 +118,61 @@ pub struct ArrivalStream {
     acc: u64,
     /// Transactions generated so far: the next id's offset from `id_base`.
     generated: u64,
-    /// The instant of the arrivals in `txs`.
+    /// The instant of the current tick's arrivals.
     tick: Time,
-    txs: Vec<Transaction>,
-    /// How many of `txs` have been yielded.
-    taken: usize,
+    /// The id of the current tick's next arrival.
+    next_id: u64,
+    /// The current tick's arrivals not yet yielded.
+    remaining: u64,
 }
 
 impl ArrivalStream {
     /// The instant of the next arrival, or `None` once the stream has
     /// reached the horizon.
     pub fn peek_time(&self) -> Option<Time> {
-        (self.taken < self.txs.len()).then_some(self.tick)
+        (self.remaining > 0).then_some(self.tick)
     }
 
-    /// The arrivals of the current tick not yet yielded.
-    pub fn pending(&self) -> &[Transaction] {
-        &self.txs[self.taken..]
+    /// The arrivals of the current tick not yet yielded, as one run cut at
+    /// `u64::MAX` (and at `u32::MAX` ids): the rest of a tick whose ids
+    /// wrap is the next run at the same instant. `None` once the stream has
+    /// reached the horizon.
+    pub fn pending(&self) -> Option<TxRun> {
+        // Counted less one, so neither cut overflows.
+        let more = (self.remaining.checked_sub(1)?)
+            .min(u64::MAX - self.next_id)
+            .min(u32::MAX as u64 - 1);
+        let first = TxId::new(self.next_id);
+        Some(TxRun::new(first, more as u32 + 1, TX_BYTES))
     }
 
-    /// Marks the first `k` of [`pending`](Self::pending) as yielded, moving
-    /// on to the next tick once the current one is spent.
-    pub fn consume(&mut self, k: usize) {
-        debug_assert!(k <= self.pending().len());
-        self.taken += k;
-        if self.taken == self.txs.len() {
+    /// Marks the first `k` ids of [`pending`](Self::pending) as yielded,
+    /// moving on to the next tick once the current one is spent.
+    pub fn consume(&mut self, k: u32) {
+        debug_assert!(self.pending().is_some_and(|run| k <= run.len));
+        self.next_id = self.next_id.wrapping_add(k as u64);
+        self.remaining -= k as u64;
+        if self.remaining == 0 {
             self.fill();
         }
     }
 
-    /// Refills the buffer with the next tick that carries arrivals, or
-    /// leaves it empty at the horizon. Fixed-point integration of the rate:
-    /// each simulated millisecond adds the txs/sec; every 1000 accumulated
-    /// units is one arrival. Integer arithmetic
-    /// only, so the schedule never drifts and is identical everywhere.
+    /// Moves on to the next tick that carries arrivals, or leaves none
+    /// pending at the horizon. Fixed-point integration of the rate: each
+    /// simulated millisecond adds the txs/sec; every 1000 accumulated units
+    /// is one arrival. Integer arithmetic only, so the schedule never
+    /// drifts and is identical everywhere.
     fn fill(&mut self) {
-        self.txs.clear();
-        self.taken = 0;
-        while self.txs.is_empty() && self.next_ms < self.horizon_ms {
+        while self.remaining == 0 && self.next_ms < self.horizon_ms {
             let ms = self.next_ms;
             self.next_ms += 1;
             self.acc += self.config.rate_tps;
-            while self.acc >= 1_000 {
-                self.acc -= 1_000;
-                let id = TxId::new(self.id_base.wrapping_add(self.generated));
-                self.txs.push(Transaction::sized(id, TX_BYTES));
-                self.generated += 1;
-            }
+            self.remaining = self.acc / 1_000;
+            self.acc %= 1_000;
             self.tick = Time::from_micros(ms as i64 * 1_000);
         }
+        self.next_id = self.id_base.wrapping_add(self.generated);
+        self.generated += self.remaining;
     }
 }
 
@@ -171,7 +180,7 @@ impl Iterator for ArrivalStream {
     type Item = (Time, Transaction);
 
     fn next(&mut self) -> Option<(Time, Transaction)> {
-        let tx = *self.txs.get(self.taken)?;
+        let tx = Transaction::sized(self.pending()?.first, TX_BYTES);
         let at = self.tick;
         self.consume(1);
         Some((at, tx))
@@ -243,12 +252,11 @@ mod tests {
                 let mut ticks: Vec<Time> = Vec::new();
                 let mut joined = Vec::new();
                 while let Some(at) = stream.peek_time() {
-                    let txs = stream.pending().to_vec();
-                    assert!(!txs.is_empty(), "{rate} tps: empty tick at {at:?}");
+                    let run = stream.pending().expect("a tick carries arrivals");
                     assert!(ticks.last().is_none_or(|&last| last < at));
                     assert!(at < Time::ZERO + horizon, "{rate} tps: {at:?}");
                     ticks.push(at);
-                    for tx in txs {
+                    for tx in run.txs() {
                         assert_eq!(stream.next(), Some((at, tx)));
                         joined.push((at, tx));
                     }
@@ -265,6 +273,45 @@ mod tests {
                 assert_eq!(w.arrivals(9, horizon), expected);
             }
         }
+    }
+
+    /// A seed whose id base is `u64::MAX − 20`: at 48 000 tps the first
+    /// tick's 48 ids are 21 up to `u64::MAX`, then 27 from zero, so the
+    /// tick is two runs at one instant, and together the runs are the
+    /// precomputed schedule.
+    #[test]
+    fn a_tick_whose_ids_wrap_is_two_runs_at_one_instant() {
+        const SEED: u64 = 2_936_116_602_622_675_967;
+        let w = WorkloadConfig::constant(48_000);
+        let horizon = Duration::from_millis(5);
+        let mut stream = w.stream(SEED, horizon);
+        let top = TxRun::new(TxId::new(u64::MAX - 20), 21, TX_BYTES);
+        assert_eq!(stream.pending(), Some(top));
+        stream.consume(20);
+        let last = TxRun::new(TxId::new(u64::MAX), 1, TX_BYTES);
+        assert_eq!(stream.pending(), Some(last));
+        stream.consume(1);
+        assert_eq!(stream.peek_time(), Some(Time::ZERO), "the tick goes on");
+        assert_eq!(
+            stream.pending(),
+            Some(TxRun::new(TxId::new(0), 27, TX_BYTES))
+        );
+        stream.consume(27);
+        assert_eq!(stream.peek_time(), Some(Time::from_millis(1)));
+        assert_eq!(
+            stream.pending(),
+            Some(TxRun::new(TxId::new(27), 48, TX_BYTES))
+        );
+
+        let mut joined = Vec::new();
+        let mut stream = w.stream(SEED, horizon);
+        while let (Some(at), Some(run)) = (stream.peek_time(), stream.pending()) {
+            joined.extend(run.txs().map(|tx| (at, tx)));
+            stream.consume(run.len);
+        }
+        assert_eq!(stream.pending(), None);
+        assert_eq!(joined, precomputed(&w, SEED, horizon));
+        assert_eq!(w.arrivals(SEED, horizon), joined);
     }
 
     #[test]

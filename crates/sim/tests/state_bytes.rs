@@ -39,13 +39,17 @@
 //! 2 793 827 (the mempool index), 1 827 347 (submit instants) or 1 753 619
 //! (committed ids). Then 818 883 once the runner read arrivals from a
 //! stream, one millisecond tick at a time, instead of queueing all 12 000
-//! before the first event. The budget sits between the last two, so
-//! arrivals put back in the queue, or any per-transaction table, fail here.
+//! before the first event (655 499 on a later tree). Then 261 547 once each
+//! mempool queued runs of ids, not one entry per id, and every arrival tick
+//! reached the nodes as one run. The budget sits between the last two, so
+//! a per-transaction queue, arrivals put back in the event queue, or any
+//! per-transaction table, fail here.
 //!
 //! The two run sets in each mempool are 56 bytes more than the hash table
 //! they replaced before anything is inserted, so a built replica grew by
 //! that: `sim_steady` 714 311 → 721 479 bytes, `sim_viewchange` 503 607 →
-//! 507 191.
+//! 507 191. The queue's id count added 8 bytes per mempool: `sim_steady`
+//! 733 863 → 734 887, `sim_viewchange` 530 095 → 530 607.
 //!
 //! A second check builds the `sim_steady` configuration at n = 256 and
 //! n = 2048 without running it: 1 361 and 1 340 live bytes per replica with
@@ -113,10 +117,10 @@ const BUDGET: isize = 800_000;
 /// allocation.
 const VIEWCHANGE_BUDGET: isize = 600_000;
 
-/// Peak live bytes the `sim_backlog` run may reach: above the 818 883 it
-/// reaches, below the 1 679 875 it reached with every arrival queued before
-/// the first event.
-const BACKLOG_BUDGET: isize = 900_000;
+/// Peak live bytes the `sim_backlog` run may reach: above the 261 547 it
+/// reaches, below the 655 499 it reached while each mempool queued one entry
+/// per transaction.
+const BACKLOG_BUDGET: isize = 400_000;
 
 /// The `sim_steady` configuration at `n` processors.
 fn steady(n: usize, seed: u64) -> SimConfig {

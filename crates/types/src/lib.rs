@@ -53,7 +53,7 @@ pub use params::{Params, DEFAULT_VIEW_ROUNDS};
 pub use slash::SlashEvidence;
 pub use stake::StakeTable;
 pub use time::{Duration, Time, TimeRange};
-pub use tx::{Batch, Transaction, TxId};
+pub use tx::{Batch, Transaction, TxId, TxRun};
 pub use view::{Epoch, View};
 pub use wire::{Reader, Wire, WireError};
 

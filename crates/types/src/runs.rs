@@ -130,21 +130,6 @@ impl IdRuns {
     }
 }
 
-/// The first and last of `ids` when they are one run of consecutive
-/// ascending ids; `None` when `ids` is empty or is not such a run (one that
-/// would pass `u64::MAX` is not).
-pub fn as_run(mut ids: impl Iterator<Item = u64>) -> Option<(u64, u64)> {
-    let start = ids.next()?;
-    let mut end = start;
-    for id in ids {
-        if end.checked_add(1) != Some(id) {
-            return None;
-        }
-        end = id;
-    }
-    Some((start, end))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,16 +223,6 @@ mod tests {
                 }
             });
             check_ops(ops);
-        }
-    }
-
-    #[test]
-    fn as_run_takes_only_consecutive_ascending_ids() {
-        assert_eq!(as_run([7, 8, 9].into_iter()), Some((7, 9)));
-        assert_eq!(as_run([u64::MAX].into_iter()), Some((u64::MAX, u64::MAX)));
-        assert_eq!(as_run(std::iter::empty()), None);
-        for ids in [vec![7, 9], vec![7, 7], vec![8, 7], vec![u64::MAX, 0]] {
-            assert_eq!(as_run(ids.into_iter()), None, "not a run");
         }
     }
 

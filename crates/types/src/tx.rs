@@ -70,6 +70,62 @@ impl Transaction {
     }
 }
 
+/// Consecutive transactions of one size: the ids `first ..= first + len − 1`,
+/// each `size` bytes on the wire.
+///
+/// A run holds at least one id and never wraps past `u64::MAX` (the rule
+/// [`IdRuns`](crate::runs::IdRuns) keeps), so a counter's ids that cross the
+/// top of the id space are two runs. It is as large as one [`Transaction`],
+/// so a run of one costs what the transaction would; the simulator's client
+/// ids come from one counter, and a tick of them, or a mempool's whole
+/// backlog, is one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxRun {
+    /// The lowest id.
+    pub first: TxId,
+    /// How many ids the run holds, at least one.
+    pub len: u32,
+    /// The wire size of every transaction in the run, in bytes.
+    pub size: u32,
+}
+
+impl TxRun {
+    /// The `len` ids from `first`, each `size` bytes. Panics when `len` is
+    /// zero or the run would pass `u64::MAX`.
+    pub fn new(first: TxId, len: u32, size: u32) -> Self {
+        assert!(
+            len > 0 && first.0.checked_add(len as u64 - 1).is_some(),
+            "a run of {len} ids from {first}"
+        );
+        TxRun { first, len, size }
+    }
+
+    /// The run holding `tx` alone.
+    pub const fn one(tx: Transaction) -> Self {
+        TxRun {
+            first: tx.id,
+            len: 1,
+            size: tx.size,
+        }
+    }
+
+    /// The highest id.
+    pub const fn last(self) -> TxId {
+        TxId(self.first.0 + (self.len as u64 - 1))
+    }
+
+    /// The transactions, in id order.
+    pub fn txs(self) -> impl Iterator<Item = Transaction> {
+        (self.first.0..=self.last().0).map(move |id| Transaction::sized(TxId(id), self.size))
+    }
+
+    /// The first `k` ids, `1 ≤ k ≤ len`.
+    pub fn take(self, k: u32) -> TxRun {
+        debug_assert!(0 < k && k <= self.len, "take {k} of {}", self.len);
+        TxRun { len: k, ..self }
+    }
+}
+
 /// An ordered batch of transactions — the payload of a block proposal.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Batch {
@@ -314,6 +370,29 @@ mod tests {
             Batch::decode_exact(&bytes),
             Err(WireError::BadCount { what: "Batch", .. })
         ));
+    }
+
+    #[test]
+    fn a_run_is_its_transactions_in_id_order() {
+        let run = TxRun::new(TxId::new(7), 3, 100);
+        assert_eq!(std::mem::size_of::<TxRun>(), 16);
+        assert_eq!(run.last(), TxId::new(9));
+        let txs: Vec<Transaction> = run.txs().collect();
+        assert_eq!(
+            txs,
+            [7, 8, 9].map(|id| Transaction::sized(TxId::new(id), 100))
+        );
+        assert_eq!(run.take(2).txs().collect::<Vec<_>>(), txs[..2]);
+        assert_eq!(TxRun::one(txs[2]), TxRun::new(TxId::new(9), 1, 100));
+        let top = TxRun::new(TxId::new(u64::MAX - 1), 2, 256);
+        assert_eq!(top.last(), TxId::new(u64::MAX));
+        assert_eq!(top.txs().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "a run of 3 ids")]
+    fn a_run_does_not_wrap_past_the_top_of_the_id_space() {
+        TxRun::new(TxId::new(u64::MAX - 1), 3, 256);
     }
 
     #[test]

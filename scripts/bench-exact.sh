@@ -31,6 +31,11 @@ wire_mesh        68.25               4803.0                 7.0          10.0
 "
 METRICS=(msgs_per_commit auth_bytes_per_commit vlat_ms_p50 vlat_ms_tail)
 
+# A build of `benchmark/` rewrites benchmark/Cargo.lock; when the file is
+# unmodified now, it is put back on exit, so a run leaves the tree as found.
+if git diff --quiet -- benchmark/Cargo.lock; then
+    trap 'git checkout --quiet -- benchmark/Cargo.lock' EXIT
+fi
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml || exit 1
 failed=0
 while read -r workload pinned_values; do

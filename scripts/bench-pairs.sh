@@ -63,6 +63,13 @@ first_seed=${4:-1001}
 work=target/bench-pairs
 tree=$work/parent
 checkout_worktree "$parent_ref" "$tree"
+# The change's build rewrites benchmark/Cargo.lock; when the file is
+# unmodified now, the exit trap also puts it back, so a run leaves the tree
+# as found.
+if git diff --quiet -- benchmark/Cargo.lock; then
+    # shellcheck disable=SC2064 # $tree is expanded now, on purpose.
+    trap "git worktree remove --force '$tree'; git worktree prune; git checkout --quiet -- benchmark/Cargo.lock" EXIT
+fi
 
 echo "building the parent ($rev) and the change ..." >&2
 CARGO_TARGET_DIR="$PWD/$work/parent-target" \
